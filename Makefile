@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-smoke bench-par bench-weave serve-smoke lint
+.PHONY: check vet build test race bench bench-e2e bench-e2e-compare bench-smoke bench-par bench-weave serve-smoke lint
 
 ## check: full gate — vet, build, and the test suite under the race detector.
 check: vet build race
@@ -28,6 +28,18 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+## bench-e2e: the repository's benchmark (bench/README.md) — six paper
+## workloads run to completion, untraced and traced pass, every metric
+## printed and written to bench/out/result-<commit>-<seed>.json. Extra
+## lsbench arguments go in ARGS (e.g. ARGS="-runs 3 -seed 1").
+bench-e2e:
+	bash bench/run.sh $(ARGS)
+
+## bench-e2e-compare: gate result file B against A with the bounds of
+## BENCHMARK.json; exits 1 on a regression.
+bench-e2e-compare:
+	bash bench/run.sh compare $(A) $(B)
 
 ## bench-smoke: fast CI sanity pass over the scheduler benchmarks, gated
 ## against the checked-in BENCH_10.json baseline (fail on >25% slowdown,

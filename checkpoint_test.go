@@ -182,6 +182,37 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// restoreAcross runs a session of from for snapAt cycles, snapshots it,
+// restores the snapshot into a session of to and runs that to total. It
+// returns the restored run's per-cycle hashes and final statistics dump.
+func restoreAcross(t *testing.T, from, to *core.Program, snapAt, total uint64) ([]uint64, string) {
+	t.Helper()
+	simA, err := from.NewSim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := simA.Run(snapAt); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := simA.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	simA.Close()
+	h := &cycleHasher{}
+	simB, err := to.Restore(&buf, core.WithTracer(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer simB.Close()
+	if err := simB.Run(total - snapAt); err != nil {
+		t.Fatal(err)
+	}
+	var st bytes.Buffer
+	simB.Stats().Dump(&st)
+	return h.hashes, st.String()
+}
+
 // TestCheckpointCrossEngineWoven pins scheduler independence of the
 // snapshot format: the fingerprint hashes structure, not the engine, so
 // a snapshot taken under the woven engine restores into a levelized
@@ -211,42 +242,90 @@ func TestCheckpointCrossEngineWoven(t *testing.T) {
 					t.Fatal(err)
 				}
 				refHashes, refStats := runStamped(t, progTo, total)
-
-				simA, err := progFrom.NewSim()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := simA.Run(snapAt); err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := simA.Snapshot(&buf); err != nil {
-					t.Fatal(err)
-				}
-				simA.Close()
-
-				h := &cycleHasher{}
-				simB, err := progTo.Restore(bytes.NewReader(buf.Bytes()), core.WithTracer(h))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer simB.Close()
-				if err := simB.Run(total - snapAt); err != nil {
-					t.Fatal(err)
-				}
-				for i, got := range h.hashes {
+				hashes, stats := restoreAcross(t, progFrom, progTo, snapAt, total)
+				for i, got := range hashes {
 					if got != refHashes[snapAt+i] {
 						t.Fatalf("cross-engine restore diverges from the %s reference at cycle %d",
 							dir.to, snapAt+i)
 					}
 				}
-				var st bytes.Buffer
-				simB.Stats().Dump(&st)
-				if st.String() != refStats {
+				if stats != refStats {
 					t.Fatalf("cross-engine statistics diverge:\n--- reference\n%s--- restored\n%s",
-						refStats, st.String())
+						refStats, stats)
 				}
 			})
+		}
+	}
+}
+
+// TestEmptyPartitionCrossEngine runs the sparse (default) engine on two
+// recipes — one whose activity partition gates nothing, so its sessions
+// take the levelized bulk-reset step, and one with an idle island that
+// the partition gates and keeps replaying — against the sequential
+// oracle. Both must report sparse, hash equal to the oracle cycle by
+// cycle, and exchange snapshots with it in either direction.
+func TestEmptyPartitionCrossEngine(t *testing.T) {
+	const snapAt, total = 60, 140
+	withIsland := func(b *core.Builder) error {
+		if err := checkpointAssemble("any")(b); err != nil {
+			return err
+		}
+		x, y := newPassThrough("island_x"), newPassThrough("island_y")
+		b.Add(x)
+		b.Add(y)
+		if err := b.Connect(x, "out", y, "in"); err != nil {
+			return err
+		}
+		return b.Connect(y, "out", x, "in")
+	}
+	for _, tc := range []struct {
+		name     string
+		assemble func(*core.Builder) error
+		gates    bool
+	}{
+		{"gates-nothing", checkpointAssemble("any"), false},
+		{"idle-island", withIsland, true},
+	} {
+		progs := map[core.SchedulerKind]*core.Program{}
+		for _, kind := range []core.SchedulerKind{core.SchedulerSparse, core.SchedulerSequential} {
+			p, err := core.Compile(tc.assemble, core.WithSeed(7), core.WithScheduler(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs[kind] = p
+		}
+		sparse := progs[core.SchedulerSparse]
+		if got := sparse.Scheduler(); got != core.SchedulerSparse {
+			t.Fatalf("%s: program reports %s, want sparse", tc.name, got)
+		}
+		if info := sparse.Schedule(); (info.GatedConns > 0) != tc.gates {
+			t.Fatalf("%s: partition gates %d conns, want gating=%v", tc.name, info.GatedConns, tc.gates)
+		}
+		refHashes, refStats := runStamped(t, progs[core.SchedulerSequential], total)
+		gotHashes, gotStats := runStamped(t, sparse, total)
+		for i := range refHashes {
+			if gotHashes[i] != refHashes[i] {
+				t.Fatalf("%s: sparse diverges from the sequential oracle at cycle %d", tc.name, i)
+			}
+		}
+		if gotStats != refStats {
+			t.Fatalf("%s: sparse statistics diverge from the oracle's", tc.name)
+		}
+		for _, dir := range [][2]core.SchedulerKind{
+			{core.SchedulerSparse, core.SchedulerSequential},
+			{core.SchedulerSequential, core.SchedulerSparse},
+		} {
+			hashes, stats := restoreAcross(t, progs[dir[0]], progs[dir[1]], snapAt, total)
+			for i, got := range hashes {
+				if got != refHashes[snapAt+i] {
+					t.Fatalf("%s: %s snapshot restored under %s diverges at cycle %d",
+						tc.name, dir[0], dir[1], snapAt+i)
+				}
+			}
+			if stats != refStats {
+				t.Fatalf("%s: %s snapshot restored under %s ends with different statistics",
+					tc.name, dir[0], dir[1])
+			}
 		}
 	}
 }

@@ -19,6 +19,9 @@
 //	               (deprecated as a selector — use -scheduler)
 //	-trace         dump the signal trace to stderr
 //	-profile       collect scheduler metrics; print a hot-module report
+//	-cpuprofile F  write a pprof CPU profile of construction and the run to F
+//	-exectrace F   write a runtime execution trace (go tool trace) of the
+//	               same span to F (-trace is the signal trace)
 //	-stats-json    emit the statistics snapshot as JSON on stdout
 //	-stats-csv F   write the statistics snapshot as CSV to file F
 //	-events N      keep the last N signal events; dump them on exit
@@ -45,6 +48,8 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
+	rtrace "runtime/trace"
 	"strconv"
 	"strings"
 	"sync"
@@ -92,6 +97,8 @@ func main() {
 	statsJSON := flag.Bool("stats-json", false, "emit the statistics snapshot as JSON on stdout")
 	statsCSV := flag.String("stats-csv", "", "write the statistics snapshot as CSV to this file")
 	profile := flag.Bool("profile", false, "collect scheduler metrics and print a hot-module report to stderr")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of construction and the run to this file")
+	execTrace := flag.String("exectrace", "", "write a runtime execution trace (go tool trace) of construction and the run to this file")
 	events := flag.Int("events", 0, "keep the last N signal events and dump them to stderr on exit")
 	defs := defines{}
 	flag.Var(defs, "D", "override a top-level let binding: -D name=value (repeatable)")
@@ -173,6 +180,10 @@ func main() {
 		// it serves is empty without them.
 		opts = append(opts, lse.WithObserver(&lse.Observer{Metrics: *profile || *metricsAddr != "", Events: ev}))
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *execTrace)
+	if err != nil {
+		fatal(err)
+	}
 	sim, err := lse.LoadLSSFile(flag.Arg(0), string(src), defs, opts...)
 	if err != nil {
 		fatal(err)
@@ -224,6 +235,7 @@ func main() {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	runErr := sim.RunContext(ctx, *cycles)
+	stopProfiles()
 	if errors.Is(runErr, context.Canceled) {
 		// Interrupted: report the completed prefix instead of dying —
 		// partial statistics from a long run are still statistics.
@@ -284,6 +296,43 @@ func main() {
 		fmt.Fprintf(os.Stderr, "last %d signal events:\n", ev.Len())
 		ev.WriteText(os.Stderr)
 	}
+}
+
+// startProfiles begins the CPU profile and runtime execution trace that
+// were asked for and returns the function that finishes and closes them.
+func startProfiles(cpuFile, traceFile string) (stop func(), err error) {
+	var stops []func()
+	begin := func(name string, start func(*os.File) error, end func()) error {
+		if name == "" {
+			return nil
+		}
+		f, err := os.Create(name)
+		if err != nil {
+			return err
+		}
+		if err := start(f); err != nil {
+			f.Close()
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		stops = append(stops, func() {
+			end()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "lsc:", err)
+			}
+		})
+		return nil
+	}
+	if err := begin(cpuFile, func(f *os.File) error { return pprof.StartCPUProfile(f) }, pprof.StopCPUProfile); err != nil {
+		return nil, err
+	}
+	if err := begin(traceFile, func(f *os.File) error { return rtrace.Start(f) }, rtrace.Stop); err != nil {
+		return nil, err
+	}
+	return func() {
+		for _, s := range stops {
+			s()
+		}
+	}, nil
 }
 
 func schedulerKind(name string) (lse.SchedulerKind, error) {

@@ -216,6 +216,7 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		seed:      b.seed,
 		sched:     sched,
 		workers:   workers,
+		single:    workers == 1,
 		parMin:    b.parMin,
 		tracer:    b.tracer,
 		prog:      p,

@@ -10,9 +10,12 @@ type SchedulerKind uint8
 
 const (
 	// SchedulerAuto lets Build choose: currently the activity-gated
-	// sparse scheduler, which is bit-identical to the sequential fixed
-	// point and strictly faster — dramatically so on mostly-idle
-	// netlists.
+	// sparse scheduler, bit-identical to the sequential fixed point. On a
+	// netlist whose activity partition gates nothing — every paper model
+	// measured so far — its sessions run the levelized step, so Auto
+	// costs what SchedulerLevelized costs; where the partition does gate
+	// a region (mostly-idle netlists) that region is resolved once and
+	// replayed.
 	SchedulerAuto SchedulerKind = iota
 	// SchedulerSequential is the demand-driven sequential engine: a single
 	// work queue runs reactive handlers to a fixed point, and default
@@ -37,7 +40,9 @@ const (
 	// handler and no input a seed instance can ever reach are never
 	// woken; their connections keep ("replay") the resolution they
 	// settled to on the last full sweep instead of being reset and
-	// re-resolved. Results are bit-identical to SchedulerSequential for
+	// re-resolved. A partition that gates nothing is reported but not
+	// walked: such sessions run the levelized step, with the levelized
+	// engine's exact metrics. Results are bit-identical to SchedulerSequential for
 	// netlists observing the reactive-purity invariant (see DESIGN.md
 	// Appendix C); scheduler metrics differ, since skipped work is the
 	// point. Sim.InvalidateActivity forces a full re-resolution.

@@ -132,3 +132,136 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	sim.Close() // must be a no-op, not a panic
 }
+
+// reactProbe is a reactive module that counts its reacts and can raise
+// one contract violation from inside its handler.
+type reactProbe struct {
+	Base
+	reacts int
+	boom   bool // raise a ContractError on the next react, once
+}
+
+func newReactProbe(name string) *reactProbe {
+	m := &reactProbe{}
+	m.Init(name, m)
+	m.AddInPort("in")
+	m.AddOutPort("out")
+	m.OnReact(func() {
+		m.reacts++
+		if m.boom {
+			m.boom = false
+			contractPanic("react", name, "boom")
+		}
+	})
+	return m
+}
+
+// TestStepErrorStrandsNoInstance: a handler that raises a ContractError
+// mid-drain in a one-worker session leaves the rest of the cycle's wake
+// broadcast queued. Step must return the error and clear those (plain)
+// scheduled flags, or the next Step's wakes would skip the instances
+// forever.
+func TestStepErrorStrandsNoInstance(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedulerSequential, SchedulerLevelized,
+		SchedulerSparse, SchedulerPartitioned, SchedulerWoven} {
+		b := NewBuilder(WithScheduler(kind))
+		drv := newStartDriver("drv")
+		b.Add(drv)
+		var prev Instance = drv
+		var probes []*reactProbe
+		for _, name := range []string{"p0", "p1", "p2", "p3"} {
+			p := newReactProbe(name)
+			probes = append(probes, p)
+			b.Add(p)
+			b.Connect(prev, "out", p, "in")
+			prev = p
+		}
+		sim, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sim.single {
+			t.Fatalf("%s: default session is not single-writer", kind)
+		}
+		if err := sim.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		probes[0].boom = true // first in the wake broadcast: p1..p3 are queued behind it
+		if _, ok := sim.Step().(*ContractError); !ok {
+			t.Fatalf("%s: Step did not return the handler's ContractError", kind)
+		}
+		for _, base := range sim.bases {
+			if base.scheduled != 0 {
+				t.Fatalf("%s: %s left scheduled after the aborted cycle", kind, base.name)
+			}
+		}
+		before := make([]int, len(probes))
+		for i, p := range probes {
+			before[i] = p.reacts
+		}
+		if err := sim.Step(); err != nil {
+			t.Fatalf("%s: Step after the error: %v", kind, err)
+		}
+		for i, p := range probes {
+			if p.reacts == before[i] {
+				t.Fatalf("%s: %s never reacted again after the aborted cycle", kind, p.name)
+			}
+		}
+	}
+}
+
+// TestEmptyPartitionNotWalked: a sparse program whose activity partition
+// gates nothing keeps the partition — the schedule report and the
+// active_insts metric still come from it — but marks it empty, so
+// sessions take the levelized step; one idle island makes it a real
+// partition again.
+func TestEmptyPartitionNotWalked(t *testing.T) {
+	assemble := func(island bool) func(*Builder) error {
+		return func(b *Builder) error {
+			drv, p := newStartDriver("drv"), newReactProbe("p")
+			tail := newProgTestModule("tail") // no handlers: never "active", gates nothing
+			b.Add(drv)
+			b.Add(p)
+			b.Add(tail)
+			b.Connect(drv, "out", p, "in")
+			b.Connect(p, "out", tail, "in")
+			if island {
+				x, y := newProgTestModule("x"), newProgTestModule("y")
+				b.Add(x)
+				b.Add(y)
+				b.Connect(x, "out", y, "in")
+				b.Connect(y, "out", x, "in")
+			}
+			return nil
+		}
+	}
+	const cycles = 5
+	for _, island := range []bool{false, true} {
+		prog, err := Compile(assemble(island), WithMetrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.Scheduler() != SchedulerSparse || prog.sparse == nil {
+			t.Fatalf("island=%v: auto did not compile a sparse partition", island)
+		}
+		if prog.sparse.empty == island {
+			t.Fatalf("island=%v: partition empty=%v", island, prog.sparse.empty)
+		}
+		sim, err := prog.NewSim()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(cycles); err != nil {
+			t.Fatal(err)
+		}
+		// Cycle 0 counts every instance, steady cycles the active region —
+		// whichever step ran.
+		want := uint64(len(sim.instances) + (cycles-1)*prog.sparse.activeInsts)
+		if got := sim.Metrics().ActiveInstances(); got != want {
+			t.Fatalf("island=%v: active_insts = %d, want %d", island, got, want)
+		}
+		if info := sim.Schedule(); info.Scheduler != SchedulerSparse || info.ActiveInsts != 2 {
+			t.Fatalf("island=%v: schedule reports %s with %d active instances", island, info.Scheduler, info.ActiveInsts)
+		}
+	}
+}

@@ -26,19 +26,23 @@ import (
 // unreadable outside a data-Yes window, so only the spill lane is cleared
 // at commit.
 //
-// Status cells are atomic because the parallel scheduler's workers race
-// on raise; the data lanes are written only by the single instance that
-// drives the connection's data signal, ordered by the status store.
+// Status cells are plain words under the single-writer rule (DESIGN.md
+// Appendix C.1): a session bound with one worker (Sim.single) is the only
+// goroutine that ever touches its plane, so it loads and stores them
+// directly; a session with more workers races on raise and goes through
+// the sync/atomic functions on the same words, every access. The data
+// lanes are written only by the single instance that drives the
+// connection's data signal, ordered by the status store.
 type sigPlane struct {
-	lanes  [3][]atomic.Uint32 // indexed by SigKind, then conn id
-	data   []any              // spill lane: valid where the data lane holds Yes
-	scalar []uint64           // fast lane for PayloadUint64 connections
+	lanes  [3][]uint32 // indexed by SigKind, then conn id
+	data   []any       // spill lane: valid where the data lane holds Yes
+	scalar []uint64    // fast lane for PayloadUint64 connections
 }
 
 func newSigPlane(nConns int) sigPlane {
 	var p sigPlane
 	for k := range p.lanes {
-		p.lanes[k] = make([]atomic.Uint32, nConns)
+		p.lanes[k] = make([]uint32, nConns)
 	}
 	p.data = make([]any, nConns)
 	p.scalar = make([]uint64, nConns)
@@ -53,17 +57,28 @@ func (p *sigPlane) clearStatus() {
 	}
 }
 
+// setStatus stores a status cell outside the raise protocol — resets,
+// woven kernels, Restore — in the session's access discipline.
+func (s *Sim) setStatus(k SigKind, slot int32, st Status) {
+	cell := &s.plane.lanes[k][slot]
+	if s.single {
+		*cell = uint32(st)
+	} else {
+		atomic.StoreUint32(cell, uint32(st))
+	}
+}
+
 // clearConn resets one connection's three status cells and spill value —
 // the sparse scheduler's per-connection reset for the active region. The
 // scalar lane is left as is: a stale scalar pins nothing and is
 // unreadable until the next data-Yes store overwrites it. Indexed by
 // conn id: only the sparse engine calls this, and sparse programs carry
 // no partition, so slot == id.
-func (p *sigPlane) clearConn(id int) {
-	p.lanes[SigData][id].Store(uint32(Unknown))
-	p.lanes[SigEnable][id].Store(uint32(Unknown))
-	p.lanes[SigAck][id].Store(uint32(Unknown))
-	p.data[id] = nil
+func (s *Sim) clearConn(id int32) {
+	s.setStatus(SigData, id, Unknown)
+	s.setStatus(SigEnable, id, Unknown)
+	s.setStatus(SigAck, id, Unknown)
+	s.plane.data[id] = nil
 }
 
 // Conn is one connection between an output port and an input port. It
@@ -167,7 +182,11 @@ func (c *Conn) String() string {
 }
 
 func (c *Conn) status(k SigKind) Status {
-	return Status(c.sim.plane.lanes[k][c.slot].Load())
+	cell := &c.sim.plane.lanes[k][c.slot]
+	if c.sim.single {
+		return Status(*cell)
+	}
+	return Status(atomic.LoadUint32(cell))
 }
 
 // checkWrite validates that driving a signal is legal right now — the
@@ -248,47 +267,44 @@ func (c *Conn) raiseUint64(v uint64) bool {
 }
 
 // resolve performs the status transition for signal k: the data/scalar
-// lane store (done by the caller) must precede this call so the release
-// CAS publishes the value; the acquire load in status() orders reads.
-// Under a single-worker engine only one goroutine ever raises, so the
-// transition is a plain load + store instead of a bus-locking CAS.
+// lane store (done by the caller) must precede this call. With several
+// workers the release CAS publishes the value and the acquire load in
+// status() orders reads; a single-writer session has nobody to publish
+// to, so the transition is a plain load + store instead of a bus-locking
+// CAS.
 func (c *Conn) resolve(k SigKind, s Status) bool {
-	cell := &c.sim.plane.lanes[k][c.slot]
-	if c.sim.workers == 1 {
-		if prev := Status(cell.Load()); prev != Unknown {
-			if prev != s {
-				contractPanic("raise "+k.String(), c.String(),
-					fmt.Sprintf("already resolved to %s, cannot re-raise to %s", prev, s))
-			}
+	sim := c.sim
+	cell := &sim.plane.lanes[k][c.slot]
+	if sim.single {
+		if prev := Status(*cell); prev != Unknown {
+			c.checkReRaise(k, prev, s)
 			return false
 		}
-		cell.Store(uint32(s))
-		c.sim.resolved[k]++
-		c.sim.onResolve(c, k, s)
-		c.sim.noteResolve(c, k)
-		if k == SigAck {
-			c.sim.wake(c.src.owner)
-		} else {
-			c.sim.wake(c.dst.owner)
-		}
-		return true
+		*cell = uint32(s)
+		sim.resolved[k]++
+	} else if !atomic.CompareAndSwapUint32(cell, uint32(Unknown), uint32(s)) {
+		c.checkReRaise(k, Status(atomic.LoadUint32(cell)), s)
+		return false
 	}
-	if cell.CompareAndSwap(uint32(Unknown), uint32(s)) {
-		c.sim.onResolve(c, k, s)
-		c.sim.noteResolve(c, k)
-		// Wake the endpoint that observes this signal.
-		if k == SigAck {
-			c.sim.wake(c.src.owner)
-		} else {
-			c.sim.wake(c.dst.owner)
-		}
-		return true
+	sim.onResolve(c, k, s)
+	sim.noteResolve(c, k)
+	// Wake the endpoint that observes this signal.
+	if k == SigAck {
+		sim.wake(c.src.owner)
+	} else {
+		sim.wake(c.dst.owner)
 	}
-	if prev := Status(cell.Load()); prev != s {
+	return true
+}
+
+// checkReRaise enforces single assignment on an already-resolved signal:
+// re-raising to the same status is a no-op, to a different one a
+// contract violation.
+func (c *Conn) checkReRaise(k SigKind, prev, s Status) {
+	if prev != s {
 		contractPanic("raise "+k.String(), c.String(),
 			fmt.Sprintf("already resolved to %s, cannot re-raise to %s", prev, s))
 	}
-	return false
 }
 
 // transferred reports whether the handshake completed this cycle. It is

@@ -27,7 +27,8 @@ type Sim struct {
 	seed      int64
 	sched     SchedulerKind // resolved: Sequential, Parallel, Levelized, Sparse, Partitioned or Woven
 	workers   int
-	parMin    int // parallel rounds below this size drain inline
+	single    bool // workers == 1, fixed at bind: the plane and scheduled flags are accessed plainly, else only through sync/atomic (DESIGN.md C.1)
+	parMin    int  // parallel rounds below this size drain inline
 	tracer    Tracer
 	prog      *Program // the compiled structure this session executes
 	instances []Instance
@@ -175,16 +176,28 @@ func (s *Sim) setPhase(p phase) {
 // instance list are fixed at Build). The already-scheduled early-out
 // inlines into raise's resolution path — the common case on busy
 // netlists, where every resolution wakes an endpoint — as a plain load
-// instead of a call and a bus-locking compare-and-swap.
+// instead of a call and a bus-locking compare-and-swap. Multi-worker
+// sessions take the call: their early-out is wakeSlow's atomic load.
 func (s *Sim) wake(b *Base) {
-	if b.react == nil || b.scheduled.Load() {
+	if b.react == nil || (s.single && b.scheduled != 0) {
 		return
 	}
 	s.wakeSlow(b)
 }
 
+// unschedule clears b's scheduled flag as it leaves a work queue.
+func (s *Sim) unschedule(b *Base) {
+	if s.single {
+		b.scheduled = 0
+	} else {
+		atomic.StoreUint32(&b.scheduled, 0)
+	}
+}
+
 func (s *Sim) wakeSlow(b *Base) {
-	if !b.scheduled.CompareAndSwap(false, true) {
+	if s.single {
+		b.scheduled = 1
+	} else if atomic.LoadUint32(&b.scheduled) != 0 || !atomic.CompareAndSwapUint32(&b.scheduled, 0, 1) {
 		return
 	}
 	if m := s.metrics; m != nil {
@@ -243,7 +256,7 @@ func (s *Sim) drain() {
 		}
 		b := s.queue[s.qhead]
 		s.qhead++
-		b.scheduled.Store(false)
+		s.unschedule(b)
 		s.runReact(b)
 	}
 	s.queue = s.queue[:0]
@@ -325,7 +338,7 @@ func (s *Sim) drainParallel() {
 			for s.qhead < len(s.queue) && len(s.queue)-s.qhead < s.parMin {
 				b := s.queue[s.qhead]
 				s.qhead++
-				b.scheduled.Store(false)
+				s.unschedule(b)
 				s.runReact(b)
 			}
 			batch = append(batch[:0], s.queue[s.qhead:]...)
@@ -555,12 +568,12 @@ func (s *Sim) Step() (err error) {
 			// wakes collected during an aborted parallel round), or those
 			// instances would be skipped by every future wake.
 			for _, b := range s.queue[s.qhead:] {
-				b.scheduled.Store(false)
+				s.unschedule(b)
 			}
 			s.queue = s.queue[:0]
 			s.qhead = 0
 			for _, b := range s.wakes {
-				b.scheduled.Store(false)
+				s.unschedule(b)
 			}
 			s.wakes = s.wakes[:0]
 			s.par = false
@@ -575,8 +588,21 @@ func (s *Sim) Step() (err error) {
 	// The sparse scheduler gates the cycle to the active region, and the
 	// woven scheduler replays its compiled region, except on full sweeps
 	// (cycle 0, after InvalidateActivity, an error or a Restore), which
-	// re-establish the replayed region's settled resolution.
+	// re-establish the replayed region's settled resolution. An activity
+	// partition that gates nothing is kept for reporting but not walked:
+	// every cycle is then a levelized full sweep.
 	sp, wv := s.sparse, s.weave
+	if m := s.metrics; m != nil && sp != nil {
+		if s.needFull {
+			m.activeInsts.Add(uint64(len(s.instances)))
+		} else {
+			m.activeInsts.Add(uint64(sp.activeInsts))
+			m.skippedWakes.Add(uint64(sp.gatedReacts))
+		}
+	}
+	if sp != nil && sp.empty {
+		sp = nil
+	}
 	full := (sp == nil && wv == nil) || s.needFull
 	s.needFull = false
 	if s.tracer != nil {
@@ -596,7 +622,7 @@ func (s *Sim) Step() (err error) {
 		}
 	} else if sp != nil {
 		for _, id := range sp.dirty {
-			s.plane.clearConn(int(id))
+			s.clearConn(id)
 		}
 	} else {
 		s.clearWovenDirty()
@@ -634,14 +660,6 @@ func (s *Sim) Step() (err error) {
 			s.wake(s.bases[id])
 		}
 	}
-	if m := s.metrics; m != nil && sp != nil {
-		if full {
-			m.activeInsts.Add(uint64(len(s.instances)))
-		} else {
-			m.activeInsts.Add(uint64(sp.activeInsts))
-			m.skippedWakes.Add(uint64(sp.gatedReacts))
-		}
-	}
 	s.drain()
 	s.applyDefaults(full)
 	switch {
@@ -652,7 +670,11 @@ func (s *Sim) Step() (err error) {
 			s.verifyResolved(s.conns)
 		}
 	case sp != nil:
-		s.verifyResolvedIDs(sp.dirty)
+		// Sparse steady cycle: only the active region was reset, so only
+		// its resolutions were counted.
+		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(sp.dirty) {
+			s.verifyResolvedIDs(sp.dirty)
+		}
 	default:
 		// Woven steady cycle: the replayed region is resolved by
 		// construction; the counters (bulk replay accounting plus

@@ -65,6 +65,13 @@ type progSparse struct {
 	fwdResidue []int32
 	ackResidue []int32
 
+	// empty: every connection is active, after pruning. No reactive
+	// instance is gated then either (a gated one has a gated input, or it
+	// would be a seed or have cascaded), so there is nothing to replay:
+	// sessions keep the partition for reporting but run the levelized
+	// step (bulk reset, no per-conn dirty loops) instead of walking it.
+	empty bool
+
 	activeInsts  int // instances in the active region
 	gatedReacts  int // reactive instances never woken (skipped wakes/cycle)
 	alwaysActive int // seed instances

@@ -299,8 +299,7 @@ func makeControlKernel(c *Conn) wovenKernel {
 	defEnable := c.src.opts.DefaultEnable
 	defAck := c.dst.opts.DefaultAck
 	return func(s *Sim) {
-		pl := &s.plane
-		pl.lanes[SigData][slot].Store(uint32(No))
+		s.setStatus(SigData, slot, No)
 		en := Unknown
 		if srcFn != nil {
 			en = srcFn(No, Unknown, nil)
@@ -311,7 +310,7 @@ func makeControlKernel(c *Conn) wovenKernel {
 		if en == Unknown {
 			en = No // enable follows the connection's own (defaulted-No) data
 		}
-		pl.lanes[SigEnable][slot].Store(uint32(en))
+		s.setStatus(SigEnable, slot, en)
 		ack := Unknown
 		if dstFn != nil {
 			ack = dstFn(No, en, nil)
@@ -322,7 +321,7 @@ func makeControlKernel(c *Conn) wovenKernel {
 		if ack == Unknown {
 			ack = No // firm-accept fails: the data signal is No
 		}
-		pl.lanes[SigAck][slot].Store(uint32(ack))
+		s.setStatus(SigAck, slot, ack)
 		if t := s.tracer; t != nil {
 			kc := s.conns[id]
 			t.OnResolve(kc, SigData, No)

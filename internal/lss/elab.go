@@ -3,6 +3,8 @@ package lss
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strconv"
 
 	core "liberty/internal/core"
@@ -105,16 +107,43 @@ func (e *Elaborator) Elaborate(f *File) error { return e.ElaborateWith(f, nil) }
 
 // ElaborateWith is Elaborate with predefined top-level bindings, which
 // shadow same-named `let` statements — the mechanism behind command-line
-// parameter overrides (lsc -D name=value).
+// parameter overrides (lsc -D name=value). Values may be any Go integer
+// or float kind, a string or a bool; anything else is an error naming
+// the binding.
 func (e *Elaborator) ElaborateWith(f *File, vars map[string]any) error {
 	top := &scope{vars: map[string]any{}, insts: map[string]any{}}
 	for k, v := range vars {
-		top.vars[k] = v
+		nv, err := normalizeDefine(k, v)
+		if err != nil {
+			return err
+		}
+		top.vars[k] = nv
 	}
 	e.overrides = vars
 	e.file = f.Name
 	defer e.b.At(core.Pos{}) // don't leak the cursor past elaboration
 	return e.exec(f.Stmts, top)
+}
+
+// normalizeDefine converts a caller-supplied binding to the evaluator's
+// value kinds — int64, float64, string, bool — so that a Go int written
+// through lse.CompileLSS does arithmetic like a literal would.
+func normalizeDefine(name string, v any) (any, error) {
+	switch rv := reflect.ValueOf(v); rv.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return rv.Int(), nil
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		if u := rv.Uint(); u <= math.MaxInt64 {
+			return int64(u), nil
+		}
+	case reflect.Float32, reflect.Float64:
+		return rv.Float(), nil
+	case reflect.String:
+		return rv.String(), nil
+	case reflect.Bool:
+		return rv.Bool(), nil
+	}
+	return nil, fmt.Errorf("lss: define %q: unsupported value %v of type %T (want an integer, float, string or bool)", name, v, v)
 }
 
 // Compile parses src once and compiles it into a shared core.Program

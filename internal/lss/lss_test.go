@@ -211,3 +211,42 @@ src.out -> snk.in;
 		t.Fatalf("overridden run received %d, want 7", got)
 	}
 }
+
+// TestGoTypedDefines: defines arrive from Go callers as whatever numeric
+// type was natural to write. Each integer and float kind must do
+// arithmetic exactly like the equivalent literal; anything the evaluator
+// has no kind for is refused by name, not by a later operator error.
+func TestGoTypedDefines(t *testing.T) {
+	const src = `
+let n = 1;
+let r = 1.0;
+instance src : pcl.source(count = n * 2 + 1, rate = r / 1.0);
+instance snk : pcl.sink();
+src.out -> snk.in;
+`
+	type named int
+	for _, v := range []any{
+		int(3), int8(3), int16(3), int32(3), int64(3), named(3),
+		uint(3), uint8(3), uint16(3), uint32(3), uint64(3), uintptr(3),
+	} {
+		sim, err := lss.Load(src, map[string]any{"n": v})
+		if err != nil {
+			t.Fatalf("n = %T: %v", v, err)
+		}
+		sim.Run(20)
+		if got := sim.Stats().CounterValue("snk.received"); got != 7 {
+			t.Fatalf("n = %T(3): received %d, want 7", v, got)
+		}
+	}
+	for _, v := range []any{float32(1), float64(1), int(1)} {
+		if _, err := lss.Load(src, map[string]any{"r": v}); err != nil {
+			t.Fatalf("r = %T: %v", v, err)
+		}
+	}
+	for _, v := range []any{uint64(1) << 63, []int{1}, nil, struct{}{}, complex(1, 0)} {
+		_, err := lss.Load(src, map[string]any{"n": v})
+		if err == nil || !strings.Contains(err.Error(), `define "n"`) {
+			t.Fatalf("n = %T: error %v does not name the define", v, err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package mpl
 
 import (
 	"fmt"
+	"sort"
 
 	"liberty/internal/ccl"
 	core "liberty/internal/core"
@@ -304,6 +305,7 @@ type DirHome struct {
 	cur     *DirMsg
 	waitInv int
 	waitRec bool
+	invTo   []int // scratch: sharers to invalidate, reused across requests
 
 	cReqs, cRecallsSent, cInvsSent *core.Counter
 }
@@ -416,12 +418,17 @@ func (h *DirHome) start(m DirMsg) {
 	}
 	e.owner = -1
 	if m.Kind == GetM {
-		h.waitInv = 0
+		// Invalidate in ascending sharer id: map iteration order would make
+		// the message order, and with it the cycle count, differ run to run.
+		h.invTo = h.invTo[:0]
 		for s := range e.sharers {
-			if s == m.From {
-				continue
+			if s != m.From {
+				h.invTo = append(h.invTo, s)
 			}
-			h.waitInv++
+		}
+		sort.Ints(h.invTo)
+		h.waitInv = len(h.invTo)
+		for _, s := range h.invTo {
 			h.cInvsSent.Inc()
 			h.push(DirMsg{Kind: DirInv, Addr: m.Addr, From: h.id, To: s})
 		}

@@ -42,6 +42,11 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 		fmt.Fprintf(w, "  activity:       %d/%d instances active (%d seed(s)), %d/%d conns re-resolved per cycle\n",
 			info.ActiveInsts, info.ActiveInsts+info.GatedInsts, info.AlwaysActive,
 			info.ActiveConns, info.ActiveConns+info.GatedConns)
+		if info.GatedConns == 0 && info.PrunedConns == 0 {
+			// Every reactive instance reaches a seed through some conn, so
+			// no gated conn means no gated react either: nothing to replay.
+			fmt.Fprintln(w, "                  the partition gates nothing: sessions run the levelized step (bulk reset, no per-conn replay bookkeeping)")
+		}
 		if info.PrunedConns > 0 || info.PrunedInsts > 0 {
 			fmt.Fprintf(w, "  dataflow prune: %d instance(s) and %d conn(s) proven dead and removed\n",
 				info.PrunedInsts, info.PrunedConns)

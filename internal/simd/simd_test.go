@@ -495,6 +495,59 @@ func TestParkAndUnparkOnDemand(t *testing.T) {
 	}
 }
 
+// unsnapshottableSpec is a model Sim.Snapshot refuses: ccl.link has
+// handlers but does not implement core.Stateful.
+const unsnapshottableSpec = `instance src : ccl.pktsource(node = 0, nodes = 2, rate = 0.5, size = 1);
+instance lnk : ccl.link(latency = 2);
+instance snk : pcl.sink();
+src.out -> lnk.in;
+lnk.out -> snk.in;
+`
+
+// TestSnapshotRefusedIsAnError: a model that cannot be checkpointed
+// answers the error envelope naming the instance — not a committed 200
+// with an empty body that fails a later restore far from the cause — and
+// an idle sweep that cannot park it leaves the session live and runnable.
+func TestSnapshotRefusedIsAnError(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	dir := t.TempDir()
+	srv, client := newTestServer(t, Config{
+		ParkAfter: time.Minute, CheckpointDir: dir, now: clock.now,
+	})
+	ctx := context.Background()
+	prog, err := client.SubmitProgram(ctx, SubmitProgramRequest{Spec: unsnapshottableSpec, Name: "nostate.lss"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Run(ctx, sess.ID, 20); err != nil {
+		t.Fatal(err)
+	}
+	body, err := client.Snapshot(ctx, sess.ID)
+	apiErr, ok := err.(*APIError)
+	if !ok || apiErr.Code != CodeModelError || apiErr.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("snapshot of a non-Stateful model: %d bytes, err %v; want %s/422", len(body), err, CodeModelError)
+	}
+	if !strings.Contains(apiErr.Message, "lnk") || !strings.Contains(apiErr.Message, "core.Stateful") {
+		t.Fatalf("error does not name the instance and the cause: %q", apiErr.Message)
+	}
+
+	clock.advance(2 * time.Minute)
+	srv.sweepIdle(clock.now())
+	if info, err := client.SessionInfo(ctx, sess.ID); err != nil || info.State != "live" {
+		t.Fatalf("after a park that cannot snapshot: %+v (err %v), want live", info, err)
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "*")); len(ckpts) != 0 {
+		t.Fatalf("failed park left %v behind", ckpts)
+	}
+	if st, err := client.Run(ctx, sess.ID, 10); err != nil || st.Cycle != 30 {
+		t.Fatalf("run after the failed park landed at %+v (err %v)", st, err)
+	}
+}
+
 func TestSessionTTLEviction(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	srv, client := newTestServer(t, Config{

@@ -1,6 +1,7 @@
 package systems_test
 
 import (
+	"strings"
 	"testing"
 
 	"liberty/internal/ccl"
@@ -118,5 +119,37 @@ func TestFig2dSystemOfSystems(t *testing.T) {
 	}
 	if counted == 0 || int64(counted) > sos.TotalReadings() {
 		t.Fatalf("summary counts %d vs readings %d", counted, sos.TotalReadings())
+	}
+}
+
+// TestFig2aCMPDeterministic: one seed must give one run. The directory
+// once sent invalidations in map-iteration order, so the same build
+// finished in a different cycle count from run to run — under every
+// engine, the sequential oracle included.
+func TestFig2aCMPDeterministic(t *testing.T) {
+	run := func() (uint64, string) {
+		b := core.NewBuilder(core.WithSeed(3), core.WithScheduler(core.SchedulerSequential))
+		cmp, err := systems.BuildCMP(b, "cmp", systems.CMPCfg{W: 3, H: 3, RefsPer: 40, Think: 2, SharedPct: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := simtest.Build(t, b)
+		ok, err := sim.RunUntil(func(*core.Sim) bool { return cmp.Done() }, 500000)
+		if err != nil || !ok {
+			t.Fatalf("CMP incomplete after %d cycles: %v", sim.Now(), err)
+		}
+		var stats strings.Builder
+		sim.Stats().DumpPrefix(&stats, "")
+		return sim.Now(), stats.String()
+	}
+	cycles, stats := run()
+	for i := 0; i < 2; i++ {
+		c, s := run()
+		if c != cycles {
+			t.Fatalf("run %d finished in %d cycles, the first in %d", i+1, c, cycles)
+		}
+		if s != stats {
+			t.Fatalf("run %d: statistics differ from the first run's", i+1)
+		}
 	}
 }

@@ -29,7 +29,9 @@
 // regions resolve in one deterministic sweep with no fixed-point
 // iteration — plus a build-time activity partition that resolves regions
 // unreachable from any cycle-start (or autonomous) instance exactly once
-// and replays their values thereafter. SchedulerSequential and
+// and replays their values thereafter. When that partition gates nothing
+// (lsc -schedule says so) the sessions run the plain levelized step, so
+// the default never costs more than SchedulerLevelized. SchedulerSequential and
 // SchedulerParallel are the classic dynamic fixed-point engines;
 // SchedulerWoven fuses the levelized schedule into specialized
 // compile-time step kernels for handler-free regions. Every scheduler
@@ -360,7 +362,8 @@ const (
 // only in host-time cost (the sparse engine's *scheduler metrics*
 // legitimately differ, since gated work is counted once, not per cycle).
 const (
-	// SchedulerAuto lets Build choose (currently SchedulerSparse).
+	// SchedulerAuto lets Build choose (currently SchedulerSparse, which
+	// runs the levelized step when its partition gates nothing).
 	SchedulerAuto = core.SchedulerAuto
 	// SchedulerSequential is the demand-driven sequential fixed point.
 	SchedulerSequential = core.SchedulerSequential

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 
 	core "liberty/internal/core"
@@ -49,12 +51,21 @@ var schedulerMatrix = []struct {
 }{
 	{"sequential", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSequential)}},
 	{"levelized", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerLevelized)}},
+	// The -w2 rows pair every engine that accepts workers with its
+	// one-worker row above or below: one worker resolves through plain
+	// loads and stores, two through sync/atomic on the same words, and the
+	// hair-trigger threshold sends every round to the pool. Both must hash
+	// equal to the sequential oracle.
+	{"levelized-w2", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerLevelized),
+		lse.WithWorkers(2), lse.WithParallelThreshold(1)}},
 	{"parallel", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerParallel), lse.WithWorkers(4)}},
 	// Small-round inline fallback: every reactive round runs on the
 	// waking goroutine, the pool only provides mutual exclusion.
 	{"parallel-inline", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerParallel),
 		lse.WithWorkers(2), lse.WithParallelThreshold(1 << 20)}},
 	{"sparse", false, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse)}},
+	{"sparse-w2", false, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse),
+		lse.WithWorkers(2), lse.WithParallelThreshold(1)}},
 	// The partitioned engine must hold exact counts at every worker
 	// count: per-level barriers and the handler-free wavefront keep the
 	// default and break metrics equal to the sequential sweep's.
@@ -72,6 +83,8 @@ var schedulerMatrix = []struct {
 	// every shape: all-fallback (handler chains, the mesh residue),
 	// all-const (passThrough fabrics) and everything between.
 	{"woven", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven)}},
+	{"woven-w2", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven),
+		lse.WithWorkers(2), lse.WithParallelThreshold(1)}},
 	// Extra workers only parallelize the interpreted fallback's reactive
 	// rounds; a hair-trigger threshold maximizes pool traffic there.
 	{"woven-w4", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven),
@@ -564,4 +577,73 @@ func runTypedRandomUnder(t *testing.T, seed int64, opts ...lse.BuildOption) sche
 		r.breaks[i] = m.CycleBreaks(k)
 	}
 	return r
+}
+
+// TestSingleWriterSessionMigrates pins what the single-writer rule does
+// and does not demand: a one-worker session resolves with plain loads and
+// stores, so it must never be stepped from two goroutines at once — but
+// it may move between goroutines, as an lsd session does from request to
+// request, when something orders the steps. Two goroutines take strict
+// turns under a mutex; run under -race, and compared cycle by cycle with
+// a twin stepped from one goroutine.
+func TestSingleWriterSessionMigrates(t *testing.T) {
+	src, err := os.ReadFile("specs/mesh.lss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 40
+	build := func() (*core.Sim, *cycleHasher) {
+		h := &cycleHasher{}
+		sim, err := lse.LoadLSS(string(src), lse.WithSeed(1), lse.WithTracer(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Workers() != 1 {
+			t.Fatalf("default session has %d workers, want 1", sim.Workers())
+		}
+		return sim, h
+	}
+	twin, ref := build()
+	if err := twin.Run(cycles); err != nil {
+		t.Fatal(err)
+	}
+
+	sim, got := build()
+	var (
+		mu     sync.Mutex
+		wg     sync.WaitGroup
+		turn   int
+		failed bool
+	)
+	for me := 0; me < 2; me++ {
+		wg.Add(1)
+		go func(me int) {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				if sim.Now() == cycles || failed {
+					mu.Unlock()
+					return
+				}
+				if turn == me {
+					if err := sim.Step(); err != nil {
+						t.Error(err)
+						failed = true
+					}
+					turn = 1 - me
+				}
+				mu.Unlock()
+				runtime.Gosched()
+			}
+		}(me)
+	}
+	wg.Wait()
+	if len(got.hashes) != len(ref.hashes) {
+		t.Fatalf("migrated session hashed %d cycles, want %d", len(got.hashes), len(ref.hashes))
+	}
+	for i := range ref.hashes {
+		if got.hashes[i] != ref.hashes[i] {
+			t.Fatalf("cycle %d: migrated session diverges from its unmigrated twin", i)
+		}
+	}
 }
