@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-e2e bench-e2e-compare bench-smoke bench-par bench-weave serve-smoke lint
+.PHONY: check vet build test race bench bench-e2e bench-e2e-compare bench-e2e-pairs bench-smoke bench-par bench-weave serve-smoke lint
 
 ## check: full gate — vet, build, and the test suite under the race detector.
 check: vet build race
@@ -40,6 +40,14 @@ bench-e2e:
 ## BENCHMARK.json; exits 1 on a regression.
 bench-e2e-compare:
 	bash bench/run.sh compare $(A) $(B)
+
+## bench-e2e-pairs: the paired measurement a gain claim rests on — N
+## (default 10) pairs of one workload W, the working tree against a clone
+## of revision PARENT, alternating which side runs first; prints each
+## side's median and quartiles and the change's wins per end-to-end metric.
+N ?= 10
+bench-e2e-pairs:
+	$(GO) run ./tools/benchpairs -w $(W) -parent $(PARENT) -n $(N)
 
 ## bench-smoke: fast CI sanity pass over the scheduler benchmarks, gated
 ## against the checked-in BENCH_10.json baseline (fail on >25% slowdown,

@@ -8,11 +8,13 @@ import (
 
 // writeMethods are the Port methods that drive signal status. They mirror
 // the operations guarded by core.(*Conn)'s write-phase check; SendUint64
-// is the scalar fast-lane send and just as illegal in the commit phase.
+// is the scalar fast-lane send and just as illegal in the commit phase,
+// and so are the fused lane operations, which are loops of the others.
 var writeMethods = map[string]bool{
 	"Send": true, "SendUint64": true, "SendNothing": true,
 	"Enable": true, "Disable": true,
 	"Ack": true, "Nack": true,
+	"Idle": true, "IdleLanes": true, "NackRest": true, "NackLanes": true,
 }
 
 // runPlanephase flags signal-status writes lexically reachable from an

@@ -4,7 +4,8 @@
 // dependency on the external go/analysis framework):
 //
 //   - planephase flags signal-status writes (Send, SendUint64,
-//     SendNothing, Enable, Disable, Ack, Nack) lexically reachable from an
+//     SendNothing, Enable, Disable, Ack, Nack and the fused Idle,
+//     IdleLanes, NackRest, NackLanes) lexically reachable from an
 //     OnCycleEnd commit handler — a guaranteed *core.ContractError at
 //     runtime. Both function literals and registered method values
 //     (OnCycleEnd(s.cycleEnd)) are checked.

@@ -139,6 +139,58 @@ func (s *src) cycleEnd() {
 	}
 }
 
+// TestFusedLaneOpsFlagged: the fused lane operations are write-phase
+// operations like the single-lane calls they stand for; each is caught
+// both as a direct call in a handler literal and through a handler
+// registered as a method value. The fused reads stay legal.
+func TestFusedLaneOpsFlagged(t *testing.T) {
+	for _, op := range []string{"Out.Idle()", "Out.IdleLanes(1, n)", "In.NackRest()", "In.NackLanes(0, n)"} {
+		method := op[strings.Index(op, ".")+1 : strings.Index(op, "(")]
+		for _, src := range []string{`package m
+
+func build(q *queue) {
+	q.OnCycleEnd(func() {
+		q.` + op + `
+	})
+}
+`, `package m
+
+func build(q *queue) {
+	q.OnCycleEnd(q.commit)
+}
+
+func (q *queue) commit() {
+	for i := q.In.NextTransferred(0); i >= 0; i = q.In.NextTransferred(i + 1) {
+		q.take(q.In.Data(i))
+	}
+	q.` + op + `
+}
+`} {
+			fs := check(t, src)
+			if len(fs) != 1 || fs[0].Method != method {
+				t.Errorf("%s: want 1 %s finding, got %v", op, method, fs)
+			}
+		}
+	}
+	legal := `package m
+
+func build(q *queue) {
+	q.OnCycleStart(func() { q.Out.Idle() })
+	q.OnReact(func() {
+		q.reqs, _ = q.In.Offers(q.reqs)
+		q.In.NackRest()
+	})
+	q.OnCycleEnd(func() {
+		n, _ := q.In.CountOffers()
+		q.seen += n + q.In.NextOffered(0)
+	})
+}
+`
+	if fs := check(t, legal); len(fs) != 0 {
+		t.Fatalf("legal fused calls flagged: %v", fs)
+	}
+}
+
 func TestStatefulGobSymmetricPairClean(t *testing.T) {
 	src := `package m
 

@@ -78,25 +78,23 @@ func (l *Link) cycleStart() {
 	if len(l.inflight) > 0 && l.Now() >= l.inflight[0].ready {
 		l.Out.Send(0, l.inflight[0].pkt)
 		l.Out.Enable(0)
-	} else {
-		l.Out.SendNothing(0)
-		l.Out.Disable(0)
 	}
+	l.Out.Idle()
 }
 
 func (l *Link) react() {
-	if l.In.AckStatus(0).Known() {
-		return
-	}
 	switch l.In.DataStatus(0) {
+	case core.No:
+		l.In.NackRest()
 	case core.Yes:
+		if l.In.AckStatus(0).Known() {
+			return
+		}
 		if l.Now() >= l.busyUntil && len(l.inflight) < l.capacity {
 			l.In.Ack(0)
 		} else {
 			l.In.Nack(0)
 		}
-	case core.No:
-		l.In.Nack(0)
 	}
 }
 

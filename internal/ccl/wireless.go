@@ -79,20 +79,17 @@ func (w *Wireless) cycleStart() {
 		w.cCollision = w.Counter("collisions")
 		w.cLost = w.Counter("lost")
 	}
-	for j := 0; j < w.Out.Width(); j++ {
-		var deliver *Packet
-		if len(w.inflight) > 0 && w.Now() >= w.inflight[0].ready &&
-			w.inflight[0].pkt.Dst == j {
-			deliver = w.inflight[0].pkt
-		}
-		if deliver != nil {
-			w.Out.Send(j, deliver)
-			w.Out.Enable(j)
-		} else {
-			w.Out.SendNothing(j)
-			w.Out.Disable(j)
+	n := w.Out.Width()
+	if len(w.inflight) > 0 && w.Now() >= w.inflight[0].ready {
+		if pkt := w.inflight[0].pkt; pkt.Dst >= 0 && pkt.Dst < n {
+			w.Out.IdleLanes(0, pkt.Dst)
+			w.Out.Send(pkt.Dst, pkt)
+			w.Out.Enable(pkt.Dst)
+			w.Out.IdleLanes(pkt.Dst+1, n)
+			return
 		}
 	}
+	w.Out.Idle()
 }
 
 func (w *Wireless) react() {
@@ -100,42 +97,25 @@ func (w *Wireless) react() {
 	// exactly one offer while the air is free wins; two or more collide
 	// and all lose the slot.
 	n := w.In.Width()
-	offers := 0
-	winner := -1
-	for i := 0; i < n; i++ {
-		switch w.In.DataStatus(i) {
-		case core.Unknown:
-			return
-		case core.Yes:
-			offers++
-			winner = i
-		}
+	offers, settled := w.In.CountOffers()
+	if !settled {
+		return
 	}
 	busy := w.Now() < w.airUntil || len(w.inflight) > 0
-	if w.csma && offers > 1 {
-		// Carrier-sense arbitration: round-robin among contenders.
-		for k := 1; k <= n; k++ {
-			i := (w.lastWin + k) % n
-			if w.In.DataStatus(i) == core.Yes {
-				winner = i
-				break
-			}
+	if !busy && (offers == 1 || (w.csma && offers > 1)) {
+		// The sole offer wins; carrier-sense arbitration picks round-robin
+		// among several contenders.
+		winner := w.In.NextOffered((w.lastWin + 1) % n)
+		if winner < 0 {
+			winner = w.In.NextOffered(0)
 		}
-	}
-	granted := offers == 1 || (w.csma && offers > 1)
-	for i := 0; i < n; i++ {
-		if w.In.AckStatus(i).Known() {
-			continue
+		w.In.NackLanes(0, winner)
+		if !w.In.AckStatus(winner).Known() {
+			w.In.Ack(winner)
 		}
-		if w.In.DataStatus(i) != core.Yes {
-			w.In.Nack(i)
-			continue
-		}
-		if granted && i == winner && !busy {
-			w.In.Ack(i)
-		} else {
-			w.In.Nack(i)
-		}
+		w.In.NackLanes(winner+1, n)
+	} else {
+		w.In.NackRest()
 	}
 	w.collided = offers > 1 && !busy
 }
@@ -149,16 +129,12 @@ func (w *Wireless) cycleEnd() {
 		w.Out.Transferred(w.inflight[0].pkt.Dst) {
 		w.inflight = w.inflight[1:]
 	}
-	for i := 0; i < w.In.Width(); i++ {
-		v, ok := w.In.TransferredData(i)
-		if !ok {
-			continue
-		}
+	for i := w.In.NextTransferred(0); i >= 0; i = w.In.NextTransferred(i + 1) {
 		w.lastWin = i
-		pkt, ok := v.(*Packet)
+		pkt, ok := w.In.Data(i).(*Packet)
 		if !ok {
 			panic(&core.ContractError{Op: "wireless transmit", Where: w.Name(),
-				Detail: fmt.Sprintf("expected *ccl.Packet, got %T", v)})
+				Detail: fmt.Sprintf("expected *ccl.Packet, got %T", w.In.Data(i))})
 		}
 		size := pkt.Size
 		if size < 1 {

@@ -258,6 +258,7 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 			c.slot = pt.slot[c.id]
 		}
 	}
+	s.bindLanes()
 	if workers > 1 {
 		if s.part != nil {
 			s.ppool = newPartPool(workers, s.part.nShards)

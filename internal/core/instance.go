@@ -168,7 +168,7 @@ func (b *Base) attach(s *Sim, id int) {
 	// stream position and Restore can replay it; the counting layer draws
 	// one underlying step per call, exactly like the bare source, so
 	// streams are unchanged.
-	b.rsrc = newCountingSource(s.seed ^ int64(h.Sum64()))
+	b.rsrc = &countingSource{seed: s.seed ^ int64(h.Sum64())}
 	b.rng = rand.New(b.rsrc)
 }
 

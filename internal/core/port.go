@@ -106,6 +106,14 @@ type Port struct {
 	owner *Base
 	opts  PortOpts
 	conns []*Conn
+
+	// Lane view, bound once at Build (see bindLanes; DESIGN.md Appendix
+	// J): what "lane i of this port" means in the session's signal plane,
+	// so a handler's access is one table read instead of a walk through
+	// *Conn and *Sim. All three stay zero on a port with no connections.
+	sim   *Sim
+	slots []int32 // lane -> plane slot
+	peers []*Base // lane -> instance observing the signals this port drives
 }
 
 // Name returns the port's name within its instance.
@@ -147,7 +155,19 @@ func (p *Port) check(i int) int {
 	return i
 }
 
+// slot is check for the read accessors: lane i's plane slot.
+func (p *Port) slot(i int) int32 {
+	if uint(i) < uint(len(p.slots)) {
+		return p.slots[i]
+	}
+	p.badIndex(i)
+	return 0
+}
+
 func (p *Port) badIndex(i int) {
+	if p.owner == nil || p.owner.sim == nil {
+		contractPanic("index", p.fullName(), "port not attached to a simulator")
+	}
 	contractPanic("index", fmt.Sprintf("%s[%d]", p.fullName(), i),
 		fmt.Sprintf("port has width %d", len(p.conns)))
 }
@@ -165,7 +185,7 @@ func (p *Port) badDir(op string) {
 // --- Receiver-side observations and actions (In ports) ---
 
 // DataStatus returns the resolution state of connection i's data signal.
-func (p *Port) DataStatus(i int) Status { return p.conns[p.check(i)].status(SigData) }
+func (p *Port) DataStatus(i int) Status { return p.sim.status(SigData, p.slot(i)) }
 
 // Data returns the value offered on connection i. It is valid only when
 // DataStatus(i) == Yes. On a scalar-lane connection the value is boxed on
@@ -179,7 +199,7 @@ func (p *Port) Data(i int) any { return p.conns[p.check(i)].dataValue() }
 func (p *Port) Uint64(i int) uint64 { return p.conns[p.check(i)].dataUint64() }
 
 // EnableStatus returns the resolution state of connection i's enable signal.
-func (p *Port) EnableStatus(i int) Status { return p.conns[p.check(i)].status(SigEnable) }
+func (p *Port) EnableStatus(i int) Status { return p.sim.status(SigEnable, p.slot(i)) }
 
 // Ack accepts the datum offered on connection i this cycle.
 func (p *Port) Ack(i int) {
@@ -234,24 +254,24 @@ func (p *Port) Disable(i int) {
 }
 
 // AckStatus returns the resolution state of connection i's ack signal.
-func (p *Port) AckStatus(i int) Status { return p.conns[p.check(i)].status(SigAck) }
+func (p *Port) AckStatus(i int) Status { return p.sim.status(SigAck, p.slot(i)) }
 
 // --- Post-resolution queries ---
 
 // Transferred reports whether the handshake on connection i completed
 // (data, enable and ack all affirmative). Meaningful during OnCycleEnd.
-func (p *Port) Transferred(i int) bool { return p.conns[p.check(i)].transferred() }
+func (p *Port) Transferred(i int) bool { return p.sim.transferred(p.slot(i)) }
 
 // TransferredData returns the datum moved over connection i this cycle,
 // or (nil, false) when the handshake did not complete. After commit the
 // data lanes are released, so between cycles it reports (nil, false)
 // even though the statuses still read Yes.
 func (p *Port) TransferredData(i int) (any, bool) {
-	c := p.conns[p.check(i)]
-	if c.sim.released || !c.transferred() {
+	slot := p.slot(i)
+	if s := p.sim; s.released || !s.transferred(slot) {
 		return nil, false
 	}
-	return c.dataValue(), true
+	return p.conns[i].dataValue(), true
 }
 
 // TransferredUint64 returns the scalar moved over connection i this cycle
@@ -259,9 +279,9 @@ func (p *Port) TransferredData(i int) (any, bool) {
 // the fast-lane counterpart of TransferredData, with the same post-commit
 // release semantics.
 func (p *Port) TransferredUint64(i int) (uint64, bool) {
-	c := p.conns[p.check(i)]
-	if c.sim.released || !c.transferred() {
+	slot := p.slot(i)
+	if s := p.sim; s.released || !s.transferred(slot) {
 		return 0, false
 	}
-	return c.dataUint64(), true
+	return p.conns[i].dataUint64(), true
 }

@@ -133,12 +133,14 @@ func TestCloseIdempotent(t *testing.T) {
 	sim.Close() // must be a no-op, not a panic
 }
 
-// reactProbe is a reactive module that counts its reacts and can raise
-// one contract violation from inside its handler.
+// reactProbe is a reactive module that counts its reacts and can panic
+// once from inside its handler, with a contract violation or with a
+// foreign value (a bug in user code, e.g. a failed type assertion).
 type reactProbe struct {
 	Base
-	reacts int
-	boom   bool // raise a ContractError on the next react, once
+	reacts  int
+	boom    bool // raise a ContractError on the next react, once
+	foreign bool // panic with a plain string on the next react, once
 }
 
 func newReactProbe(name string) *reactProbe {
@@ -152,60 +154,88 @@ func newReactProbe(name string) *reactProbe {
 			m.boom = false
 			contractPanic("react", name, "boom")
 		}
+		if m.foreign {
+			m.foreign = false
+			panic("foreign boom")
+		}
 	})
 	return m
 }
 
-// TestStepErrorStrandsNoInstance: a handler that raises a ContractError
-// mid-drain in a one-worker session leaves the rest of the cycle's wake
-// broadcast queued. Step must return the error and clear those (plain)
-// scheduled flags, or the next Step's wakes would skip the instances
-// forever.
+// TestStepErrorStrandsNoInstance: a handler that panics mid-drain in a
+// one-worker session leaves the rest of the cycle's wake broadcast
+// queued. Step must clear those (plain) scheduled flags and leave the
+// write phase — returning a ContractError, re-panicking anything else —
+// or the next Step's wakes would skip the instances forever and a caller
+// that recovered the panic would hold a silently wrong session.
 func TestStepErrorStrandsNoInstance(t *testing.T) {
 	for _, kind := range []SchedulerKind{SchedulerSequential, SchedulerLevelized,
 		SchedulerSparse, SchedulerPartitioned, SchedulerWoven} {
-		b := NewBuilder(WithScheduler(kind))
-		drv := newStartDriver("drv")
-		b.Add(drv)
-		var prev Instance = drv
-		var probes []*reactProbe
-		for _, name := range []string{"p0", "p1", "p2", "p3"} {
-			p := newReactProbe(name)
-			probes = append(probes, p)
-			b.Add(p)
-			b.Connect(prev, "out", p, "in")
-			prev = p
+		for _, foreign := range []bool{false, true} {
+			testStepAbort(t, kind, foreign)
 		}
-		sim, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sim.single {
-			t.Fatalf("%s: default session is not single-writer", kind)
-		}
-		if err := sim.Run(2); err != nil {
-			t.Fatal(err)
-		}
-		probes[0].boom = true // first in the wake broadcast: p1..p3 are queued behind it
+	}
+}
+
+func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) {
+	t.Helper()
+	b := NewBuilder(WithScheduler(kind))
+	drv := newStartDriver("drv")
+	b.Add(drv)
+	var prev Instance = drv
+	var probes []*reactProbe
+	for _, name := range []string{"p0", "p1", "p2", "p3"} {
+		p := newReactProbe(name)
+		probes = append(probes, p)
+		b.Add(p)
+		b.Connect(prev, "out", p, "in")
+		prev = p
+	}
+	sim, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sim.single {
+		t.Fatalf("%s: default session is not single-writer", kind)
+	}
+	if err := sim.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	// p0 is first in the wake broadcast: p1..p3 are queued behind it.
+	if foreign {
+		probes[0].foreign = true
+		func() {
+			defer func() {
+				if r := recover(); r != "foreign boom" {
+					t.Fatalf("%s: Step did not re-panic the handler's value, got %v", kind, r)
+				}
+			}()
+			sim.Step()
+		}()
+	} else {
+		probes[0].boom = true
 		if _, ok := sim.Step().(*ContractError); !ok {
 			t.Fatalf("%s: Step did not return the handler's ContractError", kind)
 		}
-		for _, base := range sim.bases {
-			if base.scheduled != 0 {
-				t.Fatalf("%s: %s left scheduled after the aborted cycle", kind, base.name)
-			}
+	}
+	if sim.writable || sim.phase != phaseIdle {
+		t.Fatalf("%s: aborted cycle left the session in its write phase", kind)
+	}
+	for _, base := range sim.bases {
+		if base.scheduled != 0 {
+			t.Fatalf("%s: %s left scheduled after the aborted cycle", kind, base.name)
 		}
-		before := make([]int, len(probes))
-		for i, p := range probes {
-			before[i] = p.reacts
-		}
-		if err := sim.Step(); err != nil {
-			t.Fatalf("%s: Step after the error: %v", kind, err)
-		}
-		for i, p := range probes {
-			if p.reacts == before[i] {
-				t.Fatalf("%s: %s never reacted again after the aborted cycle", kind, p.name)
-			}
+	}
+	before := make([]int, len(probes))
+	for i, p := range probes {
+		before[i] = p.reacts
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatalf("%s: Step after the error: %v", kind, err)
+	}
+	for i, p := range probes {
+		if p.reacts == before[i] {
+			t.Fatalf("%s: %s never reacted again after the aborted cycle", kind, p.name)
 		}
 	}
 }

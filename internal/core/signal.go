@@ -181,9 +181,12 @@ func (c *Conn) String() string {
 	return fmt.Sprintf("%s[%d]->%s[%d]", c.src.fullName(), c.srcIdx, c.dst.fullName(), c.dstIdx)
 }
 
-func (c *Conn) status(k SigKind) Status {
-	cell := &c.sim.plane.lanes[k][c.slot]
-	if c.sim.single {
+func (c *Conn) status(k SigKind) Status { return c.sim.status(k, c.slot) }
+
+// status reads one status cell in the session's access discipline.
+func (s *Sim) status(k SigKind, slot int32) Status {
+	cell := &s.plane.lanes[k][slot]
+	if s.single {
 		return Status(*cell)
 	}
 	return Status(atomic.LoadUint32(cell))
@@ -307,10 +310,11 @@ func (c *Conn) checkReRaise(k SigKind, prev, s Status) {
 	}
 }
 
-// transferred reports whether the handshake completed this cycle. It is
-// meaningful only after resolution (during OnCycleEnd).
-func (c *Conn) transferred() bool {
-	return c.status(SigData) == Yes &&
-		c.status(SigEnable) == Yes &&
-		c.status(SigAck) == Yes
+// transferred reports whether the handshake on the connection at slot
+// completed this cycle. It is meaningful only after resolution (during
+// OnCycleEnd).
+func (s *Sim) transferred(slot int32) bool {
+	return s.status(SigData, slot) == Yes &&
+		s.status(SigEnable, slot) == Yes &&
+		s.status(SigAck, slot) == Yes
 }

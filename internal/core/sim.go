@@ -554,14 +554,12 @@ func (s *Sim) verifyResolvedIDs(ids []int32) {
 }
 
 // Step advances the simulation by one cycle. Contract violations raised by
-// module handlers are returned as *ContractError.
+// module handlers are returned as *ContractError; any other handler panic
+// propagates to the caller, after the same abort cleanup, so a caller
+// that recovers it holds a session it can still step or snapshot.
 func (s *Sim) Step() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ce, ok := r.(*ContractError)
-			if !ok {
-				panic(r)
-			}
 			s.setPhase(phaseIdle)
 			// The cycle aborted mid-drain: clear the scheduled flags of
 			// anything still queued (the sequential worklist tail and
@@ -581,6 +579,10 @@ func (s *Sim) Step() (err error) {
 				// The cycle aborted mid-resolution; the plane holds a
 				// partial state no replay may build on.
 				s.needFull = true
+			}
+			ce, ok := r.(*ContractError)
+			if !ok {
+				panic(r)
 			}
 			err = ce
 		}

@@ -204,28 +204,39 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 // can record each instance's stream position. rand.NewSource's concrete
 // source implements Source64; both Int63 and Uint64 advance it exactly
 // one internal step, so the draw count alone pins the position.
+//
+// The underlying source is seeded on the first draw, not at attach:
+// seeding math/rand's 607-word generator dominates the cost of stamping a
+// session, and most instances (queues, routes, arbiters, links) never
+// draw. The stream is the same either way.
 type countingSource struct {
-	src rand.Source64
-	n   uint64
+	seed int64
+	src  rand.Source64 // nil until the first draw
+	n    uint64
 }
 
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+func (c *countingSource) source() rand.Source64 {
+	if c.src == nil {
+		c.src = rand.NewSource(c.seed).(rand.Source64)
+	}
+	return c.src
 }
 
 func (c *countingSource) Int63() int64 {
 	c.n++
-	return c.src.Int63()
+	return c.source().Int63()
 }
 
 func (c *countingSource) Uint64() uint64 {
 	c.n++
-	return c.src.Uint64()
+	return c.source().Uint64()
 }
 
 func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
+	c.seed, c.n = seed, 0
+	if c.src != nil {
+		c.src.Seed(seed)
+	}
 }
 
 // export copies the statistics accumulators into plain encodable maps.

@@ -75,13 +75,12 @@ func (d *DMACtrl) cycleStart() {
 		d.cDescs = d.Counter("descriptors")
 	}
 	// Completion notification.
-	for j := 0; j < d.DonePrt.Width(); j++ {
-		if d.donePend != nil {
+	if d.donePend == nil {
+		d.DonePrt.Idle()
+	} else {
+		for j := 0; j < d.DonePrt.Width(); j++ {
 			d.DonePrt.Send(j, *d.donePend)
 			d.DonePrt.Enable(j)
-		} else {
-			d.DonePrt.SendNothing(j)
-			d.DonePrt.Disable(j)
 		}
 	}
 	// Memory activity for the head descriptor.

@@ -96,53 +96,44 @@ func (s *SnoopBus) cycleStart() {
 		s.cMemFet = s.Counter("memory_fetches")
 	}
 	s.picked = -1
-	for j := 0; j < s.Grant.Width(); j++ {
-		if s.pending != nil && s.Now() >= s.readyAt && s.pending.Tx.Src == j {
+	n := s.Grant.Width()
+	if s.pending != nil && s.Now() >= s.readyAt {
+		if j := s.pending.Tx.Src; j >= 0 && j < n {
+			s.Grant.IdleLanes(0, j)
 			s.Grant.Send(j, *s.pending)
 			s.Grant.Enable(j)
-		} else {
-			s.Grant.SendNothing(j)
-			s.Grant.Disable(j)
+			s.Grant.IdleLanes(j+1, n)
+			return
 		}
 	}
+	s.Grant.Idle()
 }
 
 func (s *SnoopBus) react() {
 	n := s.Req.Width()
 	free := s.pending == nil && s.Now() >= s.busyTill
 	if !free {
-		for i := 0; i < n; i++ {
-			if !s.Req.AckStatus(i).Known() {
-				s.Req.Nack(i)
-			}
-		}
+		s.Req.NackRest()
 		return
 	}
 	// Round-robin pick once every request is known.
-	for i := 0; i < n; i++ {
-		if !s.Req.DataStatus(i).Known() {
-			return
+	if _, settled := s.Req.CountOffers(); !settled {
+		return
+	}
+	if s.picked < 0 && n > 0 {
+		if s.picked = s.Req.NextOffered((s.last + 1) % n); s.picked < 0 {
+			s.picked = s.Req.NextOffered(0)
 		}
 	}
 	if s.picked < 0 {
-		for k := 1; k <= n; k++ {
-			i := (s.last + k) % n
-			if s.Req.DataStatus(i) == core.Yes {
-				s.picked = i
-				break
-			}
-		}
+		s.Req.NackRest()
+		return
 	}
-	for i := 0; i < n; i++ {
-		if s.Req.AckStatus(i).Known() {
-			continue
-		}
-		if i == s.picked {
-			s.Req.Ack(i)
-		} else {
-			s.Req.Nack(i)
-		}
+	s.Req.NackLanes(0, s.picked)
+	if !s.Req.AckStatus(s.picked).Known() {
+		s.Req.Ack(s.picked)
 	}
+	s.Req.NackLanes(s.picked+1, n)
 }
 
 func (s *SnoopBus) cycleEnd() {

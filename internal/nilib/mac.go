@@ -82,15 +82,11 @@ func (m *MAC) cycleStart() {
 				m.txBusyTill = m.Now() + uint64(len(wire)/m.bpc+1)
 			}
 		}
-		for j := 0; j < m.WireOut.Width(); j++ {
-			if m.txCur != nil && j == 0 && m.Now() >= m.txBusyTill {
-				m.WireOut.Send(0, m.txCur)
-				m.WireOut.Enable(0)
-			} else {
-				m.WireOut.SendNothing(j)
-				m.WireOut.Disable(j)
-			}
+		if m.txCur != nil && m.WireOut.Width() > 0 && m.Now() >= m.txBusyTill {
+			m.WireOut.Send(0, m.txCur)
+			m.WireOut.Enable(0)
 		}
+		m.WireOut.Idle()
 	}
 }
 

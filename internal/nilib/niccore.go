@@ -191,15 +191,11 @@ func (db *Doorbell) cycleStart() {
 	if db.cRings == nil {
 		db.cRings = db.Counter("rings")
 	}
-	for j := 0; j < db.Event.Width(); j++ {
-		if j == 0 && len(db.regs.doorbells) > 0 {
-			db.Event.Send(0, db.regs.doorbells[0])
-			db.Event.Enable(0)
-		} else {
-			db.Event.SendNothing(j)
-			db.Event.Disable(j)
-		}
+	if db.Event.Width() > 0 && len(db.regs.doorbells) > 0 {
+		db.Event.Send(0, db.regs.doorbells[0])
+		db.Event.Enable(0)
 	}
+	db.Event.Idle()
 }
 
 func (db *Doorbell) cycleEnd() {

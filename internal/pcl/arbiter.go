@@ -28,9 +28,8 @@ type Arbiter struct {
 	grants []int // grants[j] = input index granted on out conn j (-1 none)
 
 	// scratch buffers reused across reactive invocations
-	reqs      []any
-	grantedBy []int // input index -> out conn (-1 = not granted)
-	orderBuf  []int // scratch for the built-in policies
+	reqs     []any
+	orderBuf []int // scratch for the built-in policies
 
 	cGrant  *core.Counter
 	cDenied *core.Counter
@@ -108,30 +107,18 @@ func (a *Arbiter) cycleStart() {
 }
 
 func (a *Arbiter) react() {
-	// The decision needs every request known; until then, stay quiet
-	// (monotonicity forbids changing a published grant).
-	n := a.In.Width()
 	if a.Out.Width() == 0 {
-		for i := 0; i < n; i++ {
-			if !a.In.AckStatus(i).Known() {
-				a.In.Nack(i)
-			}
-		}
+		a.In.NackRest()
 		return
 	}
-	if cap(a.reqs) < n {
-		a.reqs = make([]any, n)
+	// The decision needs every request known; until then, stay quiet
+	// (monotonicity forbids changing a published grant).
+	reqs, settled := a.In.Offers(a.reqs)
+	a.reqs = reqs
+	if !settled {
+		return
 	}
-	reqs := a.reqs[:n]
-	for i := 0; i < n; i++ {
-		reqs[i] = nil
-		switch a.In.DataStatus(i) {
-		case core.Unknown:
-			return
-		case core.Yes:
-			reqs[i] = a.In.Data(i)
-		}
-	}
+	n := len(reqs)
 	if len(a.grants) == 0 && a.Out.DataStatus(0) == core.Unknown {
 		order := a.pick(reqs, a.last)
 		for _, i := range order {
@@ -146,29 +133,21 @@ func (a *Arbiter) react() {
 			a.Out.Send(j, reqs[i])
 			a.Out.Enable(j)
 		}
-		for j := len(a.grants); j < a.Out.Width(); j++ {
-			a.Out.SendNothing(j)
-			a.Out.Disable(j)
+		a.Out.IdleLanes(len(a.grants), a.Out.Width())
+	}
+	// Mirror downstream acks back to the granted inputs and nack the rest,
+	// in ascending input order: each pass nacks up to the next granted
+	// input (grants are few — at most the out width).
+	for lo := 0; lo < n; {
+		i, j := n, -1
+		for gj, gi := range a.grants {
+			if gi >= lo && gi < i {
+				i, j = gi, gj
+			}
 		}
-	}
-	// Mirror downstream acks back to the granted inputs; nack the rest.
-	if cap(a.grantedBy) < n {
-		a.grantedBy = make([]int, n)
-	}
-	granted := a.grantedBy[:n]
-	for i := range granted {
-		granted[i] = -1
-	}
-	for j, i := range a.grants {
-		granted[i] = j
-	}
-	for i := 0; i < n; i++ {
-		if a.In.AckStatus(i).Known() {
-			continue
-		}
-		j := granted[i]
-		if j < 0 {
-			a.In.Nack(i)
+		a.In.NackLanes(lo, i)
+		lo = i + 1
+		if j < 0 || a.In.AckStatus(i).Known() {
 			continue
 		}
 		switch a.Out.AckStatus(j) {
@@ -187,8 +166,8 @@ func (a *Arbiter) cycleEnd() {
 			a.last = i
 		}
 	}
-	for i := 0; i < a.In.Width(); i++ {
-		if a.In.DataStatus(i) == core.Yes && !a.In.Transferred(i) {
+	for i := a.In.NextOffered(0); i >= 0; i = a.In.NextOffered(i + 1) {
+		if !a.In.Transferred(i) {
 			a.cDenied.Inc()
 		}
 	}

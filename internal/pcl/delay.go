@@ -74,20 +74,22 @@ func (d *Delay) cycleStart() {
 		d.cDeparted = d.Counter("departed")
 	}
 	now := d.Now()
+	idle := 0 // lanes below i not yet resolved: idled in one run, in lane order
 	for i := 0; i < d.Out.Width(); i++ {
 		lane := d.lane(i)
-		if len(lane) > 0 && now >= lane[0].ready {
-			if d.typed {
-				d.Out.SendUint64(i, lane[0].u)
-			} else {
-				d.Out.Send(i, lane[0].v)
-			}
-			d.Out.Enable(i)
-		} else {
-			d.Out.SendNothing(i)
-			d.Out.Disable(i)
+		if len(lane) == 0 || now < lane[0].ready {
+			continue
 		}
+		d.Out.IdleLanes(idle, i)
+		idle = i + 1
+		if d.typed {
+			d.Out.SendUint64(i, lane[0].u)
+		} else {
+			d.Out.Send(i, lane[0].v)
+		}
+		d.Out.Enable(i)
 	}
+	d.Out.IdleLanes(idle, d.Out.Width())
 }
 
 func (d *Delay) react() {
@@ -109,24 +111,19 @@ func (d *Delay) react() {
 }
 
 func (d *Delay) cycleEnd() {
-	for i := 0; i < d.Out.Width(); i++ {
-		if d.Out.Transferred(i) {
-			d.lanes[i] = d.lanes[i][1:]
-			d.cDeparted.Inc()
-		}
+	for i := d.Out.NextTransferred(0); i >= 0; i = d.Out.NextTransferred(i + 1) {
+		d.lanes[i] = d.lanes[i][1:]
+		d.cDeparted.Inc()
 	}
-	for i := 0; i < d.In.Width(); i++ {
+	for i := d.In.NextTransferred(0); i >= 0; i = d.In.NextTransferred(i + 1) {
+		e := delayEntry{ready: d.Now() + uint64(d.latency)}
 		if d.typed {
-			if u, ok := d.In.TransferredUint64(i); ok {
-				d.lanes[i] = append(d.lane(i), delayEntry{u: u, ready: d.Now() + uint64(d.latency)})
-				d.cAccepted.Inc()
-			}
-			continue
+			e.u = d.In.Uint64(i)
+		} else {
+			e.v = d.In.Data(i)
 		}
-		if v, ok := d.In.TransferredData(i); ok {
-			d.lanes[i] = append(d.lane(i), delayEntry{v: v, ready: d.Now() + uint64(d.latency)})
-			d.cAccepted.Inc()
-		}
+		d.lanes[i] = append(d.lane(i), e)
+		d.cAccepted.Inc()
 	}
 }
 

@@ -50,15 +50,8 @@ func (t *Tee) react() {
 	case core.Unknown:
 		return
 	case core.No:
-		for j := 0; j < n; j++ {
-			if t.Out.DataStatus(j) == core.Unknown {
-				t.Out.SendNothing(j)
-				t.Out.Disable(j)
-			}
-		}
-		if !t.In.AckStatus(0).Known() {
-			t.In.Nack(0)
-		}
+		t.Out.Idle()
+		t.In.NackRest()
 		return
 	}
 	for j := 0; j < n; j++ {
@@ -73,9 +66,7 @@ func (t *Tee) react() {
 				t.Out.Disable(j)
 			}
 		}
-		if !t.In.AckStatus(0).Known() {
-			t.In.Nack(0)
-		}
+		t.In.NackRest()
 		return
 	}
 	yes, no := 0, 0
@@ -97,9 +88,7 @@ func (t *Tee) react() {
 					t.Out.Disable(j)
 				}
 			}
-			if !t.In.AckStatus(0).Known() {
-				t.In.Nack(0)
-			}
+			t.In.NackRest()
 		case yes == n && inEn == core.Yes:
 			for j := 0; j < n; j++ {
 				if t.Out.EnableStatus(j) == core.Unknown {
@@ -168,48 +157,30 @@ func NewRoute(name string, p core.Params) (*Route, error) {
 }
 
 func (r *Route) react() {
-	n := r.Out.Width()
 	if r.In.Width() == 0 {
-		for j := 0; j < n; j++ {
-			if r.Out.DataStatus(j) == core.Unknown {
-				r.Out.SendNothing(j)
-				r.Out.Disable(j)
-			}
-		}
+		r.Out.Idle()
 		return
 	}
 	switch r.In.DataStatus(0) {
 	case core.Unknown:
 		return
 	case core.No:
-		for j := 0; j < n; j++ {
-			if r.Out.DataStatus(j) == core.Unknown {
-				r.Out.SendNothing(j)
-				r.Out.Disable(j)
-			}
-		}
-		if !r.In.AckStatus(0).Known() {
-			r.In.Nack(0)
-		}
+		r.Out.Idle()
+		r.In.NackRest()
 		return
 	}
+	n := r.Out.Width()
 	dest := r.route(r.In.Data(0))
 	if dest < 0 || dest >= n {
 		panic(&core.ContractError{Op: "route", Where: r.Name(),
 			Detail: fmt.Sprintf("route function returned %d, out width is %d", dest, n)})
 	}
-	for j := 0; j < n; j++ {
-		if r.Out.DataStatus(j) != core.Unknown {
-			continue
-		}
-		if j == dest {
-			r.Out.Send(j, r.In.Data(0))
-			r.Out.Enable(j)
-		} else {
-			r.Out.SendNothing(j)
-			r.Out.Disable(j)
-		}
+	r.Out.IdleLanes(0, dest)
+	if r.Out.DataStatus(dest) == core.Unknown {
+		r.Out.Send(dest, r.In.Data(0))
+		r.Out.Enable(dest)
 	}
+	r.Out.IdleLanes(dest+1, n)
 	if !r.In.AckStatus(0).Known() {
 		switch r.Out.AckStatus(dest) {
 		case core.Yes:
@@ -263,13 +234,8 @@ func (f *Filter) react() {
 	case core.Unknown:
 		return
 	case core.No:
-		if f.Out.DataStatus(0) == core.Unknown {
-			f.Out.SendNothing(0)
-			f.Out.Disable(0)
-		}
-		if !f.In.AckStatus(0).Known() {
-			f.In.Nack(0)
-		}
+		f.Out.Idle()
+		f.In.NackRest()
 		return
 	}
 	if f.pred(f.In.Data(0)) {
@@ -288,10 +254,7 @@ func (f *Filter) react() {
 		return
 	}
 	// Dropped: consume without forwarding.
-	if f.Out.DataStatus(0) == core.Unknown {
-		f.Out.SendNothing(0)
-		f.Out.Disable(0)
-	}
+	f.Out.Idle()
 	if !f.In.AckStatus(0).Known() {
 		f.In.Ack(0)
 	}

@@ -107,16 +107,16 @@ func (m *MemArray) cycleStart() {
 		m.cWrites = m.Counter("writes")
 	}
 	now := m.Now()
+	idle := 0 // lanes below i not yet resolved: idled in one run, in lane order
 	for i := 0; i < m.Resp.Width(); i++ {
-		q := m.port(i)
-		if len(q) > 0 && now >= q[0].ready {
+		if q := m.port(i); len(q) > 0 && now >= q[0].ready {
+			m.Resp.IdleLanes(idle, i)
+			idle = i + 1
 			m.Resp.Send(i, q[0].v)
 			m.Resp.Enable(i)
-		} else {
-			m.Resp.SendNothing(i)
-			m.Resp.Disable(i)
 		}
 	}
+	m.Resp.IdleLanes(idle, m.Resp.Width())
 }
 
 func (m *MemArray) react() {
@@ -138,16 +138,11 @@ func (m *MemArray) react() {
 }
 
 func (m *MemArray) cycleEnd() {
-	for i := 0; i < m.Resp.Width(); i++ {
-		if m.Resp.Transferred(i) {
-			m.pending[i] = m.pending[i][1:]
-		}
+	for i := m.Resp.NextTransferred(0); i >= 0; i = m.Resp.NextTransferred(i + 1) {
+		m.pending[i] = m.pending[i][1:]
 	}
-	for i := 0; i < m.Req.Width(); i++ {
-		v, ok := m.Req.TransferredData(i)
-		if !ok {
-			continue
-		}
+	for i := m.Req.NextTransferred(0); i >= 0; i = m.Req.NextTransferred(i + 1) {
+		v := m.Req.Data(i)
 		req, ok := v.(MemReq)
 		if !ok {
 			panic(&core.ContractError{Op: "memarray request", Where: m.Name(),

@@ -118,21 +118,19 @@ func (q *Queue) cycleStart() {
 	q.hOcc.Observe(float64(q.Len()))
 	// Offer selected entries downstream.
 	sel := q.selected()
-	q.offered = q.offered[:0]
-	for j := 0; j < q.Out.Width(); j++ {
-		if j < len(sel) {
-			q.offered = append(q.offered, sel[j])
-			if q.typed {
-				q.Out.SendUint64(j, q.entriesU[sel[j]])
-			} else {
-				q.Out.Send(j, q.entries[sel[j]])
-			}
-			q.Out.Enable(j)
-		} else {
-			q.Out.SendNothing(j)
-			q.Out.Disable(j)
-		}
+	if w := q.Out.Width(); len(sel) > w {
+		sel = sel[:w]
 	}
+	q.offered = append(q.offered[:0], sel...)
+	for j, e := range sel {
+		if q.typed {
+			q.Out.SendUint64(j, q.entriesU[e])
+		} else {
+			q.Out.Send(j, q.entries[e])
+		}
+		q.Out.Enable(j)
+	}
+	q.Out.IdleLanes(len(sel), q.Out.Width())
 }
 
 func (q *Queue) selected() []int {
@@ -225,22 +223,20 @@ func (q *Queue) cycleEnd() {
 			q.cTransOut.Inc()
 		}
 	}
-	// Then append accepted arrivals in connection order.
-	for i := 0; i < q.In.Width(); i++ {
-		if q.typed {
-			if u, ok := q.In.TransferredUint64(i); ok {
-				q.entriesU = append(q.entriesU, u)
-				q.cTransIn.Inc()
-			} else if q.In.DataStatus(i) == core.Yes && q.In.EnableStatus(i) == core.Yes {
+	// Then append accepted arrivals in connection order; a firm offer
+	// that was not taken is a full stall.
+	for i := q.In.NextOffered(0); i >= 0; i = q.In.NextOffered(i + 1) {
+		switch {
+		case !q.In.Transferred(i):
+			if q.In.EnableStatus(i) == core.Yes {
 				q.cFullStal.Inc()
 			}
-			continue
-		}
-		if v, ok := q.In.TransferredData(i); ok {
-			q.entries = append(q.entries, v)
+		case q.typed:
+			q.entriesU = append(q.entriesU, q.In.Uint64(i))
 			q.cTransIn.Inc()
-		} else if q.In.DataStatus(i) == core.Yes && q.In.EnableStatus(i) == core.Yes {
-			q.cFullStal.Inc()
+		default:
+			q.entries = append(q.entries, q.In.Data(i))
+			q.cTransIn.Inc()
 		}
 	}
 }

@@ -79,25 +79,15 @@ func (s *Sink) cycleEnd() {
 		s.cReceived = s.Counter("received")
 		s.hLatency = s.Histogram("latency")
 	}
-	if s.typed {
-		for i := 0; i < s.In.Width(); i++ {
-			u, ok := s.In.TransferredUint64(i)
-			if !ok {
-				continue
-			}
-			s.cReceived.Inc()
+	for i := s.In.NextTransferred(0); i >= 0; i = s.In.NextTransferred(i + 1) {
+		s.cReceived.Inc()
+		if s.typed {
 			if s.keep {
-				s.received = append(s.received, u)
+				s.received = append(s.received, s.In.Uint64(i))
 			}
-		}
-		return
-	}
-	for i := 0; i < s.In.Width(); i++ {
-		v, ok := s.In.TransferredData(i)
-		if !ok {
 			continue
 		}
-		s.cReceived.Inc()
+		v := s.In.Data(i)
 		if st, ok := v.(Stamped); ok {
 			s.hLatency.Observe(float64(s.Now() - st.InjectedAt()))
 		}

@@ -144,6 +144,7 @@ func (s *Source) cycleStart() {
 	for len(s.pending) < s.Out.Width() {
 		s.pending = append(s.pending, nil)
 	}
+	idle := 0 // lanes below i not yet resolved: idled in one run, in lane order
 	for i := 0; i < s.Out.Width(); i++ {
 		if s.pending[i] == nil && !s.done {
 			if s.count > 0 && s.seq >= s.count {
@@ -160,13 +161,13 @@ func (s *Source) cycleStart() {
 			}
 		}
 		if s.pending[i] != nil {
+			s.Out.IdleLanes(idle, i)
+			idle = i + 1
 			s.Out.Send(i, s.pending[i])
 			s.Out.Enable(i)
-		} else {
-			s.Out.SendNothing(i)
-			s.Out.Disable(i)
 		}
 	}
+	s.Out.IdleLanes(idle, s.Out.Width())
 }
 
 // cycleStartTyped is the scalar fast-lane injection path: unboxed pending
@@ -177,6 +178,7 @@ func (s *Source) cycleStartTyped() {
 		s.pendU = append(s.pendU, 0)
 		s.pendSet = append(s.pendSet, false)
 	}
+	idle := 0
 	for i := 0; i < s.Out.Width(); i++ {
 		if !s.pendSet[i] && !s.done {
 			if s.count > 0 && s.seq >= s.count {
@@ -201,13 +203,13 @@ func (s *Source) cycleStartTyped() {
 			}
 		}
 		if s.pendSet[i] {
+			s.Out.IdleLanes(idle, i)
+			idle = i + 1
 			s.Out.SendUint64(i, s.pendU[i])
 			s.Out.Enable(i)
-		} else {
-			s.Out.SendNothing(i)
-			s.Out.Disable(i)
 		}
 	}
+	s.Out.IdleLanes(idle, s.Out.Width())
 }
 
 func (s *Source) cycleEnd() {

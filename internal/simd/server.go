@@ -272,10 +272,7 @@ func (s *Server) sweepIdle(now time.Time) {
 		switch {
 		case closed:
 		case s.cfg.SessionTTL > 0 && idle >= s.cfg.SessionTTL:
-			s.mu.Lock()
-			delete(s.sessions, ss.id)
-			s.mu.Unlock()
-			ss.close()
+			s.drop(ss)
 		case live && s.cfg.ParkAfter > 0 && idle >= s.cfg.ParkAfter:
 			// Park failures (full disk, unmarshalable module) keep the
 			// session live; the next sweep retries.
@@ -283,6 +280,15 @@ func (s *Server) sweepIdle(now time.Time) {
 		}
 		ss.mu.Unlock()
 	}
+}
+
+// drop removes a session from the table and closes it. The caller holds
+// ss.mu.
+func (s *Server) drop(ss *session) {
+	s.mu.Lock()
+	delete(s.sessions, ss.id)
+	s.mu.Unlock()
+	ss.close()
 }
 
 // session looks a live-or-parked session up by id.
@@ -496,10 +502,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer ss.mu.Unlock()
-	s.mu.Lock()
-	delete(s.sessions, ss.id)
-	s.mu.Unlock()
-	ss.close()
+	s.drop(ss)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -544,7 +547,16 @@ func (s *Server) advance(w http.ResponseWriter, r *http.Request, defCycles uint6
 	}
 	sim := ss.live()
 	before := sim.Now()
-	err := sim.RunContext(r.Context(), req.Cycles)
+	crash, err := runRecovered(r.Context(), sim, req.Cycles)
+	if crash != nil {
+		// A handler panicked with something other than a contract error:
+		// the model is broken in a way the engine cannot vouch for, so the
+		// session dies with an answer instead of a dropped connection.
+		s.drop(ss)
+		writeErrorDetails(w, CodeModelError, map[string]any{"cycle": sim.Now(), "ran": sim.Now() - before},
+			"session %s closed: handler panic: %v", ss.id, crash)
+		return
+	}
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, StepResponse{Cycle: sim.Now(), Ran: sim.Now() - before})
@@ -559,6 +571,14 @@ func (s *Server) advance(w http.ResponseWriter, r *http.Request, defCycles uint6
 		writeErrorDetails(w, code, map[string]any{"cycle": sim.Now(), "ran": sim.Now() - before},
 			"session %s: %v", ss.id, err)
 	}
+}
+
+// runRecovered is sim.RunContext that hands a non-contract handler panic
+// back as crash instead of unwinding through net/http, which would
+// swallow it and leave the client with a closed connection.
+func runRecovered(ctx context.Context, sim *core.Sim, cycles uint64) (crash any, err error) {
+	defer func() { crash = recover() }()
+	return nil, sim.RunContext(ctx, cycles)
 }
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) { s.advance(w, r, 1) }

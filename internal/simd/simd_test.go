@@ -799,3 +799,70 @@ func TestProgramLRUEviction(t *testing.T) {
 		t.Fatalf("session on evicted program: %+v (err %v)", st, err)
 	}
 }
+
+// bomb is a source whose handler hits a plain Go bug — a failed type
+// assertion, not a ContractError — on its sixth cycle.
+type bomb struct {
+	core.Base
+	out *core.Port
+}
+
+func init() {
+	core.Register(&core.Template{
+		Name: "simdtest.bomb",
+		Doc:  "test-only source that panics with a runtime error at cycle 5",
+		Build: func(b *core.Builder, name string, p core.Params) (core.Instance, error) {
+			m := &bomb{}
+			m.Init(name, m)
+			m.out = m.AddOutPort("out")
+			m.OnCycleStart(func() {
+				var v any = m.Now()
+				if m.Now() == 5 {
+					_ = v.(string)
+				}
+				m.out.Idle()
+			})
+			return m, nil
+		},
+	})
+}
+
+// TestHandlerPanicClosesSession: a handler panic that is not a contract
+// error must not unwind through net/http (which swallows it and drops the
+// connection, leaving a poisoned session "live"). The run answers the
+// LSD006 envelope naming the panic, the session is gone, and the daemon
+// keeps serving.
+func TestHandlerPanicClosesSession(t *testing.T) {
+	_, client := newTestServer(t, Config{})
+	ctx := context.Background()
+	prog, err := client.SubmitProgram(ctx, SubmitProgramRequest{
+		Spec: "instance b : simdtest.bomb();\ninstance s : pcl.sink();\nb.out -> s.in;\n",
+		Name: "bomb.lss",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.Run(ctx, sess.ID, 20)
+	apiErr, ok := err.(*APIError)
+	if !ok || apiErr.Code != CodeModelError {
+		t.Fatalf("run into a panicking handler: err %v, want the %s envelope", err, CodeModelError)
+	}
+	if !strings.Contains(apiErr.Message, "handler panic") || !strings.Contains(apiErr.Message, "interface conversion") {
+		t.Fatalf("error does not name the panic: %q", apiErr.Message)
+	}
+	if _, err := client.SessionInfo(ctx, sess.ID); !isCode(err, CodeNotFound) {
+		t.Fatalf("session after the panic: err %v, want %s", err, CodeNotFound)
+	}
+	// The daemon serves the next request, on the same program.
+	next, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := client.Run(ctx, next.ID, 5); err != nil || st.Cycle != 5 {
+		t.Fatalf("fresh session after the panic landed at %+v (err %v)", st, err)
+	}
+}

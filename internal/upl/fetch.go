@@ -202,15 +202,11 @@ func (f *FetchStage) cycleStart() {
 	} else {
 		f.cStalls.Inc()
 	}
-	for i := 0; i < f.Out.Width(); i++ {
-		if i < len(f.pending) {
-			f.Out.Send(i, f.pending[i])
-			f.Out.Enable(i)
-		} else {
-			f.Out.SendNothing(i)
-			f.Out.Disable(i)
-		}
+	for i := 0; i < f.Out.Width() && i < len(f.pending); i++ {
+		f.Out.Send(i, f.pending[i])
+		f.Out.Enable(i)
 	}
+	f.Out.IdleLanes(len(f.pending), f.Out.Width())
 }
 
 func (f *FetchStage) cycleEnd() {
