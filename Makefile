@@ -1,12 +1,14 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-e2e bench-e2e-compare bench-e2e-pairs bench-smoke bench-par bench-weave serve-smoke lint
+.PHONY: check vet build test race bench bench-e2e bench-e2e-compare bench-e2e-pairs bench-smoke bench-weave serve-smoke lint
 
 ## check: full gate — vet, build, and the test suite under the race detector.
 check: vet build race
 
+## vet: go vet, and gofmt -l must print nothing.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 ## lint: static analysis — lslint over the spec corpus (fails on
 ## error-severity diagnostics; warnings tolerated) and the vetlse phase
@@ -55,21 +57,9 @@ bench-e2e-pairs:
 ## benchmark; benchguard compares the min of them, so one noisy sample
 ## on a shared host doesn't fail the gate.
 bench-smoke:
-	$(GO) test -bench='BenchmarkLevelized|BenchmarkA1|BenchmarkSparse|BenchmarkTyped|BenchmarkNewSimFromProgram|BenchmarkSessionStampHTTP|BenchmarkDataflow|BenchmarkPruned|BenchmarkPartitionedMesh|BenchmarkWoven' -benchtime=200x -benchmem -count=3 -run=^$$ . | tee bench-smoke.out
+	$(GO) test -bench='BenchmarkLevelized|BenchmarkSparse|BenchmarkTyped|BenchmarkNewSimFromProgram|BenchmarkSessionStampHTTP|BenchmarkDataflow|BenchmarkPruned|BenchmarkWoven' -benchtime=200x -benchmem -count=3 -run=^$$ . | tee bench-smoke.out
 	$(GO) run ./tools/benchguard -baseline BENCH_10.json bench-smoke.out
 	@rm -f bench-smoke.out
-
-## bench-par: partitioned-scheduler scaling sweep — the busy-torus
-## benchmark across GOMAXPROCS 1,2,4,8, gated two ways: against the
-## BENCH_10.json baseline, and workers=8 must not be slower than
-## workers=1 (benchguard -notslower; executors are capped at GOMAXPROCS,
-## so on a single-CPU host the 8-worker row degrades to sequential and
-## ties rather than loses).
-bench-par:
-	$(GO) test -bench='BenchmarkPartitionedMesh' -benchtime=200x -benchmem -cpu=1,2,4,8 -count=3 -run=^$$ . | tee bench-par.out
-	$(GO) run ./tools/benchguard -baseline BENCH_10.json \
-		-notslower 'BenchmarkPartitionedMesh/workers=8<=BenchmarkPartitionedMesh/workers=1' bench-par.out
-	@rm -f bench-par.out
 
 ## bench-weave: woven-scheduler acceptance gate — the default-control
 ## pipeline and acyclic grid under interpreted levelized vs woven, gated

@@ -362,26 +362,6 @@ func BenchmarkC7NICThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkA1ParallelScheduler measures host ns per simulated cycle of a
-// 4x4 mesh under the sequential and parallel fixed-point schedulers.
-func BenchmarkA1ParallelScheduler(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := []core.BuildOption{core.WithScheduler(core.SchedulerSequential)}
-			if workers > 1 {
-				opts = []core.BuildOption{core.WithScheduler(core.SchedulerParallel), core.WithWorkers(workers)}
-			}
-			sim := buildMeshTraffic(b, opts...)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sim.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // buildMeshTraffic assembles the 4x4 mesh under uniform traffic shared by
 // the scheduler benchmarks.
 func buildMeshTraffic(b testing.TB, opts ...core.BuildOption) *core.Sim {
@@ -920,130 +900,6 @@ func BenchmarkDataflowAnalyze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.AnalyzeFlow(sim)
-	}
-}
-
-// busyCell is a torus node with real per-react compute: every cycle it
-// offers its state east and south, and reacting to the west/north
-// arrivals runs a short xorshift spin before acking — the compute-bound
-// shape the partitioned engine's worker-affine shards target. All four
-// ports declare uint64 payloads, so the traffic rides the scalar fast
-// lane and the benchmark measures scheduling plus compute, not boxing.
-type busyCell struct {
-	core.Base
-	east, south *core.Port
-	west, north *core.Port
-	state       uint64
-}
-
-func newBusyCell(name string, seed uint64) *busyCell {
-	c := &busyCell{state: seed | 1}
-	c.Init(name, c)
-	typed := core.PortOpts{MinWidth: 1, MaxWidth: 1, Payload: core.PayloadUint64}
-	c.east = c.AddOutPort("e", typed)
-	c.south = c.AddOutPort("s", typed)
-	c.west = c.AddInPort("w", typed)
-	c.north = c.AddInPort("n", typed)
-	c.OnCycleStart(c.cycleStart)
-	c.OnReact(c.react)
-	c.OnCycleEnd(c.cycleEnd)
-	return c
-}
-
-func (c *busyCell) cycleStart() {
-	c.east.SendUint64(0, c.state)
-	c.east.Enable(0)
-	c.south.SendUint64(0, c.state^0x9e3779b97f4a7c15)
-	c.south.Enable(0)
-}
-
-// churn is the per-arrival compute: a few hundred xorshift rounds —
-// roughly the work of a small router's allocation pass.
-func (c *busyCell) churn(v uint64) uint64 {
-	x := v ^ c.state
-	for i := 0; i < 400; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	return x
-}
-
-func (c *busyCell) react() {
-	for _, in := range [2]*core.Port{c.west, c.north} {
-		if in.DataStatus(0) == core.Yes && !in.AckStatus(0).Known() {
-			c.state ^= c.churn(in.Uint64(0))
-			in.Ack(0)
-		}
-	}
-}
-
-func (c *busyCell) cycleEnd() {
-	for _, in := range [2]*core.Port{c.west, c.north} {
-		if v, ok := in.TransferredUint64(0); ok {
-			c.state = c.state*6364136223846793005 + v
-		}
-	}
-}
-
-// busyTorusAssemble wires w×h busyCells into a torus (east and south
-// neighbors, wrap-around) as a core.Compile recipe, so every worker
-// count in BenchmarkPartitionedMesh stamps sessions from one compiled
-// program and inherits the same partition.
-func busyTorusAssemble(w, h int) func(*core.Builder) error {
-	return func(bld *core.Builder) error {
-		grid := make([][]*busyCell, h)
-		for y := range grid {
-			grid[y] = make([]*busyCell, w)
-			for x := range grid[y] {
-				grid[y][x] = newBusyCell(fmt.Sprintf("c%d_%d", y, x), uint64(y*w+x+1))
-				bld.Add(grid[y][x])
-			}
-		}
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				if err := bld.Connect(grid[y][x], "e", grid[y][(x+1)%w], "w"); err != nil {
-					return err
-				}
-				if err := bld.Connect(grid[y][x], "s", grid[(y+1)%h][x], "n"); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-}
-
-// BenchmarkPartitionedMesh is the partitioned engine's headline row: a
-// 32x32 busy torus (1024 compute-bound cells, 2048 typed connections)
-// compiled once with the partitioned scheduler, then stepped by sessions
-// at 1, 2, 4 and 8 workers. The per-react xorshift spin gives the
-// worker-affine shards real work to divide; on a multicore host the
-// 8-worker row targets >=4x the 1-worker row, and on any host it must
-// not be slower (the benchguard -notslower gate). Run with
-// `make bench-par` to sweep -cpu 1,2,4,8.
-func BenchmarkPartitionedMesh(b *testing.B) {
-	prog, err := core.Compile(busyTorusAssemble(32, 32),
-		core.WithScheduler(core.SchedulerPartitioned),
-		core.WithShards(16),
-		core.WithParallelThreshold(64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sim, err := prog.NewSim(core.WithSeed(1), core.WithWorkers(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sim.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -12,11 +12,11 @@
 //
 //	-cycles N      cycles to simulate (default 1000)
 //	-seed N        deterministic random seed (default 0)
-//	-scheduler S   auto | sequential | parallel | levelized | sparse |
-//	               partitioned | woven (default auto = sparse)
+//	-scheduler S   auto | sequential | levelized | sparse | woven
+//	               (default auto = sparse)
 //	-schedule      dump the static schedule (SCCs, levels, break sites)
-//	-workers N     scheduler workers; >1 selects the parallel scheduler
-//	               (deprecated as a selector — use -scheduler)
+//	-workers N     removed: accepted and ignored for one release, like
+//	               -scheduler parallel|partitioned (both run auto)
 //	-trace         dump the signal trace to stderr
 //	-profile       collect scheduler metrics; print a hot-module report
 //	-cpuprofile F  write a pprof CPU profile of construction and the run to F
@@ -87,9 +87,9 @@ func (d defines) Set(s string) error {
 func main() {
 	cycles := flag.Uint64("cycles", 1000, "cycles to simulate")
 	seed := flag.Int64("seed", 0, "deterministic random seed")
-	scheduler := flag.String("scheduler", "auto", "scheduling engine: auto, sequential, parallel, levelized, sparse, partitioned or woven")
+	scheduler := flag.String("scheduler", "auto", "scheduling engine: auto, sequential, levelized, sparse or woven")
 	schedule := flag.Bool("schedule", false, "dump the static schedule (levelized scheduler) to stderr")
-	workers := flag.Int("workers", 1, "scheduler workers (>1 = parallel scheduler; deprecated as a selector, use -scheduler)")
+	workers := flag.Int("workers", 1, "removed in this release: accepted and ignored (a simulator has one writer)")
 	trace := flag.Bool("trace", false, "dump the signal trace to stderr")
 	dot := flag.String("dot", "", "write the netlist as a Graphviz digraph to this file")
 	vcd := flag.String("vcd", "", "write a VCD waveform of every connection to this file")
@@ -147,19 +147,14 @@ func main() {
 		}
 		opts = append(opts, lse.WithStrictAnalysis(min))
 	}
-	if *workers != 1 {
-		// Only forward an explicit worker count: WithWorkers doubles as the
-		// legacy scheduler selector and would otherwise pin -scheduler auto
-		// to the sequential engine.
-		opts = append(opts, lse.WithWorkers(*workers))
+	kind, removed, err := lse.ParseSchedulerKind(*scheduler)
+	if err != nil {
+		fatal(err)
 	}
-	if *scheduler != "auto" {
-		kind, err := schedulerKind(*scheduler)
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, lse.WithScheduler(kind))
+	if removed || *workers != 1 {
+		fmt.Fprintln(os.Stderr, "lsc: the multi-worker engines (-scheduler parallel|partitioned, -workers) were removed in this release; running auto")
 	}
+	opts = append(opts, lse.WithScheduler(kind))
 	if *trace {
 		opts = append(opts, lse.WithTracer(&lse.TextTracer{W: os.Stderr}))
 	}
@@ -333,26 +328,6 @@ func startProfiles(cpuFile, traceFile string) (stop func(), err error) {
 			s()
 		}
 	}, nil
-}
-
-func schedulerKind(name string) (lse.SchedulerKind, error) {
-	switch name {
-	case "auto":
-		return lse.SchedulerAuto, nil
-	case "sequential":
-		return lse.SchedulerSequential, nil
-	case "parallel":
-		return lse.SchedulerParallel, nil
-	case "levelized":
-		return lse.SchedulerLevelized, nil
-	case "sparse":
-		return lse.SchedulerSparse, nil
-	case "partitioned":
-		return lse.SchedulerPartitioned, nil
-	case "woven":
-		return lse.SchedulerWoven, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want auto, sequential, parallel, levelized, sparse, partitioned or woven)", name)
 }
 
 func fatal(err error) {

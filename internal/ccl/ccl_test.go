@@ -208,12 +208,8 @@ func TestBusSerializesAndFilters(t *testing.T) {
 }
 
 func TestMeshDeterminism(t *testing.T) {
-	run := func(workers int) (int64, float64) {
-		opts := []core.BuildOption{core.WithSeed(99), core.WithScheduler(core.SchedulerSequential)}
-		if workers > 1 {
-			opts = []core.BuildOption{core.WithSeed(99), core.WithScheduler(core.SchedulerParallel), core.WithWorkers(workers)}
-		}
-		b := core.NewBuilder(opts...)
+	run := func(kind core.SchedulerKind) (int64, float64) {
+		b := core.NewBuilder(core.WithSeed(99), core.WithScheduler(kind))
 		nw, err := ccl.BuildMesh(b, "mesh", ccl.MeshCfg{W: 3, H: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -240,10 +236,10 @@ func TestMeshDeterminism(t *testing.T) {
 		}
 		return total, lat
 	}
-	n1, l1 := run(1)
-	n4, l4 := run(4)
+	n1, l1 := run(core.SchedulerSequential)
+	n4, l4 := run(core.SchedulerAuto)
 	if n1 != n4 || l1 != l4 {
-		t.Fatalf("parallel run differs: (%d, %f) vs (%d, %f)", n1, l1, n4, l4)
+		t.Fatalf("auto run differs from sequential: (%d, %f) vs (%d, %f)", n1, l1, n4, l4)
 	}
 	if n1 == 0 {
 		t.Fatal("nothing delivered")

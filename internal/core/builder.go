@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 )
 
 // Builder assembles a netlist — instances and their connections — and
@@ -15,9 +14,6 @@ type Builder struct {
 	reg       *Registry
 	seed      int64
 	sched     SchedulerKind
-	workers   int
-	shards    int // partitioned shard count; 0 = default
-	parMin    int // parallel round threshold; 0 = default
 	tracer    Tracer
 	metrics   bool
 	prune     bool // WithDataflowPrune: delete provably-dead structure
@@ -37,7 +33,7 @@ type Builder struct {
 // NewBuilder returns a Builder using DefaultRegistry, seed 0 and
 // automatic scheduler selection (see WithScheduler), then applies opts.
 func NewBuilder(opts ...BuildOption) *Builder {
-	b := &Builder{reg: DefaultRegistry, workers: 1, byName: make(map[string]Instance)}
+	b := &Builder{reg: DefaultRegistry, byName: make(map[string]Instance)}
 	for _, o := range opts {
 		o(b)
 	}
@@ -188,7 +184,7 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		return nil, err
 	}
 	b.built = true
-	sched, workers := resolveScheduler(b.sched, b.workers)
+	sched := resolveScheduler(b.sched)
 	if b.prune && sched != SchedulerSparse && sched != SchedulerWoven {
 		return nil, &BuildError{Op: "build", Where: "?",
 			Detail: fmt.Sprintf("WithDataflowPrune requires the sparse (default) or woven scheduler, not %s: pruning moves provably-dead structure into the replayed region", sched)}
@@ -202,7 +198,7 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	p := b.prog
 	if p == nil {
 		// Compile path: this netlist defines the program.
-		p = compileProgram(b.instances, b.conns, sched, b.prune, b.shards)
+		p = compileProgram(b.instances, b.conns, sched, b.prune)
 	} else {
 		// Session-stamp path (Program.NewSim): the expensive artifacts —
 		// Tarjan/levelization, activity partition, lane election — are
@@ -215,15 +211,12 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	s := &Sim{
 		seed:      b.seed,
 		sched:     sched,
-		workers:   workers,
-		single:    workers == 1,
-		parMin:    b.parMin,
 		tracer:    b.tracer,
 		prog:      p,
 		instances: b.instances,
 		byName:    b.byName,
 		conns:     b.conns,
-		plane:     newSigPlane(planeSize(p, len(b.conns))),
+		plane:     newSigPlane(len(b.conns)),
 		stats:     newStatSet(),
 		schedule:  p.schedule,
 		sparse:    p.sparse,
@@ -235,9 +228,6 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	if p.pruned != nil {
 		s.pruned = p.pruned.insts
 	}
-	if s.parMin == 0 {
-		s.parMin = defaultParallelThreshold * workers
-	}
 	if b.metrics {
 		s.metrics = newMetrics(s)
 	}
@@ -247,28 +237,11 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		base.attach(s, i)
 		s.bases[i] = base
 	}
-	for i, c := range s.conns {
+	for _, c := range s.conns {
 		c.sim = s
 		c.scalar = p.scalar[c.id]
-		c.slot = int32(i)
-	}
-	if pt := p.partition; pt != nil {
-		s.part = pt
-		for _, c := range s.conns {
-			c.slot = pt.slot[c.id]
-		}
 	}
 	s.bindLanes()
-	if workers > 1 {
-		if s.part != nil {
-			s.ppool = newPartPool(workers, s.part.nShards)
-		} else {
-			s.pool = newWorkerPool(workers)
-		}
-		// Workers hold only pool-internal references, so the simulator
-		// stays collectable; release them when it goes.
-		runtime.SetFinalizer(s, (*Sim).Close)
-	}
 	// Tracers that need the finished netlist (e.g. the VCD tracer's
 	// variable definitions) hook in here.
 	if at, ok := s.tracer.(interface{ Attach(*Sim) }); ok {
@@ -287,38 +260,12 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 }
 
 // resolveScheduler pins the scheduler selection down to a concrete
-// engine and worker count.
-func resolveScheduler(sched SchedulerKind, workers int) (SchedulerKind, int) {
-	if workers < 1 {
-		workers = 1
+// engine.
+func resolveScheduler(sched SchedulerKind) SchedulerKind {
+	if sched == SchedulerAuto {
+		return SchedulerSparse
 	}
-	switch sched {
-	case SchedulerAuto:
-		sched = SchedulerSparse
-	case SchedulerSequential:
-		workers = 1
-	case SchedulerParallel:
-		if workers < 2 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	case SchedulerPartitioned:
-		// Workers honored exactly as given (default one): the shard
-		// partition is compiled into the Program, and a session's
-		// phases cap their live executors at GOMAXPROCS anyway.
-	case SchedulerWoven:
-		// Workers honored exactly as given (default one); extra workers
-		// only parallelize the interpreted fallback's reactive rounds.
-	}
-	return sched, workers
-}
-
-// planeSize returns the signal-plane length for a program: the padded
-// partitioned layout when one was compiled, else one slot per conn.
-func planeSize(p *Program, nConns int) int {
-	if p.partition != nil {
-		return p.partition.planeSize
-	}
-	return nConns
+	return sched
 }
 
 // Sub composes a hierarchical child-instance name.

@@ -12,8 +12,8 @@
 // invoked whenever a signal they can observe resolves; because resolution
 // is monotonic and single-assignment, the per-cycle fixed point is
 // confluent — the same final signal assignment is reached regardless of
-// handler invocation order. This is what makes the parallel scheduler
-// produce bit-identical results to the sequential one.
+// handler invocation order. This is what lets every scheduler produce
+// bit-identical results to the sequential one.
 //
 // # The 3-signal communication contract
 //

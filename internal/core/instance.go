@@ -29,8 +29,8 @@ type Base struct {
 	react      func()
 	start      func()
 	end        func()
-	autonomous bool   // react depends on Now()/Rand(); never activity-gated
-	scheduled  uint32 // 1 while queued for react; accessed in the Sim's discipline (Sim.single)
+	autonomous bool // react depends on Now()/Rand(); never activity-gated
+	scheduled  bool // queued for react
 	rng        *rand.Rand
 	rsrc       *countingSource // rng's underlying source; draw count feeds Snapshot
 	pos        Pos             // spec position the instance was declared at, if known

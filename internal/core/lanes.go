@@ -8,9 +8,9 @@ package core
 // template may switch between the two forms freely.
 
 // bindLanes fills every connected port's lane table from the session's
-// connections. It runs after slot assignment, so the partitioned layout's
-// slot indirection is honoured. Every conn sits on exactly two ports: the
-// tables are cut from two slabs per session, not allocated per port.
+// connections: a lane's plane slot is its connection's id. Every conn
+// sits on exactly two ports: the tables are cut from two slabs per
+// session, not allocated per port.
 func (s *Sim) bindLanes() {
 	slots := make([]int32, 2*len(s.conns))
 	peers := make([]*Base, 2*len(s.conns))
@@ -30,8 +30,8 @@ func (s *Sim) bindLanes() {
 		}
 		// An Out port drives data and enable, observed by the receiver; an
 		// In port drives ack, observed by the sender.
-		c.src.slots[c.srcIdx], c.src.peers[c.srcIdx] = c.slot, c.dst.owner
-		c.dst.slots[c.dstIdx], c.dst.peers[c.dstIdx] = c.slot, c.src.owner
+		c.src.slots[c.srcIdx], c.src.peers[c.srcIdx] = int32(c.id), c.dst.owner
+		c.dst.slots[c.dstIdx], c.dst.peers[c.dstIdx] = int32(c.id), c.src.owner
 	}
 }
 
@@ -41,22 +41,21 @@ func (s *Sim) bindLanes() {
 //	k == SigData: if p.DataStatus(j) == Unknown { p.SendNothing(j); p.Disable(j) }
 //	k == SigAck:  if p.AckStatus(j) == Unknown { p.Nack(j) }
 //
-// On a single-writer session with no tracer, called legally (right
-// direction, write phase, lanes in range), the guards are hoisted out of
-// the loop and each resolution is a store into the plane lane plus the
-// bookkeeping Conn.resolve does: the resolved count, the residue
-// worklist's note, one wake of the observing instance (the enable
-// resolution's second wake of the same instance is a no-op: nothing ran
-// in between to unschedule it). Every other call runs the loop above
-// verbatim, so tracers see each resolution in lane order, multi-worker
-// sessions keep their compare-and-swap, and an illegal call raises the
-// single-lane operation's contract error at the lane it would have.
+// With no tracer attached, called legally (right direction, write phase,
+// lanes in range), the guards are hoisted out of the loop and each
+// resolution is a store into the plane lane plus the bookkeeping
+// Conn.resolve does: the resolved count, the residue worklist's note, one
+// wake of the observing instance (the enable resolution's second wake of
+// the same instance is a no-op: nothing ran in between to unschedule it).
+// Every other call runs the loop above verbatim, so tracers see each
+// resolution in lane order and an illegal call raises the single-lane
+// operation's contract error at the lane it would have.
 func (p *Port) quiet(k SigKind, lo, hi int) {
 	if lo >= hi {
 		return
 	}
 	s := p.sim
-	if s == nil || !s.single || s.tracer != nil || !s.writable ||
+	if s == nil || s.tracer != nil || !s.writable ||
 		(p.dir == Out) != (k == SigData) || lo < 0 || hi > len(p.slots) {
 		for j := lo; j < hi; j++ {
 			if k == SigAck {

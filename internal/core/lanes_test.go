@@ -229,13 +229,12 @@ func decodeLaneCase(width int, src *byteSrc) *laneCase {
 // driven by, peers that each take two lanes (so one instance observes
 // more than one lane of a fused call).
 type laneRig struct {
-	cs      *laneCase
-	fused   bool
-	ordered bool // single-writer session: mid-cycle state and react order are deterministic
-	sim     *Sim
-	hub     *laneHub
-	log     strings.Builder
-	fires   [lanePhases]int
+	cs    *laneCase
+	fused bool
+	sim   *Sim
+	hub   *laneHub
+	log   strings.Builder
+	fires [lanePhases]int
 }
 
 type laneHub struct {
@@ -268,9 +267,7 @@ func (h *laneHub) fire(phase int) {
 	fmt.Fprintf(&h.rig.log, "op %d on %s [%d,%d) phase %d\n", cy.op, p.Name(), cy.lo, cy.hi, phase)
 	res := runLaneOp(p, cy.op, cy.lo, cy.hi, h.rig.fused)
 	fmt.Fprintf(&h.rig.log, " -> %s\n", res)
-	if h.rig.ordered {
-		h.rig.capture()
-	}
+	h.rig.capture()
 }
 
 // capture logs the session state an operation leaves behind.
@@ -366,16 +363,12 @@ func newLanePeer(r *laneRig, k int) *lanePeer {
 		}
 	})
 	p.OnReact(func() {
-		// Observe what the hub drives, as a real receiver would: in a
-		// multi-worker round these reads run beside the hub's operation,
-		// so the race detector sees a fused store that skipped the atomics.
+		// Observe what the hub drives, as a real receiver would.
 		seen := ""
 		for i := 0; i < p.in.Width(); i++ {
 			seen += p.in.DataStatus(i).String() + p.in.EnableStatus(i).String() + p.out.AckStatus(i).String()
 		}
-		if r.ordered {
-			fmt.Fprintf(&r.log, " react %s sees %s\n", p.name, seen)
-		}
+		fmt.Fprintf(&r.log, " react %s sees %s\n", p.name, seen)
 	})
 	return p
 }
@@ -390,22 +383,20 @@ func (t *laneTracer) OnResolve(c *Conn, k SigKind, s Status) {
 }
 
 type laneDiscipline struct {
-	name    string
-	opts    []BuildOption
-	tracer  bool
-	ordered bool
+	name   string
+	opts   []BuildOption
+	tracer bool
 }
 
 var laneDisciplines = []laneDiscipline{
-	{name: "single-writer", opts: []BuildOption{WithScheduler(SchedulerSequential)}, ordered: true},
-	{name: "residue", opts: []BuildOption{WithScheduler(SchedulerLevelized)}, ordered: true},
-	{name: "tracer", opts: []BuildOption{WithScheduler(SchedulerLevelized)}, tracer: true, ordered: true},
-	{name: "workers-2", opts: []BuildOption{WithScheduler(SchedulerLevelized), WithWorkers(2), WithParallelThreshold(1)}},
+	{name: "single-writer", opts: []BuildOption{WithScheduler(SchedulerSequential)}},
+	{name: "residue", opts: []BuildOption{WithScheduler(SchedulerLevelized)}},
+	{name: "tracer", opts: []BuildOption{WithScheduler(SchedulerLevelized)}, tracer: true},
 }
 
 func buildLaneRig(t testing.TB, cs *laneCase, d laneDiscipline, fused bool) *laneRig {
 	t.Helper()
-	r := &laneRig{cs: cs, fused: fused, ordered: d.ordered}
+	r := &laneRig{cs: cs, fused: fused}
 	opts := append([]BuildOption{WithMetrics()}, d.opts...)
 	if d.tracer {
 		opts = append(opts, WithTracer(&laneTracer{rig: r}))
@@ -455,9 +446,7 @@ func (r *laneRig) run() string {
 			fmt.Fprintf(&r.log, " c%d %s%s%s", c.id, c.status(SigData), c.status(SigEnable), c.status(SigAck))
 		}
 		fmt.Fprintf(&r.log, "\n")
-		if r.ordered {
-			r.capture()
-		}
+		r.capture()
 	}
 	return r.log.String()
 }
@@ -561,7 +550,15 @@ func FuzzLaneOps(f *testing.F) {
 		if width == 9 {
 			width = 65
 		}
-		d := laneDisciplines[sel/10%len(laneDisciplines)]
+		// The selector keeps its four-way split so the checked-in corpus
+		// decodes to the cases it always did. Its fourth value selected the
+		// multi-worker levelized discipline (removed with the engines it
+		// exercised); it now selects the same engine's surviving one.
+		di := sel / 10 % 4
+		if di == 3 {
+			di = 1 // residue: levelized, no tracer
+		}
+		d := laneDisciplines[di]
 		checkLaneCase(t, decodeLaneCase(width, src), d)
 	})
 }

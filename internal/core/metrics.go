@@ -12,27 +12,24 @@ import (
 const reactSampleMask = 7
 
 // Metrics aggregates scheduler-level observability counters: where each
-// cycle's work went — reactive wakes, fixed-point iterations, parallel
-// rounds, default-control fallbacks — and per-instance react activity.
+// cycle's work went — reactive wakes, fixed-point iterations,
+// default-control fallbacks — and per-instance react activity.
 // Collection is enabled with WithMetrics (or via an observability
 // Observer); when disabled the scheduler pays a single nil check per
-// event. All counters are updated atomically, so the parallel scheduler
-// records concurrently without coordination.
+// event. All counters are atomic: the stepping goroutine is their only
+// writer, but a live reader (lsc -metrics-addr, lsd /metrics) loads them
+// from another goroutine while the session steps.
 type Metrics struct {
 	cycles atomic.Uint64
 	wakes  atomic.Uint64
 	reacts atomic.Uint64
 	iters  atomic.Uint64
-	rounds atomic.Uint64
-	steals atomic.Uint64
 
 	defaults [3]atomic.Uint64 // indexed by SigKind
 	breaks   [3]atomic.Uint64 // dependency-cycle breaks, by SigKind
 
 	activeInsts  atomic.Uint64 // sparse: instances in the active region, summed per cycle
 	skippedWakes atomic.Uint64 // sparse: gated reactive instances not woken, summed per cycle
-
-	roundSize Histogram // parallel round batch sizes
 
 	insts []InstanceMetrics // indexed by instance id
 }
@@ -58,26 +55,14 @@ func (m *Metrics) Wakes() uint64 { return m.wakes.Load() }
 func (m *Metrics) Reacts() uint64 { return m.reacts.Load() }
 
 // FixedPointIters returns the number of fixed-point iterations the
-// scheduler could not resolve statically. Under the sequential and
-// parallel engines: drain passes that executed at least one handler, or
-// parallel barrier rounds — default-control resolution re-runs the fixed
-// point after every applied default, so this counts how many times
-// quiescence was re-established. Under the levelized engine: residue
+// scheduler could not resolve statically. Under the sequential engine:
+// drain passes that executed at least one handler — default-control
+// resolution re-runs the fixed point after every applied default, so
+// this counts how many times quiescence was re-established. Under the
+// statically scheduled engines: residue
 // worklist steps, i.e. defaults applied inside or downstream of a
 // dependency cycle; exactly zero when the module graph is acyclic.
 func (m *Metrics) FixedPointIters() uint64 { return m.iters.Load() }
-
-// ParallelRounds returns the number of barrier-synchronized rounds the
-// parallel scheduler ran (0 under the sequential scheduler).
-func (m *Metrics) ParallelRounds() uint64 { return m.rounds.Load() }
-
-// Steals returns the number of round entries the partitioned
-// scheduler's workers claimed from shards they do not own (0 under the
-// other schedulers, and for single-worker sessions).
-func (m *Metrics) Steals() uint64 { return m.steals.Load() }
-
-// RoundSizes returns the histogram of parallel round batch sizes.
-func (m *Metrics) RoundSizes() *Histogram { return &m.roundSize }
 
 // DefaultFallbacks returns the number of signals of kind k resolved by
 // default control rather than by module code.

@@ -87,7 +87,7 @@ func buildFanout(t *testing.T, opts ...core.BuildOption) *core.Sim {
 }
 
 // TestSchedulerMetricsGolden pins the exact per-cycle scheduler counts of
-// the known fan-out netlist, for the sequential and parallel schedulers.
+// the known fan-out netlist under the sequential scheduler.
 //
 // Each cycle: the driver's two Sends wake both ackers (2 wakes); the
 // react-phase broadcast finds them already scheduled; the initial fixed
@@ -97,73 +97,55 @@ func buildFanout(t *testing.T, opts ...core.BuildOption) *core.Sim {
 // 2 iterations), which acks — so the ack round has nothing left to do.
 func TestSchedulerMetricsGolden(t *testing.T) {
 	const cycles = 5
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel", 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sim := buildFanout(t, append(schedulerFor(tc.workers), core.WithMetrics())...)
-			if err := sim.Run(cycles); err != nil {
-				t.Fatal(err)
+	t.Run("sequential", func(t *testing.T) {
+		sim := buildFanout(t, core.WithScheduler(core.SchedulerSequential), core.WithMetrics())
+		if err := sim.Run(cycles); err != nil {
+			t.Fatal(err)
+		}
+		m := sim.Metrics()
+		if m == nil {
+			t.Fatal("metrics enabled but nil")
+		}
+		if got := m.Cycles(); got != cycles {
+			t.Errorf("cycles = %d, want %d", got, cycles)
+		}
+		if got := m.Wakes(); got != 4*cycles {
+			t.Errorf("wakes = %d, want %d", got, 4*cycles)
+		}
+		if got := m.Reacts(); got != 4*cycles {
+			t.Errorf("reacts = %d, want %d", got, 4*cycles)
+		}
+		if got := m.FixedPointIters(); got != 3*cycles {
+			t.Errorf("fixed-point iters = %d, want %d", got, 3*cycles)
+		}
+		wantDefaults := map[core.SigKind]uint64{
+			core.SigData:   0,
+			core.SigEnable: 2 * cycles,
+			core.SigAck:    0,
+		}
+		for k, want := range wantDefaults {
+			if got := m.DefaultFallbacks(k); got != want {
+				t.Errorf("default fallbacks[%s] = %d, want %d", k, got, want)
 			}
-			m := sim.Metrics()
-			if m == nil {
-				t.Fatal("metrics enabled but nil")
+			if got := m.CycleBreaks(k); got != 0 {
+				t.Errorf("cycle breaks[%s] = %d, want 0", k, got)
 			}
-			if got := m.Cycles(); got != cycles {
-				t.Errorf("cycles = %d, want %d", got, cycles)
+		}
+		// Per-instance profile: each acker reacted twice per cycle,
+		// the handler-less driver never.
+		byName := map[string]core.InstanceMetric{}
+		for _, im := range m.Instances() {
+			byName[im.Name] = im
+		}
+		if got := byName["drv"].Reacts; got != 0 {
+			t.Errorf("drv reacts = %d, want 0", got)
+		}
+		for _, n := range []string{"b1", "b2"} {
+			if got := byName[n].Reacts; got != 2*cycles {
+				t.Errorf("%s reacts = %d, want %d", n, got, 2*cycles)
 			}
-			if got := m.Wakes(); got != 4*cycles {
-				t.Errorf("wakes = %d, want %d", got, 4*cycles)
-			}
-			if got := m.Reacts(); got != 4*cycles {
-				t.Errorf("reacts = %d, want %d", got, 4*cycles)
-			}
-			if got := m.FixedPointIters(); got != 3*cycles {
-				t.Errorf("fixed-point iters = %d, want %d", got, 3*cycles)
-			}
-			wantDefaults := map[core.SigKind]uint64{
-				core.SigData:   0,
-				core.SigEnable: 2 * cycles,
-				core.SigAck:    0,
-			}
-			for k, want := range wantDefaults {
-				if got := m.DefaultFallbacks(k); got != want {
-					t.Errorf("default fallbacks[%s] = %d, want %d", k, got, want)
-				}
-				if got := m.CycleBreaks(k); got != 0 {
-					t.Errorf("cycle breaks[%s] = %d, want 0", k, got)
-				}
-			}
-			if tc.workers > 1 {
-				if got := m.ParallelRounds(); got != 3*cycles {
-					t.Errorf("parallel rounds = %d, want %d", got, 3*cycles)
-				}
-				if got := m.RoundSizes().Count(); got != 3*cycles {
-					t.Errorf("round size samples = %d, want %d", got, 3*cycles)
-				}
-			} else if got := m.ParallelRounds(); got != 0 {
-				t.Errorf("parallel rounds = %d, want 0 for sequential", got)
-			}
-			// Per-instance profile: each acker reacted twice per cycle,
-			// the handler-less driver never.
-			byName := map[string]core.InstanceMetric{}
-			for _, im := range m.Instances() {
-				byName[im.Name] = im
-			}
-			if got := byName["drv"].Reacts; got != 0 {
-				t.Errorf("drv reacts = %d, want 0", got)
-			}
-			for _, n := range []string{"b1", "b2"} {
-				if got := byName[n].Reacts; got != 2*cycles {
-					t.Errorf("%s reacts = %d, want %d", n, got, 2*cycles)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSchedulerMetricsCycleBreaks pins default-dependency cycle
@@ -256,12 +238,13 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrentObserve exercises Observe from react handlers
-// running under the parallel scheduler — the data race the old
-// implementation had. Run with -race to enforce the safety claim.
+// TestHistogramConcurrentObserve exercises the sharing the Histogram mutex
+// is kept for: react handlers Observe from the stepping goroutine while a
+// live metrics reader takes counts and quantiles from another. Run with
+// -race to enforce the safety claim.
 func TestHistogramConcurrentObserve(t *testing.T) {
 	var shared core.Histogram
-	b := core.NewBuilder(core.WithWorkers(8))
+	b := core.NewBuilder()
 	drv := newDriver("drv")
 	b.Add(drv)
 	const fanout = 8
@@ -276,8 +259,25 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if shared.Count() > 0 && shared.Quantile(0.5) > fanout {
+					t.Error("median above the largest sample")
+				}
+			}
+		}
+	}()
 	const cycles = 50
-	if err := sim.Run(cycles); err != nil {
+	err = sim.Run(cycles)
+	close(stop)
+	<-done
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Every acker reacts at least twice per cycle (initial fixed point +

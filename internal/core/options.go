@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // BuildOption configures the simulator under construction. Options are
 // accepted by NewBuilder and by Build; the last option to touch a setting
 // wins, except WithTracer, which composes.
@@ -21,18 +23,13 @@ const (
 	// work queue runs reactive handlers to a fixed point, and default
 	// control re-scans the netlist dependency-aware until quiescent.
 	SchedulerSequential
-	// SchedulerParallel is the barrier-synchronized parallel fixed-point
-	// engine: each reactive round is partitioned across a persistent
-	// worker pool. Results are bit-identical to SchedulerSequential.
-	SchedulerParallel
 	// SchedulerLevelized is the static scheduling engine: at Build time
 	// the per-kind signal dependency graph is condensed into strongly
 	// connected components (Tarjan) and the component DAG is levelized.
 	// Acyclic levels resolve in one deterministic sweep with no
 	// fixed-point iteration; only genuinely cyclic components iterate,
 	// driven by a worklist seeded from dirty signals. Results are
-	// bit-identical to SchedulerSequential. With WithWorkers(n>1) given
-	// after it, reactive rounds additionally run on the worker pool.
+	// bit-identical to SchedulerSequential.
 	SchedulerLevelized
 	// SchedulerSparse is the activity-gated sparse scheduler: the
 	// levelized engine restricted, per cycle, to the build-time-computed
@@ -47,20 +44,6 @@ const (
 	// Appendix C); scheduler metrics differ, since skipped work is the
 	// point. Sim.InvalidateActivity forces a full re-resolution.
 	SchedulerSparse
-	// SchedulerPartitioned is the build-time partitioned parallel
-	// engine: the module graph is sharded into connectivity-grown
-	// regions (WithShards, default 16), the signal plane is laid out so
-	// each shard's lanes occupy distinct cache lines, and every level of
-	// the static schedule is pre-split per shard. Sessions run reactive
-	// rounds as worker-affine phases — each worker claims its own
-	// shards' queues without synchronization and steals leftovers from
-	// the others — joined at a per-round barrier instead of per-round
-	// channel dispatch. Results are bit-identical to
-	// SchedulerSequential. WithWorkers is honored exactly as given
-	// (default one), and each phase caps its live executors at
-	// GOMAXPROCS, so over-provisioned sessions degrade to sequential
-	// execution instead of regressing. See DESIGN.md Appendix H.
-	SchedulerPartitioned
 	// SchedulerWoven is the AOT-woven engine: at compile time the
 	// levelized schedule is fused into specialized step kernels.
 	// Connections whose endpoints bear no cycle-start or reactive
@@ -74,10 +57,8 @@ const (
 	// results *and* scheduler default/break counts are bit-identical to
 	// SchedulerSequential (under the handler-locality and
 	// control-function-purity contracts, DESIGN.md Appendix I).
-	// WithWorkers is honored exactly as given and parallelizes the
-	// fallback's reactive rounds. Composes with WithDataflowPrune: dead
-	// connections never get a kernel. Sim.InvalidateActivity forces a
-	// full interpreted sweep.
+	// Composes with WithDataflowPrune: dead connections never get a
+	// kernel. Sim.InvalidateActivity forces a full interpreted sweep.
 	SchedulerWoven
 )
 
@@ -87,18 +68,39 @@ func (k SchedulerKind) String() string {
 		return "auto"
 	case SchedulerSequential:
 		return "sequential"
-	case SchedulerParallel:
-		return "parallel"
 	case SchedulerLevelized:
 		return "levelized"
 	case SchedulerSparse:
 		return "sparse"
-	case SchedulerPartitioned:
-		return "partitioned"
 	case SchedulerWoven:
 		return "woven"
 	}
 	return "invalid"
+}
+
+// ParseSchedulerKind is the inverse of SchedulerKind.String — the one
+// parser behind lsc -scheduler and the /v1 "scheduler" field. The empty
+// name is Auto (an omitted wire field). "parallel" and "partitioned", the
+// multi-worker engines removed in PR 19 (DESIGN.md Appendix H), stay
+// accepted for one release as aliases of Auto; removed reports that the
+// name was one of them, so a front end can tell the user what actually
+// runs.
+func ParseSchedulerKind(name string) (kind SchedulerKind, removed bool, err error) {
+	switch name {
+	case "", "auto":
+		return SchedulerAuto, false, nil
+	case "sequential":
+		return SchedulerSequential, false, nil
+	case "levelized":
+		return SchedulerLevelized, false, nil
+	case "sparse":
+		return SchedulerSparse, false, nil
+	case "woven":
+		return SchedulerWoven, false, nil
+	case "parallel", "partitioned":
+		return SchedulerAuto, true, nil
+	}
+	return 0, false, fmt.Errorf("unknown scheduler %q (want auto, sequential, levelized, sparse or woven)", name)
 }
 
 // WithScheduler selects the scheduling engine. All schedulers produce
@@ -106,65 +108,6 @@ func (k SchedulerKind) String() string {
 // only in host-time cost and in the scheduler metrics they report.
 func WithScheduler(k SchedulerKind) BuildOption {
 	return func(b *Builder) { b.sched = k }
-}
-
-// WithWorkers selects the number of scheduler workers (values below one
-// are clamped to one). It is a pure count knob: the engine is chosen by
-// WithScheduler alone, and SchedulerSequential always resolves to one
-// worker. Under SchedulerParallel a count below two resolves to
-// GOMAXPROCS.
-func WithWorkers(n int) BuildOption {
-	return func(b *Builder) {
-		if n < 1 {
-			n = 1
-		}
-		b.workers = n
-	}
-}
-
-// WithShards sets the compile-time shard count for the partitioned
-// scheduler (SchedulerPartitioned); values below one select the default
-// (16), values above 1024 are clamped. Shards are a property of the
-// compiled Program — every session stamped from it inherits the same
-// partition and plane layout — while the worker count remains a session
-// property: workers own the shard sets {w, w+k, ...} and steal across
-// them, so any worker count runs correctly against any shard count.
-// More shards than instances are clamped to one shard per instance.
-// Ignored by every other scheduler.
-func WithShards(n int) BuildOption {
-	return func(b *Builder) {
-		if n < 1 {
-			n = 0 // default
-		}
-		if n > 1024 {
-			n = 1024
-		}
-		b.shards = n
-	}
-}
-
-// defaultParallelThreshold is the per-worker round size below which the
-// parallel scheduler drains inline (default threshold = 128 × workers).
-// Dispatching a round costs one goroutine wakeup per worker — tens of
-// microseconds of scheduling latency the caller must absorb even when a
-// woken worker claims no work — so splitting only pays once each worker's
-// share of the batch outweighs its own wakeup (BENCH_2's workers=2
-// regression: barrier latency exceeded the work on rounds of 2-4 cheap
-// handlers).
-const defaultParallelThreshold = 128
-
-// WithParallelThreshold sets the minimum reactive-round size the
-// parallel scheduler dispatches to the worker pool; smaller rounds drain
-// inline on the calling goroutine, where dispatch latency would
-// otherwise dominate. n <= 1 sends every round to the pool. The default
-// is 128 × the worker count.
-func WithParallelThreshold(n int) BuildOption {
-	return func(b *Builder) {
-		if n <= 1 {
-			n = 1
-		}
-		b.parMin = n
-	}
 }
 
 // WithSeed sets the simulator's deterministic random seed.

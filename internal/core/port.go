@@ -112,7 +112,7 @@ type Port struct {
 	// so a handler's access is one table read instead of a walk through
 	// *Conn and *Sim. All three stay zero on a port with no connections.
 	sim   *Sim
-	slots []int32 // lane -> plane slot
+	slots []int32 // lane -> plane slot (the connection's id)
 	peers []*Base // lane -> instance observing the signals this port drives
 }
 

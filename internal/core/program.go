@@ -42,11 +42,10 @@ type Program struct {
 	scalar      []bool // conn id -> uint64 fast-lane election
 	scalarConns int
 
-	schedule  *progSchedule  // nil unless levelized/sparse/partitioned/woven
-	sparse    *progSparse    // nil unless sparse
-	pruned    *progPrune     // nil unless compiled with WithDataflowPrune
-	partition *progPartition // nil unless partitioned
-	weave     *progWeave     // nil unless woven
+	schedule *progSchedule // nil unless levelized/sparse/woven
+	sparse   *progSparse   // nil unless sparse
+	pruned   *progPrune    // nil unless compiled with WithDataflowPrune
+	weave    *progWeave    // nil unless woven
 }
 
 // Compile runs the assembly recipe once, compiles the resulting netlist
@@ -80,7 +79,7 @@ func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, erro
 // state), and the session binds the shared schedule, activity partition
 // and lane election without recompiling any of them. Session options are
 // applied after the program's compile-time options, so per-session seeds,
-// tracers, worker counts and metrics compose naturally; selecting a
+// tracers and metrics compose naturally; selecting a
 // different scheduler than the program was compiled for is an error.
 func (p *Program) NewSim(opts ...BuildOption) (*Sim, error) {
 	if p.assemble == nil {
@@ -115,9 +114,7 @@ func (p *Program) Fingerprint() uint64 { return p.fingerprint }
 
 // Schedule returns a copy of the static-schedule introspection info, or
 // nil when the program uses none of the statically scheduled engines
-// (levelized, sparse, partitioned, woven).
-// The Workers field is zero: worker counts are a session property (see
-// Sim.Schedule).
+// (levelized, sparse, woven).
 func (p *Program) Schedule() *ScheduleInfo {
 	if p.schedule == nil {
 		return nil
@@ -130,7 +127,7 @@ func (p *Program) Schedule() *ScheduleInfo {
 // validated netlist: lane election, structural fingerprint and — for the
 // levelized and sparse engines — the static schedule and activity
 // partition. Instance ids must already be assigned (assembly order).
-func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind, prune bool, shards int) *Program {
+func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind, prune bool) *Program {
 	p := &Program{sched: sched, nInsts: len(instances), nConns: len(conns)}
 	// Payload-lane inference: a connection joins the uint64 scalar fast
 	// lane when its driver declares PayloadUint64 and its sink does not
@@ -145,17 +142,11 @@ func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind, pr
 		}
 	}
 	p.fingerprint = fingerprintNetlist(instances, conns)
-	if sched == SchedulerLevelized || sched == SchedulerSparse || sched == SchedulerPartitioned || sched == SchedulerWoven {
+	if sched == SchedulerLevelized || sched == SchedulerSparse || sched == SchedulerWoven {
 		p.schedule = buildSchedule(instances, conns)
 		p.schedule.info.Scheduler = sched
 		p.schedule.info.ScalarConns = p.scalarConns
 		p.schedule.info.SpillConns = len(conns) - p.scalarConns
-	}
-	if sched == SchedulerPartitioned {
-		if shards <= 0 {
-			shards = defaultShards
-		}
-		p.partition = buildPartition(instances, conns, p.schedule, shards)
 	}
 	if sched == SchedulerSparse {
 		p.sparse = buildSparse(instances, conns, p.schedule)

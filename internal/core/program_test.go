@@ -112,10 +112,9 @@ func TestDirectBuildProgramMintsNoSessions(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotent: Close releases the worker pool once and tolerates
-// repeated calls.
+// TestCloseIdempotent: the session-end hook tolerates repeated calls.
 func TestCloseIdempotent(t *testing.T) {
-	b := NewBuilder(WithScheduler(SchedulerParallel), WithWorkers(2))
+	b := NewBuilder()
 	if err := progTestAssemble(b); err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +122,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.pool == nil {
-		t.Fatal("parallel build created no worker pool")
-	}
 	sim.Close()
-	if sim.pool != nil {
-		t.Fatal("Close did not release the worker pool")
-	}
 	sim.Close() // must be a no-op, not a panic
 }
 
@@ -162,15 +155,15 @@ func newReactProbe(name string) *reactProbe {
 	return m
 }
 
-// TestStepErrorStrandsNoInstance: a handler that panics mid-drain in a
-// one-worker session leaves the rest of the cycle's wake broadcast
-// queued. Step must clear those (plain) scheduled flags and leave the
-// write phase — returning a ContractError, re-panicking anything else —
-// or the next Step's wakes would skip the instances forever and a caller
-// that recovered the panic would hold a silently wrong session.
+// TestStepErrorStrandsNoInstance: a handler that panics mid-drain
+// leaves the rest of the cycle's wake broadcast queued. Step must clear
+// those scheduled flags and leave the write phase — returning a
+// ContractError, re-panicking anything else — or the next Step's wakes
+// would skip the instances forever and a caller that recovered the panic
+// would hold a silently wrong session.
 func TestStepErrorStrandsNoInstance(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerSequential, SchedulerLevelized,
-		SchedulerSparse, SchedulerPartitioned, SchedulerWoven} {
+	for _, kind := range []SchedulerKind{SchedulerAuto, SchedulerSequential,
+		SchedulerLevelized, SchedulerSparse, SchedulerWoven} {
 		for _, foreign := range []bool{false, true} {
 			testStepAbort(t, kind, foreign)
 		}
@@ -194,9 +187,6 @@ func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) {
 	sim, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sim.single {
-		t.Fatalf("%s: default session is not single-writer", kind)
 	}
 	if err := sim.Run(2); err != nil {
 		t.Fatal(err)
@@ -222,7 +212,7 @@ func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) {
 		t.Fatalf("%s: aborted cycle left the session in its write phase", kind)
 	}
 	for _, base := range sim.bases {
-		if base.scheduled != 0 {
+		if base.scheduled {
 			t.Fatalf("%s: %s left scheduled after the aborted cycle", kind, base.name)
 		}
 	}

@@ -19,34 +19,12 @@ package core
 // per-session state on the Sim.
 
 // ScheduleInfo describes the static schedule computed at compile time for
-// the levelized, sparse, partitioned and woven schedulers. Sim.Schedule
-// returns nil for other schedulers.
+// the levelized, sparse and woven schedulers. Sim.Schedule returns nil
+// for the sequential scheduler.
 type ScheduleInfo struct {
 	// Scheduler is the resolved scheduler kind (SchedulerLevelized,
-	// SchedulerSparse, SchedulerPartitioned or SchedulerWoven when the
-	// info exists).
+	// SchedulerSparse or SchedulerWoven when the info exists).
 	Scheduler SchedulerKind
-	// Workers is the resolved worker count (1 = reactive rounds run on
-	// the calling goroutine). A session property: zero on Program.Schedule,
-	// filled in by Sim.Schedule.
-	Workers int
-	// Shards is the partitioned scheduler's compile-time shard count
-	// (WithShards); zero under other schedulers. Every session stamped
-	// from the program shares the same partition and plane layout.
-	Shards int
-	// StealCount is the number of round entries this session's workers
-	// claimed from shards they do not own — the partitioned scheduler's
-	// cross-shard work stealing. A session property like Workers: zero
-	// on Program.Schedule, filled in by Sim.Schedule. A high rate
-	// relative to reacts means the compile-time partition is imbalanced
-	// for this workload (see LevelImbalance).
-	StealCount uint64
-	// LevelImbalance reports, per forward sweep level, the largest
-	// shard's chunk relative to an even split (1.0 = perfectly
-	// balanced): the compile-time bound on how long a level barrier can
-	// idle waiting for its most loaded shard before stealing evens it
-	// out. Nil under other schedulers.
-	LevelImbalance []float64
 	// Modules is the number of instances in the netlist.
 	Modules int
 	// SCCs is the number of strongly connected components of the module
@@ -152,25 +130,19 @@ type progSchedule struct {
 	info ScheduleInfo
 }
 
-// Schedule returns the static schedule computed at compile time, or nil
-// when the simulator uses none of the levelized, sparse, partitioned or
-// woven schedulers. The returned copy carries this session's worker
-// count and steal counter.
+// Schedule returns a copy of the static schedule computed at compile
+// time, or nil when the simulator uses none of the levelized, sparse or
+// woven schedulers.
 func (s *Sim) Schedule() *ScheduleInfo {
 	if s.schedule == nil {
 		return nil
 	}
 	info := s.schedule.info
-	info.Workers = s.workers
-	info.StealCount = s.stealCount.Load()
 	return &info
 }
 
 // Scheduler returns the resolved scheduler kind the simulator runs.
 func (s *Sim) Scheduler() SchedulerKind { return s.sched }
-
-// Workers returns the resolved scheduler worker count.
-func (s *Sim) Workers() int { return s.workers }
 
 // buildSchedule runs the compile-time static scheduling pass. Instance
 // ids must already be assigned (assembly order).
@@ -398,8 +370,7 @@ func (s *Sim) runResidue(k SigKind, ids []int32, deps, dependents [][]int32) {
 		s.applyDefault(c, k)
 		s.drain()
 		// Fold the resolutions the drain produced back into the
-		// worklist. The buffer is only appended to from raise(), which
-		// cannot run concurrently with this loop.
+		// worklist.
 		for _, rc := range s.resolvedBuf {
 			if s.schedRemaining[rc.id] >= 0 {
 				s.schedRemaining[rc.id] = -1
@@ -429,11 +400,5 @@ func (s *Sim) noteResolve(c *Conn, k SigKind) {
 }
 
 func (s *Sim) noteResolveSlow(c *Conn) {
-	if s.par {
-		s.wakeMu.Lock()
-		s.resolvedBuf = append(s.resolvedBuf, c)
-		s.wakeMu.Unlock()
-		return
-	}
 	s.resolvedBuf = append(s.resolvedBuf, c)
 }

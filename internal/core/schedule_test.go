@@ -2,12 +2,55 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	core "liberty/internal/core"
 )
+
+// buildRandomNetlistOpts assembles a pseudo-random layered netlist of
+// sources, gates, registers and sinks, deterministically from seed, and
+// returns the sinks so results can be compared across engines.
+func buildRandomNetlistOpts(t *testing.T, seed int64, opts ...core.BuildOption) (*core.Sim, []*sink) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	b := core.NewBuilder(append(append([]core.BuildOption(nil), opts...), core.WithSeed(seed))...)
+
+	nChains := 2 + rng.Intn(4)
+	var sinks []*sink
+	for c := 0; c < nChains; c++ {
+		src := newSource(fmt.Sprintf("src%d", c))
+		b.Add(src)
+		var prev core.Instance = src
+		prevPort := "out"
+		depth := 1 + rng.Intn(5)
+		for d := 0; d < depth; d++ {
+			var stage core.Instance
+			if rng.Intn(2) == 0 {
+				stage = newGate(fmt.Sprintf("g%d_%d", c, d))
+			} else {
+				stage = newRegister(fmt.Sprintf("r%d_%d", c, d))
+			}
+			b.Add(stage)
+			b.Connect(prev, prevPort, stage, "in")
+			prev, prevPort = stage, "out"
+		}
+		mod := uint64(1 + rng.Intn(3))
+		snk := newSink(fmt.Sprintf("snk%d", c), func(cycle uint64, i int) bool {
+			return cycle%mod != 1
+		})
+		b.Add(snk)
+		b.Connect(prev, prevPort, snk, "in")
+		sinks = append(sinks, snk)
+	}
+	sim, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return sim, sinks
+}
 
 // statusRecorder fingerprints every cycle: at OnCycleEnd it snapshots the
 // three signal statuses of every connection, in id order. Two runs are
@@ -17,9 +60,9 @@ type statusRecorder struct {
 	cycles []string
 }
 
-func (r *statusRecorder) OnCycleBegin(uint64)                         {}
+func (r *statusRecorder) OnCycleBegin(uint64)                             {}
 func (r *statusRecorder) OnResolve(*core.Conn, core.SigKind, core.Status) {}
-func (r *statusRecorder) Attach(s *core.Sim)                          { r.sim = s }
+func (r *statusRecorder) Attach(s *core.Sim)                              { r.sim = s }
 
 func (r *statusRecorder) OnCycleEnd(n uint64) {
 	fp := ""
@@ -47,11 +90,19 @@ func runNetlistStatuses(t *testing.T, seed int64, cycles uint64, opts ...core.Bu
 	return out, rec.cycles
 }
 
-// TestLevelizedMatchesSequential is the static scheduling engine's
-// correctness property: the levelized scheduler — alone, with a worker
-// pool, and against the parallel fixed point — must produce per-cycle
-// signal statuses bit-identical to the sequential scanner on arbitrary
-// netlists.
+// TestSequentialRunsAreReproducible re-runs the same netlist twice and
+// demands identical results, the foundation for regression experiments.
+func TestSequentialRunsAreReproducible(t *testing.T) {
+	aOut, aFP := runNetlistStatuses(t, 12345, 100, core.WithScheduler(core.SchedulerSequential))
+	bOut, bFP := runNetlistStatuses(t, 12345, 100, core.WithScheduler(core.SchedulerSequential))
+	if !reflect.DeepEqual(aOut, bOut) || !reflect.DeepEqual(aFP, bFP) {
+		t.Fatal("identical seeds produced different results")
+	}
+}
+
+// TestLevelizedMatchesSequential is the engine's confluence property:
+// every statically scheduled engine must produce per-cycle signal
+// statuses bit-identical to the sequential scanner on arbitrary netlists.
 func TestLevelizedMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		seqOut, seqFP := runNetlistStatuses(t, seed, 50, core.WithScheduler(core.SchedulerSequential))
@@ -60,9 +111,9 @@ func TestLevelizedMatchesSequential(t *testing.T) {
 			opts []core.BuildOption
 		}{
 			{"levelized", []core.BuildOption{core.WithScheduler(core.SchedulerLevelized)}},
-			{"levelized-pooled", []core.BuildOption{core.WithWorkers(4), core.WithScheduler(core.SchedulerLevelized)}},
 			{"auto", nil},
-			{"parallel", []core.BuildOption{core.WithScheduler(core.SchedulerParallel), core.WithWorkers(4)}},
+			{"sparse", []core.BuildOption{core.WithScheduler(core.SchedulerSparse)}},
+			{"woven", []core.BuildOption{core.WithScheduler(core.SchedulerWoven)}},
 		} {
 			out, fp := runNetlistStatuses(t, seed, 50, tc.opts...)
 			if !reflect.DeepEqual(seqOut, out) {
@@ -146,22 +197,15 @@ func TestScheduleInfoCyclic(t *testing.T) {
 	}
 }
 
-// TestScheduleNilForLegacySchedulers: only the levelized engine carries a
+// TestScheduleNilForLegacySchedulers: the sequential engine carries no
 // static schedule.
 func TestScheduleNilForLegacySchedulers(t *testing.T) {
 	seq := buildFanout(t, core.WithScheduler(core.SchedulerSequential))
 	if seq.Schedule() != nil {
 		t.Error("sequential scheduler reports a static schedule")
 	}
-	if seq.Scheduler() != core.SchedulerSequential || seq.Workers() != 1 {
-		t.Errorf("sequential resolved to %v/%d workers", seq.Scheduler(), seq.Workers())
-	}
-	par := buildFanout(t, core.WithScheduler(core.SchedulerParallel), core.WithWorkers(4))
-	if par.Schedule() != nil {
-		t.Error("parallel scheduler reports a static schedule")
-	}
-	if par.Scheduler() != core.SchedulerParallel || par.Workers() != 4 {
-		t.Errorf("WithWorkers(4) resolved to %v/%d workers, want parallel/4", par.Scheduler(), par.Workers())
+	if seq.Scheduler() != core.SchedulerSequential {
+		t.Errorf("sequential resolved to %v", seq.Scheduler())
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // sigPlane is the dense signal state of a netlist: one status lane per
 // signal kind plus a data-value lane, each indexed by connection id. The
@@ -27,12 +24,11 @@ import (
 // at commit.
 //
 // Status cells are plain words under the single-writer rule (DESIGN.md
-// Appendix C.1): a session bound with one worker (Sim.single) is the only
-// goroutine that ever touches its plane, so it loads and stores them
-// directly; a session with more workers races on raise and goes through
-// the sync/atomic functions on the same words, every access. The data
-// lanes are written only by the single instance that drives the
-// connection's data signal, ordered by the status store.
+// Appendix C.1): the goroutine stepping a session is the only one that
+// ever touches its plane, so every access is a direct load or store. The
+// data lanes are written only by the instance that drives the
+// connection's data signal, before the status store that makes them
+// readable.
 type sigPlane struct {
 	lanes  [3][]uint32 // indexed by SigKind, then conn id
 	data   []any       // spill lane: valid where the data lane holds Yes
@@ -58,22 +54,15 @@ func (p *sigPlane) clearStatus() {
 }
 
 // setStatus stores a status cell outside the raise protocol — resets,
-// woven kernels, Restore — in the session's access discipline.
-func (s *Sim) setStatus(k SigKind, slot int32, st Status) {
-	cell := &s.plane.lanes[k][slot]
-	if s.single {
-		*cell = uint32(st)
-	} else {
-		atomic.StoreUint32(cell, uint32(st))
-	}
+// woven kernels, Restore.
+func (s *Sim) setStatus(k SigKind, id int32, st Status) {
+	s.plane.lanes[k][id] = uint32(st)
 }
 
 // clearConn resets one connection's three status cells and spill value —
 // the sparse scheduler's per-connection reset for the active region. The
 // scalar lane is left as is: a stale scalar pins nothing and is
-// unreadable until the next data-Yes store overwrites it. Indexed by
-// conn id: only the sparse engine calls this, and sparse programs carry
-// no partition, so slot == id.
+// unreadable until the next data-Yes store overwrites it.
 func (s *Sim) clearConn(id int32) {
 	s.setStatus(SigData, id, Unknown)
 	s.setStatus(SigEnable, id, Unknown)
@@ -92,13 +81,6 @@ type Conn struct {
 	srcIdx int   // index of this connection on src
 	dstIdx int   // index of this connection on dst
 	scalar bool  // data values live in the uint64 fast lane (set at Build)
-
-	// slot is the connection's physical index into the signal-plane
-	// lanes. Identical to id except under the partitioned scheduler,
-	// whose compiled plane layout groups each shard's cells into padded,
-	// cache-line-disjoint regions (see buildPartition). All logical
-	// artifacts — schedules, snapshots, hashes — stay keyed by id.
-	slot int32
 
 	sim *Sim
 	pos Pos // spec position of the connect statement, if known
@@ -139,9 +121,9 @@ func (c *Conn) Data() (any, bool) {
 		return nil, false
 	}
 	if c.scalar {
-		return c.sim.plane.scalar[c.slot], true
+		return c.sim.plane.scalar[c.id], true
 	}
-	return c.sim.plane.data[c.slot], true
+	return c.sim.plane.data[c.id], true
 }
 
 // dataValue returns the data-lane value without a handshake check,
@@ -153,9 +135,9 @@ func (c *Conn) dataValue() any {
 		if c.status(SigData) != Yes {
 			return nil
 		}
-		return c.sim.plane.scalar[c.slot]
+		return c.sim.plane.scalar[c.id]
 	}
-	return c.sim.plane.data[c.slot]
+	return c.sim.plane.data[c.id]
 }
 
 // dataUint64 returns the scalar value without boxing. On a spill-lane
@@ -163,9 +145,9 @@ func (c *Conn) dataValue() any {
 // slow) when a connection fell back to the spill lane.
 func (c *Conn) dataUint64() uint64 {
 	if c.scalar {
-		return c.sim.plane.scalar[c.slot]
+		return c.sim.plane.scalar[c.id]
 	}
-	v := c.sim.plane.data[c.slot]
+	v := c.sim.plane.data[c.id]
 	if v == nil {
 		return 0
 	}
@@ -181,16 +163,10 @@ func (c *Conn) String() string {
 	return fmt.Sprintf("%s[%d]->%s[%d]", c.src.fullName(), c.srcIdx, c.dst.fullName(), c.dstIdx)
 }
 
-func (c *Conn) status(k SigKind) Status { return c.sim.status(k, c.slot) }
+func (c *Conn) status(k SigKind) Status { return c.sim.status(k, int32(c.id)) }
 
-// status reads one status cell in the session's access discipline.
-func (s *Sim) status(k SigKind, slot int32) Status {
-	cell := &s.plane.lanes[k][slot]
-	if s.single {
-		return Status(*cell)
-	}
-	return Status(atomic.LoadUint32(cell))
-}
+// status reads the kind-k status cell of the connection with the given id.
+func (s *Sim) status(k SigKind, id int32) Status { return Status(s.plane.lanes[k][id]) }
 
 // checkWrite validates that driving a signal is legal right now — the
 // write-phase guard for every signal-drive entry point (raise, raiseData,
@@ -239,10 +215,10 @@ func (c *Conn) raiseData(v any) bool {
 				fmt.Sprintf("scalar-lane connection carries uint64 payloads, got %T "+
 					"(send a uint64, or declare PayloadAny on the sink to keep the boxed lane)", v))
 		}
-		pl.scalar[c.slot] = u
+		pl.scalar[c.id] = u
 		return c.resolve(SigData, Yes)
 	}
-	pl.data[c.slot] = v
+	pl.data[c.id] = v
 	if c.resolve(SigData, Yes) {
 		c.sim.spillHits.Add(1)
 		return true
@@ -258,10 +234,10 @@ func (c *Conn) raiseUint64(v uint64) bool {
 	c.checkWrite()
 	pl := &c.sim.plane
 	if c.scalar {
-		pl.scalar[c.slot] = v
+		pl.scalar[c.id] = v
 		return c.resolve(SigData, Yes)
 	}
-	pl.data[c.slot] = v
+	pl.data[c.id] = v
 	if c.resolve(SigData, Yes) {
 		c.sim.spillHits.Add(1)
 		return true
@@ -270,25 +246,17 @@ func (c *Conn) raiseUint64(v uint64) bool {
 }
 
 // resolve performs the status transition for signal k: the data/scalar
-// lane store (done by the caller) must precede this call. With several
-// workers the release CAS publishes the value and the acquire load in
-// status() orders reads; a single-writer session has nobody to publish
-// to, so the transition is a plain load + store instead of a bus-locking
-// CAS.
+// lane store (done by the caller) must precede this call, so a handler
+// that sees the status sees the value.
 func (c *Conn) resolve(k SigKind, s Status) bool {
 	sim := c.sim
-	cell := &sim.plane.lanes[k][c.slot]
-	if sim.single {
-		if prev := Status(*cell); prev != Unknown {
-			c.checkReRaise(k, prev, s)
-			return false
-		}
-		*cell = uint32(s)
-		sim.resolved[k]++
-	} else if !atomic.CompareAndSwapUint32(cell, uint32(Unknown), uint32(s)) {
-		c.checkReRaise(k, Status(atomic.LoadUint32(cell)), s)
+	cell := &sim.plane.lanes[k][c.id]
+	if prev := Status(*cell); prev != Unknown {
+		c.checkReRaise(k, prev, s)
 		return false
 	}
+	*cell = uint32(s)
+	sim.resolved[k]++
 	sim.onResolve(c, k, s)
 	sim.noteResolve(c, k)
 	// Wake the endpoint that observes this signal.
@@ -310,11 +278,11 @@ func (c *Conn) checkReRaise(k SigKind, prev, s Status) {
 	}
 }
 
-// transferred reports whether the handshake on the connection at slot
-// completed this cycle. It is meaningful only after resolution (during
-// OnCycleEnd).
-func (s *Sim) transferred(slot int32) bool {
-	return s.status(SigData, slot) == Yes &&
-		s.status(SigEnable, slot) == Yes &&
-		s.status(SigAck, slot) == Yes
+// transferred reports whether the handshake on the connection with the
+// given id completed this cycle. It is meaningful only after resolution
+// (during OnCycleEnd).
+func (s *Sim) transferred(id int32) bool {
+	return s.status(SigData, id) == Yes &&
+		s.status(SigEnable, id) == Yes &&
+		s.status(SigAck, id) == Yes
 }

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -23,12 +20,14 @@ const (
 // time advances one cycle per Step; within a cycle, module reactive
 // handlers run to a monotonic fixed point, default control resolves the
 // remaining signals, and state commits.
+//
+// A Sim has one writer (DESIGN.md Appendix C.1, H): it is stepped, read
+// and snapshotted by one goroutine at a time, so its signal plane, work
+// queue and scheduled flags are plain memory. Host parallelism runs
+// across Sims — many sessions of one Program — never inside one.
 type Sim struct {
 	seed      int64
-	sched     SchedulerKind // resolved: Sequential, Parallel, Levelized, Sparse, Partitioned or Woven
-	workers   int
-	single    bool // workers == 1, fixed at bind: the plane and scheduled flags are accessed plainly, else only through sync/atomic (DESIGN.md C.1)
-	parMin    int  // parallel rounds below this size drain inline
+	sched     SchedulerKind // resolved: Sequential, Levelized, Sparse or Woven
 	tracer    Tracer
 	prog      *Program // the compiled structure this session executes
 	instances []Instance
@@ -42,13 +41,6 @@ type Sim struct {
 	sparse    *progSparse   // shared: nil unless the sparse scheduler is selected
 	weave     *progWeave    // shared: nil unless the woven scheduler is selected
 	pruned    []bool        // shared: instance id -> handlers never run (WithDataflowPrune); nil otherwise
-	pool      *workerPool
-	part      *progPartition // shared: nil unless the partitioned scheduler is selected
-	ppool     *partPool      // partitioned phase pool; nil unless partitioned with workers > 1
-
-	// stealCount counts rounds entries this session's workers claimed
-	// from shards they do not own (see ScheduleInfo.StealCount).
-	stealCount atomic.Uint64
 
 	// needFull requests a full sweep from the next Step (cycle 0, after
 	// InvalidateActivity, a Step error or a Restore) under the engines
@@ -80,23 +72,19 @@ type Sim struct {
 
 	// spillHits counts data-Yes stores that landed on the boxed spill
 	// lane. Always on: only the spill path — which boxes anyway — pays
-	// the atomic add, so the scalar fast lane costs nothing.
+	// the atomic add, so the scalar fast lane costs nothing. Atomic
+	// because a live metrics reader (SpillHits from a /metrics goroutine)
+	// loads it while the session steps.
 	spillHits atomic.Uint64
 
-	// resolved counts this cycle's resolutions per signal kind. It is
-	// maintained only on the single-worker resolve path (a plain
-	// increment; parallel workers would contend on it), so consumers may
-	// rely on it only as a lower bound: resolved[k] == len(conns) proves
-	// kind k is fully resolved and the default sweep for it can be
-	// skipped; a smaller count proves nothing. Reset each Step.
+	// resolved counts this cycle's resolutions per signal kind (woven
+	// steady cycles add the replayed region's in bulk): resolved[k] ==
+	// len(conns) proves kind k is fully resolved and the default sweep
+	// for it can be skipped. Reset each Step.
 	resolved [3]int
 
-	queue  []*Base // sequential work queue (FIFO by wake order)
-	qhead  int
-	par    bool // inside a parallel drain round
-	wakeMu sync.Mutex
-	wakes  []*Base // wakes collected during a parallel round
-	batch  []*Base // reused parallel round buffer
+	queue []*Base // work queue (FIFO by wake order)
+	qhead int
 
 	// Residue-worklist plumbing (levelized scheduler): while a residue
 	// run is active, raise() reports each kind-matching resolution here.
@@ -105,25 +93,11 @@ type Sim struct {
 	resolvedBuf []*Conn
 }
 
-// Close releases the simulator's worker pool, if any, and is idempotent:
-// repeated calls are no-ops. A finalizer releases pooled workers when the
-// simulator is garbage collected; Close makes the release deterministic,
-// which matters when many short-lived sessions are stamped from one
-// Program (a sweep that relies on the finalizer leaks worker goroutines
-// until the collector catches up). The simulator must not be stepped
-// after Close.
-func (s *Sim) Close() {
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-		runtime.SetFinalizer(s, nil)
-	}
-	if s.ppool != nil {
-		s.ppool.close()
-		s.ppool = nil
-		runtime.SetFinalizer(s, nil)
-	}
-}
+// Close ends the session. It is the session-end hook every owner calls
+// (sweeps, the lsd service, the post-build failure path); a Sim holds no
+// goroutines or pooled resources, so it releases nothing and is
+// trivially idempotent. The simulator must not be stepped after Close.
+func (s *Sim) Close() {}
 
 // Program returns the compiled program this session executes. Every Sim
 // has one; only programs built with Compile (or lse.CompileLSS) carry an
@@ -174,104 +148,40 @@ func (s *Sim) setPhase(p phase) {
 // wake schedules an instance's reactive handler. b is never nil: every
 // caller passes a built instance's Base (connection endpoints and the
 // instance list are fixed at Build). The already-scheduled early-out
-// inlines into raise's resolution path — the common case on busy
-// netlists, where every resolution wakes an endpoint — as a plain load
-// instead of a call and a bus-locking compare-and-swap. Multi-worker
-// sessions take the call: their early-out is wakeSlow's atomic load.
+// inlines into resolve's path — the common case on busy netlists, where
+// every resolution wakes an endpoint — as one load instead of a call.
 func (s *Sim) wake(b *Base) {
-	if b.react == nil || (s.single && b.scheduled != 0) {
+	if b.react == nil || b.scheduled {
 		return
 	}
 	s.wakeSlow(b)
 }
 
-// unschedule clears b's scheduled flag as it leaves a work queue.
-func (s *Sim) unschedule(b *Base) {
-	if s.single {
-		b.scheduled = 0
-	} else {
-		atomic.StoreUint32(&b.scheduled, 0)
-	}
-}
-
 func (s *Sim) wakeSlow(b *Base) {
-	if s.single {
-		b.scheduled = 1
-	} else if atomic.LoadUint32(&b.scheduled) != 0 || !atomic.CompareAndSwapUint32(&b.scheduled, 0, 1) {
-		return
-	}
+	b.scheduled = true
 	if m := s.metrics; m != nil {
 		m.wakes.Add(1)
-	}
-	if s.par {
-		if s.ppool != nil {
-			// Partitioned phase: the wake lands on the woken instance's
-			// shard queue — usually owned by the waking worker itself, so
-			// the per-shard mutex is uncontended, unlike the global
-			// wake mutex below.
-			s.ppool.ph.wake(b, s.part.instShard[b.id])
-			return
-		}
-		s.wakeMu.Lock()
-		s.wakes = append(s.wakes, b)
-		s.wakeMu.Unlock()
-		return
 	}
 	s.queue = append(s.queue, b)
 }
 
+// drain runs the reactive fixed point: queued handlers run in wake
+// order, and the instances their resolutions wake join the tail, until
+// the queue is empty.
 func (s *Sim) drain() {
-	if s.workers > 1 && len(s.queue)-s.qhead >= s.parMin {
-		if s.ppool != nil {
-			s.drainPartitioned()
-		} else {
-			s.drainParallel()
-		}
-		return
-	}
-	// Sequential worklist — also the parallel engine's small-round path:
-	// rounds below the parallel threshold cost more in barrier latency
-	// and wake-mutex traffic than the work is worth (BENCH_2: workers=2
-	// ran 2.1x slower than workers=1 on handshake-bound rounds of 2-4
-	// instances), so they run inline on the calling goroutine and only
-	// escalate to pooled rounds if the worklist grows past the threshold.
 	ran := s.qhead < len(s.queue)
-	size := len(s.queue) - s.qhead
 	for s.qhead < len(s.queue) {
-		if s.workers > 1 && len(s.queue)-s.qhead >= s.parMin {
-			if m := s.metrics; m != nil {
-				// Account the inline prefix as one round.
-				m.rounds.Add(1)
-				m.roundSize.Observe(float64(size))
-				if s.schedule == nil {
-					m.iters.Add(1)
-				}
-			}
-			if s.ppool != nil {
-				s.drainPartitioned()
-			} else {
-				s.drainParallel()
-			}
-			return
-		}
 		b := s.queue[s.qhead]
 		s.qhead++
-		s.unschedule(b)
+		b.scheduled = false
 		s.runReact(b)
 	}
 	s.queue = s.queue[:0]
 	s.qhead = 0
-	if m := s.metrics; m != nil && ran {
-		if s.workers > 1 {
-			m.rounds.Add(1)
-			m.roundSize.Observe(float64(size))
-		}
-		// Under the levelized scheduler, fixed-point iterations are
-		// counted by the residue worklist instead (zero on acyclic
-		// netlists).
-		if s.schedule == nil {
-			m.iters.Add(1)
-		}
+	// Under the statically scheduled engines, fixed-point iterations are
+	// counted by the residue worklist instead (zero on acyclic netlists).
+	if m := s.metrics; m != nil && ran && s.schedule == nil {
+		m.iters.Add(1)
 	}
 }
 
@@ -293,88 +203,6 @@ func (s *Sim) runReact(b *Base) {
 	b.react()
 	im.nanos.Add(time.Since(t0).Nanoseconds())
 	im.sampled.Add(1)
-}
-
-// drainParallel runs the reactive fixed point in barrier-synchronized
-// rounds on the persistent worker pool. Within a round the ready set is
-// claimed by the workers; signal resolution is atomic and
-// single-assignment, and each signal has a unique driving instance, so
-// rounds race only on wake bookkeeping. Monotonic confluence makes the
-// result identical to sequential execution.
-func (s *Sim) drainParallel() {
-	// Move any sequentially-queued wakes (from cycle-start) into the
-	// round set.
-	batch := append(s.batch[:0], s.queue[s.qhead:]...)
-	s.queue = s.queue[:0]
-	s.qhead = 0
-	s.wakes = s.wakes[:0]
-	s.par = true
-	defer func() {
-		s.par = false
-		s.batch = batch[:0]
-	}()
-	for len(batch) > 0 {
-		batch = sortWakes(batch)
-		if m := s.metrics; m != nil {
-			m.rounds.Add(1)
-			if s.schedule == nil {
-				m.iters.Add(1)
-			}
-			m.roundSize.Observe(float64(len(batch)))
-		}
-		if len(batch) < s.parMin {
-			// Small rounds cost more in barrier latency and wake-mutex
-			// traffic than the work is worth (BENCH_2: workers=2 ran 2.1x
-			// slower than workers=1 on handshake-bound rounds of 2-4
-			// instances). Drain the round as a sequential worklist on the
-			// calling goroutine: with s.par off, wakes append straight to
-			// the queue, mutex-free, and run in the same pass. Monotonic
-			// confluence keeps the result identical; if the worklist grows
-			// back past the threshold the remainder returns to pooled
-			// rounds.
-			s.par = false
-			s.queue = append(s.queue[:0], batch...)
-			s.qhead = 0
-			for s.qhead < len(s.queue) && len(s.queue)-s.qhead < s.parMin {
-				b := s.queue[s.qhead]
-				s.qhead++
-				s.unschedule(b)
-				s.runReact(b)
-			}
-			batch = append(batch[:0], s.queue[s.qhead:]...)
-			s.queue = s.queue[:0]
-			s.qhead = 0
-			s.par = true
-			continue
-		}
-		s.pool.run(s, batch)
-		batch = append(batch[:0], s.wakes...)
-		s.wakes = s.wakes[:0]
-	}
-}
-
-// sortWakes puts a round batch into deterministic id order and drops
-// duplicates. Cycle-start broadcasts arrive already ordered, so the
-// common case is a single linear scan with no sort.
-func sortWakes(batch []*Base) []*Base {
-	sorted := true
-	for i := 1; i < len(batch); i++ {
-		if batch[i].id <= batch[i-1].id {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return batch
-	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].id < batch[j].id })
-	out := batch[:1]
-	for _, b := range batch[1:] {
-		if b != out[len(out)-1] {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // applyDefaults resolves still-Unknown signals using default control
@@ -405,11 +233,7 @@ func (s *Sim) applyDefaults(full bool) {
 		}
 	}
 	if s.schedule != nil {
-		if s.part != nil {
-			s.applyDefaultsPartitioned()
-		} else {
-			s.applyDefaultsLevelized()
-		}
+		s.applyDefaultsLevelized()
 		return
 	}
 	s.defaultRound(SigData)
@@ -562,19 +386,13 @@ func (s *Sim) Step() (err error) {
 		if r := recover(); r != nil {
 			s.setPhase(phaseIdle)
 			// The cycle aborted mid-drain: clear the scheduled flags of
-			// anything still queued (the sequential worklist tail and
-			// wakes collected during an aborted parallel round), or those
-			// instances would be skipped by every future wake.
+			// anything still queued, or those instances would be skipped
+			// by every future wake.
 			for _, b := range s.queue[s.qhead:] {
-				s.unschedule(b)
+				b.scheduled = false
 			}
 			s.queue = s.queue[:0]
 			s.qhead = 0
-			for _, b := range s.wakes {
-				s.unschedule(b)
-			}
-			s.wakes = s.wakes[:0]
-			s.par = false
 			if s.sparse != nil || s.weave != nil {
 				// The cycle aborted mid-resolution; the plane holds a
 				// partial state no replay may build on.
@@ -666,8 +484,7 @@ func (s *Sim) Step() (err error) {
 	s.applyDefaults(full)
 	switch {
 	case full:
-		// The resolution counters prove full resolution without a scan
-		// when every signal resolved through the single-worker path.
+		// The resolution counters prove full resolution without a scan.
 		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(s.conns) {
 			s.verifyResolved(s.conns)
 		}
@@ -679,9 +496,9 @@ func (s *Sim) Step() (err error) {
 		}
 	default:
 		// Woven steady cycle: the replayed region is resolved by
-		// construction; the counters (bulk replay accounting plus
-		// single-worker fallback resolutions) prove the rest without a
-		// scan in the common case.
+		// construction; the counters (bulk replay accounting plus the
+		// fallback region's resolutions) prove the rest without a scan
+		// in the common case.
 		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(s.conns) {
 			s.verifyResolvedIDs(wv.dirty)
 		}

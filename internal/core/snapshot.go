@@ -91,21 +91,12 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		RngN:        make([]uint64, len(s.bases)),
 		Inst:        make([][]byte, len(s.bases)),
 	}
-	// The lanes serialize by conn id, read through each connection's
-	// physical plane slot (slot == id except under the partitioned
-	// layout, whose padded plane is longer than the conn list), so
-	// snapshots stay portable across plane layouts.
+	// The plane is conn-id keyed, which is the snapshot's layout: the
+	// lanes copy out as they are.
 	for k := range snap.Status {
-		lane := make([]uint32, len(s.conns))
-		for i, c := range s.conns {
-			lane[i] = uint32(c.status(SigKind(k)))
-		}
-		snap.Status[k] = lane
+		snap.Status[k] = append([]uint32(nil), s.plane.lanes[k]...)
 	}
-	snap.Scalar = make([]uint64, len(s.conns))
-	for i, c := range s.conns {
-		snap.Scalar[i] = s.plane.scalar[c.slot]
-	}
+	snap.Scalar = append([]uint64(nil), s.plane.scalar...)
 	for i, b := range s.bases {
 		snap.RngN[i] = b.rsrc.n
 		st, ok := b.self.(Stateful)
@@ -132,7 +123,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 // Restore stamps a fresh session from the program and replays the
 // checkpoint read from r into it: cycle counter, signal lanes, instance
 // state, RNG stream positions and statistics. Session options (tracers,
-// metrics, worker counts) apply to the new session; the seed always
+// metrics) apply to the new session; the seed always
 // comes from the snapshot, since the RNG streams derive from it. The
 // snapshot must have been taken from a program with the same structural
 // fingerprint. The restored session's next Step runs a full sweep, so
@@ -160,13 +151,9 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 		return nil, fmt.Errorf("restore: snapshot shape does not match the program's netlist")
 	}
 	for k := range snap.Status {
-		for i, v := range snap.Status[k] {
-			s.setStatus(SigKind(k), s.conns[i].slot, Status(v))
-		}
+		copy(s.plane.lanes[k], snap.Status[k])
 	}
-	for i, v := range snap.Scalar {
-		s.plane.scalar[s.conns[i].slot] = v
-	}
+	copy(s.plane.scalar, snap.Scalar)
 	s.cycle = snap.Cycle
 	s.spillHits.Store(snap.SpillHits)
 	// Between cycles the data lanes read as released; the boxed spill

@@ -60,9 +60,9 @@ func histBounds(i int) (lo, hi float64) {
 // Histogram accumulates sample values and reports count, mean, min, max
 // and fixed-bucket percentile estimates (quantiles are interpolated
 // within power-of-two buckets, so they carry bucket-width error but need
-// no per-sample storage). Like Counter, it is safe for concurrent use, so
-// reactive handlers running under the parallel scheduler may Observe
-// without coordination.
+// no per-sample storage). Like Counter, it is safe for concurrent use: a
+// live metrics reader may take quantiles while the stepping goroutine
+// Observes.
 type Histogram struct {
 	mu       sync.Mutex
 	count    int64

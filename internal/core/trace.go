@@ -6,8 +6,8 @@ import (
 )
 
 // Tracer observes engine activity, the hook behind interactive system
-// visualization. Tracer methods are called from the scheduler; with the
-// parallel scheduler OnResolve may be called concurrently.
+// visualization. Tracer methods are called from the goroutine stepping
+// the simulator, never concurrently.
 type Tracer interface {
 	// OnCycleBegin is called as cycle n starts.
 	OnCycleBegin(n uint64)

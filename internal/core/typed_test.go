@@ -248,14 +248,14 @@ func TestReleasedReadsAfterCommit(t *testing.T) {
 	}
 }
 
-// TestTypedFastLaneParallel runs a wide all-scalar netlist under the
-// parallel scheduler — with `go test -race` this doubles as the data-race
-// proof for the uint64 lane's plain stores (ordered by the status CAS).
-func TestTypedFastLaneParallel(t *testing.T) {
+// TestTypedFastLaneWide runs a wide all-scalar netlist: every lane of a
+// 16-wide port pair moves its value on the uint64 lane each cycle, and
+// nothing spills.
+func TestTypedFastLaneWide(t *testing.T) {
 	const width = 16
 	src := newTypedSource("src")
 	snk := newTypedSink("snk", core.PayloadUint64)
-	b := core.NewBuilder(core.WithScheduler(core.SchedulerParallel), core.WithWorkers(4))
+	b := core.NewBuilder()
 	b.Add(src)
 	b.Add(snk)
 	for i := 0; i < width; i++ {

@@ -10,8 +10,7 @@ import (
 // handshake signals (2-bit vectors: 00=unknown, 01=no, 10=yes), viewable
 // in any waveform viewer — the offline counterpart of the paper's
 // interactive visualizer. Attach it with the WithTracer build option
-// (the builder invokes Attach with the finished netlist). Sequential
-// scheduler only: signal resolution callbacks are not synchronized.
+// (the builder invokes Attach with the finished netlist).
 type VCDTracer struct {
 	w      io.Writer
 	ids    map[*Conn][3]string

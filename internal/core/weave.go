@@ -28,7 +28,7 @@ package core
 //     the compiler must not constant-fold (control functions may close
 //     over per-connection state). Each such connection compiles to one
 //     fused closure resolving data, enable and ack in rule order with
-//     raw plane stores at a compile-time slot — no per-conn kind switch,
+//     raw plane stores at a compile-time index — no per-conn kind switch,
 //     no eligibility scan, no wake probes (the endpoints are provably
 //     reaction-free). Kernels are grouped per forward sweep level and
 //     run in (level, id) order.
@@ -56,11 +56,7 @@ package core
 //
 // The woven plan is compiled into the immutable Program and shared
 // read-only by every session (NewSim stamps it by pointer, so the lsd
-// service's cached programs serve woven sessions for free). Woven
-// programs carry no shard partition, so a connection's plane slot equals
-// its id; kernels nevertheless index through the compile-time slot, so
-// they compose with any slot-indirected layout a future partition
-// assigns.
+// service's cached programs serve woven sessions for free).
 
 // WeaveClass classifies one connection under the woven scheduler's
 // compile-time kernel specialization (see Sim.WeaveClasses).
@@ -111,7 +107,7 @@ func (wc WeaveClass) String() string {
 }
 
 // wovenKernel is one specialized step closure. Kernels are compiled into
-// the Program and capture only compile-time structure (slots, control
+// the Program and capture only compile-time structure (control
 // functions, default statuses, connection ids); all session state is
 // reached through the *Sim argument, which keeps one compiled kernel
 // array correct for every concurrently stamped session.
@@ -127,8 +123,8 @@ type progWeave struct {
 	dirty     []int32    // fallback conns, ascending id
 	dirtyRuns [][2]int32 // maximal contiguous [lo,hi) id runs of dirty —
 	// each run clears as one memclr per status lane instead of three
-	// scattered stores per connection. Sound because woven programs have
-	// no shard partition: slot == id, so id runs are plane runs.
+	// scattered stores per connection (the plane is id-indexed, so id
+	// runs are plane runs).
 	spill []int32 // fallback conns on the boxed data lane — the only
 	// data cells a steady cycle releases; scalar-lane cells pin nothing
 	// and stay unobservable until the next data-Yes store (signal.go).
@@ -277,7 +273,7 @@ func buildWeave(instances []Instance, conns []*Conn, sc *progSchedule, pr *progP
 
 // makeControlKernel specializes one handler-free, control-bearing
 // connection into a fused closure resolving data, enable and ack in rule
-// order. Everything that is constant at compile time — the plane slot,
+// order. Everything that is constant at compile time — the conn id,
 // the control functions, the static default statuses — is captured; the
 // per-cycle body is three raw lane stores plus at most two control
 // calls. Raw stores are sound because the endpoints are provably
@@ -288,18 +284,13 @@ func buildWeave(instances []Instance, conns []*Conn, sc *progSchedule, pr *progP
 // control functions see exactly the arguments the sequential defaulter
 // would pass.
 func makeControlKernel(c *Conn) wovenKernel {
-	id := c.id
-	// Woven programs carry no shard partition, so the session bind maps
-	// slot i to conn i (builder.go); the id IS the compile-time slot.
-	// (Session slots are not yet assigned when the program compiles, so
-	// c.slot cannot be captured here.)
-	slot := int32(c.id)
+	id := int32(c.id)
 	srcFn := c.src.opts.Control
 	dstFn := c.dst.opts.Control
 	defEnable := c.src.opts.DefaultEnable
 	defAck := c.dst.opts.DefaultAck
 	return func(s *Sim) {
-		s.setStatus(SigData, slot, No)
+		s.setStatus(SigData, id, No)
 		en := Unknown
 		if srcFn != nil {
 			en = srcFn(No, Unknown, nil)
@@ -310,7 +301,7 @@ func makeControlKernel(c *Conn) wovenKernel {
 		if en == Unknown {
 			en = No // enable follows the connection's own (defaulted-No) data
 		}
-		s.setStatus(SigEnable, slot, en)
+		s.setStatus(SigEnable, id, en)
 		ack := Unknown
 		if dstFn != nil {
 			ack = dstFn(No, en, nil)
@@ -321,7 +312,7 @@ func makeControlKernel(c *Conn) wovenKernel {
 		if ack == Unknown {
 			ack = No // firm-accept fails: the data signal is No
 		}
-		s.setStatus(SigAck, slot, ack)
+		s.setStatus(SigAck, id, ack)
 		if t := s.tracer; t != nil {
 			kc := s.conns[id]
 			t.OnResolve(kc, SigData, No)
@@ -335,7 +326,7 @@ func makeControlKernel(c *Conn) wovenKernel {
 // by connection id: the compiled plan when the simulator runs the woven
 // scheduler, a freshly computed one (for diagnostics such as LSE014)
 // when it runs any other statically scheduled engine, and nil when no
-// static schedule exists (sequential and parallel engines).
+// static schedule exists (the sequential engine).
 func (s *Sim) WeaveClasses() []WeaveClass {
 	if s.weave != nil {
 		return s.weave.class

@@ -25,7 +25,7 @@ type Event struct {
 
 // EventTracer records signal resolutions into a fixed-capacity ring
 // buffer, keeping the most recent events. It implements core.Tracer and
-// is safe under the parallel scheduler. Filters (shell-style globs
+// may be read while the simulator steps. Filters (shell-style globs
 // matched with path.Match) restrict capture to interesting instances or
 // ports; an event is kept when either endpoint matches.
 type EventTracer struct {

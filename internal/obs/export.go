@@ -38,17 +38,18 @@ type InstanceStats struct {
 }
 
 // SchedulerStats is the exported view of core.Metrics: where the
-// engine's time went, cycle by cycle.
+// engine's time went, cycle by cycle. ParallelRounds is always 0 — what
+// it read on every one-worker session before the multi-worker engines
+// were removed — and stays because exported fields are never removed
+// (DESIGN.md F.3).
 type SchedulerStats struct {
 	Cycles           uint64            `json:"cycles"`
 	Wakes            uint64            `json:"wakes"`
 	Reacts           uint64            `json:"reacts"`
 	FixedPointIters  uint64            `json:"fixed_point_iters"`
 	ParallelRounds   uint64            `json:"parallel_rounds"`
-	Steals           uint64            `json:"steals,omitempty"`
 	ActiveInsts      uint64            `json:"active_insts"`
 	SkippedWakes     uint64            `json:"skipped_wakes"`
-	RoundSize        *HistogramStats   `json:"round_size,omitempty"`
 	DefaultFallbacks map[string]uint64 `json:"default_fallbacks"`
 	CycleBreaks      map[string]uint64 `json:"cycle_breaks"`
 }
@@ -56,12 +57,11 @@ type SchedulerStats struct {
 // ScheduleStats is the exported view of the static schedule the levelized
 // scheduler computed at Build time: how the netlist partitioned into
 // statically ordered sweep levels versus the cyclic residue, and where
-// default-dependency cycles break.
+// default-dependency cycles break. Workers is always 1 (a Sim has one
+// writer); the field stays for the same reason ParallelRounds does.
 type ScheduleStats struct {
 	Scheduler       string   `json:"scheduler"`
 	Workers         int      `json:"workers"`
-	Shards          int      `json:"shards,omitempty"`
-	StealCount      uint64   `json:"steal_count,omitempty"`
 	Modules         int      `json:"modules"`
 	SCCs            int      `json:"sccs"`
 	CyclicSCCs      int      `json:"cyclic_sccs"`
@@ -85,18 +85,12 @@ type ScheduleStats struct {
 	ScalarConns     int      `json:"scalar_conns"`
 	SpillConns      int      `json:"spill_conns"`
 	BreakSites      []string `json:"break_sites,omitempty"`
-	// LevelImbalance is the partitioned scheduler's per-forward-level
-	// load skew: largest shard chunk over the even share (1.0 = perfectly
-	// balanced).
-	LevelImbalance []float64 `json:"level_imbalance,omitempty"`
 }
 
 func scheduleStats(info *core.ScheduleInfo) *ScheduleStats {
 	return &ScheduleStats{
 		Scheduler:       info.Scheduler.String(),
-		Workers:         info.Workers,
-		Shards:          info.Shards,
-		StealCount:      info.StealCount,
+		Workers:         1,
 		Modules:         info.Modules,
 		SCCs:            info.SCCs,
 		CyclicSCCs:      info.CyclicSCCs,
@@ -120,7 +114,6 @@ func scheduleStats(info *core.ScheduleInfo) *ScheduleStats {
 		ScalarConns:     info.ScalarConns,
 		SpillConns:      info.SpillConns,
 		BreakSites:      info.BreakSites,
-		LevelImbalance:  info.LevelImbalance,
 	}
 }
 
@@ -180,8 +173,6 @@ func TakeSnapshot(s *core.Sim) Snapshot {
 		Wakes:            m.Wakes(),
 		Reacts:           m.Reacts(),
 		FixedPointIters:  m.FixedPointIters(),
-		ParallelRounds:   m.ParallelRounds(),
-		Steals:           m.Steals(),
 		ActiveInsts:      m.ActiveInstances(),
 		SkippedWakes:     m.SkippedWakes(),
 		DefaultFallbacks: map[string]uint64{},
@@ -190,10 +181,6 @@ func TakeSnapshot(s *core.Sim) Snapshot {
 	for _, k := range sigKinds {
 		sched.DefaultFallbacks[k.String()] = m.DefaultFallbacks(k)
 		sched.CycleBreaks[k.String()] = m.CycleBreaks(k)
-	}
-	if rs := m.RoundSizes(); rs.Count() > 0 {
-		hs := histStats(rs)
-		sched.RoundSize = &hs
 	}
 	snap.Scheduler = sched
 	for _, im := range m.Instances() {
@@ -268,13 +255,6 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 	if sd := snap.Schedule; sd != nil {
 		cw.Write([]string{"schedule", "", "scheduler", sd.Scheduler})
 		row("schedule", "", "workers", int64(sd.Workers))
-		if sd.Scheduler == "partitioned" {
-			row("schedule", "", "shards", int64(sd.Shards))
-			row("schedule", "", "steal_count", sd.StealCount)
-			for i, im := range sd.LevelImbalance {
-				row("schedule", strconv.Itoa(i), "level_imbalance", im)
-			}
-		}
 		row("schedule", "", "modules", int64(sd.Modules))
 		row("schedule", "", "sccs", int64(sd.SCCs))
 		row("schedule", "", "cyclic_sccs", int64(sd.CyclicSCCs))
@@ -313,7 +293,7 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 		row("scheduler", "", "reacts", sc.Reacts)
 		row("scheduler", "", "fixed_point_iters", sc.FixedPointIters)
 		row("scheduler", "", "parallel_rounds", sc.ParallelRounds)
-		row("scheduler", "", "steals", sc.Steals)
+		row("scheduler", "", "steals", uint64(0)) // constant, like parallel_rounds: CSV rows are never removed
 		row("scheduler", "", "active_insts", sc.ActiveInsts)
 		row("scheduler", "", "skipped_wakes", sc.SkippedWakes)
 		for _, k := range sigKinds {

@@ -10,14 +10,14 @@ import (
 
 // WriteScheduleReport writes a human-readable dump of the static schedule
 // the levelized scheduler computed at Build time. The simulator must run
-// the levelized scheduler (the default); for the legacy sequential and
-// parallel engines there is no static schedule to report.
+// the levelized scheduler (the default); for the sequential engine there
+// is no static schedule to report.
 func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 	info := s.Schedule()
 	if info == nil {
 		return fmt.Errorf("obs: schedule report requires the levelized scheduler (running %s)", s.Scheduler())
 	}
-	if _, err := fmt.Fprintf(w, "static schedule (%s, %d worker(s)):\n", info.Scheduler, info.Workers); err != nil {
+	if _, err := fmt.Fprintf(w, "static schedule (%s):\n", info.Scheduler); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "  modules:        %d in %d SCC(s), %d cyclic (largest %d modules)\n",
@@ -28,16 +28,6 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 		info.AckSweepConns, info.AckLevels, info.AckResidueConns)
 	fmt.Fprintf(w, "  payload lanes:  %d conns on the uint64 scalar fast lane, %d on the boxed spill lane\n",
 		info.ScalarConns, info.SpillConns)
-	if info.Scheduler == core.SchedulerPartitioned {
-		maxImb := 1.0
-		for _, im := range info.LevelImbalance {
-			if im > maxImb {
-				maxImb = im
-			}
-		}
-		fmt.Fprintf(w, "  partition:      %d shard(s), worst level imbalance %.2fx, %d steal(s) this session\n",
-			info.Shards, maxImb, info.StealCount)
-	}
 	if info.Scheduler == core.SchedulerSparse {
 		fmt.Fprintf(w, "  activity:       %d/%d instances active (%d seed(s)), %d/%d conns re-resolved per cycle\n",
 			info.ActiveInsts, info.ActiveInsts+info.GatedInsts, info.AlwaysActive,

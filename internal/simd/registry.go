@@ -63,9 +63,10 @@ func newRegistry(capacity int, now func() time.Time) *registry {
 
 // programKey hashes a submission into its cache identity: spec text,
 // defines (sorted, with their dynamic types — 1 and "1" are different
-// programs) and the canonical build options. The label name is excluded:
-// it only positions error messages.
-func programKey(req *SubmitProgramRequest) string {
+// programs), the scheduler kind the options name — so "", "auto" and the
+// removed-engine aliases of auto are one program — and the strictness.
+// The label name is excluded: it only positions error messages.
+func programKey(req *SubmitProgramRequest, kind core.SchedulerKind) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "spec:%d:%s;", len(req.Spec), req.Spec)
 	names := make([]string, 0, len(req.Defines))
@@ -76,7 +77,7 @@ func programKey(req *SubmitProgramRequest) string {
 	for _, n := range names {
 		fmt.Fprintf(h, "def:%s=%T:%v;", n, req.Defines[n], req.Defines[n])
 	}
-	fmt.Fprintf(h, "opt:%s/%d/%s;", req.Options.Scheduler, req.Options.Workers, req.Options.Strict)
+	fmt.Fprintf(h, "opt:%s/%s;", kind, req.Options.Strict)
 	return fmt.Sprintf("p%016x", h.Sum64())
 }
 
@@ -84,7 +85,12 @@ func programKey(req *SubmitProgramRequest) string {
 // compiling and inserting it on a miss. The returned bool reports a
 // cache hit. Compile errors surface as *APIError.
 func (r *registry) lookupOrCompile(req *SubmitProgramRequest) (*programEntry, bool, error) {
-	key := programKey(req)
+	kind, opts, err := req.Options.buildOptions()
+	if err != nil {
+		return nil, false, &APIError{Code: CodeBadRequest, Status: CodeBadRequest.status(),
+			Message: err.Error()}
+	}
+	key := programKey(req, kind)
 	r.mu.Lock()
 	if e, ok := r.entries[key]; ok {
 		e.lastUsed = r.now()
@@ -93,11 +99,6 @@ func (r *registry) lookupOrCompile(req *SubmitProgramRequest) (*programEntry, bo
 	}
 	r.mu.Unlock()
 
-	opts, err := req.Options.buildOptions()
-	if err != nil {
-		return nil, false, &APIError{Code: CodeBadRequest, Status: CodeBadRequest.status(),
-			Message: err.Error()}
-	}
 	name := req.Name
 	if name == "" {
 		name = "spec"

@@ -320,6 +320,47 @@ func TestWovenSchedulerOverWire(t *testing.T) {
 	}
 }
 
+// TestSchedulerSpellingsShareOneProgram: the program cache is keyed on
+// the engine the options name, not on how they spell it. An omitted
+// scheduler, "auto" and a removed engine's name with a worker count are
+// one compiled program, reported under the engine actually compiled; an
+// unknown name is still LSD001, before any compile.
+func TestSchedulerSpellingsShareOneProgram(t *testing.T) {
+	ctx := context.Background()
+	srv, client := newTestServer(t, Config{})
+	var first ProgramInfo
+	for i, o := range []BuildOptions{
+		{},
+		{Scheduler: "auto"},
+		{Scheduler: "parallel", Workers: 4},
+		{Scheduler: "partitioned", Workers: 2},
+	} {
+		info, err := client.SubmitProgram(ctx, SubmitProgramRequest{Spec: testSpec, Options: o})
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		if info.Scheduler != "sparse" {
+			t.Fatalf("%+v: program reports scheduler %q, want the compiled engine (sparse)", o, info.Scheduler)
+		}
+		if i == 0 {
+			first = info
+			continue
+		}
+		if info.ID != first.ID || !info.CacheHit {
+			t.Fatalf("%+v: id %s hit=%v, want a cache hit on %s", o, info.ID, info.CacheHit, first.ID)
+		}
+	}
+	_, err := client.SubmitProgram(ctx, SubmitProgramRequest{
+		Spec: "instance x : no.such.template();", Options: BuildOptions{Scheduler: "quantum"},
+	})
+	if !isCode(err, CodeBadRequest) {
+		t.Fatalf("unknown scheduler on an uncompilable spec: %v, want %s before any compile", err, CodeBadRequest)
+	}
+	if n := len(srv.progs.entries); n != 1 {
+		t.Fatalf("registry holds %d programs, want 1", n)
+	}
+}
+
 // TestSnapshotRestoreBitIdentical is the service's checkpoint oracle:
 // a session snapshotted over HTTP at cycle 60 and restored — locally and
 // into a fresh server session — must continue bit-identically (scheddiff

@@ -16,67 +16,42 @@ import (
 // the API versioning rules).
 
 // BuildOptions are the compile-time options of a submitted program. They
-// are part of the program cache key: the same spec submitted with
-// different options compiles into a distinct cached program.
+// are part of the program cache key by what they resolve to, not by how
+// they are spelled: the same spec submitted with options that select the
+// same engine and strictness shares one cached program.
 type BuildOptions struct {
 	// Scheduler selects the engine: "auto" (default), "sequential",
-	// "parallel", "levelized", "sparse", "partitioned" or "woven".
+	// "levelized", "sparse" or "woven". "parallel" and "partitioned", the
+	// multi-worker engines removed in PR 19, are still decoded and run
+	// auto; ProgramInfo.Scheduler reports the engine actually compiled.
 	// Sessions always run the engine their program was compiled for.
 	Scheduler string `json:"scheduler,omitempty"`
-	// Workers is the scheduler worker count (parallel and partitioned
-	// engines).
+	// Workers was the scheduler worker count of the removed multi-worker
+	// engines. Still decoded (request fields are never repurposed into
+	// errors, DESIGN.md F.3) and ignored: a session has one writer.
 	Workers int `json:"workers,omitempty"`
 	// Strict, when set to "info", "warning" or "error", fails compilation
 	// when static analysis finds diagnostics at or above that severity.
 	Strict string `json:"strict,omitempty"`
 }
 
-// buildOptions converts the wire options into core build options.
-// Unknown names are CodeBadRequest material, reported before any
-// compilation work happens.
-func (o BuildOptions) buildOptions() ([]core.BuildOption, error) {
-	var opts []core.BuildOption
-	if o.Scheduler != "" {
-		kind, err := ParseScheduler(o.Scheduler)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, core.WithScheduler(kind))
+// buildOptions converts the wire options into the scheduler kind they
+// name and the core build options. Unknown names are CodeBadRequest
+// material, reported before any compilation work happens.
+func (o BuildOptions) buildOptions() (core.SchedulerKind, []core.BuildOption, error) {
+	kind, _, err := core.ParseSchedulerKind(o.Scheduler)
+	if err != nil {
+		return 0, nil, err
 	}
-	if o.Workers > 1 {
-		opts = append(opts, core.WithWorkers(o.Workers))
-	}
+	opts := []core.BuildOption{core.WithScheduler(kind)}
 	if o.Strict != "" {
 		min, err := analysis.ParseSeverity(o.Strict)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		opts = append(opts, analysis.StrictOption(min))
 	}
-	return opts, nil
-}
-
-// ParseScheduler converts a scheduler name from the wire ("auto",
-// "sequential", "parallel", "levelized", "sparse", "partitioned",
-// "woven") into its kind.
-func ParseScheduler(name string) (core.SchedulerKind, error) {
-	switch name {
-	case "", "auto":
-		return core.SchedulerAuto, nil
-	case "sequential":
-		return core.SchedulerSequential, nil
-	case "parallel":
-		return core.SchedulerParallel, nil
-	case "levelized":
-		return core.SchedulerLevelized, nil
-	case "sparse":
-		return core.SchedulerSparse, nil
-	case "partitioned":
-		return core.SchedulerPartitioned, nil
-	case "woven":
-		return core.SchedulerWoven, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want auto, sequential, parallel, levelized, sparse, partitioned or woven)", name)
+	return kind, opts, nil
 }
 
 // SubmitProgramRequest is the POST /v1/programs body: one LSS

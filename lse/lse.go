@@ -31,11 +31,12 @@
 // unreachable from any cycle-start (or autonomous) instance exactly once
 // and replays their values thereafter. When that partition gates nothing
 // (lsc -schedule says so) the sessions run the plain levelized step, so
-// the default never costs more than SchedulerLevelized. SchedulerSequential and
-// SchedulerParallel are the classic dynamic fixed-point engines;
-// SchedulerWoven fuses the levelized schedule into specialized
-// compile-time step kernels for handler-free regions. Every scheduler
-// produces bit-identical per-cycle signal assignments and statistics:
+// the default never costs more than SchedulerLevelized.
+// SchedulerSequential is the classic dynamic fixed-point engine and the
+// reference every other engine is held to; SchedulerWoven fuses the
+// levelized schedule into specialized compile-time step kernels for
+// handler-free regions. Every scheduler produces bit-identical per-cycle
+// signal assignments and statistics:
 //
 //	sim, _ := b.Build(lse.WithScheduler(lse.SchedulerLevelized))
 //	lse.WriteScheduleReport(os.Stderr, sim) // SCCs, levels, break sites
@@ -62,9 +63,9 @@
 // # Observability
 //
 // Building with WithMetrics (or a WithObserver bundle) turns on scheduler
-// metrics: reactive wakes, fixed-point iterations, parallel rounds and
-// batch sizes, default-control fallbacks per signal kind, and a sampled
-// per-instance react-time profile. The obs exporters turn a simulator
+// metrics: reactive wakes, fixed-point iterations, default-control
+// fallbacks per signal kind, and a sampled per-instance react-time
+// profile. The obs exporters turn a simulator
 // into machine-readable artifacts:
 //
 //	ev := lse.NewEventTracer(256).FilterInstances("router*")
@@ -122,16 +123,16 @@
 // # Supported surface
 //
 // This package is the single supported API: the Builder with functional
-// options (NewBuilder/Build with WithSeed, WithScheduler, WithWorkers,
-// WithTracer, WithRegistry, WithMetrics, WithParallelThreshold,
-// WithObserver, WithStrictAnalysis), the Program/Sim split (Compile,
-// CompileLSS*, Program.NewSim, Sim.Snapshot, Program.Restore), the LSS
-// entry points (LoadLSS, LoadLSSWith, LoadLSSFile, ParseLSS), the
+// options (NewBuilder/Build with WithSeed, WithScheduler, WithTracer,
+// WithRegistry, WithMetrics, WithObserver, WithStrictAnalysis), the
+// Program/Sim split (Compile, CompileLSS*, Program.NewSim, Sim.Snapshot,
+// Program.Restore), the LSS entry points (LoadLSS, LoadLSSWith, LoadLSSFile, ParseLSS), the
 // analysis pipeline (Lint, Analyze) and the observability exporters
 // below. The PR-1-era Builder setter chain (SetSeed, SetWorkers,
-// SetTracer, SetRegistry), the nil-builder BuildLSS entry point and
-// WithWorkers-as-scheduler-selector have been removed: WithWorkers is a
-// pure worker-count knob and only WithScheduler picks the engine.
+// SetTracer, SetRegistry) and the nil-builder BuildLSS entry point have
+// been removed. A Sim is stepped by one goroutine at a time: the
+// multi-worker engines and their knobs went in PR 19 (see the deprecated
+// block below); parallelism runs across sessions of one Program.
 //
 // The component libraries (pcl, upl, ccl, mpl, nilib) register their
 // templates into DefaultRegistry from their init functions; importing
@@ -367,8 +368,6 @@ const (
 	SchedulerAuto = core.SchedulerAuto
 	// SchedulerSequential is the demand-driven sequential fixed point.
 	SchedulerSequential = core.SchedulerSequential
-	// SchedulerParallel partitions reactive rounds across a worker pool.
-	SchedulerParallel = core.SchedulerParallel
 	// SchedulerLevelized is the static scheduling engine: SCC-condensed,
 	// levelized sweeps with a worklist for genuinely cyclic residues.
 	SchedulerLevelized = core.SchedulerLevelized
@@ -376,12 +375,6 @@ const (
 	// gating: regions unreachable from any cycle-start (or autonomous)
 	// instance are resolved once and replayed, not re-resolved per cycle.
 	SchedulerSparse = core.SchedulerSparse
-	// SchedulerPartitioned is the build-time partitioned parallel
-	// engine: the module graph is sharded into connectivity-grown
-	// regions (WithShards) with a cache-line-disjoint signal-plane
-	// layout, and workers run their own shards' work, stealing leftovers
-	// across shards at per-round barriers.
-	SchedulerPartitioned = core.SchedulerPartitioned
 	// SchedulerWoven is the AOT-woven engine: the levelized schedule is
 	// fused at compile time into specialized step kernels — handler-free
 	// acyclic connections resolve as replayed compile-time constants (or
@@ -392,6 +385,14 @@ const (
 	// sequential reference's default/break counts bit for bit.
 	SchedulerWoven = core.SchedulerWoven
 )
+
+// ParseSchedulerKind converts a scheduler name ("auto", "sequential",
+// "levelized", "sparse", "woven") into its kind. The removed engines'
+// names ("parallel", "partitioned") parse as SchedulerAuto with removed
+// set, for one more release.
+func ParseSchedulerKind(name string) (kind SchedulerKind, removed bool, err error) {
+	return core.ParseSchedulerKind(name)
+}
 
 // NewBuilder returns a netlist builder over DefaultRegistry, configured
 // by opts.
@@ -421,31 +422,40 @@ var (
 	// WithSeed sets the deterministic random seed.
 	WithSeed = core.WithSeed
 	// WithScheduler selects the scheduling engine (see SchedulerAuto,
-	// SchedulerSequential, SchedulerParallel, SchedulerLevelized,
-	// SchedulerSparse, SchedulerPartitioned, SchedulerWoven).
+	// SchedulerSequential, SchedulerLevelized, SchedulerSparse,
+	// SchedulerWoven).
 	WithScheduler = core.WithScheduler
-	// WithWorkers selects the scheduler worker count (a pure count knob;
-	// the engine is chosen by WithScheduler alone).
-	WithWorkers = core.WithWorkers
-	// WithShards sets the partitioned scheduler's compile-time shard
-	// count (default 16). A Program property: every session stamped from
-	// the program inherits the partition; workers remain per session.
-	WithShards = core.WithShards
 	// WithTracer attaches a tracer; repeated options compose.
 	WithTracer = core.WithTracer
 	// WithRegistry selects the template registry (NewBuilder only).
 	WithRegistry = core.WithRegistry
 	// WithMetrics enables scheduler metrics collection.
 	WithMetrics = core.WithMetrics
-	// WithParallelThreshold sets the minimum reactive-round size the
-	// parallel scheduler dispatches to its worker pool; smaller rounds
-	// run inline, avoiding barrier latency that exceeds the work.
-	WithParallelThreshold = core.WithParallelThreshold
 	// WithDataflowPrune deletes provably-dead connections and instances
 	// (per the whole-program dataflow analysis) from the compiled
 	// schedule and activity partition. Requires the sparse scheduler.
 	WithDataflowPrune = core.WithDataflowPrune
 )
+
+// The multi-worker engines and their knobs were removed in PR 19
+// (DESIGN.md Appendix H: every multi-worker configuration lost to one
+// worker on every paper model). The five names below compile for one more
+// release and are deleted in the next.
+
+// Deprecated: removed engine; an alias of SchedulerAuto until the next release.
+const SchedulerParallel = SchedulerAuto
+
+// Deprecated: removed engine; an alias of SchedulerAuto until the next release.
+const SchedulerPartitioned = SchedulerAuto
+
+// Deprecated: a no-op until the next release; a Sim has one writer.
+func WithWorkers(int) BuildOption { return func(*Builder) {} }
+
+// Deprecated: a no-op until the next release; there is no shard partition.
+func WithShards(int) BuildOption { return func(*Builder) {} }
+
+// Deprecated: a no-op until the next release; there are no parallel rounds.
+func WithParallelThreshold(int) BuildOption { return func(*Builder) {} }
 
 // WithObserver applies an observability bundle — scheduler metrics and/or
 // structured event capture — to the simulator under construction.

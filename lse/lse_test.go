@@ -101,9 +101,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 // TestProgramSurface drives the Program/Sim split through the facade:
-// LoadLSS binds each Sim to a Program, CompileLSS stamps equivalent Sims
-// from one shared Program, and WithWorkers is a pure count knob that no
-// longer selects the scheduling engine.
+// LoadLSS binds each Sim to a Program and CompileLSS stamps equivalent
+// Sims from one shared Program.
 func TestProgramSurface(t *testing.T) {
 	spec := `
 		instance src : pcl.source(count = 5);
@@ -140,22 +139,6 @@ func TestProgramSurface(t *testing.T) {
 		t.Fatalf("loaded=%d stamped=%d, want 5 and 5", a, z)
 	}
 
-	// WithWorkers no longer selects the engine: the default stays Auto's
-	// choice (the sparse scheduler) even with a worker count above one.
-	knob, err := lse.LoadLSS(spec, lse.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := knob.Scheduler(); got != lse.SchedulerSparse {
-		t.Fatalf("WithWorkers(2) alone resolved scheduler %v, want sparse (engine is chosen by WithScheduler)", got)
-	}
-	par, err := lse.LoadLSS(spec, lse.WithScheduler(lse.SchedulerParallel), lse.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, w := par.Scheduler(), par.Workers(); got != lse.SchedulerParallel || w != 2 {
-		t.Fatalf("scheduler %v workers %d, want parallel with 2", got, w)
-	}
 }
 
 // TestScheduleSnapshot drives the schedule introspection surface: a

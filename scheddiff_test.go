@@ -51,44 +51,12 @@ var schedulerMatrix = []struct {
 }{
 	{"sequential", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSequential)}},
 	{"levelized", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerLevelized)}},
-	// The -w2 rows pair every engine that accepts workers with its
-	// one-worker row above or below: one worker resolves through plain
-	// loads and stores, two through sync/atomic on the same words, and the
-	// hair-trigger threshold sends every round to the pool. Both must hash
-	// equal to the sequential oracle.
-	{"levelized-w2", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerLevelized),
-		lse.WithWorkers(2), lse.WithParallelThreshold(1)}},
-	{"parallel", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerParallel), lse.WithWorkers(4)}},
-	// Small-round inline fallback: every reactive round runs on the
-	// waking goroutine, the pool only provides mutual exclusion.
-	{"parallel-inline", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerParallel),
-		lse.WithWorkers(2), lse.WithParallelThreshold(1 << 20)}},
 	{"sparse", false, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse)}},
-	{"sparse-w2", false, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse),
-		lse.WithWorkers(2), lse.WithParallelThreshold(1)}},
-	// The partitioned engine must hold exact counts at every worker
-	// count: per-level barriers and the handler-free wavefront keep the
-	// default and break metrics equal to the sequential sweep's.
-	{"partitioned-w1", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned)}},
-	{"partitioned-w2", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned),
-		lse.WithWorkers(2)}},
-	{"partitioned-w4", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned),
-		lse.WithWorkers(4)}},
-	// workers=8 over 4 shards with a hair-trigger parallel threshold:
-	// maximal phase-pool traffic, executors outnumber shards, stealing on.
-	{"partitioned-w8", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned),
-		lse.WithWorkers(8), lse.WithShards(4), lse.WithParallelThreshold(1)}},
 	// The woven engine replays its compiled region but — unlike sparse —
 	// accounts the replay, so it must hold exact default/break counts on
 	// every shape: all-fallback (handler chains, the mesh residue),
 	// all-const (passThrough fabrics) and everything between.
 	{"woven", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven)}},
-	{"woven-w2", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven),
-		lse.WithWorkers(2), lse.WithParallelThreshold(1)}},
-	// Extra workers only parallelize the interpreted fallback's reactive
-	// rounds; a hair-trigger threshold maximizes pool traffic there.
-	{"woven-w4", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven),
-		lse.WithWorkers(4), lse.WithParallelThreshold(1)}},
 }
 
 type schedRun struct {
@@ -140,8 +108,8 @@ func diffRuns(t *testing.T, what, name string, ref, got schedRun, exactCounts bo
 	}
 }
 
-// TestSchedulersAgreeOnSpecs runs every shipped specification under the
-// sequential, levelized and parallel engines and demands bit-identical
+// TestSchedulersAgreeOnSpecs runs every shipped specification under
+// every engine of schedulerMatrix and demands bit-identical
 // per-cycle signal statuses, statistics dumps and scheduler counts — the
 // redesign's central invariant on real models (including the mesh, whose
 // router loop exercises the cyclic residue and its break sites).
@@ -580,8 +548,8 @@ func runTypedRandomUnder(t *testing.T, seed int64, opts ...lse.BuildOption) sche
 }
 
 // TestSingleWriterSessionMigrates pins what the single-writer rule does
-// and does not demand: a one-worker session resolves with plain loads and
-// stores, so it must never be stepped from two goroutines at once — but
+// and does not demand: a session resolves with plain loads and stores,
+// so it must never be stepped from two goroutines at once — but
 // it may move between goroutines, as an lsd session does from request to
 // request, when something orders the steps. Two goroutines take strict
 // turns under a mutex; run under -race, and compared cycle by cycle with
@@ -597,9 +565,6 @@ func TestSingleWriterSessionMigrates(t *testing.T) {
 		sim, err := lse.LoadLSS(string(src), lse.WithSeed(1), lse.WithTracer(h))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sim.Workers() != 1 {
-			t.Fatalf("default session has %d workers, want 1", sim.Workers())
 		}
 		return sim, h
 	}

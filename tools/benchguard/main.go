@@ -5,7 +5,7 @@
 // Usage:
 //
 //	go test -bench=... -benchmem -run=^$ . | tee bench.out
-//	go run ./tools/benchguard -baseline BENCH_5.json bench.out
+//	go run ./tools/benchguard -baseline BENCH_10.json bench.out
 //
 // Two metrics are gated. ns/op fails when it exceeds the baseline by the
 // -threshold factor. allocs/op (present when the run used -benchmem)
@@ -31,11 +31,10 @@
 // Beyond the baseline, -notslower 'A<=B' (repeatable) gates one row of
 // the run against another row of the same run: A's ns/op must not
 // exceed B's by the -notslower-threshold factor (default 1.10 — wide
-// enough for scheduling noise on a single-CPU host, where a parallel
-// engine can only tie, tight enough to catch a real slowdown). This is
-// the partitioned scheduler's scaling gate: workers=8 must never lose
-// to workers=1, on any host. A missing row is a warning, not a failure,
-// so the gate tolerates smoke patterns that skip the pair.
+// enough for scheduling noise on a shared host, tight enough to catch a
+// real slowdown). This is bench-weave's gate: a woven row must never
+// lose to its levelized twin, on any host. A missing row is a warning,
+// not a failure, so the gate tolerates smoke patterns that skip the pair.
 package main
 
 import (
@@ -85,7 +84,7 @@ type sample struct {
 }
 
 func main() {
-	basePath := flag.String("baseline", "BENCH_5.json", "baseline JSON file (BENCH_*.json layout)")
+	basePath := flag.String("baseline", "BENCH_10.json", "baseline JSON file (BENCH_*.json layout)")
 	threshold := flag.Float64("threshold", 1.25, "fail when a metric exceeds baseline by this factor")
 	var notSlower notSlowerFlag
 	flag.Var(&notSlower, "notslower", "gate 'A<=B': row A's ns/op must not exceed row B's (repeatable)")

@@ -1,13 +1,11 @@
 package liberty_test
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"testing"
 
 	core "liberty/internal/core"
-	"liberty/lse"
 )
 
 // TestWovenConcurrentSessionsRace stamps 2×GOMAXPROCS sessions from one
@@ -60,29 +58,4 @@ func TestWovenConcurrentSessionsRace(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestWovenMeshWorkersRace runs the handler-heavy 4x4 mesh (one large
-// router loop, so the whole region is interpreted fallback) under the
-// woven engine with more workers than the netlist needs and a
-// hair-trigger parallel threshold: every fallback reactive round goes
-// through the phase pool. Under -race this exercises the woven engine's
-// interpreted residue against the parallel worker protocol; the hashes
-// and the exact default/break counts must stay bit-identical to the
-// sequential scanner.
-func TestWovenMeshWorkersRace(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	src, err := os.ReadFile("specs/mesh.lss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cycles = 40
-	ref := runSpecUnder(t, string(src), cycles, lse.WithScheduler(lse.SchedulerSequential))
-	got := runSpecUnder(t, string(src), cycles,
-		lse.WithScheduler(lse.SchedulerWoven),
-		lse.WithWorkers(4),
-		lse.WithParallelThreshold(1))
-	diffRuns(t, "mesh-race", "woven-workers", ref, got, true)
 }
