@@ -259,9 +259,9 @@ func TestCheckpointCrossEngineWoven(t *testing.T) {
 }
 
 // TestEmptyPartitionCrossEngine runs the sparse (default) engine on two
-// recipes — one whose activity partition gates nothing, so its sessions
-// take the levelized bulk-reset step, and one with an idle island that
-// the partition gates and keeps replaying — against the sequential
+// recipes — one in which a start handler reaches every cluster, and one
+// with an idle island that no start handler reaches, which is resolved
+// once and held — against the sequential
 // oracle. Both must report sparse, hash equal to the oracle cycle by
 // cycle, and exchange snapshots with it in either direction.
 func TestEmptyPartitionCrossEngine(t *testing.T) {
@@ -363,9 +363,11 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 // program across goroutines and runs them in parallel — the tentpole
 // claim of the Program/State split. Run under -race in CI; with a shared
 // seed every session must also produce the identical hash sequence,
-// proving the sessions share only immutable artifacts.
+// proving the sessions share only immutable artifacts. The sessions are
+// untraced, so clusters close: the cluster plan is the shared artifact,
+// the idle signatures are each session's own.
 func TestProgramConcurrentSims(t *testing.T) {
-	prog, err := core.Compile(checkpointAssemble("uint64"), core.WithSeed(3))
+	prog, err := core.Compile(checkpointAssemble("uint64"), core.WithSeed(3), core.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,18 +382,22 @@ func TestProgramConcurrentSims(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h := &cycleHasher{}
-			sim, err := prog.NewSim(core.WithTracer(h))
+			sim, err := prog.NewSim()
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			defer sim.Close()
-			if err := sim.Run(100); err != nil {
-				errs[i] = err
-				return
+			for c := 0; c < 100; c++ {
+				if err := sim.Step(); err != nil {
+					errs[i] = err
+					return
+				}
+				hashes[i] = append(hashes[i], statusHash(sim))
 			}
-			hashes[i] = h.hashes
+			if sim.Metrics().ClosedClusterCycles() == 0 {
+				errs[i] = fmt.Errorf("no cluster closed in 100 cycles")
+			}
 		}(i)
 	}
 	wg.Wait()

@@ -56,6 +56,7 @@ func NewLink(name string, p core.Params) (*Link, error) {
 	l.OnCycleStart(l.cycleStart)
 	l.OnReact(l.react)
 	l.OnCycleEnd(l.cycleEnd)
+	l.MarkSequential() // out is offered from inflight at cycle start; in is acked from in's own lane, busyUntil and inflight
 	return l, nil
 }
 

@@ -17,6 +17,7 @@ type Builder struct {
 	tracer    Tracer
 	metrics   bool
 	prune     bool // WithDataflowPrune: delete provably-dead structure
+	actCheck  bool // WithActivityCheck: evaluate would-be-closed clusters and compare
 	instances []Instance
 	byName    map[string]Instance
 	conns     []*Conn
@@ -201,7 +202,7 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		p = compileProgram(b.instances, b.conns, sched, b.prune)
 	} else {
 		// Session-stamp path (Program.NewSim): the expensive artifacts —
-		// Tarjan/levelization, activity partition, lane election — are
+		// Tarjan/levelization, cluster plan, lane election — are
 		// already compiled; validate the re-assembled netlist matches and
 		// bind. This is the 0-rebuild-work spin-up path.
 		if err := p.checkStamp(b.instances, b.conns, sched); err != nil {
@@ -220,6 +221,7 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		stats:     newStatSet(),
 		schedule:  p.schedule,
 		sparse:    p.sparse,
+		actCheck:  b.actCheck,
 		weave:     p.weave,
 	}
 	if s.sparse != nil || s.weave != nil {
@@ -240,6 +242,9 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	for _, c := range s.conns {
 		c.sim = s
 		c.scalar = p.scalar[c.id]
+		if p.sparse != nil {
+			c.cluster = p.sparse.clusterOf[c.id]
+		}
 	}
 	s.bindLanes()
 	// Tracers that need the finished netlist (e.g. the VCD tracer's

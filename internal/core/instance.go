@@ -30,6 +30,7 @@ type Base struct {
 	start      func()
 	end        func()
 	autonomous bool // react depends on Now()/Rand(); never activity-gated
+	sequential bool // no same-cycle path between ports; cuts combinational clusters
 	scheduled  bool // queued for react
 	rng        *rand.Rand
 	rsrc       *countingSource // rng's underlying source; draw count feeds Snapshot
@@ -113,15 +114,25 @@ func (b *Base) OnCycleEnd(fn func()) { b.end = fn }
 // MarkAutonomous declares that the instance's reactive handler can
 // behave differently from one cycle to the next without any observed
 // signal changing — typically because it reads Now() or Rand() (clock
-// dividers, jitter models). The sparse scheduler treats autonomous
-// instances as always-active seeds: they are woken every cycle and
-// anchor their reactive neighborhood in the active region. Instances
-// with an OnCycleStart handler are always-active already and need no
-// marking.
+// dividers, jitter models). The sparse scheduler never closes a
+// combinational cluster an autonomous instance belongs to: it and its
+// reactive neighborhood are woken every cycle. What an OnCycleStart
+// handler does needs no marking — the scheduler observes it.
 func (b *Base) MarkAutonomous() { b.autonomous = true }
 
 // Autonomous reports whether MarkAutonomous was called.
 func (b *Base) Autonomous() bool { return b.autonomous }
+
+// MarkSequential declares that no signal the instance drives on one port
+// depends, within a cycle, on a signal it observes on another port: what
+// it drives on an Out port is a function of its state at cycle start, and
+// what it acks on an In port a function of that port's own lanes and
+// state. Queues, delay lines and links are the type. The sparse scheduler
+// cuts its combinational clusters at marked instances, so one busy side
+// of a buffer does not keep the other side's cluster open. The mark is a
+// promise about the handlers; WithActivityCheck is how to hold it to
+// account (DESIGN.md Appendix C.2).
+func (b *Base) MarkSequential() { b.sequential = true }
 
 // SourcePos returns the specification position the instance was declared
 // at, when the netlist came from a spec front end (see Builder.At); the

@@ -28,8 +28,10 @@ type Metrics struct {
 	defaults [3]atomic.Uint64 // indexed by SigKind
 	breaks   [3]atomic.Uint64 // dependency-cycle breaks, by SigKind
 
-	activeInsts  atomic.Uint64 // sparse: instances in the active region, summed per cycle
-	skippedWakes atomic.Uint64 // sparse: gated reactive instances not woken, summed per cycle
+	activeInsts    atomic.Uint64 // sparse: seeds and reactive members of open clusters, summed per cycle
+	skippedWakes   atomic.Uint64 // sparse: reactive instances left unwoken, summed per cycle
+	closedClusters atomic.Uint64 // sparse: clusters closed by their signature, summed per cycle
+	closedConns    atomic.Uint64 // sparse: conns held instead of re-resolved, summed per cycle
 
 	insts []InstanceMetrics // indexed by instance id
 }
@@ -73,15 +75,28 @@ func (m *Metrics) DefaultFallbacks(k SigKind) uint64 { return m.defaults[k].Load
 func (m *Metrics) CycleBreaks(k SigKind) uint64 { return m.breaks[k].Load() }
 
 // ActiveInstances returns, summed over all cycles, the number of
-// instances the sparse scheduler placed in the active region (every
-// instance, on full-sweep cycles). Zero under other schedulers; divide
-// by Cycles for the mean active-set size.
+// instances the sparse scheduler treated as active: the seeds plus the
+// reactive members of that cycle's open clusters (every instance, on
+// full-sweep cycles). Zero under other schedulers; divide by Cycles for
+// the mean active-set size.
 func (m *Metrics) ActiveInstances() uint64 { return m.activeInsts.Load() }
 
 // SkippedWakes returns, summed over all cycles, the number of reactive
-// instances the sparse scheduler left gated instead of waking. Zero
-// under other schedulers and on full-sweep cycles.
+// instances the sparse scheduler did not wake because every cluster they
+// belong to was closed. Zero under other schedulers and on full-sweep
+// cycles.
 func (m *Metrics) SkippedWakes() uint64 { return m.skippedWakes.Load() }
+
+// ClosedClusterCycles returns, summed over all cycles, the number of
+// combinational clusters the sparse scheduler closed on their idle
+// signature instead of re-resolving. ClosedConnCycles is the same sum in
+// connections, and includes the connections no cycle-start handler can
+// reach; divided by Cycles times the connection count it is the share of
+// the netlist that was replayed.
+func (m *Metrics) ClosedClusterCycles() uint64 { return m.closedClusters.Load() }
+
+// ClosedConnCycles: see ClosedClusterCycles.
+func (m *Metrics) ClosedConnCycles() uint64 { return m.closedConns.Load() }
 
 // InstanceMetrics accumulates one instance's react activity.
 type InstanceMetrics struct {

@@ -12,12 +12,7 @@ type SchedulerKind uint8
 
 const (
 	// SchedulerAuto lets Build choose: currently the activity-gated
-	// sparse scheduler, bit-identical to the sequential fixed point. On a
-	// netlist whose activity partition gates nothing — every paper model
-	// measured so far — its sessions run the levelized step, so Auto
-	// costs what SchedulerLevelized costs; where the partition does gate
-	// a region (mostly-idle netlists) that region is resolved once and
-	// replayed.
+	// sparse scheduler, bit-identical to the sequential fixed point.
 	SchedulerAuto SchedulerKind = iota
 	// SchedulerSequential is the demand-driven sequential engine: a single
 	// work queue runs reactive handlers to a fixed point, and default
@@ -32,17 +27,17 @@ const (
 	// bit-identical to SchedulerSequential.
 	SchedulerLevelized
 	// SchedulerSparse is the activity-gated sparse scheduler: the
-	// levelized engine restricted, per cycle, to the build-time-computed
-	// active region of the netlist. Instances with no OnCycleStart
-	// handler and no input a seed instance can ever reach are never
-	// woken; their connections keep ("replay") the resolution they
-	// settled to on the last full sweep instead of being reset and
-	// re-resolved. A partition that gates nothing is reported but not
-	// walked: such sessions run the levelized step, with the levelized
-	// engine's exact metrics. Results are bit-identical to SchedulerSequential for
-	// netlists observing the reactive-purity invariant (see DESIGN.md
-	// Appendix C); scheduler metrics differ, since skipped work is the
-	// point. Sim.InvalidateActivity forces a full re-resolution.
+	// levelized engine, run each cycle over only the combinational
+	// clusters something was offered to. A cluster whose cycle-start
+	// signals read as they did when it last resolved with no data offered
+	// closes for the cycle: its connections keep ("replay") that
+	// resolution and its reactive handlers are not woken; clusters no
+	// cycle-start handler can reach resolve once and are held. Results
+	// are bit-identical to SchedulerSequential for netlists observing the
+	// reactive-purity invariant (see DESIGN.md Appendix C;
+	// WithActivityCheck checks it); scheduler metrics differ, since
+	// skipped work is the point. A tracer keeps every cluster open.
+	// Sim.InvalidateActivity forces a full re-resolution.
 	SchedulerSparse
 	// SchedulerWoven is the AOT-woven engine: at compile time the
 	// levelized schedule is fused into specialized step kernels.

@@ -7,7 +7,7 @@ import (
 
 // program.go separates the two halves the paper keeps distinct: structure
 // and behavior. A Program is the immutable compiled form of a netlist —
-// the static schedule, the activity partition, the payload-lane election
+// the static schedule, the cluster plan, the payload-lane election
 // and the assembly recipe that reproduces the instance graph. A Sim is
 // one behavioral session over that structure: a dense signal plane, the
 // instances' mutable state, a cycle counter, per-instance RNG streams and
@@ -41,9 +41,10 @@ type Program struct {
 	fingerprint uint64 // structural hash validating recipe determinism
 	scalar      []bool // conn id -> uint64 fast-lane election
 	scalarConns int
+	sequential  []bool // instance id -> MarkSequential; checked at stamp beside the fingerprint, not hashed into it
 
 	schedule *progSchedule // nil unless levelized/sparse/woven
-	sparse   *progSparse   // nil unless sparse
+	sparse   *progSparse   // the cluster plan; nil unless sparse
 	pruned   *progPrune    // nil unless compiled with WithDataflowPrune
 	weave    *progWeave    // nil unless woven
 }
@@ -76,7 +77,7 @@ func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, erro
 
 // NewSim stamps a new simulation session from the compiled program: the
 // assembly recipe re-creates the instance graph (fresh mutable module
-// state), and the session binds the shared schedule, activity partition
+// state), and the session binds the shared schedule, cluster plan
 // and lane election without recompiling any of them. Session options are
 // applied after the program's compile-time options, so per-session seeds,
 // tracers and metrics compose naturally; selecting a
@@ -125,8 +126,9 @@ func (p *Program) Schedule() *ScheduleInfo {
 
 // compileProgram compiles the immutable artifacts from an assembled,
 // validated netlist: lane election, structural fingerprint and — for the
-// levelized and sparse engines — the static schedule and activity
-// partition. Instance ids must already be assigned (assembly order).
+// statically scheduled engines — the static schedule and the sparse
+// cluster plan or woven plan. Instance ids must already be assigned
+// (assembly order).
 func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind, prune bool) *Program {
 	p := &Program{sched: sched, nInsts: len(instances), nConns: len(conns)}
 	// Payload-lane inference: a connection joins the uint64 scalar fast
@@ -148,39 +150,26 @@ func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind, pr
 		p.schedule.info.ScalarConns = p.scalarConns
 		p.schedule.info.SpillConns = len(conns) - p.scalarConns
 	}
+	if prune {
+		// Dataflow pruning: the whole-program analysis finds provably-dead
+		// structure, and the plan compiled next leaves it out of every
+		// per-cycle list (one held cluster under sparse, no kernel under
+		// woven). The structural fingerprint is deliberately
+		// prune-independent — pruning changes which compiled artifacts a
+		// session binds, never the netlist shape sessions re-assemble.
+		p.pruned = computePrune(instances, conns, analyzeFlow(instances, conns))
+		p.schedule.info.PrunedConns = p.pruned.nConns
+		p.schedule.info.PrunedInsts = p.pruned.nInsts
+	}
 	if sched == SchedulerSparse {
-		p.sparse = buildSparse(instances, conns, p.schedule)
-		if prune {
-			// Dataflow pruning: run the whole-program analysis and move
-			// provably-dead structure out of the per-cycle schedule before
-			// the partition is shared. The structural fingerprint is
-			// deliberately prune-independent — pruning changes which
-			// compiled artifacts a session binds, never the netlist shape
-			// sessions re-assemble.
-			ff := analyzeFlow(instances, conns)
-			p.pruned = computePrune(instances, conns, ff)
-			applyPrune(p.sparse, p.schedule, instances, conns, p.pruned)
-			p.schedule.info.PrunedConns = p.pruned.nConns
-			p.schedule.info.PrunedInsts = p.pruned.nInsts
+		p.sequential = make([]bool, len(instances))
+		for i, inst := range instances {
+			p.sequential[i] = inst.base().sequential
 		}
-		p.sparse.empty = len(p.sparse.dirty) == len(conns)
-		p.schedule.info.fillActivity(p.sparse)
+		p.sparse = buildSparse(instances, conns, p.pruned, &p.schedule.info)
 	}
 	if sched == SchedulerWoven {
-		var pr *progPrune
-		if prune {
-			// Same prune-independence contract as the sparse branch: the
-			// fingerprint ignores pruning, only the compiled artifacts a
-			// session binds change. The woven compiler consumes the prune
-			// result directly — dead connections never get a kernel and
-			// leave every per-cycle list — so no schedule rewrite happens.
-			ff := analyzeFlow(instances, conns)
-			p.pruned = computePrune(instances, conns, ff)
-			pr = p.pruned
-			p.schedule.info.PrunedConns = pr.nConns
-			p.schedule.info.PrunedInsts = pr.nInsts
-		}
-		p.weave = buildWeave(instances, conns, p.schedule, pr)
+		p.weave = buildWeave(instances, conns, p.schedule, p.pruned)
 		p.schedule.info.fillWeave(p.weave)
 	}
 	return p
@@ -206,6 +195,15 @@ func (p *Program) checkStamp(instances []Instance, conns []*Conn, sched Schedule
 	if fp := fingerprintNetlist(instances, conns); fp != p.fingerprint {
 		return &BuildError{Op: "new sim", Where: "program",
 			Detail: "assembly recipe is not deterministic: re-assembled netlist's structural fingerprint differs from the compiled program's"}
+	}
+	// The cluster plan was cut at the marks of the compiled netlist; they
+	// are not in the fingerprint (snapshots embed it, and older ones must
+	// keep restoring), so they are compared here.
+	for i, seq := range p.sequential {
+		if b := instances[i].base(); b.sequential != seq {
+			return &BuildError{Op: "new sim", Where: b.name,
+				Detail: "assembly recipe is not deterministic: MarkSequential differs from the compiled program's"}
+		}
 	}
 	return nil
 }

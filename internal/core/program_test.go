@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -160,20 +161,27 @@ func newReactProbe(name string) *reactProbe {
 // those scheduled flags and leave the write phase — returning a
 // ContractError, re-panicking anything else — or the next Step's wakes
 // would skip the instances forever and a caller that recovered the panic
-// would hold a silently wrong session.
+// would hold a silently wrong session. An aborted cycle also drops every
+// idle signature: the next cycle is a full sweep, and resolves what the
+// sequential oracle resolves.
 func TestStepErrorStrandsNoInstance(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerAuto, SchedulerSequential,
-		SchedulerLevelized, SchedulerSparse, SchedulerWoven} {
-		for _, foreign := range []bool{false, true} {
-			testStepAbort(t, kind, foreign)
+	for _, foreign := range []bool{false, true} {
+		oracle := testStepAbort(t, SchedulerSequential, foreign)
+		for _, kind := range []SchedulerKind{SchedulerAuto, SchedulerLevelized, SchedulerSparse, SchedulerWoven} {
+			if got := testStepAbort(t, kind, foreign); got != oracle {
+				t.Fatalf("%s: cycles after the abort resolve\n%s\nthe sequential oracle\n%s", kind, got, oracle)
+			}
 		}
 	}
 }
 
-func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) {
+// testStepAbort aborts a cycle of a netlist with one chain that is
+// offered data every cycle and one idle chain, checks the cleanup, and
+// returns the statuses the next three cycles resolve.
+func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) string {
 	t.Helper()
 	b := NewBuilder(WithScheduler(kind))
-	drv := newStartDriver("drv")
+	drv := newOfferDriver("drv")
 	b.Add(drv)
 	var prev Instance = drv
 	var probes []*reactProbe
@@ -184,12 +192,23 @@ func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) {
 		b.Connect(prev, "out", p, "in")
 		prev = p
 	}
+	idle, q := newStartDriver("idle"), newReactProbe("q")
+	b.Add(idle)
+	b.Add(q)
+	b.Connect(idle, "out", q, "in")
 	sim, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(2); err != nil {
+	if err := sim.Run(3); err != nil {
 		t.Fatal(err)
+	}
+	idleCluster := -1
+	if sim.sparse != nil {
+		idleCluster = int(sim.sparse.clusterOf[len(sim.conns)-1])
+		if sim.act.flags[idleCluster]&actClosed == 0 {
+			t.Fatalf("%s: the idle chain's cluster did not close", kind)
+		}
 	}
 	// p0 is first in the wake broadcast: p1..p3 are queued behind it.
 	if foreign {
@@ -220,25 +239,52 @@ func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) {
 	for i, p := range probes {
 		before[i] = p.reacts
 	}
-	if err := sim.Step(); err != nil {
-		t.Fatalf("%s: Step after the error: %v", kind, err)
+	qBefore := q.reacts
+	var trace strings.Builder
+	for i := 0; i < 3; i++ {
+		if err := sim.Step(); err != nil {
+			t.Fatalf("%s: Step after the error: %v", kind, err)
+		}
+		if i == 0 && idleCluster >= 0 && (sim.act.flags[idleCluster] != 0 || q.reacts == qBefore) {
+			t.Fatalf("%s: the cycle after the abort was not a full sweep that dropped the idle signature", kind)
+		}
+		for _, c := range sim.conns {
+			fmt.Fprintf(&trace, "%d%d%d ", c.status(SigData), c.status(SigEnable), c.status(SigAck))
+		}
+		trace.WriteByte('\n')
 	}
 	for i, p := range probes {
 		if p.reacts == before[i] {
 			t.Fatalf("%s: %s never reacted again after the aborted cycle", kind, p.name)
 		}
 	}
+	return trace.String()
 }
 
-// TestEmptyPartitionNotWalked: a sparse program whose activity partition
-// gates nothing keeps the partition — the schedule report and the
-// active_insts metric still come from it — but marks it empty, so
-// sessions take the levelized step; one idle island makes it a real
-// partition again.
+// offerDriver offers a datum on every out lane at every cycle start, so
+// the cluster downstream of it never goes idle.
+func newOfferDriver(name string) *startDriver {
+	d := &startDriver{}
+	d.Init(name, d)
+	d.out = d.AddOutPort("out")
+	d.OnCycleStart(func() {
+		for i := 0; i < d.out.Width(); i++ {
+			d.out.Send(i, i)
+		}
+	})
+	return d
+}
+
+// TestEmptyPartitionNotWalked: a sparse program whose cluster plan holds
+// nothing — its one cluster is offered data every cycle — still has the
+// plan, and the schedule report and the active_insts metric come from it,
+// but a steady cycle resets the plane in one piece like the levelized
+// step; one idle island is a cluster no start handler reaches, held from
+// the first sweep on.
 func TestEmptyPartitionNotWalked(t *testing.T) {
 	assemble := func(island bool) func(*Builder) error {
 		return func(b *Builder) error {
-			drv, p := newStartDriver("drv"), newReactProbe("p")
+			drv, p := newOfferDriver("drv"), newReactProbe("p")
 			tail := newProgTestModule("tail") // no handlers: never "active", gates nothing
 			b.Add(drv)
 			b.Add(p)
@@ -262,10 +308,10 @@ func TestEmptyPartitionNotWalked(t *testing.T) {
 			t.Fatal(err)
 		}
 		if prog.Scheduler() != SchedulerSparse || prog.sparse == nil {
-			t.Fatalf("island=%v: auto did not compile a sparse partition", island)
+			t.Fatalf("island=%v: auto did not compile a cluster plan", island)
 		}
-		if prog.sparse.empty == island {
-			t.Fatalf("island=%v: partition empty=%v", island, prog.sparse.empty)
+		if held := prog.sparse.heldConns; (held == 2) != island || (held == 0) == island {
+			t.Fatalf("island=%v: plan holds %d conns", island, held)
 		}
 		sim, err := prog.NewSim()
 		if err != nil {
@@ -274,9 +320,12 @@ func TestEmptyPartitionNotWalked(t *testing.T) {
 		if err := sim.Run(cycles); err != nil {
 			t.Fatal(err)
 		}
-		// Cycle 0 counts every instance, steady cycles the active region —
-		// whichever step ran.
-		want := uint64(len(sim.instances) + (cycles-1)*prog.sparse.activeInsts)
+		if sim.act.nClosed != 0 {
+			t.Fatalf("island=%v: %d clusters closed although data is offered every cycle", island, sim.act.nClosed)
+		}
+		// Cycle 0 counts every instance, steady cycles the seed and the
+		// probe of the open cluster.
+		want := uint64(len(sim.instances) + (cycles-1)*2)
 		if got := sim.Metrics().ActiveInstances(); got != want {
 			t.Fatalf("island=%v: active_insts = %d, want %d", island, got, want)
 		}

@@ -2,9 +2,9 @@ package core
 
 // prune.go is the optimizer built on the dataflow analysis (flow.go):
 // WithDataflowPrune deletes provably-dead connections and instances from
-// the sparse scheduler's activity partition (and from the woven
-// scheduler's kernel plan) at compile time, so sessions never reset,
-// re-resolve or wake them again.
+// the sparse scheduler's cluster plan (one held cluster that is never
+// evaluated) and from the woven scheduler's kernel plan at compile time,
+// so sessions never reset, re-resolve or wake them again.
 //
 // Soundness (DESIGN.md Appendix G). A connection is prunable only when
 // the analysis proves all three of its signals resolve No on every cycle
@@ -17,8 +17,8 @@ package core
 //     identical No/No/No resolution its handlers would have produced; any
 //     handler that does still run and re-raises onto it raises the same
 //     status, a no-op by the resolve contract.
-//   - On gated cycles the connection simply replays that settled
-//     resolution, exactly like the gated region it now joins.
+//   - On steady cycles the connection simply replays that settled
+//     resolution, exactly like a cluster no start handler can reach.
 //
 // An instance is prunable when it has at least one connection and every
 // connection on its own ports is pruned: all signals it could drive are
@@ -29,8 +29,8 @@ package core
 // any surviving signal, which is what the bit-identity differential test
 // checks.
 
-// WithDataflowPrune enables compile-time dataflow pruning: after the
-// activity partition is built, the whole-program dataflow analysis
+// WithDataflowPrune enables compile-time dataflow pruning: before the
+// cluster plan is built, the whole-program dataflow analysis
 // (AnalyzeFlow) runs over the netlist and every connection it proves
 // dead — data, enable and ack all resolve No on every cycle, by default
 // control alone — is deleted from the per-cycle schedule, along with
@@ -39,7 +39,7 @@ package core
 // counts.
 //
 // Requires the sparse (default) or woven scheduler: pruning works by moving
-// provably-dead structure into the replayed gated region. Caveats: a
+// provably-dead structure into a held cluster that is never evaluated. Caveats: a
 // pruned instance's statistics freeze and its handlers never run, and the
 // analysis trusts construction parameters — mutating a module mid-run in
 // a way that would revive a pruned region (e.g. Source.SetRate on a
@@ -114,48 +114,4 @@ func pruneEligible(c *Conn, f ConnFacts) bool {
 	return f.Dead() &&
 		defaultEnableFact(c, f.Data) == f.Enable &&
 		defaultAckFact(c, f.Data, f.Enable) == f.Ack
-}
-
-// applyPrune rewrites the freshly built (not yet shared) activity
-// partition in place: pruned connections and instances leave the active
-// region, and the schedule restrictions are recut against the survivors.
-func applyPrune(sp *progSparse, sc *progSchedule, instances []Instance, conns []*Conn, pr *progPrune) {
-	keep := make([]bool, len(conns))
-	for id := range keep {
-		keep[id] = sp.connActive[id] && !pr.conns[id]
-	}
-	sp.connActive = keep
-	sp.dirty = nil
-	for id := range conns {
-		if keep[id] {
-			sp.dirty = append(sp.dirty, int32(id))
-		}
-	}
-	sp.reactWake = nil
-	sp.activeInsts, sp.gatedReacts, sp.alwaysActive = 0, 0, 0
-	for _, inst := range instances {
-		b := inst.base()
-		if _, isComposite := inst.(*Composite); isComposite {
-			continue
-		}
-		seed := b.start != nil || b.autonomous ||
-			(b.react != nil && connectedInputs(b) == 0)
-		if pr.insts[b.id] {
-			sp.active[b.id] = false
-		} else if seed {
-			sp.alwaysActive++
-		}
-		if sp.active[b.id] {
-			sp.activeInsts++
-			if b.react != nil {
-				sp.reactWake = append(sp.reactWake, int32(b.id))
-			}
-		} else if b.react != nil {
-			sp.gatedReacts++
-		}
-	}
-	sp.fwdLevels = filterLevels(sc.fwdLevels, keep)
-	sp.ackLevels = filterLevels(sc.ackLevels, keep)
-	sp.fwdResidue = filterConns(sc.fwdResidue, keep)
-	sp.ackResidue = filterConns(sc.ackResidue, keep)
 }

@@ -54,12 +54,32 @@ type ScheduleInfo struct {
 	// set WriteDot renders as dangling stub edges and the LSE001
 	// diagnostic reports, so all three views agree.
 	UnconnectedPorts []string
-	// ActiveInsts/GatedInsts split the instances by the sparse
-	// scheduler's build-time activity partition (both zero under other
-	// schedulers); AlwaysActive of the active ones are closure seeds.
-	// ActiveConns/GatedConns split the connections the same way: gated
-	// connections replay their settled resolution instead of being reset
-	// and re-resolved each cycle.
+	// Clusters counts the sparse scheduler's combinational clusters (all
+	// of these fields are zero under other schedulers): ClusterSizes has
+	// each one's conn count, in order of the clusters' lowest conn, and
+	// the largest spans LargestCluster conns. ClosableClusters of them are
+	// decided cycle by cycle from what the start handlers drove;
+	// AutonomousClusters and NoInputClusters never close, because a member
+	// is MarkAutonomous or is reactive with no connected input.
+	// GlueInstances names the unmarked multi-port instances with a
+	// cycle-start handler that hold the largest cluster together — the
+	// templates to read for MarkSequential next. TracerOpen reports that a
+	// tracer is attached to this session, which keeps every cluster open
+	// so traces are complete.
+	Clusters           int
+	ClusterSizes       []int
+	LargestCluster     int
+	ClosableClusters   int
+	AutonomousClusters int
+	NoInputClusters    int
+	GlueInstances      []string
+	TracerOpen         bool
+	// GatedConns sit in a cluster no cycle-start handler can reach: closed
+	// after every full sweep, never re-resolved; ActiveConns are the rest.
+	// GatedInsts/ActiveInsts split the instances the same way (an instance
+	// is active when it is a seed or reacts in a cluster that can open);
+	// AlwaysActive of the active ones are seeds: a cycle-start handler,
+	// MarkAutonomous, or a reactive handler with no connected input.
 	ActiveInsts  int
 	GatedInsts   int
 	AlwaysActive int
@@ -88,16 +108,6 @@ type ScheduleInfo struct {
 	WovenConns    int
 	CtrlKernels   int
 	FallbackConns int
-}
-
-// fillActivity copies the sparse activity partition's shape into the
-// schedule introspection info.
-func (si *ScheduleInfo) fillActivity(sp *progSparse) {
-	si.ActiveInsts = sp.activeInsts
-	si.GatedInsts = len(sp.active) - sp.activeInsts - si.PrunedInsts
-	si.AlwaysActive = sp.alwaysActive
-	si.ActiveConns = len(sp.dirty)
-	si.GatedConns = len(sp.connActive) - len(sp.dirty) - si.PrunedConns
 }
 
 // fillWeave copies the woven plan's shape into the schedule
@@ -138,6 +148,7 @@ func (s *Sim) Schedule() *ScheduleInfo {
 		return nil
 	}
 	info := s.schedule.info
+	info.TracerOpen = s.sparse != nil && s.tracer != nil
 	return &info
 }
 
@@ -263,9 +274,12 @@ func compactLevels(levels [][]int32) [][]int32 {
 	return out
 }
 
-// applyDefaultsLevelized is the levelized scheduler's default-control
-// phase: per round (data, enable, ack), first the static sweep, then the
-// residue worklist. Replaces the sequential re-scanning fixed point.
+// applyDefaultsLevelized is the statically scheduled engines'
+// default-control phase: per round (data, enable, ack), first the static
+// sweep, then the residue worklist. Both skip cells that are resolved
+// already — by handlers, or because a closed cluster or the woven region
+// holds them — so every engine walks the one schedule. Replaces the
+// sequential re-scanning fixed point.
 func (s *Sim) applyDefaultsLevelized() {
 	sc := s.schedule
 	s.sweep(SigData, sc.fwdLevels)

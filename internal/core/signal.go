@@ -9,8 +9,8 @@ import "fmt"
 //
 //   - Resetting a cycle is a bulk memclr per lane (Unknown is the zero
 //     status by construction), not a pointer chase over every Conn.
-//   - The sparse scheduler resets only the active region's lanes and the
-//     gated remainder keeps — "replays" — its settled resolution.
+//   - The sparse scheduler resets only the open clusters' cells; a closed
+//     cluster's cells keep — "replay" — its idle signature.
 //   - The spill data lane can be released eagerly at commit so
 //     transferred values are not pinned for an extra cycle.
 //
@@ -31,27 +31,24 @@ import "fmt"
 // readable.
 type sigPlane struct {
 	lanes  [3][]uint32 // indexed by SigKind, then conn id
+	cells  []uint32    // the three lanes as one slab: cell = kind*nConns + conn id
 	data   []any       // spill lane: valid where the data lane holds Yes
 	scalar []uint64    // fast lane for PayloadUint64 connections
 }
 
 func newSigPlane(nConns int) sigPlane {
-	var p sigPlane
+	p := sigPlane{cells: make([]uint32, 3*nConns)}
 	for k := range p.lanes {
-		p.lanes[k] = make([]uint32, nConns)
+		p.lanes[k] = p.cells[k*nConns : (k+1)*nConns : (k+1)*nConns]
 	}
 	p.data = make([]any, nConns)
 	p.scalar = make([]uint64, nConns)
 	return p
 }
 
-// clearStatus resets every status lane to Unknown (the zero value), one
-// memclr per lane.
-func (p *sigPlane) clearStatus() {
-	for k := range p.lanes {
-		clear(p.lanes[k])
-	}
-}
+// clearStatus resets every status cell to Unknown (the zero value): one
+// memclr.
+func (p *sigPlane) clearStatus() { clear(p.cells) }
 
 // setStatus stores a status cell outside the raise protocol — resets,
 // woven kernels, Restore.
@@ -59,28 +56,18 @@ func (s *Sim) setStatus(k SigKind, id int32, st Status) {
 	s.plane.lanes[k][id] = uint32(st)
 }
 
-// clearConn resets one connection's three status cells and spill value —
-// the sparse scheduler's per-connection reset for the active region. The
-// scalar lane is left as is: a stale scalar pins nothing and is
-// unreadable until the next data-Yes store overwrites it.
-func (s *Sim) clearConn(id int32) {
-	s.setStatus(SigData, id, Unknown)
-	s.setStatus(SigEnable, id, Unknown)
-	s.setStatus(SigAck, id, Unknown)
-	s.plane.data[id] = nil
-}
-
 // Conn is one connection between an output port and an input port. It
 // carries the three contract signals, whose state lives in the owning
 // simulator's signal plane. Conn values are created by the Builder;
 // module code observes and drives them through Port methods.
 type Conn struct {
-	id     int
-	src    *Port // output side
-	dst    *Port // input side
-	srcIdx int   // index of this connection on src
-	dstIdx int   // index of this connection on dst
-	scalar bool  // data values live in the uint64 fast lane (set at Build)
+	id      int
+	src     *Port // output side
+	dst     *Port // input side
+	srcIdx  int   // index of this connection on src
+	dstIdx  int   // index of this connection on dst
+	scalar  bool  // data values live in the uint64 fast lane (set at Build)
+	cluster int32 // combinational cluster under the sparse scheduler (set at Build)
 
 	sim *Sim
 	pos Pos // spec position of the connect statement, if known
@@ -216,14 +203,28 @@ func (c *Conn) raiseData(v any) bool {
 					"(send a uint64, or declare PayloadAny on the sink to keep the boxed lane)", v))
 		}
 		pl.scalar[c.id] = u
-		return c.resolve(SigData, Yes)
+		return c.offer()
 	}
 	pl.data[c.id] = v
-	if c.resolve(SigData, Yes) {
+	if c.offer() {
 		c.sim.spillHits.Add(1)
 		return true
 	}
 	return false
+}
+
+// offer resolves the data signal to Yes, telling the sparse scheduler
+// that the connection's cluster carries data this cycle — the one
+// per-offer cost of activity gating, which is why a busy cluster needs no
+// scan to be known busy.
+func (c *Conn) offer() bool {
+	if !c.resolve(SigData, Yes) {
+		return false
+	}
+	if a := c.sim.act; a != nil {
+		a.offered[c.cluster] = c.sim.stamp()
+	}
+	return true
 }
 
 // raiseUint64 resolves the data signal to Yes carrying scalar v. On a
@@ -235,10 +236,10 @@ func (c *Conn) raiseUint64(v uint64) bool {
 	pl := &c.sim.plane
 	if c.scalar {
 		pl.scalar[c.id] = v
-		return c.resolve(SigData, Yes)
+		return c.offer()
 	}
 	pl.data[c.id] = v
-	if c.resolve(SigData, Yes) {
+	if c.offer() {
 		c.sim.spillHits.Add(1)
 		return true
 	}

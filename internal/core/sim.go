@@ -38,15 +38,17 @@ type Sim struct {
 	stats     *StatSet
 	metrics   *Metrics      // nil unless built with WithMetrics
 	schedule  *progSchedule // shared: nil unless a statically scheduled engine is selected
-	sparse    *progSparse   // shared: nil unless the sparse scheduler is selected
+	sparse    *progSparse   // shared cluster plan: nil unless the sparse scheduler is selected
+	act       *actState     // sparse: idle signatures and per-cycle decisions; nil until the first steady cycle
+	actCheck  bool          // WithActivityCheck: evaluate and compare instead of closing
 	weave     *progWeave    // shared: nil unless the woven scheduler is selected
 	pruned    []bool        // shared: instance id -> handlers never run (WithDataflowPrune); nil otherwise
 
 	// needFull requests a full sweep from the next Step (cycle 0, after
 	// InvalidateActivity, a Step error or a Restore) under the engines
 	// that replay settled resolutions on steady cycles (sparse and
-	// woven). Session state — the compiled activity partition and woven
-	// plan themselves are shared and never written.
+	// woven). Session state — the compiled cluster plan and woven plan
+	// themselves are shared and never written.
 	needFull bool
 
 	// Levelized residue-worklist scratch, per session (the id lists it
@@ -77,10 +79,10 @@ type Sim struct {
 	// loads it while the session steps.
 	spillHits atomic.Uint64
 
-	// resolved counts this cycle's resolutions per signal kind (woven
-	// steady cycles add the replayed region's in bulk): resolved[k] ==
-	// len(conns) proves kind k is fully resolved and the default sweep
-	// for it can be skipped. Reset each Step.
+	// resolved counts this cycle's resolutions per signal kind (closed
+	// clusters and the woven replayed region are credited in bulk):
+	// resolved[k] == len(conns) proves kind k is fully resolved and the
+	// default sweep for it can be skipped. Reset each Step.
 	resolved [3]int
 
 	queue []*Base // work queue (FIFO by wake order)
@@ -222,15 +224,9 @@ func (s *Sim) runReact(b *Base) {
 // killed at the head. A genuine dependency cycle is broken at the
 // lowest-id unresolved connection.
 func (s *Sim) applyDefaults(full bool) {
-	if !full {
-		if s.sparse != nil {
-			s.applyDefaultsSparse()
-			return
-		}
-		if s.weave != nil {
-			s.applyDefaultsWoven()
-			return
-		}
+	if !full && s.weave != nil {
+		s.applyDefaultsWoven()
+		return
 	}
 	if s.schedule != nil {
 		s.applyDefaultsLevelized()
@@ -352,22 +348,8 @@ func (s *Sim) applyDefault(c *Conn, k SigKind) {
 	}
 }
 
-func (s *Sim) verifyResolved(conns []*Conn) {
-	for _, c := range conns {
-		for _, k := range [...]SigKind{SigData, SigEnable, SigAck} {
-			if c.status(k) == Unknown {
-				contractPanic("resolve", c.String(),
-					fmt.Sprintf("%s signal unresolved after default rounds", k))
-			}
-		}
-	}
-}
-
-// verifyResolvedIDs is verifyResolved over the program's shared id lists
-// (the sparse scheduler's active region).
-func (s *Sim) verifyResolvedIDs(ids []int32) {
-	for _, id := range ids {
-		c := s.conns[id]
+func (s *Sim) verifyResolved() {
+	for _, c := range s.conns {
 		for _, k := range [...]SigKind{SigData, SigEnable, SigAck} {
 			if c.status(k) == Unknown {
 				contractPanic("resolve", c.String(),
@@ -405,25 +387,13 @@ func (s *Sim) Step() (err error) {
 			err = ce
 		}
 	}()
-	// The sparse scheduler gates the cycle to the active region, and the
-	// woven scheduler replays its compiled region, except on full sweeps
-	// (cycle 0, after InvalidateActivity, an error or a Restore), which
-	// re-establish the replayed region's settled resolution. An activity
-	// partition that gates nothing is kept for reporting but not walked:
-	// every cycle is then a levelized full sweep.
+	// Three cycles: the full sweep (the engines that replay nothing; cycle
+	// 0, after InvalidateActivity, an error or a Restore under the ones
+	// that do), the clustered sparse cycle, and the woven cycle. A tracer
+	// keeps every cluster open — so it sees every resolution — which is
+	// the full sweep again.
 	sp, wv := s.sparse, s.weave
-	if m := s.metrics; m != nil && sp != nil {
-		if s.needFull {
-			m.activeInsts.Add(uint64(len(s.instances)))
-		} else {
-			m.activeInsts.Add(uint64(sp.activeInsts))
-			m.skippedWakes.Add(uint64(sp.gatedReacts))
-		}
-	}
-	if sp != nil && sp.empty {
-		sp = nil
-	}
-	full := (sp == nil && wv == nil) || s.needFull
+	full := (sp == nil && wv == nil) || s.needFull || (sp != nil && s.tracer != nil)
 	s.needFull = false
 	if s.tracer != nil {
 		s.tracer.OnCycleBegin(s.cycle)
@@ -431,20 +401,25 @@ func (s *Sim) Step() (err error) {
 	// Data-value reads are live again from here until commit.
 	s.released = false
 	s.resolved = [3]int{}
-	if full {
-		// Bulk reset: each status lane is one memclr (Unknown is the zero
-		// status). The data lane was already released at the previous
-		// commit — except when a replaying engine's full sweep invalidates
-		// settled values, which must go with their statuses.
+	switch {
+	case full:
+		// Bulk reset: one memclr (Unknown is the zero status). The data
+		// lane was already released at the previous commit — except the
+		// woven replayed region's settled values, which go with their
+		// statuses.
 		s.plane.clearStatus()
-		if sp != nil || wv != nil {
+		if wv != nil {
 			clear(s.plane.data)
 		}
-	} else if sp != nil {
-		for _, id := range sp.dirty {
-			s.clearConn(id)
+		if sp != nil {
+			s.dropSignatures()
+			if m := s.metrics; m != nil {
+				m.activeInsts.Add(uint64(len(s.instances)))
+			}
 		}
-	} else {
+	case sp != nil:
+		s.resetOpen()
+	default:
 		s.clearWovenDirty()
 	}
 	s.setPhase(phaseStart)
@@ -476,32 +451,17 @@ func (s *Sim) Step() (err error) {
 			s.wake(b)
 		}
 	default:
-		for _, id := range sp.reactWake {
-			s.wake(s.bases[id])
-		}
+		s.wakeOpen()
 	}
 	s.drain()
 	s.applyDefaults(full)
-	switch {
-	case full:
-		// The resolution counters prove full resolution without a scan.
-		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(s.conns) {
-			s.verifyResolved(s.conns)
-		}
-	case sp != nil:
-		// Sparse steady cycle: only the active region was reset, so only
-		// its resolutions were counted.
-		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(sp.dirty) {
-			s.verifyResolvedIDs(sp.dirty)
-		}
-	default:
-		// Woven steady cycle: the replayed region is resolved by
-		// construction; the counters (bulk replay accounting plus the
-		// fallback region's resolutions) prove the rest without a scan
-		// in the common case.
-		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(s.conns) {
-			s.verifyResolvedIDs(wv.dirty)
-		}
+	// The resolution counters — closed clusters and the woven replayed
+	// region credited in bulk — prove full resolution without a scan.
+	if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(s.conns) {
+		s.verifyResolved()
+	}
+	if sp != nil && !full {
+		s.settleClusters()
 	}
 	s.setPhase(phaseEnd)
 	if s.tracer != nil {
@@ -520,22 +480,18 @@ func (s *Sim) Step() (err error) {
 	}
 	s.setPhase(phaseIdle)
 	// Commit: release transferred data values now instead of pinning them
-	// until the next cycle's reset. The sparse gated region and the woven
-	// compiled region keep their values — they are the replayed
-	// resolution. The released flag makes both lanes read as "not driven"
-	// until the next Step, so the kept values (and stale scalars, which
-	// are never cleared) stay unobservable between cycles.
+	// until the next cycle's reset. A closed cluster carries no value by
+	// construction; only the woven compiled region keeps its values — they
+	// are the replayed resolution. The released flag makes both lanes read
+	// as "not driven" until the next Step, so the kept values (and stale
+	// scalars, which are never cleared) stay unobservable between cycles.
 	s.released = true
 	switch {
-	case sp == nil && wv == nil:
+	case wv == nil:
 		clear(s.plane.data)
 	case full:
-		// Full replaying cycles release nothing: the whole plane is the
-		// next cycle's replay baseline, hidden by the released flag.
-	case sp != nil:
-		for _, id := range sp.dirty {
-			s.plane.data[id] = nil
-		}
+		// A full woven cycle releases nothing: the whole plane is the next
+		// cycle's replay baseline, hidden by the released flag.
 	default:
 		for _, id := range wv.spill {
 			s.plane.data[id] = nil

@@ -20,8 +20,8 @@ import (
 // The boxed spill lane is deliberately not serialized: boxed values are
 // arbitrary Go data. Restore instead forces the next Step to run a full
 // sweep (the sparse scheduler's cycle-0 behavior), which re-derives every
-// gated region's settled resolution from the restored instance state —
-// bit-identical to the gated replay, since a full sweep and a gated
+// held cluster's settled resolution from the restored instance state —
+// bit-identical to the replay, since a full sweep and a replayed
 // cycle resolve the same values by construction.
 //
 // RNG determinism: each instance's rand stream is a counted source

@@ -1,149 +1,326 @@
 package core
 
-// sparse.go is the activity-gated sparse scheduler. It layers an activity
-// partition on top of the levelized static schedule (schedule.go): at
-// compile time the netlist is split into an *active region* — instances
-// that can observe or produce new signal values in some cycle — and a
-// *gated region* whose inputs provably never change, computed as the
-// conservative closure below. Per cycle, only the active region's
-// connections are reset and re-resolved; the gated region keeps the
-// resolution it settled to on the last full sweep, which the plane
-// "replays" by simply not clearing those lanes. Gated reactive instances
-// are not woken at all: with bit-identical inputs a conforming reactive
-// handler re-derives bit-identical drives, so skipping the invocation
-// cannot change any signal (its re-raises would be same-status no-ops).
-//
-// Activity closure. Seed instances are the ones whose behavior can vary
-// cycle to cycle without any input change:
-//
-//   - instances with an OnCycleStart handler (per-cycle autonomy:
-//     sources, queues offering buffered entries, timers);
-//   - instances marked autonomous (Base.MarkAutonomous) — reactive
-//     handlers that read Now() or Rand();
-//   - reactive instances with no connected input (diagnostic LSE007):
-//     no input can ever change, so gating would silence them forever;
-//     the only safe treatment is always-active.
-//
-// The closure then cascades: every connection touching an active
-// instance is active (its signals are reset and re-resolved each cycle),
-// and every reactive instance adjacent to an active connection is
-// activated in turn, transitively. The fixed point leaves gated only
-// instances unreachable from any seed through reactive adjacency — their
-// inputs are driven exclusively by other gated instances (whose drives
-// replay) or resolve by default control (a pure function of the conn's
-// own earlier-round signals), so they are bit-identical every cycle.
-//
-// Soundness invariant (DESIGN.md Appendix C): a reactive handler's
-// drives must be a function of its observed signals and construction
-// config alone — in particular, in the absence of offered data its
-// behavior must not depend on Now(), Rand() or state mutated elsewhere.
-// Handlers that violate this must run under OnCycleStart or declare
-// MarkAutonomous. Gated regions never carry offered data (data
-// originates from seed instances, and the cascade keeps every reactive
-// instance within reach of a seed active), so only the idle behavior of
-// a handler is ever replayed.
-//
-// The partition is compiled once and shared read-only across sessions;
-// the full-sweep flag is per-session (Sim.needFull). Sim.InvalidateActivity
-// forces a full sweep for harnesses that mutate module state between
-// cycles, and the scheduler falls back to a full sweep automatically on
-// cycle 0 (to establish the gated region's settled values), after any
-// Step error, and after Program.Restore.
+import "fmt"
 
-// progSparse is the compiled activity partition, shared read-only across
-// every session of a Program. Connection references are ids into the
-// session's conns slice; reactWake holds instance ids.
+// sparse.go is the activity-gated scheduler (SchedulerSparse, what Auto
+// resolves to): the levelized engine, run each cycle over only the part
+// of the netlist something was offered to. DESIGN.md Appendix C.2–C.3 is
+// the long form. At compile time the connections are cut into
+// combinational clusters — connected components after cutting every
+// MarkSequential instance — inside which all same-cycle influence stays.
+// At run time a cluster that resolves with no data offered records its
+// idle signature; on later cycles, after all start handlers have run and
+// before any reactive handler does, a cluster whose frontier reads as in
+// its signature closes: its cells hold the signature, its members are
+// not woken, its resolutions are credited in bulk. Everything else
+// resolves through the ordinary levelized sweep. Soundness rests on one
+// invariant: with no data offered, a reactive handler's drives are a
+// function of the signals it observes (MarkAutonomous declares the
+// exceptions; WithActivityCheck finds the undeclared ones).
+
+// clusterKind says how the steady cycle treats a cluster.
+type clusterKind uint8
+
+const (
+	clusterDynamic    clusterKind = iota // decided each cycle from its frontier
+	clusterStatic                        // no start handler reaches it: held after every full sweep
+	clusterPruned                        // WithDataflowPrune's dead connections: held, never evaluated
+	clusterAutonomous                    // never closes: a member is MarkAutonomous
+	clusterNoInput                       // never closes: a reactive member has no connected input (LSE007)
+)
+
+// held reports whether a steady cycle leaves the cluster's cells alone.
+func (k clusterKind) held() bool { return k == clusterStatic || k == clusterPruned }
+
+// progSparse is the compiled cluster plan, shared read-only by every
+// session of a Program. Per-cluster lists are cut from one slab each:
+// cluster c owns slab[off[c]:off[c+1]].
 type progSparse struct {
-	active     []bool  // instance id -> in the active region
-	connActive []bool  // conn id -> reset and re-resolved each cycle
-	dirty      []int32 // active conns, ascending id
-	reactWake  []int32 // active reactive instances, ascending id
+	clusterOf []int32       // conn id -> cluster; clusters are numbered by their lowest conn
+	kind      []clusterKind // cluster -> treatment
+	// cells holds plane cell indices (kind*nConns + conn id): a cluster's
+	// frontier cells — all three signals of every conn adjacent to an
+	// instance with a cycle-start handler, which may drive its own and read
+	// any of them — then its interior cells, each run ascending by conn id.
+	cellOff  []int32
+	frontEnd []int32 // cells[cellOff[c]:frontEnd[c]] is the frontier
+	cells    []int32
+	memOff   []int32
+	members  []int32 // reactive instances with a port in the cluster, ascending id
 
-	// Active-region restrictions of the static schedule's sweep.
-	fwdLevels  [][]int32
-	ackLevels  [][]int32
-	fwdResidue []int32
-	ackResidue []int32
-
-	// empty: every connection is active, after pruning. No reactive
-	// instance is gated then either (a gated one has a gated input, or it
-	// would be a seed or have cascaded), so there is nothing to replay:
-	// sessions keep the partition for reporting but run the levelized
-	// step (bulk reset, no per-conn dirty loops) instead of walking it.
-	empty bool
-
-	activeInsts  int // instances in the active region
-	gatedReacts  int // reactive instances never woken (skipped wakes/cycle)
-	alwaysActive int // seed instances
+	dynamic    []int32 // clusterDynamic ids, ascending: the per-cycle decision list
+	reactive   []int32 // every unpruned reactive instance, ascending id: the wake roster
+	quietSeeds int     // instances with a start handler and no reactive one: active, never woken
+	heldConns  int     // conns of static and pruned clusters: credited, not resolved, on steady cycles
 }
 
-// buildSparse computes the activity partition over a netlist whose full
-// levelized schedule has already been compiled.
-func buildSparse(instances []Instance, conns []*Conn, sc *progSchedule) *progSparse {
-	sp := &progSparse{
-		active:     make([]bool, len(instances)),
-		connActive: make([]bool, len(conns)),
+const (
+	actSigned uint8 = 1 << iota // the cluster has an idle signature
+	actClosed                   // closed this cycle: its cells hold the signature
+)
+
+// actState is a session's activity state: the signatures and this cycle's
+// decisions. It is derived — a full sweep drops it, snapshots omit it.
+type actState struct {
+	flags   []uint8    // cluster -> act* bits
+	offered []uint64   // cluster -> stamp of the last cycle a data signal resolved Yes in it
+	open    []uint64   // instance id -> stamp of the last cycle one of its clusters was open
+	credit  [][3]int32 // cluster -> resolutions per kind a close credits (the start phase counted its own)
+	pending []int32    // clusters to sign (in check mode: or compare) when this cycle has resolved
+	// Running totals over the closed clusters: how many, their conns, and
+	// their interior cells — what the next reset must step around.
+	nClosed, closedConns, kept int
+	// Allocated by the first signature, indexed like progSparse.cells.
+	sig   []uint8 // the cell's status in its cluster's idle signature
+	start []uint8 // what the start phase had left in the cell (frontier positions only)
+}
+
+// WithActivityCheck makes the sparse scheduler evaluate every cluster it
+// would have closed and compare the result, cell by cell, with the
+// cluster's idle signature; a difference ends the Step with a
+// *ContractError naming the cycle, the connection and signal, and the
+// instance that drives it. It is the instrument a template author signs
+// MarkSequential (or omits MarkAutonomous) against, and what the
+// differential tests run under. Nothing is skipped in this mode.
+func WithActivityCheck() BuildOption {
+	return func(b *Builder) { b.actCheck = true }
+}
+
+// buildSparse compiles the cluster plan in counted passes over a constant
+// number of slabs. pr is the dataflow-prune result or nil: pruned conns
+// form one held cluster and cut whatever they touched.
+func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *ScheduleInfo) *progSparse {
+	n, ni := len(conns), len(instances)
+	dead := func(c *Conn) bool { return pr != nil && pr.conns[c.id] }
+	// Composites own no conns (exports alias child ports); a pruned
+	// instance's handlers never run.
+	skip := func(b *Base) bool {
+		_, composite := b.self.(*Composite)
+		return composite || (pr != nil && pr.insts[b.id])
 	}
-	// Seed the closure.
-	var queue []*Base
+
+	// Union-find over conn ids, lowest id as root: the conns of a port are
+	// one set, the ports of an unmarked instance are one set, the pruned
+	// conns are one set.
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int32) {
+		if ra, rb := find(a), find(b); ra != rb {
+			parent[max(ra, rb)] = min(ra, rb)
+		}
+	}
+	firstDead := int32(-1)
+	for _, c := range conns {
+		if dead(c) {
+			if firstDead < 0 {
+				firstDead = int32(c.id)
+			}
+			union(firstDead, int32(c.id))
+		}
+	}
 	for _, inst := range instances {
 		b := inst.base()
-		if _, isComposite := inst.(*Composite); isComposite {
-			continue // exports alias child ports; children seed themselves
+		if skip(b) {
+			continue
 		}
-		seed := b.start != nil || b.autonomous ||
-			(b.react != nil && connectedInputs(b) == 0)
-		if seed {
-			sp.alwaysActive++
-			sp.active[b.id] = true
-			queue = append(queue, b)
-		}
-	}
-	// Cascade: active instance -> its conns are active -> reactive
-	// neighbors are active.
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
+		glue := int32(-1)
 		for _, p := range b.portList {
-			if p.owner != b {
-				continue
-			}
+			first := int32(-1)
 			for _, c := range p.conns {
-				if sp.connActive[c.id] {
+				if p.owner != b || dead(c) {
 					continue
 				}
-				sp.connActive[c.id] = true
-				for _, nb := range []*Base{c.src.owner, c.dst.owner} {
-					if nb.react != nil && !sp.active[nb.id] {
-						sp.active[nb.id] = true
-						queue = append(queue, nb)
-					}
+				if first < 0 {
+					first = int32(c.id)
+				}
+				union(first, int32(c.id))
+			}
+			if first >= 0 && !b.sequential {
+				if glue < 0 {
+					glue = first
+				}
+				union(glue, first)
+			}
+		}
+	}
+
+	// Number the clusters by their lowest conn (a root precedes its set).
+	sp := &progSparse{clusterOf: make([]int32, n)}
+	nc := 0
+	for id := range parent {
+		if r := find(int32(id)); r == int32(id) {
+			sp.clusterOf[id] = int32(nc)
+			nc++
+		} else {
+			sp.clusterOf[id] = sp.clusterOf[r]
+		}
+	}
+	tab := make([]int32, 5*nc+2) // one slab for the per-cluster tables
+	cut := func(k int) []int32 {
+		out := tab[:k:k]
+		tab = tab[k:]
+		return out
+	}
+	sp.cellOff, sp.memOff, sp.frontEnd = cut(nc+1), cut(nc+1), cut(nc)
+	cur, seen := cut(nc), cut(nc) // fill cursors; the instance that last visited a cluster
+	sp.kind = make([]clusterKind, nc)
+	front := make([]bool, n)
+
+	// Cells: a cluster's frontier conns first, then its interior, each run
+	// ascending by conn id.
+	starts := func(b *Base) bool { return b.start != nil && !skip(b) }
+	for _, c := range conns {
+		front[c.id] = !dead(c) && (starts(c.src.owner) || starts(c.dst.owner))
+		sp.cellOff[sp.clusterOf[c.id]+1] += 3
+		if front[c.id] {
+			sp.frontEnd[sp.clusterOf[c.id]] += 3
+		}
+	}
+	for cl := 0; cl < nc; cl++ {
+		sp.cellOff[cl+1] += sp.cellOff[cl]
+		sp.frontEnd[cl] += sp.cellOff[cl]
+		cur[cl], seen[cl] = sp.cellOff[cl], sp.frontEnd[cl] // frontier and interior cursors
+	}
+	sp.cells = make([]int32, 3*n)
+	for id := 0; id < n; id++ {
+		at := &seen[sp.clusterOf[id]]
+		if front[id] {
+			at = &cur[sp.clusterOf[id]]
+		}
+		for k := 0; k < 3; k++ {
+			sp.cells[*at] = int32(k*n + id)
+			*at++
+		}
+	}
+
+	// eachCluster visits the distinct clusters b's own ports touch; mark
+	// tells this visit from every other instance's and pass's.
+	clear(seen)
+	eachCluster := func(b *Base, mark int32, fn func(cl int32)) {
+		for _, p := range b.portList {
+			for _, c := range p.conns {
+				if p.owner != b || dead(c) {
+					continue
+				}
+				if cl := sp.clusterOf[c.id]; seen[cl] != mark {
+					seen[cl] = mark
+					fn(cl)
+				}
+				break // a port's conns are one cluster
+			}
+		}
+	}
+	// Pass 1: seeds, member counts, and the clusters that never close.
+	nReact := 0
+	for i, inst := range instances {
+		b := inst.base()
+		if skip(b) {
+			continue
+		}
+		noInput := b.react != nil && connectedInputs(b) == 0
+		if b.start != nil || b.autonomous || noInput {
+			info.AlwaysActive++
+		}
+		if b.react == nil {
+			if b.start != nil {
+				sp.quietSeeds++
+			}
+			continue
+		}
+		nReact++
+		eachCluster(b, int32(i+1), func(cl int32) {
+			sp.memOff[cl+1]++
+			if b.autonomous {
+				sp.kind[cl] = clusterAutonomous
+			} else if noInput && sp.kind[cl] == clusterDynamic {
+				sp.kind[cl] = clusterNoInput
+			}
+		})
+	}
+	if firstDead >= 0 {
+		sp.kind[sp.clusterOf[firstDead]] = clusterPruned
+	}
+	lists := make([]int32, 0, nc+nReact+int(sp.cellOff[nc])/3)
+	largest := int32(-1)
+	info.ClusterSizes = make([]int, 0, nc)
+	for cl := int32(0); int(cl) < nc; cl++ {
+		sp.memOff[cl+1] += sp.memOff[cl]
+		cur[cl] = sp.memOff[cl]
+		size := int(sp.cellOff[cl+1]-sp.cellOff[cl]) / 3
+		if sp.kind[cl] == clusterDynamic && sp.frontEnd[cl] == sp.cellOff[cl] {
+			sp.kind[cl] = clusterStatic
+		}
+		switch sp.kind[cl] {
+		case clusterPruned:
+			sp.heldConns += size
+			continue // reported as pruned structure, not as a cluster
+		case clusterStatic:
+			sp.heldConns += size
+			info.GatedConns += size
+		case clusterDynamic:
+			lists = append(lists, cl)
+			info.ClosableClusters++
+		case clusterAutonomous:
+			info.AutonomousClusters++
+		case clusterNoInput:
+			info.NoInputClusters++
+		}
+		info.Clusters++
+		info.ClusterSizes = append(info.ClusterSizes, size)
+		if size > info.LargestCluster {
+			info.LargestCluster, largest = size, cl
+		}
+	}
+	sp.dynamic = lists[:len(lists):len(lists)]
+	sp.members = lists[len(lists) : len(lists)+int(sp.memOff[nc]) : len(lists)+int(sp.memOff[nc])]
+	sp.reactive = lists[len(lists)+len(sp.members) : len(lists)+len(sp.members)]
+	info.ActiveConns = n - sp.heldConns
+	// Pass 2: members, the wake roster, who is active at all, and which
+	// unmarked start-bearing multi-port instances glue the largest cluster.
+	for i, inst := range instances {
+		b := inst.base()
+		if skip(b) {
+			continue
+		}
+		active := b.start != nil || b.autonomous || (b.react != nil && connectedInputs(b) == 0)
+		glues := false
+		eachCluster(b, -int32(i+1), func(cl int32) {
+			glues = glues || cl == largest
+			if b.react == nil {
+				return
+			}
+			sp.members[cur[cl]] = int32(i)
+			cur[cl]++
+			active = active || sp.kind[cl] != clusterStatic
+		})
+		if b.react != nil {
+			sp.reactive = append(sp.reactive, int32(i))
+		}
+		if active {
+			info.ActiveInsts++
+		}
+		if glues && b.start != nil && !b.sequential {
+			ports := 0
+			for _, p := range b.portList {
+				if p.owner == b && len(p.conns) > 0 {
+					ports++
 				}
 			}
-		}
-	}
-	for _, c := range conns {
-		if sp.connActive[c.id] {
-			sp.dirty = append(sp.dirty, int32(c.id))
-		}
-	}
-	for _, inst := range instances {
-		b := inst.base()
-		if sp.active[b.id] {
-			sp.activeInsts++
-			if b.react != nil {
-				sp.reactWake = append(sp.reactWake, int32(b.id))
+			if ports > 1 {
+				info.GlueInstances = append(info.GlueInstances, b.name)
 			}
-		} else if b.react != nil {
-			sp.gatedReacts++
 		}
 	}
-	// Restrict the static sweep to the active region. Levels keep their
-	// internal id order, so sweep determinism is preserved.
-	sp.fwdLevels = filterLevels(sc.fwdLevels, sp.connActive)
-	sp.ackLevels = filterLevels(sc.ackLevels, sp.connActive)
-	sp.fwdResidue = filterConns(sc.fwdResidue, sp.connActive)
-	sp.ackResidue = filterConns(sc.ackResidue, sp.connActive)
+	info.GatedInsts = ni - info.ActiveInsts - info.PrunedInsts
 	return sp
 }
 
@@ -159,54 +336,237 @@ func connectedInputs(b *Base) int {
 	return n
 }
 
-func filterLevels(levels [][]int32, keep []bool) [][]int32 {
-	out := make([][]int32, 0, len(levels))
-	for _, lvl := range levels {
-		f := filterConns(lvl, keep)
-		if len(f) > 0 {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func filterConns(ids []int32, keep []bool) []int32 {
-	var out []int32
-	for _, id := range ids {
-		if keep[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // InvalidateActivity forces the next Step to run a full sweep: every
-// connection is reset and every instance woken, re-establishing the
-// gated region's settled values. Harnesses that mutate module state
-// between cycles outside the handler phases (e.g. poking registers
-// before resuming) must call it so the sparse scheduler cannot replay a
-// resolution the mutation invalidated. Under the woven scheduler it
-// likewise forces a full interpreted sweep (module state cannot change
-// what the handler-free woven region resolves to, but the full sweep
-// also re-runs every reactive handler unconditionally). A no-op under
-// other schedulers.
+// connection is reset, every instance woken and every idle signature
+// dropped. Harnesses that mutate module state between cycles outside the
+// handler phases (e.g. poking registers before resuming) must call it so
+// the sparse scheduler cannot replay a resolution the mutation
+// invalidated. Under the woven scheduler it likewise forces a full
+// interpreted sweep. A no-op under other schedulers.
 func (s *Sim) InvalidateActivity() {
 	if s.sparse != nil || s.weave != nil {
 		s.needFull = true
 	}
 }
 
-// applyDefaultsSparse is the sparse scheduler's default-control phase:
-// the levelized sweep and residue worklist restricted to the active
-// region. Gated connections already hold their replayed resolution, so
-// they are never Unknown and contribute only as (resolved) dependencies.
-func (s *Sim) applyDefaultsSparse() {
-	sp := s.sparse
-	sc := s.schedule
-	s.sweep(SigData, sp.fwdLevels)
-	s.runResidue(SigData, sp.fwdResidue, sc.fwdDeps, sc.fwdDependents)
-	s.sweep(SigEnable, sp.fwdLevels)
-	s.runResidue(SigEnable, sp.fwdResidue, sc.fwdDeps, sc.fwdDependents)
-	s.sweep(SigAck, sp.ackLevels)
-	s.runResidue(SigAck, sp.ackResidue, sc.ackDeps, sc.ackDependents)
+// dropSignatures forgets every signature and decision: the full sweep
+// under way re-establishes the whole plane.
+func (s *Sim) dropSignatures() {
+	if a := s.act; a != nil {
+		clear(a.flags)
+		a.nClosed, a.closedConns, a.kept = 0, 0, 0
+	}
+}
+
+// stamp identifies the cycle under way in actState.offered and open.
+func (s *Sim) stamp() uint64 { return s.cycle + 1 }
+
+// resetOpen is the steady cycle's reset. Clusters that were open are
+// cleared whole; clusters that were closed keep their interior and give up
+// only their frontier, so the start handlers run against a cleared plane
+// wherever they can look. When no cell is to be kept — nothing closed, or
+// only clusters that are all frontier — the reset is the levelized
+// engine's: one memclr.
+func (s *Sim) resetOpen() {
+	sp, a := s.sparse, s.act
+	if a == nil {
+		a = &actState{
+			flags:   make([]uint8, len(sp.kind)),
+			offered: make([]uint64, len(sp.kind)),
+			open:    make([]uint64, len(s.bases)),
+			credit:  make([][3]int32, len(sp.kind)),
+		}
+		// Woken every cycle, by a stamp no cycle reaches: reactive
+		// instances in no cluster, and the members of never-closing ones.
+		set := func(never bool, v uint64) {
+			for cl, k := range sp.kind {
+				if (k >= clusterAutonomous) == never {
+					for _, id := range sp.members[sp.memOff[cl]:sp.memOff[cl+1]] {
+						a.open[id] = v
+					}
+				}
+			}
+		}
+		for _, id := range sp.reactive {
+			a.open[id] = ^uint64(0)
+		}
+		set(false, 0)
+		set(true, ^uint64(0))
+		s.act = a
+	}
+	if s.actCheck || (a.kept == 0 && sp.heldConns == 0) {
+		s.plane.clearStatus()
+		return
+	}
+	cells := s.plane.cells
+	for cl, k := range sp.kind {
+		if k.held() {
+			continue
+		}
+		hi := sp.cellOff[cl+1]
+		if a.flags[cl]&actClosed != 0 {
+			hi = sp.frontEnd[cl]
+		}
+		for _, cell := range sp.cells[sp.cellOff[cl]:hi] {
+			cells[cell] = uint32(Unknown)
+		}
+	}
+}
+
+// wakeOpen runs between the start phase and the react phase of a steady
+// cycle: it decides which clusters close, restores their signatures,
+// and wakes the reactive members of every other cluster — start-phase
+// wakes of instances all of whose clusters closed are dropped, the rest
+// keep their place in the queue.
+func (s *Sim) wakeOpen() {
+	sp, a := s.sparse, s.act
+	cells, stamp := s.plane.cells, s.stamp()
+	a.pending = a.pending[:0]
+	decide := sp.dynamic
+	if s.actCheck {
+		// Nothing is held in check mode: static clusters are decided, and
+		// so evaluated and compared, like the rest.
+		decide = nil
+		for cl, k := range sp.kind {
+			if k <= clusterStatic {
+				decide = append(decide, int32(cl))
+			}
+		}
+	} else {
+		s.resolved[SigData] += sp.heldConns
+		s.resolved[SigEnable] += sp.heldConns
+		s.resolved[SigAck] += sp.heldConns
+	}
+	for _, cl := range decide {
+		lo, fe, hi := sp.cellOff[cl], sp.frontEnd[cl], sp.cellOff[cl+1]
+		fl := a.flags[cl]
+		closes := false
+		switch {
+		case fl&actSigned != 0:
+			closes = true
+			for i := lo; i < fe; i++ {
+				if uint8(cells[sp.cells[i]]) != a.start[i] {
+					closes = false
+					break
+				}
+			}
+			if closes && s.actCheck {
+				a.pending = append(a.pending, cl) // evaluate it anyway, and compare
+				closes = false
+			}
+		case a.offered[cl] != stamp:
+			// Idle so far and unsigned: remember what the start phase
+			// left, and sign when the cycle has resolved data-free.
+			if a.sig == nil {
+				a.sig = make([]uint8, len(cells))
+				a.start = make([]uint8, len(cells))
+			}
+			for i := lo; i < fe; i++ {
+				a.start[i] = uint8(cells[sp.cells[i]])
+			}
+			a.pending = append(a.pending, cl)
+		}
+		if !closes {
+			if fl&actClosed != 0 {
+				for _, cell := range sp.cells[fe:hi] {
+					cells[cell] = uint32(Unknown)
+				}
+				a.nClosed--
+				a.closedConns -= int(hi-lo) / 3
+				a.kept -= int(hi - fe)
+				a.flags[cl] = fl &^ actClosed
+			}
+			for _, id := range sp.members[sp.memOff[cl]:sp.memOff[cl+1]] {
+				a.open[id] = stamp
+			}
+			continue
+		}
+		// Frontier cells hold what the start phase drove; a cluster that
+		// was open was cleared whole and needs its interior too.
+		if fl&actClosed == 0 {
+			a.nClosed++
+			a.closedConns += int(hi-lo) / 3
+			a.kept += int(hi - fe)
+			a.flags[cl] = fl | actClosed
+			fe = hi
+		}
+		for i := lo; i < fe; i++ {
+			cells[sp.cells[i]] = uint32(a.sig[i])
+		}
+		cr := &a.credit[cl]
+		s.resolved[SigData] += int(cr[SigData])
+		s.resolved[SigEnable] += int(cr[SigEnable])
+		s.resolved[SigAck] += int(cr[SigAck])
+	}
+	if !s.actCheck && (a.nClosed > 0 || sp.heldConns > 0) {
+		keep := s.queue[:0]
+		for _, b := range s.queue {
+			if a.open[b.id] >= stamp {
+				keep = append(keep, b)
+			} else {
+				b.scheduled = false
+			}
+		}
+		s.queue = keep
+	}
+	woken := 0
+	for _, id := range sp.reactive {
+		if s.actCheck || a.open[id] >= stamp {
+			woken++
+			s.wake(s.bases[id])
+		}
+	}
+	if m := s.metrics; m != nil {
+		m.activeInsts.Add(uint64(sp.quietSeeds + woken))
+		m.skippedWakes.Add(uint64(len(sp.reactive) - woken))
+		m.closedClusters.Add(uint64(a.nClosed))
+		m.closedConns.Add(uint64(a.closedConns + sp.heldConns))
+	}
+}
+
+// settleClusters runs when a steady cycle has fully resolved: pending
+// clusters that stayed data-free are signed; in check mode the signed
+// ones among them are those it kept open, and are compared instead.
+func (s *Sim) settleClusters() {
+	sp, a := s.sparse, s.act
+	cells, stamp, n := s.plane.cells, s.stamp(), int32(len(s.conns))
+	for _, cl := range a.pending {
+		lo, fe, hi := sp.cellOff[cl], sp.frontEnd[cl], sp.cellOff[cl+1]
+		if a.flags[cl]&actSigned != 0 {
+			for i := lo; i < hi; i++ {
+				if cell := sp.cells[i]; uint8(cells[cell]) != a.sig[i] {
+					s.checkFailed(s.conns[cell%n], SigKind(cell/n), Status(a.sig[i]))
+				}
+			}
+			continue
+		}
+		if a.offered[cl] == stamp {
+			continue // data arrived in the react phase after all
+		}
+		cr := [3]int32{(hi - lo) / 3, (hi - lo) / 3, (hi - lo) / 3}
+		for i := lo; i < fe; i++ {
+			if a.start[i] != uint8(Unknown) {
+				cr[sp.cells[i]/n]--
+			}
+		}
+		for i := lo; i < hi; i++ {
+			a.sig[i] = uint8(cells[sp.cells[i]])
+		}
+		a.credit[cl] = cr
+		a.flags[cl] |= actSigned
+	}
+}
+
+// checkFailed reports the first cell of a cluster that resolved
+// differently from its idle signature although the frontier was the same.
+func (s *Sim) checkFailed(c *Conn, k SigKind, want Status) {
+	driver := c.src.owner
+	if k == SigAck {
+		driver = c.dst.owner
+	}
+	contractPanic("activity check", c.String(), fmt.Sprintf(
+		"cycle %d: %s resolved %s, but its cluster's idle signature — recorded with the same cycle-start signals and no data offered — has %s; "+
+			"%q drives it: if its reactive handler reads Now(), Rand() or state that changes without an input changing, declare MarkAutonomous; "+
+			"if an instance of the cluster is marked MarkSequential but passes a signal between its ports within a cycle, remove the mark",
+		s.cycle, k, c.status(k), want, driver.name))
 }

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	core "liberty/internal/core"
@@ -222,5 +224,243 @@ func TestSparseMatchesSequential(t *testing.T) {
 				t.Fatalf("cycle %d conn %d: sparse %s != sequential %s", cycle, i, a[i], b[i])
 			}
 		}
+	}
+}
+
+// idleStart bears a cycle-start handler that sends nothing on its one
+// output: the frontier it leaves is the same every cycle.
+type idleStart struct {
+	core.Base
+	out *core.Port
+}
+
+func newIdleStart(name string) *idleStart {
+	d := &idleStart{}
+	d.Init(name, d)
+	d.out = d.AddOutPort("out")
+	d.OnCycleStart(func() { d.out.Idle() })
+	return d
+}
+
+// relay is a two-port module whose ack on in mirrors the ack it sees on
+// out — a same-cycle path between its ports. Marked sequential it lies.
+type relay struct {
+	core.Base
+	in, out *core.Port
+}
+
+func newRelay(name string, lie bool) *relay {
+	r := &relay{}
+	r.Init(name, r)
+	r.in = r.AddInPort("in")
+	r.out = r.AddOutPort("out")
+	r.OnCycleStart(func() { r.out.Idle() })
+	r.OnReact(func() {
+		if r.in.AckStatus(0) == core.Unknown && r.out.AckStatus(0) != core.Unknown {
+			if r.out.AckStatus(0) == core.Yes {
+				r.in.Ack(0)
+			} else {
+				r.in.Nack(0)
+			}
+		}
+	})
+	if lie {
+		r.MarkSequential()
+	}
+	return r
+}
+
+// parityAcker answers its input at cycle start: yes on even cycles, no
+// on odd ones. A start handler may do that — the scheduler compares what
+// start handlers drive.
+type parityAcker struct {
+	core.Base
+	in *core.Port
+}
+
+func newParityAcker(name string) *parityAcker {
+	p := &parityAcker{}
+	p.Init(name, p)
+	p.in = p.AddInPort("in")
+	p.OnCycleStart(func() {
+		if p.Now()%2 == 0 {
+			p.in.Ack(0)
+		} else {
+			p.in.Nack(0)
+		}
+	})
+	return p
+}
+
+// nowAcker does from its reactive handler what parityAcker does at cycle
+// start: its drives change with Now() while no observed signal does.
+func newNowAcker(name string) *acker {
+	a := &acker{}
+	a.Init(name, a)
+	a.in = a.AddInPort("in")
+	a.OnReact(func() {
+		if a.in.AckStatus(0) != core.Unknown {
+			return
+		}
+		if a.Now()%2 == 0 {
+			a.in.Ack(0)
+		} else {
+			a.in.Nack(0)
+		}
+	})
+	return a
+}
+
+func buildChain(t *testing.T, opts []core.BuildOption, insts ...core.Instance) *core.Sim {
+	t.Helper()
+	b := core.NewBuilder(opts...)
+	for i, inst := range insts {
+		b.Add(inst)
+		if i > 0 {
+			b.Connect(insts[i-1], "out", inst, "in")
+		}
+	}
+	sim, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// TestClusterPlan pins how the netlist is cut: with no marked instance a
+// cluster is a connected component, a mark splits it at the instance,
+// and an autonomous or input-less reactive member pins a cluster open.
+func TestClusterPlan(t *testing.T) {
+	info := buildMixed(t).Schedule()
+	if info.Clusters != 2 || info.LargestCluster != 2 || info.ClosableClusters != 1 || info.GatedConns != 2 {
+		t.Errorf("mixed netlist: %d clusters (largest %d, %d closable, %d gated conns), want 2/2/1/2",
+			info.Clusters, info.LargestCluster, info.ClosableClusters, info.GatedConns)
+	}
+	for _, marked := range []bool{false, true} {
+		info := buildChain(t, nil, newIdleStart("drv"), newRelay("r", marked), newAcker("a")).Schedule()
+		want := []int{2}
+		if marked {
+			want = []int{1, 1}
+		}
+		if fmt.Sprint(info.ClusterSizes) != fmt.Sprint(want) {
+			t.Errorf("relay marked=%v: cluster sizes %v, want %v", marked, info.ClusterSizes, want)
+		}
+		if marked == (len(info.GlueInstances) == 1) {
+			t.Errorf("relay marked=%v: glue instances %v", marked, info.GlueInstances)
+		}
+	}
+	auto := newNowAcker("a")
+	auto.MarkAutonomous()
+	info = buildChain(t, nil, newIdleStart("drv"), auto).Schedule()
+	if info.AutonomousClusters != 1 || info.ClosableClusters != 0 {
+		t.Errorf("autonomous member: %d never-closing, %d closable clusters, want 1/0", info.AutonomousClusters, info.ClosableClusters)
+	}
+	// A reactive instance with no connected input (LSE007) pins its cluster.
+	src := newRelay("src", false)
+	info = buildChain(t, nil, src, newAcker("a")).Schedule()
+	if info.NoInputClusters != 1 || info.ClosableClusters != 0 {
+		t.Errorf("input-less reactive member: %d never-closing, %d closable clusters, want 1/0", info.NoInputClusters, info.ClosableClusters)
+	}
+}
+
+// TestClusterPlanCompositeExports: a composite owns no connections — its
+// exports alias child ports — so it joins no cluster and glues nothing.
+func TestClusterPlanCompositeExports(t *testing.T) {
+	b := core.NewBuilder(core.WithMetrics())
+	comp := &core.Composite{}
+	comp.Init("comp", comp)
+	inner, tail := newRelay("comp/r", true), newAcker("comp/a")
+	b.Add(inner)
+	b.Add(tail)
+	comp.AddChild(inner)
+	comp.AddChild(tail)
+	comp.Export("in", inner.PortByName("in"))
+	b.Add(comp)
+	drv := newIdleStart("drv")
+	b.Add(drv)
+	b.Connect(drv, "out", comp, "in")
+	b.Connect(inner, "out", tail, "in")
+	sim, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := sim.Schedule()
+	if fmt.Sprint(info.ClusterSizes) != "[1 1]" || info.ClosableClusters != 2 {
+		t.Fatalf("cluster sizes %v (%d closable), want two one-conn closable clusters", info.ClusterSizes, info.ClosableClusters)
+	}
+	if err := sim.Run(6); err != nil {
+		t.Fatal(err)
+	}
+	// Both clusters are idle: signed on cycle 1, closed from cycle 2 on.
+	if got := sim.Metrics().ClosedClusterCycles(); got != 2*4 {
+		t.Errorf("closed cluster-cycles = %d, want 8", got)
+	}
+}
+
+// TestActivityCheckCatchesLyingTemplates: the two ways a template can
+// break the contract closing rests on — a MarkSequential instance that
+// passes a signal between its ports, and a reactive handler that reads
+// Now() without MarkAutonomous — run unnoticed into wrong statuses
+// without the check, and end in a positioned ContractError with it.
+func TestActivityCheckCatchesLyingTemplates(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		build  func(opts ...core.BuildOption) *core.Sim
+		driver string
+	}{
+		{"lying-sequential-mark", func(opts ...core.BuildOption) *core.Sim {
+			return buildChain(t, opts, newIdleStart("drv"), newRelay("liar", true), newParityAcker("par"))
+		}, "liar"},
+		{"unmarked-autonomous", func(opts ...core.BuildOption) *core.Sim {
+			return buildChain(t, opts, newIdleStart("drv"), newNowAcker("clocked"))
+		}, "clocked"},
+	} {
+		// Unchecked, the cluster closes on a signature that stopped
+		// being true: the ack on conn 0 no longer alternates.
+		oracle := tc.build(core.WithScheduler(core.SchedulerSequential))
+		sparse := tc.build()
+		diverged := false
+		for i := 0; i < 6; i++ {
+			if err := oracle.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sparse.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if oracle.Conns()[0].Status(core.SigAck) != sparse.Conns()[0].Status(core.SigAck) {
+				diverged = true
+			}
+		}
+		if !diverged {
+			t.Fatalf("%s: the fixture does not break the contract", tc.name)
+		}
+		checked := tc.build(core.WithActivityCheck())
+		var err error
+		for i := 0; i < 6 && err == nil; i++ {
+			err = checked.Step()
+		}
+		var ce *core.ContractError
+		if !errors.As(err, &ce) || ce.Op != "activity check" {
+			t.Fatalf("%s: check mode returned %v, want an activity-check ContractError", tc.name, err)
+		}
+		if ce.Where != checked.Conns()[0].String() {
+			t.Errorf("%s: error positioned at %q, want conn 0 %q", tc.name, ce.Where, checked.Conns()[0])
+		}
+		for _, want := range []string{"cycle 2", "ack resolved yes", fmt.Sprintf("%q drives it", tc.driver), "MarkAutonomous", "MarkSequential"} {
+			if !strings.Contains(ce.Detail, want) {
+				t.Errorf("%s: error detail lacks %q:\n%s", tc.name, want, ce.Detail)
+			}
+		}
+		// The failed check is a Step error like any other: the session
+		// stays steppable and its next cycle is a full sweep.
+		if err := checked.Step(); err != nil {
+			t.Errorf("%s: Step after the check error: %v", tc.name, err)
+		}
+	}
+	// The remedy works: declared autonomous, the clocked acker passes.
+	auto := newNowAcker("clocked")
+	auto.MarkAutonomous()
+	if err := buildChain(t, []core.BuildOption{core.WithActivityCheck()}, newIdleStart("drv"), auto).Run(8); err != nil {
+		t.Fatalf("MarkAutonomous instance under check mode: %v", err)
 	}
 }

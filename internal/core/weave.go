@@ -37,8 +37,8 @@ package core
 //     a cycle-start or reactive handler (including through composite
 //     export aliases) and the entire cyclic residue of either direction.
 //     These resolve through the interpreted machinery each cycle: the
-//     static sweep restricted to the fallback set, then the full residue
-//     worklist, preserving the exact cycle-break sites and counts of the
+//     static sweep (which skips the woven cells: they are resolved
+//     before it runs), then the full residue worklist, preserving the exact cycle-break sites and counts of the
 //     levelized engine. The LSE014 diagnostic names these constructs so
 //     users can see why a netlist falls back to interpretation.
 //
@@ -132,12 +132,6 @@ type progWeave struct {
 	// kernels holds the fused control kernels grouped by forward sweep
 	// level, in (level, id) order. Empty when no connection needs one.
 	kernels [][]wovenKernel
-
-	// Fallback restrictions of the static sweep (level-internal id order
-	// preserved). The residue lists are shared with the schedule as-is:
-	// residue connections are fallback by construction.
-	fwdLevels [][]int32
-	ackLevels [][]int32
 
 	// Handler rosters, precomputed so steady cycles skip the O(instances)
 	// nil-handler scans of the generic Step path. Pruned instances are
@@ -249,9 +243,6 @@ func buildWeave(instances []Instance, conns []*Conn, sc *progSchedule, pr *progP
 			}
 		}
 	}
-
-	wv.fwdLevels = filterLevels(sc.fwdLevels, fallback)
-	wv.ackLevels = filterLevels(sc.ackLevels, fallback)
 
 	for _, inst := range instances {
 		b := inst.base()
@@ -365,12 +356,11 @@ func (s *Sim) clearWovenDirty() {
 // applyDefaultsWoven is the woven scheduler's steady-cycle default
 // phase. The woven region is accounted in bulk and resolved by the
 // compiled kernels; the fallback region runs the ordinary interpreted
-// sweep (restricted at compile time to fallback connections) and the
+// sweep (the woven cells are resolved by then, and skipped) and the
 // full residue worklists, so cycle-break order and counts stay exactly
 // those of the levelized engine.
 func (s *Sim) applyDefaultsWoven() {
 	wv := s.weave
-	sc := s.schedule
 	if n := wv.replay; n > 0 {
 		// Replayed constants and kernel resolutions count exactly as the
 		// sequential defaulter would count them: one default and one
@@ -389,10 +379,5 @@ func (s *Sim) applyDefaultsWoven() {
 			k(s)
 		}
 	}
-	s.sweep(SigData, wv.fwdLevels)
-	s.runResidue(SigData, sc.fwdResidue, sc.fwdDeps, sc.fwdDependents)
-	s.sweep(SigEnable, wv.fwdLevels)
-	s.runResidue(SigEnable, sc.fwdResidue, sc.fwdDeps, sc.fwdDependents)
-	s.sweep(SigAck, wv.ackLevels)
-	s.runResidue(SigAck, sc.ackResidue, sc.ackDeps, sc.ackDependents)
+	s.applyDefaultsLevelized()
 }

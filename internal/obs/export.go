@@ -50,6 +50,8 @@ type SchedulerStats struct {
 	ParallelRounds   uint64            `json:"parallel_rounds"`
 	ActiveInsts      uint64            `json:"active_insts"`
 	SkippedWakes     uint64            `json:"skipped_wakes"`
+	ClosedClusters   uint64            `json:"closed_clusters"`
+	ClosedConnShare  float64           `json:"closed_conn_share"`
 	DefaultFallbacks map[string]uint64 `json:"default_fallbacks"`
 	CycleBreaks      map[string]uint64 `json:"cycle_breaks"`
 }
@@ -60,60 +62,64 @@ type SchedulerStats struct {
 // default-dependency cycles break. Workers is always 1 (a Sim has one
 // writer); the field stays for the same reason ParallelRounds does.
 type ScheduleStats struct {
-	Scheduler       string   `json:"scheduler"`
-	Workers         int      `json:"workers"`
-	Modules         int      `json:"modules"`
-	SCCs            int      `json:"sccs"`
-	CyclicSCCs      int      `json:"cyclic_sccs"`
-	LargestSCC      int      `json:"largest_scc"`
-	ForwardLevels   int      `json:"forward_levels"`
-	AckLevels       int      `json:"ack_levels"`
-	SweepConns      int      `json:"sweep_conns"`
-	ResidueConns    int      `json:"residue_conns"`
-	AckSweepConns   int      `json:"ack_sweep_conns"`
-	AckResidueConns int      `json:"ack_residue_conns"`
-	ActiveInsts     int      `json:"active_insts,omitempty"`
-	GatedInsts      int      `json:"gated_insts,omitempty"`
-	AlwaysActive    int      `json:"always_active,omitempty"`
-	ActiveConns     int      `json:"active_conns,omitempty"`
-	GatedConns      int      `json:"gated_conns,omitempty"`
-	PrunedInsts     int      `json:"pruned_insts,omitempty"`
-	PrunedConns     int      `json:"pruned_conns,omitempty"`
-	WovenConns      int      `json:"woven_conns,omitempty"`
-	CtrlKernels     int      `json:"ctrl_kernels,omitempty"`
-	FallbackConns   int      `json:"fallback_conns,omitempty"`
-	ScalarConns     int      `json:"scalar_conns"`
-	SpillConns      int      `json:"spill_conns"`
-	BreakSites      []string `json:"break_sites,omitempty"`
+	Scheduler        string   `json:"scheduler"`
+	Workers          int      `json:"workers"`
+	Modules          int      `json:"modules"`
+	SCCs             int      `json:"sccs"`
+	CyclicSCCs       int      `json:"cyclic_sccs"`
+	LargestSCC       int      `json:"largest_scc"`
+	ForwardLevels    int      `json:"forward_levels"`
+	AckLevels        int      `json:"ack_levels"`
+	SweepConns       int      `json:"sweep_conns"`
+	ResidueConns     int      `json:"residue_conns"`
+	AckSweepConns    int      `json:"ack_sweep_conns"`
+	AckResidueConns  int      `json:"ack_residue_conns"`
+	ActiveInsts      int      `json:"active_insts,omitempty"`
+	GatedInsts       int      `json:"gated_insts,omitempty"`
+	AlwaysActive     int      `json:"always_active,omitempty"`
+	ActiveConns      int      `json:"active_conns,omitempty"`
+	GatedConns       int      `json:"gated_conns,omitempty"`
+	Clusters         int      `json:"clusters,omitempty"`
+	ClosableClusters int      `json:"closable_clusters,omitempty"`
+	PrunedInsts      int      `json:"pruned_insts,omitempty"`
+	PrunedConns      int      `json:"pruned_conns,omitempty"`
+	WovenConns       int      `json:"woven_conns,omitempty"`
+	CtrlKernels      int      `json:"ctrl_kernels,omitempty"`
+	FallbackConns    int      `json:"fallback_conns,omitempty"`
+	ScalarConns      int      `json:"scalar_conns"`
+	SpillConns       int      `json:"spill_conns"`
+	BreakSites       []string `json:"break_sites,omitempty"`
 }
 
 func scheduleStats(info *core.ScheduleInfo) *ScheduleStats {
 	return &ScheduleStats{
-		Scheduler:       info.Scheduler.String(),
-		Workers:         1,
-		Modules:         info.Modules,
-		SCCs:            info.SCCs,
-		CyclicSCCs:      info.CyclicSCCs,
-		LargestSCC:      info.LargestSCC,
-		ForwardLevels:   info.ForwardLevels,
-		AckLevels:       info.AckLevels,
-		SweepConns:      info.SweepConns,
-		ResidueConns:    info.ResidueConns,
-		AckSweepConns:   info.AckSweepConns,
-		AckResidueConns: info.AckResidueConns,
-		ActiveInsts:     info.ActiveInsts,
-		GatedInsts:      info.GatedInsts,
-		AlwaysActive:    info.AlwaysActive,
-		ActiveConns:     info.ActiveConns,
-		GatedConns:      info.GatedConns,
-		PrunedInsts:     info.PrunedInsts,
-		PrunedConns:     info.PrunedConns,
-		WovenConns:      info.WovenConns,
-		CtrlKernels:     info.CtrlKernels,
-		FallbackConns:   info.FallbackConns,
-		ScalarConns:     info.ScalarConns,
-		SpillConns:      info.SpillConns,
-		BreakSites:      info.BreakSites,
+		Scheduler:        info.Scheduler.String(),
+		Workers:          1,
+		Modules:          info.Modules,
+		SCCs:             info.SCCs,
+		CyclicSCCs:       info.CyclicSCCs,
+		LargestSCC:       info.LargestSCC,
+		ForwardLevels:    info.ForwardLevels,
+		AckLevels:        info.AckLevels,
+		SweepConns:       info.SweepConns,
+		ResidueConns:     info.ResidueConns,
+		AckSweepConns:    info.AckSweepConns,
+		AckResidueConns:  info.AckResidueConns,
+		ActiveInsts:      info.ActiveInsts,
+		GatedInsts:       info.GatedInsts,
+		AlwaysActive:     info.AlwaysActive,
+		ActiveConns:      info.ActiveConns,
+		GatedConns:       info.GatedConns,
+		Clusters:         info.Clusters,
+		ClosableClusters: info.ClosableClusters,
+		PrunedInsts:      info.PrunedInsts,
+		PrunedConns:      info.PrunedConns,
+		WovenConns:       info.WovenConns,
+		CtrlKernels:      info.CtrlKernels,
+		FallbackConns:    info.FallbackConns,
+		ScalarConns:      info.ScalarConns,
+		SpillConns:       info.SpillConns,
+		BreakSites:       info.BreakSites,
 	}
 }
 
@@ -175,12 +181,16 @@ func TakeSnapshot(s *core.Sim) Snapshot {
 		FixedPointIters:  m.FixedPointIters(),
 		ActiveInsts:      m.ActiveInstances(),
 		SkippedWakes:     m.SkippedWakes(),
+		ClosedClusters:   m.ClosedClusterCycles(),
 		DefaultFallbacks: map[string]uint64{},
 		CycleBreaks:      map[string]uint64{},
 	}
 	for _, k := range sigKinds {
 		sched.DefaultFallbacks[k.String()] = m.DefaultFallbacks(k)
 		sched.CycleBreaks[k.String()] = m.CycleBreaks(k)
+	}
+	if n := m.Cycles() * uint64(len(s.Conns())); n > 0 {
+		sched.ClosedConnShare = float64(m.ClosedConnCycles()) / float64(n)
 	}
 	snap.Scheduler = sched
 	for _, im := range m.Instances() {
@@ -273,6 +283,8 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 			row("schedule", "", "always_active", int64(sd.AlwaysActive))
 			row("schedule", "", "active_conns", int64(sd.ActiveConns))
 			row("schedule", "", "gated_conns", int64(sd.GatedConns))
+			row("schedule", "", "clusters", int64(sd.Clusters))
+			row("schedule", "", "closable_clusters", int64(sd.ClosableClusters))
 			row("schedule", "", "pruned_insts", int64(sd.PrunedInsts))
 			row("schedule", "", "pruned_conns", int64(sd.PrunedConns))
 		}
@@ -296,6 +308,8 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 		row("scheduler", "", "steals", uint64(0)) // constant, like parallel_rounds: CSV rows are never removed
 		row("scheduler", "", "active_insts", sc.ActiveInsts)
 		row("scheduler", "", "skipped_wakes", sc.SkippedWakes)
+		row("scheduler", "", "closed_clusters", sc.ClosedClusters)
+		row("scheduler", "", "closed_conn_share", sc.ClosedConnShare)
 		for _, k := range sigKinds {
 			row("scheduler", k.String(), "default_fallbacks", sc.DefaultFallbacks[k.String()])
 			row("scheduler", k.String(), "cycle_breaks", sc.CycleBreaks[k.String()])

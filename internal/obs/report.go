@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"time"
 
 	core "liberty/internal/core"
@@ -29,13 +31,26 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 	fmt.Fprintf(w, "  payload lanes:  %d conns on the uint64 scalar fast lane, %d on the boxed spill lane\n",
 		info.ScalarConns, info.SpillConns)
 	if info.Scheduler == core.SchedulerSparse {
-		fmt.Fprintf(w, "  activity:       %d/%d instances active (%d seed(s)), %d/%d conns re-resolved per cycle\n",
-			info.ActiveInsts, info.ActiveInsts+info.GatedInsts, info.AlwaysActive,
-			info.ActiveConns, info.ActiveConns+info.GatedConns)
-		if info.GatedConns == 0 && info.PrunedConns == 0 {
-			// Every reactive instance reaches a seed through some conn, so
-			// no gated conn means no gated react either: nothing to replay.
-			fmt.Fprintln(w, "                  the partition gates nothing: sessions run the levelized step (bulk reset, no per-conn replay bookkeeping)")
+		fmt.Fprintf(w, "  clusters:       %d combinational cluster(s) (%s conns); %d decided each cycle from their cycle-start signals,\n",
+			info.Clusters, sizeHistogram(info.ClusterSizes), info.ClosableClusters)
+		fmt.Fprintf(w, "                  %d conn(s) out of every start handler's reach (held after the first sweep), %d seed instance(s)\n",
+			info.GatedConns, info.AlwaysActive)
+		if n := info.AutonomousClusters + info.NoInputClusters; n > 0 {
+			fmt.Fprintf(w, "  never close:    %d cluster(s): %d with a MarkAutonomous member, %d with an input-less reactive member (LSE007)\n",
+				n, info.AutonomousClusters, info.NoInputClusters)
+		}
+		if info.TracerOpen {
+			fmt.Fprintln(w, "  never close:    any cluster, in this session: a tracer is attached and sees every resolution")
+		}
+		if len(info.GlueInstances) > 0 {
+			const show = 8
+			names := info.GlueInstances
+			more := ""
+			if len(names) > show {
+				names, more = names[:show], fmt.Sprintf(" and %d more", len(names)-show)
+			}
+			fmt.Fprintf(w, "  glued by:       %s%s — unmarked multi-port instances with a cycle-start handler in the largest cluster (candidates for MarkSequential)\n",
+				strings.Join(names, ", "), more)
 		}
 		if info.PrunedConns > 0 || info.PrunedInsts > 0 {
 			fmt.Fprintf(w, "  dataflow prune: %d instance(s) and %d conn(s) proven dead and removed\n",
@@ -61,6 +76,25 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 		}
 	}
 	return nil
+}
+
+// sizeHistogram renders cluster sizes largest first, as "16×35, 64×1".
+func sizeHistogram(sizes []int) string {
+	sorted := append([]int(nil), sizes...)
+	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+	var sb strings.Builder
+	for i := 0; i < len(sorted); {
+		j := i
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "%d×%d", j-i, sorted[i])
+		i = j
+	}
+	return sb.String()
 }
 
 // WriteHotReport writes the per-instance "hot module" report: the topN

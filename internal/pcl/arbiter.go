@@ -23,9 +23,13 @@ type Arbiter struct {
 	In  *core.Port
 	Out *core.Port
 
-	pick   PickFn
-	last   int
-	grants []int // grants[j] = input index granted on out conn j (-1 none)
+	pick PickFn
+	last int
+	// grants[j] is the input granted on out conn j this cycle. Scratch of
+	// the reactive handler, valid only while out lane 0 is resolved: the
+	// decision resolves it, and every new cycle — also the one after a
+	// Step that aborted mid-cycle — starts with it Unknown.
+	grants []int
 
 	// scratch buffers reused across reactive invocations
 	reqs     []any
@@ -58,7 +62,6 @@ func NewArbiter(name string, p core.Params) (*Arbiter, error) {
 	// offers nothing.
 	a.In = a.AddInPort("in", core.PortOpts{DefaultAck: core.No, Payload: core.PayloadAny})
 	a.Out = a.AddOutPort("out", core.PortOpts{Payload: core.PayloadAny})
-	a.OnCycleStart(a.cycleStart)
 	a.OnReact(a.react)
 	a.OnCycleEnd(a.cycleEnd)
 	return a, nil
@@ -98,14 +101,6 @@ func (a *Arbiter) pickRoundRobin(reqs []any, last int) []int {
 	return out
 }
 
-func (a *Arbiter) cycleStart() {
-	if a.cGrant == nil {
-		a.cGrant = a.Counter("grants")
-		a.cDenied = a.Counter("denials")
-	}
-	a.grants = a.grants[:0]
-}
-
 func (a *Arbiter) react() {
 	if a.Out.Width() == 0 {
 		a.In.NackRest()
@@ -119,7 +114,8 @@ func (a *Arbiter) react() {
 		return
 	}
 	n := len(reqs)
-	if len(a.grants) == 0 && a.Out.DataStatus(0) == core.Unknown {
+	if a.Out.DataStatus(0) == core.Unknown {
+		a.grants = a.grants[:0]
 		order := a.pick(reqs, a.last)
 		for _, i := range order {
 			if i < 0 || i >= n || reqs[i] == nil || granted0(a.grants, i) {
@@ -160,6 +156,10 @@ func (a *Arbiter) react() {
 }
 
 func (a *Arbiter) cycleEnd() {
+	if a.cGrant == nil {
+		a.cGrant = a.Counter("grants")
+		a.cDenied = a.Counter("denials")
+	}
 	for j, i := range a.grants {
 		if a.Out.Transferred(j) {
 			a.cGrant.Inc()

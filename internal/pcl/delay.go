@@ -55,6 +55,7 @@ func NewDelay(name string, p core.Params) (*Delay, error) {
 	d.OnCycleStart(d.cycleStart)
 	d.OnReact(d.react)
 	d.OnCycleEnd(d.cycleEnd)
+	d.MarkSequential() // out is offered from the lanes at cycle start; in is acked from in's own lanes and the occupancy
 	return d, nil
 }
 

@@ -1,6 +1,7 @@
 package pcl_test
 
 import (
+	"reflect"
 	"testing"
 
 	core "liberty/internal/core"
@@ -529,5 +530,69 @@ func TestClockGatePhase(t *testing.T) {
 	simtest.Run(t, sim, 10)
 	if len(cons.GotAt) == 0 || cons.GotAt[0] != 2 {
 		t.Fatalf("first arrival at %v, want cycle 2 (phase)", cons.GotAt)
+	}
+}
+
+// TestArbiterAbortedCycleLeaksNoGrant: the arbiter's grants are scratch
+// of its reactive handler, with no cycle-start handler to reset them. A
+// Step that aborts after the grant was published must not carry it into
+// the next Step — which re-runs the same cycle — under the sequential
+// oracle and the sparse engine alike: what the consumer receives, and
+// when, equals a twin that never aborted.
+func TestArbiterAbortedCycleLeaksNoGrant(t *testing.T) {
+	type outcome struct {
+		got []int
+		at  []uint64
+	}
+	run := func(kind core.SchedulerKind, abortAt uint64) outcome {
+		b := core.NewBuilder(core.WithScheduler(kind))
+		arb, err := pcl.NewArbiter("arb", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Add(arb)
+		for i := 0; i < 3; i++ {
+			p := simtest.NewProducer(name("p", i), simtest.IntSeq(100))
+			// Idle stretches, so the arbiter's cluster also closes and reopens.
+			p.Gate = func(cycle uint64) bool { return cycle%7 < 4 }
+			b.Add(p)
+			b.Connect(p, "out", arb, "in")
+		}
+		armed := abortAt > 0
+		cons := simtest.NewConsumer("cons", func(cycle uint64, v any) bool {
+			if armed && cycle == abortAt {
+				armed = false
+				panic(&core.ContractError{Op: "accept", Where: "cons", Detail: "boom after the grant"})
+			}
+			return true
+		})
+		b.Add(cons)
+		b.Connect(arb, "out", cons, "in")
+		sim := simtest.Build(t, b)
+		aborted := false
+		for sim.Now() < 40 {
+			if err := sim.Step(); err != nil {
+				if aborted || sim.Now() != abortAt {
+					t.Fatalf("%s: cycle %d: %v", kind, sim.Now(), err)
+				}
+				aborted = true
+			}
+		}
+		if aborted != (abortAt > 0) {
+			t.Fatalf("%s: abort at cycle %d did not happen", kind, abortAt)
+		}
+		return outcome{cons.Ints(t), cons.GotAt}
+	}
+	want := run(core.SchedulerSequential, 0)
+	if len(want.got) == 0 {
+		t.Fatal("nothing was granted; the test would compare idle runs")
+	}
+	for _, kind := range []core.SchedulerKind{core.SchedulerSequential, core.SchedulerSparse} {
+		for _, abortAt := range []uint64{0, 8, 9} {
+			if got := run(kind, abortAt); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, abort at %d: consumer received %v at %v, want %v at %v",
+					kind, abortAt, got.got, got.at, want.got, want.at)
+			}
+		}
 	}
 }

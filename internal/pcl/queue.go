@@ -76,6 +76,7 @@ func NewQueue(name string, p core.Params) (*Queue, error) {
 	q.OnCycleStart(q.cycleStart)
 	q.OnReact(q.react)
 	q.OnCycleEnd(q.cycleEnd)
+	q.MarkSequential() // out is offered from the entries at cycle start; in is acked from in's own lanes and the occupancy
 	return q, nil
 }
 

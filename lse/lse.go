@@ -27,11 +27,11 @@
 // levelized static engine — at build time the signal dependency graph is
 // condensed into strongly connected components and levelized, so acyclic
 // regions resolve in one deterministic sweep with no fixed-point
-// iteration — plus a build-time activity partition that resolves regions
-// unreachable from any cycle-start (or autonomous) instance exactly once
-// and replays their values thereafter. When that partition gates nothing
-// (lsc -schedule says so) the sessions run the plain levelized step, so
-// the default never costs more than SchedulerLevelized.
+// iteration — plus per-cycle activity over compile-time combinational
+// clusters: a cluster (a router, say) whose cycle-start signals read as
+// they did when it last resolved with no data offered replays that
+// resolution instead of re-deriving it, and regions unreachable from any
+// cycle-start handler resolve exactly once (lsc -schedule prints the plan).
 // SchedulerSequential is the classic dynamic fixed-point engine and the
 // reference every other engine is held to; SchedulerWoven fuses the
 // levelized schedule into specialized compile-time step kernels for
@@ -44,9 +44,12 @@
 // Reactive modules whose behavior depends on more than their observed
 // input signals (e.g. handlers that read Now() or draw randomness even
 // when no data is offered) must declare it with Base.MarkAutonomous so
-// the sparse engine never gates them; modules with cycle-start handlers
-// need no marking. Sim.InvalidateActivity forces one full re-sweep after
-// out-of-band state mutation.
+// the sparse engine never closes their cluster; what a cycle-start
+// handler does needs no marking. Base.MarkSequential declares a buffer-like
+// module (nothing observed on one port reaches another within a cycle),
+// which lets the engine cut clusters there. WithActivityCheck holds both
+// declarations to account. Sim.InvalidateActivity forces one full
+// re-sweep after out-of-band state mutation.
 //
 // # Quickstart (LSS)
 //
@@ -83,7 +86,7 @@
 // # Program vs Sim
 //
 // A Program is the immutable compiled form of a netlist — static
-// schedule, activity partition, payload-lane election and the assembly
+// schedule, cluster plan, payload-lane election and the assembly
 // recipe — and a Sim is one behavioral session over it. Compile (or
 // CompileLSS) builds the Program once; Program.NewSim stamps fresh,
 // independent sessions with zero recompilation, safe to run concurrently
@@ -363,8 +366,7 @@ const (
 // only in host-time cost (the sparse engine's *scheduler metrics*
 // legitimately differ, since gated work is counted once, not per cycle).
 const (
-	// SchedulerAuto lets Build choose (currently SchedulerSparse, which
-	// runs the levelized step when its partition gates nothing).
+	// SchedulerAuto lets Build choose (currently SchedulerSparse).
 	SchedulerAuto = core.SchedulerAuto
 	// SchedulerSequential is the demand-driven sequential fixed point.
 	SchedulerSequential = core.SchedulerSequential
@@ -433,8 +435,13 @@ var (
 	WithMetrics = core.WithMetrics
 	// WithDataflowPrune deletes provably-dead connections and instances
 	// (per the whole-program dataflow analysis) from the compiled
-	// schedule and activity partition. Requires the sparse scheduler.
+	// schedule and cluster plan. Requires the sparse or woven scheduler.
 	WithDataflowPrune = core.WithDataflowPrune
+	// WithActivityCheck makes the sparse scheduler evaluate every cluster
+	// it would have closed and compare it with the cluster's idle
+	// signature: the check a template author signs MarkSequential, or the
+	// absence of MarkAutonomous, against.
+	WithActivityCheck = core.WithActivityCheck
 )
 
 // The multi-worker engines and their knobs were removed in PR 19
@@ -490,7 +497,7 @@ func LoadLSSFile(name, src string, defines map[string]any, opts ...BuildOption) 
 
 // Compile runs a Go assembly recipe once and compiles the resulting
 // netlist into a shared Program; Program.NewSim then stamps fresh
-// sessions without re-running scheduling, activity partitioning or lane
+// sessions without re-running scheduling, cluster planning or lane
 // election. The recipe must be deterministic — it is re-run per session
 // to stamp fresh instance state, validated against the compiled
 // program's structural fingerprint.

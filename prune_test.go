@@ -177,6 +177,56 @@ func TestDataflowPruneBitIdentity(t *testing.T) {
 			}
 		}
 	}
+
+	// The hashers above are tracers, and a tracer keeps every cluster
+	// open. Untraced, the pruned conns are one held cluster that is never
+	// evaluated, and the live chains' clusters close while they idle:
+	// surviving statuses after each Step and deliveries must still be the
+	// oracle's, plain and under check mode.
+	if info.Clusters != 2*4 || info.ClosableClusters != 2*4 {
+		t.Fatalf("pruned plan has %d clusters (%d closable), want the live chains' 8", info.Clusters, info.ClosableClusters)
+	}
+	step := func(prog *core.Program, opts ...core.BuildOption) (runResult, uint64) {
+		t.Helper()
+		sim, err := prog.NewSim(append(opts, core.WithSeed(7), core.WithMetrics())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		var r runResult
+		for i := 0; i < cycles; i++ {
+			if err := sim.Step(); err != nil {
+				t.Fatal(err)
+			}
+			fh := fnv.New64a()
+			for _, c := range sim.Conns() {
+				if !prunedIDs[c.ID()] {
+					fmt.Fprintf(fh, "%d%d%d", c.Status(core.SigData), c.Status(core.SigEnable), c.Status(core.SigAck))
+				}
+			}
+			r.hashes = append(r.hashes, fh.Sum64())
+		}
+		r.livers = map[string]int64{}
+		for _, inst := range sim.Instances() {
+			if snk, ok := inst.(*pcl.Sink); ok && strings.HasPrefix(snk.Name(), "l") {
+				r.livers[snk.Name()] = snk.Received()
+			}
+		}
+		return r, sim.Metrics().ClosedClusterCycles()
+	}
+	ref, _ = step(cases["levelized"])
+	for _, tc := range []struct {
+		name string
+		opts []core.BuildOption
+	}{{"pruned/untraced", nil}, {"pruned/check", []core.BuildOption{core.WithActivityCheck()}}} {
+		got, closed := step(pruned, tc.opts...)
+		if (closed > 0) != (tc.opts == nil) {
+			t.Fatalf("%s: %d closed cluster-cycles", tc.name, closed)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("%s: surviving statuses or deliveries diverge from the levelized run", tc.name)
+		}
+	}
 }
 
 func mustCompile(t *testing.T, assemble func(*core.Builder) error, opts ...core.BuildOption) *core.Program {

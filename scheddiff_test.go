@@ -13,6 +13,7 @@ import (
 
 	core "liberty/internal/core"
 	"liberty/internal/pcl"
+	"liberty/internal/systems"
 	"liberty/lse"
 )
 
@@ -41,9 +42,9 @@ func (h *cycleHasher) OnCycleEnd(n uint64) {
 // schedulerMatrix is every engine the differential tests pit against the
 // sequential reference. exactCounts marks engines whose default/break
 // metric counts must equal the sequential reference; the sparse engine is
-// exempt — gated regions pay their default-control work once, on the
-// cycle-0 full sweep, instead of per cycle — but its per-cycle signal
-// hashes and statistics dumps must still be bit-identical.
+// exempt — a closed cluster pays its default-control work when its
+// signature is recorded, not per cycle — but its per-cycle signal hashes
+// and statistics dumps must still be bit-identical.
 var schedulerMatrix = []struct {
 	name        string
 	exactCounts bool
@@ -59,6 +60,21 @@ var schedulerMatrix = []struct {
 	{"woven", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven)}},
 }
 
+// activityMatrix is the rows that run without a tracer. The cycleHasher
+// is one, and a tracer keeps every cluster of the sparse engine open (so
+// that traces are complete); these rows hash the statuses after each Step
+// instead, which lets clusters close. The check rows evaluate every
+// cluster that would have closed and fail the Step on a difference.
+var activityMatrix = []struct {
+	name string
+	opts []lse.BuildOption
+}{
+	{"sparse/untraced", []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse)}},
+	{"auto/untraced", nil},
+	{"sparse/check", []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse), lse.WithActivityCheck()}},
+	{"auto/check", []lse.BuildOption{lse.WithActivityCheck()}},
+}
+
 type schedRun struct {
 	hashes   []uint64
 	stats    string
@@ -66,26 +82,83 @@ type schedRun struct {
 	breaks   [3]uint64
 }
 
-func runSpecUnder(t *testing.T, src string, cycles uint64, opts ...lse.BuildOption) schedRun {
+// model is one netlist of the differential harness: build assembles it
+// under the given options, cycles is how long it runs.
+type model struct {
+	name   string
+	cycles uint64
+	build  func(t testing.TB, opts ...lse.BuildOption) *core.Sim
+}
+
+// run steps the model under opts. A traced run fingerprints every cycle
+// with the cycleHasher (statuses and data values at OnCycleEnd); an
+// untraced one hashes every connection's statuses after each Step — they
+// persist between cycles, the data values do not — and lets the
+// statistics dump speak for the values.
+func (m model) run(t *testing.T, traced bool, opts ...lse.BuildOption) schedRun {
 	t.Helper()
-	h := &cycleHasher{}
-	opts = append(opts, lse.WithSeed(1), lse.WithMetrics(), lse.WithTracer(h))
-	sim, err := lse.LoadLSS(src, opts...)
-	if err != nil {
-		t.Fatal(err)
+	var h cycleHasher
+	opts = append([]lse.BuildOption{lse.WithMetrics()}, opts...)
+	if traced {
+		opts = append(opts, lse.WithTracer(&h))
 	}
-	if err := sim.Run(cycles); err != nil {
-		t.Fatal(err)
+	sim := m.build(t, opts...)
+	if !traced {
+		h.hashes = stepHashes(t, sim, int(m.cycles))
+	} else if err := sim.Run(m.cycles); err != nil {
+		t.Fatalf("%s: %v", m.name, err)
 	}
 	var st bytes.Buffer
 	sim.Stats().Dump(&st)
 	r := schedRun{hashes: h.hashes, stats: st.String()}
-	m := sim.Metrics()
+	mt := sim.Metrics()
 	for i, k := range []core.SigKind{core.SigData, core.SigEnable, core.SigAck} {
-		r.defaults[i] = m.DefaultFallbacks(k)
-		r.breaks[i] = m.CycleBreaks(k)
+		r.defaults[i] = mt.DefaultFallbacks(k)
+		r.breaks[i] = mt.CycleBreaks(k)
 	}
 	return r
+}
+
+// statusHash fingerprints the resolution a Step left in the plane.
+func statusHash(sim *core.Sim) uint64 {
+	fh := fnv.New64a()
+	var cell [3]byte
+	for _, c := range sim.Conns() {
+		cell = [3]byte{byte(c.Status(core.SigData)), byte(c.Status(core.SigEnable)), byte(c.Status(core.SigAck))}
+		fh.Write(cell[:])
+	}
+	return fh.Sum64()
+}
+
+// diffModel holds every engine to the sequential oracle on one model:
+// the traced matrix, then the untraced and check-mode activity rows.
+func diffModel(t *testing.T, m model) {
+	t.Helper()
+	ref := m.run(t, true, schedulerMatrix[0].opts...)
+	for _, tc := range schedulerMatrix[1:] {
+		diffRuns(t, m.name, tc.name, ref, m.run(t, true, tc.opts...), tc.exactCounts)
+	}
+	ref = m.run(t, false, schedulerMatrix[0].opts...)
+	for _, tc := range activityMatrix {
+		diffRuns(t, m.name, tc.name, ref, m.run(t, false, tc.opts...), false)
+	}
+}
+
+// specModel loads an LSS source with seed 1.
+func specModel(name, src string, cycles uint64) model {
+	return model{name, cycles, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+		t.Helper()
+		sim, err := lse.LoadLSS(src, append(opts, lse.WithSeed(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}}
+}
+
+func runSpecUnder(t *testing.T, src string, cycles uint64, opts ...lse.BuildOption) schedRun {
+	t.Helper()
+	return specModel("spec", src, cycles).run(t, true, opts...)
 }
 
 func diffRuns(t *testing.T, what, name string, ref, got schedRun, exactCounts bool) {
@@ -127,11 +200,7 @@ func TestSchedulersAgreeOnSpecs(t *testing.T) {
 		if filepath.Base(path) == "mesh.lss" {
 			cycles = 60 // the 4x4 mesh is the slow one; its loop still breaks every cycle
 		}
-		ref := runSpecUnder(t, string(src), cycles, schedulerMatrix[0].opts...)
-		for _, tc := range schedulerMatrix[1:] {
-			got := runSpecUnder(t, string(src), cycles, tc.opts...)
-			diffRuns(t, filepath.Base(path), tc.name, ref, got, tc.exactCounts)
-		}
+		diffModel(t, specModel(filepath.Base(path), string(src), cycles))
 	}
 }
 
@@ -140,61 +209,46 @@ func TestSchedulersAgreeOnSpecs(t *testing.T) {
 // between random sources and sinks.
 func TestSchedulersAgreeOnRandomNetlists(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		ref := runRandomUnder(t, seed, schedulerMatrix[0].opts...)
-		for _, tc := range schedulerMatrix[1:] {
-			got := runRandomUnder(t, seed, tc.opts...)
-			diffRuns(t, fmt.Sprintf("rand-%d", seed), tc.name, ref, got, tc.exactCounts)
-		}
+		diffModel(t, randomModel(seed))
 	}
 }
 
-func runRandomUnder(t *testing.T, seed int64, opts ...lse.BuildOption) schedRun {
-	t.Helper()
-	h := &cycleHasher{}
-	opts = append(opts, lse.WithSeed(seed), lse.WithMetrics(), lse.WithTracer(h))
-	b := core.NewBuilder(opts...)
-	rng := rand.New(rand.NewSource(seed))
-	nChains := 2 + rng.Intn(3)
-	for c := 0; c < nChains; c++ {
-		src, err := pcl.NewSource(fmt.Sprintf("src%d", c), core.Params{"count": int64(20 + rng.Intn(30))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Add(src)
-		var prev core.Instance = src
-		depth := 1 + rng.Intn(4)
-		for d := 0; d < depth; d++ {
-			q, err := pcl.NewQueue(fmt.Sprintf("q%d_%d", c, d), core.Params{"capacity": int64(1 + rng.Intn(4))})
+func randomModel(seed int64) model {
+	return model{fmt.Sprintf("rand-%d", seed), 100, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+		t.Helper()
+		b := core.NewBuilder(append(opts, lse.WithSeed(seed))...)
+		rng := rand.New(rand.NewSource(seed))
+		nChains := 2 + rng.Intn(3)
+		for c := 0; c < nChains; c++ {
+			src, err := pcl.NewSource(fmt.Sprintf("src%d", c), core.Params{"count": int64(20 + rng.Intn(30))})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.Add(q)
-			b.Connect(prev, "out", q, "in")
-			prev = q
+			b.Add(src)
+			var prev core.Instance = src
+			depth := 1 + rng.Intn(4)
+			for d := 0; d < depth; d++ {
+				q, err := pcl.NewQueue(fmt.Sprintf("q%d_%d", c, d), core.Params{"capacity": int64(1 + rng.Intn(4))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Add(q)
+				b.Connect(prev, "out", q, "in")
+				prev = q
+			}
+			snk, err := pcl.NewSink(fmt.Sprintf("snk%d", c), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Add(snk)
+			b.Connect(prev, "out", snk, "in")
 		}
-		snk, err := pcl.NewSink(fmt.Sprintf("snk%d", c), nil)
+		sim, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Add(snk)
-		b.Connect(prev, "out", snk, "in")
-	}
-	sim, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	var st bytes.Buffer
-	sim.Stats().Dump(&st)
-	r := schedRun{hashes: h.hashes, stats: st.String()}
-	m := sim.Metrics()
-	for i, k := range []core.SigKind{core.SigData, core.SigEnable, core.SigAck} {
-		r.defaults[i] = m.DefaultFallbacks(k)
-		r.breaks[i] = m.CycleBreaks(k)
-	}
-	return r
+		return sim
+	}}
 }
 
 // passThrough declares ports but no handlers: every one of its signals
@@ -295,42 +349,18 @@ func buildDefaultAcyclicGrid(t testing.TB, w, h int, opts ...core.BuildOption) *
 // (pure static sweep) and a cyclic torus (pure residue worklist with
 // cycle breaks every cycle). Bit-identity must hold there too.
 func TestSchedulersAgreeOnDefaultNetlists(t *testing.T) {
-	shapes := []struct {
-		name  string
-		build func(t testing.TB, opts ...lse.BuildOption) *core.Sim
-	}{
-		{"chain-64", func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+	for _, m := range []model{
+		{"chain-64", 50, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
 			return buildDefaultChain(t, 64, opts...)
 		}},
-		{"torus-8x8", func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+		{"torus-8x8", 50, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
 			return buildDefaultMesh(t, 8, 8, opts...)
 		}},
-		{"grid-8x8", func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+		{"grid-8x8", 50, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
 			return buildDefaultAcyclicGrid(t, 8, 8, opts...)
 		}},
-	}
-	for _, shape := range shapes {
-		run := func(opts []lse.BuildOption) schedRun {
-			h := &cycleHasher{}
-			all := append([]lse.BuildOption{lse.WithMetrics(), lse.WithTracer(h)}, opts...)
-			sim := shape.build(t, all...)
-			if err := sim.Run(50); err != nil {
-				t.Fatal(err)
-			}
-			var st bytes.Buffer
-			sim.Stats().Dump(&st)
-			r := schedRun{hashes: h.hashes, stats: st.String()}
-			m := sim.Metrics()
-			for i, k := range []core.SigKind{core.SigData, core.SigEnable, core.SigAck} {
-				r.defaults[i] = m.DefaultFallbacks(k)
-				r.breaks[i] = m.CycleBreaks(k)
-			}
-			return r
-		}
-		ref := run(schedulerMatrix[0].opts)
-		for _, tc := range schedulerMatrix[1:] {
-			diffRuns(t, shape.name, tc.name, ref, run(tc.opts), tc.exactCounts)
-		}
+	} {
+		diffModel(t, m)
 	}
 }
 
@@ -400,27 +430,53 @@ func TestSchedulersAgreeOnBurstyNetlists(t *testing.T) {
 		w, h := 3+rng.Intn(4), 3+rng.Intn(4)
 		rate := 0.02 + 0.05*rng.Float64()
 		count := int64(3 + rng.Intn(8))
-		run := func(opts []lse.BuildOption) schedRun {
-			hsh := &cycleHasher{}
-			all := append([]lse.BuildOption{lse.WithSeed(seed), lse.WithMetrics(), lse.WithTracer(hsh)}, opts...)
-			sim := buildMostlyIdle(t, chains, depth, w, h, rate, count, all...)
-			if err := sim.Run(300); err != nil {
+		seed := seed
+		diffModel(t, model{fmt.Sprintf("bursty-%d", seed), 300, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+			return buildMostlyIdle(t, chains, depth, w, h, rate, count, append(opts, lse.WithSeed(seed))...)
+		}})
+	}
+}
+
+// TestSchedulersAgreeOnPaperSystems holds the Figure 2(a)-(d) builders —
+// the CMP, the sensor network, the torus grid and the system of systems —
+// to the oracle, untraced and under check mode included: these are the
+// models whose clusters close in the benchmark.
+func TestSchedulersAgreeOnPaperSystems(t *testing.T) {
+	system := func(name string, seed int64, cycles uint64, assemble func(*core.Builder) error) model {
+		return model{name, cycles, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+			t.Helper()
+			b := core.NewBuilder(append(opts, lse.WithSeed(seed))...)
+			if err := assemble(b); err != nil {
 				t.Fatal(err)
 			}
-			var st bytes.Buffer
-			sim.Stats().Dump(&st)
-			r := schedRun{hashes: hsh.hashes, stats: st.String()}
-			m := sim.Metrics()
-			for i, k := range []core.SigKind{core.SigData, core.SigEnable, core.SigAck} {
-				r.defaults[i] = m.DefaultFallbacks(k)
-				r.breaks[i] = m.CycleBreaks(k)
+			sim, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
 			}
-			return r
-		}
-		ref := run(schedulerMatrix[0].opts)
-		for _, tc := range schedulerMatrix[1:] {
-			diffRuns(t, fmt.Sprintf("bursty-%d", seed), tc.name, ref, run(tc.opts), tc.exactCounts)
-		}
+			return sim
+		}}
+	}
+	for _, m := range []model{
+		system("fig2a-cmp", 1, 400, func(b *core.Builder) error {
+			_, err := systems.BuildCMP(b, "cmp", systems.CMPCfg{W: 2, H: 2, RefsPer: 60, Seed: 1})
+			return err
+		}),
+		system("fig2b-sensornet", 5, 400, func(b *core.Builder) error {
+			_, err := systems.BuildSensorNet(b, "sn", 3, 20, 40)
+			return err
+		}),
+		system("fig2c-grid", 2, 300, func(b *core.Builder) error {
+			_, err := systems.BuildCMP(b, "grid", systems.CMPCfg{W: 4, H: 2, Torus: true, RefsPer: 40, Seed: 2})
+			return err
+		}),
+		system("fig2d-sos", 9, 400, func(b *core.Builder) error {
+			_, err := systems.BuildSoS(b, "sos", systems.SoSCfg{
+				Clusters: 2, SensorsPer: 2, SamplesPer: 16, Threshold: 10, Batch: 4,
+			})
+			return err
+		}),
+	} {
+		diffModel(t, m)
 	}
 }
 
@@ -469,82 +525,67 @@ func TestMeshScheduleGolden(t *testing.T) {
 // drivers exercise the spill-lane unboxing path.
 func TestSchedulersAgreeOnTypedNetlists(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		ref := runTypedRandomUnder(t, seed, schedulerMatrix[0].opts...)
-		for _, tc := range schedulerMatrix[1:] {
-			got := runTypedRandomUnder(t, seed, tc.opts...)
-			diffRuns(t, fmt.Sprintf("typed-rand-%d", seed), tc.name, ref, got, tc.exactCounts)
-		}
+		diffModel(t, typedRandomModel(seed))
 	}
 }
 
-func runTypedRandomUnder(t *testing.T, seed int64, opts ...lse.BuildOption) schedRun {
-	t.Helper()
-	h := &cycleHasher{}
-	opts = append(opts, lse.WithSeed(seed), lse.WithMetrics(), lse.WithTracer(h))
-	b := core.NewBuilder(opts...)
-	rng := rand.New(rand.NewSource(seed))
-	payloads := []string{"uint64", "uint64", "any"} // bias toward the fast lane
-	pick := func() string { return payloads[rng.Intn(len(payloads))] }
-	scalarConns := 0
-	nChains := 2 + rng.Intn(3)
-	for c := 0; c < nChains; c++ {
-		srcPayload := pick()
-		srcParams := core.Params{"count": int64(20 + rng.Intn(30)), "payload": srcPayload}
-		if srcPayload != "uint64" {
-			// Keep the value domain uint64 everywhere so a typed reader
-			// downstream of this boxed driver can still unbox.
-			srcParams["gen"] = pcl.GenFn(func(rng *rand.Rand, cycle, seq uint64) (any, bool) {
-				return seq, true
-			})
-		}
-		src, err := pcl.NewSource(fmt.Sprintf("src%d", c), srcParams)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Add(src)
-		var prev core.Instance = src
-		depth := 1 + rng.Intn(4)
-		for d := 0; d < depth; d++ {
-			q, err := pcl.NewQueue(fmt.Sprintf("q%d_%d", c, d),
-				core.Params{"capacity": int64(1 + rng.Intn(4)), "payload": pick()})
+func typedRandomModel(seed int64) model {
+	return model{fmt.Sprintf("typed-rand-%d", seed), 100, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+		t.Helper()
+		b := core.NewBuilder(append(opts, lse.WithSeed(seed))...)
+		rng := rand.New(rand.NewSource(seed))
+		payloads := []string{"uint64", "uint64", "any"} // bias toward the fast lane
+		pick := func() string { return payloads[rng.Intn(len(payloads))] }
+		nChains := 2 + rng.Intn(3)
+		for c := 0; c < nChains; c++ {
+			srcPayload := pick()
+			srcParams := core.Params{"count": int64(20 + rng.Intn(30)), "payload": srcPayload}
+			if srcPayload != "uint64" {
+				// Keep the value domain uint64 everywhere so a typed reader
+				// downstream of this boxed driver can still unbox.
+				srcParams["gen"] = pcl.GenFn(func(rng *rand.Rand, cycle, seq uint64) (any, bool) {
+					return seq, true
+				})
+			}
+			src, err := pcl.NewSource(fmt.Sprintf("src%d", c), srcParams)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.Add(q)
-			b.Connect(prev, "out", q, "in")
-			prev = q
+			b.Add(src)
+			var prev core.Instance = src
+			depth := 1 + rng.Intn(4)
+			for d := 0; d < depth; d++ {
+				q, err := pcl.NewQueue(fmt.Sprintf("q%d_%d", c, d),
+					core.Params{"capacity": int64(1 + rng.Intn(4)), "payload": pick()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Add(q)
+				b.Connect(prev, "out", q, "in")
+				prev = q
+			}
+			snk, err := pcl.NewSink(fmt.Sprintf("snk%d", c), core.Params{"payload": pick()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Add(snk)
+			b.Connect(prev, "out", snk, "in")
 		}
-		snk, err := pcl.NewSink(fmt.Sprintf("snk%d", c), core.Params{"payload": pick()})
+		sim, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Add(snk)
-		b.Connect(prev, "out", snk, "in")
-	}
-	sim, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range sim.Conns() {
-		if c.Scalar() {
-			scalarConns++
+		scalarConns := 0
+		for _, c := range sim.Conns() {
+			if c.Scalar() {
+				scalarConns++
+			}
 		}
-	}
-	if err := sim.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if info := sim.Schedule(); info != nil && info.ScalarConns != scalarConns {
-		t.Fatalf("schedule reports %d scalar conns, counted %d", info.ScalarConns, scalarConns)
-	}
-	var st bytes.Buffer
-	sim.Stats().Dump(&st)
-	r := schedRun{hashes: h.hashes, stats: st.String()}
-	m := sim.Metrics()
-	for i, k := range []core.SigKind{core.SigData, core.SigEnable, core.SigAck} {
-		r.defaults[i] = m.DefaultFallbacks(k)
-		r.breaks[i] = m.CycleBreaks(k)
-	}
-	return r
+		if info := sim.Schedule(); info != nil && info.ScalarConns != scalarConns {
+			t.Fatalf("schedule reports %d scalar conns, counted %d", info.ScalarConns, scalarConns)
+		}
+		return sim
+	}}
 }
 
 // TestSingleWriterSessionMigrates pins what the single-writer rule does
