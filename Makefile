@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-e2e bench-e2e-compare bench-e2e-pairs bench-smoke bench-weave serve-smoke lint
+.PHONY: check vet build test race bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke lint
 
 ## check: full gate — vet, build, and the test suite under the race detector.
 check: vet build race
@@ -50,30 +50,6 @@ bench-e2e-compare:
 N ?= 10
 bench-e2e-pairs:
 	$(GO) run ./tools/benchpairs -w $(W) -parent $(PARENT) -n $(N)
-
-## bench-smoke: fast CI sanity pass over the scheduler benchmarks, gated
-## against the checked-in BENCH_10.json baseline (fail on >25% slowdown,
-## or on allocs/op above a baselined zero-alloc row). Three samples per
-## benchmark; benchguard compares the min of them, so one noisy sample
-## on a shared host doesn't fail the gate.
-bench-smoke:
-	$(GO) test -bench='BenchmarkLevelized|BenchmarkSparse|BenchmarkTyped|BenchmarkNewSimFromProgram|BenchmarkSessionStampHTTP|BenchmarkDataflow|BenchmarkPruned|BenchmarkWoven' -benchtime=200x -benchmem -count=3 -run=^$$ . | tee bench-smoke.out
-	$(GO) run ./tools/benchguard -baseline BENCH_10.json bench-smoke.out
-	@rm -f bench-smoke.out
-
-## bench-weave: woven-scheduler acceptance gate — the default-control
-## pipeline and acyclic grid under interpreted levelized vs woven, gated
-## two ways: against the BENCH_10.json baseline, and the woven rows must
-## never be slower than their levelized twins from the same run
-## (benchguard -notslower; the issue target is >=2x, the baseline pins
-## ~130x, and the comparative gate keeps the direction honest on any
-## host speed).
-bench-weave:
-	$(GO) test -bench='BenchmarkWoven' -benchtime=200x -benchmem -count=3 -run=^$$ . | tee bench-weave.out
-	$(GO) run ./tools/benchguard -baseline BENCH_10.json \
-		-notslower 'BenchmarkWovenPipeline/woven<=BenchmarkWovenPipeline/levelized' \
-		-notslower 'BenchmarkWovenMesh/woven<=BenchmarkWovenMesh/levelized' bench-weave.out
-	@rm -f bench-weave.out
 
 ## serve-smoke: end-to-end daemon smoke — build lsd, spawn it as a real
 ## process, drive submit/stamp/run/observe/snapshot/restore over HTTP,

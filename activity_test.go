@@ -69,6 +69,15 @@ func stepHashes(t *testing.T, sim *core.Sim, n int) []uint64 {
 	return out
 }
 
+func mustCompile(t *testing.T, assemble func(*core.Builder) error, opts ...core.BuildOption) *core.Program {
+	t.Helper()
+	p, err := core.Compile(assemble, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestActivityLifecycle walks the events that drop idle signatures — a
 // snapshot restored into the same and the other engine, and
 // InvalidateActivity — on the checkpoint recipe (sources, an arbiter, a

@@ -1,48 +1,39 @@
 package liberty_test
 
-// alias_test.go pins the one-release compatibility contract of the
-// removed multi-worker engines (DESIGN.md Appendix H): every way a user
-// could still ask for them — the lse names, lsc's flags, the /v1 wire
-// fields — builds, runs the default engine, says so, and computes what
-// -scheduler auto computes.
+// alias_test.go pins how the front ends treat what no longer exists: the
+// scheduler names of the deleted engines (levelized, woven, and parallel
+// and partitioned, which were aliases of auto for one release) and the
+// "workers" wire field are rejected — by the parser, by lsc before
+// anything is built, by /v1 before anything is compiled or cached —
+// never aliased, and never a crash.
 
 import (
 	"bytes"
 	"context"
-	"os"
+	"encoding/json"
+	"net/http"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"liberty/lse"
 )
 
-func TestRemovedEngineAliases(t *testing.T) {
-	src, err := os.ReadFile("specs/mesh.lss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cycles = 300
-	auto := runSpecUnder(t, string(src), cycles, lse.WithScheduler(lse.SchedulerAuto))
+var removedSchedulerNames = []string{"levelized", "woven", "parallel", "partitioned"}
 
-	for _, tc := range []struct {
-		name string
-		opts []lse.BuildOption
-	}{
-		{"lse.SchedulerParallel", []lse.BuildOption{lse.WithScheduler(lse.SchedulerParallel)}},
-		{"lse.SchedulerPartitioned+knobs", []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned),
-			lse.WithWorkers(8), lse.WithShards(4), lse.WithParallelThreshold(1)}},
-	} {
-		sim, err := lse.LoadLSS(string(src), tc.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+func TestRemovedEngineAliases(t *testing.T) {
+	const wantMsg = "(want auto, sparse or sequential)"
+
+	for _, name := range removedSchedulerNames {
+		if _, err := lse.ParseSchedulerKind(name); err == nil || !strings.Contains(err.Error(), wantMsg) {
+			t.Errorf("ParseSchedulerKind(%q) = %v, want an unknown-scheduler error listing the valid names", name, err)
 		}
-		if got := sim.Scheduler(); got != lse.SchedulerSparse {
-			t.Errorf("%s: session runs %s, want the default engine (sparse)", tc.name, got)
+	}
+	for _, name := range []string{"", "auto", "sparse"} {
+		if kind, err := lse.ParseSchedulerKind(name); err != nil || kind != lse.SchedulerSparse {
+			t.Errorf("ParseSchedulerKind(%q) = %v, %v, want the engine", name, kind, err)
 		}
-		diffRuns(t, "mesh", tc.name, auto, runSpecUnder(t, string(src), cycles, tc.opts...), true)
 	}
 
 	t.Run("lsc", func(t *testing.T) {
@@ -50,62 +41,99 @@ func TestRemovedEngineAliases(t *testing.T) {
 		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/lsc").CombinedOutput(); err != nil {
 			t.Fatalf("go build ./cmd/lsc: %v\n%s", err, out)
 		}
-		lsc := func(args ...string) (stdout, stderr string) {
+		lsc := func(args ...string) (exit int, output string) {
 			t.Helper()
-			var o, e bytes.Buffer
-			cmd := exec.Command(bin, append(args, "-cycles", "300", "-seed", "1", "-stats-json", "specs/mesh.lss")...)
-			cmd.Stdout, cmd.Stderr = &o, &e
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("lsc %v: %v\n%s", args, err, e.String())
+			var out bytes.Buffer
+			cmd := exec.Command(bin, append(args, "-cycles", "10", "specs/quickstart.lss")...)
+			cmd.Stdout, cmd.Stderr = &out, &out
+			err := cmd.Run()
+			if ee, ok := err.(*exec.ExitError); ok {
+				return ee.ExitCode(), out.String()
+			} else if err != nil {
+				t.Fatalf("lsc %v: %v", args, err)
 			}
-			return o.String(), e.String()
+			return 0, out.String()
 		}
-		want, quiet := lsc("-scheduler", "auto")
-		got, noted := lsc("-scheduler", "partitioned", "-workers", "2")
-		if got != want {
-			t.Error("lsc -scheduler partitioned -workers 2: statistics differ from -scheduler auto")
+		const built = "constructed simulator"
+		for _, name := range removedSchedulerNames {
+			exit, out := lsc("-scheduler", name)
+			if exit != 1 || !strings.Contains(out, wantMsg) || strings.Contains(out, built) {
+				t.Errorf("lsc -scheduler %s: exit %d, want 1 with the valid names listed and nothing built:\n%s", name, exit, out)
+			}
 		}
-		const note = "removed in this release; running auto"
-		if n := strings.Count(noted, note); n != 1 {
-			t.Errorf("lsc -scheduler partitioned -workers 2 printed the removal note %d times, want 1:\n%s", n, noted)
-		}
-		if strings.Contains(quiet, note) {
-			t.Errorf("lsc -scheduler auto printed the removal note:\n%s", quiet)
-		}
-		if !strings.Contains(noted, "(sparse scheduler)") {
-			t.Errorf("lsc did not report the engine actually used:\n%s", noted)
+		// The flag went with the engines it configured.
+		if exit, out := lsc("-workers", "2"); exit == 0 || strings.Contains(out, built) {
+			t.Errorf("lsc -workers 2: exit %d, want a flag error and nothing built:\n%s", exit, out)
 		}
 	})
 
 	t.Run("wire", func(t *testing.T) {
 		client := newServeBench(t)
 		ctx := context.Background()
-		run := func(o lse.ProgramBuildOptions) (lse.ProgramInfo, lse.Snapshot) {
+		cached := func() int {
 			t.Helper()
-			prog, err := client.SubmitProgram(ctx, lse.SubmitProgramRequest{Spec: string(src), Options: o})
-			if err != nil {
-				t.Fatalf("%+v: %v", o, err)
-			}
-			ss, err := client.NewSession(ctx, prog.ID, lse.CreateSessionRequest{Seed: 1})
+			resp, err := client.HTTP.Get(client.Base + "/v1/programs")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := client.Run(ctx, ss.ID, cycles); err != nil {
+			defer resp.Body.Close()
+			var list struct {
+				Programs []lse.ProgramInfo `json:"programs"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 				t.Fatal(err)
 			}
-			snap, err := client.Observe(ctx, ss.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return prog, snap
+			return len(list.Programs)
 		}
-		autoProg, want := run(lse.ProgramBuildOptions{Scheduler: "auto"})
-		prog, got := run(lse.ProgramBuildOptions{Scheduler: "partitioned", Workers: 2})
-		if prog.Scheduler != "sparse" || prog.ID != autoProg.ID {
-			t.Errorf("wire alias compiled %s as %s, want auto's program %s (sparse)", prog.ID, prog.Scheduler, autoProg.ID)
+		for _, name := range removedSchedulerNames {
+			// The spec does not compile: LSD001, not LSD004, shows the
+			// name was refused before any compile.
+			_, err := client.SubmitProgram(ctx, lse.SubmitProgramRequest{
+				Spec: "instance x : no.such.template();", Options: lse.ProgramBuildOptions{Scheduler: name},
+			})
+			var apiErr *lse.ServeError
+			if !errorAs(err, &apiErr) || apiErr.Code != lse.ErrorCode("LSD001") || apiErr.Status != http.StatusBadRequest {
+				t.Errorf("scheduler %q answered %v, want LSD001/400", name, err)
+			} else if !strings.Contains(apiErr.Message, wantMsg) {
+				t.Errorf("scheduler %q: message %q does not list the valid names", name, apiErr.Message)
+			}
 		}
-		if !reflect.DeepEqual(got.Counters, want.Counters) || !reflect.DeepEqual(got.Histograms, want.Histograms) {
-			t.Error("wire alias session's statistics differ from auto's")
+		// "workers" is no longer a field: a body carrying it is a client
+		// error like any other unknown field, never a 500.
+		spec, err := json.Marshal(serveMeshSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := `{"spec": ` + string(spec) + `, "options": {"workers": 4}}`
+		resp, err := client.HTTP.Post(client.Base+"/v1/programs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var envelope struct {
+			Error lse.ServeError `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+			t.Fatalf("workers body: undecodable error envelope: %v", err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != lse.ErrorCode("LSD001") {
+			t.Errorf(`"workers": 4 answered %d %s, want 400 LSD001`, resp.StatusCode, envelope.Error.Code)
+		}
+		if n := cached(); n != 0 {
+			t.Errorf("rejected submissions left %d program(s) in the cache", n)
+		}
+	})
+
+	t.Run("session-switch", func(t *testing.T) {
+		prog, err := lse.CompileLSSFile("mesh.lss", serveMeshSpec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = prog.NewSim(lse.WithScheduler(lse.SchedulerSequential))
+		be, ok := err.(*lse.BuildError)
+		if !ok || be.Op != "new sim" || be.Where != "program" ||
+			!strings.Contains(be.Detail, "sessions cannot select sequential") {
+			t.Fatalf("NewSim with another kind = %v, want the sessions-cannot-select BuildError at the program", err)
 		}
 	})
 }

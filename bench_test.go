@@ -466,22 +466,31 @@ func benchScheduler(b *testing.B, sim *core.Sim) {
 	}
 }
 
-// BenchmarkLevelizedPipeline compares the dynamic fixed-point path against
-// the levelized static schedule on a 256-deep pipeline of handler-less
-// modules — the netlist shape default control exists for (§2.1: modules
-// may omit control code entirely). Every signal falls to default control;
-// the sequential scanner's backward ack round degenerates to O(conns²)
-// rescans while the static sweep resolves each level in order. The
-// levelized engine must report zero fixed-point iterations: the chain is
+// openTracer observes nothing. Attaching it keeps every cluster open, so
+// the engine rows of BenchmarkLevelized* measure the static sweep and the
+// residue worklist over the whole netlist rather than the replay that
+// BenchmarkSparse* measure.
+type openTracer struct{}
+
+func (openTracer) OnCycleBegin(uint64)                             {}
+func (openTracer) OnCycleEnd(uint64)                               {}
+func (openTracer) OnResolve(*core.Conn, core.SigKind, core.Status) {}
+
+// BenchmarkLevelizedPipeline compares the reference's dynamic fixed point
+// against the engine's static schedule on a 256-deep pipeline of
+// handler-less modules — the netlist shape default control exists for
+// (§2.1: modules may omit control code entirely). Every signal falls to
+// default control; the reference's backward ack round degenerates to
+// O(conns²) rescans while the static sweep resolves each level in order.
+// The engine must report zero fixed-point iterations: the chain is
 // acyclic, so every default lands in the statically ordered sweep.
 func BenchmarkLevelizedPipeline(b *testing.B) {
 	b.Run("fixedpoint", func(b *testing.B) {
 		benchScheduler(b, buildDefaultChain(b, 256,
 			core.WithScheduler(core.SchedulerSequential), core.WithMetrics()))
 	})
-	b.Run("levelized", func(b *testing.B) {
-		sim := buildDefaultChain(b, 256,
-			core.WithScheduler(core.SchedulerLevelized), core.WithMetrics())
+	b.Run("engine", func(b *testing.B) {
+		sim := buildDefaultChain(b, 256, core.WithTracer(openTracer{}), core.WithMetrics())
 		benchScheduler(b, sim)
 		if got := sim.Metrics().FixedPointIters(); got != 0 {
 			b.Fatalf("acyclic chain reported %d fixed-point iterations, want 0", got)
@@ -489,87 +498,48 @@ func BenchmarkLevelizedPipeline(b *testing.B) {
 	})
 }
 
-// BenchmarkLevelizedMesh compares the same engines on a 16x16 torus mesh
-// of handler-less modules: one large cyclic SCC where the residue
-// worklist (dirty-signal seeded, precomputed dependency lists) replaces
-// the sequential scanner's full-netlist eligibility rescans between cycle
-// breaks.
+// BenchmarkLevelizedMesh compares the same two on a 16x16 torus mesh of
+// handler-less modules: one large cyclic SCC where the residue worklist
+// (dirty-signal seeded, precomputed dependency lists) replaces the
+// reference's full-netlist eligibility rescans between cycle breaks.
 func BenchmarkLevelizedMesh(b *testing.B) {
 	b.Run("fixedpoint", func(b *testing.B) {
 		benchScheduler(b, buildDefaultMesh(b, 16, 16,
 			core.WithScheduler(core.SchedulerSequential), core.WithMetrics()))
 	})
-	b.Run("levelized", func(b *testing.B) {
-		benchScheduler(b, buildDefaultMesh(b, 16, 16,
-			core.WithScheduler(core.SchedulerLevelized), core.WithMetrics()))
+	b.Run("engine", func(b *testing.B) {
+		benchScheduler(b, buildDefaultMesh(b, 16, 16, core.WithTracer(openTracer{}), core.WithMetrics()))
 	})
 }
 
-// BenchmarkWovenPipeline is the weaving acceptance gate on the 256-deep
-// default-control pipeline: every connection is handler-free and
-// control-free, so the woven plan compiles the entire netlist into
-// constant replay — a steady cycle touches no per-connection state at
-// all, against the levelized engine's full per-level interpreted sweep.
-// The issue target is ≥2x over interpreted levelized at 0 allocs/op.
-func BenchmarkWovenPipeline(b *testing.B) {
-	b.Run("levelized", func(b *testing.B) {
-		benchScheduler(b, buildDefaultChain(b, 256,
-			core.WithScheduler(core.SchedulerLevelized), core.WithMetrics()))
-	})
-	b.Run("woven", func(b *testing.B) {
-		benchScheduler(b, buildDefaultChain(b, 256,
-			core.WithScheduler(core.SchedulerWoven), core.WithMetrics()))
-	})
-}
-
-// BenchmarkWovenMesh runs the same comparison on a 16x16 acyclic grid —
-// the torus's 2D fan-in/fan-out shape without its cyclic SCC. The torus
-// itself is useless here (one big cycle is all interpreted residue, and
-// both engines would run the identical worklist); the acyclic grid
-// levelizes completely, so the woven engine replays all 480 connections
-// while the levelized engine re-resolves them level by level.
-func BenchmarkWovenMesh(b *testing.B) {
-	b.Run("levelized", func(b *testing.B) {
-		benchScheduler(b, buildDefaultAcyclicGrid(b, 16, 16,
-			core.WithScheduler(core.SchedulerLevelized), core.WithMetrics()))
-	})
-	b.Run("woven", func(b *testing.B) {
-		benchScheduler(b, buildDefaultAcyclicGrid(b, 16, 16,
-			core.WithScheduler(core.SchedulerWoven), core.WithMetrics()))
-	})
-}
-
-// BenchmarkSparseIdleMesh compares the levelized engine against the
-// activity-gated sparse engine on a 16x16 torus of handler-less modules —
-// a fully idle fabric. The levelized engine re-resolves all 512
-// connections every cycle; the sparse engine resolves them once on the
-// cycle-0 full sweep and replays, so a steady-state cycle touches no
-// signal state at all.
+// BenchmarkSparseIdleMesh is the same torus with clusters free to close —
+// a fully idle fabric. The reference re-resolves all 512 connections
+// every cycle; the engine resolves them once on the cycle-0 full sweep
+// and holds them, so a steady-state cycle touches no signal state at all.
 func BenchmarkSparseIdleMesh(b *testing.B) {
-	b.Run("levelized", func(b *testing.B) {
+	b.Run("fixedpoint", func(b *testing.B) {
 		benchScheduler(b, buildDefaultMesh(b, 16, 16,
-			core.WithScheduler(core.SchedulerLevelized), core.WithMetrics()))
+			core.WithScheduler(core.SchedulerSequential), core.WithMetrics()))
 	})
-	b.Run("sparse", func(b *testing.B) {
-		benchScheduler(b, buildDefaultMesh(b, 16, 16,
-			core.WithScheduler(core.SchedulerSparse), core.WithMetrics()))
+	b.Run("engine", func(b *testing.B) {
+		benchScheduler(b, buildDefaultMesh(b, 16, 16, core.WithMetrics()))
 	})
 }
 
-// BenchmarkSparseSensornet compares the engines on the mostly-idle shape
+// BenchmarkSparseSensornet compares the two on the mostly-idle shape
 // activity gating targets: three low-rate sensor chains beside a 16x16
 // passive fabric. Only the chains (a few percent of the netlist) pay
-// per-cycle cost under the sparse engine.
+// per-cycle cost under the engine.
 func BenchmarkSparseSensornet(b *testing.B) {
 	build := func(opts ...core.BuildOption) *core.Sim {
 		return buildMostlyIdle(b, 3, 2, 16, 16, 0.05, 1<<40,
 			append(opts, core.WithSeed(1), core.WithMetrics())...)
 	}
-	b.Run("levelized", func(b *testing.B) {
-		benchScheduler(b, build(core.WithScheduler(core.SchedulerLevelized)))
+	b.Run("fixedpoint", func(b *testing.B) {
+		benchScheduler(b, build(core.WithScheduler(core.SchedulerSequential)))
 	})
-	b.Run("sparse", func(b *testing.B) {
-		benchScheduler(b, build(core.WithScheduler(core.SchedulerSparse)))
+	b.Run("engine", func(b *testing.B) {
+		benchScheduler(b, build())
 	})
 }
 
@@ -587,7 +557,7 @@ func BenchmarkTypedPipeline(b *testing.B) {
 	const width = 256
 	run := func(b *testing.B, payload string, gen pcl.GenFn) {
 		b.Helper()
-		bld := core.NewBuilder(core.WithScheduler(core.SchedulerLevelized))
+		bld := core.NewBuilder()
 		srcParams := core.Params{"payload": payload}
 		if gen != nil {
 			srcParams["gen"] = gen
@@ -890,7 +860,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkDataflowAnalyze measures the whole-program dataflow analysis
-// (the engine behind LSE009–LSE013 and WithDataflowPrune) over the 16x16
+// (the analysis behind LSE009–LSE013) over the 16x16
 // torus mesh — one large cyclic SCC, the fixed-point engine's worst
 // case: no finite round count converges, so the run pays the full
 // iteration budget and then the SCC widening.
@@ -900,36 +870,5 @@ func BenchmarkDataflowAnalyze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.AnalyzeFlow(sim)
-	}
-}
-
-// BenchmarkPrunedMesh compares sparse sessions of the same mixed netlist
-// — a few live low-rate chains beside many provably dead rate-0 chains —
-// with and without WithDataflowPrune. Unpruned, every dead source's
-// cycle-start handler and every dead instance's commit handler still run
-// each cycle (cycle-start handlers are always-active seeds); pruned,
-// that structure is deleted from the schedule and only replays its
-// settled resolution.
-func BenchmarkPrunedMesh(b *testing.B) {
-	assemble := assemblePrunable(2, 16, 8)
-	for _, tc := range []struct {
-		name string
-		opts []core.BuildOption
-	}{
-		{"unpruned", []core.BuildOption{core.WithScheduler(core.SchedulerSparse)}},
-		{"pruned", []core.BuildOption{core.WithScheduler(core.SchedulerSparse), core.WithDataflowPrune()}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			prog, err := core.Compile(assemble, tc.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim, err := prog.NewSim(core.WithSeed(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			benchScheduler(b, sim)
-		})
 	}
 }

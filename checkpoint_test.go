@@ -104,9 +104,9 @@ func runStamped(t *testing.T, prog *core.Program, cycles uint64) ([]uint64, stri
 // TestCheckpointRestoreBitIdentical is the checkpoint oracle: run a
 // session to cycle k, snapshot, restore onto a fresh session and run the
 // remainder. The restored run's per-cycle scheddiff hashes and its final
-// statistics dump must be bit-identical to an uninterrupted run — across
-// the sequential, levelized, sparse and woven engines, and across boxed
-// and typed (uint64-lane) payloads.
+// statistics dump must be bit-identical to an uninterrupted run — under
+// the reference and the engine, and across boxed and typed (uint64-lane)
+// payloads.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const snapAt, total = 60, 140
 	engines := []struct {
@@ -114,9 +114,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		kind core.SchedulerKind
 	}{
 		{"sequential", core.SchedulerSequential},
-		{"levelized", core.SchedulerLevelized},
 		{"sparse", core.SchedulerSparse},
-		{"woven", core.SchedulerWoven},
 	}
 	for _, payload := range []string{"any", "uint64"} {
 		for _, eng := range engines {
@@ -213,57 +211,14 @@ func restoreAcross(t *testing.T, from, to *core.Program, snapAt, total uint64) (
 	return h.hashes, st.String()
 }
 
-// TestCheckpointCrossEngineWoven pins scheduler independence of the
-// snapshot format: the fingerprint hashes structure, not the engine, so
-// a snapshot taken under the woven engine restores into a levelized
-// compile of the same recipe (and vice versa) and continues the
-// reference hash sequence bit-for-bit. This is the woven engine's
-// strongest external soundness check — its replayed region must land
-// exactly the state the interpreted engines compute.
-func TestCheckpointCrossEngineWoven(t *testing.T) {
-	const snapAt, total = 60, 140
-	for _, payload := range []string{"any", "uint64"} {
-		for _, dir := range []struct {
-			name     string
-			from, to core.SchedulerKind
-		}{
-			{"woven-to-levelized", core.SchedulerWoven, core.SchedulerLevelized},
-			{"levelized-to-woven", core.SchedulerLevelized, core.SchedulerWoven},
-		} {
-			t.Run(fmt.Sprintf("%s/%s", payload, dir.name), func(t *testing.T) {
-				progFrom, err := core.Compile(checkpointAssemble(payload),
-					core.WithSeed(7), core.WithScheduler(dir.from))
-				if err != nil {
-					t.Fatal(err)
-				}
-				progTo, err := core.Compile(checkpointAssemble(payload),
-					core.WithSeed(7), core.WithScheduler(dir.to))
-				if err != nil {
-					t.Fatal(err)
-				}
-				refHashes, refStats := runStamped(t, progTo, total)
-				hashes, stats := restoreAcross(t, progFrom, progTo, snapAt, total)
-				for i, got := range hashes {
-					if got != refHashes[snapAt+i] {
-						t.Fatalf("cross-engine restore diverges from the %s reference at cycle %d",
-							dir.to, snapAt+i)
-					}
-				}
-				if stats != refStats {
-					t.Fatalf("cross-engine statistics diverge:\n--- reference\n%s--- restored\n%s",
-						refStats, stats)
-				}
-			})
-		}
-	}
-}
-
-// TestEmptyPartitionCrossEngine runs the sparse (default) engine on two
-// recipes — one in which a start handler reaches every cluster, and one
-// with an idle island that no start handler reaches, which is resolved
-// once and held — against the sequential
-// oracle. Both must report sparse, hash equal to the oracle cycle by
-// cycle, and exchange snapshots with it in either direction.
+// TestEmptyPartitionCrossEngine runs the engine on three recipes — the
+// checkpoint recipe with boxed and with uint64-lane payloads, in which a
+// start handler reaches every cluster, and one with an idle island that
+// no start handler reaches, which is resolved once and held — against the
+// reference. All must report sparse, hash equal to the reference cycle by
+// cycle, and exchange snapshots with it in either direction: the
+// fingerprint hashes structure, not the scheduler kind, so the snapshot
+// format is independent of what wrote it.
 func TestEmptyPartitionCrossEngine(t *testing.T) {
 	const snapAt, total = 60, 140
 	withIsland := func(b *core.Builder) error {
@@ -284,6 +239,7 @@ func TestEmptyPartitionCrossEngine(t *testing.T) {
 		gates    bool
 	}{
 		{"gates-nothing", checkpointAssemble("any"), false},
+		{"gates-nothing-uint64", checkpointAssemble("uint64"), false},
 		{"idle-island", withIsland, true},
 	} {
 		progs := map[core.SchedulerKind]*core.Program{}

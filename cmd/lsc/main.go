@@ -12,11 +12,10 @@
 //
 //	-cycles N      cycles to simulate (default 1000)
 //	-seed N        deterministic random seed (default 0)
-//	-scheduler S   auto | sequential | levelized | sparse | woven
-//	               (default auto = sparse)
-//	-schedule      dump the static schedule (SCCs, levels, break sites)
-//	-workers N     removed: accepted and ignored for one release, like
-//	               -scheduler parallel|partitioned (both run auto)
+//	-scheduler S   auto | sparse (the engine; two spellings of the
+//	               default) or sequential (the reference)
+//	-schedule      dump the engine's static schedule and cluster plan
+//	               (SCCs, levels, break sites, clusters)
 //	-trace         dump the signal trace to stderr
 //	-profile       collect scheduler metrics; print a hot-module report
 //	-cpuprofile F  write a pprof CPU profile of construction and the run to F
@@ -87,9 +86,8 @@ func (d defines) Set(s string) error {
 func main() {
 	cycles := flag.Uint64("cycles", 1000, "cycles to simulate")
 	seed := flag.Int64("seed", 0, "deterministic random seed")
-	scheduler := flag.String("scheduler", "auto", "scheduling engine: auto, sequential, levelized, sparse or woven")
-	schedule := flag.Bool("schedule", false, "dump the static schedule (levelized scheduler) to stderr")
-	workers := flag.Int("workers", 1, "removed in this release: accepted and ignored (a simulator has one writer)")
+	scheduler := flag.String("scheduler", "auto", "auto or sparse (the engine) or sequential (the reference)")
+	schedule := flag.Bool("schedule", false, "dump the engine's static schedule and cluster plan to stderr")
 	trace := flag.Bool("trace", false, "dump the signal trace to stderr")
 	dot := flag.String("dot", "", "write the netlist as a Graphviz digraph to this file")
 	vcd := flag.String("vcd", "", "write a VCD waveform of every connection to this file")
@@ -147,12 +145,9 @@ func main() {
 		}
 		opts = append(opts, lse.WithStrictAnalysis(min))
 	}
-	kind, removed, err := lse.ParseSchedulerKind(*scheduler)
+	kind, err := lse.ParseSchedulerKind(*scheduler)
 	if err != nil {
 		fatal(err)
-	}
-	if removed || *workers != 1 {
-		fmt.Fprintln(os.Stderr, "lsc: the multi-worker engines (-scheduler parallel|partitioned, -workers) were removed in this release; running auto")
 	}
 	opts = append(opts, lse.WithScheduler(kind))
 	if *trace {

@@ -23,8 +23,8 @@
 //
 // Passes come in two kinds. Netlist passes (AnalyzeSim) run over a built
 // *core.Sim — the combinational-cycle pass reuses the engine's own Tarjan
-// SCC condensation (core.Sim.SCCs), so the analyzer and the levelized
-// scheduler agree on what a cycle is. Spec passes (AnalyzeSpec) run over
+// SCC condensation (core.Sim.SCCs), so the analyzer and the engine's
+// static schedule agree on what a cycle is. Spec passes (AnalyzeSpec) run over
 // the parsed LSS AST, where parameter scoping is still visible.
 //
 // Entry points:

@@ -4,8 +4,8 @@
 // constant-driven handshakes, provable protocol stalls, guaranteed spill
 // seams and constant-foldable subnetlists. The classification here is
 // pure bookkeeping over the per-connection facts — the lattice and the
-// fixed point live in internal/core so the same analysis can also drive
-// compile-time pruning (core.WithDataflowPrune).
+// fixed point live in internal/core, beside the default-control rules
+// their transfer functions mirror.
 package flow
 
 import (

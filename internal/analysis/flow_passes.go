@@ -108,7 +108,7 @@ func passFlowDead(s *core.Sim, r *Report) {
 			continue // already LSE004: no path to a sink
 		}
 		r.Addf("LSE010", Warning, posOf(inst), inst.Name(),
-			"statically dead instance: %q is alive in the connection graph but every one of its connections is provably dead — delete it, or build with WithDataflowPrune to skip it at compile time", inst.Name())
+			"statically dead instance: %q is alive in the connection graph but every one of its connections is provably dead — delete it", inst.Name())
 	}
 }
 

@@ -90,7 +90,7 @@ func passUnconnected(s *core.Sim, r *Report) {
 }
 
 // passCycles (LSE002) reports each cyclic SCC of the module graph — the
-// same Tarjan condensation the levelized scheduler compiles (Sim.SCCs),
+// same Tarjan condensation the engine's static schedule compiles (Sim.SCCs),
 // so analysis and execution agree on what a cycle is. A cycle the engine
 // can break by defaulting is a warning naming members and the break site;
 // a cycle where every potential break site forbids defaulting (NoDefault)
@@ -288,41 +288,6 @@ func passPayload(s *core.Sim, r *Report) {
 			r.Addf("LSE008", Info, c.SourcePos(), c.String(),
 				"mixed payload kinds: driver %s declares uint64 but sink %s demands boxed values, forcing the connection onto the spill lane; the driver's scalar declaration buys nothing here",
 				sp.FullName(), dp.FullName())
-		}
-	}
-}
-
-// passWeave (LSE014) names the constructs the woven scheduler cannot
-// compile into constant replay or fused kernels. Two shapes matter: a
-// handler-adjacent connection in the residue of a combinational cycle
-// (taint spreads to the cycle's fan-in and fan-out, so the whole region
-// is interpreted through the worklist path every cycle, and no schedule
-// restructuring can lift it while the cycle stands) — and,
-// only when the netlist was actually compiled for the woven engine,
-// handler-adjacent boxed connections, whose spill-lane data must be
-// released conn-by-conn every steady cycle. Both are informational: the
-// model is correct, the woven engine just interprets these regions.
-// The classification is scheduler-independent (any statically scheduled
-// build can grade its netlist), so the residue finding fires under the
-// default sparse build too; the boxed-fallback finding is gated on the
-// woven engine because on other engines the spill lane costs the same
-// everywhere and the advice would be noise.
-func passWeave(s *core.Sim, r *Report) {
-	classes := s.WeaveClasses()
-	if classes == nil {
-		return // dynamically scheduled build: no static plan to grade
-	}
-	woven := s.Scheduler() == core.SchedulerWoven
-	for _, c := range s.Conns() {
-		switch classes[c.ID()] {
-		case core.WeaveHandlerResidue:
-			r.Addf("LSE014", Info, c.SourcePos(), c.String(),
-				"unweavable: handler-adjacent connection in the residue of a combinational cycle is interpreted through the worklist path every cycle under the woven scheduler; break the cycle or move the handlers off its region to unlock kernel fusion")
-		case core.WeaveHandler:
-			if woven && !c.Scalar() {
-				r.Addf("LSE014", Info, c.SourcePos(), c.String(),
-					"woven fallback carries boxed data: the spill lane is released conn-by-conn every steady cycle; declare PayloadUint64 end to end to move this connection onto the scalar lane")
-			}
 		}
 	}
 }

@@ -42,7 +42,6 @@ var (
 		{Code: "LSE011", Name: "constspill", Doc: "guaranteed spill seams: boxed-lane connections that provably carry data every cycle, paying the allocation on the hot path", Run: passGuaranteedSpill},
 		{Code: "LSE012", Name: "stall", Doc: "provable protocol stalls: the driver always enables but the sink provably never acks", Run: passProtocolStall},
 		{Code: "LSE013", Name: "foldable", Doc: "constant-foldable subnetlists: connected components whose every connection resolves to the same proven facts every cycle", Run: passFoldable},
-		{Code: "LSE014", Name: "weave", Doc: "unweavable constructs: handler-adjacent connections in the residue of combinational cycles (interpreted under the woven scheduler) and boxed woven fallbacks on the spill lane", Run: passWeave},
 	}
 	specPasses = []SpecPass{
 		{Code: "LSE005", Name: "params", Doc: "unused or shadowed parameters and lets", Run: passParams},

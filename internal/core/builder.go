@@ -16,7 +16,6 @@ type Builder struct {
 	sched     SchedulerKind
 	tracer    Tracer
 	metrics   bool
-	prune     bool // WithDataflowPrune: delete provably-dead structure
 	actCheck  bool // WithActivityCheck: evaluate would-be-closed clusters and compare
 	instances []Instance
 	byName    map[string]Instance
@@ -31,8 +30,8 @@ type Builder struct {
 	prog *Program
 }
 
-// NewBuilder returns a Builder using DefaultRegistry, seed 0 and
-// automatic scheduler selection (see WithScheduler), then applies opts.
+// NewBuilder returns a Builder using DefaultRegistry, seed 0 and the
+// engine (see WithScheduler), then applies opts.
 func NewBuilder(opts ...BuildOption) *Builder {
 	b := &Builder{reg: DefaultRegistry, byName: make(map[string]Instance)}
 	for _, o := range opts {
@@ -185,11 +184,6 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		return nil, err
 	}
 	b.built = true
-	sched := resolveScheduler(b.sched)
-	if b.prune && sched != SchedulerSparse && sched != SchedulerWoven {
-		return nil, &BuildError{Op: "build", Where: "?",
-			Detail: fmt.Sprintf("WithDataflowPrune requires the sparse (default) or woven scheduler, not %s: pruning moves provably-dead structure into the replayed region", sched)}
-	}
 	// The compiled artifacts index by instance and connection id; assign
 	// instance ids (assembly order) before compiling or validating.
 	// Connection ids were assigned at Connect time.
@@ -199,19 +193,19 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	p := b.prog
 	if p == nil {
 		// Compile path: this netlist defines the program.
-		p = compileProgram(b.instances, b.conns, sched, b.prune)
+		p = compileProgram(b.instances, b.conns, b.sched)
 	} else {
 		// Session-stamp path (Program.NewSim): the expensive artifacts —
 		// Tarjan/levelization, cluster plan, lane election — are
 		// already compiled; validate the re-assembled netlist matches and
 		// bind. This is the 0-rebuild-work spin-up path.
-		if err := p.checkStamp(b.instances, b.conns, sched); err != nil {
+		if err := p.checkStamp(b.instances, b.conns, b.sched); err != nil {
 			return nil, err
 		}
 	}
 	s := &Sim{
 		seed:      b.seed,
-		sched:     sched,
+		sched:     b.sched,
 		tracer:    b.tracer,
 		prog:      p,
 		instances: b.instances,
@@ -222,13 +216,7 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		schedule:  p.schedule,
 		sparse:    p.sparse,
 		actCheck:  b.actCheck,
-		weave:     p.weave,
-	}
-	if s.sparse != nil || s.weave != nil {
-		s.needFull = true // cycle 0 establishes the replayed region's values
-	}
-	if p.pruned != nil {
-		s.pruned = p.pruned.insts
+		needFull:  true, // cycle 0 establishes the plane the engine's steady cycles build on
 	}
 	if b.metrics {
 		s.metrics = newMetrics(s)
@@ -262,15 +250,6 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		}
 	}
 	return s, nil
-}
-
-// resolveScheduler pins the scheduler selection down to a concrete
-// engine.
-func resolveScheduler(sched SchedulerKind) SchedulerKind {
-	if sched == SchedulerAuto {
-		return SchedulerSparse
-	}
-	return sched
 }
 
 // Sub composes a hierarchical child-instance name.

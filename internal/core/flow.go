@@ -17,8 +17,7 @@ package core
 // cycle (or the analysis cannot prove otherwise). The data value carried
 // on data-Yes cycles is abstracted the same way (unknown ⊑ const-uint64 ⊑
 // ⊤) as a FlowValue. A fact is *cycle-invariant*: FlowYes means "resolves
-// Yes on every cycle of every session", which is what lets the pruning
-// optimization replay it forever.
+// Yes on every cycle of every session".
 //
 // Transfer functions. Facts originate from three places:
 //
@@ -175,7 +174,7 @@ func (f ConnFacts) ConstResolved() bool {
 //
 // The facts describe construction-time parameters; mutating a module
 // mid-run in a way that changes its transfer behavior (e.g. Source.SetRate)
-// invalidates them — see WithDataflowPrune for the consequences.
+// invalidates them.
 type FlowModel interface {
 	Instance
 	FlowTransfer(f *Flow)
@@ -255,11 +254,6 @@ func (ff *FlowFacts) Rounds() int { return ff.rounds }
 // dependency cycle was forced to ⊤).
 func (ff *FlowFacts) Widened() bool { return ff.widened }
 
-// AnalyzeFlow runs the whole-program dataflow analysis over a built
-// simulator's netlist and returns the per-connection facts. The analysis
-// never runs handlers and never mutates the simulator.
-func AnalyzeFlow(s *Sim) *FlowFacts { return analyzeFlow(s.instances, s.conns) }
-
 // Instance classification for the transfer step.
 const (
 	flowKindDefault uint8 = iota // no start/react handler: pure default control
@@ -285,7 +279,11 @@ type flowEngine struct {
 // regardless of depth; only pathological cyclic regions ever get near it.
 const flowMaxRounds = 64
 
-func analyzeFlow(instances []Instance, conns []*Conn) *FlowFacts {
+// AnalyzeFlow runs the whole-program dataflow analysis over a built
+// simulator's netlist and returns the per-connection facts. The analysis
+// never runs handlers and never mutates the simulator.
+func AnalyzeFlow(s *Sim) *FlowFacts {
+	instances, conns := s.instances, s.conns
 	e := &flowEngine{
 		instances: instances,
 		conns:     conns,

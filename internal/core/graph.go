@@ -10,7 +10,7 @@ package core
 // one node per instance, one forward edge per connection. Tarjan's
 // strongly-connected-components algorithm identifies the cyclic regions;
 // levelizing the acyclic condensation yields a static resolution order
-// the levelized scheduler replays every cycle without re-discovering it.
+// the engine replays every cycle without re-discovering it.
 
 // moduleGraph is the condensed module-level connection graph.
 type moduleGraph struct {
@@ -119,8 +119,8 @@ func buildModuleGraph(instances []Instance, conns []*Conn) *moduleGraph {
 }
 
 // SCC is one strongly connected component of the module-level connection
-// graph, as exposed to analysis tooling (Sim.SCCs). The levelized
-// scheduler and the combinational-cycle diagnostics (internal/analysis
+// graph, as exposed to analysis tooling (Sim.SCCs). The engine's static
+// schedule and the combinational-cycle diagnostics (internal/analysis
 // pass LSE002) share this condensation — there is exactly one notion of
 // "cycle" in the system.
 type SCC struct {

@@ -390,8 +390,8 @@ type laneDiscipline struct {
 
 var laneDisciplines = []laneDiscipline{
 	{name: "single-writer", opts: []BuildOption{WithScheduler(SchedulerSequential)}},
-	{name: "residue", opts: []BuildOption{WithScheduler(SchedulerLevelized)}},
-	{name: "tracer", opts: []BuildOption{WithScheduler(SchedulerLevelized)}, tracer: true},
+	{name: "residue", opts: []BuildOption{WithScheduler(SchedulerSparse)}},
+	{name: "tracer", opts: []BuildOption{WithScheduler(SchedulerSparse)}, tracer: true},
 }
 
 func buildLaneRig(t testing.TB, cs *laneCase, d laneDiscipline, fused bool) *laneRig {
@@ -551,12 +551,12 @@ func FuzzLaneOps(f *testing.F) {
 			width = 65
 		}
 		// The selector keeps its four-way split so the checked-in corpus
-		// decodes to the cases it always did. Its fourth value selected the
-		// multi-worker levelized discipline (removed with the engines it
-		// exercised); it now selects the same engine's surviving one.
+		// decodes to the cases it always did. Its fourth value selected a
+		// multi-worker discipline (removed with the engines it exercised);
+		// it now selects the engine's untraced one.
 		di := sel / 10 % 4
 		if di == 3 {
-			di = 1 // residue: levelized, no tracer
+			di = 1 // residue: the engine, no tracer
 		}
 		d := laneDisciplines[di]
 		checkLaneCase(t, decodeLaneCase(width, src), d)

@@ -57,13 +57,13 @@ func (m *Metrics) Wakes() uint64 { return m.wakes.Load() }
 func (m *Metrics) Reacts() uint64 { return m.reacts.Load() }
 
 // FixedPointIters returns the number of fixed-point iterations the
-// scheduler could not resolve statically. Under the sequential engine:
-// drain passes that executed at least one handler — default-control
+// scheduler could not resolve statically. Under the reference: drain
+// passes that executed at least one handler — default-control
 // resolution re-runs the fixed point after every applied default, so
 // this counts how many times quiescence was re-established. Under the
-// statically scheduled engines: residue
-// worklist steps, i.e. defaults applied inside or downstream of a
-// dependency cycle; exactly zero when the module graph is acyclic.
+// engine: residue worklist steps, i.e. defaults applied inside or
+// downstream of a dependency cycle; exactly zero when the module graph
+// is acyclic.
 func (m *Metrics) FixedPointIters() uint64 { return m.iters.Load() }
 
 // DefaultFallbacks returns the number of signals of kind k resolved by
@@ -77,13 +77,13 @@ func (m *Metrics) CycleBreaks(k SigKind) uint64 { return m.breaks[k].Load() }
 // ActiveInstances returns, summed over all cycles, the number of
 // instances the sparse scheduler treated as active: the seeds plus the
 // reactive members of that cycle's open clusters (every instance, on
-// full-sweep cycles). Zero under other schedulers; divide by Cycles for
+// full-sweep cycles). Zero under the reference; divide by Cycles for
 // the mean active-set size.
 func (m *Metrics) ActiveInstances() uint64 { return m.activeInsts.Load() }
 
 // SkippedWakes returns, summed over all cycles, the number of reactive
 // instances the sparse scheduler did not wake because every cluster they
-// belong to was closed. Zero under other schedulers and on full-sweep
+// belong to was closed. Zero under the reference and on full-sweep
 // cycles.
 func (m *Metrics) SkippedWakes() uint64 { return m.skippedWakes.Load() }
 

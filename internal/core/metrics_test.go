@@ -153,10 +153,10 @@ func TestSchedulerMetricsGolden(t *testing.T) {
 // per signal kind per cycle, after which the second connection defaults
 // normally.
 func TestSchedulerMetricsCycleBreaks(t *testing.T) {
-	// Pinned to the levelized scheduler: under the sparse default this
-	// handler-less loop is entirely gated after the cycle-0 full sweep
-	// and the per-cycle counts collapse (see TestSparseActivityGating).
-	b := core.NewBuilder(core.WithMetrics(), core.WithScheduler(core.SchedulerLevelized))
+	// Check mode: otherwise this handler-less loop is held after the
+	// cycle-0 full sweep and the per-cycle counts collapse (see
+	// TestSparseActivityGating).
+	b := core.NewBuilder(core.WithMetrics(), core.WithActivityCheck())
 	x := newDeadEnd("x")
 	y := newDeadEnd("y")
 	b.Add(x)

@@ -7,98 +7,62 @@ import "fmt"
 // wins, except WithTracer, which composes.
 type BuildOption func(*Builder)
 
-// SchedulerKind selects the engine that resolves each cycle's signals.
+// SchedulerKind selects what resolves each cycle's signals: the engine,
+// or the reference it is tested against.
 type SchedulerKind uint8
 
 const (
-	// SchedulerAuto lets Build choose: currently the activity-gated
-	// sparse scheduler, bit-identical to the sequential fixed point.
-	SchedulerAuto SchedulerKind = iota
-	// SchedulerSequential is the demand-driven sequential engine: a single
-	// work queue runs reactive handlers to a fixed point, and default
-	// control re-scans the netlist dependency-aware until quiescent.
-	SchedulerSequential
-	// SchedulerLevelized is the static scheduling engine: at Build time
-	// the per-kind signal dependency graph is condensed into strongly
-	// connected components (Tarjan) and the component DAG is levelized.
-	// Acyclic levels resolve in one deterministic sweep with no
-	// fixed-point iteration; only genuinely cyclic components iterate,
-	// driven by a worklist seeded from dirty signals. Results are
-	// bit-identical to SchedulerSequential.
-	SchedulerLevelized
-	// SchedulerSparse is the activity-gated sparse scheduler: the
-	// levelized engine, run each cycle over only the combinational
-	// clusters something was offered to. A cluster whose cycle-start
-	// signals read as they did when it last resolved with no data offered
-	// closes for the cycle: its connections keep ("replay") that
-	// resolution and its reactive handlers are not woken; clusters no
-	// cycle-start handler can reach resolve once and are held. Results
-	// are bit-identical to SchedulerSequential for netlists observing the
-	// reactive-purity invariant (see DESIGN.md Appendix C;
-	// WithActivityCheck checks it); scheduler metrics differ, since
+	// SchedulerSparse is the engine, and the zero value. At compile time
+	// the module graph is condensed into strongly connected components and
+	// levelized: acyclic levels default in one statically ordered sweep,
+	// only the residue inside or downstream of a dependency cycle iterates
+	// on a worklist (schedule.go). Each cycle that sweep runs over only the
+	// combinational clusters something was offered to: a cluster whose
+	// cycle-start signals read as they did when it last resolved with no
+	// data offered closes for the cycle — its connections keep ("replay")
+	// that resolution and its reactive handlers are not woken — and
+	// clusters no cycle-start handler can reach resolve once and are held
+	// (sparse.go). Results are bit-identical to SchedulerSequential for
+	// netlists observing the reactive-purity invariant (DESIGN.md Appendix
+	// C; WithActivityCheck checks it); scheduler metrics differ, since
 	// skipped work is the point. A tracer keeps every cluster open.
 	// Sim.InvalidateActivity forces a full re-resolution.
-	SchedulerSparse
-	// SchedulerWoven is the AOT-woven engine: at compile time the
-	// levelized schedule is fused into specialized step kernels.
-	// Connections whose endpoints bear no cycle-start or reactive
-	// handlers and that sit in the acyclic sweep resolve without any
-	// per-cycle interpretation — default-control resolution is folded to
-	// a compile-time constant and replayed (or, when a port carries a
-	// Control function, compiled into one fused closure with raw plane
-	// stores); only handler-adjacent connections and the cyclic residue
-	// keep the interpreted path, restricted to exactly that fallback
-	// set. Unlike SchedulerSparse, the replayed region is accounted:
-	// results *and* scheduler default/break counts are bit-identical to
-	// SchedulerSequential (under the handler-locality and
-	// control-function-purity contracts, DESIGN.md Appendix I).
-	// Composes with WithDataflowPrune: dead connections never get a
-	// kernel. Sim.InvalidateActivity forces a full interpreted sweep.
-	SchedulerWoven
+	SchedulerSparse SchedulerKind = iota
+	// SchedulerSequential is the reference (reference.go): one work queue
+	// runs reactive handlers to a fixed point, and default control re-scans
+	// the netlist dependency-aware until quiescent. It is the executable
+	// semantics the engine is held to; select it when debugging a suspected
+	// engine bug.
+	SchedulerSequential
+
+	// SchedulerAuto is the default selection: the engine.
+	SchedulerAuto = SchedulerSparse
 )
 
 func (k SchedulerKind) String() string {
 	switch k {
-	case SchedulerAuto:
-		return "auto"
-	case SchedulerSequential:
-		return "sequential"
-	case SchedulerLevelized:
-		return "levelized"
 	case SchedulerSparse:
 		return "sparse"
-	case SchedulerWoven:
-		return "woven"
+	case SchedulerSequential:
+		return "sequential"
 	}
 	return "invalid"
 }
 
-// ParseSchedulerKind is the inverse of SchedulerKind.String — the one
-// parser behind lsc -scheduler and the /v1 "scheduler" field. The empty
-// name is Auto (an omitted wire field). "parallel" and "partitioned", the
-// multi-worker engines removed in PR 19 (DESIGN.md Appendix H), stay
-// accepted for one release as aliases of Auto; removed reports that the
-// name was one of them, so a front end can tell the user what actually
-// runs.
-func ParseSchedulerKind(name string) (kind SchedulerKind, removed bool, err error) {
+// ParseSchedulerKind is the one parser behind lsc -scheduler and the /v1
+// "scheduler" field. The empty name (an omitted wire field), "auto" and
+// "sparse" are the engine; "sequential" is the reference.
+func ParseSchedulerKind(name string) (SchedulerKind, error) {
 	switch name {
-	case "", "auto":
-		return SchedulerAuto, false, nil
+	case "", "auto", "sparse":
+		return SchedulerSparse, nil
 	case "sequential":
-		return SchedulerSequential, false, nil
-	case "levelized":
-		return SchedulerLevelized, false, nil
-	case "sparse":
-		return SchedulerSparse, false, nil
-	case "woven":
-		return SchedulerWoven, false, nil
-	case "parallel", "partitioned":
-		return SchedulerAuto, true, nil
+		return SchedulerSequential, nil
 	}
-	return 0, false, fmt.Errorf("unknown scheduler %q (want auto, sequential, levelized, sparse or woven)", name)
+	return 0, fmt.Errorf("unknown scheduler %q (want auto, sparse or sequential)", name)
 }
 
-// WithScheduler selects the scheduling engine. All schedulers produce
+// WithScheduler selects the engine or the reference. Both produce
 // bit-identical per-cycle signal assignments and statistics; they differ
 // only in host-time cost and in the scheduler metrics they report.
 func WithScheduler(k SchedulerKind) BuildOption {

@@ -35,7 +35,7 @@ type Program struct {
 	// builder before session-specific options.
 	opts []BuildOption
 
-	sched       SchedulerKind // resolved engine, fixed at compile time
+	sched       SchedulerKind // engine or reference, fixed at compile time
 	nInsts      int
 	nConns      int
 	fingerprint uint64 // structural hash validating recipe determinism
@@ -43,10 +43,10 @@ type Program struct {
 	scalarConns int
 	sequential  []bool // instance id -> MarkSequential; checked at stamp beside the fingerprint, not hashed into it
 
-	schedule *progSchedule // nil unless levelized/sparse/woven
-	sparse   *progSparse   // the cluster plan; nil unless sparse
-	pruned   *progPrune    // nil unless compiled with WithDataflowPrune
-	weave    *progWeave    // nil unless woven
+	// The engine's static schedule and cluster plan: both set under
+	// SchedulerSparse, both nil under the reference.
+	schedule *progSchedule
+	sparse   *progSparse
 }
 
 // Compile runs the assembly recipe once, compiles the resulting netlist
@@ -113,9 +113,8 @@ func (p *Program) Conns() int { return p.nConns }
 // program.
 func (p *Program) Fingerprint() uint64 { return p.fingerprint }
 
-// Schedule returns a copy of the static-schedule introspection info, or
-// nil when the program uses none of the statically scheduled engines
-// (levelized, sparse, woven).
+// Schedule returns a copy of the engine's static-schedule introspection
+// info, or nil when the program was compiled for the reference.
 func (p *Program) Schedule() *ScheduleInfo {
 	if p.schedule == nil {
 		return nil
@@ -126,10 +125,9 @@ func (p *Program) Schedule() *ScheduleInfo {
 
 // compileProgram compiles the immutable artifacts from an assembled,
 // validated netlist: lane election, structural fingerprint and — for the
-// statically scheduled engines — the static schedule and the sparse
-// cluster plan or woven plan. Instance ids must already be assigned
-// (assembly order).
-func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind, prune bool) *Program {
+// engine — the static schedule and the cluster plan. Instance ids must
+// already be assigned (assembly order).
+func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind) *Program {
 	p := &Program{sched: sched, nInsts: len(instances), nConns: len(conns)}
 	// Payload-lane inference: a connection joins the uint64 scalar fast
 	// lane when its driver declares PayloadUint64 and its sink does not
@@ -144,40 +142,22 @@ func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind, pr
 		}
 	}
 	p.fingerprint = fingerprintNetlist(instances, conns)
-	if sched == SchedulerLevelized || sched == SchedulerSparse || sched == SchedulerWoven {
+	if sched == SchedulerSparse {
 		p.schedule = buildSchedule(instances, conns)
-		p.schedule.info.Scheduler = sched
 		p.schedule.info.ScalarConns = p.scalarConns
 		p.schedule.info.SpillConns = len(conns) - p.scalarConns
-	}
-	if prune {
-		// Dataflow pruning: the whole-program analysis finds provably-dead
-		// structure, and the plan compiled next leaves it out of every
-		// per-cycle list (one held cluster under sparse, no kernel under
-		// woven). The structural fingerprint is deliberately
-		// prune-independent — pruning changes which compiled artifacts a
-		// session binds, never the netlist shape sessions re-assemble.
-		p.pruned = computePrune(instances, conns, analyzeFlow(instances, conns))
-		p.schedule.info.PrunedConns = p.pruned.nConns
-		p.schedule.info.PrunedInsts = p.pruned.nInsts
-	}
-	if sched == SchedulerSparse {
 		p.sequential = make([]bool, len(instances))
 		for i, inst := range instances {
 			p.sequential[i] = inst.base().sequential
 		}
-		p.sparse = buildSparse(instances, conns, p.pruned, &p.schedule.info)
-	}
-	if sched == SchedulerWoven {
-		p.weave = buildWeave(instances, conns, p.schedule, p.pruned)
-		p.schedule.info.fillWeave(p.weave)
+		p.sparse = buildSparse(instances, conns, &p.schedule.info)
 	}
 	return p
 }
 
 // checkStamp validates a freshly re-assembled session netlist against the
 // compiled program: same shape, same structural fingerprint, same
-// resolved engine. A mismatch means the assembly recipe is not
+// scheduler kind. A mismatch means the assembly recipe is not
 // deterministic (or the session tried to switch schedulers), either of
 // which would let a session run under a schedule compiled for a different
 // netlist.

@@ -53,18 +53,23 @@ func TestNewSimSharesCompiledArtifacts(t *testing.T) {
 }
 
 // TestNewSimRejectsSchedulerSwitch: sessions cannot select a different
-// engine than the program was compiled for.
+// kind than the program was compiled for, in either direction.
 func TestNewSimRejectsSchedulerSwitch(t *testing.T) {
-	prog, err := Compile(progTestAssemble, WithScheduler(SchedulerSequential))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = prog.NewSim(WithScheduler(SchedulerLevelized))
-	if err == nil {
-		t.Fatal("NewSim accepted a scheduler switch")
-	}
-	if !strings.Contains(err.Error(), "scheduler") {
-		t.Fatalf("error does not explain the scheduler mismatch: %v", err)
+	for _, dir := range [][2]SchedulerKind{
+		{SchedulerSequential, SchedulerSparse},
+		{SchedulerSparse, SchedulerSequential},
+	} {
+		prog, err := Compile(progTestAssemble, WithScheduler(dir[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = prog.NewSim(WithScheduler(dir[1]))
+		if err == nil {
+			t.Fatalf("NewSim accepted a switch from %s to %s", dir[0], dir[1])
+		}
+		if !strings.Contains(err.Error(), "sessions cannot select "+dir[1].String()) {
+			t.Fatalf("error does not explain the scheduler mismatch: %v", err)
+		}
 	}
 }
 
@@ -163,14 +168,12 @@ func newReactProbe(name string) *reactProbe {
 // would skip the instances forever and a caller that recovered the panic
 // would hold a silently wrong session. An aborted cycle also drops every
 // idle signature: the next cycle is a full sweep, and resolves what the
-// sequential oracle resolves.
+// reference resolves. Both loops own the abort path, so both are driven.
 func TestStepErrorStrandsNoInstance(t *testing.T) {
 	for _, foreign := range []bool{false, true} {
 		oracle := testStepAbort(t, SchedulerSequential, foreign)
-		for _, kind := range []SchedulerKind{SchedulerAuto, SchedulerLevelized, SchedulerSparse, SchedulerWoven} {
-			if got := testStepAbort(t, kind, foreign); got != oracle {
-				t.Fatalf("%s: cycles after the abort resolve\n%s\nthe sequential oracle\n%s", kind, got, oracle)
-			}
+		if got := testStepAbort(t, SchedulerSparse, foreign); got != oracle {
+			t.Fatalf("engine: cycles after the abort resolve\n%s\nthe reference\n%s", got, oracle)
 		}
 	}
 }
@@ -261,6 +264,21 @@ func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) string {
 	return trace.String()
 }
 
+// startDriver bears an OnCycleStart handler and one output — the minimal
+// seed instance.
+type startDriver struct {
+	Base
+	out *Port
+}
+
+func newStartDriver(name string) *startDriver {
+	d := &startDriver{}
+	d.Init(name, d)
+	d.out = d.AddOutPort("out")
+	d.OnCycleStart(func() {})
+	return d
+}
+
 // offerDriver offers a datum on every out lane at every cycle start, so
 // the cluster downstream of it never goes idle.
 func newOfferDriver(name string) *startDriver {
@@ -278,8 +296,8 @@ func newOfferDriver(name string) *startDriver {
 // TestEmptyPartitionNotWalked: a sparse program whose cluster plan holds
 // nothing — its one cluster is offered data every cycle — still has the
 // plan, and the schedule report and the active_insts metric come from it,
-// but a steady cycle resets the plane in one piece like the levelized
-// step; one idle island is a cluster no start handler reaches, held from
+// but a steady cycle resets the plane in one piece like a full
+// sweep; one idle island is a cluster no start handler reaches, held from
 // the first sweep on.
 func TestEmptyPartitionNotWalked(t *testing.T) {
 	assemble := func(island bool) func(*Builder) error {

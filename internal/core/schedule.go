@@ -1,16 +1,16 @@
 package core
 
-// schedule.go is the static scheduling engine. At compile time the module
+// schedule.go is the engine's static schedule. At compile time the module
 // graph's SCC condensation (graph.go) partitions every connection, per
 // signal direction, into either a levelized sweep — connections whose
 // default can be applied in one statically-ordered pass, because every
 // dependency lives in a strictly earlier level — or a residue of
 // connections inside or downstream of a dependency cycle, which iterate
 // at runtime on a worklist seeded by dirty signals. The per-cycle result
-// is bit-identical to the sequential fixed point: default values depend
+// is bit-identical to the reference's fixed point: default values depend
 // only on the connection's own earlier-round signals, reactive handlers
 // are monotonic, and cycle breaks fire at the same lowest-id unresolved
-// connection the sequential scanner would pick.
+// connection the reference's scanner would pick.
 //
 // The compiled schedule lives on the Program and is shared read-only by
 // every session: levels, residues and dependency lists are connection-id
@@ -18,12 +18,10 @@ package core
 // The runtime worklist scratch (remaining counts, ready queue) is
 // per-session state on the Sim.
 
-// ScheduleInfo describes the static schedule computed at compile time for
-// the levelized, sparse and woven schedulers. Sim.Schedule returns nil
-// for the sequential scheduler.
+// ScheduleInfo describes the static schedule and cluster plan the engine
+// computed at compile time. Sim.Schedule returns nil under the reference.
 type ScheduleInfo struct {
-	// Scheduler is the resolved scheduler kind (SchedulerLevelized,
-	// SchedulerSparse or SchedulerWoven when the info exists).
+	// Scheduler is SchedulerSparse: the info exists only under the engine.
 	Scheduler SchedulerKind
 	// Modules is the number of instances in the netlist.
 	Modules int
@@ -54,8 +52,7 @@ type ScheduleInfo struct {
 	// set WriteDot renders as dangling stub edges and the LSE001
 	// diagnostic reports, so all three views agree.
 	UnconnectedPorts []string
-	// Clusters counts the sparse scheduler's combinational clusters (all
-	// of these fields are zero under other schedulers): ClusterSizes has
+	// Clusters counts the combinational clusters: ClusterSizes has
 	// each one's conn count, in order of the clusters' lowest conn, and
 	// the largest spans LargestCluster conns. ClosableClusters of them are
 	// decided cycle by cycle from what the start handlers drove;
@@ -91,31 +88,6 @@ type ScheduleInfo struct {
 	// the []any lane (the always-correct slow path).
 	ScalarConns int
 	SpillConns  int
-	// PrunedConns/PrunedInsts count the structure WithDataflowPrune
-	// deleted from the per-cycle schedule: connections the dataflow
-	// analysis proved dead and instances whose every connection died
-	// (their handlers never run). Both zero without the option; pruned
-	// structure is excluded from the Active/Gated splits above.
-	PrunedConns int
-	PrunedInsts int
-	// WovenConns/CtrlKernels/FallbackConns describe the woven scheduler's
-	// compile-time kernel specialization (all zero under other
-	// schedulers): WovenConns resolve as replayed compile-time constants,
-	// CtrlKernels resolve through one fused control kernel each, and
-	// FallbackConns — handler-adjacent connections and the cyclic residue
-	// — keep the interpreted path (the LSE014 diagnostic names them).
-	// Pruned connections are counted by PrunedConns, not here.
-	WovenConns    int
-	CtrlKernels   int
-	FallbackConns int
-}
-
-// fillWeave copies the woven plan's shape into the schedule
-// introspection info.
-func (si *ScheduleInfo) fillWeave(wv *progWeave) {
-	si.WovenConns = wv.nConst
-	si.CtrlKernels = wv.nCtrl
-	si.FallbackConns = wv.nFallback
 }
 
 // progSchedule is the compiled static schedule, shared read-only across
@@ -140,19 +112,18 @@ type progSchedule struct {
 	info ScheduleInfo
 }
 
-// Schedule returns a copy of the static schedule computed at compile
-// time, or nil when the simulator uses none of the levelized, sparse or
-// woven schedulers.
+// Schedule returns a copy of the engine's static schedule and cluster
+// plan, or nil when the simulator runs the reference.
 func (s *Sim) Schedule() *ScheduleInfo {
 	if s.schedule == nil {
 		return nil
 	}
 	info := s.schedule.info
-	info.TracerOpen = s.sparse != nil && s.tracer != nil
+	info.TracerOpen = s.tracer != nil
 	return &info
 }
 
-// Scheduler returns the resolved scheduler kind the simulator runs.
+// Scheduler returns the scheduler kind the simulator runs.
 func (s *Sim) Scheduler() SchedulerKind { return s.sched }
 
 // buildSchedule runs the compile-time static scheduling pass. Instance
@@ -208,7 +179,7 @@ func buildSchedule(instances []Instance, conns []*Conn) *progSchedule {
 	sc.ackLevels = compactLevels(sc.ackLevels)
 
 	info := &sc.info
-	info.Scheduler = SchedulerLevelized
+	info.Scheduler = SchedulerSparse
 	info.Modules = nm
 	info.SCCs = g.nSCC
 	for scc, cyc := range g.cyclic {
@@ -274,13 +245,13 @@ func compactLevels(levels [][]int32) [][]int32 {
 	return out
 }
 
-// applyDefaultsLevelized is the statically scheduled engines'
-// default-control phase: per round (data, enable, ack), first the static
-// sweep, then the residue worklist. Both skip cells that are resolved
-// already — by handlers, or because a closed cluster or the woven region
-// holds them — so every engine walks the one schedule. Replaces the
-// sequential re-scanning fixed point.
-func (s *Sim) applyDefaultsLevelized() {
+// applyDefaults is the engine's default-control phase: per round (data,
+// enable, ack), first the static sweep, then the residue worklist. Both
+// skip cells that are resolved already — by handlers, or because a closed
+// cluster holds them — so full and steady cycles walk the one schedule.
+// The reference's re-scanning fixed point (reference.go) is what it must
+// equal.
+func (s *Sim) applyDefaults() {
 	sc := s.schedule
 	s.sweep(SigData, sc.fwdLevels)
 	s.runResidue(SigData, sc.fwdResidue, sc.fwdDeps, sc.fwdDependents)
@@ -324,7 +295,7 @@ func (s *Sim) sweep(k SigKind, levels [][]int32) {
 // decrement the counts and feed newly eligible connections into the
 // ready queue. When the queue stalls with connections outstanding, a
 // genuine dependency cycle is broken at the lowest-id unresolved
-// connection — the same site the sequential scanner picks. The worklist
+// connection — the same site the reference's scanner picks. The worklist
 // scratch (remaining counts, ready queue) is session state on the Sim;
 // the id lists are the program's shared compiled schedule.
 func (s *Sim) runResidue(k SigKind, ids []int32, deps, dependents [][]int32) {

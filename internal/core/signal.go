@@ -50,12 +50,6 @@ func newSigPlane(nConns int) sigPlane {
 // memclr.
 func (p *sigPlane) clearStatus() { clear(p.cells) }
 
-// setStatus stores a status cell outside the raise protocol — resets,
-// woven kernels, Restore.
-func (s *Sim) setStatus(k SigKind, id int32, st Status) {
-	s.plane.lanes[k][id] = uint32(st)
-}
-
 // Conn is one connection between an output port and an input port. It
 // carries the three contract signals, whose state lives in the owning
 // simulator's signal plane. Conn values are created by the Builder;

@@ -19,7 +19,10 @@ const (
 // Sim is an executable simulator constructed from a netlist. Simulated
 // time advances one cycle per Step; within a cycle, module reactive
 // handlers run to a monotonic fixed point, default control resolves the
-// remaining signals, and state commits.
+// remaining signals, and state commits. Two loops implement that cycle:
+// the reference (reference.go) and the engine (stepEngine below, over
+// schedule.go and sparse.go); they share the signal plane, the wake/drain
+// queue, applyDefault and verifyResolved.
 //
 // A Sim has one writer (DESIGN.md Appendix C.1, H): it is stepped, read
 // and snapshotted by one goroutine at a time, so its signal plane, work
@@ -27,7 +30,7 @@ const (
 // across Sims — many sessions of one Program — never inside one.
 type Sim struct {
 	seed      int64
-	sched     SchedulerKind // resolved: Sequential, Levelized, Sparse or Woven
+	sched     SchedulerKind // the engine (SchedulerSparse) or the reference
 	tracer    Tracer
 	prog      *Program // the compiled structure this session executes
 	instances []Instance
@@ -37,21 +40,19 @@ type Sim struct {
 	plane     sigPlane // dense signal state, indexed by conn id
 	stats     *StatSet
 	metrics   *Metrics      // nil unless built with WithMetrics
-	schedule  *progSchedule // shared: nil unless a statically scheduled engine is selected
-	sparse    *progSparse   // shared cluster plan: nil unless the sparse scheduler is selected
-	act       *actState     // sparse: idle signatures and per-cycle decisions; nil until the first steady cycle
+	schedule  *progSchedule // shared static schedule: set under the engine, nil under the reference
+	sparse    *progSparse   // shared cluster plan: set under the engine, nil under the reference
+	act       *actState     // engine: idle signatures and per-cycle decisions; nil until the first steady cycle
 	actCheck  bool          // WithActivityCheck: evaluate and compare instead of closing
-	weave     *progWeave    // shared: nil unless the woven scheduler is selected
-	pruned    []bool        // shared: instance id -> handlers never run (WithDataflowPrune); nil otherwise
 
-	// needFull requests a full sweep from the next Step (cycle 0, after
-	// InvalidateActivity, a Step error or a Restore) under the engines
-	// that replay settled resolutions on steady cycles (sparse and
-	// woven). Session state — the compiled cluster plan and woven plan
-	// themselves are shared and never written.
+	// needFull requests a full sweep from the engine's next cycle (cycle
+	// 0, after InvalidateActivity, a Step error or a Restore): steady
+	// cycles replay settled resolutions, and those must first exist.
+	// Session state — the compiled cluster plan is shared and never
+	// written. The reference sweeps everything every cycle and ignores it.
 	needFull bool
 
-	// Levelized residue-worklist scratch, per session (the id lists it
+	// Residue-worklist scratch, per session (the id lists it
 	// walks are the program's). schedRemaining is allocated lazily on the
 	// first residue run, so acyclic netlists never pay for it.
 	schedRemaining []int32 // conn id -> unresolved dep count; -1 = not pending
@@ -80,16 +81,16 @@ type Sim struct {
 	spillHits atomic.Uint64
 
 	// resolved counts this cycle's resolutions per signal kind (closed
-	// clusters and the woven replayed region are credited in bulk):
-	// resolved[k] == len(conns) proves kind k is fully resolved and the
-	// default sweep for it can be skipped. Reset each Step.
+	// clusters are credited in bulk): resolved[k] == len(conns) proves
+	// kind k is fully resolved and the default sweep for it can be
+	// skipped. Reset each Step.
 	resolved [3]int
 
 	queue []*Base // work queue (FIFO by wake order)
 	qhead int
 
-	// Residue-worklist plumbing (levelized scheduler): while a residue
-	// run is active, raise() reports each kind-matching resolution here.
+	// Residue-worklist plumbing: while a residue run is active, raise()
+	// reports each kind-matching resolution here.
 	residueOn   bool
 	residueKind SigKind
 	resolvedBuf []*Conn
@@ -171,7 +172,6 @@ func (s *Sim) wakeSlow(b *Base) {
 // order, and the instances their resolutions wake join the tail, until
 // the queue is empty.
 func (s *Sim) drain() {
-	ran := s.qhead < len(s.queue)
 	for s.qhead < len(s.queue) {
 		b := s.queue[s.qhead]
 		s.qhead++
@@ -180,11 +180,6 @@ func (s *Sim) drain() {
 	}
 	s.queue = s.queue[:0]
 	s.qhead = 0
-	// Under the statically scheduled engines, fixed-point iterations are
-	// counted by the residue worklist instead (zero on acyclic netlists).
-	if m := s.metrics; m != nil && ran && s.schedule == nil {
-		m.iters.Add(1)
-	}
 }
 
 // runReact invokes one reactive handler, recording invocation counts and
@@ -207,106 +202,12 @@ func (s *Sim) runReact(b *Base) {
 	im.sampled.Add(1)
 }
 
-// applyDefaults resolves still-Unknown signals using default control
-// semantics, in three deterministic rounds (data, then enable, then ack),
-// re-running the reactive fixed point after every applied default so
-// modules can react to defaulted values before their own signals are
-// defaulted.
-//
-// Within a round, defaults are applied dependency-aware: a connection's
-// signal is only defaulted once the module that should have driven it has
-// every same-kind input it could be mirroring already resolved — data and
-// enable propagate forward, so their driver's dependencies are the
-// driver's input connections; acks propagate backward, so an ack's
-// dependencies are the receiving module's own downstream acks. This makes
-// arbitrarily deep combinational mirror chains (queue → route → arbiter →
-// sink) resolve from the leaves inward instead of being pessimistically
-// killed at the head. A genuine dependency cycle is broken at the
-// lowest-id unresolved connection.
-func (s *Sim) applyDefaults(full bool) {
-	if !full && s.weave != nil {
-		s.applyDefaultsWoven()
-		return
-	}
-	if s.schedule != nil {
-		s.applyDefaultsLevelized()
-		return
-	}
-	s.defaultRound(SigData)
-	s.defaultRound(SigEnable)
-	s.defaultRound(SigAck)
-}
-
-func (s *Sim) defaultRound(k SigKind) {
-	for {
-		if s.resolved[k] == len(s.conns) {
-			return // fully resolved by reactions; nothing to default
-		}
-		progress := false
-		unresolved := false
-		for _, c := range s.conns {
-			if c.status(k) != Unknown {
-				continue
-			}
-			if !s.defaultDepsResolved(c, k) {
-				unresolved = true
-				continue
-			}
-			s.applyDefault(c, k)
-			progress = true
-			s.drain()
-		}
-		if !unresolved {
-			return
-		}
-		if !progress {
-			for _, c := range s.conns {
-				if c.status(k) == Unknown {
-					if m := s.metrics; m != nil {
-						m.breaks[k].Add(1)
-					}
-					s.applyDefault(c, k)
-					s.drain()
-					break
-				}
-			}
-		}
-	}
-}
-
-// defaultDepsResolved reports whether the module responsible for driving
-// connection c's signal k has all of its same-kind upstream inputs
-// resolved, i.e. whether defaulting now cannot pre-empt a mirror the
-// module would still perform.
-func (s *Sim) defaultDepsResolved(c *Conn, k SigKind) bool {
-	if k == SigAck {
-		owner := c.dst.owner
-		for _, p := range owner.portList {
-			if p.owner != owner || p.dir != Out {
-				continue
-			}
-			for _, oc := range p.conns {
-				if oc.status(SigAck) == Unknown {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	owner := c.src.owner
-	for _, p := range owner.portList {
-		if p.owner != owner || p.dir != In {
-			continue
-		}
-		for _, ic := range p.conns {
-			if ic.status(k) == Unknown {
-				return false
-			}
-		}
-	}
-	return true
-}
-
+// applyDefault resolves one still-Unknown signal by default control — the
+// single statement of the default semantics (PAPER.md §1 item 4), shared
+// by the reference's rounds and the engine's sweep: data defaults to No;
+// enable to the driver's control function, else its DefaultEnable, else
+// the data status; ack to the receiver's control function, else its
+// DefaultAck, else Yes exactly when data and enable are both Yes.
 func (s *Sim) applyDefault(c *Conn, k SigKind) {
 	if m := s.metrics; m != nil {
 		m.defaults[k].Add(1)
@@ -348,7 +249,13 @@ func (s *Sim) applyDefault(c *Conn, k SigKind) {
 	}
 }
 
+// verifyResolved raises a contract error naming the first signal still
+// Unknown after default resolution. The resolution counters prove the
+// common fully-resolved case without a scan.
 func (s *Sim) verifyResolved() {
+	if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] == 3*len(s.conns) {
+		return
+	}
 	for _, c := range s.conns {
 		for _, k := range [...]SigKind{SigData, SigEnable, SigAck} {
 			if c.status(k) == Unknown {
@@ -375,11 +282,9 @@ func (s *Sim) Step() (err error) {
 			}
 			s.queue = s.queue[:0]
 			s.qhead = 0
-			if s.sparse != nil || s.weave != nil {
-				// The cycle aborted mid-resolution; the plane holds a
-				// partial state no replay may build on.
-				s.needFull = true
-			}
+			// The cycle aborted mid-resolution; the plane holds a partial
+			// state no replay may build on.
+			s.needFull = true
 			ce, ok := r.(*ContractError)
 			if !ok {
 				panic(r)
@@ -387,13 +292,20 @@ func (s *Sim) Step() (err error) {
 			err = ce
 		}
 	}()
-	// Three cycles: the full sweep (the engines that replay nothing; cycle
-	// 0, after InvalidateActivity, an error or a Restore under the ones
-	// that do), the clustered sparse cycle, and the woven cycle. A tracer
-	// keeps every cluster open — so it sees every resolution — which is
-	// the full sweep again.
-	sp, wv := s.sparse, s.weave
-	full := (sp == nil && wv == nil) || s.needFull || (sp != nil && s.tracer != nil)
+	if s.sched == SchedulerSequential {
+		s.stepReference()
+	} else {
+		s.stepEngine()
+	}
+	return nil
+}
+
+// stepEngine is the engine's cycle. Its one mode: a full sweep (cycle 0,
+// after InvalidateActivity, an error or a Restore; and whenever a tracer
+// is attached, which keeps every cluster open so it sees every
+// resolution) or a steady cycle over the clusters that open.
+func (s *Sim) stepEngine() {
+	full := s.needFull || s.tracer != nil
 	s.needFull = false
 	if s.tracer != nil {
 		s.tracer.OnCycleBegin(s.cycle)
@@ -401,107 +313,58 @@ func (s *Sim) Step() (err error) {
 	// Data-value reads are live again from here until commit.
 	s.released = false
 	s.resolved = [3]int{}
-	switch {
-	case full:
+	if full {
 		// Bulk reset: one memclr (Unknown is the zero status). The data
-		// lane was already released at the previous commit — except the
-		// woven replayed region's settled values, which go with their
-		// statuses.
+		// lane was already released at the previous commit.
 		s.plane.clearStatus()
-		if wv != nil {
-			clear(s.plane.data)
-		}
-		if sp != nil {
-			s.dropSignatures()
-			if m := s.metrics; m != nil {
-				m.activeInsts.Add(uint64(len(s.instances)))
-			}
-		}
-	case sp != nil:
-		s.resetOpen()
-	default:
-		s.clearWovenDirty()
-	}
-	s.setPhase(phaseStart)
-	if wv != nil {
-		for _, id := range wv.startList {
-			s.bases[id].start()
+		s.dropSignatures()
+		if m := s.metrics; m != nil {
+			m.activeInsts.Add(uint64(len(s.instances)))
 		}
 	} else {
-		for i, b := range s.bases {
-			if b.start != nil && (s.pruned == nil || !s.pruned[i]) {
-				b.start()
-			}
+		s.resetOpen()
+	}
+	s.setPhase(phaseStart)
+	for _, b := range s.bases {
+		if b.start != nil {
+			b.start()
 		}
 	}
 	s.setPhase(phaseReact)
-	switch {
-	case wv != nil:
-		// Full and steady woven cycles wake the same set: every reactive,
-		// unpruned instance (the compiled roster just skips the
-		// O(instances) nil-handler scan).
-		for _, id := range wv.reactWake {
-			s.wake(s.bases[id])
-		}
-	case full:
-		for i, b := range s.bases {
-			if s.pruned != nil && s.pruned[i] {
-				continue
-			}
+	if full {
+		for _, b := range s.bases {
 			s.wake(b)
 		}
-	default:
+	} else {
 		s.wakeOpen()
 	}
 	s.drain()
-	s.applyDefaults(full)
-	// The resolution counters — closed clusters and the woven replayed
-	// region credited in bulk — prove full resolution without a scan.
-	if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(s.conns) {
-		s.verifyResolved()
-	}
-	if sp != nil && !full {
+	s.applyDefaults()
+	s.verifyResolved()
+	if !full {
 		s.settleClusters()
 	}
 	s.setPhase(phaseEnd)
 	if s.tracer != nil {
 		s.tracer.OnCycleEnd(s.cycle)
 	}
-	if wv != nil {
-		for _, id := range wv.endList {
-			s.bases[id].end()
-		}
-	} else {
-		for i, b := range s.bases {
-			if b.end != nil && (s.pruned == nil || !s.pruned[i]) {
-				b.end()
-			}
+	for _, b := range s.bases {
+		if b.end != nil {
+			b.end()
 		}
 	}
 	s.setPhase(phaseIdle)
 	// Commit: release transferred data values now instead of pinning them
-	// until the next cycle's reset. A closed cluster carries no value by
-	// construction; only the woven compiled region keeps its values — they
-	// are the replayed resolution. The released flag makes both lanes read
-	// as "not driven" until the next Step, so the kept values (and stale
-	// scalars, which are never cleared) stay unobservable between cycles.
+	// until the next cycle's reset (a closed cluster carries no value by
+	// construction). The released flag makes both lanes read as "not
+	// driven" until the next Step, so stale scalars, which are never
+	// cleared, stay unobservable between cycles.
 	s.released = true
-	switch {
-	case wv == nil:
-		clear(s.plane.data)
-	case full:
-		// A full woven cycle releases nothing: the whole plane is the next
-		// cycle's replay baseline, hidden by the released flag.
-	default:
-		for _, id := range wv.spill {
-			s.plane.data[id] = nil
-		}
-	}
+	clear(s.plane.data)
 	s.cycle++
 	if m := s.metrics; m != nil {
 		m.cycles.Add(1)
 	}
-	return nil
 }
 
 // Run advances the simulation n cycles, stopping at the first error.

@@ -2,9 +2,9 @@ package core
 
 import "fmt"
 
-// sparse.go is the activity-gated scheduler (SchedulerSparse, what Auto
-// resolves to): the levelized engine, run each cycle over only the part
-// of the netlist something was offered to. DESIGN.md Appendix C.2–C.3 is
+// sparse.go is the engine's activity plan (SchedulerSparse): the static
+// schedule of schedule.go, run each cycle over only the part of the
+// netlist something was offered to. DESIGN.md Appendix C.2–C.3 is
 // the long form. At compile time the connections are cut into
 // combinational clusters — connected components after cutting every
 // MarkSequential instance — inside which all same-cycle influence stays.
@@ -13,7 +13,7 @@ import "fmt"
 // before any reactive handler does, a cluster whose frontier reads as in
 // its signature closes: its cells hold the signature, its members are
 // not woken, its resolutions are credited in bulk. Everything else
-// resolves through the ordinary levelized sweep. Soundness rests on one
+// resolves through the ordinary sweep and residue worklist. Soundness rests on one
 // invariant: with no data offered, a reactive handler's drives are a
 // function of the signals it observes (MarkAutonomous declares the
 // exceptions; WithActivityCheck finds the undeclared ones).
@@ -24,13 +24,9 @@ type clusterKind uint8
 const (
 	clusterDynamic    clusterKind = iota // decided each cycle from its frontier
 	clusterStatic                        // no start handler reaches it: held after every full sweep
-	clusterPruned                        // WithDataflowPrune's dead connections: held, never evaluated
 	clusterAutonomous                    // never closes: a member is MarkAutonomous
 	clusterNoInput                       // never closes: a reactive member has no connected input (LSE007)
 )
-
-// held reports whether a steady cycle leaves the cluster's cells alone.
-func (k clusterKind) held() bool { return k == clusterStatic || k == clusterPruned }
 
 // progSparse is the compiled cluster plan, shared read-only by every
 // session of a Program. Per-cluster lists are cut from one slab each:
@@ -49,9 +45,9 @@ type progSparse struct {
 	members  []int32 // reactive instances with a port in the cluster, ascending id
 
 	dynamic    []int32 // clusterDynamic ids, ascending: the per-cycle decision list
-	reactive   []int32 // every unpruned reactive instance, ascending id: the wake roster
+	reactive   []int32 // every reactive instance, ascending id: the wake roster
 	quietSeeds int     // instances with a start handler and no reactive one: active, never woken
-	heldConns  int     // conns of static and pruned clusters: credited, not resolved, on steady cycles
+	heldConns  int     // conns of static clusters: credited, not resolved, on steady cycles
 }
 
 const (
@@ -75,7 +71,7 @@ type actState struct {
 	start []uint8 // what the start phase had left in the cell (frontier positions only)
 }
 
-// WithActivityCheck makes the sparse scheduler evaluate every cluster it
+// WithActivityCheck makes the engine evaluate every cluster it
 // would have closed and compare the result, cell by cell, with the
 // cluster's idle signature; a difference ends the Step with a
 // *ContractError naming the cycle, the connection and signal, and the
@@ -87,21 +83,17 @@ func WithActivityCheck() BuildOption {
 }
 
 // buildSparse compiles the cluster plan in counted passes over a constant
-// number of slabs. pr is the dataflow-prune result or nil: pruned conns
-// form one held cluster and cut whatever they touched.
-func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *ScheduleInfo) *progSparse {
+// number of slabs.
+func buildSparse(instances []Instance, conns []*Conn, info *ScheduleInfo) *progSparse {
 	n, ni := len(conns), len(instances)
-	dead := func(c *Conn) bool { return pr != nil && pr.conns[c.id] }
-	// Composites own no conns (exports alias child ports); a pruned
-	// instance's handlers never run.
+	// Composites own no conns (exports alias child ports).
 	skip := func(b *Base) bool {
 		_, composite := b.self.(*Composite)
-		return composite || (pr != nil && pr.insts[b.id])
+		return composite
 	}
 
 	// Union-find over conn ids, lowest id as root: the conns of a port are
-	// one set, the ports of an unmarked instance are one set, the pruned
-	// conns are one set.
+	// one set, the ports of an unmarked instance are one set.
 	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = int32(i)
@@ -118,15 +110,6 @@ func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *Sched
 			parent[max(ra, rb)] = min(ra, rb)
 		}
 	}
-	firstDead := int32(-1)
-	for _, c := range conns {
-		if dead(c) {
-			if firstDead < 0 {
-				firstDead = int32(c.id)
-			}
-			union(firstDead, int32(c.id))
-		}
-	}
 	for _, inst := range instances {
 		b := inst.base()
 		if skip(b) {
@@ -136,7 +119,7 @@ func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *Sched
 		for _, p := range b.portList {
 			first := int32(-1)
 			for _, c := range p.conns {
-				if p.owner != b || dead(c) {
+				if p.owner != b {
 					continue
 				}
 				if first < 0 {
@@ -179,7 +162,7 @@ func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *Sched
 	// ascending by conn id.
 	starts := func(b *Base) bool { return b.start != nil && !skip(b) }
 	for _, c := range conns {
-		front[c.id] = !dead(c) && (starts(c.src.owner) || starts(c.dst.owner))
+		front[c.id] = starts(c.src.owner) || starts(c.dst.owner)
 		sp.cellOff[sp.clusterOf[c.id]+1] += 3
 		if front[c.id] {
 			sp.frontEnd[sp.clusterOf[c.id]] += 3
@@ -208,7 +191,7 @@ func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *Sched
 	eachCluster := func(b *Base, mark int32, fn func(cl int32)) {
 		for _, p := range b.portList {
 			for _, c := range p.conns {
-				if p.owner != b || dead(c) {
+				if p.owner != b {
 					continue
 				}
 				if cl := sp.clusterOf[c.id]; seen[cl] != mark {
@@ -246,9 +229,6 @@ func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *Sched
 			}
 		})
 	}
-	if firstDead >= 0 {
-		sp.kind[sp.clusterOf[firstDead]] = clusterPruned
-	}
 	lists := make([]int32, 0, nc+nReact+int(sp.cellOff[nc])/3)
 	largest := int32(-1)
 	info.ClusterSizes = make([]int, 0, nc)
@@ -260,9 +240,6 @@ func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *Sched
 			sp.kind[cl] = clusterStatic
 		}
 		switch sp.kind[cl] {
-		case clusterPruned:
-			sp.heldConns += size
-			continue // reported as pruned structure, not as a cluster
 		case clusterStatic:
 			sp.heldConns += size
 			info.GatedConns += size
@@ -320,7 +297,7 @@ func buildSparse(instances []Instance, conns []*Conn, pr *progPrune, info *Sched
 			}
 		}
 	}
-	info.GatedInsts = ni - info.ActiveInsts - info.PrunedInsts
+	info.GatedInsts = ni - info.ActiveInsts
 	return sp
 }
 
@@ -340,14 +317,9 @@ func connectedInputs(b *Base) int {
 // connection is reset, every instance woken and every idle signature
 // dropped. Harnesses that mutate module state between cycles outside the
 // handler phases (e.g. poking registers before resuming) must call it so
-// the sparse scheduler cannot replay a resolution the mutation
-// invalidated. Under the woven scheduler it likewise forces a full
-// interpreted sweep. A no-op under other schedulers.
-func (s *Sim) InvalidateActivity() {
-	if s.sparse != nil || s.weave != nil {
-		s.needFull = true
-	}
-}
+// the engine cannot replay a resolution the mutation invalidated. The
+// reference replays nothing and ignores it.
+func (s *Sim) InvalidateActivity() { s.needFull = true }
 
 // dropSignatures forgets every signature and decision: the full sweep
 // under way re-establishes the whole plane.
@@ -365,8 +337,8 @@ func (s *Sim) stamp() uint64 { return s.cycle + 1 }
 // cleared whole; clusters that were closed keep their interior and give up
 // only their frontier, so the start handlers run against a cleared plane
 // wherever they can look. When no cell is to be kept — nothing closed, or
-// only clusters that are all frontier — the reset is the levelized
-// engine's: one memclr.
+// only clusters that are all frontier — the reset is the full sweep's:
+// one memclr.
 func (s *Sim) resetOpen() {
 	sp, a := s.sparse, s.act
 	if a == nil {
@@ -400,8 +372,8 @@ func (s *Sim) resetOpen() {
 	}
 	cells := s.plane.cells
 	for cl, k := range sp.kind {
-		if k.held() {
-			continue
+		if k == clusterStatic {
+			continue // held: a steady cycle leaves its cells alone
 		}
 		hi := sp.cellOff[cl+1]
 		if a.flags[cl]&actClosed != 0 {

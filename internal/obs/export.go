@@ -56,8 +56,8 @@ type SchedulerStats struct {
 	CycleBreaks      map[string]uint64 `json:"cycle_breaks"`
 }
 
-// ScheduleStats is the exported view of the static schedule the levelized
-// scheduler computed at Build time: how the netlist partitioned into
+// ScheduleStats is the exported view of the static schedule the engine
+// computed at Build time: how the netlist partitioned into
 // statically ordered sweep levels versus the cyclic residue, and where
 // default-dependency cycles break. Workers is always 1 (a Sim has one
 // writer); the field stays for the same reason ParallelRounds does.
@@ -81,11 +81,6 @@ type ScheduleStats struct {
 	GatedConns       int      `json:"gated_conns,omitempty"`
 	Clusters         int      `json:"clusters,omitempty"`
 	ClosableClusters int      `json:"closable_clusters,omitempty"`
-	PrunedInsts      int      `json:"pruned_insts,omitempty"`
-	PrunedConns      int      `json:"pruned_conns,omitempty"`
-	WovenConns       int      `json:"woven_conns,omitempty"`
-	CtrlKernels      int      `json:"ctrl_kernels,omitempty"`
-	FallbackConns    int      `json:"fallback_conns,omitempty"`
 	ScalarConns      int      `json:"scalar_conns"`
 	SpillConns       int      `json:"spill_conns"`
 	BreakSites       []string `json:"break_sites,omitempty"`
@@ -112,11 +107,6 @@ func scheduleStats(info *core.ScheduleInfo) *ScheduleStats {
 		GatedConns:       info.GatedConns,
 		Clusters:         info.Clusters,
 		ClosableClusters: info.ClosableClusters,
-		PrunedInsts:      info.PrunedInsts,
-		PrunedConns:      info.PrunedConns,
-		WovenConns:       info.WovenConns,
-		CtrlKernels:      info.CtrlKernels,
-		FallbackConns:    info.FallbackConns,
 		ScalarConns:      info.ScalarConns,
 		SpillConns:       info.SpillConns,
 		BreakSites:       info.BreakSites,
@@ -125,7 +115,7 @@ func scheduleStats(info *core.ScheduleInfo) *ScheduleStats {
 
 // Snapshot is a point-in-time, machine-readable view of a simulator:
 // identity, the full StatSet, the static schedule (when the simulator
-// runs the levelized scheduler), and — when the simulator was built with
+// runs the engine, not the reference), and — when the simulator was built with
 // metrics — scheduler counters and the per-instance react profile sorted
 // hottest first.
 type Snapshot struct {
@@ -277,24 +267,13 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 		row("schedule", "", "ack_residue_conns", int64(sd.AckResidueConns))
 		row("schedule", "", "scalar_conns", int64(sd.ScalarConns))
 		row("schedule", "", "spill_conns", int64(sd.SpillConns))
-		if sd.Scheduler == "sparse" {
-			row("schedule", "", "active_insts", int64(sd.ActiveInsts))
-			row("schedule", "", "gated_insts", int64(sd.GatedInsts))
-			row("schedule", "", "always_active", int64(sd.AlwaysActive))
-			row("schedule", "", "active_conns", int64(sd.ActiveConns))
-			row("schedule", "", "gated_conns", int64(sd.GatedConns))
-			row("schedule", "", "clusters", int64(sd.Clusters))
-			row("schedule", "", "closable_clusters", int64(sd.ClosableClusters))
-			row("schedule", "", "pruned_insts", int64(sd.PrunedInsts))
-			row("schedule", "", "pruned_conns", int64(sd.PrunedConns))
-		}
-		if sd.Scheduler == "woven" {
-			row("schedule", "", "woven_conns", int64(sd.WovenConns))
-			row("schedule", "", "ctrl_kernels", int64(sd.CtrlKernels))
-			row("schedule", "", "fallback_conns", int64(sd.FallbackConns))
-			row("schedule", "", "pruned_insts", int64(sd.PrunedInsts))
-			row("schedule", "", "pruned_conns", int64(sd.PrunedConns))
-		}
+		row("schedule", "", "active_insts", int64(sd.ActiveInsts))
+		row("schedule", "", "gated_insts", int64(sd.GatedInsts))
+		row("schedule", "", "always_active", int64(sd.AlwaysActive))
+		row("schedule", "", "active_conns", int64(sd.ActiveConns))
+		row("schedule", "", "gated_conns", int64(sd.GatedConns))
+		row("schedule", "", "clusters", int64(sd.Clusters))
+		row("schedule", "", "closable_clusters", int64(sd.ClosableClusters))
 		for i, site := range sd.BreakSites {
 			cw.Write([]string{"schedule", strconv.Itoa(i), "break_site", site})
 		}

@@ -11,13 +11,12 @@ import (
 )
 
 // WriteScheduleReport writes a human-readable dump of the static schedule
-// the levelized scheduler computed at Build time. The simulator must run
-// the levelized scheduler (the default); for the sequential engine there
-// is no static schedule to report.
+// and cluster plan the engine computed at Build time. The simulator must
+// run the engine (the default); the reference has neither to report.
 func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 	info := s.Schedule()
 	if info == nil {
-		return fmt.Errorf("obs: schedule report requires the levelized scheduler (running %s)", s.Scheduler())
+		return fmt.Errorf("obs: schedule report requires the engine; the %s reference has no static schedule", s.Scheduler())
 	}
 	if _, err := fmt.Fprintf(w, "static schedule (%s):\n", info.Scheduler); err != nil {
 		return err
@@ -30,40 +29,26 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 		info.AckSweepConns, info.AckLevels, info.AckResidueConns)
 	fmt.Fprintf(w, "  payload lanes:  %d conns on the uint64 scalar fast lane, %d on the boxed spill lane\n",
 		info.ScalarConns, info.SpillConns)
-	if info.Scheduler == core.SchedulerSparse {
-		fmt.Fprintf(w, "  clusters:       %d combinational cluster(s) (%s conns); %d decided each cycle from their cycle-start signals,\n",
-			info.Clusters, sizeHistogram(info.ClusterSizes), info.ClosableClusters)
-		fmt.Fprintf(w, "                  %d conn(s) out of every start handler's reach (held after the first sweep), %d seed instance(s)\n",
-			info.GatedConns, info.AlwaysActive)
-		if n := info.AutonomousClusters + info.NoInputClusters; n > 0 {
-			fmt.Fprintf(w, "  never close:    %d cluster(s): %d with a MarkAutonomous member, %d with an input-less reactive member (LSE007)\n",
-				n, info.AutonomousClusters, info.NoInputClusters)
-		}
-		if info.TracerOpen {
-			fmt.Fprintln(w, "  never close:    any cluster, in this session: a tracer is attached and sees every resolution")
-		}
-		if len(info.GlueInstances) > 0 {
-			const show = 8
-			names := info.GlueInstances
-			more := ""
-			if len(names) > show {
-				names, more = names[:show], fmt.Sprintf(" and %d more", len(names)-show)
-			}
-			fmt.Fprintf(w, "  glued by:       %s%s — unmarked multi-port instances with a cycle-start handler in the largest cluster (candidates for MarkSequential)\n",
-				strings.Join(names, ", "), more)
-		}
-		if info.PrunedConns > 0 || info.PrunedInsts > 0 {
-			fmt.Fprintf(w, "  dataflow prune: %d instance(s) and %d conn(s) proven dead and removed\n",
-				info.PrunedInsts, info.PrunedConns)
-		}
+	fmt.Fprintf(w, "  clusters:       %d combinational cluster(s) (%s conns); %d decided each cycle from their cycle-start signals,\n",
+		info.Clusters, sizeHistogram(info.ClusterSizes), info.ClosableClusters)
+	fmt.Fprintf(w, "                  %d conn(s) out of every start handler's reach (held after the first sweep), %d seed instance(s)\n",
+		info.GatedConns, info.AlwaysActive)
+	if n := info.AutonomousClusters + info.NoInputClusters; n > 0 {
+		fmt.Fprintf(w, "  never close:    %d cluster(s): %d with a MarkAutonomous member, %d with an input-less reactive member (LSE007)\n",
+			n, info.AutonomousClusters, info.NoInputClusters)
 	}
-	if info.Scheduler == core.SchedulerWoven {
-		fmt.Fprintf(w, "  weave:          %d conn(s) in constant replay, %d fused control kernel(s), %d interpreted fallback\n",
-			info.WovenConns, info.CtrlKernels, info.FallbackConns)
-		if info.PrunedConns > 0 || info.PrunedInsts > 0 {
-			fmt.Fprintf(w, "  dataflow prune: %d instance(s) and %d conn(s) proven dead and removed\n",
-				info.PrunedInsts, info.PrunedConns)
+	if info.TracerOpen {
+		fmt.Fprintln(w, "  never close:    any cluster, in this session: a tracer is attached and sees every resolution")
+	}
+	if len(info.GlueInstances) > 0 {
+		const show = 8
+		names := info.GlueInstances
+		more := ""
+		if len(names) > show {
+			names, more = names[:show], fmt.Sprintf(" and %d more", len(names)-show)
 		}
+		fmt.Fprintf(w, "  glued by:       %s%s — unmarked multi-port instances with a cycle-start handler in the largest cluster (candidates for MarkSequential)\n",
+			strings.Join(names, ", "), more)
 	}
 	if len(info.BreakSites) == 0 {
 		_, err := fmt.Fprintf(w, "  cycle breaks:   none — fully static schedule, zero fixed-point iterations\n")

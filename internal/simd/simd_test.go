@@ -283,48 +283,12 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestWovenSchedulerOverWire submits the spec compiled for the woven
-// engine: the wire option must reach the compiler (ProgramInfo reports
-// it back), sessions must stamp and step, and the option must be part
-// of the cache key — the same spec under the default engine is a
-// different program.
-func TestWovenSchedulerOverWire(t *testing.T) {
-	ctx := context.Background()
-	_, client := newTestServer(t, Config{})
-	woven, err := client.SubmitProgram(ctx, SubmitProgramRequest{
-		Spec: testSpec, Name: "simd_test.lss",
-		Options: BuildOptions{Scheduler: "woven"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if woven.Scheduler != "woven" {
-		t.Fatalf("program scheduler = %q, want woven", woven.Scheduler)
-	}
-	if plain := submitTestSpec(t, client); plain.ID == woven.ID {
-		t.Fatal("scheduler option did not participate in the program cache key")
-	}
-	ss, err := client.NewSession(ctx, woven.ID, CreateSessionRequest{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := client.Run(ctx, ss.ID, 50); err != nil || st.Cycle != 50 {
-		t.Fatalf("woven session run landed at %+v (err %v)", st, err)
-	}
-	snap, err := client.Observe(ctx, ss.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["snk.received"] == 0 {
-		t.Fatal("woven session moved no data through the pipeline")
-	}
-}
-
 // TestSchedulerSpellingsShareOneProgram: the program cache is keyed on
-// the engine the options name, not on how they spell it. An omitted
-// scheduler, "auto" and a removed engine's name with a worker count are
-// one compiled program, reported under the engine actually compiled; an
-// unknown name is still LSD001, before any compile.
+// the kind the options name, not on how they spell it. An omitted
+// scheduler, "auto" and "sparse" are one compiled program, reported as
+// the engine; "sequential" reaches the compiler as the reference — a
+// second program whose sessions stamp and step; an unknown name is
+// LSD001, before any compile.
 func TestSchedulerSpellingsShareOneProgram(t *testing.T) {
 	ctx := context.Background()
 	srv, client := newTestServer(t, Config{})
@@ -332,8 +296,7 @@ func TestSchedulerSpellingsShareOneProgram(t *testing.T) {
 	for i, o := range []BuildOptions{
 		{},
 		{Scheduler: "auto"},
-		{Scheduler: "parallel", Workers: 4},
-		{Scheduler: "partitioned", Workers: 2},
+		{Scheduler: "sparse"},
 	} {
 		info, err := client.SubmitProgram(ctx, SubmitProgramRequest{Spec: testSpec, Options: o})
 		if err != nil {
@@ -358,6 +321,30 @@ func TestSchedulerSpellingsShareOneProgram(t *testing.T) {
 	}
 	if n := len(srv.progs.entries); n != 1 {
 		t.Fatalf("registry holds %d programs, want 1", n)
+	}
+
+	ref, err := client.SubmitProgram(ctx, SubmitProgramRequest{
+		Spec: testSpec, Options: BuildOptions{Scheduler: "sequential"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Scheduler != "sequential" || ref.ID == first.ID || ref.CacheHit {
+		t.Fatalf("reference program = %+v, want a second program reporting sequential", ref)
+	}
+	ss, err := client.NewSession(ctx, ref.ID, CreateSessionRequest{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := client.Run(ctx, ss.ID, 50); err != nil || st.Cycle != 50 {
+		t.Fatalf("reference session run landed at %+v (err %v)", st, err)
+	}
+	snap, err := client.Observe(ctx, ss.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters["snk.received"] == 0 {
+		t.Fatal("reference session moved no data through the pipeline")
 	}
 }
 

@@ -11,25 +11,22 @@ import (
 )
 
 // wire.go is the /v1 request/response vocabulary. These types are
-// re-exported through the lse facade; within the /v1 lifetime fields may
-// be added but never removed or repurposed (see DESIGN.md Appendix F for
-// the API versioning rules).
+// re-exported through the lse facade; within the /v1 lifetime response
+// fields may be added but never removed or repurposed, and request
+// decoding is strict — a field that names nothing is LSD001 (see
+// DESIGN.md Appendix F for the API versioning rules).
 
 // BuildOptions are the compile-time options of a submitted program. They
 // are part of the program cache key by what they resolve to, not by how
 // they are spelled: the same spec submitted with options that select the
 // same engine and strictness shares one cached program.
 type BuildOptions struct {
-	// Scheduler selects the engine: "auto" (default), "sequential",
-	// "levelized", "sparse" or "woven". "parallel" and "partitioned", the
-	// multi-worker engines removed in PR 19, are still decoded and run
-	// auto; ProgramInfo.Scheduler reports the engine actually compiled.
-	// Sessions always run the engine their program was compiled for.
+	// Scheduler selects the engine — "auto" (default) or "sparse", two
+	// spellings of one kind and one cache entry — or "sequential", the
+	// reference. Any other name is LSD001 before anything compiles.
+	// ProgramInfo.Scheduler reports the kind compiled; sessions always run
+	// the kind their program was compiled for.
 	Scheduler string `json:"scheduler,omitempty"`
-	// Workers was the scheduler worker count of the removed multi-worker
-	// engines. Still decoded (request fields are never repurposed into
-	// errors, DESIGN.md F.3) and ignored: a session has one writer.
-	Workers int `json:"workers,omitempty"`
 	// Strict, when set to "info", "warning" or "error", fails compilation
 	// when static analysis finds diagnostics at or above that severity.
 	Strict string `json:"strict,omitempty"`
@@ -39,7 +36,7 @@ type BuildOptions struct {
 // name and the core build options. Unknown names are CodeBadRequest
 // material, reported before any compilation work happens.
 func (o BuildOptions) buildOptions() (core.SchedulerKind, []core.BuildOption, error) {
-	kind, _, err := core.ParseSchedulerKind(o.Scheduler)
+	kind, err := core.ParseSchedulerKind(o.Scheduler)
 	if err != nil {
 		return 0, nil, err
 	}

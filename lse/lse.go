@@ -22,24 +22,25 @@
 //
 // # Scheduler selection
 //
-// WithScheduler picks the engine that resolves each cycle's signals. The
-// default (SchedulerAuto) is the sparse activity-gated scheduler: the
-// levelized static engine — at build time the signal dependency graph is
-// condensed into strongly connected components and levelized, so acyclic
-// regions resolve in one deterministic sweep with no fixed-point
-// iteration — plus per-cycle activity over compile-time combinational
-// clusters: a cluster (a router, say) whose cycle-start signals read as
-// they did when it last resolved with no data offered replays that
-// resolution instead of re-deriving it, and regions unreachable from any
-// cycle-start handler resolve exactly once (lsc -schedule prints the plan).
-// SchedulerSequential is the classic dynamic fixed-point engine and the
-// reference every other engine is held to; SchedulerWoven fuses the
-// levelized schedule into specialized compile-time step kernels for
-// handler-free regions. Every scheduler produces bit-identical per-cycle
-// signal assignments and statistics:
+// There is one engine and one reference. The engine (SchedulerSparse,
+// the default; SchedulerAuto is the same value) is statically scheduled —
+// at build time the signal dependency graph is condensed into strongly
+// connected components and levelized, so acyclic regions resolve in one
+// deterministic sweep and only genuinely cyclic ones iterate on a
+// worklist — and runs that schedule each cycle over only the
+// combinational clusters something was offered to: a cluster (a router,
+// say) whose cycle-start signals read as they did when it last resolved
+// with no data offered replays that resolution instead of re-deriving it,
+// and regions unreachable from any cycle-start handler resolve exactly
+// once (lsc -schedule prints the plan). SchedulerSequential is the
+// reference: the classic dynamic fixed point, the executable semantics the
+// engine is tested against. Both produce bit-identical per-cycle signal
+// assignments and statistics; pick the reference when debugging a
+// suspected engine bug:
 //
-//	sim, _ := b.Build(lse.WithScheduler(lse.SchedulerLevelized))
-//	lse.WriteScheduleReport(os.Stderr, sim) // SCCs, levels, break sites
+//	sim, _ := lse.LoadLSS(src)              // the engine
+//	lse.WriteScheduleReport(os.Stderr, sim) // SCCs, levels, break sites, clusters
+//	ref, _ := lse.LoadLSS(src, lse.WithScheduler(lse.SchedulerSequential))
 //
 // Reactive modules whose behavior depends on more than their observed
 // input signals (e.g. handlers that read Now() or draw randomness even
@@ -133,9 +134,8 @@
 // analysis pipeline (Lint, Analyze) and the observability exporters
 // below. The PR-1-era Builder setter chain (SetSeed, SetWorkers,
 // SetTracer, SetRegistry) and the nil-builder BuildLSS entry point have
-// been removed. A Sim is stepped by one goroutine at a time: the
-// multi-worker engines and their knobs went in PR 19 (see the deprecated
-// block below); parallelism runs across sessions of one Program.
+// been removed. A Sim is stepped by one goroutine at a time; parallelism
+// runs across sessions of one Program.
 //
 // The component libraries (pcl, upl, ccl, mpl, nilib) register their
 // templates into DefaultRegistry from their init functions; importing
@@ -192,9 +192,9 @@ type (
 	Status = core.Status
 	// SigKind identifies one of a connection's three signals.
 	SigKind = core.SigKind
-	// SchedulerKind selects the engine that resolves each cycle.
+	// SchedulerKind selects the engine or the reference.
 	SchedulerKind = core.SchedulerKind
-	// ScheduleInfo describes the levelized scheduler's static schedule.
+	// ScheduleInfo describes the engine's static schedule and cluster plan.
 	ScheduleInfo = core.ScheduleInfo
 	// Params carries template customization values.
 	Params = core.Params
@@ -361,38 +361,24 @@ const (
 	PayloadAny         = core.PayloadAny
 )
 
-// Scheduler kinds, accepted by WithScheduler. All schedulers produce
-// bit-identical per-cycle signal assignments and statistics; they differ
-// only in host-time cost (the sparse engine's *scheduler metrics*
-// legitimately differ, since gated work is counted once, not per cycle).
+// Scheduler kinds, accepted by WithScheduler. Both produce bit-identical
+// per-cycle signal assignments and statistics; they differ only in
+// host-time cost (and in their *scheduler metrics*: the engine counts
+// replayed work once, not per cycle).
 const (
-	// SchedulerAuto lets Build choose (currently SchedulerSparse).
-	SchedulerAuto = core.SchedulerAuto
-	// SchedulerSequential is the demand-driven sequential fixed point.
-	SchedulerSequential = core.SchedulerSequential
-	// SchedulerLevelized is the static scheduling engine: SCC-condensed,
-	// levelized sweeps with a worklist for genuinely cyclic residues.
-	SchedulerLevelized = core.SchedulerLevelized
-	// SchedulerSparse is the levelized engine plus build-time activity
-	// gating: regions unreachable from any cycle-start (or autonomous)
-	// instance are resolved once and replayed, not re-resolved per cycle.
+	// SchedulerSparse is the engine, and the default: the static sweep and
+	// residue worklist, run each cycle over the clusters that open.
 	SchedulerSparse = core.SchedulerSparse
-	// SchedulerWoven is the AOT-woven engine: the levelized schedule is
-	// fused at compile time into specialized step kernels — handler-free
-	// acyclic connections resolve as replayed compile-time constants (or
-	// one fused closure each when a port carries a Control function), and
-	// only handler-adjacent connections and the cyclic residue keep the
-	// interpreted path. Unlike SchedulerSparse, its scheduler metrics are
-	// exact: replayed work is accounted per cycle, matching the
-	// sequential reference's default/break counts bit for bit.
-	SchedulerWoven = core.SchedulerWoven
+	// SchedulerAuto is the default selection: SchedulerSparse.
+	SchedulerAuto = core.SchedulerAuto
+	// SchedulerSequential is the reference: the demand-driven sequential
+	// fixed point the engine is tested against.
+	SchedulerSequential = core.SchedulerSequential
 )
 
-// ParseSchedulerKind converts a scheduler name ("auto", "sequential",
-// "levelized", "sparse", "woven") into its kind. The removed engines'
-// names ("parallel", "partitioned") parse as SchedulerAuto with removed
-// set, for one more release.
-func ParseSchedulerKind(name string) (kind SchedulerKind, removed bool, err error) {
+// ParseSchedulerKind converts a scheduler name into its kind: "auto",
+// "sparse" (and "") are the engine, "sequential" the reference.
+func ParseSchedulerKind(name string) (SchedulerKind, error) {
 	return core.ParseSchedulerKind(name)
 }
 
@@ -423,9 +409,8 @@ func PortOf(inst Instance, name string) (*Port, error) { return core.PortOf(inst
 var (
 	// WithSeed sets the deterministic random seed.
 	WithSeed = core.WithSeed
-	// WithScheduler selects the scheduling engine (see SchedulerAuto,
-	// SchedulerSequential, SchedulerLevelized, SchedulerSparse,
-	// SchedulerWoven).
+	// WithScheduler selects the engine (SchedulerSparse, the default) or
+	// the reference (SchedulerSequential).
 	WithScheduler = core.WithScheduler
 	// WithTracer attaches a tracer; repeated options compose.
 	WithTracer = core.WithTracer
@@ -433,36 +418,12 @@ var (
 	WithRegistry = core.WithRegistry
 	// WithMetrics enables scheduler metrics collection.
 	WithMetrics = core.WithMetrics
-	// WithDataflowPrune deletes provably-dead connections and instances
-	// (per the whole-program dataflow analysis) from the compiled
-	// schedule and cluster plan. Requires the sparse or woven scheduler.
-	WithDataflowPrune = core.WithDataflowPrune
-	// WithActivityCheck makes the sparse scheduler evaluate every cluster
+	// WithActivityCheck makes the engine evaluate every cluster
 	// it would have closed and compare it with the cluster's idle
 	// signature: the check a template author signs MarkSequential, or the
 	// absence of MarkAutonomous, against.
 	WithActivityCheck = core.WithActivityCheck
 )
-
-// The multi-worker engines and their knobs were removed in PR 19
-// (DESIGN.md Appendix H: every multi-worker configuration lost to one
-// worker on every paper model). The five names below compile for one more
-// release and are deleted in the next.
-
-// Deprecated: removed engine; an alias of SchedulerAuto until the next release.
-const SchedulerParallel = SchedulerAuto
-
-// Deprecated: removed engine; an alias of SchedulerAuto until the next release.
-const SchedulerPartitioned = SchedulerAuto
-
-// Deprecated: a no-op until the next release; a Sim has one writer.
-func WithWorkers(int) BuildOption { return func(*Builder) {} }
-
-// Deprecated: a no-op until the next release; there is no shard partition.
-func WithShards(int) BuildOption { return func(*Builder) {} }
-
-// Deprecated: a no-op until the next release; there are no parallel rounds.
-func WithParallelThreshold(int) BuildOption { return func(*Builder) {} }
 
 // WithObserver applies an observability bundle — scheduler metrics and/or
 // structured event capture — to the simulator under construction.
@@ -531,7 +492,7 @@ func ParseLSS(src string) (*lss.File, error) { return lss.Parse(src) }
 func WriteDot(w io.Writer, s *Sim) error { return core.WriteDot(w, s) }
 
 // NewVCDTracer returns a tracer writing a VCD waveform of every
-// connection's handshake signals (sequential scheduler only).
+// connection's handshake signals.
 func NewVCDTracer(w io.Writer) *core.VCDTracer { return core.NewVCDTracer(w) }
 
 // NewEventTracer returns a structured event tracer keeping the last
@@ -551,7 +512,8 @@ func WriteStatsCSV(w io.Writer, s *Sim) error { return obs.WriteCSV(w, s) }
 // (requires a simulator built with WithMetrics or an Observer).
 func WriteHotReport(w io.Writer, s *Sim, topN int) error { return obs.WriteHotReport(w, s, topN) }
 
-// WriteScheduleReport writes a readable dump of the static schedule the
-// levelized scheduler computed at Build time — SCC structure, sweep
-// levels, cyclic residues and cycle-break sites.
+// WriteScheduleReport writes a readable dump of the static schedule and
+// cluster plan the engine computed at Build time — SCC structure, sweep
+// levels, cyclic residues, cycle-break sites and clusters. It is an error
+// under the reference, which has neither.
 func WriteScheduleReport(w io.Writer, s *Sim) error { return obs.WriteScheduleReport(w, s) }

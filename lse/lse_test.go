@@ -141,8 +141,8 @@ func TestProgramSurface(t *testing.T) {
 
 }
 
-// TestScheduleSnapshot drives the schedule introspection surface: a
-// levelized simulator exposes its static schedule through Sim.Schedule,
+// TestScheduleSnapshot drives the schedule introspection surface: an
+// engine simulator exposes its static schedule through Sim.Schedule,
 // the Snapshot's Schedule section, both stats exporters and the readable
 // schedule report.
 func TestScheduleSnapshot(t *testing.T) {
@@ -153,7 +153,7 @@ func TestScheduleSnapshot(t *testing.T) {
 		src.out -> q.in;
 		q.out -> snk.in;
 	`
-	sim, err := lse.LoadLSS(spec, lse.WithSeed(1), lse.WithScheduler(lse.SchedulerLevelized), lse.WithMetrics())
+	sim, err := lse.LoadLSS(spec, lse.WithSeed(1), lse.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestScheduleSnapshot(t *testing.T) {
 	}
 	info := sim.Schedule()
 	if info == nil {
-		t.Fatal("Schedule() = nil under WithScheduler(SchedulerLevelized)")
+		t.Fatal("Schedule() = nil under the engine")
 	}
 	if info.CyclicSCCs != 0 || info.ResidueConns != 0 {
 		t.Fatalf("linear pipeline reported cycles: %+v", info)
@@ -176,7 +176,7 @@ func TestScheduleSnapshot(t *testing.T) {
 	if snap.Schedule == nil {
 		t.Fatal("snapshot has no schedule section")
 	}
-	if snap.Schedule.Scheduler != "levelized" || snap.Schedule.SweepConns != 2 {
+	if snap.Schedule.Scheduler != "sparse" || snap.Schedule.SweepConns != 2 {
 		t.Fatalf("schedule section = %+v", snap.Schedule)
 	}
 	var js bytes.Buffer
@@ -194,7 +194,7 @@ func TestScheduleSnapshot(t *testing.T) {
 	if err := lse.WriteStatsCSV(&csvOut, sim); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(csvOut.String(), "schedule,,scheduler,levelized") {
+	if !strings.Contains(csvOut.String(), "schedule,,scheduler,sparse") {
 		t.Fatalf("CSV snapshot missing schedule rows:\n%s", csvOut.String())
 	}
 	var rep bytes.Buffer
@@ -205,7 +205,7 @@ func TestScheduleSnapshot(t *testing.T) {
 		t.Fatalf("schedule report malformed:\n%s", rep.String())
 	}
 
-	// Legacy engines have no static schedule; the report says so.
+	// The reference has no static schedule; the report says so.
 	seq, err := lse.LoadLSS(spec, lse.WithScheduler(lse.SchedulerSequential))
 	if err != nil {
 		t.Fatal(err)

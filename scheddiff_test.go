@@ -39,40 +39,29 @@ func (h *cycleHasher) OnCycleEnd(n uint64) {
 	h.hashes = append(h.hashes, fh.Sum64())
 }
 
-// schedulerMatrix is every engine the differential tests pit against the
-// sequential reference. exactCounts marks engines whose default/break
-// metric counts must equal the sequential reference; the sparse engine is
-// exempt — a closed cluster pays its default-control work when its
-// signature is recorded, not per cycle — but its per-cycle signal hashes
-// and statistics dumps must still be bit-identical.
-var schedulerMatrix = []struct {
+// referenceOpts selects the sequential reference every row is held to.
+var referenceOpts = []lse.BuildOption{lse.WithScheduler(lse.SchedulerSequential)}
+
+// engineRows is how the differential tests run the engine against the
+// reference. The cycleHasher is a tracer, and a tracer keeps every
+// cluster open (so that traces are complete): the traced row resolves
+// everything every cycle and must equal the reference's default/break
+// counts too. The untraced rows hash the statuses after each Step
+// instead, which lets clusters close — a closed cluster pays its
+// default-control work when its signature is recorded, not per cycle, so
+// the untraced row's counts differ while its per-cycle signal hashes and
+// statistics dumps stay bit-identical. The check row evaluates every
+// cluster that would have closed and fails the Step on a difference;
+// nothing is skipped there, so its counts are exact again.
+var engineRows = []struct {
 	name        string
+	traced      bool
 	exactCounts bool
 	opts        []lse.BuildOption
 }{
-	{"sequential", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSequential)}},
-	{"levelized", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerLevelized)}},
-	{"sparse", false, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse)}},
-	// The woven engine replays its compiled region but — unlike sparse —
-	// accounts the replay, so it must hold exact default/break counts on
-	// every shape: all-fallback (handler chains, the mesh residue),
-	// all-const (passThrough fabrics) and everything between.
-	{"woven", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven)}},
-}
-
-// activityMatrix is the rows that run without a tracer. The cycleHasher
-// is one, and a tracer keeps every cluster of the sparse engine open (so
-// that traces are complete); these rows hash the statuses after each Step
-// instead, which lets clusters close. The check rows evaluate every
-// cluster that would have closed and fail the Step on a difference.
-var activityMatrix = []struct {
-	name string
-	opts []lse.BuildOption
-}{
-	{"sparse/untraced", []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse)}},
-	{"auto/untraced", nil},
-	{"sparse/check", []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse), lse.WithActivityCheck()}},
-	{"auto/check", []lse.BuildOption{lse.WithActivityCheck()}},
+	{"engine/traced", true, true, nil},
+	{"engine/untraced", false, false, nil},
+	{"engine/check", false, true, []lse.BuildOption{lse.WithActivityCheck()}},
 }
 
 type schedRun struct {
@@ -130,17 +119,15 @@ func statusHash(sim *core.Sim) uint64 {
 	return fh.Sum64()
 }
 
-// diffModel holds every engine to the sequential oracle on one model:
-// the traced matrix, then the untraced and check-mode activity rows.
+// diffModel holds the engine to the reference on one model, row by row.
 func diffModel(t *testing.T, m model) {
 	t.Helper()
-	ref := m.run(t, true, schedulerMatrix[0].opts...)
-	for _, tc := range schedulerMatrix[1:] {
-		diffRuns(t, m.name, tc.name, ref, m.run(t, true, tc.opts...), tc.exactCounts)
+	refs := map[bool]schedRun{
+		true:  m.run(t, true, referenceOpts...),
+		false: m.run(t, false, referenceOpts...),
 	}
-	ref = m.run(t, false, schedulerMatrix[0].opts...)
-	for _, tc := range activityMatrix {
-		diffRuns(t, m.name, tc.name, ref, m.run(t, false, tc.opts...), false)
+	for _, row := range engineRows {
+		diffRuns(t, m.name, row.name, refs[row.traced], m.run(t, row.traced, row.opts...), row.exactCounts)
 	}
 }
 
@@ -154,11 +141,6 @@ func specModel(name, src string, cycles uint64) model {
 		}
 		return sim
 	}}
-}
-
-func runSpecUnder(t *testing.T, src string, cycles uint64, opts ...lse.BuildOption) schedRun {
-	t.Helper()
-	return specModel("spec", src, cycles).run(t, true, opts...)
 }
 
 func diffRuns(t *testing.T, what, name string, ref, got schedRun, exactCounts bool) {
@@ -182,7 +164,7 @@ func diffRuns(t *testing.T, what, name string, ref, got schedRun, exactCounts bo
 }
 
 // TestSchedulersAgreeOnSpecs runs every shipped specification under
-// every engine of schedulerMatrix and demands bit-identical
+// every row of engineRows and demands bit-identical
 // per-cycle signal statuses, statistics dumps and scheduler counts — the
 // redesign's central invariant on real models (including the mesh, whose
 // router loop exercises the cyclic residue and its break sites).
@@ -313,9 +295,8 @@ func buildDefaultMesh(t testing.TB, w, h int, opts ...core.BuildOption) *core.Si
 
 // buildDefaultAcyclicGrid wires w×h handler-less modules with east and
 // south neighbor links but no wraparound: the 2D fan-in/fan-out shape of
-// the torus without its cyclic SCC, so the whole netlist levelizes (and
-// under the woven engine, weaves). The mesh benchmark runs on this shape
-// because the torus is one big cycle — all residue, nothing to weave.
+// the torus without its cyclic SCC, so the whole netlist levelizes: all
+// static sweep, where the torus is all residue.
 func buildDefaultAcyclicGrid(t testing.TB, w, h int, opts ...core.BuildOption) *core.Sim {
 	t.Helper()
 	b := core.NewBuilder(opts...)
