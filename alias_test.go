@@ -22,6 +22,17 @@ import (
 
 var removedSchedulerNames = []string{"levelized", "woven", "parallel", "partitioned"}
 
+// buildLSC builds cmd/lsc into the test's temporary directory and returns
+// the binary's path.
+func buildLSC(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "lsc")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/lsc").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/lsc: %v\n%s", err, out)
+	}
+	return bin
+}
+
 func TestRemovedEngineAliases(t *testing.T) {
 	const wantMsg = "(want auto, sparse or sequential)"
 
@@ -37,10 +48,7 @@ func TestRemovedEngineAliases(t *testing.T) {
 	}
 
 	t.Run("lsc", func(t *testing.T) {
-		bin := filepath.Join(t.TempDir(), "lsc")
-		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/lsc").CombinedOutput(); err != nil {
-			t.Fatalf("go build ./cmd/lsc: %v\n%s", err, out)
-		}
+		bin := buildLSC(t)
 		lsc := func(args ...string) (exit int, output string) {
 			t.Helper()
 			var out bytes.Buffer

@@ -108,7 +108,10 @@ type SweepProgram struct {
 	// names and capacities are identical across stamps (the recipe is
 	// deterministic — the core verifies this by fingerprint), so power
 	// accounting reads this canonical copy's names against each stamped
-	// Sim's own counters.
+	// Sim's own counters. The first assembly is a live session: it runs
+	// the first measured point while other points read through nw, so
+	// only fields fixed at construction (Name, Cap, the slices
+	// themselves) may be read through it — never module state.
 	mu    sync.Mutex
 	nw    *Network
 	nodes int
@@ -134,8 +137,8 @@ func NewSweepProgram(cfg SweepCfg) (*SweepProgram, error) {
 // Program exposes the underlying compiled core.Program.
 func (sp *SweepProgram) Program() *core.Program { return sp.prog }
 
-// assemble is the deterministic recipe re-run for every stamped session:
-// mesh, one source and one sink per node. Sources are created at rate 0;
+// assemble is the deterministic recipe, run by the compile and re-run for
+// every session after the first: mesh, one source and one sink per node. Sources are created at rate 0;
 // MeasureRate sets the operating point's rate on the stamped instances.
 func (sp *SweepProgram) assemble(b *core.Builder) error {
 	cfg := sp.cfg
@@ -180,10 +183,11 @@ func (sp *SweepProgram) assemble(b *core.Builder) error {
 	return nil
 }
 
-// MeasureRate stamps a fresh Sim, sets every source to the offered rate,
-// runs the point and returns its measurements. Concurrent calls are
-// data-race-free: each stamp owns its signal plane, instance state, RNG
-// streams and statistics.
+// MeasureRate takes a fresh Sim (the first call the compiled netlist, later
+// calls a stamp), sets every source to the offered rate, runs the point
+// and returns its measurements. Concurrent calls are data-race-free: each
+// session owns its signal plane, instance state, RNG streams and
+// statistics.
 func (sp *SweepProgram) MeasureRate(ctx context.Context, rate float64) (SweepPoint, error) {
 	sim, err := sp.prog.NewSim()
 	if err != nil {

@@ -192,6 +192,29 @@ func TestBuilderReuseRejected(t *testing.T) {
 	}
 }
 
+// TestConnectPortsErrorPositions pins the four connect failures' messages:
+// the "src -> dst" position is built only on these branches.
+func TestConnectPortsErrorPositions(t *testing.T) {
+	a, y, z := newCyclic("a"), newCyclic("y"), newCyclic("z") // every port MaxWidth 1
+	b := core.NewBuilder()
+	if err := b.ConnectPorts(a.Out, z.In); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sp, dp *core.Port
+		want   string
+	}{
+		{a.In, z.In, "liberty: build error: connect at a.in -> z.in: source must be an Out port"},
+		{y.Out, z.Out, "liberty: build error: connect at y.out -> z.out: destination must be an In port"},
+		{a.Out, y.In, "liberty: build error: connect at a.out -> y.in: source port width limited to 1"},
+		{y.Out, z.In, "liberty: build error: connect at y.out -> z.in: destination port width limited to 1"},
+	} {
+		if err := b.ConnectPorts(tc.sp, tc.dp); err == nil || err.Error() != tc.want {
+			t.Errorf("ConnectPorts error = %v\nwant %s", err, tc.want)
+		}
+	}
+}
+
 func TestVCDTracerEmitsWaveform(t *testing.T) {
 	var sb strings.Builder
 	src := newSource("src")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"sync/atomic"
 )
 
 // program.go separates the two halves the paper keeps distinct: structure
@@ -17,9 +18,10 @@ import (
 // compiled artifact.
 //
 // Sharing contract (DESIGN.md Appendix E): everything reachable from a
-// Program after Compile returns is read-only. Sessions index the shared
-// [][]int32 schedule levels and residues by connection id but write only
-// their own plane, scratch and instance state, which is what makes
+// Program after Compile returns is read-only, with one exception — the
+// first-session slot, claimed once by an atomic swap. Sessions index the
+// shared [][]int32 schedule levels and residues by connection id but write
+// only their own plane, scratch and instance state, which is what makes
 // concurrent NewSim+Run sessions data-race-free.
 
 // Program is the immutable compiled form of a netlist. It is safe for
@@ -27,10 +29,14 @@ import (
 // resulting simulators in parallel.
 type Program struct {
 	// assemble re-runs the netlist recipe to stamp a fresh instance graph
-	// for each session. Nil for programs extracted from a direct
-	// Builder.Build call, whose one pre-stamped session is the Sim that
-	// Build returned; such programs cannot mint further sessions.
+	// for every session after the first. Nil for programs extracted from a
+	// direct Builder.Build call, whose one pre-stamped session is the Sim
+	// that Build returned; such programs cannot mint further sessions.
 	assemble func(*Builder) error
+	// first is the netlist Compile assembled and validated, never stepped:
+	// the first NewSim takes it (exactly once, by swap) and hands it over
+	// if it carries no session options, or drops it otherwise.
+	first atomic.Pointer[Sim]
 	// opts are the compile-time options, re-applied to every session's
 	// builder before session-specific options.
 	opts []BuildOption
@@ -51,11 +57,12 @@ type Program struct {
 
 // Compile runs the assembly recipe once, compiles the resulting netlist
 // and returns the shared Program. The recipe must be deterministic: every
-// NewSim re-runs it to stamp a fresh instance graph, and a structural
-// fingerprint (instance names, handler shapes, connection endpoints,
-// payload kinds) is checked against this compilation's on every stamp.
-// Build-time validation — port widths, post-build checks such as strict
-// static analysis — runs here, on a probe session that is discarded.
+// NewSim after the first re-runs it to stamp a fresh instance graph, and a
+// structural fingerprint (instance names, handler shapes, connection
+// endpoints, payload kinds) is checked against this compilation's on every
+// stamp. Build-time validation — port widths, post-build checks such as
+// strict static analysis — runs here, on the session the program keeps as
+// its first.
 func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, error) {
 	if assemble == nil {
 		return nil, &BuildError{Op: "compile", Where: "?", Detail: "nil assemble function"}
@@ -69,23 +76,29 @@ func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, erro
 		return nil, err
 	}
 	p := probe.prog
-	probe.Close()
 	p.assemble = assemble
 	p.opts = opts
+	p.first.Store(probe)
 	return p, nil
 }
 
-// NewSim stamps a new simulation session from the compiled program: the
-// assembly recipe re-creates the instance graph (fresh mutable module
-// state), and the session binds the shared schedule, cluster plan
-// and lane election without recompiling any of them. Session options are
-// applied after the program's compile-time options, so per-session seeds,
-// tracers and metrics compose naturally; selecting a
-// different scheduler than the program was compiled for is an error.
+// NewSim returns a new simulation session of the compiled program. The
+// first call, if it carries no session options, is handed the netlist
+// Compile validated — what a stamp with the same options would rebuild.
+// Every other call stamps: the assembly recipe re-creates the instance
+// graph (fresh mutable module state), and the session binds the shared
+// schedule, cluster plan and lane election without recompiling any of
+// them. Session options are applied after the program's compile-time
+// options, so per-session seeds, tracers and metrics compose naturally;
+// selecting a different scheduler than the program was compiled for is an
+// error.
 func (p *Program) NewSim(opts ...BuildOption) (*Sim, error) {
 	if p.assemble == nil {
 		return nil, &BuildError{Op: "new sim", Where: "program",
 			Detail: "program has no assembly recipe; compile it with core.Compile (or load it with lse.CompileLSS) to stamp new sessions"}
+	}
+	if first := p.first.Swap(nil); first != nil && len(opts) == 0 {
+		return first, nil
 	}
 	b := NewBuilder(p.opts...)
 	for _, o := range opts {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -74,7 +77,9 @@ func TestNewSimRejectsSchedulerSwitch(t *testing.T) {
 }
 
 // TestNewSimRejectsNondeterministicRecipe: a recipe that assembles a
-// different netlist on re-run fails the structural fingerprint check.
+// different netlist on re-run fails the structural fingerprint check. The
+// first option-less session is the compiled netlist itself and cannot
+// disagree with it; the second is the first re-run.
 func TestNewSimRejectsNondeterministicRecipe(t *testing.T) {
 	calls := 0
 	prog, err := Compile(func(b *Builder) error {
@@ -92,8 +97,100 @@ func TestNewSimRejectsNondeterministicRecipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.NewSim(); err == nil {
-		t.Fatal("NewSim accepted a nondeterministic assembly recipe")
+	if _, err := prog.NewSim(); err != nil || calls != 1 {
+		t.Fatalf("first session: err %v after %d assemblies, want the compiled netlist", err, calls)
+	}
+	_, err = prog.NewSim()
+	var be *BuildError
+	if !errors.As(err, &be) || be.Op != "new sim" || !strings.Contains(be.Detail, "assembly recipe is not deterministic") {
+		t.Fatalf("second NewSim on a nondeterministic recipe returned %v, want the fingerprint BuildError", err)
+	}
+}
+
+// TestFirstSessionIsTheCompiledNetlist counts recipe runs: Compile's
+// validated netlist is the first option-less session, claimed exactly
+// once; a first call that carries options stamps and releases it.
+func TestFirstSessionIsTheCompiledNetlist(t *testing.T) {
+	var calls atomic.Int64
+	recipe := func(b *Builder) error {
+		calls.Add(1)
+		return progTestAssemble(b)
+	}
+	compile := func(opts ...BuildOption) *Program {
+		t.Helper()
+		calls.Store(0)
+		prog, err := Compile(recipe, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	session := func(prog *Program, wantCalls int64, opts ...BuildOption) *Sim {
+		t.Helper()
+		sim, err := prog.NewSim(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.prog != prog || sim.Now() != 0 {
+			t.Fatalf("session bound to %p at cycle %d, want program %p at cycle 0", sim.prog, sim.Now(), prog)
+		}
+		if got := calls.Load(); got != wantCalls {
+			t.Fatalf("recipe ran %d times, want %d", got, wantCalls)
+		}
+		return sim
+	}
+
+	prog := compile(WithSeed(5))
+	first := session(prog, 1)
+	if first.Seed() != 5 {
+		t.Fatalf("handed-over session has seed %d, want the compile-time 5", first.Seed())
+	}
+	if second := session(prog, 2); second == first {
+		t.Fatal("second NewSim returned the first session again")
+	}
+
+	prog = compile()
+	if seeded := session(prog, 2, WithSeed(9)); seeded.Seed() != 9 {
+		t.Fatalf("session option ignored: seed %d, want 9", seeded.Seed())
+	}
+	if prog.first.Load() != nil {
+		t.Fatal("a first call with options left the compiled netlist pinned")
+	}
+	session(prog, 3)
+
+	prog = compile()
+	const n = 8
+	sims := make([]*Sim, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range sims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if sims[i], errs[i] = prog.NewSim(); errs[i] == nil {
+				errs[i] = sims[i].Run(3)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[*Sim]bool{}
+	for i, sim := range sims {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		seen[sim] = true
+	}
+	if got := calls.Load(); len(seen) != n || got != n {
+		t.Fatalf("%d concurrent NewSim: %d distinct sessions from %d recipe runs, want %d from %d (one is Compile's)",
+			n, len(seen), got, n, n)
+	}
+
+	// A failing compile-time check fails Compile; nothing is retained.
+	boom := errors.New("post-build check says no")
+	calls.Store(0)
+	prog, err := Compile(recipe, WithPostBuildCheck(func(*Sim) error { return boom }))
+	if !errors.Is(err, boom) || prog != nil || calls.Load() != 1 {
+		t.Fatalf("Compile with a failing post-build check: program %v, err %v after %d recipe runs", prog, err, calls.Load())
 	}
 }
 

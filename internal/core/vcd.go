@@ -3,24 +3,25 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // VCDTracer emits a Value Change Dump of every connection's three
 // handshake signals (2-bit vectors: 00=unknown, 01=no, 10=yes), viewable
 // in any waveform viewer — the offline counterpart of the paper's
 // interactive visualizer. Attach it with the WithTracer build option
-// (the builder invokes Attach with the finished netlist).
+// (the builder invokes Attach with the finished netlist). Variables are
+// keyed by connection id, which every session of a program shares, so a
+// tracer given to Compile follows whichever session is stepped.
 type VCDTracer struct {
 	w      io.Writer
-	ids    map[*Conn][3]string
+	ids    [][3]string // indexed by Conn.ID()
 	inited bool
 	err    error
 }
 
 // NewVCDTracer writes VCD to w.
 func NewVCDTracer(w io.Writer) *VCDTracer {
-	return &VCDTracer{w: w, ids: make(map[*Conn][3]string)}
+	return &VCDTracer{w: w}
 }
 
 // vcdID produces a compact printable identifier for signal n.
@@ -39,18 +40,15 @@ func vcdID(n int) string {
 func (t *VCDTracer) header(s *Sim) {
 	fmt.Fprintln(t.w, "$timescale 1ns $end")
 	fmt.Fprintln(t.w, "$scope module liberty $end")
-	conns := append([]*Conn(nil), s.conns...)
-	sort.Slice(conns, func(i, j int) bool { return conns[i].id < conns[j].id })
+	t.ids = make([][3]string, len(s.conns))
 	n := 0
-	for _, c := range conns {
-		var ids [3]string
+	for _, c := range s.conns { // id order: ids are assigned at Connect time
 		for k, sig := range [...]string{"data", "enable", "ack"} {
 			id := vcdID(n)
 			n++
-			ids[k] = id
+			t.ids[c.id][k] = id
 			fmt.Fprintf(t.w, "$var wire 2 %s c%d_%s $end\n", id, c.id, sig)
 		}
-		t.ids[c] = ids
 		fmt.Fprintf(t.w, "$comment c%d = %s $end\n", c.id, c.String())
 	}
 	fmt.Fprintln(t.w, "$upscope $end")
@@ -82,11 +80,10 @@ func (t *VCDTracer) OnCycleBegin(n uint64) {
 
 // OnResolve implements Tracer.
 func (t *VCDTracer) OnResolve(c *Conn, k SigKind, st Status) {
-	ids, ok := t.ids[c]
-	if !ok {
+	if c.id >= len(t.ids) {
 		return
 	}
-	fmt.Fprintf(t.w, "%s %s\n", statusBits(st), ids[k])
+	fmt.Fprintf(t.w, "%s %s\n", statusBits(st), t.ids[c.id][k])
 }
 
 // OnCycleEnd implements Tracer.

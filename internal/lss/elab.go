@@ -148,7 +148,8 @@ func normalizeDefine(name string, v any) (any, error) {
 
 // Compile parses src once and compiles it into a shared core.Program
 // whose assembly recipe re-elaborates the parsed spec — so every
-// Program.NewSim stamps a fresh instance graph without re-parsing,
+// Program.NewSim after the first (which is the netlist the compile
+// elaborated) stamps a fresh instance graph without re-parsing,
 // re-levelizing or re-electing lanes. vars predefines top-level bindings
 // that shadow same-named `let` statements (the mechanism behind lsc -D
 // overrides); pass nil for none.
@@ -165,7 +166,8 @@ func CompileFile(name, src string, vars map[string]any, opts ...core.BuildOption
 		return nil, err
 	}
 	// Elaboration walks the parsed AST read-only, so the closure is a
-	// deterministic recipe: every session re-elaborates the same tree.
+	// deterministic recipe: every re-stamped session re-elaborates the
+	// same tree.
 	assemble := func(b *core.Builder) error {
 		return NewElaborator(b).ElaborateWith(f, vars)
 	}
@@ -174,7 +176,8 @@ func CompileFile(name, src string, vars map[string]any, opts ...core.BuildOption
 
 // Load parses src, elaborates it onto a fresh builder configured by
 // opts, and constructs the simulator — the Figure 1 pipeline in one
-// call. The returned session is bound to a fresh compiled Program
+// call and one elaboration: the session is the compile's own netlist.
+// The returned session is bound to a fresh compiled Program
 // (Sim.Program), so further sessions can be stamped from it without
 // rebuilding. vars predefines top-level bindings that shadow same-named
 // `let` statements (the mechanism behind lsc -D overrides); pass nil for

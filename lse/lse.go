@@ -91,7 +91,8 @@
 // recipe — and a Sim is one behavioral session over it. Compile (or
 // CompileLSS) builds the Program once; Program.NewSim stamps fresh,
 // independent sessions with zero recompilation, safe to run concurrently
-// from many goroutines:
+// from many goroutines. The first NewSim called without session options
+// is the netlist Compile validated, handed over instead of rebuilt:
 //
 //	prog, _ := lse.CompileLSS(src)
 //	for i := 0; i < 1000; i++ {
@@ -437,7 +438,8 @@ func WithObserver(o *Observer) BuildOption {
 
 // LoadLSS parses and elaborates an LSS specification onto a fresh builder
 // configured by opts, and constructs the simulator — the full Figure 1
-// pipeline in one call. The session is bound to a fresh compiled Program
+// pipeline in one call, elaborating once: the session returned is the
+// netlist the compile validated. It is bound to a fresh compiled Program
 // (Sim.Program), so further sessions can be stamped from it without
 // recompiling; use CompileLSS directly when many sessions are the point.
 func LoadLSS(src string, opts ...BuildOption) (*Sim, error) {
@@ -459,15 +461,17 @@ func LoadLSSFile(name, src string, defines map[string]any, opts ...BuildOption) 
 // Compile runs a Go assembly recipe once and compiles the resulting
 // netlist into a shared Program; Program.NewSim then stamps fresh
 // sessions without re-running scheduling, cluster planning or lane
-// election. The recipe must be deterministic — it is re-run per session
-// to stamp fresh instance state, validated against the compiled
-// program's structural fingerprint.
+// election. The recipe must be deterministic — it is re-run for every
+// session after the first to stamp fresh instance state, validated
+// against the compiled program's structural fingerprint; the first
+// option-less NewSim is the netlist Compile validated.
 func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, error) {
 	return core.Compile(assemble, opts...)
 }
 
 // CompileLSS parses an LSS specification once and compiles it into a
-// shared Program whose recipe re-elaborates the parsed spec per session.
+// shared Program whose recipe re-elaborates the parsed spec for every
+// session after the first (see Compile).
 func CompileLSS(src string, opts ...BuildOption) (*Program, error) {
 	return lss.Compile(src, nil, opts...)
 }
