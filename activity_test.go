@@ -87,7 +87,7 @@ func TestActivityLifecycle(t *testing.T) {
 	const snapAt, total = 70, 150
 	progs := map[string]*core.Program{}
 	for name, kind := range map[string]core.SchedulerKind{"sparse": core.SchedulerSparse, "sequential": core.SchedulerSequential} {
-		progs[name] = mustCompile(t, checkpointAssemble("any"), core.WithSeed(1), core.WithScheduler(kind), core.WithMetrics())
+		progs[name] = mustCompile(t, checkpointAssemble, core.WithSeed(1), core.WithScheduler(kind), core.WithMetrics())
 	}
 	dump := func(sim *core.Sim) string {
 		var st bytes.Buffer

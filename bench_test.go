@@ -362,35 +362,9 @@ func BenchmarkC7NICThroughput(b *testing.B) {
 	}
 }
 
-// buildMeshTraffic assembles the 4x4 mesh under uniform traffic shared by
-// the scheduler benchmarks.
-func buildMeshTraffic(b testing.TB, opts ...core.BuildOption) *core.Sim {
-	b.Helper()
-	bld := core.NewBuilder(append(append([]core.BuildOption(nil), opts...), core.WithSeed(1))...)
-	nw, err := ccl.BuildMesh(bld, "net", ccl.MeshCfg{W: 4, H: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < nw.Nodes; i++ {
-		src, _ := pcl.NewSource(fmt.Sprintf("src%d", i), core.Params{
-			"rate": 0.2,
-			"gen":  ccl.PacketGen(i, nw.Nodes, ccl.UniformPattern, ccl.FixedSize(2)),
-		})
-		snk, _ := pcl.NewSink(fmt.Sprintf("snk%d", i), nil)
-		bld.Add(src)
-		bld.Add(snk)
-		nw.ConnectSource(bld, i, src, "out")
-		nw.ConnectSink(bld, i, snk, "in")
-	}
-	sim, err := bld.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sim
-}
-
-// meshTrafficAssemble is buildMeshTraffic as a core.Compile recipe, so
-// the Program/Sim benchmarks stamp sessions from one compiled netlist.
+// meshTrafficAssemble assembles the 4x4 mesh under uniform traffic as a
+// core.Compile recipe, so the Program/Sim benchmarks stamp sessions from
+// one compiled netlist.
 func meshTrafficAssemble(bld *core.Builder) error {
 	nw, err := ccl.BuildMesh(bld, "net", ccl.MeshCfg{W: 4, H: 4})
 	if err != nil {
@@ -422,7 +396,7 @@ func meshTrafficAssemble(bld *core.Builder) error {
 
 // BenchmarkNewSimFromProgram measures the Program/State split's payoff:
 // stamping a session from the compiled 4x4-mesh program (re-running only
-// the assembly recipe — no Tarjan, levelization or lane election) versus
+// the assembly recipe — no Tarjan, levelization or cluster planning) versus
 // compiling the whole program from scratch. The stamp path is what a
 // thousand-session parameter sweep pays per point.
 func BenchmarkNewSimFromProgram(b *testing.B) {
@@ -448,155 +422,6 @@ func BenchmarkNewSimFromProgram(b *testing.B) {
 			}
 			sim.Close()
 		}
-	})
-}
-
-// benchScheduler steps sim b.N cycles and reports fixed-point iterations
-// per simulated cycle — the work the static schedule removes.
-func benchScheduler(b *testing.B, sim *core.Sim) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sim.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if m := sim.Metrics(); m != nil {
-		b.ReportMetric(float64(m.FixedPointIters())/float64(b.N), "fpiters/cycle")
-	}
-}
-
-// openTracer observes nothing. Attaching it keeps every cluster open, so
-// the engine rows of BenchmarkLevelized* measure the static sweep and the
-// residue worklist over the whole netlist rather than the replay that
-// BenchmarkSparse* measure.
-type openTracer struct{}
-
-func (openTracer) OnCycleBegin(uint64)                             {}
-func (openTracer) OnCycleEnd(uint64)                               {}
-func (openTracer) OnResolve(*core.Conn, core.SigKind, core.Status) {}
-
-// BenchmarkLevelizedPipeline compares the reference's dynamic fixed point
-// against the engine's static schedule on a 256-deep pipeline of
-// handler-less modules — the netlist shape default control exists for
-// (§2.1: modules may omit control code entirely). Every signal falls to
-// default control; the reference's backward ack round degenerates to
-// O(conns²) rescans while the static sweep resolves each level in order.
-// The engine must report zero fixed-point iterations: the chain is
-// acyclic, so every default lands in the statically ordered sweep.
-func BenchmarkLevelizedPipeline(b *testing.B) {
-	b.Run("fixedpoint", func(b *testing.B) {
-		benchScheduler(b, buildDefaultChain(b, 256,
-			core.WithScheduler(core.SchedulerSequential), core.WithMetrics()))
-	})
-	b.Run("engine", func(b *testing.B) {
-		sim := buildDefaultChain(b, 256, core.WithTracer(openTracer{}), core.WithMetrics())
-		benchScheduler(b, sim)
-		if got := sim.Metrics().FixedPointIters(); got != 0 {
-			b.Fatalf("acyclic chain reported %d fixed-point iterations, want 0", got)
-		}
-	})
-}
-
-// BenchmarkLevelizedMesh compares the same two on a 16x16 torus mesh of
-// handler-less modules: one large cyclic SCC where the residue worklist
-// (dirty-signal seeded, precomputed dependency lists) replaces the
-// reference's full-netlist eligibility rescans between cycle breaks.
-func BenchmarkLevelizedMesh(b *testing.B) {
-	b.Run("fixedpoint", func(b *testing.B) {
-		benchScheduler(b, buildDefaultMesh(b, 16, 16,
-			core.WithScheduler(core.SchedulerSequential), core.WithMetrics()))
-	})
-	b.Run("engine", func(b *testing.B) {
-		benchScheduler(b, buildDefaultMesh(b, 16, 16, core.WithTracer(openTracer{}), core.WithMetrics()))
-	})
-}
-
-// BenchmarkSparseIdleMesh is the same torus with clusters free to close —
-// a fully idle fabric. The reference re-resolves all 512 connections
-// every cycle; the engine resolves them once on the cycle-0 full sweep
-// and holds them, so a steady-state cycle touches no signal state at all.
-func BenchmarkSparseIdleMesh(b *testing.B) {
-	b.Run("fixedpoint", func(b *testing.B) {
-		benchScheduler(b, buildDefaultMesh(b, 16, 16,
-			core.WithScheduler(core.SchedulerSequential), core.WithMetrics()))
-	})
-	b.Run("engine", func(b *testing.B) {
-		benchScheduler(b, buildDefaultMesh(b, 16, 16, core.WithMetrics()))
-	})
-}
-
-// BenchmarkSparseSensornet compares the two on the mostly-idle shape
-// activity gating targets: three low-rate sensor chains beside a 16x16
-// passive fabric. Only the chains (a few percent of the netlist) pay
-// per-cycle cost under the engine.
-func BenchmarkSparseSensornet(b *testing.B) {
-	build := func(opts ...core.BuildOption) *core.Sim {
-		return buildMostlyIdle(b, 3, 2, 16, 16, 0.05, 1<<40,
-			append(opts, core.WithSeed(1), core.WithMetrics())...)
-	}
-	b.Run("fixedpoint", func(b *testing.B) {
-		benchScheduler(b, build(core.WithScheduler(core.SchedulerSequential)))
-	})
-	b.Run("engine", func(b *testing.B) {
-		benchScheduler(b, build())
-	})
-}
-
-// BenchmarkTypedPipeline isolates payload-boxing cost on a payload-heavy
-// pipeline: a 256-lane source → sink chain moving one uint64 per lane per
-// cycle. The typed variant declares payload="uint64" end to end, so every
-// value rides the scalar fast lane (SendUint64 stores, TransferredUint64
-// reads) and a steady-state cycle performs zero heap allocations; the
-// boxed variant moves the identical values through the []any spill lane,
-// paying one interface allocation per item plus GC write barriers and a
-// spill-hit count on every data-lane store. The chain is deliberately
-// minimal — no intermediate buffering — so the measured difference is the
-// per-item transport representation, not module bookkeeping.
-func BenchmarkTypedPipeline(b *testing.B) {
-	const width = 256
-	run := func(b *testing.B, payload string, gen pcl.GenFn) {
-		b.Helper()
-		bld := core.NewBuilder()
-		srcParams := core.Params{"payload": payload}
-		if gen != nil {
-			srcParams["gen"] = gen
-		}
-		src, err := pcl.NewSource("src", srcParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snk, err := pcl.NewSink("snk", core.Params{"payload": payload})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bld.Add(src)
-		bld.Add(snk)
-		for i := 0; i < width; i++ {
-			bld.Connect(src, "out", snk, "in")
-		}
-		sim, err := bld.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sim.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(snk.Received())/float64(b.N), "items/cycle")
-		b.ReportMetric(float64(sim.SpillHits())/float64(b.N), "spills/cycle")
-	}
-	b.Run("typed", func(b *testing.B) {
-		run(b, "uint64", nil) // default typed generator: the sequence number
-	})
-	b.Run("boxed", func(b *testing.B) {
-		// The same values, boxed: seq is already a uint64, so the boxed
-		// variant measures pure representation cost, not generator cost.
-		run(b, "any", func(rng *rand.Rand, cycle, seq uint64) (any, bool) {
-			return seq, true
-		})
 	})
 }
 

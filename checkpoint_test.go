@@ -11,76 +11,73 @@ import (
 	"liberty/internal/pcl"
 )
 
-// checkpointAssemble returns the deterministic recipe the checkpoint and
+// checkpointAssemble is the deterministic recipe the checkpoint and
 // concurrency tests compile: two rate-gated sources competing through an
 // arbiter into a queue → delay → sink pipeline, plus an independent
 // chain. Every pcl template with behavioral state (source sequence/
 // pending, arbiter grant rotor, queue entries, delay lanes) is on the
 // path, and the sub-unit rates keep the RNG streams hot so checkpointing
-// must replay stream positions exactly. payload="uint64" swaps the
-// independent chain onto the scalar fast lane.
-func checkpointAssemble(payload string) func(*core.Builder) error {
-	return func(b *core.Builder) error {
-		add := func(inst core.Instance, err error) (core.Instance, error) {
-			if err != nil {
-				return nil, err
-			}
-			b.Add(inst)
-			return inst, nil
-		}
-		src0, err := add(pcl.NewSource("src0", core.Params{"rate": 0.7}))
+// must replay stream positions exactly.
+func checkpointAssemble(b *core.Builder) error {
+	add := func(inst core.Instance, err error) (core.Instance, error) {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		src1, err := add(pcl.NewSource("src1", core.Params{"rate": 0.45}))
-		if err != nil {
-			return err
-		}
-		arb, err := add(pcl.NewArbiter("arb", nil))
-		if err != nil {
-			return err
-		}
-		q, err := add(pcl.NewQueue("q", core.Params{"capacity": int64(3)}))
-		if err != nil {
-			return err
-		}
-		dly, err := add(pcl.NewDelay("dly", core.Params{"latency": int64(2)}))
-		if err != nil {
-			return err
-		}
-		snk, err := add(pcl.NewSink("snk", nil))
-		if err != nil {
-			return err
-		}
-		for _, c := range [][4]any{
-			{src0, "out", arb, "in"},
-			{src1, "out", arb, "in"},
-			{arb, "out", q, "in"},
-			{q, "out", dly, "in"},
-			{dly, "out", snk, "in"},
-		} {
-			if err := b.Connect(c[0].(core.Instance), c[1].(string), c[2].(core.Instance), c[3].(string)); err != nil {
-				return err
-			}
-		}
-		// Independent chain; payload="uint64" puts it on the scalar lane.
-		tsrc, err := add(pcl.NewSource("tsrc", core.Params{"rate": 0.6, "payload": payload}))
-		if err != nil {
-			return err
-		}
-		tq, err := add(pcl.NewQueue("tq", core.Params{"capacity": int64(2), "payload": payload}))
-		if err != nil {
-			return err
-		}
-		tsnk, err := add(pcl.NewSink("tsnk", core.Params{"payload": payload}))
-		if err != nil {
-			return err
-		}
-		if err := b.Connect(tsrc, "out", tq, "in"); err != nil {
-			return err
-		}
-		return b.Connect(tq, "out", tsnk, "in")
+		b.Add(inst)
+		return inst, nil
 	}
+	src0, err := add(pcl.NewSource("src0", core.Params{"rate": 0.7}))
+	if err != nil {
+		return err
+	}
+	src1, err := add(pcl.NewSource("src1", core.Params{"rate": 0.45}))
+	if err != nil {
+		return err
+	}
+	arb, err := add(pcl.NewArbiter("arb", nil))
+	if err != nil {
+		return err
+	}
+	q, err := add(pcl.NewQueue("q", core.Params{"capacity": int64(3)}))
+	if err != nil {
+		return err
+	}
+	dly, err := add(pcl.NewDelay("dly", core.Params{"latency": int64(2)}))
+	if err != nil {
+		return err
+	}
+	snk, err := add(pcl.NewSink("snk", nil))
+	if err != nil {
+		return err
+	}
+	for _, c := range [][4]any{
+		{src0, "out", arb, "in"},
+		{src1, "out", arb, "in"},
+		{arb, "out", q, "in"},
+		{q, "out", dly, "in"},
+		{dly, "out", snk, "in"},
+	} {
+		if err := b.Connect(c[0].(core.Instance), c[1].(string), c[2].(core.Instance), c[3].(string)); err != nil {
+			return err
+		}
+	}
+	// Independent chain.
+	tsrc, err := add(pcl.NewSource("tsrc", core.Params{"rate": 0.6}))
+	if err != nil {
+		return err
+	}
+	tq, err := add(pcl.NewQueue("tq", core.Params{"capacity": int64(2)}))
+	if err != nil {
+		return err
+	}
+	tsnk, err := add(pcl.NewSink("tsnk", nil))
+	if err != nil {
+		return err
+	}
+	if err := b.Connect(tsrc, "out", tq, "in"); err != nil {
+		return err
+	}
+	return b.Connect(tq, "out", tsnk, "in")
 }
 
 // runStamped stamps a session from prog with a cycle hasher attached,
@@ -105,8 +102,8 @@ func runStamped(t *testing.T, prog *core.Program, cycles uint64) ([]uint64, stri
 // session to cycle k, snapshot, restore onto a fresh session and run the
 // remainder. The restored run's per-cycle scheddiff hashes and its final
 // statistics dump must be bit-identical to an uninterrupted run — under
-// the reference and the engine, and across boxed and typed (uint64-lane)
-// payloads.
+// the reference and the engine. Subtests are named any/<engine>: the
+// payloads are boxed (any).
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const snapAt, total = 60, 140
 	engines := []struct {
@@ -116,67 +113,65 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		{"sequential", core.SchedulerSequential},
 		{"sparse", core.SchedulerSparse},
 	}
-	for _, payload := range []string{"any", "uint64"} {
-		for _, eng := range engines {
-			t.Run(fmt.Sprintf("%s/%s", payload, eng.name), func(t *testing.T) {
-				prog, err := core.Compile(checkpointAssemble(payload),
-					core.WithSeed(7), core.WithScheduler(eng.kind))
-				if err != nil {
-					t.Fatal(err)
-				}
-				refHashes, refStats := runStamped(t, prog, total)
-				if len(refHashes) != total {
-					t.Fatalf("reference run hashed %d cycles, want %d", len(refHashes), total)
-				}
+	for _, eng := range engines {
+		t.Run("any/"+eng.name, func(t *testing.T) {
+			prog, err := core.Compile(checkpointAssemble,
+				core.WithSeed(7), core.WithScheduler(eng.kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refHashes, refStats := runStamped(t, prog, total)
+			if len(refHashes) != total {
+				t.Fatalf("reference run hashed %d cycles, want %d", len(refHashes), total)
+			}
 
-				h1 := &cycleHasher{}
-				simA, err := prog.NewSim(core.WithTracer(h1))
-				if err != nil {
-					t.Fatal(err)
+			h1 := &cycleHasher{}
+			simA, err := prog.NewSim(core.WithTracer(h1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := simA.Run(snapAt); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := simA.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			simA.Close()
+			for i := 0; i < snapAt; i++ {
+				if h1.hashes[i] != refHashes[i] {
+					t.Fatalf("pre-snapshot run diverges from reference at cycle %d", i)
 				}
-				if err := simA.Run(snapAt); err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := simA.Snapshot(&buf); err != nil {
-					t.Fatal(err)
-				}
-				simA.Close()
-				for i := 0; i < snapAt; i++ {
-					if h1.hashes[i] != refHashes[i] {
-						t.Fatalf("pre-snapshot run diverges from reference at cycle %d", i)
-					}
-				}
+			}
 
-				h2 := &cycleHasher{}
-				simB, err := prog.Restore(bytes.NewReader(buf.Bytes()), core.WithTracer(h2))
-				if err != nil {
-					t.Fatal(err)
+			h2 := &cycleHasher{}
+			simB, err := prog.Restore(bytes.NewReader(buf.Bytes()), core.WithTracer(h2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer simB.Close()
+			if got := simB.Now(); got != snapAt {
+				t.Fatalf("restored session resumes at cycle %d, want %d", got, snapAt)
+			}
+			if err := simB.Run(total - snapAt); err != nil {
+				t.Fatal(err)
+			}
+			if len(h2.hashes) != total-snapAt {
+				t.Fatalf("restored run hashed %d cycles, want %d", len(h2.hashes), total-snapAt)
+			}
+			for i, h := range h2.hashes {
+				if h != refHashes[snapAt+i] {
+					t.Fatalf("%s: restored run diverges from the uninterrupted one at cycle %d",
+						eng.name, snapAt+i)
 				}
-				defer simB.Close()
-				if got := simB.Now(); got != snapAt {
-					t.Fatalf("restored session resumes at cycle %d, want %d", got, snapAt)
-				}
-				if err := simB.Run(total - snapAt); err != nil {
-					t.Fatal(err)
-				}
-				if len(h2.hashes) != total-snapAt {
-					t.Fatalf("restored run hashed %d cycles, want %d", len(h2.hashes), total-snapAt)
-				}
-				for i, h := range h2.hashes {
-					if h != refHashes[snapAt+i] {
-						t.Fatalf("%s/%s: restored run diverges from the uninterrupted one at cycle %d",
-							payload, eng.name, snapAt+i)
-					}
-				}
-				var st bytes.Buffer
-				simB.Stats().Dump(&st)
-				if st.String() != refStats {
-					t.Fatalf("restored statistics diverge:\n--- uninterrupted\n%s--- restored\n%s",
-						refStats, st.String())
-				}
-			})
-		}
+			}
+			var st bytes.Buffer
+			simB.Stats().Dump(&st)
+			if st.String() != refStats {
+				t.Fatalf("restored statistics diverge:\n--- uninterrupted\n%s--- restored\n%s",
+					refStats, st.String())
+			}
+		})
 	}
 }
 
@@ -211,9 +206,9 @@ func restoreAcross(t *testing.T, from, to *core.Program, snapAt, total uint64) (
 	return h.hashes, st.String()
 }
 
-// TestEmptyPartitionCrossEngine runs the engine on three recipes — the
-// checkpoint recipe with boxed and with uint64-lane payloads, in which a
-// start handler reaches every cluster, and one with an idle island that
+// TestEmptyPartitionCrossEngine runs the engine on two recipes — the
+// checkpoint recipe, in which a start handler reaches every cluster, and
+// one with an idle island that
 // no start handler reaches, which is resolved once and held — against the
 // reference. All must report sparse, hash equal to the reference cycle by
 // cycle, and exchange snapshots with it in either direction: the
@@ -222,7 +217,7 @@ func restoreAcross(t *testing.T, from, to *core.Program, snapAt, total uint64) (
 func TestEmptyPartitionCrossEngine(t *testing.T) {
 	const snapAt, total = 60, 140
 	withIsland := func(b *core.Builder) error {
-		if err := checkpointAssemble("any")(b); err != nil {
+		if err := checkpointAssemble(b); err != nil {
 			return err
 		}
 		x, y := newPassThrough("island_x"), newPassThrough("island_y")
@@ -238,8 +233,7 @@ func TestEmptyPartitionCrossEngine(t *testing.T) {
 		assemble func(*core.Builder) error
 		gates    bool
 	}{
-		{"gates-nothing", checkpointAssemble("any"), false},
-		{"gates-nothing-uint64", checkpointAssemble("uint64"), false},
+		{"gates-nothing", checkpointAssemble, false},
 		{"idle-island", withIsland, true},
 	} {
 		progs := map[core.SchedulerKind]*core.Program{}
@@ -288,13 +282,23 @@ func TestEmptyPartitionCrossEngine(t *testing.T) {
 
 // TestRestoreRejectsForeignSnapshot pins the fingerprint guard: a
 // snapshot taken under one program must not restore into a structurally
-// different one.
+// different one — here the same recipe plus one unconnected instance.
 func TestRestoreRejectsForeignSnapshot(t *testing.T) {
-	progA, err := core.Compile(checkpointAssemble("any"), core.WithSeed(1))
+	progA, err := core.Compile(checkpointAssemble, core.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	progB, err := core.Compile(checkpointAssemble("uint64"), core.WithSeed(1))
+	progB, err := core.Compile(func(b *core.Builder) error {
+		if err := checkpointAssemble(b); err != nil {
+			return err
+		}
+		extra, err := pcl.NewSink("extra", nil)
+		if err != nil {
+			return err
+		}
+		b.Add(extra)
+		return nil
+	}, core.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +327,7 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 // untraced, so clusters close: the cluster plan is the shared artifact,
 // the idle signatures are each session's own.
 func TestProgramConcurrentSims(t *testing.T) {
-	prog, err := core.Compile(checkpointAssemble("uint64"), core.WithSeed(3), core.WithMetrics())
+	prog, err := core.Compile(checkpointAssemble, core.WithSeed(3), core.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}

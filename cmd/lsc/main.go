@@ -249,7 +249,7 @@ func main() {
 		// delta meaningful even though other goroutines share the heap.
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
-		fmt.Fprintf(info, "heap: %.1f allocs/cycle, %.0f B/cycle, %.1f spill-lane hits/cycle\n",
+		fmt.Fprintf(info, "heap: %.1f allocs/cycle, %.0f B/cycle, %.1f boxed data stores/cycle\n",
 			float64(after.Mallocs-before.Mallocs)/float64(n),
 			float64(after.TotalAlloc-before.TotalAlloc)/float64(n),
 			float64(sim.SpillHits())/float64(n))

@@ -99,7 +99,7 @@ func TestFirstSessionIsTheCompiledNetlist(t *testing.T) {
 
 	t.Run("snapshot", func(t *testing.T) {
 		const snapAt, total = 60, 140
-		prog := mustCompile(t, checkpointAssemble("uint64"), core.WithSeed(7))
+		prog := mustCompile(t, checkpointAssemble, core.WithSeed(7))
 		handed, err := prog.NewSim()
 		if err != nil {
 			t.Fatal(err)

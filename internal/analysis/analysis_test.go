@@ -634,56 +634,3 @@ func text(r *analysis.Report) string {
 	r.WriteText(&sb)
 	return sb.String()
 }
-
-// TestPayloadSeamsReported covers LSE008's two arms: a scalar payload
-// declaration that dies at a sink reading through the boxed Data path,
-// and a connection forced onto the spill lane by mixed payload kinds.
-// Both are info — the model is correct either way, just not on the fast
-// lane — and a fully typed chain must stay silent.
-func TestPayloadSeamsReported(t *testing.T) {
-	t.Run("unspecified sink", func(t *testing.T) {
-		src := `
-instance src : pcl.source(count = 5, payload = "uint64");
-instance r   : ana.relay();
-instance snk : pcl.sink(payload = "uint64");
-src.out -> r.in;
-r.out -> snk.in;
-`
-		diags := findCode(lint(t, src), "LSE008")
-		if len(diags) != 1 {
-			t.Fatalf("want 1 LSE008 for the src->relay seam, got %v", diags)
-		}
-		if !strings.Contains(diags[0].Message, "boxed Data path") {
-			t.Errorf("diagnostic should name the boxed read path: %s", diags[0].Message)
-		}
-		if !strings.Contains(diags[0].Message, "src.out") || !strings.Contains(diags[0].Message, "r.in") {
-			t.Errorf("diagnostic should name both ports: %s", diags[0].Message)
-		}
-	})
-	t.Run("mixed payload kinds", func(t *testing.T) {
-		src := `
-instance src : pcl.source(count = 5, payload = "uint64");
-instance snk : pcl.sink();
-src.out -> snk.in;
-`
-		diags := findCode(lint(t, src), "LSE008")
-		if len(diags) != 1 {
-			t.Fatalf("want 1 LSE008 for the mixed-kind connection, got %v", diags)
-		}
-		if !strings.Contains(diags[0].Message, "mixed payload kinds") {
-			t.Errorf("diagnostic should report the kind mismatch: %s", diags[0].Message)
-		}
-	})
-	t.Run("fully typed chain is silent", func(t *testing.T) {
-		src := `
-instance src : pcl.source(count = 5, payload = "uint64");
-instance q   : pcl.queue(capacity = 4, payload = "uint64");
-instance snk : pcl.sink(payload = "uint64");
-src.out -> q.in;
-q.out -> snk.in;
-`
-		if diags := findCode(lint(t, src), "LSE008"); len(diags) != 0 {
-			t.Fatalf("fully typed chain should produce no LSE008, got %v", diags)
-		}
-	})
-}

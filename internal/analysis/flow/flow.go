@@ -1,8 +1,8 @@
 // Package flow surfaces the engine's whole-program dataflow analysis
 // (core.AnalyzeFlow, DESIGN.md Appendix G) as the classified findings the
-// lint passes LSE009–LSE013 report: dead connections and instances,
-// constant-driven handshakes, provable protocol stalls, guaranteed spill
-// seams and constant-foldable subnetlists. The classification here is
+// lint passes LSE009, LSE010, LSE012 and LSE013 report: dead connections
+// and instances, constant-driven handshakes, provable protocol stalls and
+// constant-foldable subnetlists. The classification here is
 // pure bookkeeping over the per-connection facts — the lattice and the
 // fixed point live in internal/core, beside the default-control rules
 // their transfer functions mirror.
@@ -108,21 +108,8 @@ func (r *Result) Stalls() []*core.Conn {
 	})
 }
 
-// GuaranteedSpills returns the spill-lane connections that provably carry
-// data on every cycle: each of those sends boxes, so the seam pays the
-// allocation on the steady-state hot path, not occasionally (LSE011).
-func (r *Result) GuaranteedSpills() []*core.Conn {
-	var out []*core.Conn
-	for _, c := range r.sim.Conns() {
-		if !c.Scalar() && r.facts.Conn(c.ID()).Data == core.FlowYes {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Component is one constant-foldable subnetlist: a connected set of
-// instances whose every connection resolves to the same proven values on
+// instances whose every connection resolves to the same proven facts on
 // every cycle. Frontier lists the member connections with exactly one
 // endpoint inside the component — the seam a constant-folding transform
 // would cut along; an empty frontier means the component is fully closed.

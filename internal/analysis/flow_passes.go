@@ -9,9 +9,10 @@ import (
 )
 
 // flowFor memoizes the dataflow analysis for the simulator currently
-// being linted, so the five flow-backed passes (LSE009–LSE013) share one
-// fixed-point run instead of re-analyzing per pass. A single entry is
-// enough: AnalyzeSim runs the passes back to back over one simulator.
+// being linted, so the four flow-backed passes (LSE009, LSE010, LSE012,
+// LSE013) share one fixed-point run instead of re-analyzing per pass. A
+// single entry is enough: AnalyzeSim runs the passes back to back over one
+// simulator.
 var flowMemo struct {
 	mu  sync.Mutex
 	sim *core.Sim
@@ -78,13 +79,8 @@ func sinkReachability(s *core.Sim) (hasConn map[core.Instance]bool, reach map[co
 func passConstHandshake(s *core.Sim, r *Report) {
 	res := flowFor(s)
 	for _, c := range res.ConstHandshakes() {
-		f := res.Facts(c)
-		val := ""
-		if v, ok := f.Value.Const(); ok && f.Data == core.FlowYes {
-			val = " carrying constant value " + core.FlowValueConst(v).String()
-		}
 		r.Addf("LSE009", Info, c.SourcePos(), c.String(),
-			"constant-driven handshake: enable and ack both provably resolve yes on every cycle%s — the negotiation never varies", val)
+			"constant-driven handshake: enable and ack both provably resolve yes on every cycle — the negotiation never varies")
 	}
 }
 
@@ -109,20 +105,6 @@ func passFlowDead(s *core.Sim, r *Report) {
 		}
 		r.Addf("LSE010", Warning, posOf(inst), inst.Name(),
 			"statically dead instance: %q is alive in the connection graph but every one of its connections is provably dead — delete it", inst.Name())
-	}
-}
-
-// passGuaranteedSpill (LSE011) reports spill-lane connections that
-// provably carry data on every cycle: each of those sends boxes the
-// value, so the allocation cost sits on the steady-state hot path rather
-// than an occasional slow path. Informational — declare PayloadUint64 on
-// both endpoints (LSE008 explains the pairing rules) to move the
-// connection onto the zero-allocation scalar lane.
-func passGuaranteedSpill(s *core.Sim, r *Report) {
-	res := flowFor(s)
-	for _, c := range res.GuaranteedSpills() {
-		r.Addf("LSE011", Info, c.SourcePos(), c.String(),
-			"guaranteed spill seam: this boxed-lane connection provably carries data on every cycle, so every cycle pays the boxing allocation; declare uint64 payloads end to end to use the scalar lane")
 	}
 }
 

@@ -53,7 +53,6 @@ func TestLintCorpusGolden(t *testing.T) {
 			{"LSE004", analysis.Info, "r"},
 			{"LSE007", analysis.Info, "r"},
 		},
-		"lse008.lss": {{"LSE008", analysis.Info, conn}},
 		"lse009.lss": {{"LSE009", analysis.Info, conn}},
 		"lse010.lss": {
 			{"LSE010", analysis.Warning, "src"},
@@ -62,10 +61,6 @@ func TestLintCorpusGolden(t *testing.T) {
 			{"LSE010", analysis.Warning, "snk"},
 			{"LSE010", analysis.Warning, "src.out[0]->q.in[0]"},
 			{"LSE010", analysis.Warning, "q.out[0]->snk.in[0]"},
-		},
-		"lse011.lss": {
-			{"LSE009", analysis.Info, conn},
-			{"LSE011", analysis.Info, conn},
 		},
 		"lse012.lss": {{"LSE012", analysis.Warning, conn}},
 		"lse013.lss": {

@@ -259,35 +259,3 @@ func passHierarchy(s *core.Sim, r *Report) {
 		}
 	}
 }
-
-// passPayload (LSE008) reports scalar payload declarations that don't
-// pay off end to end. Build elects a connection into the uint64 scalar
-// fast lane only when the driver declares PayloadUint64 and the sink
-// does not demand PayloadAny; a sink that declares nothing still works —
-// the boxed Data path boxes scalar-lane values on read — but gives up
-// the zero-allocation read, and a PayloadAny sink forces the whole
-// connection onto the spill lane, so the driver's declaration buys
-// nothing. Both are informational: the model is correct, just slower
-// than its declarations could make it.
-func passPayload(s *core.Sim, r *Report) {
-	type pair struct{ src, dst *core.Port }
-	seen := map[pair]bool{}
-	for _, c := range s.Conns() {
-		sp, _ := c.Src()
-		dp, _ := c.Dst()
-		if sp.Opts().Payload != core.PayloadUint64 || seen[pair{sp, dp}] {
-			continue
-		}
-		seen[pair{sp, dp}] = true
-		switch dp.Opts().Payload {
-		case core.PayloadUnspecified:
-			r.Addf("LSE008", Info, c.SourcePos(), c.String(),
-				"driver %s declares a uint64 payload but sink %s reads through the boxed Data path; declare PayloadUint64 on the sink and read via Uint64/TransferredUint64 for the zero-allocation lane",
-				sp.FullName(), dp.FullName())
-		case core.PayloadAny:
-			r.Addf("LSE008", Info, c.SourcePos(), c.String(),
-				"mixed payload kinds: driver %s declares uint64 but sink %s demands boxed values, forcing the connection onto the spill lane; the driver's scalar declaration buys nothing here",
-				sp.FullName(), dp.FullName())
-		}
-	}
-}

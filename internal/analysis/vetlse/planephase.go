@@ -7,11 +7,11 @@ import (
 )
 
 // writeMethods are the Port methods that drive signal status. They mirror
-// the operations guarded by core.(*Conn)'s write-phase check; SendUint64
-// is the scalar fast-lane send and just as illegal in the commit phase,
-// and so are the fused lane operations, which are loops of the others.
+// the operations guarded by core.(*Conn)'s write-phase check; the fused
+// lane operations, which are loops of the others, are just as illegal in
+// the commit phase.
 var writeMethods = map[string]bool{
-	"Send": true, "SendUint64": true, "SendNothing": true,
+	"Send": true, "SendNothing": true,
 	"Enable": true, "Disable": true,
 	"Ack": true, "Nack": true,
 	"Idle": true, "IdleLanes": true, "NackRest": true, "NackLanes": true,

@@ -3,9 +3,9 @@
 // small multichecker built on go/ast alone (no type information, no
 // dependency on the external go/analysis framework):
 //
-//   - planephase flags signal-status writes (Send, SendUint64,
-//     SendNothing, Enable, Disable, Ack, Nack and the fused Idle,
-//     IdleLanes, NackRest, NackLanes) lexically reachable from an
+//   - planephase flags signal-status writes (Send, SendNothing, Enable,
+//     Disable, Ack, Nack and the fused Idle, IdleLanes, NackRest,
+//     NackLanes) lexically reachable from an
 //     OnCycleEnd commit handler — a guaranteed *core.ContractError at
 //     runtime. Both function literals and registered method values
 //     (OnCycleEnd(s.cycleEnd)) are checked.

@@ -122,23 +122,6 @@ func (q *queue) commit() {
 	}
 }
 
-func TestMethodValueSendUint64Flagged(t *testing.T) {
-	src := `package m
-
-func build(s *src) {
-	s.OnCycleEnd(s.cycleEnd)
-}
-
-func (s *src) cycleEnd() {
-	s.Out.SendUint64(0, 1)
-}
-`
-	fs := check(t, src)
-	if len(fs) != 1 || fs[0].Method != "SendUint64" {
-		t.Fatalf("want 1 SendUint64 finding, got %v", fs)
-	}
-}
-
 // TestFusedLaneOpsFlagged: the fused lane operations are write-phase
 // operations like the single-lane calls they stand for; each is caught
 // both as a direct call in a handler literal and through a handler

@@ -51,8 +51,8 @@ func NewLink(name string, p core.Params) (*Link, error) {
 		return nil, &core.ParamError{Param: "capacity", Detail: "must be >= 1"}
 	}
 	l.Init(name, l)
-	l.In = l.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No, Payload: core.PayloadAny})
-	l.Out = l.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1, Payload: core.PayloadAny})
+	l.In = l.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
+	l.Out = l.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	l.OnCycleStart(l.cycleStart)
 	l.OnReact(l.react)
 	l.OnCycleEnd(l.cycleEnd)

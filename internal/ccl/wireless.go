@@ -57,8 +57,8 @@ func NewWireless(name string, p core.Params) (*Wireless, error) {
 		return nil, &core.ParamError{Param: "loss", Detail: "must be in [0,1]"}
 	}
 	w.Init(name, w)
-	w.In = w.AddInPort("in", core.PortOpts{MinWidth: 1, DefaultAck: core.No, Payload: core.PayloadAny})
-	w.Out = w.AddOutPort("out", core.PortOpts{MinWidth: 1, Payload: core.PayloadAny})
+	w.In = w.AddInPort("in", core.PortOpts{MinWidth: 1, DefaultAck: core.No})
+	w.Out = w.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	w.OnCycleStart(w.cycleStart)
 	w.OnReact(w.react)
 	w.OnCycleEnd(w.cycleEnd)

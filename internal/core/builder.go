@@ -198,9 +198,9 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		p = compileProgram(b.instances, b.conns, b.sched)
 	} else {
 		// Session-stamp path (Program.NewSim): the expensive artifacts —
-		// Tarjan/levelization, cluster plan, lane election — are
-		// already compiled; validate the re-assembled netlist matches and
-		// bind. This is the 0-rebuild-work spin-up path.
+		// Tarjan/levelization, cluster plan — are already compiled;
+		// validate the re-assembled netlist matches and bind. This is the
+		// 0-rebuild-work spin-up path.
 		if err := p.checkStamp(b.instances, b.conns, b.sched); err != nil {
 			return nil, err
 		}
@@ -231,7 +231,6 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	}
 	for _, c := range s.conns {
 		c.sim = s
-		c.scalar = p.scalar[c.id]
 		if p.sparse != nil {
 			c.cluster = p.sparse.clusterOf[c.id]
 		}

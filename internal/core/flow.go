@@ -14,10 +14,10 @@ package core
 //
 // FlowNo ("always resolves No") and FlowYes ("always resolves Yes") are
 // incomparable constants; FlowTop means the signal can vary from cycle to
-// cycle (or the analysis cannot prove otherwise). The data value carried
-// on data-Yes cycles is abstracted the same way (unknown ⊑ const-uint64 ⊑
-// ⊤) as a FlowValue. A fact is *cycle-invariant*: FlowYes means "resolves
-// Yes on every cycle of every session".
+// cycle (or the analysis cannot prove otherwise). The value a data-Yes
+// cycle carries is not abstracted: the analysis is payload-blind, like the
+// contract. A fact is *cycle-invariant*: FlowYes means "resolves Yes on
+// every cycle of every session".
 //
 // Transfer functions. Facts originate from three places:
 //
@@ -89,57 +89,12 @@ func (f FlowStatus) Join(o FlowStatus) FlowStatus {
 	return FlowTop
 }
 
-// FlowValue is the abstract data value a connection carries on data-Yes
-// cycles: unknown (the zero value, lattice bottom) ⊑ const-uint64 ⊑ ⊤.
-// Boxed payloads are never const — only scalar-lane uint64 values can be
-// proven invariant.
-type FlowValue struct {
-	kind uint8 // 0 = bottom, 1 = const, 2 = top
-	v    uint64
-}
-
-// FlowValueConst returns the fact "the data value is always v".
-func FlowValueConst(v uint64) FlowValue { return FlowValue{kind: 1, v: v} }
-
-// FlowValueAny returns the lattice top: the value varies or is boxed.
-func FlowValueAny() FlowValue { return FlowValue{kind: 2} }
-
-// Const returns the proven constant value, if any.
-func (f FlowValue) Const() (uint64, bool) { return f.v, f.kind == 1 }
-
-// Any reports whether the value fact is the lattice top.
-func (f FlowValue) Any() bool { return f.kind == 2 }
-
-// Join returns the least upper bound of two value facts.
-func (f FlowValue) Join(o FlowValue) FlowValue {
-	switch {
-	case f.kind == 0:
-		return o
-	case o.kind == 0:
-		return f
-	case f.kind == 1 && o.kind == 1 && f.v == o.v:
-		return f
-	}
-	return FlowValueAny()
-}
-
-func (f FlowValue) String() string {
-	switch f.kind {
-	case 0:
-		return "⊥"
-	case 1:
-		return "const"
-	}
-	return "⊤"
-}
-
 // ConnFacts is the analysis result for one connection: a status fact per
-// signal and a value fact for the data lane.
+// signal.
 type ConnFacts struct {
 	Data   FlowStatus
 	Enable FlowStatus
 	Ack    FlowStatus
-	Value  FlowValue
 }
 
 // Dead reports whether the connection provably never carries a handshake:
@@ -149,17 +104,11 @@ func (f ConnFacts) Dead() bool {
 }
 
 // ConstResolved reports whether every per-cycle observation of the
-// connection is proven invariant: all three statuses are constant and,
-// when data flows, the value is constant too.
+// connection is proven invariant: all three statuses are constant and no
+// data flows (a value carried on data-Yes cycles is never proven
+// constant).
 func (f ConnFacts) ConstResolved() bool {
-	if !f.Data.Const() || !f.Enable.Const() || !f.Ack.Const() {
-		return false
-	}
-	if f.Data == FlowYes {
-		_, ok := f.Value.Const()
-		return ok
-	}
-	return true
+	return f.Data.Const() && f.Enable.Const() && f.Ack.Const() && f.Data != FlowYes
 }
 
 // FlowModel is implemented by module templates that contribute a transfer
@@ -194,23 +143,22 @@ func (f *Flow) Facts(p *Port, i int) ConnFacts {
 	return f.eng.facts[p.Conn(i).id]
 }
 
-// SetData proposes the data-status and data-value facts for connection i
-// of out port p.
-func (f *Flow) SetData(p *Port, i int, st FlowStatus, v FlowValue) {
-	f.set(p, i, Out, SigData, ConnFacts{Data: st, Value: v})
+// SetData proposes the data-status fact for connection i of out port p.
+func (f *Flow) SetData(p *Port, i int, st FlowStatus) {
+	f.set(p, i, Out, SigData, st)
 }
 
 // SetEnable proposes the enable fact for connection i of out port p.
 func (f *Flow) SetEnable(p *Port, i int, st FlowStatus) {
-	f.set(p, i, Out, SigEnable, ConnFacts{Enable: st})
+	f.set(p, i, Out, SigEnable, st)
 }
 
 // SetAck proposes the ack fact for connection i of in port p.
 func (f *Flow) SetAck(p *Port, i int, st FlowStatus) {
-	f.set(p, i, In, SigAck, ConnFacts{Ack: st})
+	f.set(p, i, In, SigAck, st)
 }
 
-func (f *Flow) set(p *Port, i int, dir Dir, k SigKind, v ConnFacts) {
+func (f *Flow) set(p *Port, i int, dir Dir, k SigKind, st FlowStatus) {
 	if p.dir != dir {
 		contractPanic("flow transfer", p.fullName(),
 			"transfer functions may only propose facts for signals the module drives ("+k.String()+" belongs to the "+dir.String()+" side)")
@@ -218,12 +166,11 @@ func (f *Flow) set(p *Port, i int, dir Dir, k SigKind, v ConnFacts) {
 	id := p.Conn(i).id
 	switch k {
 	case SigData:
-		f.prop[id].Data = v.Data
-		f.prop[id].Value = v.Value
+		f.prop[id].Data = st
 	case SigEnable:
-		f.prop[id].Enable = v.Enable
+		f.prop[id].Enable = st
 	case SigAck:
-		f.prop[id].Ack = v.Ack
+		f.prop[id].Ack = st
 	}
 	f.stamp[k][id] = f.epoch
 }
@@ -343,7 +290,7 @@ func AnalyzeFlow(s *Sim) *FlowFacts {
 			widened = true
 			for _, c := range conns {
 				if e.inCyclic[c.src.owner.id] || e.inCyclic[c.dst.owner.id] {
-					e.joinData(c.id, FlowTop, FlowValueAny())
+					e.joinData(c.id, FlowTop)
 					e.joinEnable(c.id, FlowTop)
 					e.joinAck(c.id, FlowTop)
 				}
@@ -380,7 +327,7 @@ func (e *flowEngine) transfer(id int) {
 	switch e.kind[id] {
 	case flowKindOpaque:
 		for _, cid := range e.outCells[id] {
-			e.joinData(int(cid), FlowTop, FlowValueAny())
+			e.joinData(int(cid), FlowTop)
 			e.joinEnable(int(cid), FlowTop)
 		}
 		for _, cid := range e.inCells[id] {
@@ -389,7 +336,7 @@ func (e *flowEngine) transfer(id int) {
 	case flowKindDefault:
 		for _, cid := range e.outCells[id] {
 			c := e.conns[cid]
-			e.joinData(int(cid), FlowNo, FlowValue{})
+			e.joinData(int(cid), FlowNo)
 			e.joinEnable(int(cid), defaultEnableFact(c, e.facts[cid].Data))
 		}
 		for _, cid := range e.inCells[id] {
@@ -404,10 +351,9 @@ func (e *flowEngine) transfer(id int) {
 		for _, cid := range e.outCells[id] {
 			c := e.conns[cid]
 			if e.view.written(SigData, int(cid)) {
-				p := e.view.prop[cid]
-				e.joinData(int(cid), p.Data, p.Value)
+				e.joinData(int(cid), e.view.prop[cid].Data)
 			} else {
-				e.joinData(int(cid), FlowNo, FlowValue{})
+				e.joinData(int(cid), FlowNo)
 			}
 			if e.view.written(SigEnable, int(cid)) {
 				e.joinEnable(int(cid), e.view.prop[cid].Enable)
@@ -427,14 +373,10 @@ func (e *flowEngine) transfer(id int) {
 	}
 }
 
-func (e *flowEngine) joinData(id int, st FlowStatus, v FlowValue) {
+func (e *flowEngine) joinData(id int, st FlowStatus) {
 	f := &e.facts[id]
 	if nd := f.Data.Join(st); nd != f.Data {
 		f.Data = nd
-		e.changed = true
-	}
-	if nv := f.Value.Join(v); nv != f.Value {
-		f.Value = nv
 		e.changed = true
 	}
 }

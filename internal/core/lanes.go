@@ -131,7 +131,7 @@ func (p *Port) Offers(buf []any) (offers []any, settled bool) {
 		case Unknown:
 			return buf, false
 		case Yes:
-			buf[i] = p.conns[i].dataValue()
+			buf[i] = p.sim.plane.data[slot]
 		}
 	}
 	return buf, true

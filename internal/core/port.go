@@ -19,39 +19,6 @@ func (d Dir) String() string {
 	return "out"
 }
 
-// PayloadKind declares what kind of value a port sends or expects on the
-// data signal. The engine stays payload-opaque at the contract level —
-// the declaration never changes what a model computes — but Build uses it
-// to pick each connection's storage lane: connections whose driver
-// declares PayloadUint64 (and whose sink does not demand PayloadAny) get
-// the dense uint64 scalar lane and never box; everything else spills to
-// the boxed []any lane, the always-correct slow path.
-type PayloadKind uint8
-
-const (
-	// PayloadUnspecified makes no claim; the connection uses the boxed
-	// spill lane.
-	PayloadUnspecified PayloadKind = iota
-	// PayloadUint64 declares scalar uint64 payloads. On an Out port it
-	// elects the connection into the scalar fast lane; on an In port it
-	// declares the module reads via Uint64/TransferredUint64.
-	PayloadUint64
-	// PayloadAny declares reference payloads read through the boxed Data
-	// path. On an In port it forces connections onto the spill lane even
-	// when the driver declares a scalar kind (mixed payload kinds).
-	PayloadAny
-)
-
-func (k PayloadKind) String() string {
-	switch k {
-	case PayloadUint64:
-		return "uint64"
-	case PayloadAny:
-		return "any"
-	}
-	return "unspecified"
-}
-
 // PortOpts customizes a port's arity constraints and default control
 // semantics. The zero value gives an optional port with engine defaults.
 type PortOpts struct {
@@ -76,10 +43,6 @@ type PortOpts struct {
 	// control functions: any handshake policy can be expressed without
 	// touching the module that owns the port.
 	Control ControlFn
-	// Payload declares the kind of value the port's data signals carry;
-	// Build uses it to choose each connection's storage lane (see
-	// PayloadKind). Leave PayloadUnspecified for the boxed spill lane.
-	Payload PayloadKind
 	// NoDefault declares that default-control resolution firing on this
 	// port's connections indicates a modeling error: every signal the
 	// port drives must be explicitly resolved by module code each cycle.
@@ -188,15 +151,11 @@ func (p *Port) badDir(op string) {
 func (p *Port) DataStatus(i int) Status { return p.sim.status(SigData, p.slot(i)) }
 
 // Data returns the value offered on connection i. It is valid only when
-// DataStatus(i) == Yes. On a scalar-lane connection the value is boxed on
-// read; Uint64 reads it without boxing.
-func (p *Port) Data(i int) any { return p.conns[p.check(i)].dataValue() }
-
-// Uint64 returns the scalar value offered on connection i without boxing
-// — the fast-lane counterpart of Data, valid only when DataStatus(i) ==
-// Yes. On a spill-lane connection it unboxes, panicking if the boxed
-// value is not a uint64.
-func (p *Port) Uint64(i int) uint64 { return p.conns[p.check(i)].dataUint64() }
+// DataStatus(i) == Yes.
+func (p *Port) Data(i int) any {
+	slot := p.slot(i) // before p.sim is dereferenced: an unbound port panics with a ContractError
+	return p.sim.plane.data[slot]
+}
 
 // EnableStatus returns the resolution state of connection i's enable signal.
 func (p *Port) EnableStatus(i int) Status { return p.sim.status(SigEnable, p.slot(i)) }
@@ -216,23 +175,9 @@ func (p *Port) Nack(i int) {
 // --- Sender-side observations and actions (Out ports) ---
 
 // Send offers v on connection i this cycle.
-//
-// On a connection elected into the scalar fast lane (driver declares
-// PayloadUint64), v must be a uint64 — any other dynamic type is a
-// contract violation. SendUint64 offers the same value without boxing.
 func (p *Port) Send(i int, v any) {
 	p.mustDir(Out, "send")
 	p.conns[p.check(i)].raiseData(v)
-}
-
-// SendUint64 offers scalar v on connection i this cycle without boxing —
-// the fast-lane counterpart of Send. On a spill-lane connection it falls
-// back to a boxed store, so it is always safe to call; the fast path
-// requires the port to declare PayloadUint64 so Build elects the
-// connection into the scalar lane.
-func (p *Port) SendUint64(i int, v uint64) {
-	p.mustDir(Out, "send")
-	p.conns[p.check(i)].raiseUint64(v)
 }
 
 // SendNothing resolves connection i's data signal to Nothing.
@@ -264,24 +209,12 @@ func (p *Port) Transferred(i int) bool { return p.sim.transferred(p.slot(i)) }
 
 // TransferredData returns the datum moved over connection i this cycle,
 // or (nil, false) when the handshake did not complete. After commit the
-// data lanes are released, so between cycles it reports (nil, false)
-// even though the statuses still read Yes.
+// data lane is released, so between cycles it reports (nil, false) even
+// though the statuses still read Yes.
 func (p *Port) TransferredData(i int) (any, bool) {
 	slot := p.slot(i)
 	if s := p.sim; s.released || !s.transferred(slot) {
 		return nil, false
 	}
-	return p.conns[i].dataValue(), true
-}
-
-// TransferredUint64 returns the scalar moved over connection i this cycle
-// without boxing, or (0, false) when the handshake did not complete —
-// the fast-lane counterpart of TransferredData, with the same post-commit
-// release semantics.
-func (p *Port) TransferredUint64(i int) (uint64, bool) {
-	slot := p.slot(i)
-	if s := p.sim; s.released || !s.transferred(slot) {
-		return 0, false
-	}
-	return p.conns[i].dataUint64(), true
+	return p.sim.plane.data[slot], true
 }

@@ -8,14 +8,13 @@ import (
 
 // program.go separates the two halves the paper keeps distinct: structure
 // and behavior. A Program is the immutable compiled form of a netlist —
-// the static schedule, the cluster plan, the payload-lane election
-// and the assembly recipe that reproduces the instance graph. A Sim is
-// one behavioral session over that structure: a dense signal plane, the
-// instances' mutable state, a cycle counter, per-instance RNG streams and
-// statistics. Build compiles a Program exactly once; Program.NewSim
-// stamps fresh sessions from it without re-running Tarjan, levelization
-// or lane election, so thousands of concurrent simulations can share one
-// compiled artifact.
+// the static schedule, the cluster plan and the assembly recipe that
+// reproduces the instance graph. A Sim is one behavioral session over that
+// structure: a dense signal plane, the instances' mutable state, a cycle
+// counter, per-instance RNG streams and statistics. Build compiles a
+// Program exactly once; Program.NewSim stamps fresh sessions from it
+// without re-running Tarjan, levelization or cluster planning, so
+// thousands of concurrent simulations can share one compiled artifact.
 //
 // Sharing contract (DESIGN.md Appendix E): everything reachable from a
 // Program after Compile returns is read-only, with one exception — the
@@ -45,8 +44,6 @@ type Program struct {
 	nInsts      int
 	nConns      int
 	fingerprint uint64 // structural hash validating recipe determinism
-	scalar      []bool // conn id -> uint64 fast-lane election
-	scalarConns int
 	sequential  []bool // instance id -> MarkSequential; checked at stamp beside the fingerprint, not hashed into it
 
 	// The engine's static schedule and cluster plan: both set under
@@ -59,7 +56,7 @@ type Program struct {
 // and returns the shared Program. The recipe must be deterministic: every
 // NewSim after the first re-runs it to stamp a fresh instance graph, and a
 // structural fingerprint (instance names, handler shapes, connection
-// endpoints, payload kinds) is checked against this compilation's on every
+// endpoints) is checked against this compilation's on every
 // stamp. Build-time validation — port widths, post-build checks such as
 // strict static analysis — runs here, on the session the program keeps as
 // its first.
@@ -87,8 +84,7 @@ func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, erro
 // Compile validated — what a stamp with the same options would rebuild.
 // Every other call stamps: the assembly recipe re-creates the instance
 // graph (fresh mutable module state), and the session binds the shared
-// schedule, cluster plan and lane election without recompiling any of
-// them. Session options are applied after the program's compile-time
+// schedule and cluster plan without recompiling either. Session options are applied after the program's compile-time
 // options, so per-session seeds, tracers and metrics compose naturally;
 // selecting a different scheduler than the program was compiled for is an
 // error.
@@ -121,9 +117,8 @@ func (p *Program) Instances() int { return p.nInsts }
 func (p *Program) Conns() int { return p.nConns }
 
 // Fingerprint returns the structural hash of the compiled netlist —
-// instance names and handler shapes plus connection endpoints and payload
-// kinds. Snapshots embed it so Restore can reject state from a different
-// program.
+// instance names and handler shapes plus connection endpoints. Snapshots
+// embed it so Restore can reject state from a different program.
 func (p *Program) Fingerprint() uint64 { return p.fingerprint }
 
 // Schedule returns a copy of the engine's static-schedule introspection
@@ -137,28 +132,14 @@ func (p *Program) Schedule() *ScheduleInfo {
 }
 
 // compileProgram compiles the immutable artifacts from an assembled,
-// validated netlist: lane election, structural fingerprint and — for the
-// engine — the static schedule and the cluster plan. Instance ids must
-// already be assigned (assembly order).
+// validated netlist: the structural fingerprint and — for the engine — the
+// static schedule and the cluster plan. Instance ids must already be
+// assigned (assembly order).
 func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind) *Program {
 	p := &Program{sched: sched, nInsts: len(instances), nConns: len(conns)}
-	// Payload-lane inference: a connection joins the uint64 scalar fast
-	// lane when its driver declares PayloadUint64 and its sink does not
-	// demand the boxed path (PayloadAny — mixed payload kinds force the
-	// spill lane). Everything else spills to the boxed []any lane, the
-	// always-correct slow path.
-	p.scalar = make([]bool, len(conns))
-	for i, c := range conns {
-		p.scalar[i] = c.src.opts.Payload == PayloadUint64 && c.dst.opts.Payload != PayloadAny
-		if p.scalar[i] {
-			p.scalarConns++
-		}
-	}
 	p.fingerprint = fingerprintNetlist(instances, conns)
 	if sched == SchedulerSparse {
 		p.schedule = buildSchedule(instances, conns)
-		p.schedule.info.ScalarConns = p.scalarConns
-		p.schedule.info.SpillConns = len(conns) - p.scalarConns
 		p.sequential = make([]bool, len(instances))
 		for i, inst := range instances {
 			p.sequential[i] = inst.base().sequential
@@ -203,8 +184,8 @@ func (p *Program) checkStamp(instances []Instance, conns []*Conn, sched Schedule
 
 // fingerprintNetlist hashes the netlist structure the compiled artifacts
 // depend on: instance names and handler shapes (which drive the activity
-// partition) and connection endpoints with payload kinds (which drive the
-// schedule and lane election). FNV-64a over the assembly order.
+// partition) and connection endpoints (which drive the schedule). FNV-64a
+// over the assembly order.
 func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -248,7 +229,6 @@ func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
 		str(c.dst.owner.name)
 		str(c.dst.name)
 		u64(uint64(c.dstIdx))
-		u64(uint64(c.src.opts.Payload)<<8 | uint64(c.dst.opts.Payload))
 	}
 	return h.Sum64()
 }

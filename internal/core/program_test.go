@@ -31,7 +31,7 @@ func progTestAssemble(b *Builder) error {
 // TestNewSimSharesCompiledArtifacts is the zero-rebuild guarantee, pinned
 // at the pointer level: a stamped session binds the program's compiled
 // schedule and activity partition by reference — no Tarjan, levelization
-// or lane election re-runs on NewSim.
+// or cluster planning re-runs on NewSim.
 func TestNewSimSharesCompiledArtifacts(t *testing.T) {
 	prog, err := Compile(progTestAssemble, WithScheduler(SchedulerSparse))
 	if err != nil {

@@ -57,8 +57,8 @@ func (s *Sim) stepReference() {
 		}
 	}
 	s.setPhase(phaseIdle)
-	// Transferred values are released; until the next Step the data lanes
-	// read "not driven" (see Sim.released).
+	// Transferred values are released; until the next Step the data lane
+	// reads "not driven" (see Sim.released).
 	s.released = true
 	clear(s.plane.data)
 	s.cycle++

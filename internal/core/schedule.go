@@ -82,12 +82,6 @@ type ScheduleInfo struct {
 	AlwaysActive int
 	ActiveConns  int
 	GatedConns   int
-	// ScalarConns/SpillConns split the connections by compile-time payload
-	// lane election: scalar connections carry uint64 values in the dense
-	// fast lane and never box; spill connections store boxed values in
-	// the []any lane (the always-correct slow path).
-	ScalarConns int
-	SpillConns  int
 }
 
 // progSchedule is the compiled static schedule, shared read-only across

@@ -11,29 +11,21 @@ import "fmt"
 //     status by construction), not a pointer chase over every Conn.
 //   - The sparse scheduler resets only the open clusters' cells; a closed
 //     cluster's cells keep — "replay" — its idle signature.
-//   - The spill data lane can be released eagerly at commit so
-//     transferred values are not pinned for an extra cycle.
+//   - The data lane can be released eagerly at commit so transferred
+//     values are not pinned for an extra cycle.
 //
-// The data value is stored in one of two lanes, chosen per connection at
-// Build time from the ports' PayloadKind declarations: connections whose
-// driver declares PayloadUint64 use the dense scalar lane and never box;
-// the rest spill to the boxed []any lane. The contract itself stays
-// payload-opaque — the lane split changes storage, never resolution.
-// Scalar values need no release (they pin no heap memory) and are
-// unreadable outside a data-Yes window, so only the spill lane is cleared
-// at commit.
+// The contract is payload-opaque: the data lane holds whatever the driver
+// sent, boxed in an any (a pointer payload boxes without allocating).
 //
 // Status cells are plain words under the single-writer rule (DESIGN.md
 // Appendix C.1): the goroutine stepping a session is the only one that
 // ever touches its plane, so every access is a direct load or store. The
-// data lanes are written only by the instance that drives the
-// connection's data signal, before the status store that makes them
-// readable.
+// data lane is written only by the instance that drives the connection's
+// data signal, before the status store that makes it readable.
 type sigPlane struct {
-	lanes  [3][]uint32 // indexed by SigKind, then conn id
-	cells  []uint32    // the three lanes as one slab: cell = kind*nConns + conn id
-	data   []any       // spill lane: valid where the data lane holds Yes
-	scalar []uint64    // fast lane for PayloadUint64 connections
+	lanes [3][]uint32 // indexed by SigKind, then conn id
+	cells []uint32    // the three lanes as one slab: cell = kind*nConns + conn id
+	data  []any       // valid where the data lane holds Yes
 }
 
 func newSigPlane(nConns int) sigPlane {
@@ -42,7 +34,6 @@ func newSigPlane(nConns int) sigPlane {
 		p.lanes[k] = p.cells[k*nConns : (k+1)*nConns : (k+1)*nConns]
 	}
 	p.data = make([]any, nConns)
-	p.scalar = make([]uint64, nConns)
 	return p
 }
 
@@ -60,7 +51,6 @@ type Conn struct {
 	dst     *Port // input side
 	srcIdx  int   // index of this connection on src
 	dstIdx  int   // index of this connection on dst
-	scalar  bool  // data values live in the uint64 fast lane (set at Build)
 	cluster int32 // combinational cluster under the sparse scheduler (set at Build)
 
 	sim *Sim
@@ -81,64 +71,24 @@ func (c *Conn) Dst() (*Port, int) { return c.dst, c.dstIdx }
 // otherwise.
 func (c *Conn) SourcePos() Pos { return c.pos }
 
-// Scalar reports whether Build elected the connection into the uint64
-// fast lane (driver declares PayloadUint64, sink does not demand
-// PayloadAny). Spill-lane connections box every data value.
-func (c *Conn) Scalar() bool { return c.scalar }
-
 // Status returns the current resolution state of signal k — the read
 // tracers use to inspect a connection mid-cycle.
 func (c *Conn) Status(k SigKind) Status { return c.status(k) }
 
 // Data returns the value carried by the data signal and whether it is
-// valid (i.e. the data signal has resolved Yes this cycle). The data
-// lanes are released at commit, so between cycles Data reports invalid —
-// explicitly, on both lanes: the statuses still read Yes after commit,
-// but neither a released spill value nor a stale scalar is observable.
-// Scalar-lane values are boxed on read; tight loops should use
-// Port.Uint64 instead.
+// valid (i.e. the data signal has resolved Yes this cycle). The data lane
+// is released at commit, so between cycles Data reports invalid —
+// explicitly: the statuses still read Yes after commit, but a released
+// value is not observable.
 func (c *Conn) Data() (any, bool) {
 	if c.sim.released || c.status(SigData) != Yes {
 		return nil, false
 	}
-	if c.scalar {
-		return c.sim.plane.scalar[c.id], true
-	}
 	return c.sim.plane.data[c.id], true
 }
 
-// dataValue returns the data-lane value without a handshake check,
-// boxing scalar-lane values on read. A scalar connection whose data
-// signal is not Yes reads as nil, mirroring the spill lane's
-// never-stored state.
-func (c *Conn) dataValue() any {
-	if c.scalar {
-		if c.status(SigData) != Yes {
-			return nil
-		}
-		return c.sim.plane.scalar[c.id]
-	}
-	return c.sim.plane.data[c.id]
-}
-
-// dataUint64 returns the scalar value without boxing. On a spill-lane
-// connection it unboxes, so the typed read path stays correct (merely
-// slow) when a connection fell back to the spill lane.
-func (c *Conn) dataUint64() uint64 {
-	if c.scalar {
-		return c.sim.plane.scalar[c.id]
-	}
-	v := c.sim.plane.data[c.id]
-	if v == nil {
-		return 0
-	}
-	u, ok := v.(uint64)
-	if !ok {
-		contractPanic("uint64", c.String(),
-			fmt.Sprintf("spill-lane value has type %T, not uint64", v))
-	}
-	return u
-}
+// dataValue returns the data-lane value without a handshake check.
+func (c *Conn) dataValue() any { return c.sim.plane.data[c.id] }
 
 func (c *Conn) String() string {
 	return fmt.Sprintf("%s[%d]->%s[%d]", c.src.fullName(), c.srcIdx, c.dst.fullName(), c.dstIdx)
@@ -150,9 +100,9 @@ func (c *Conn) status(k SigKind) Status { return c.sim.status(k, int32(c.id)) }
 func (s *Sim) status(k SigKind, id int32) Status { return Status(s.plane.lanes[k][id]) }
 
 // checkWrite validates that driving a signal is legal right now — the
-// write-phase guard for every signal-drive entry point (raise, raiseData,
-// raiseUint64). One flag load on the hot path; the failure path is split
-// out so the guard inlines.
+// write-phase guard for every signal-drive entry point (raise, raiseData).
+// One flag load on the hot path; the failure path is split out so the
+// guard inlines.
 func (c *Conn) checkWrite() {
 	if s := c.sim; s == nil || !s.writable {
 		c.badWrite()
@@ -182,24 +132,10 @@ func (c *Conn) raise(k SigKind, s Status, v any) bool {
 	return c.resolve(k, s)
 }
 
-// raiseData resolves the data signal to Yes carrying v, storing it in the
-// connection's elected lane. On a scalar-lane connection v must be a
-// uint64 — the driver declared PayloadUint64, so anything else is a
-// contract violation.
+// raiseData resolves the data signal to Yes carrying v.
 func (c *Conn) raiseData(v any) bool {
 	c.checkWrite()
-	pl := &c.sim.plane
-	if c.scalar {
-		u, ok := v.(uint64)
-		if !ok {
-			contractPanic("send", c.String(),
-				fmt.Sprintf("scalar-lane connection carries uint64 payloads, got %T "+
-					"(send a uint64, or declare PayloadAny on the sink to keep the boxed lane)", v))
-		}
-		pl.scalar[c.id] = u
-		return c.offer()
-	}
-	pl.data[c.id] = v
+	c.sim.plane.data[c.id] = v
 	if c.offer() {
 		c.sim.spillHits.Add(1)
 		return true
@@ -221,28 +157,9 @@ func (c *Conn) offer() bool {
 	return true
 }
 
-// raiseUint64 resolves the data signal to Yes carrying scalar v. On a
-// scalar-lane connection the store is a plain uint64 write — no boxing,
-// no write barrier. On a spill-lane connection it degrades to a boxed
-// store, keeping the typed API correct everywhere.
-func (c *Conn) raiseUint64(v uint64) bool {
-	c.checkWrite()
-	pl := &c.sim.plane
-	if c.scalar {
-		pl.scalar[c.id] = v
-		return c.offer()
-	}
-	pl.data[c.id] = v
-	if c.offer() {
-		c.sim.spillHits.Add(1)
-		return true
-	}
-	return false
-}
-
-// resolve performs the status transition for signal k: the data/scalar
-// lane store (done by the caller) must precede this call, so a handler
-// that sees the status sees the value.
+// resolve performs the status transition for signal k: the data lane
+// store (done by the caller) must precede this call, so a handler that
+// sees the status sees the value.
 func (c *Conn) resolve(k SigKind, s Status) bool {
 	sim := c.sim
 	cell := &sim.plane.lanes[k][c.id]

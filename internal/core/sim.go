@@ -66,18 +66,15 @@ type Sim struct {
 	cycle    uint64
 
 	// released is set at commit and cleared at the top of the next Step:
-	// between cycles, data-value reads (Conn.Data, TransferredData and
-	// their typed counterparts) report "not driven" on both lanes even
-	// though the statuses still read Yes. This makes the post-commit read
-	// path explicit — a tracer can never observe a released spill value
-	// or a stale scalar.
+	// between cycles, data-value reads (Conn.Data, TransferredData) report
+	// "not driven" even though the statuses still read Yes. This makes the
+	// post-commit read path explicit — a tracer can never observe a
+	// released value.
 	released bool
 
-	// spillHits counts data-Yes stores that landed on the boxed spill
-	// lane. Always on: only the spill path — which boxes anyway — pays
-	// the atomic add, so the scalar fast lane costs nothing. Atomic
-	// because a live metrics reader (SpillHits from a /metrics goroutine)
-	// loads it while the session steps.
+	// spillHits counts data-Yes stores (each an interface store into the
+	// data lane). Atomic because a live metrics reader (SpillHits from a
+	// /metrics goroutine) loads it while the session steps.
 	spillHits atomic.Uint64
 
 	// resolved counts this cycle's resolutions per signal kind (closed
@@ -129,10 +126,10 @@ func (s *Sim) Instance(name string) Instance { return s.byName[name] }
 // Conns returns the netlist's connections.
 func (s *Sim) Conns() []*Conn { return s.conns }
 
-// SpillHits returns the cumulative number of data-Yes resolutions stored
-// on the boxed spill lane — each one an interface store (and usually an
-// allocation) the scalar fast lane would have avoided. Divide by the
-// cycle count for a per-cycle boxing rate.
+// SpillHits returns the cumulative number of data-Yes resolutions — each
+// one a boxed store into the data lane (an allocation unless the payload
+// is a pointer or otherwise boxes for free). Divide by the cycle count for
+// a per-cycle boxing rate.
 func (s *Sim) SpillHits() uint64 { return s.spillHits.Load() }
 
 func (s *Sim) onResolve(c *Conn, k SigKind, st Status) {
@@ -356,9 +353,8 @@ func (s *Sim) stepEngine() {
 	s.setPhase(phaseIdle)
 	// Commit: release transferred data values now instead of pinning them
 	// until the next cycle's reset (a closed cluster carries no value by
-	// construction). The released flag makes both lanes read as "not
-	// driven" until the next Step, so stale scalars, which are never
-	// cleared, stay unobservable between cycles.
+	// construction). The released flag makes the data lane read as "not
+	// driven" until the next Step.
 	s.released = true
 	clear(s.plane.data)
 	s.cycle++

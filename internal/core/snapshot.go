@@ -9,15 +9,15 @@ import (
 
 // snapshot.go is deterministic checkpoint/restore for a session. A
 // snapshot captures everything behavioral about a Sim at a cycle
-// boundary — the cycle counter, the dense status and scalar lanes, every
-// instance's serialized state, per-instance RNG stream positions and the
-// statistics set — keyed by the program's structural fingerprint.
+// boundary — the cycle counter, the dense status lanes, every instance's
+// serialized state, per-instance RNG stream positions and the statistics
+// set — keyed by the program's structural fingerprint.
 // Program.Restore stamps a fresh session and replays that state into it;
 // the restored run then produces bit-identical per-cycle signal
 // resolutions to the uninterrupted one (the scheddiff hash suite is the
 // oracle for this).
 //
-// The boxed spill lane is deliberately not serialized: boxed values are
+// The data lane is deliberately not serialized: its values are
 // arbitrary Go data. Restore instead forces the next Step to run a full
 // sweep (the sparse scheduler's cycle-0 behavior), which re-derives every
 // held cluster's settled resolution from the restored instance state —
@@ -65,7 +65,6 @@ type snapshotFile struct {
 	Seed        int64
 	SpillHits   uint64
 	Status      [3][]uint32 // dense status lanes, by conn id
-	Scalar      []uint64    // uint64 fast lane, by conn id
 	RngN        []uint64    // per-instance RNG draw counts, by instance id
 	Inst        [][]byte    // per-instance marshaled state, by instance id
 	Counters    map[string]int64
@@ -96,7 +95,6 @@ func (s *Sim) Snapshot(w io.Writer) error {
 	for k := range snap.Status {
 		snap.Status[k] = append([]uint32(nil), s.plane.lanes[k]...)
 	}
-	snap.Scalar = append([]uint64(nil), s.plane.scalar...)
 	for i, b := range s.bases {
 		snap.RngN[i] = b.rsrc.n
 		st, ok := b.self.(Stateful)
@@ -145,20 +143,22 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(snap.Status[0]) != len(s.conns) || len(snap.RngN) != len(s.bases) ||
-		len(snap.Inst) != len(s.bases) || len(snap.Scalar) != len(s.conns) {
+	shapeOK := len(snap.RngN) == len(s.bases) && len(snap.Inst) == len(s.bases)
+	for _, lane := range snap.Status {
+		shapeOK = shapeOK && len(lane) == len(s.conns)
+	}
+	if !shapeOK {
 		s.Close()
 		return nil, fmt.Errorf("restore: snapshot shape does not match the program's netlist")
 	}
 	for k := range snap.Status {
 		copy(s.plane.lanes[k], snap.Status[k])
 	}
-	copy(s.plane.scalar, snap.Scalar)
 	s.cycle = snap.Cycle
 	s.spillHits.Store(snap.SpillHits)
-	// Between cycles the data lanes read as released; the boxed spill
-	// values themselves are not in the snapshot and are re-derived by the
-	// full sweep the next Step runs.
+	// Between cycles the data lane reads as released; its values are not
+	// in the snapshot and are re-derived by the full sweep the next Step
+	// runs.
 	s.released = true
 	s.needFull = true
 	for i, b := range s.bases {

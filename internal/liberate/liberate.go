@@ -47,7 +47,7 @@ func New(name string, foreign ForeignSim, maxLag int) *Module {
 	}
 	m := &Module{foreign: foreign, maxLag: maxLag}
 	m.Init(name, m)
-	m.Out = m.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1, Payload: core.PayloadAny})
+	m.Out = m.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	m.OnCycleStart(m.cycleStart)
 	m.OnCycleEnd(m.cycleEnd)
 	return m

@@ -60,7 +60,9 @@ type SchedulerStats struct {
 // computed at Build time: how the netlist partitioned into
 // statically ordered sweep levels versus the cyclic residue, and where
 // default-dependency cycles break. Workers is always 1 (a Sim has one
-// writer); the field stays for the same reason ParallelRounds does.
+// writer), ScalarConns always 0 and SpillConns always the conn count (the
+// plane has one data lane); the fields stay for the same reason
+// ParallelRounds does.
 type ScheduleStats struct {
 	Scheduler        string   `json:"scheduler"`
 	Workers          int      `json:"workers"`
@@ -86,7 +88,7 @@ type ScheduleStats struct {
 	BreakSites       []string `json:"break_sites,omitempty"`
 }
 
-func scheduleStats(info *core.ScheduleInfo) *ScheduleStats {
+func scheduleStats(info *core.ScheduleInfo, conns int) *ScheduleStats {
 	return &ScheduleStats{
 		Scheduler:        info.Scheduler.String(),
 		Workers:          1,
@@ -107,8 +109,7 @@ func scheduleStats(info *core.ScheduleInfo) *ScheduleStats {
 		GatedConns:       info.GatedConns,
 		Clusters:         info.Clusters,
 		ClosableClusters: info.ClosableClusters,
-		ScalarConns:      info.ScalarConns,
-		SpillConns:       info.SpillConns,
+		SpillConns:       conns,
 		BreakSites:       info.BreakSites,
 	}
 }
@@ -158,7 +159,7 @@ func TakeSnapshot(s *core.Sim) Snapshot {
 		}
 	}
 	if info := s.Schedule(); info != nil {
-		snap.Schedule = scheduleStats(info)
+		snap.Schedule = scheduleStats(info, len(s.Conns()))
 	}
 	m := s.Metrics()
 	if m == nil {

@@ -27,8 +27,6 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 		info.SweepConns, info.ForwardLevels, info.ResidueConns)
 	fmt.Fprintf(w, "  ack sweep:      %d conns over %d level(s), %d in cyclic residue\n",
 		info.AckSweepConns, info.AckLevels, info.AckResidueConns)
-	fmt.Fprintf(w, "  payload lanes:  %d conns on the uint64 scalar fast lane, %d on the boxed spill lane\n",
-		info.ScalarConns, info.SpillConns)
 	fmt.Fprintf(w, "  clusters:       %d combinational cluster(s) (%s conns); %d decided each cycle from their cycle-start signals,\n",
 		info.Clusters, sizeHistogram(info.ClusterSizes), info.ClosableClusters)
 	fmt.Fprintf(w, "                  %d conn(s) out of every start handler's reach (held after the first sweep), %d seed instance(s)\n",

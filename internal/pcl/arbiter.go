@@ -60,8 +60,8 @@ func NewArbiter(name string, p core.Params) (*Arbiter, error) {
 	// Both ports tolerate being left unconnected (partial specification):
 	// with no outputs the arbiter refuses all requests; with no inputs it
 	// offers nothing.
-	a.In = a.AddInPort("in", core.PortOpts{DefaultAck: core.No, Payload: core.PayloadAny})
-	a.Out = a.AddOutPort("out", core.PortOpts{Payload: core.PayloadAny})
+	a.In = a.AddInPort("in", core.PortOpts{DefaultAck: core.No})
+	a.Out = a.AddOutPort("out")
 	a.OnReact(a.react)
 	a.OnCycleEnd(a.cycleEnd)
 	return a, nil

@@ -31,8 +31,8 @@ func NewClockGate(name string, p core.Params) (*ClockGate, error) {
 		return nil, &core.ParamError{Param: "divisor", Detail: "must be >= 1"}
 	}
 	g.Init(name, g)
-	g.In = g.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No, Payload: core.PayloadAny})
-	g.Out = g.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1, Payload: core.PayloadAny})
+	g.In = g.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
+	g.Out = g.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	g.OnReact(g.react)
 	// The reactive handler reads Now(): whether data crosses depends on
 	// the cycle number, not only on observed signals, so the sparse

@@ -8,9 +8,6 @@ import (
 // is offered on out connection i exactly latency cycles later (later if
 // back-pressured). Pairing in/out connections by index lets one instance
 // model an n-lane pipeline. Capacity per lane bounds entries in flight.
-//
-// With payload="uint64" the delay declares PayloadUint64 on both ports
-// and moves entries via SendUint64/TransferredUint64 without boxing.
 type Delay struct {
 	core.Base
 	In  *core.Port
@@ -18,7 +15,6 @@ type Delay struct {
 
 	latency  int
 	capacity int
-	typed    bool // payload="uint64": scalar fast-lane mode
 	lanes    [][]delayEntry
 
 	cAccepted *core.Counter
@@ -26,8 +22,7 @@ type Delay struct {
 }
 
 type delayEntry struct {
-	v     any    // boxed mode payload
-	u     uint64 // typed mode payload
+	v     any
 	ready uint64 // first cycle the entry may depart
 }
 
@@ -35,13 +30,8 @@ type delayEntry struct {
 //
 //	latency  (int, default 1) — cycles between acceptance and availability
 //	capacity (int, default latency) — max in-flight entries per lane
-//	payload  (string, default "any") — "uint64" selects the scalar fast lane
 func NewDelay(name string, p core.Params) (*Delay, error) {
-	kind, err := payloadOpt(p)
-	if err != nil {
-		return nil, err
-	}
-	d := &Delay{latency: p.Int("latency", 1), typed: kind == core.PayloadUint64}
+	d := &Delay{latency: p.Int("latency", 1)}
 	if d.latency < 1 {
 		return nil, &core.ParamError{Param: "latency", Detail: "must be >= 1"}
 	}
@@ -50,8 +40,8 @@ func NewDelay(name string, p core.Params) (*Delay, error) {
 		return nil, &core.ParamError{Param: "capacity", Detail: "must be >= 1"}
 	}
 	d.Init(name, d)
-	d.In = d.AddInPort("in", core.PortOpts{DefaultAck: core.No, Payload: kind})
-	d.Out = d.AddOutPort("out", core.PortOpts{Payload: kind})
+	d.In = d.AddInPort("in", core.PortOpts{DefaultAck: core.No})
+	d.Out = d.AddOutPort("out")
 	d.OnCycleStart(d.cycleStart)
 	d.OnReact(d.react)
 	d.OnCycleEnd(d.cycleEnd)
@@ -83,11 +73,7 @@ func (d *Delay) cycleStart() {
 		}
 		d.Out.IdleLanes(idle, i)
 		idle = i + 1
-		if d.typed {
-			d.Out.SendUint64(i, lane[0].u)
-		} else {
-			d.Out.Send(i, lane[0].v)
-		}
+		d.Out.Send(i, lane[0].v)
 		d.Out.Enable(i)
 	}
 	d.Out.IdleLanes(idle, d.Out.Width())
@@ -117,12 +103,7 @@ func (d *Delay) cycleEnd() {
 		d.cDeparted.Inc()
 	}
 	for i := d.In.NextTransferred(0); i >= 0; i = d.In.NextTransferred(i + 1) {
-		e := delayEntry{ready: d.Now() + uint64(d.latency)}
-		if d.typed {
-			e.u = d.In.Uint64(i)
-		} else {
-			e.v = d.In.Data(i)
-		}
+		e := delayEntry{v: d.In.Data(i), ready: d.Now() + uint64(d.latency)}
 		d.lanes[i] = append(d.lane(i), e)
 		d.cAccepted.Inc()
 	}

@@ -38,8 +38,8 @@ func NewTee(name string, p core.Params) (*Tee, error) {
 		return nil, &core.ParamError{Param: "mode", Detail: fmt.Sprintf("unknown mode %q", mode)}
 	}
 	t.Init(name, t)
-	t.In = t.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No, Payload: core.PayloadAny})
-	t.Out = t.AddOutPort("out", core.PortOpts{MinWidth: 1, Payload: core.PayloadAny})
+	t.In = t.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
+	t.Out = t.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	t.OnReact(t.react)
 	return t, nil
 }
@@ -150,8 +150,8 @@ func NewRoute(name string, p core.Params) (*Route, error) {
 	r.Init(name, r)
 	// The input may be left unconnected (partial specification): a
 	// route stage with nothing upstream simply sends nothing.
-	r.In = r.AddInPort("in", core.PortOpts{MaxWidth: 1, DefaultAck: core.No, Payload: core.PayloadAny})
-	r.Out = r.AddOutPort("out", core.PortOpts{MinWidth: 1, Payload: core.PayloadAny})
+	r.In = r.AddInPort("in", core.PortOpts{MaxWidth: 1, DefaultAck: core.No})
+	r.Out = r.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	r.OnReact(r.react)
 	return r, nil
 }
@@ -214,8 +214,8 @@ func NewFilter(name string, p core.Params) (*Filter, error) {
 		return nil, &core.ParamError{Param: "pred", Detail: "required algorithmic parameter missing"}
 	}
 	f.Init(name, f)
-	f.In = f.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No, Payload: core.PayloadAny})
-	f.Out = f.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1, Payload: core.PayloadAny})
+	f.In = f.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
+	f.Out = f.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	f.OnReact(f.react)
 	f.OnCycleEnd(f.cycleEnd)
 	return f, nil

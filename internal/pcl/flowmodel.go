@@ -24,13 +24,13 @@ func (s *Source) FlowTransfer(f *core.Flow) {
 	for i := 0; i < s.Out.Width(); i++ {
 		switch {
 		case s.rate == 0:
-			f.SetData(s.Out, i, core.FlowNo, core.FlowValue{})
+			f.SetData(s.Out, i, core.FlowNo)
 			f.SetEnable(s.Out, i, core.FlowNo)
 		case s.rate >= 1 && s.count == 0 && s.defaultGen:
-			f.SetData(s.Out, i, core.FlowYes, core.FlowValueAny())
+			f.SetData(s.Out, i, core.FlowYes)
 			f.SetEnable(s.Out, i, core.FlowYes)
 		default:
-			f.SetData(s.Out, i, core.FlowTop, core.FlowValueAny())
+			f.SetData(s.Out, i, core.FlowTop)
 			f.SetEnable(s.Out, i, core.FlowTop)
 		}
 	}
@@ -38,15 +38,15 @@ func (s *Source) FlowTransfer(f *core.Flow) {
 
 // FlowTransfer implements core.FlowModel. With a dead input nothing ever
 // crosses the gate on ticking or blocked cycles alike. With divisor 1 the
-// gate ticks every cycle and is a pure passthrough: data and value flow
-// through, enable mirrors data firmness, and the upstream ack mirrors the
+// gate ticks every cycle and is a pure passthrough: data flows through,
+// enable mirrors data firmness, and the upstream ack mirrors the
 // downstream ack on offered data (a blocked cycle can never be observed).
 // Any other divisor joins in the blocked-cycle behavior — send nothing,
 // disable, nack — so only dead-input facts stay constant.
 func (g *ClockGate) FlowTransfer(f *core.Flow) {
 	in := f.Facts(g.In, 0)
 	if in.Data == core.FlowNo {
-		f.SetData(g.Out, 0, core.FlowNo, core.FlowValue{})
+		f.SetData(g.Out, 0, core.FlowNo)
 		f.SetEnable(g.Out, 0, core.FlowNo)
 		f.SetAck(g.In, 0, core.FlowNo)
 		return
@@ -58,12 +58,12 @@ func (g *ClockGate) FlowTransfer(f *core.Flow) {
 		ack = ack.Join(core.FlowNo)
 	}
 	if g.divisor == 1 {
-		f.SetData(g.Out, 0, in.Data, in.Value)
+		f.SetData(g.Out, 0, in.Data)
 		f.SetEnable(g.Out, 0, in.Data)
 		f.SetAck(g.In, 0, ack)
 		return
 	}
-	f.SetData(g.Out, 0, in.Data.Join(core.FlowNo), in.Value)
+	f.SetData(g.Out, 0, in.Data.Join(core.FlowNo))
 	f.SetEnable(g.Out, 0, in.Data.Join(core.FlowNo))
 	f.SetAck(g.In, 0, ack.Join(core.FlowNo))
 }
@@ -106,7 +106,7 @@ func deadPropagate(f *core.Flow, in, out *core.Port) {
 	switch {
 	case !dead:
 		for j := 0; j < out.Width(); j++ {
-			f.SetData(out, j, core.FlowTop, core.FlowValueAny())
+			f.SetData(out, j, core.FlowTop)
 			f.SetEnable(out, j, core.FlowTop)
 		}
 		for i := 0; i < in.Width(); i++ {
@@ -114,7 +114,7 @@ func deadPropagate(f *core.Flow, in, out *core.Port) {
 		}
 	case bottom:
 		for j := 0; j < out.Width(); j++ {
-			f.SetData(out, j, core.FlowBottom, core.FlowValue{})
+			f.SetData(out, j, core.FlowBottom)
 			f.SetEnable(out, j, core.FlowBottom)
 		}
 		for i := 0; i < in.Width(); i++ {
@@ -122,7 +122,7 @@ func deadPropagate(f *core.Flow, in, out *core.Port) {
 		}
 	default:
 		for j := 0; j < out.Width(); j++ {
-			f.SetData(out, j, core.FlowNo, core.FlowValue{})
+			f.SetData(out, j, core.FlowNo)
 			f.SetEnable(out, j, core.FlowNo)
 		}
 		for i := 0; i < in.Width(); i++ {

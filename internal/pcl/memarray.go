@@ -80,8 +80,8 @@ func NewMemArray(name string, p core.Params) (*MemArray, error) {
 		return nil, &core.ParamError{Param: "latency", Detail: "must be >= 1"}
 	}
 	m.Init(name, m)
-	m.Req = m.AddInPort("req", core.PortOpts{DefaultAck: core.No, Payload: core.PayloadAny})
-	m.Resp = m.AddOutPort("resp", core.PortOpts{Payload: core.PayloadAny})
+	m.Req = m.AddInPort("req", core.PortOpts{DefaultAck: core.No})
+	m.Resp = m.AddOutPort("resp")
 	m.OnCycleStart(m.cycleStart)
 	m.OnReact(m.react)
 	m.OnCycleEnd(m.cycleEnd)

@@ -19,13 +19,6 @@ type SelectFn func(entries []any) []int
 // new entries this cycle even if it is draining (classic synchronous FIFO
 // semantics).
 //
-// With payload="uint64" the queue declares PayloadUint64 on both ports,
-// stores its entries unboxed and moves them via SendUint64 and
-// TransferredUint64, making the steady-state enqueue/dequeue path
-// allocation-free. A SelectFn still receives []any in typed mode (the
-// entries are boxed into a reused scratch slice per call); latency- or
-// allocation-critical typed models should keep the default FIFO policy.
-//
 // Ports:
 //
 //	in  (In,  any width) — enqueue; acked while free slots remain
@@ -38,13 +31,10 @@ type Queue struct {
 
 	capacity int
 	selectFn SelectFn
-	typed    bool  // payload="uint64": scalar fast-lane mode
-	entries  []any // boxed mode storage, oldest-first
-	entriesU []uint64
+	entries  []any // oldest-first
 	offered  []int // entry index offered on out conn j this cycle
 	selBuf   []int // scratch for the default FIFO selection
 	goneBuf  []int // scratch for cycleEnd's removal list
-	boxBuf   []any // scratch for boxing typed entries for a SelectFn
 
 	cTransIn  *core.Counter
 	cTransOut *core.Counter
@@ -54,25 +44,19 @@ type Queue struct {
 
 // NewQueue constructs a queue. Parameters:
 //
-//	capacity (int, default 8)       — maximum entries held
-//	select   (SelectFn, optional)   — dequeue selection policy
-//	payload  (string, default "any") — "uint64" selects the scalar fast lane
+//	capacity (int, default 8)     — maximum entries held
+//	select   (SelectFn, optional) — dequeue selection policy
 func NewQueue(name string, p core.Params) (*Queue, error) {
-	kind, err := payloadOpt(p)
-	if err != nil {
-		return nil, err
-	}
 	q := &Queue{
 		capacity: p.Int("capacity", 8),
 		selectFn: core.Fn[SelectFn](p, "select", nil),
-		typed:    kind == core.PayloadUint64,
 	}
 	if q.capacity < 1 {
 		return nil, &core.ParamError{Param: "capacity", Detail: "must be >= 1"}
 	}
 	q.Init(name, q)
-	q.In = q.AddInPort("in", core.PortOpts{DefaultAck: core.No, Payload: kind})
-	q.Out = q.AddOutPort("out", core.PortOpts{Payload: kind})
+	q.In = q.AddInPort("in", core.PortOpts{DefaultAck: core.No})
+	q.Out = q.AddOutPort("out")
 	q.OnCycleStart(q.cycleStart)
 	q.OnReact(q.react)
 	q.OnCycleEnd(q.cycleEnd)
@@ -81,29 +65,14 @@ func NewQueue(name string, p core.Params) (*Queue, error) {
 }
 
 // Len returns the current occupancy.
-func (q *Queue) Len() int {
-	if q.typed {
-		return len(q.entriesU)
-	}
-	return len(q.entries)
-}
+func (q *Queue) Len() int { return len(q.entries) }
 
 // Cap returns the queue's capacity.
 func (q *Queue) Cap() int { return q.capacity }
 
-// Entries returns the live entries oldest-first. In boxed mode this is
-// the queue's own storage (shared slice; callers must not mutate); in
-// typed mode each call boxes the scalar entries into a fresh slice.
-func (q *Queue) Entries() []any {
-	if !q.typed {
-		return q.entries
-	}
-	out := make([]any, len(q.entriesU))
-	for i, u := range q.entriesU {
-		out[i] = u
-	}
-	return out
-}
+// Entries returns the live entries oldest-first: the queue's own storage
+// (shared slice; callers must not mutate).
+func (q *Queue) Entries() []any { return q.entries }
 
 func (q *Queue) lazyStats() {
 	if q.cTransIn == nil {
@@ -124,11 +93,7 @@ func (q *Queue) cycleStart() {
 	}
 	q.offered = append(q.offered[:0], sel...)
 	for j, e := range sel {
-		if q.typed {
-			q.Out.SendUint64(j, q.entriesU[e])
-		} else {
-			q.Out.Send(j, q.entries[e])
-		}
+		q.Out.Send(j, q.entries[e])
 		q.Out.Enable(j)
 	}
 	q.Out.IdleLanes(len(sel), q.Out.Width())
@@ -146,19 +111,7 @@ func (q *Queue) selected() []int {
 		}
 		return sel
 	}
-	view := q.entries
-	if q.typed {
-		// Box the scalar entries into reused scratch for the policy's
-		// []any view; custom selection trades away the zero-alloc path.
-		if cap(q.boxBuf) < n {
-			q.boxBuf = make([]any, n)
-		}
-		view = q.boxBuf[:n]
-		for i, u := range q.entriesU {
-			view[i] = u
-		}
-	}
-	sel := q.selectFn(view)
+	sel := q.selectFn(q.entries)
 	seen := make(map[int]bool, len(sel))
 	out := sel[:0]
 	for _, i := range sel {
@@ -215,11 +168,7 @@ func (q *Queue) cycleEnd() {
 	sortAscending(gone)
 	q.goneBuf = gone
 	if len(gone) > 0 {
-		if q.typed {
-			q.entriesU = compactU(q.entriesU, gone)
-		} else {
-			q.entries = compact(q.entries, gone)
-		}
+		q.entries = compact(q.entries, gone)
 		for range gone {
 			q.cTransOut.Inc()
 		}
@@ -227,17 +176,11 @@ func (q *Queue) cycleEnd() {
 	// Then append accepted arrivals in connection order; a firm offer
 	// that was not taken is a full stall.
 	for i := q.In.NextOffered(0); i >= 0; i = q.In.NextOffered(i + 1) {
-		switch {
-		case !q.In.Transferred(i):
-			if q.In.EnableStatus(i) == core.Yes {
-				q.cFullStal.Inc()
-			}
-		case q.typed:
-			q.entriesU = append(q.entriesU, q.In.Uint64(i))
-			q.cTransIn.Inc()
-		default:
+		if q.In.Transferred(i) {
 			q.entries = append(q.entries, q.In.Data(i))
 			q.cTransIn.Inc()
+		} else if q.In.EnableStatus(i) == core.Yes {
+			q.cFullStal.Inc()
 		}
 	}
 }
@@ -270,20 +213,6 @@ func compact(entries []any, gone []int) []any {
 	}
 	for i := w; i < len(entries); i++ {
 		entries[i] = nil // release references past the new length
-	}
-	return entries[:w]
-}
-
-// compactU is compact for the typed uint64 storage.
-func compactU(entries []uint64, gone []int) []uint64 {
-	w, g := gone[0], 0
-	for r := gone[0]; r < len(entries); r++ {
-		if g < len(gone) && gone[g] == r {
-			g++
-			continue
-		}
-		entries[w] = entries[r]
-		w++
 	}
 	return entries[:w]
 }

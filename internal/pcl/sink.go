@@ -12,17 +12,11 @@ type Stamped interface {
 
 // Sink consumes and counts everything offered to it, optionally keeping
 // the received values and recording delivery latency for Stamped data.
-//
-// With payload="uint64" the sink declares PayloadUint64 on its in port
-// and consumes via TransferredUint64, so the steady-state counting path
-// never boxes. Latency stamping does not apply to scalar payloads, and
-// keep=true boxes each retained value.
 type Sink struct {
 	core.Base
 	In *core.Port
 
 	keep     bool
-	typed    bool // payload="uint64": scalar fast-lane mode
 	accept   bool
 	received []any
 
@@ -32,21 +26,16 @@ type Sink struct {
 
 // NewSink constructs a sink. Parameters:
 //
-//	keep    (bool, default false)    — retain received values for inspection
-//	accept  (bool, default true)     — false refuses everything (DefaultAck=No),
-//	                                   modeling a detached or saturated consumer
-//	payload (string, default "any")  — "uint64" selects the scalar fast lane
+//	keep   (bool, default false) — retain received values for inspection
+//	accept (bool, default true)  — false refuses everything (DefaultAck=No),
+//	                               modeling a detached or saturated consumer
 func NewSink(name string, p core.Params) (*Sink, error) {
-	kind, err := payloadOpt(p)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sink{keep: p.Bool("keep", false), accept: p.Bool("accept", true), typed: kind == core.PayloadUint64}
+	s := &Sink{keep: p.Bool("keep", false), accept: p.Bool("accept", true)}
 	s.Init(name, s)
 	// Default control accepts everything — unless accept=false pins the
 	// ack to No, which the dataflow analysis sees as a provably stalled
 	// consumer (LSE012).
-	opts := core.PortOpts{Payload: kind}
+	var opts core.PortOpts
 	if !s.accept {
 		opts.DefaultAck = core.No
 	}
@@ -81,12 +70,6 @@ func (s *Sink) cycleEnd() {
 	}
 	for i := s.In.NextTransferred(0); i >= 0; i = s.In.NextTransferred(i + 1) {
 		s.cReceived.Inc()
-		if s.typed {
-			if s.keep {
-				s.received = append(s.received, s.In.Uint64(i))
-			}
-			continue
-		}
 		v := s.In.Data(i)
 		if st, ok := v.(Stamped); ok {
 			s.hLatency.Observe(float64(s.Now() - st.InjectedAt()))

@@ -1,25 +1,10 @@
 package pcl
 
 import (
-	"fmt"
 	"math/rand"
 
 	core "liberty/internal/core"
 )
-
-// payloadOpt parses the "payload" parameter shared by the pcl data-path
-// templates: "any" (default — boxed values through the spill lane) or
-// "uint64" (scalar values through the dense fast lane, zero-allocation).
-func payloadOpt(p core.Params) (core.PayloadKind, error) {
-	switch s := p.Str("payload", "any"); s {
-	case "any":
-		return core.PayloadAny, nil
-	case "uint64":
-		return core.PayloadUint64, nil
-	default:
-		return 0, &core.ParamError{Param: "payload", Detail: `must be "any" or "uint64"`}
-	}
-}
 
 // GenFn produces the next datum a Source offers. Returning ok=false means
 // the source is exhausted; returning (nil, true) means "nothing this
@@ -32,12 +17,6 @@ type GenFn func(rng *rand.Rand, cycle uint64, seq uint64) (v any, ok bool)
 // sequence number; statistical traffic models supply their own GenFn —
 // the "statistical packet generator" of the paper's mixed-abstraction
 // example is exactly this template with a CCL packet generator plugged in.
-//
-// With payload="uint64" the source declares PayloadUint64 on its out
-// port, stores pending items unboxed and offers them via SendUint64, so
-// steady-state injection performs zero heap allocations; the default
-// generator then emits the sequence number as a uint64 and a custom
-// GenFn must return uint64 values.
 type Source struct {
 	core.Base
 	Out *core.Port
@@ -45,12 +24,9 @@ type Source struct {
 	rate       float64
 	count      uint64 // 0 = unlimited
 	gen        GenFn
-	typed      bool // payload="uint64": scalar fast-lane mode
 	defaultGen bool // no gen param: sequence-number generator (never exhausts)
 
-	pending []any // boxed mode pending item per out conn (nil = empty)
-	pendU   []uint64
-	pendSet []bool // typed mode: pendU[i] valid
+	pending []any // pending item per out conn (nil = empty)
 
 	seq  uint64
 	done bool
@@ -61,30 +37,24 @@ type Source struct {
 
 // NewSource constructs a source. Parameters:
 //
-//	rate    (float, default 1.0)    — per-connection injection probability
-//	count   (int, default 0)        — stop after this many items (0 = endless)
-//	gen     (GenFn, optional)       — item generator
-//	payload (string, default "any") — "uint64" selects the scalar fast lane
+//	rate  (float, default 1.0) — per-connection injection probability
+//	count (int, default 0)     — stop after this many items (0 = endless)
+//	gen   (GenFn, optional)    — item generator
 func NewSource(name string, p core.Params) (*Source, error) {
-	kind, err := payloadOpt(p)
-	if err != nil {
-		return nil, err
-	}
 	s := &Source{
 		rate:  p.Float("rate", 1.0),
 		count: uint64(p.Int("count", 0)),
 		gen:   core.Fn[GenFn](p, "gen", nil),
-		typed: kind == core.PayloadUint64,
 	}
 	if s.rate < 0 || s.rate > 1 {
 		return nil, &core.ParamError{Param: "rate", Detail: "must be in [0,1]"}
 	}
 	s.defaultGen = s.gen == nil
-	if s.gen == nil && !s.typed {
+	if s.gen == nil {
 		s.gen = func(rng *rand.Rand, cycle, seq uint64) (any, bool) { return int(seq), true }
 	}
 	s.Init(name, s)
-	s.Out = s.AddOutPort("out", core.PortOpts{MinWidth: 1, Payload: kind})
+	s.Out = s.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	s.OnCycleStart(s.cycleStart)
 	s.OnCycleEnd(s.cycleEnd)
 	return s, nil
@@ -119,11 +89,6 @@ func (s *Source) Exhausted() bool {
 	if !s.done {
 		return false
 	}
-	for _, set := range s.pendSet {
-		if set {
-			return false
-		}
-	}
 	for _, v := range s.pending {
 		if v != nil {
 			return false
@@ -136,10 +101,6 @@ func (s *Source) cycleStart() {
 	if s.cInjected == nil {
 		s.cInjected = s.Counter("injected")
 		s.cBlocked = s.Counter("blocked")
-	}
-	if s.typed {
-		s.cycleStartTyped()
-		return
 	}
 	for len(s.pending) < s.Out.Width() {
 		s.pending = append(s.pending, nil)
@@ -170,63 +131,7 @@ func (s *Source) cycleStart() {
 	s.Out.IdleLanes(idle, s.Out.Width())
 }
 
-// cycleStartTyped is the scalar fast-lane injection path: unboxed pending
-// storage and SendUint64 offers, allocation-free once the per-connection
-// slices have grown to the port width.
-func (s *Source) cycleStartTyped() {
-	for len(s.pendSet) < s.Out.Width() {
-		s.pendU = append(s.pendU, 0)
-		s.pendSet = append(s.pendSet, false)
-	}
-	idle := 0
-	for i := 0; i < s.Out.Width(); i++ {
-		if !s.pendSet[i] && !s.done {
-			if s.count > 0 && s.seq >= s.count {
-				s.done = true
-			} else if s.rate >= 1 || s.Rand().Float64() < s.rate {
-				if s.gen == nil {
-					s.pendU[i] = s.seq
-					s.pendSet[i] = true
-					s.seq++
-				} else if v, ok := s.gen(s.Rand(), s.Now(), s.seq); !ok {
-					s.done = true
-				} else if v != nil {
-					u, uok := v.(uint64)
-					if !uok {
-						panic(fmt.Sprintf("pcl.source %s: payload=\"uint64\" generator returned %T, want uint64",
-							s.Name(), v))
-					}
-					s.pendU[i] = u
-					s.pendSet[i] = true
-					s.seq++
-				}
-			}
-		}
-		if s.pendSet[i] {
-			s.Out.IdleLanes(idle, i)
-			idle = i + 1
-			s.Out.SendUint64(i, s.pendU[i])
-			s.Out.Enable(i)
-		}
-	}
-	s.Out.IdleLanes(idle, s.Out.Width())
-}
-
 func (s *Source) cycleEnd() {
-	if s.typed {
-		for i := 0; i < s.Out.Width() && i < len(s.pendSet); i++ {
-			if !s.pendSet[i] {
-				continue
-			}
-			if s.Out.Transferred(i) {
-				s.pendSet[i] = false
-				s.cInjected.Inc()
-			} else {
-				s.cBlocked.Inc()
-			}
-		}
-		return
-	}
 	for i := 0; i < s.Out.Width(); i++ {
 		if s.pending[i] == nil {
 			continue

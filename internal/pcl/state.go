@@ -51,7 +51,6 @@ func gobDecode(blob []byte, v any) error {
 // stateDelayEntry is the exported gob mirror of delayEntry.
 type stateDelayEntry struct {
 	V     any
-	U     uint64
 	Ready uint64
 }
 
@@ -60,7 +59,7 @@ func packLanes(lanes [][]delayEntry) [][]stateDelayEntry {
 	for i, lane := range lanes {
 		out[i] = make([]stateDelayEntry, len(lane))
 		for j, e := range lane {
-			out[i][j] = stateDelayEntry{V: e.v, U: e.u, Ready: e.ready}
+			out[i][j] = stateDelayEntry{V: e.v, Ready: e.ready}
 		}
 	}
 	return out
@@ -71,7 +70,7 @@ func unpackLanes(lanes [][]stateDelayEntry) [][]delayEntry {
 	for i, lane := range lanes {
 		out[i] = make([]delayEntry, len(lane))
 		for j, e := range lane {
-			out[i][j] = delayEntry{v: e.V, u: e.U, ready: e.Ready}
+			out[i][j] = delayEntry{v: e.V, ready: e.Ready}
 		}
 	}
 	return out
@@ -82,8 +81,6 @@ func unpackLanes(lanes [][]stateDelayEntry) [][]delayEntry {
 type sourceState struct {
 	Rate    float64
 	Pending []any
-	PendU   []uint64
-	PendSet []bool
 	Seq     uint64
 	Done    bool
 }
@@ -93,8 +90,6 @@ func (s *Source) MarshalState() ([]byte, error) {
 	return gobEncode(sourceState{
 		Rate:    s.rate,
 		Pending: s.pending,
-		PendU:   s.pendU,
-		PendSet: s.pendSet,
 		Seq:     s.seq,
 		Done:    s.done,
 	})
@@ -108,8 +103,6 @@ func (s *Source) UnmarshalState(blob []byte) error {
 	}
 	s.rate = st.Rate
 	s.pending = st.Pending
-	s.pendU = st.PendU
-	s.pendSet = st.PendSet
 	s.seq = st.Seq
 	s.done = st.Done
 	return nil
@@ -135,13 +128,12 @@ func (s *Sink) UnmarshalState(blob []byte) error {
 }
 
 type queueState struct {
-	Entries  []any
-	EntriesU []uint64
+	Entries []any
 }
 
 // MarshalState implements core.Stateful.
 func (q *Queue) MarshalState() ([]byte, error) {
-	return gobEncode(queueState{Entries: q.entries, EntriesU: q.entriesU})
+	return gobEncode(queueState{Entries: q.entries})
 }
 
 // UnmarshalState implements core.Stateful.
@@ -151,7 +143,6 @@ func (q *Queue) UnmarshalState(blob []byte) error {
 		return err
 	}
 	q.entries = st.Entries
-	q.entriesU = st.EntriesU
 	return nil
 }
 

@@ -8,6 +8,7 @@ package simd
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -573,6 +574,70 @@ func TestSnapshotRefusedIsAnError(t *testing.T) {
 	}
 	if st, err := client.Run(ctx, sess.ID, 10); err != nil || st.Cycle != 30 {
 		t.Fatalf("run after the failed park landed at %+v (err %v)", st, err)
+	}
+}
+
+// snapshotLanes mirrors the leading fields of core's gob checkpoint
+// layout (gob matches fields by name and skips the rest), enough to
+// re-encode a snapshot with one status lane cut short.
+type snapshotLanes struct {
+	Magic       string
+	Version     int
+	Fingerprint uint64
+	Cycle       uint64
+	Seed        int64
+	SpillHits   uint64
+	Status      [3][]uint32
+	RngN        []uint64
+	Inst        [][]byte
+}
+
+// TestRestoreShortAckLaneRefused: a gob-crafted snapshot that carries the
+// program's fingerprint but one cell too few in its ack lane is refused by
+// Program.Restore and answered LSD005/422 by POST …/restore — and the
+// daemon goes on serving the live session beside it.
+func TestRestoreShortAckLaneRefused(t *testing.T) {
+	ctx := context.Background()
+	_, client := newTestServer(t, Config{})
+	prog := submitTestSpec(t, client)
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Run(ctx, sess.ID, 20); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := client.Snapshot(ctx, sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotLanes
+	if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Status[core.SigAck] = snap.Status[core.SigAck][1:]
+	var crafted bytes.Buffer
+	if err := gob.NewEncoder(&crafted).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	local, err := lss.CompileFile("simd_test.lss", testSpec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := fmt.Sprintf("%016x", snap.Fingerprint); fp != prog.Fingerprint {
+		t.Fatalf("crafted snapshot fingerprint %s != program %s", fp, prog.Fingerprint)
+	}
+	if _, err := local.Restore(bytes.NewReader(crafted.Bytes())); err == nil {
+		t.Fatal("Program.Restore accepted a snapshot with a short ack lane")
+	}
+	_, err = client.RestoreSession(ctx, prog.ID, bytes.NewReader(crafted.Bytes()))
+	apiErr, ok := err.(*APIError)
+	if !ok || apiErr.Code != CodeSnapshotInvalid || apiErr.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("POST restore of a short ack lane: err %v, want %s/422", err, CodeSnapshotInvalid)
+	}
+	if st, err := client.Run(ctx, sess.ID, 10); err != nil || st.Cycle != 30 {
+		t.Fatalf("live session after the refused restore landed at %+v (err %v)", st, err)
 	}
 }
 

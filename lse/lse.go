@@ -87,8 +87,7 @@
 // # Program vs Sim
 //
 // A Program is the immutable compiled form of a netlist — static
-// schedule, cluster plan, payload-lane election and the assembly
-// recipe — and a Sim is one behavioral session over it. Compile (or
+// schedule, cluster plan and the assembly recipe — and a Sim is one behavioral session over it. Compile (or
 // CompileLSS) builds the Program once; Program.NewSim stamps fresh,
 // independent sessions with zero recompilation, safe to run concurrently
 // from many goroutines. The first NewSim called without session options
@@ -181,10 +180,6 @@ type (
 	Port = core.Port
 	// PortOpts customizes port arity and default control.
 	PortOpts = core.PortOpts
-	// PayloadKind declares what a port's data signals carry; Build uses
-	// it to elect each connection's storage lane (scalar fast lane vs
-	// boxed spill lane).
-	PayloadKind = core.PayloadKind
 	// ControlFn overrides default handshake resolution.
 	ControlFn = core.ControlFn
 	// Conn is one connection (data/enable/ack signal triple).
@@ -350,16 +345,6 @@ const (
 	SigData   = core.SigData
 	SigEnable = core.SigEnable
 	SigAck    = core.SigAck
-)
-
-// Payload kinds, declared via PortOpts.Payload. PayloadUint64 on a
-// driver (with no PayloadAny demand at the sink) elects the connection
-// into the uint64 scalar fast lane — zero-allocation sends through
-// Port.SendUint64 and reads through Port.Uint64/TransferredUint64.
-const (
-	PayloadUnspecified = core.PayloadUnspecified
-	PayloadUint64      = core.PayloadUint64
-	PayloadAny         = core.PayloadAny
 )
 
 // Scheduler kinds, accepted by WithScheduler. Both produce bit-identical

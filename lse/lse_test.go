@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -179,6 +180,11 @@ func TestScheduleSnapshot(t *testing.T) {
 	if snap.Schedule.Scheduler != "sparse" || snap.Schedule.SweepConns != 2 {
 		t.Fatalf("schedule section = %+v", snap.Schedule)
 	}
+	// The one data lane: the kept /v1 fields read as constants.
+	if snap.Schedule.ScalarConns != 0 || snap.Schedule.SpillConns != len(sim.Conns()) {
+		t.Fatalf("scalar_conns/spill_conns = %d/%d, want 0/%d",
+			snap.Schedule.ScalarConns, snap.Schedule.SpillConns, len(sim.Conns()))
+	}
 	var js bytes.Buffer
 	if err := lse.WriteStatsJSON(&js, sim); err != nil {
 		t.Fatal(err)
@@ -215,5 +221,47 @@ func TestScheduleSnapshot(t *testing.T) {
 	}
 	if err := lse.WriteScheduleReport(&rep, seq); err == nil {
 		t.Fatal("WriteScheduleReport succeeded without a static schedule")
+	}
+}
+
+// TestPayloadArgumentInert: the pcl data-path templates no longer read
+// payload, so like any undeclared template parameter it is ignored — an
+// instance passing payload = "uint64" builds, and the model's statistics
+// equal the same spec's without the argument.
+func TestPayloadArgumentInert(t *testing.T) {
+	const spec = `
+		instance tsrc : pcl.source(rate = 1.0, count = 300%[1]s);
+		instance tq   : pcl.queue(capacity = 8%[1]s);
+		instance tdly : pcl.delay(latency = 2%[1]s);
+		instance tsnk : pcl.sink(%[2]s);
+		tsrc.out -> tq.in;
+		tq.out   -> tdly.in;
+		tdly.out -> tsnk.in;
+		instance msrc : pcl.source(rate = 0.7, count = 200%[1]s);
+		instance mq   : pcl.queue(capacity = 4%[1]s);
+		instance msnk : pcl.sink();
+		msrc.out -> mq.in;
+		mq.out   -> msnk.in;
+	`
+	stats := func(src string) string {
+		t.Helper()
+		sim, err := lse.LoadLSS(src, lse.WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(400); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		sim.Stats().Dump(&out)
+		return out.String()
+	}
+	typed := stats(fmt.Sprintf(spec, `, payload = "uint64"`, `payload = "uint64"`))
+	plain := stats(fmt.Sprintf(spec, "", ""))
+	if typed != plain {
+		t.Fatalf("payload argument changed the statistics:\n--- with payload\n%s--- without\n%s", typed, plain)
+	}
+	if !strings.Contains(plain, "tsnk.received") {
+		t.Fatalf("statistics dump lacks the sink counter:\n%s", plain)
 	}
 }

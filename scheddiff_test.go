@@ -494,16 +494,12 @@ func TestMeshScheduleGolden(t *testing.T) {
 	}
 }
 
-// TestSchedulersAgreeOnTypedNetlists is the two-lane plane's differential
-// guard: random source → queue-chain → sink netlists where every module
-// independently declares payload "uint64" or "any", mixing scalar-lane,
-// spill-lane and forced-spill (mixed payload kinds) connections in one
-// netlist. The cycle hash covers both lanes — cycleHasher reads each
-// connection through Conn.Data, which serves scalar and spill values
-// alike — so lane election must never change what a model computes, only
-// where the bytes live. All values are uint64 end to end (boxed sources
-// get an explicit uint64 generator) so typed readers downstream of boxed
-// drivers exercise the spill-lane unboxing path.
+// TestSchedulersAgreeOnTypedNetlists: random source → queue-chain → sink
+// netlists where every module is passed payload "uint64" or "any" (which
+// the templates ignore) and sources passed "any" an explicit uint64
+// generator, so the values are uint64 end to end. The engine must match
+// the reference hash for hash (cycleHasher reads each connection's value
+// through Conn.Data).
 func TestSchedulersAgreeOnTypedNetlists(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		diffModel(t, typedRandomModel(seed))
@@ -515,15 +511,13 @@ func typedRandomModel(seed int64) model {
 		t.Helper()
 		b := core.NewBuilder(append(opts, lse.WithSeed(seed))...)
 		rng := rand.New(rand.NewSource(seed))
-		payloads := []string{"uint64", "uint64", "any"} // bias toward the fast lane
+		payloads := []string{"uint64", "uint64", "any"}
 		pick := func() string { return payloads[rng.Intn(len(payloads))] }
 		nChains := 2 + rng.Intn(3)
 		for c := 0; c < nChains; c++ {
 			srcPayload := pick()
 			srcParams := core.Params{"count": int64(20 + rng.Intn(30)), "payload": srcPayload}
 			if srcPayload != "uint64" {
-				// Keep the value domain uint64 everywhere so a typed reader
-				// downstream of this boxed driver can still unbox.
 				srcParams["gen"] = pcl.GenFn(func(rng *rand.Rand, cycle, seq uint64) (any, bool) {
 					return seq, true
 				})
@@ -555,15 +549,6 @@ func typedRandomModel(seed int64) model {
 		sim, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
-		}
-		scalarConns := 0
-		for _, c := range sim.Conns() {
-			if c.Scalar() {
-				scalarConns++
-			}
-		}
-		if info := sim.Schedule(); info != nil && info.ScalarConns != scalarConns {
-			t.Fatalf("schedule reports %d scalar conns, counted %d", info.ScalarConns, scalarConns)
 		}
 		return sim
 	}}
