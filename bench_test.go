@@ -362,69 +362,6 @@ func BenchmarkC7NICThroughput(b *testing.B) {
 	}
 }
 
-// meshTrafficAssemble assembles the 4x4 mesh under uniform traffic as a
-// core.Compile recipe, so the Program/Sim benchmarks stamp sessions from
-// one compiled netlist.
-func meshTrafficAssemble(bld *core.Builder) error {
-	nw, err := ccl.BuildMesh(bld, "net", ccl.MeshCfg{W: 4, H: 4})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nw.Nodes; i++ {
-		src, err := pcl.NewSource(fmt.Sprintf("src%d", i), core.Params{
-			"rate": 0.2,
-			"gen":  ccl.PacketGen(i, nw.Nodes, ccl.UniformPattern, ccl.FixedSize(2)),
-		})
-		if err != nil {
-			return err
-		}
-		snk, err := pcl.NewSink(fmt.Sprintf("snk%d", i), nil)
-		if err != nil {
-			return err
-		}
-		bld.Add(src)
-		bld.Add(snk)
-		if err := nw.ConnectSource(bld, i, src, "out"); err != nil {
-			return err
-		}
-		if err := nw.ConnectSink(bld, i, snk, "in"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BenchmarkNewSimFromProgram measures the Program/State split's payoff:
-// stamping a session from the compiled 4x4-mesh program (re-running only
-// the assembly recipe — no Tarjan, levelization or cluster planning) versus
-// compiling the whole program from scratch. The stamp path is what a
-// thousand-session parameter sweep pays per point.
-func BenchmarkNewSimFromProgram(b *testing.B) {
-	b.Run("compile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			prog, err := core.Compile(meshTrafficAssemble, core.WithSeed(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = prog
-		}
-	})
-	b.Run("stamp", func(b *testing.B) {
-		prog, err := core.Compile(meshTrafficAssemble, core.WithSeed(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim, err := prog.NewSim()
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim.Close()
-		}
-	})
-}
-
 // BenchmarkA2ContractCost isolates the 3-signal handshake's host cost: a
 // three-stage queue chain under the engine versus the same FIFO dataflow
 // as direct Go calls.
@@ -682,18 +619,4 @@ func BenchmarkObsOverhead(b *testing.B) {
 		run(b, core.WithMetrics(),
 			core.WithTracer(obs.NewEventTracer(4096).FilterInstances("cpu.*")))
 	})
-}
-
-// BenchmarkDataflowAnalyze measures the whole-program dataflow analysis
-// (the analysis behind LSE009–LSE013) over the 16x16
-// torus mesh — one large cyclic SCC, the fixed-point engine's worst
-// case: no finite round count converges, so the run pays the full
-// iteration budget and then the SCC widening.
-func BenchmarkDataflowAnalyze(b *testing.B) {
-	sim := buildDefaultMesh(b, 16, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.AnalyzeFlow(sim)
-	}
 }

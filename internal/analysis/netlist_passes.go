@@ -206,6 +206,46 @@ func passDeadStructure(s *core.Sim, r *Report) {
 	}
 }
 
+// sinkReachability computes backward reachability from the netlist's
+// sinks (instances with connections but no outgoing ones) over the
+// connection graph, for LSE004.
+func sinkReachability(s *core.Sim) (hasConn map[core.Instance]bool, reach map[core.Instance]bool) {
+	insts := s.Instances()
+	outDeg := make(map[core.Instance]int, len(insts))
+	hasConn = make(map[core.Instance]bool, len(insts))
+	preds := make(map[core.Instance][]core.Instance, len(insts))
+	for _, c := range s.Conns() {
+		sp, _ := c.Src()
+		dp, _ := c.Dst()
+		src, dst := sp.Owner(), dp.Owner()
+		outDeg[src]++
+		hasConn[src], hasConn[dst] = true, true
+		preds[dst] = append(preds[dst], src)
+	}
+	reach = make(map[core.Instance]bool, len(insts))
+	var stack []core.Instance
+	for _, inst := range insts {
+		if _, isComposite := asComposite(inst); isComposite {
+			continue
+		}
+		if hasConn[inst] && outDeg[inst] == 0 {
+			reach[inst] = true
+			stack = append(stack, inst)
+		}
+	}
+	for len(stack) > 0 {
+		inst := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range preds[inst] {
+			if !reach[p] {
+				reach[p] = true
+				stack = append(stack, p)
+			}
+		}
+	}
+	return hasConn, reach
+}
+
 // passActivity (LSE007) reports instances the sparse scheduler can never
 // activity-gate for a structural reason the author may not have intended:
 // a reactive handler with no connected input means the handler can never

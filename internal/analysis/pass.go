@@ -36,10 +36,6 @@ var (
 		{Code: "LSE004", Name: "deadcode", Doc: "dead structure: instances with no path to any sink", Run: passDeadStructure},
 		{Code: "LSE006", Name: "hierarchy", Doc: "composite exports bound to nothing", Run: passHierarchy},
 		{Code: "LSE007", Name: "activity", Doc: "instances the sparse scheduler can never activity-gate: reactive handler with no connected input", Run: passActivity},
-		{Code: "LSE009", Name: "consthandshake", Doc: "constant-driven handshakes: enable and ack provably resolve yes on every cycle", Run: passConstHandshake},
-		{Code: "LSE010", Name: "flowdead", Doc: "statically dead structure the dataflow lattice proves dead even though the connection graph says it is alive", Run: passFlowDead},
-		{Code: "LSE012", Name: "stall", Doc: "provable protocol stalls: the driver always enables but the sink provably never acks", Run: passProtocolStall},
-		{Code: "LSE013", Name: "foldable", Doc: "constant-foldable subnetlists: connected components whose every connection resolves to the same proven facts every cycle", Run: passFoldable},
 	}
 	specPasses = []SpecPass{
 		{Code: "LSE005", Name: "params", Doc: "unused or shadowed parameters and lets", Run: passParams},

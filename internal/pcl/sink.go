@@ -33,8 +33,7 @@ func NewSink(name string, p core.Params) (*Sink, error) {
 	s := &Sink{keep: p.Bool("keep", false), accept: p.Bool("accept", true)}
 	s.Init(name, s)
 	// Default control accepts everything — unless accept=false pins the
-	// ack to No, which the dataflow analysis sees as a provably stalled
-	// consumer (LSE012).
+	// ack to No.
 	var opts core.PortOpts
 	if !s.accept {
 		opts.DefaultAck = core.No

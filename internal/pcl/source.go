@@ -21,10 +21,9 @@ type Source struct {
 	core.Base
 	Out *core.Port
 
-	rate       float64
-	count      uint64 // 0 = unlimited
-	gen        GenFn
-	defaultGen bool // no gen param: sequence-number generator (never exhausts)
+	rate  float64
+	count uint64 // 0 = unlimited
+	gen   GenFn
 
 	pending []any // pending item per out conn (nil = empty)
 
@@ -49,7 +48,6 @@ func NewSource(name string, p core.Params) (*Source, error) {
 	if s.rate < 0 || s.rate > 1 {
 		return nil, &core.ParamError{Param: "rate", Detail: "must be in [0,1]"}
 	}
-	s.defaultGen = s.gen == nil
 	if s.gen == nil {
 		s.gen = func(rng *rand.Rand, cycle, seq uint64) (any, bool) { return int(seq), true }
 	}

@@ -418,46 +418,57 @@ func TestSchedulersAgreeOnBurstyNetlists(t *testing.T) {
 	}
 }
 
-// TestSchedulersAgreeOnPaperSystems holds the Figure 2(a)-(d) builders —
-// the CMP, the sensor network, the torus grid and the system of systems —
+// paperSystems are the Figure 2(a)-(d) builders — the CMP, the sensor
+// network, the torus grid and the system of systems — in the
+// configurations the differential suite and the lint pin use.
+var paperSystems = []struct {
+	name     string
+	seed     int64
+	cycles   uint64
+	assemble func(*core.Builder) error
+}{
+	{"fig2a-cmp", 1, 400, func(b *core.Builder) error {
+		_, err := systems.BuildCMP(b, "cmp", systems.CMPCfg{W: 2, H: 2, RefsPer: 60, Seed: 1})
+		return err
+	}},
+	{"fig2b-sensornet", 5, 400, func(b *core.Builder) error {
+		_, err := systems.BuildSensorNet(b, "sn", 3, 20, 40)
+		return err
+	}},
+	{"fig2c-grid", 2, 300, func(b *core.Builder) error {
+		_, err := systems.BuildCMP(b, "grid", systems.CMPCfg{W: 4, H: 2, Torus: true, RefsPer: 40, Seed: 2})
+		return err
+	}},
+	{"fig2d-sos", 9, 400, func(b *core.Builder) error {
+		_, err := systems.BuildSoS(b, "sos", systems.SoSCfg{
+			Clusters: 2, SensorsPer: 2, SamplesPer: 16, Threshold: 10, Batch: 4,
+		})
+		return err
+	}},
+}
+
+// buildSystem builds one assembly recipe into a simulator.
+func buildSystem(t testing.TB, seed int64, assemble func(*core.Builder) error, opts ...lse.BuildOption) *core.Sim {
+	t.Helper()
+	b := core.NewBuilder(append(opts, lse.WithSeed(seed))...)
+	if err := assemble(b); err != nil {
+		t.Fatal(err)
+	}
+	sim, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// TestSchedulersAgreeOnPaperSystems holds the Figure 2(a)-(d) builders
 // to the oracle, untraced and under check mode included: these are the
 // models whose clusters close in the benchmark.
 func TestSchedulersAgreeOnPaperSystems(t *testing.T) {
-	system := func(name string, seed int64, cycles uint64, assemble func(*core.Builder) error) model {
-		return model{name, cycles, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
-			t.Helper()
-			b := core.NewBuilder(append(opts, lse.WithSeed(seed))...)
-			if err := assemble(b); err != nil {
-				t.Fatal(err)
-			}
-			sim, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sim
-		}}
-	}
-	for _, m := range []model{
-		system("fig2a-cmp", 1, 400, func(b *core.Builder) error {
-			_, err := systems.BuildCMP(b, "cmp", systems.CMPCfg{W: 2, H: 2, RefsPer: 60, Seed: 1})
-			return err
-		}),
-		system("fig2b-sensornet", 5, 400, func(b *core.Builder) error {
-			_, err := systems.BuildSensorNet(b, "sn", 3, 20, 40)
-			return err
-		}),
-		system("fig2c-grid", 2, 300, func(b *core.Builder) error {
-			_, err := systems.BuildCMP(b, "grid", systems.CMPCfg{W: 4, H: 2, Torus: true, RefsPer: 40, Seed: 2})
-			return err
-		}),
-		system("fig2d-sos", 9, 400, func(b *core.Builder) error {
-			_, err := systems.BuildSoS(b, "sos", systems.SoSCfg{
-				Clusters: 2, SensorsPer: 2, SamplesPer: 16, Threshold: 10, Batch: 4,
-			})
-			return err
-		}),
-	} {
-		diffModel(t, m)
+	for _, ps := range paperSystems {
+		diffModel(t, model{ps.name, ps.cycles, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
+			return buildSystem(t, ps.seed, ps.assemble, opts...)
+		}})
 	}
 }
 
