@@ -165,10 +165,13 @@ func main() {
 	if *events > 0 {
 		ev = lse.NewEventTracer(*events)
 	}
-	if *profile || ev != nil || *metricsAddr != "" {
+	if *profile || *metricsAddr != "" {
 		// A live metrics endpoint implies scheduler metrics: the snapshot
 		// it serves is empty without them.
-		opts = append(opts, lse.WithObserver(&lse.Observer{Metrics: *profile || *metricsAddr != "", Events: ev}))
+		opts = append(opts, lse.WithMetrics())
+	}
+	if ev != nil {
+		opts = append(opts, lse.WithTracer(ev))
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *execTrace)
 	if err != nil {

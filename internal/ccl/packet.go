@@ -1,6 +1,7 @@
 package ccl
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -69,6 +70,44 @@ func HotspotPattern(hotspot int, p float64) PatternFn {
 // NeighborPattern sends to the next node in ring order (nearest-neighbor
 // traffic).
 func NeighborPattern(rng *rand.Rand, src, n int) int { return (src + 1) % n }
+
+// patternParams are what the named patterns read beyond the node count:
+// the hot node and its share of the traffic for "hotspot", the one
+// destination for "fixed".
+type patternParams struct {
+	hotspot int
+	hotprob float64
+	dst     int
+}
+
+// patternByName returns the named traffic pattern over nodes nodes. It is
+// the one parser behind the ccl.pktsource template's pattern parameter and
+// SweepCfg.Pattern; each caller supplies its own patternParams.
+func patternByName(name string, nodes int, pp patternParams) (PatternFn, error) {
+	switch name {
+	case "uniform":
+		return UniformPattern, nil
+	case "transpose":
+		w := 1
+		for w*w < nodes {
+			w++
+		}
+		if w*w != nodes {
+			return nil, errors.New("transpose needs a square node count")
+		}
+		return TransposePattern(w), nil
+	case "complement":
+		return BitComplementPattern, nil
+	case "hotspot":
+		return HotspotPattern(pp.hotspot, pp.hotprob), nil
+	case "neighbor":
+		return NeighborPattern, nil
+	case "fixed":
+		dst := pp.dst
+		return func(*rand.Rand, int, int) int { return dst }, nil
+	}
+	return nil, fmt.Errorf("unknown pattern %q", name)
+}
 
 // SizeFn chooses a packet's size in flits.
 type SizeFn func(rng *rand.Rand) int

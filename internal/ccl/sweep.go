@@ -19,7 +19,7 @@ type SweepCfg struct {
 	Torus    bool
 	Adaptive bool
 	VCs      int
-	Pattern  string // uniform, transpose, complement, hotspot, neighbor
+	Pattern  string // uniform, transpose, complement, hotspot, neighbor, fixed
 	Size     int    // flits per packet
 	Cycles   uint64
 	Warmup   uint64
@@ -70,29 +70,6 @@ type SweepPoint struct {
 	PowerMw     float64 // total network power
 	DynamicMw   float64
 	LeakageMw   float64
-}
-
-func patternByName(name string, nodes int) (PatternFn, error) {
-	switch name {
-	case "uniform":
-		return UniformPattern, nil
-	case "transpose":
-		w := 1
-		for w*w < nodes {
-			w++
-		}
-		if w*w != nodes {
-			return nil, fmt.Errorf("ccl: transpose requires a square network")
-		}
-		return TransposePattern(w), nil
-	case "complement":
-		return BitComplementPattern, nil
-	case "hotspot":
-		return HotspotPattern(0, 0.3), nil
-	case "neighbor":
-		return NeighborPattern, nil
-	}
-	return nil, fmt.Errorf("ccl: unknown traffic pattern %q", name)
 }
 
 // SweepProgram is the compiled form of a sweep's netlist: the mesh,
@@ -149,9 +126,10 @@ func (sp *SweepProgram) assemble(b *core.Builder) error {
 	if err != nil {
 		return err
 	}
-	pattern, err := patternByName(cfg.Pattern, nw.Nodes)
+	// The sweep's hotspot is node 0 at p = 0.3 (and "fixed" sends to node 0).
+	pattern, err := patternByName(cfg.Pattern, nw.Nodes, patternParams{hotprob: 0.3})
 	if err != nil {
-		return err
+		return fmt.Errorf("ccl: %w", err)
 	}
 	for i := 0; i < nw.Nodes; i++ {
 		src, err := pcl.NewSource(fmt.Sprintf("src%d", i), core.Params{

@@ -2,6 +2,7 @@ package ccl
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	core "liberty/internal/core"
@@ -50,6 +51,44 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	for i := range rates {
 		if parallel[i] != serial[i] {
 			t.Errorf("rate %g: Parallel 2 measured %+v, Parallel 1 %+v", rates[i], parallel[i], serial[i])
+		}
+	}
+}
+
+// TestPatternNamesBothCallers: the ccl.pktsource template and the sweep
+// read pattern names through the one patternByName, so every name builds
+// through both, and both refuse a non-square transpose and an unknown name
+// with the same detail.
+func TestPatternNamesBothCallers(t *testing.T) {
+	tpl, ok := core.DefaultRegistry.Lookup("ccl.pktsource")
+	if !ok {
+		t.Fatal("ccl.pktsource is not registered")
+	}
+	template := func(name string, nodes int) error {
+		_, err := tpl.Build(core.NewBuilder(), "src", core.Params{"nodes": nodes, "pattern": name})
+		return err
+	}
+	sweep := func(name string, w int) error {
+		_, err := NewSweepProgram(SweepCfg{W: w, H: 2, Cycles: 10, Pattern: name})
+		return err
+	}
+	for _, name := range []string{"uniform", "transpose", "complement", "hotspot", "neighbor", "fixed"} {
+		if err := template(name, 4); err != nil {
+			t.Errorf("template, pattern %q: %v", name, err)
+		}
+		if err := sweep(name, 2); err != nil {
+			t.Errorf("sweep, pattern %q: %v", name, err)
+		}
+	}
+	for _, tc := range []struct{ name, want string }{
+		{"transpose", "transpose needs a square node count"},
+		{"zigzag", `unknown pattern "zigzag"`},
+	} {
+		if err := template(tc.name, 6); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("template, pattern %q on 6 nodes: %v, want %q", tc.name, err, tc.want)
+		}
+		if err := sweep(tc.name, 3); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("sweep, pattern %q on 3x2: %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package ccl
 
 import (
 	"fmt"
-	"math/rand"
 
 	core "liberty/internal/core"
 	"liberty/internal/pcl"
@@ -90,30 +89,11 @@ func init() {
 		Build: func(b *core.Builder, name string, p core.Params) (core.Instance, error) {
 			node := p.Int("node", 0)
 			nodes := p.Int("nodes", 2)
-			var pattern PatternFn
-			switch pat := p.Str("pattern", "uniform"); pat {
-			case "uniform":
-				pattern = UniformPattern
-			case "transpose":
-				w := 1
-				for w*w < nodes {
-					w++
-				}
-				if w*w != nodes {
-					return nil, &core.ParamError{Param: "pattern", Detail: "transpose needs a square node count"}
-				}
-				pattern = TransposePattern(w)
-			case "complement":
-				pattern = BitComplementPattern
-			case "hotspot":
-				pattern = HotspotPattern(p.Int("hotspot", 0), p.Float("hotprob", 0.5))
-			case "neighbor":
-				pattern = NeighborPattern
-			case "fixed":
-				dst := p.Int("dst", 0)
-				pattern = func(rng *rand.Rand, src, n int) int { return dst }
-			default:
-				return nil, &core.ParamError{Param: "pattern", Detail: fmt.Sprintf("unknown pattern %q", pat)}
+			pattern, err := patternByName(p.Str("pattern", "uniform"), nodes, patternParams{
+				hotspot: p.Int("hotspot", 0), hotprob: p.Float("hotprob", 0.5), dst: p.Int("dst", 0),
+			})
+			if err != nil {
+				return nil, &core.ParamError{Param: "pattern", Detail: err.Error()}
 			}
 			gen := PacketGen(node, nodes, pattern, FixedSize(p.Int("size", 4)))
 			return newSourceWithGen(b, name, p, gen)

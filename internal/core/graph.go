@@ -169,7 +169,7 @@ func (s *Sim) SCCs() []SCC {
 // chain), ack level (longest successor chain), and taint flags: an SCC is
 // forward-tainted when it is cyclic or any ancestor is, ack-tainted when
 // it is cyclic or any descendant is. Tainted connections cannot be
-// statically ordered and fall to the runtime worklist.
+// statically ordered: the reference's default round resolves them.
 func (g *moduleGraph) levelize(conns []*Conn) (fwdLevel, ackLevel []int, fwdTaint, ackTaint []bool) {
 	fwdLevel = make([]int, g.nSCC)
 	ackLevel = make([]int, g.nSCC)

@@ -44,9 +44,9 @@ func (s *Sim) bindLanes() {
 // With no tracer attached, called legally (right direction, write phase,
 // lanes in range), the guards are hoisted out of the loop and each
 // resolution is a store into the plane lane plus the bookkeeping
-// Conn.resolve does: the resolved count, the residue worklist's note, one
-// wake of the observing instance (the enable resolution's second wake of
-// the same instance is a no-op: nothing ran in between to unschedule it).
+// Conn.resolve does: the resolved count and one wake of the observing
+// instance (the enable resolution's second wake of the same instance is a
+// no-op: nothing ran in between to unschedule it).
 // Every other call runs the loop above verbatim, so tracers see each
 // resolution in lane order and an illegal call raises the single-lane
 // operation's contract error at the lane it would have.
@@ -70,7 +70,6 @@ func (p *Port) quiet(k SigKind, lo, hi int) {
 		return
 	}
 	lane, enable := s.plane.lanes[k], s.plane.lanes[SigEnable]
-	note := s.residueOn
 	for i, slot := range p.slots[lo:hi] {
 		j := lo + i
 		if lane[slot] != uint32(Unknown) {
@@ -78,9 +77,6 @@ func (p *Port) quiet(k SigKind, lo, hi int) {
 		}
 		lane[slot] = uint32(No)
 		s.resolved[k]++
-		if note {
-			s.noteResolve(p.conns[j], k)
-		}
 		s.wake(p.peers[j])
 		if k == SigAck {
 			continue
@@ -91,9 +87,6 @@ func (p *Port) quiet(k SigKind, lo, hi int) {
 		}
 		enable[slot] = uint32(No)
 		s.resolved[SigEnable]++
-		if note {
-			s.noteResolve(p.conns[j], SigEnable)
-		}
 	}
 }
 

@@ -165,8 +165,8 @@ func runLaneOp(p *Port, op, lo, hi int, fused bool) string {
 // Phases an operation can fire in.
 const (
 	lanePhaseStart   = iota // the hub's OnCycleStart, after the lane states are set
-	lanePhaseReact          // the hub's first react outside a residue run
-	lanePhaseResidue        // the hub's first react inside a residue run
+	lanePhaseReact          // the hub's first react before default control
+	lanePhaseResidue        // the hub's first react woken by a default-control resolution
 	lanePhaseEnd            // the hub's OnCycleEnd
 	lanePhases
 )
@@ -242,6 +242,9 @@ type laneHub struct {
 	out, in *Port
 	rig     *laneRig
 	fired   bool
+	// defaults is the default-control count at cycle start: a react that
+	// sees it grown runs in a drain a default resolution started.
+	defaults uint64
 }
 
 type lanePeer struct {
@@ -283,10 +286,6 @@ func (r *laneRig) capture() {
 	for _, b := range s.queue[s.qhead:] {
 		fmt.Fprintf(&r.log, " %s", b.name)
 	}
-	fmt.Fprintf(&r.log, "\n residue")
-	for _, c := range s.resolvedBuf {
-		fmt.Fprintf(&r.log, " c%d", c.id)
-	}
 	m := s.metrics
 	fmt.Fprintf(&r.log, "\n wakes %d reacts %d defaults %d/%d/%d breaks %d/%d/%d iters %d\n",
 		m.Wakes(), m.Reacts(),
@@ -301,6 +300,7 @@ func newLaneHub(r *laneRig) *laneHub {
 	h.in = h.AddInPort("in")
 	h.OnCycleStart(func() {
 		h.fired = false
+		h.defaults = defaultCount(h.sim)
 		cy := r.cycle()
 		for j := 0; j < h.out.Width(); j++ {
 			switch cy.outData[j] {
@@ -325,7 +325,7 @@ func newLaneHub(r *laneRig) *laneHub {
 		h.fire(lanePhaseStart)
 	})
 	h.OnReact(func() {
-		if h.sim.residueOn {
+		if defaultCount(h.sim) > h.defaults {
 			h.fire(lanePhaseResidue)
 		} else {
 			h.fire(lanePhaseReact)
@@ -342,6 +342,12 @@ func newLaneHub(r *laneRig) *laneHub {
 		}
 	})
 	return h
+}
+
+// defaultCount is how many signals default control has resolved so far.
+func defaultCount(s *Sim) uint64 {
+	m := s.metrics
+	return m.DefaultFallbacks(SigData) + m.DefaultFallbacks(SigEnable) + m.DefaultFallbacks(SigAck)
 }
 
 func newLanePeer(r *laneRig, k int) *lanePeer {
@@ -495,7 +501,7 @@ func TestLaneOpsEquivalence(t *testing.T) {
 				}
 			}
 			for phase, n := range fires {
-				if n == 0 && !(phase == lanePhaseResidue && d.name == "single-writer") {
+				if n == 0 {
 					t.Errorf("no operation ever fired in phase %d", phase)
 				}
 			}

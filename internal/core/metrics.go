@@ -14,11 +14,11 @@ const reactSampleMask = 7
 // Metrics aggregates scheduler-level observability counters: where each
 // cycle's work went — reactive wakes, fixed-point iterations,
 // default-control fallbacks — and per-instance react activity.
-// Collection is enabled with WithMetrics (or via an observability
-// Observer); when disabled the scheduler pays a single nil check per
-// event. All counters are atomic: the stepping goroutine is their only
-// writer, but a live reader (lsc -metrics-addr, lsd /metrics) loads them
-// from another goroutine while the session steps.
+// Collection is enabled with WithMetrics; when disabled the scheduler
+// pays a single nil check per event. All counters are atomic: the
+// stepping goroutine is their only writer, but a live reader (lsc
+// -metrics-addr, lsd /metrics) loads them from another goroutine while
+// the session steps.
 type Metrics struct {
 	cycles atomic.Uint64
 	wakes  atomic.Uint64
@@ -61,9 +61,10 @@ func (m *Metrics) Reacts() uint64 { return m.reacts.Load() }
 // passes that executed at least one handler — default-control
 // resolution re-runs the fixed point after every applied default, so
 // this counts how many times quiescence was re-established. Under the
-// engine: residue worklist steps, i.e. defaults applied inside or
-// downstream of a dependency cycle; exactly zero when the module graph
-// is acyclic.
+// engine: the same count taken only in the reference's default round,
+// which the engine runs after its static sweep — drain passes that ran a
+// handler after a default applied inside or downstream of a dependency
+// cycle; exactly zero when the module graph is acyclic.
 func (m *Metrics) FixedPointIters() uint64 { return m.iters.Load() }
 
 // DefaultFallbacks returns the number of signals of kind k resolved by

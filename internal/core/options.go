@@ -15,8 +15,9 @@ const (
 	// SchedulerSparse is the engine, and the zero value. At compile time
 	// the module graph is condensed into strongly connected components and
 	// levelized: acyclic levels default in one statically ordered sweep,
-	// only the residue inside or downstream of a dependency cycle iterates
-	// on a worklist (schedule.go). Each cycle that sweep runs over only the
+	// and the residue inside or downstream of a dependency cycle resolves
+	// by the reference's own default round (schedule.go). Each cycle that
+	// sweep runs over only the
 	// combinational clusters something was offered to: a cluster whose
 	// cycle-start signals read as they did when it last resolved with no
 	// data offered closes for the cycle — its connections keep ("replay")

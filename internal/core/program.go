@@ -19,9 +19,9 @@ import (
 // Sharing contract (DESIGN.md Appendix E): everything reachable from a
 // Program after Compile returns is read-only, with one exception — the
 // first-session slot, claimed once by an atomic swap. Sessions index the
-// shared [][]int32 schedule levels and residues by connection id but write
-// only their own plane, scratch and instance state, which is what makes
-// concurrent NewSim+Run sessions data-race-free.
+// shared [][]int32 schedule levels by connection id but write only their
+// own plane, scratch and instance state, which is what makes concurrent
+// NewSim+Run sessions data-race-free.
 
 // Program is the immutable compiled form of a netlist. It is safe for
 // concurrent use: any number of goroutines may call NewSim and run the

@@ -6,8 +6,9 @@ package core
 // does (schedule.go, sparse.go) is tested for bit-identity against this
 // loop. It shares with the engine the signal plane (signal.go), the
 // wake/drain queue, applyDefault — the one statement of default control —
-// and verifyResolved; it has no static schedule, no clusters and no
-// replay: every cycle resolves every signal from Unknown.
+// defaultRound, which resolves the engine's cyclic residue after its
+// static sweep, and verifyResolved; it has no static schedule, no clusters
+// and no replay: every cycle resolves every signal from Unknown.
 
 // stepReference is one time-step of the reference.
 func (s *Sim) stepReference() {
@@ -89,6 +90,11 @@ func (s *Sim) settle() {
 // killed at the head. A genuine dependency cycle — a scan that finds
 // unresolved signals and can default none — is broken at the lowest-id
 // unresolved connection.
+//
+// The engine runs this same round after its static sweep (applyDefaults),
+// where only the cyclic residue is still Unknown; on an acyclic netlist
+// the resolved[k] count already reads complete and the round returns at
+// once.
 func (s *Sim) defaultRound(k SigKind) {
 	for s.resolved[k] < len(s.conns) {
 		progress, blocked := false, false

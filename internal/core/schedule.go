@@ -5,18 +5,16 @@ package core
 // signal direction, into either a levelized sweep — connections whose
 // default can be applied in one statically-ordered pass, because every
 // dependency lives in a strictly earlier level — or a residue of
-// connections inside or downstream of a dependency cycle, which iterate
-// at runtime on a worklist seeded by dirty signals. The per-cycle result
-// is bit-identical to the reference's fixed point: default values depend
-// only on the connection's own earlier-round signals, reactive handlers
-// are monotonic, and cycle breaks fire at the same lowest-id unresolved
-// connection the reference's scanner would pick.
+// connections inside or downstream of a dependency cycle. At run time the
+// sweep goes first and the reference's own default round
+// (reference.go defaultRound) resolves whatever it left: on an acyclic
+// netlist nothing, so the round returns at once; on a cyclic one the
+// residue, rescanned and broken at the lowest-id Unknown connection
+// exactly as the reference does.
 //
 // The compiled schedule lives on the Program and is shared read-only by
-// every session: levels, residues and dependency lists are connection-id
-// slices ([][]int32), and each Sim resolves ids against its own conns.
-// The runtime worklist scratch (remaining counts, ready queue) is
-// per-session state on the Sim.
+// every session: levels are connection-id slices ([][]int32), and each
+// Sim resolves ids against its own conns.
 
 // ScheduleInfo describes the static schedule and cluster plan the engine
 // computed at compile time. Sim.Schedule returns nil under the reference.
@@ -86,22 +84,10 @@ type ScheduleInfo struct {
 
 // progSchedule is the compiled static schedule, shared read-only across
 // every session of a Program. All connection references are ids into the
-// session's conns slice; the per-module dependency lists alias one
-// backing slice per module.
+// session's conns slice.
 type progSchedule struct {
-	fwdLevels  [][]int32 // static sweep batches for data/enable, id-ordered within a level
-	ackLevels  [][]int32 // static sweep batches for ack
-	fwdResidue []int32   // id-ordered connections needing runtime iteration
-	ackResidue []int32
-
-	// Per-connection dependency and dependent lists, shared per module:
-	// forward deps of c are the inputs of c's driving module, forward
-	// dependents the outputs of c's receiving module; ack direction is
-	// the mirror image.
-	fwdDeps       [][]int32
-	ackDeps       [][]int32
-	fwdDependents [][]int32
-	ackDependents [][]int32
+	fwdLevels [][]int32 // static sweep batches for data/enable, id-ordered within a level
+	ackLevels [][]int32 // static sweep batches for ack
 
 	info ScheduleInfo
 }
@@ -126,20 +112,8 @@ func buildSchedule(instances []Instance, conns []*Conn) *progSchedule {
 	g := buildModuleGraph(instances, conns)
 	fwdLevel, ackLevel, fwdTaint, ackTaint := g.levelize(conns)
 
-	nm := len(instances)
-	moduleIns := make([][]int32, nm)
-	moduleOuts := make([][]int32, nm)
-	for _, c := range conns {
-		moduleOuts[c.src.owner.id] = append(moduleOuts[c.src.owner.id], int32(c.id))
-		moduleIns[c.dst.owner.id] = append(moduleIns[c.dst.owner.id], int32(c.id))
-	}
-
-	sc := &progSchedule{
-		fwdDeps:       make([][]int32, len(conns)),
-		ackDeps:       make([][]int32, len(conns)),
-		fwdDependents: make([][]int32, len(conns)),
-		ackDependents: make([][]int32, len(conns)),
-	}
+	sc := &progSchedule{}
+	info := &sc.info
 	maxFwd, maxAck := 0, 0
 	for _, c := range conns {
 		if l := fwdLevel[g.sccOf[c.src.owner.id]]; l > maxFwd {
@@ -151,20 +125,16 @@ func buildSchedule(instances []Instance, conns []*Conn) *progSchedule {
 	}
 	sc.fwdLevels = make([][]int32, maxFwd+1)
 	sc.ackLevels = make([][]int32, maxAck+1)
-	// conns is id-ordered, so appending in order keeps every level and
-	// residue list pre-sorted by connection id.
+	// conns is id-ordered, so appending in order keeps every level
+	// pre-sorted by connection id.
 	for _, c := range conns {
-		sc.fwdDeps[c.id] = moduleIns[c.src.owner.id]
-		sc.ackDeps[c.id] = moduleOuts[c.dst.owner.id]
-		sc.fwdDependents[c.id] = moduleOuts[c.dst.owner.id]
-		sc.ackDependents[c.id] = moduleIns[c.src.owner.id]
 		if fs := g.sccOf[c.src.owner.id]; fwdTaint[fs] {
-			sc.fwdResidue = append(sc.fwdResidue, int32(c.id))
+			info.ResidueConns++
 		} else {
 			sc.fwdLevels[fwdLevel[fs]] = append(sc.fwdLevels[fwdLevel[fs]], int32(c.id))
 		}
 		if as := g.sccOf[c.dst.owner.id]; ackTaint[as] {
-			sc.ackResidue = append(sc.ackResidue, int32(c.id))
+			info.AckResidueConns++
 		} else {
 			sc.ackLevels[ackLevel[as]] = append(sc.ackLevels[ackLevel[as]], int32(c.id))
 		}
@@ -172,9 +142,8 @@ func buildSchedule(instances []Instance, conns []*Conn) *progSchedule {
 	sc.fwdLevels = compactLevels(sc.fwdLevels)
 	sc.ackLevels = compactLevels(sc.ackLevels)
 
-	info := &sc.info
 	info.Scheduler = SchedulerSparse
-	info.Modules = nm
+	info.Modules = len(instances)
 	info.SCCs = g.nSCC
 	for scc, cyc := range g.cyclic {
 		if g.sccSize[scc] > info.LargestSCC {
@@ -192,8 +161,6 @@ func buildSchedule(instances []Instance, conns []*Conn) *progSchedule {
 	for _, lvl := range sc.ackLevels {
 		info.AckSweepConns += len(lvl)
 	}
-	info.ResidueConns = len(sc.fwdResidue)
-	info.AckResidueConns = len(sc.ackResidue)
 	// The break site of a cyclic SCC is its lowest-id internal
 	// connection: the first one the stall scan reaches.
 	seen := make(map[int]bool)
@@ -240,19 +207,19 @@ func compactLevels(levels [][]int32) [][]int32 {
 }
 
 // applyDefaults is the engine's default-control phase: per round (data,
-// enable, ack), first the static sweep, then the residue worklist. Both
-// skip cells that are resolved already — by handlers, or because a closed
-// cluster holds them — so full and steady cycles walk the one schedule.
-// The reference's re-scanning fixed point (reference.go) is what it must
-// equal.
+// enable, ack), first the static sweep, then the reference's own default
+// round for the residue. Both skip cells that are resolved already — by
+// handlers, or because a closed cluster holds them — and the round returns
+// at once when the resolved[k] count says nothing is left, so full and
+// steady cycles walk the one schedule.
 func (s *Sim) applyDefaults() {
 	sc := s.schedule
 	s.sweep(SigData, sc.fwdLevels)
-	s.runResidue(SigData, sc.fwdResidue, sc.fwdDeps, sc.fwdDependents)
+	s.defaultRound(SigData)
 	s.sweep(SigEnable, sc.fwdLevels)
-	s.runResidue(SigEnable, sc.fwdResidue, sc.fwdDeps, sc.fwdDependents)
+	s.defaultRound(SigEnable)
 	s.sweep(SigAck, sc.ackLevels)
-	s.runResidue(SigAck, sc.ackResidue, sc.ackDeps, sc.ackDependents)
+	s.defaultRound(SigAck)
 }
 
 // sweep applies defaults level by level. Connections within one level
@@ -281,103 +248,4 @@ func (s *Sim) sweep(k SigKind, levels [][]int32) {
 			s.drain()
 		}
 	}
-}
-
-// runResidue resolves the cyclic residue of signal kind k with a
-// worklist: each connection tracks how many of its dependencies are
-// still unresolved; resolutions observed during reactive drains
-// decrement the counts and feed newly eligible connections into the
-// ready queue. When the queue stalls with connections outstanding, a
-// genuine dependency cycle is broken at the lowest-id unresolved
-// connection — the same site the reference's scanner picks. The worklist
-// scratch (remaining counts, ready queue) is session state on the Sim;
-// the id lists are the program's shared compiled schedule.
-func (s *Sim) runResidue(k SigKind, ids []int32, deps, dependents [][]int32) {
-	if len(ids) == 0 || s.resolved[k] == len(s.conns) {
-		return
-	}
-	if s.schedRemaining == nil {
-		s.schedRemaining = make([]int32, len(s.conns))
-	}
-	pending := 0
-	ready := s.schedReady[:0]
-	for _, id := range ids {
-		c := s.conns[id]
-		if c.status(k) != Unknown {
-			s.schedRemaining[id] = -1
-			continue
-		}
-		n := int32(0)
-		for _, d := range deps[id] {
-			if s.conns[d].status(k) == Unknown {
-				n++
-			}
-		}
-		s.schedRemaining[id] = n
-		pending++
-		if n == 0 {
-			ready = append(ready, id)
-		}
-	}
-	s.residueKind = k
-	s.residueOn = true
-	defer func() { s.residueOn = false }()
-	head := 0
-	for pending > 0 {
-		var c *Conn
-		if head < len(ready) {
-			c = s.conns[ready[head]]
-			head++
-			if c.status(k) != Unknown {
-				continue // resolved by a reactive handler meanwhile
-			}
-		} else {
-			// Stall: break the cycle at the lowest-id unresolved conn.
-			for _, id := range ids {
-				if s.conns[id].status(k) == Unknown {
-					c = s.conns[id]
-					break
-				}
-			}
-			if m := s.metrics; m != nil {
-				m.breaks[k].Add(1)
-			}
-		}
-		if m := s.metrics; m != nil {
-			m.iters.Add(1)
-		}
-		s.applyDefault(c, k)
-		s.drain()
-		// Fold the resolutions the drain produced back into the
-		// worklist.
-		for _, rc := range s.resolvedBuf {
-			if s.schedRemaining[rc.id] >= 0 {
-				s.schedRemaining[rc.id] = -1
-				pending--
-			}
-			for _, d := range dependents[rc.id] {
-				if s.schedRemaining[d] > 0 {
-					s.schedRemaining[d]--
-					if s.schedRemaining[d] == 0 {
-						ready = append(ready, d)
-					}
-				}
-			}
-		}
-		s.resolvedBuf = s.resolvedBuf[:0]
-	}
-	s.schedReady = ready[:0]
-}
-
-// noteResolve feeds kind-k resolutions to the active residue worklist.
-// Called from raise on every successful resolution; the recording slow
-// path is split out so the idle-worklist flag check inlines.
-func (s *Sim) noteResolve(c *Conn, k SigKind) {
-	if s.residueOn && k == s.residueKind {
-		s.noteResolveSlow(c)
-	}
-}
-
-func (s *Sim) noteResolveSlow(c *Conn) {
-	s.resolvedBuf = append(s.resolvedBuf, c)
 }

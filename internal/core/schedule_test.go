@@ -101,7 +101,7 @@ func TestSequentialRunsAreReproducible(t *testing.T) {
 }
 
 // TestLevelizedMatchesSequential is the engine's confluence property:
-// its static sweep and residue worklist must produce per-cycle signal
+// its static sweep and residue round must produce per-cycle signal
 // statuses bit-identical to the reference's scanner on arbitrary
 // netlists. (The recorder is a tracer, so every cluster stays open;
 // closing is held to the reference in sparse_test.go and the root
@@ -234,35 +234,38 @@ func TestLevelizedMetricsGolden(t *testing.T) {
 	}
 }
 
-// TestLevelizedResidueIters: on the two-module loop every default is a
-// residue worklist step, so the engine's iteration count equals the
-// defaults applied — and cycle breaks match the reference's. No start
-// handler reaches the loop, so it would be held after cycle 0; check mode
-// evaluates it every cycle.
+// TestLevelizedResidueIters: the two-module loop is all residue, which the
+// engine resolves with the reference's own default round, so its
+// fixed-point iterations and cycle breaks equal the reference's — one
+// break per kind per cycle. No start handler reaches the loop, so it would
+// be held after cycle 0; check mode evaluates it every cycle.
 func TestLevelizedResidueIters(t *testing.T) {
-	b := core.NewBuilder(core.WithMetrics(), core.WithActivityCheck())
-	x := newDeadEnd("x")
-	y := newDeadEnd("y")
-	b.Add(x)
-	b.Add(y)
-	b.Connect(x, "out", y, "in")
-	b.Connect(y, "out", x, "in")
-	sim, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	const cycles = 3
-	if err := sim.Run(cycles); err != nil {
-		t.Fatal(err)
+	run := func(opts ...core.BuildOption) *core.Metrics {
+		b := core.NewBuilder(append([]core.BuildOption{core.WithMetrics()}, opts...)...)
+		x := newDeadEnd("x")
+		y := newDeadEnd("y")
+		b.Add(x)
+		b.Add(y)
+		b.Connect(x, "out", y, "in")
+		b.Connect(y, "out", x, "in")
+		sim, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(cycles); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Metrics()
 	}
-	m := sim.Metrics()
-	// Two defaults per kind per cycle, all via the residue worklist.
-	if got := m.FixedPointIters(); got != 3*2*cycles {
-		t.Errorf("fixed-point iters = %d, want %d", got, 3*2*cycles)
+	ref := run(core.WithScheduler(core.SchedulerSequential))
+	m := run(core.WithActivityCheck())
+	if got, want := m.FixedPointIters(), ref.FixedPointIters(); got != want {
+		t.Errorf("fixed-point iters = %d, reference %d", got, want)
 	}
 	for _, k := range []core.SigKind{core.SigData, core.SigEnable, core.SigAck} {
-		if got := m.CycleBreaks(k); got != cycles {
-			t.Errorf("cycle breaks[%s] = %d, want %d", k, got, cycles)
+		if got, want := m.CycleBreaks(k), ref.CycleBreaks(k); got != want || got != cycles {
+			t.Errorf("cycle breaks[%s] = %d, reference %d, want %d", k, got, want, cycles)
 		}
 	}
 }

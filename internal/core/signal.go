@@ -170,7 +170,6 @@ func (c *Conn) resolve(k SigKind, s Status) bool {
 	*cell = uint32(s)
 	sim.resolved[k]++
 	sim.onResolve(c, k, s)
-	sim.noteResolve(c, k)
 	// Wake the endpoint that observes this signal.
 	if k == SigAck {
 		sim.wake(c.src.owner)

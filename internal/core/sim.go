@@ -52,12 +52,6 @@ type Sim struct {
 	// written. The reference sweeps everything every cycle and ignores it.
 	needFull bool
 
-	// Residue-worklist scratch, per session (the id lists it
-	// walks are the program's). schedRemaining is allocated lazily on the
-	// first residue run, so acyclic netlists never pay for it.
-	schedRemaining []int32 // conn id -> unresolved dep count; -1 = not pending
-	schedReady     []int32
-
 	phase phase
 	// writable mirrors phase ∈ {phaseStart, phaseReact} as one flag so
 	// mustWritePhase — the guard on every signal write — is a single
@@ -85,12 +79,6 @@ type Sim struct {
 
 	queue []*Base // work queue (FIFO by wake order)
 	qhead int
-
-	// Residue-worklist plumbing: while a residue run is active, raise()
-	// reports each kind-matching resolution here.
-	residueOn   bool
-	residueKind SigKind
-	resolvedBuf []*Conn
 }
 
 // Close ends the session. It is the session-end hook every owner calls

@@ -13,8 +13,8 @@ import "fmt"
 // before any reactive handler does, a cluster whose frontier reads as in
 // its signature closes: its cells hold the signature, its members are
 // not woken, its resolutions are credited in bulk. Everything else
-// resolves through the ordinary sweep and residue worklist. Soundness rests on one
-// invariant: with no data offered, a reactive handler's drives are a
+// resolves through the ordinary sweep and the reference's default round
+// for the residue. Soundness rests on one invariant: with no data offered, a reactive handler's drives are a
 // function of the signals it observes (MarkAutonomous declares the
 // exceptions; WithActivityCheck finds the undeclared ones).
 

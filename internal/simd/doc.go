@@ -22,7 +22,7 @@
 //	POST   /v1/sessions/{id}/run             advance N cycles, cancellable with the request
 //	GET    /v1/sessions/{id}/observe         obs JSON statistics snapshot
 //	GET    /v1/sessions/{id}/metrics         alias of observe (the old /metrics, per session)
-//	GET    /v1/sessions/{id}/debug/vars      process expvar page
+//	GET    /v1/sessions/{id}/debug/vars      process expvar page (LSD002 for an unknown id)
 //	GET    /v1/sessions/{id}/snapshot        gob checkpoint (restorable by Program.Restore)
 //	DELETE /v1/sessions/{id}                 close and forget a session
 //	GET    /metrics, /debug/vars             single-session compatibility mode (SetLocal)

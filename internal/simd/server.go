@@ -127,7 +127,7 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/sessions/{id}/run", s.handleRun)
 	mux.HandleFunc("GET /v1/sessions/{id}/observe", s.handleObserve)
 	mux.HandleFunc("GET /v1/sessions/{id}/metrics", s.handleObserve)
-	mux.Handle("GET /v1/sessions/{id}/debug/vars", expvar.Handler())
+	mux.HandleFunc("GET /v1/sessions/{id}/debug/vars", s.handleSessionVars)
 	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", s.handleSnapshot)
 	// Single-session compatibility mode: the surface the retired
 	// obs.MetricsServer served, now just two more routes on the same mux.
@@ -489,6 +489,17 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ss.info())
+}
+
+// handleSessionVars serves the process-wide expvar page for a session
+// that exists, live or parked; like every other session route, an unknown
+// id is LSD002.
+func (s *Server) handleSessionVars(w http.ResponseWriter, r *http.Request) {
+	if _, ok := s.session(r.PathValue("id")); !ok {
+		writeError(w, CodeNotFound, "no session %q", r.PathValue("id"))
+		return
+	}
+	expvar.Handler().ServeHTTP(w, r)
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {

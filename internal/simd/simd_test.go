@@ -804,6 +804,68 @@ func TestLocalMetricsCompat(t *testing.T) {
 	}
 }
 
+// TestSessionDebugVars pins the per-session expvar route to the session
+// table: an id that never existed answers the LSD002 envelope like every
+// other session route, while a stamped session, live or parked, gets the
+// process-wide page.
+func TestSessionDebugVars(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	srv, client := newTestServer(t, Config{
+		ParkAfter: time.Minute, CheckpointDir: t.TempDir(), now: clock.now,
+	})
+	ctx := context.Background()
+	// The "liberty" var is published when a local simulator is attached.
+	sim, err := lss.Load(testSpec, nil, core.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	srv.SetLocal(sim)
+
+	get := func(id string) *http.Response {
+		t.Helper()
+		resp, err := client.httpClient().Get(client.Base + "/v1/sessions/" + id + "/debug/vars")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := get("s-none")
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 404 || env.Error == nil || env.Error.Code != CodeNotFound {
+		t.Fatalf("unknown session answered %d %+v, want 404 LSD002", resp.StatusCode, env.Error)
+	}
+
+	prog := submitTestSpec(t, client)
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, state := range []string{"live", "parked"} {
+		if state == "parked" {
+			clock.advance(2 * time.Minute)
+			srv.sweepIdle(clock.now())
+		}
+		resp := get(sess.ID)
+		var vars map[string]json.RawMessage
+		err := json.NewDecoder(resp.Body).Decode(&vars)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || err != nil {
+			t.Fatalf("%s session answered %d (%v), want 200", state, resp.StatusCode, err)
+		}
+		if _, ok := vars["liberty"]; !ok {
+			t.Fatalf("%s session's page is missing the liberty var", state)
+		}
+	}
+	if info, _ := client.SessionInfo(ctx, sess.ID); info.State != "parked" {
+		t.Fatalf("reading the page woke the parked session: %+v", info)
+	}
+}
+
 // TestGracefulShutdown pins the no-shutdown-path fix: cancelling the
 // context hands ListenAndServe a clean nil return after draining.
 func TestGracefulShutdown(t *testing.T) {

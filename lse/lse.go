@@ -26,8 +26,9 @@
 // the default; SchedulerAuto is the same value) is statically scheduled —
 // at build time the signal dependency graph is condensed into strongly
 // connected components and levelized, so acyclic regions resolve in one
-// deterministic sweep and only genuinely cyclic ones iterate on a
-// worklist — and runs that schedule each cycle over only the
+// deterministic sweep and only what the sweep leaves in or downstream of
+// a genuine cycle is resolved by the reference's own default round — and
+// runs that schedule each cycle over only the
 // combinational clusters something was offered to: a cluster (a router,
 // say) whose cycle-start signals read as they did when it last resolved
 // with no data offered replays that resolution instead of re-deriving it,
@@ -66,14 +67,14 @@
 //
 // # Observability
 //
-// Building with WithMetrics (or a WithObserver bundle) turns on scheduler
-// metrics: reactive wakes, fixed-point iterations, default-control
-// fallbacks per signal kind, and a sampled per-instance react-time
-// profile. The obs exporters turn a simulator
-// into machine-readable artifacts:
+// Building with WithMetrics turns on scheduler metrics: reactive wakes,
+// fixed-point iterations, default-control fallbacks per signal kind, and a
+// sampled per-instance react-time profile; WithTracer attaches an event
+// tracer. The obs exporters turn a simulator into machine-readable
+// artifacts:
 //
 //	ev := lse.NewEventTracer(256).FilterInstances("router*")
-//	sim, _ := b.Build(lse.WithObserver(&lse.Observer{Metrics: true, Events: ev}))
+//	sim, _ := b.Build(lse.WithMetrics(), lse.WithTracer(ev))
 //	sim.Run(10_000)
 //	lse.WriteStatsJSON(os.Stdout, sim)    // full JSON snapshot
 //	lse.WriteStatsCSV(f, sim)             // flat CSV rows
@@ -128,7 +129,7 @@
 //
 // This package is the single supported API: the Builder with functional
 // options (NewBuilder/Build with WithSeed, WithScheduler, WithTracer,
-// WithRegistry, WithMetrics, WithObserver, WithStrictAnalysis), the
+// WithRegistry, WithMetrics, WithStrictAnalysis), the
 // Program/Sim split (Compile, CompileLSS*, Program.NewSim, Sim.Snapshot,
 // Program.Restore), the LSS entry points (LoadLSS, LoadLSSWith, LoadLSSFile, ParseLSS), the
 // analysis pipeline (Lint, Analyze) and the observability exporters
@@ -224,8 +225,6 @@ type (
 
 // Observability types, re-exported from the obs layer.
 type (
-	// Observer bundles observability configuration for WithObserver.
-	Observer = obs.Observer
 	// EventTracer captures structured events into a ring buffer.
 	EventTracer = obs.EventTracer
 	// Event is one structured trace record.
@@ -352,8 +351,9 @@ const (
 // host-time cost (and in their *scheduler metrics*: the engine counts
 // replayed work once, not per cycle).
 const (
-	// SchedulerSparse is the engine, and the default: the static sweep and
-	// residue worklist, run each cycle over the clusters that open.
+	// SchedulerSparse is the engine, and the default: the static sweep,
+	// then the reference's default round for the cyclic residue, run each
+	// cycle over the clusters that open.
 	SchedulerSparse = core.SchedulerSparse
 	// SchedulerAuto is the default selection: SchedulerSparse.
 	SchedulerAuto = core.SchedulerAuto
@@ -410,16 +410,6 @@ var (
 	// absence of MarkAutonomous, against.
 	WithActivityCheck = core.WithActivityCheck
 )
-
-// WithObserver applies an observability bundle — scheduler metrics and/or
-// structured event capture — to the simulator under construction.
-func WithObserver(o *Observer) BuildOption {
-	return func(b *Builder) {
-		for _, opt := range o.Options() {
-			opt(b)
-		}
-	}
-}
 
 // LoadLSS parses and elaborates an LSS specification onto a fresh builder
 // configured by opts, and constructs the simulator — the full Figure 1
@@ -485,7 +475,7 @@ func WriteDot(w io.Writer, s *Sim) error { return core.WriteDot(w, s) }
 func NewVCDTracer(w io.Writer) *core.VCDTracer { return core.NewVCDTracer(w) }
 
 // NewEventTracer returns a structured event tracer keeping the last
-// capacity signal events; attach it with WithTracer or WithObserver.
+// capacity signal events; attach it with WithTracer.
 func NewEventTracer(capacity int) *EventTracer { return obs.NewEventTracer(capacity) }
 
 // TakeSnapshot captures a simulator's statistics and scheduler metrics.
@@ -498,7 +488,7 @@ func WriteStatsJSON(w io.Writer, s *Sim) error { return obs.WriteJSON(w, s) }
 func WriteStatsCSV(w io.Writer, s *Sim) error { return obs.WriteCSV(w, s) }
 
 // WriteHotReport writes the per-instance "hot module" react-time report
-// (requires a simulator built with WithMetrics or an Observer).
+// (requires a simulator built with WithMetrics).
 func WriteHotReport(w io.Writer, s *Sim, topN int) error { return obs.WriteHotReport(w, s, topN) }
 
 // WriteScheduleReport writes a readable dump of the static schedule and

@@ -31,7 +31,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		instance snk : pcl.sink();
 		src.out -> d.in;
 		d.out -> snk.in;
-	`, lse.WithSeed(4), lse.WithObserver(&lse.Observer{Metrics: true, Events: ev}))
+	`, lse.WithSeed(4), lse.WithMetrics(), lse.WithTracer(ev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Scheduler metrics were collected and exported.
 	if sim.Metrics() == nil {
-		t.Fatal("WithObserver{Metrics: true} left Sim.Metrics nil")
+		t.Fatal("WithMetrics left Sim.Metrics nil")
 	}
 	snap := lse.TakeSnapshot(sim)
 	if snap.Scheduler == nil || snap.Scheduler.Wakes == 0 {

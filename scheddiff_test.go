@@ -131,11 +131,12 @@ func diffModel(t *testing.T, m model) {
 	}
 }
 
-// specModel loads an LSS source with seed 1.
-func specModel(name, src string, cycles uint64) model {
+// specModel loads an LSS source with seed 1 and the given parameter
+// overrides (nil for none).
+func specModel(name, src string, defines map[string]any, cycles uint64) model {
 	return model{name, cycles, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
 		t.Helper()
-		sim, err := lse.LoadLSS(src, append(opts, lse.WithSeed(1))...)
+		sim, err := lse.LoadLSSWith(src, defines, append(opts, lse.WithSeed(1))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,8 +183,20 @@ func TestSchedulersAgreeOnSpecs(t *testing.T) {
 		if filepath.Base(path) == "mesh.lss" {
 			cycles = 60 // the 4x4 mesh is the slow one; its loop still breaks every cycle
 		}
-		diffModel(t, specModel(filepath.Base(path), string(src), cycles))
+		diffModel(t, specModel(filepath.Base(path), string(src), nil, cycles))
 	}
+}
+
+// TestSchedulersAgreeOnLargeMesh runs the mesh spec at 8×8: its cyclic
+// residue is four times that of any shipped spec, and the engine resolves
+// it with the reference's own default round, so the traced and check rows
+// must match the reference's default and break counts exactly.
+func TestSchedulersAgreeOnLargeMesh(t *testing.T) {
+	src, err := os.ReadFile("specs/mesh.lss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffModel(t, specModel("mesh.lss 8x8", string(src), map[string]any{"w": 8, "h": 8}, 60))
 }
 
 // TestSchedulersAgreeOnRandomNetlists does the same over pseudo-random
