@@ -24,7 +24,11 @@ type Link struct {
 	latency   int
 	capacity  int
 	busyUntil uint64
-	inflight  []linkEntry
+	// inflight is a ring of capacity entries: the oldest packet sits at
+	// head, n are in flight, and a departed slot is cleared so the ring
+	// pins no delivered packet.
+	inflight []linkEntry
+	head, n  int
 
 	cFlits *core.Counter
 	cPkts  *core.Counter
@@ -50,6 +54,7 @@ func NewLink(name string, p core.Params) (*Link, error) {
 	if l.capacity < 1 {
 		return nil, &core.ParamError{Param: "capacity", Detail: "must be >= 1"}
 	}
+	l.inflight = make([]linkEntry, l.capacity)
 	l.Init(name, l)
 	l.In = l.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	l.Out = l.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
@@ -64,7 +69,7 @@ func NewLink(name string, p core.Params) (*Link, error) {
 // while the serializer is busy. It only changes at end-of-cycle, so
 // reading it from another module's reactive handler is stable and safe.
 func (l *Link) Congestion() int {
-	c := len(l.inflight)
+	c := l.n
 	if l.Now() < l.busyUntil {
 		c++
 	}
@@ -76,8 +81,8 @@ func (l *Link) cycleStart() {
 		l.cFlits = l.Counter("flits")
 		l.cPkts = l.Counter("packets")
 	}
-	if len(l.inflight) > 0 && l.Now() >= l.inflight[0].ready {
-		l.Out.Send(0, l.inflight[0].pkt)
+	if e := &l.inflight[l.head]; l.n > 0 && l.Now() >= e.ready {
+		l.Out.Send(0, e.pkt)
 		l.Out.Enable(0)
 	}
 	l.Out.Idle()
@@ -91,7 +96,7 @@ func (l *Link) react() {
 		if l.In.AckStatus(0).Known() {
 			return
 		}
-		if l.Now() >= l.busyUntil && len(l.inflight) < l.capacity {
+		if l.Now() >= l.busyUntil && l.n < l.capacity {
 			l.In.Ack(0)
 		} else {
 			l.In.Nack(0)
@@ -101,7 +106,9 @@ func (l *Link) react() {
 
 func (l *Link) cycleEnd() {
 	if l.Out.Transferred(0) {
-		l.inflight = l.inflight[1:]
+		l.inflight[l.head] = linkEntry{}
+		l.head = (l.head + 1) % l.capacity
+		l.n--
 	}
 	if v, ok := l.In.TransferredData(0); ok {
 		pkt, ok := v.(*Packet)
@@ -117,10 +124,12 @@ func (l *Link) cycleEnd() {
 		// Serialization occupies the link for size cycles starting now;
 		// the packet emerges after propagation on top of that.
 		l.busyUntil = l.Now() + uint64(size)
-		l.inflight = append(l.inflight, linkEntry{
+		// react acks only while n < capacity, so the ring has a free slot.
+		l.inflight[(l.head+l.n)%l.capacity] = linkEntry{
 			pkt:   pkt,
 			ready: l.Now() + uint64(size) + uint64(l.latency),
-		})
+		}
+		l.n++
 		l.cFlits.Add(int64(size))
 		l.cPkts.Inc()
 	}

@@ -84,21 +84,18 @@ func BuildMesh(b *core.Builder, name string, cfg MeshCfg) (*Network, error) {
 
 	// Outgoing link per (node, direction), filled as links are created;
 	// adaptive route closures capture the slice and read it at run time.
-	outLinks := make([]map[int]*Link, n)
-	for i := range outLinks {
-		outLinks[i] = make(map[int]*Link)
-	}
+	outLinks := make([][5]*Link, n)
 
-	// Per-router port maps: direction -> port index (only directions that
-	// exist at this coordinate).
-	portIdx := make([]map[int]int, n)
+	// Per-router port indices, by direction. Port 0 is the local port, so
+	// 0 at any other direction means the router has no port that way.
+	portIdx := make([][5]int, n)
+	nPorts := make([]int, n)
 	for node := 0; node < n; node++ {
 		x, y := node%w, node/w
-		m := map[int]int{dirLocal: 0}
 		next := 1
 		add := func(dir int, exists bool) {
 			if exists {
-				m[dir] = next
+				portIdx[node][dir] = next
 				next++
 			}
 		}
@@ -106,7 +103,7 @@ func BuildMesh(b *core.Builder, name string, cfg MeshCfg) (*Network, error) {
 		add(dirE, x < w-1 || (cfg.Torus && w > 1))
 		add(dirS, y < h-1 || (cfg.Torus && h > 1))
 		add(dirW, x > 0 || (cfg.Torus && w > 1))
-		portIdx[node] = m
+		nPorts[node] = next
 	}
 
 	for node := 0; node < n; node++ {
@@ -166,7 +163,7 @@ func BuildMesh(b *core.Builder, name string, cfg MeshCfg) (*Network, error) {
 			return pm[dir]
 		}
 		r, err := NewRouter(b, core.Sub(name, fmt.Sprintf("r%d_%d", x, y)), RouterCfg{
-			Ports:    len(pm),
+			Ports:    nPorts[node],
 			BufDepth: cfg.BufDepth,
 			VCs:      cfg.VCs,
 			Route:    route,
@@ -199,13 +196,13 @@ func BuildMesh(b *core.Builder, name string, cfg MeshCfg) (*Network, error) {
 	}
 	for node := 0; node < n; node++ {
 		x, y := node%w, node/w
-		if _, ok := portIdx[node][dirE]; ok {
+		if portIdx[node][dirE] > 0 {
 			to := y*w + (x+1)%w
 			if err := connect(node, dirE, to, dirW); err != nil {
 				return nil, err
 			}
 		}
-		if _, ok := portIdx[node][dirS]; ok {
+		if portIdx[node][dirS] > 0 {
 			to := ((y+1)%h)*w + x
 			if err := connect(node, dirS, to, dirN); err != nil {
 				return nil, err
@@ -235,13 +232,13 @@ func BuildMesh(b *core.Builder, name string, cfg MeshCfg) (*Network, error) {
 	} else {
 		for node := 0; node < n; node++ {
 			x, y := node%w, node/w
-			if _, ok := portIdx[node][dirW]; ok {
+			if portIdx[node][dirW] > 0 {
 				to := y*w + (x-1+w)%w
 				if err := connect(node, dirW, to, dirE); err != nil {
 					return nil, err
 				}
 			}
-			if _, ok := portIdx[node][dirN]; ok {
+			if portIdx[node][dirN] > 0 {
 				to := ((y-1+h)%h)*w + x
 				if err := connect(node, dirN, to, dirS); err != nil {
 					return nil, err

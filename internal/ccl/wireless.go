@@ -25,7 +25,9 @@ type Wireless struct {
 	csma     bool
 	lastWin  int
 	airUntil uint64
-	inflight []wirelessEntry
+	// inflight is the one frame on the air (pkt nil when the air is
+	// clear): react grants only while it is empty.
+	inflight wirelessEntry
 	collided bool
 
 	cSent      *core.Counter
@@ -80,8 +82,8 @@ func (w *Wireless) cycleStart() {
 		w.cLost = w.Counter("lost")
 	}
 	n := w.Out.Width()
-	if len(w.inflight) > 0 && w.Now() >= w.inflight[0].ready {
-		if pkt := w.inflight[0].pkt; pkt.Dst >= 0 && pkt.Dst < n {
+	if pkt := w.inflight.pkt; pkt != nil && w.Now() >= w.inflight.ready {
+		if pkt.Dst >= 0 && pkt.Dst < n {
 			w.Out.IdleLanes(0, pkt.Dst)
 			w.Out.Send(pkt.Dst, pkt)
 			w.Out.Enable(pkt.Dst)
@@ -101,7 +103,7 @@ func (w *Wireless) react() {
 	if !settled {
 		return
 	}
-	busy := w.Now() < w.airUntil || len(w.inflight) > 0
+	busy := w.Now() < w.airUntil || w.inflight.pkt != nil
 	if !busy && (offers == 1 || (w.csma && offers > 1)) {
 		// The sole offer wins; carrier-sense arbitration picks round-robin
 		// among several contenders.
@@ -125,9 +127,8 @@ func (w *Wireless) cycleEnd() {
 		w.cCollision.Inc()
 		w.collided = false
 	}
-	if len(w.inflight) > 0 && w.Out.Width() > w.inflight[0].pkt.Dst &&
-		w.Out.Transferred(w.inflight[0].pkt.Dst) {
-		w.inflight = w.inflight[1:]
+	if pkt := w.inflight.pkt; pkt != nil && w.Out.Width() > pkt.Dst && w.Out.Transferred(pkt.Dst) {
+		w.inflight = wirelessEntry{}
 	}
 	for i := w.In.NextTransferred(0); i >= 0; i = w.In.NextTransferred(i + 1) {
 		w.lastWin = i
@@ -150,7 +151,7 @@ func (w *Wireless) cycleEnd() {
 				Detail: fmt.Sprintf("packet destination %d out of range (radios=%d)", pkt.Dst, w.Out.Width())})
 		}
 		w.cSent.Inc()
-		w.inflight = append(w.inflight, wirelessEntry{pkt: pkt, ready: w.Now() + uint64(size)})
+		w.inflight = wirelessEntry{pkt: pkt, ready: w.Now() + uint64(size)}
 	}
 }
 

@@ -117,11 +117,11 @@ func (b *Builder) Instantiate(template, name string, p Params) (Instance, error)
 // at the next free index of each port. Composite exports resolve to the
 // underlying child ports.
 func (b *Builder) Connect(src Instance, srcPort string, dst Instance, dstPort string) error {
-	sp, err := resolvePort(src, srcPort)
+	sp, err := PortOf(src, srcPort)
 	if err != nil {
 		return b.fail(err)
 	}
-	dp, err := resolvePort(dst, dstPort)
+	dp, err := PortOf(dst, dstPort)
 	if err != nil {
 		return b.fail(err)
 	}
@@ -228,6 +228,9 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		base := inst.base()
 		base.attach(s, i)
 		s.bases[i] = base
+	}
+	if p.sparse != nil {
+		s.queue = make([]*Base, 0, len(p.sparse.reactive)) // the wake roster: what a full sweep queues
 	}
 	for _, c := range s.conns {
 		c.sim = s

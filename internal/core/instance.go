@@ -24,8 +24,9 @@ type Base struct {
 	self       Instance
 	sim        *Sim
 	id         int
-	ports      map[string]*Port
-	portList   []*Port // declaration order
+	portList   []*Port        // declaration order, composite exports included
+	portNames  []string       // portList[i]'s name here (an export's alias)
+	portIdx    map[string]int // portNames' index, built past 16 ports (bindPort)
 	react      func()
 	start      func()
 	end        func()
@@ -48,7 +49,6 @@ func (b *Base) Init(name string, self Instance) {
 	}
 	b.name = name
 	b.self = self
-	b.ports = make(map[string]*Port)
 }
 
 // Name returns the instance's hierarchical name.
@@ -60,9 +60,6 @@ func (b *Base) addPort(name string, dir Dir, opts PortOpts) *Port {
 	if b.self == nil {
 		contractPanic("add port", name, "Base.Init not called")
 	}
-	if _, dup := b.ports[name]; dup {
-		contractPanic("add port", b.name+"."+name, "duplicate port name")
-	}
 	if opts.DefaultAck != Unknown && dir != In {
 		contractPanic("add port", b.name+"."+name, "DefaultAck applies to In ports only")
 	}
@@ -70,9 +67,24 @@ func (b *Base) addPort(name string, dir Dir, opts PortOpts) *Port {
 		contractPanic("add port", b.name+"."+name, "DefaultEnable applies to Out ports only")
 	}
 	p := &Port{name: name, dir: dir, owner: b, opts: opts}
-	b.ports[name] = p
-	b.portList = append(b.portList, p)
+	b.bindPort("add port", name, p)
 	return p
+}
+
+func (b *Base) bindPort(op, name string, p *Port) {
+	const scanMax = 16 // PortByName scans up to this many names; past it, they are indexed
+	if b.PortByName(name) != nil {
+		contractPanic(op, b.name+"."+name, "duplicate port name")
+	}
+	b.portList, b.portNames = append(b.portList, p), append(b.portNames, name)
+	if len(b.portNames) == scanMax+1 {
+		b.portIdx = make(map[string]int, 2*len(b.portNames))
+		for i, n := range b.portNames {
+			b.portIdx[n] = i
+		}
+	} else if b.portIdx != nil {
+		b.portIdx[name] = len(b.portNames) - 1
+	}
 }
 
 // AddInPort declares an input port.
@@ -96,7 +108,17 @@ func optOf(opts []PortOpts) PortOpts {
 }
 
 // PortByName returns the named port, or nil when the instance has none.
-func (b *Base) PortByName(name string) *Port { return b.ports[name] }
+func (b *Base) PortByName(name string) *Port {
+	if i, ok := b.portIdx[name]; ok {
+		return b.portList[i]
+	}
+	for i := 0; b.portIdx == nil && i < len(b.portNames); i++ {
+		if b.portNames[i] == name {
+			return b.portList[i]
+		}
+	}
+	return nil
+}
 
 // Ports returns the instance's ports in declaration order.
 func (b *Base) Ports() []*Port { return b.portList }
@@ -202,41 +224,27 @@ func (c *Composite) Children() []Instance { return c.children }
 
 // Export publishes a child's port under the given name on the composite.
 func (c *Composite) Export(name string, p *Port) {
-	if _, dup := c.ports[name]; dup {
-		contractPanic("export", c.name+"."+name, "duplicate port name")
-	}
 	if p == nil {
 		contractPanic("export", c.name+"."+name, "nil port")
 	}
-	c.ports[name] = p
-	c.portList = append(c.portList, p)
+	c.bindPort("export", name, p)
 }
 
 // ExportNames returns the names the composite published child ports
 // under, sorted. Pair with PortByName to recover the aliased ports.
 func (c *Composite) ExportNames() []string {
-	names := make([]string, 0, len(c.ports))
-	for n := range c.ports {
-		names = append(names, n)
-	}
+	names := append([]string(nil), c.portNames...)
 	sort.Strings(names)
 	return names
 }
 
 // PortOf returns the named port of an instance, following composite
-// exports — the lookup tooling (e.g. the LSS elaborator) uses to wire
-// instances it did not construct.
-func PortOf(inst Instance, name string) (*Port, error) { return resolvePort(inst, name) }
-
-// resolvePort finds a port by name on an instance, following composite
-// exports (which alias child ports directly).
-func resolvePort(inst Instance, name string) (*Port, error) {
-	p := inst.base().ports[name]
+// exports (which alias child ports directly) — the lookup Builder.Connect
+// and tooling (e.g. the LSS elaborator) use to wire instances.
+func PortOf(inst Instance, name string) (*Port, error) {
+	p := inst.base().PortByName(name)
 	if p == nil {
-		var have []string
-		for n := range inst.base().ports {
-			have = append(have, n)
-		}
+		have := append([]string(nil), inst.base().portNames...)
 		sort.Strings(have)
 		return nil, &BuildError{Op: "resolve port", Where: inst.Name() + "." + name,
 			Detail: fmt.Sprintf("no such port; instance has %v", have)}

@@ -101,6 +101,8 @@ func (p *Program) NewSim(opts ...BuildOption) (*Sim, error) {
 		o(b)
 	}
 	b.prog = p
+	b.instances, b.conns = make([]Instance, 0, p.nInsts), make([]*Conn, 0, p.nConns)
+	b.byName = make(map[string]Instance, p.nInsts)
 	if err := p.assemble(b); err != nil {
 		b.fail(err)
 	}

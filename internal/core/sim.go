@@ -66,10 +66,10 @@ type Sim struct {
 	// released value.
 	released bool
 
-	// spillHits counts data-Yes stores (each an interface store into the
-	// data lane). Atomic because a live metrics reader (SpillHits from a
-	// /metrics goroutine) loads it while the session steps.
+	// spillHits counts data-Yes stores into the data lane; Step publishes
+	// its spillStep count with one add for a live reader (/metrics).
 	spillHits atomic.Uint64
+	spillStep uint64
 
 	// resolved counts this cycle's resolutions per signal kind (closed
 	// clusters are credited in bulk): resolved[k] == len(conns) proves
@@ -257,6 +257,8 @@ func (s *Sim) verifyResolved() {
 // that recovers it holds a session it can still step or snapshot.
 func (s *Sim) Step() (err error) {
 	defer func() {
+		s.spillHits.Add(s.spillStep) // aborted cycles too
+		s.spillStep = 0
 		if r := recover(); r != nil {
 			s.setPhase(phaseIdle)
 			// The cycle aborted mid-drain: clear the scheduled flags of
