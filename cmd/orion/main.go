@@ -156,7 +156,6 @@ let size = 4;
 let pattern = "uniform";
 let n = w * h;
 
-# lse:ignore LSE002 -- the links close a loop; default control breaks it
 instance net    : ccl.mesh(w = w, h = h, bufdepth = 4, torus = torus);
 instance src[n] : ccl.pktsource(node = idx, nodes = n, rate = rate, size = size, pattern = pattern);
 instance snk[n] : pcl.sink();

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -131,14 +132,21 @@ src.out -> snk.in;
 	}
 }
 
+// TestBreakableCycleIsWarning: a ring of unmarked reactive templates is a
+// combinational cycle default control breaks. The same ring of queues is
+// none: a MarkSequential queue has no same-cycle path between its ports.
 func TestBreakableCycleIsWarning(t *testing.T) {
-	src := `
-instance a : pcl.queue(capacity = 2);
-instance b : pcl.queue(capacity = 2);
+	ring := `
+instance a : %s;
+instance b : %s;
 a.out -> b.in;
 b.out -> a.in;
 `
-	r := lint(t, src)
+	queues := "pcl.queue(capacity = 2)"
+	if r := lint(t, fmt.Sprintf(ring, queues, queues)); len(findCode(r, "LSE002")) != 0 {
+		t.Errorf("a ring of queues: want no LSE002, got %v", codes(r))
+	}
+	r := lint(t, fmt.Sprintf(ring, "pcl.tee()", "pcl.tee()"))
 	diags := findCode(r, "LSE002")
 	if len(diags) != 1 {
 		t.Fatalf("want 1 LSE002, got %v", codes(r))

@@ -29,17 +29,12 @@ func TestLintCorpusGolden(t *testing.T) {
 			{"LSE001", analysis.Info, "snk.in"},
 			{"LSE004", analysis.Info, "snk"},
 		},
-		"lse002.lss": {
-			{"LSE004", analysis.Warning, "q1"},
-			{"LSE004", analysis.Warning, "q2"},
-			{"LSE002", analysis.Warning, "q1.out[0]->q2.in[0]"},
-		},
+		"lse002.lss": {{"LSE002", analysis.Warning, "t1.out[0]->t2.in[0]"}},
 		"lse003.lss": {{"LSE003", analysis.Warning, conn}},
 		"lse004.lss": {
 			{"LSE004", analysis.Warning, "src"},
 			{"LSE004", analysis.Warning, "q1"},
 			{"LSE004", analysis.Warning, "q2"},
-			{"LSE002", analysis.Warning, "q1.out[0]->q2.in[0]"},
 		},
 		"lse005.lss": {{"LSE005", analysis.Info, "unused"}},
 		"lse006.lss": {

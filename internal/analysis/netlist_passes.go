@@ -89,9 +89,10 @@ func passUnconnected(s *core.Sim, r *Report) {
 	}
 }
 
-// passCycles (LSE002) reports each cyclic SCC of the module graph — the
-// same Tarjan condensation the engine's static schedule compiles (Sim.SCCs),
-// so analysis and execution agree on what a cycle is. A cycle the engine
+// passCycles (LSE002) reports each cyclic SCC of the dependency graph —
+// the same Tarjan condensation the engine's static schedule compiles
+// (Sim.SCCs), so analysis and execution agree on what a cycle is: a loop
+// through a MarkSequential instance is none. A cycle the engine
 // can break by defaulting is a warning naming members and the break site;
 // a cycle where every potential break site forbids defaulting (NoDefault)
 // has no valid break and is an error.

@@ -31,7 +31,7 @@ type Base struct {
 	start      func()
 	end        func()
 	autonomous bool // react depends on Now()/Rand(); never activity-gated
-	sequential bool // no same-cycle path between ports; cuts combinational clusters
+	sequential bool // no same-cycle path between ports: a dependency-graph node per port
 	scheduled  bool // queued for react
 	rng        *rand.Rand
 	rsrc       *countingSource // rng's underlying source; draw count feeds Snapshot
@@ -149,11 +149,13 @@ func (b *Base) Autonomous() bool { return b.autonomous }
 // depends, within a cycle, on a signal it observes on another port: what
 // it drives on an Out port is a function of its state at cycle start, and
 // what it acks on an In port a function of that port's own lanes and
-// state. Queues, delay lines and links are the type. The sparse scheduler
-// cuts its combinational clusters at marked instances, so one busy side
-// of a buffer does not keep the other side's cluster open. The mark is a
-// promise about the handlers; WithActivityCheck is how to hold it to
-// account (DESIGN.md Appendix C.2).
+// state. Queues, delay lines and links are the type. The dependency graph
+// (graph.go) gives a marked instance a node per port, so the static sweep
+// orders defaults across it, LSE002 sees no cycle through it, and the
+// combinational clusters are cut there: one busy side of a buffer does
+// not keep the other side's cluster open. The mark is a promise about the
+// handlers; WithActivityCheck and the differential against the reference
+// hold it to account (DESIGN.md Appendix C.2).
 func (b *Base) MarkSequential() { b.sequential = true }
 
 // SourcePos returns the specification position the instance was declared

@@ -64,7 +64,7 @@ func (m *Metrics) Reacts() uint64 { return m.reacts.Load() }
 // engine: the same count taken only in the reference's default round,
 // which the engine runs after its static sweep — drain passes that ran a
 // handler after a default applied inside or downstream of a dependency
-// cycle; exactly zero when the module graph is acyclic.
+// cycle; exactly zero when the dependency graph is acyclic.
 func (m *Metrics) FixedPointIters() uint64 { return m.iters.Load() }
 
 // DefaultFallbacks returns the number of signals of kind k resolved by

@@ -13,7 +13,7 @@ type SchedulerKind uint8
 
 const (
 	// SchedulerSparse is the engine, and the zero value. At compile time
-	// the module graph is condensed into strongly connected components and
+	// the dependency graph is condensed into strongly connected components and
 	// levelized: acyclic levels default in one statically ordered sweep,
 	// and the residue inside or downstream of a dependency cycle resolves
 	// by the reference's own default round (schedule.go). Each cycle that

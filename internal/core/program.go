@@ -44,7 +44,6 @@ type Program struct {
 	nInsts      int
 	nConns      int
 	fingerprint uint64 // structural hash validating recipe determinism
-	sequential  []bool // instance id -> MarkSequential; checked at stamp beside the fingerprint, not hashed into it
 
 	// The engine's static schedule and cluster plan: both set under
 	// SchedulerSparse, both nil under the reference.
@@ -55,8 +54,8 @@ type Program struct {
 // Compile runs the assembly recipe once, compiles the resulting netlist
 // and returns the shared Program. The recipe must be deterministic: every
 // NewSim after the first re-runs it to stamp a fresh instance graph, and a
-// structural fingerprint (instance names, handler shapes, connection
-// endpoints) is checked against this compilation's on every
+// structural fingerprint (instance names, handler shapes, marks,
+// connection endpoints) is checked against this compilation's on every
 // stamp. Build-time validation — port widths, post-build checks such as
 // strict static analysis — runs here, on the session the program keeps as
 // its first.
@@ -119,8 +118,8 @@ func (p *Program) Instances() int { return p.nInsts }
 func (p *Program) Conns() int { return p.nConns }
 
 // Fingerprint returns the structural hash of the compiled netlist —
-// instance names and handler shapes plus connection endpoints. Snapshots
-// embed it so Restore can reject state from a different program.
+// instance names, handler shapes and marks plus connection endpoints.
+// Snapshots embed it so Restore can reject state from a different program.
 func (p *Program) Fingerprint() uint64 { return p.fingerprint }
 
 // Schedule returns a copy of the engine's static-schedule introspection
@@ -141,12 +140,9 @@ func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind) *P
 	p := &Program{sched: sched, nInsts: len(instances), nConns: len(conns)}
 	p.fingerprint = fingerprintNetlist(instances, conns)
 	if sched == SchedulerSparse {
-		p.schedule = buildSchedule(instances, conns)
-		p.sequential = make([]bool, len(instances))
-		for i, inst := range instances {
-			p.sequential[i] = inst.base().sequential
-		}
-		p.sparse = buildSparse(instances, conns, &p.schedule.info)
+		g := buildGraph(instances, conns)
+		p.schedule = buildSchedule(g, instances, conns)
+		p.sparse = buildSparse(g, instances, conns, &p.schedule.info)
 	}
 	return p
 }
@@ -172,22 +168,13 @@ func (p *Program) checkStamp(instances []Instance, conns []*Conn, sched Schedule
 		return &BuildError{Op: "new sim", Where: "program",
 			Detail: "assembly recipe is not deterministic: re-assembled netlist's structural fingerprint differs from the compiled program's"}
 	}
-	// The cluster plan was cut at the marks of the compiled netlist; they
-	// are not in the fingerprint (snapshots embed it, and older ones must
-	// keep restoring), so they are compared here.
-	for i, seq := range p.sequential {
-		if b := instances[i].base(); b.sequential != seq {
-			return &BuildError{Op: "new sim", Where: b.name,
-				Detail: "assembly recipe is not deterministic: MarkSequential differs from the compiled program's"}
-		}
-	}
 	return nil
 }
 
 // fingerprintNetlist hashes the netlist structure the compiled artifacts
-// depend on: instance names and handler shapes (which drive the activity
-// partition) and connection endpoints (which drive the schedule). FNV-64a
-// over the assembly order.
+// depend on: instance names, handler shapes and marks (which drive the
+// dependency graph and the activity partition) and connection endpoints.
+// FNV-64a over the assembly order.
 func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -220,6 +207,9 @@ func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
 		}
 		if _, ok := inst.(*Composite); ok {
 			flags |= 16
+		}
+		if b.sequential {
+			flags |= 32
 		}
 		u64(flags)
 	}

@@ -77,33 +77,39 @@ func TestNewSimRejectsSchedulerSwitch(t *testing.T) {
 }
 
 // TestNewSimRejectsNondeterministicRecipe: a recipe that assembles a
-// different netlist on re-run fails the structural fingerprint check. The
-// first option-less session is the compiled netlist itself and cannot
-// disagree with it; the second is the first re-run.
+// different netlist on re-run — a renamed instance, or a MarkSequential
+// called only on the first assembly — fails the structural fingerprint
+// check. The first option-less session is the compiled netlist itself and
+// cannot disagree with it; the second is the first re-run.
 func TestNewSimRejectsNondeterministicRecipe(t *testing.T) {
-	calls := 0
-	prog, err := Compile(func(b *Builder) error {
-		calls++
-		name := "a"
-		if calls > 1 {
-			name = "mutated"
+	for _, mutation := range []string{"name", "mark"} {
+		calls := 0
+		prog, err := Compile(func(b *Builder) error {
+			calls++
+			name := "a"
+			if calls > 1 && mutation == "name" {
+				name = "mutated"
+			}
+			a := newProgTestModule(name)
+			if calls == 1 && mutation == "mark" {
+				a.MarkSequential()
+			}
+			c := newProgTestModule("c")
+			b.Add(a)
+			b.Add(c)
+			return b.Connect(a, "out", c, "in")
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		a := newProgTestModule(name)
-		c := newProgTestModule("c")
-		b.Add(a)
-		b.Add(c)
-		return b.Connect(a, "out", c, "in")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prog.NewSim(); err != nil || calls != 1 {
-		t.Fatalf("first session: err %v after %d assemblies, want the compiled netlist", err, calls)
-	}
-	_, err = prog.NewSim()
-	var be *BuildError
-	if !errors.As(err, &be) || be.Op != "new sim" || !strings.Contains(be.Detail, "assembly recipe is not deterministic") {
-		t.Fatalf("second NewSim on a nondeterministic recipe returned %v, want the fingerprint BuildError", err)
+		if _, err := prog.NewSim(); err != nil || calls != 1 {
+			t.Fatalf("%s: first session: err %v after %d assemblies, want the compiled netlist", mutation, err, calls)
+		}
+		_, err = prog.NewSim()
+		var be *BuildError
+		if !errors.As(err, &be) || be.Op != "new sim" || !strings.Contains(be.Detail, "assembly recipe is not deterministic") {
+			t.Fatalf("%s: second NewSim on a nondeterministic recipe returned %v, want the fingerprint BuildError", mutation, err)
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
-// schedule.go is the engine's static schedule. At compile time the module
-// graph's SCC condensation (graph.go) partitions every connection, per
-// signal direction, into either a levelized sweep — connections whose
-// default can be applied in one statically-ordered pass, because every
-// dependency lives in a strictly earlier level — or a residue of
-// connections inside or downstream of a dependency cycle. At run time the
+// schedule.go is the engine's static schedule. At compile time the
+// dependency graph's SCC condensation (graph.go) partitions every
+// connection, per signal direction, into either a levelized sweep —
+// connections whose default can be applied in one statically-ordered
+// pass, because every dependency lives in a strictly earlier level — or a
+// residue of connections inside or downstream of a dependency cycle. At run time the
 // sweep goes first and the reference's own default round
 // (reference.go defaultRound) resolves whatever it left: on an acyclic
 // netlist nothing, so the round returns at once; on a cyclic one the
@@ -23,9 +23,11 @@ type ScheduleInfo struct {
 	Scheduler SchedulerKind
 	// Modules is the number of instances in the netlist.
 	Modules int
-	// SCCs is the number of strongly connected components of the module
-	// graph; CyclicSCCs of them contain a genuine dependency cycle, the
-	// largest spanning LargestSCC modules.
+	// SCCs is the number of strongly connected components of the
+	// dependency graph; CyclicSCCs of them contain a genuine dependency
+	// cycle, the largest spanning LargestSCC graph nodes. Both count
+	// nodes: an instance is one, a MarkSequential one is one per
+	// connected port.
 	SCCs       int
 	CyclicSCCs int
 	LargestSCC int
@@ -106,68 +108,28 @@ func (s *Sim) Schedule() *ScheduleInfo {
 // Scheduler returns the scheduler kind the simulator runs.
 func (s *Sim) Scheduler() SchedulerKind { return s.sched }
 
-// buildSchedule runs the compile-time static scheduling pass. Instance
-// ids must already be assigned (assembly order).
-func buildSchedule(instances []Instance, conns []*Conn) *progSchedule {
-	g := buildModuleGraph(instances, conns)
-	fwdLevel, ackLevel, fwdTaint, ackTaint := g.levelize(conns)
-
+// buildSchedule runs the compile-time static scheduling pass over the
+// dependency graph. Instance ids must already be assigned (assembly order).
+func buildSchedule(g *depGraph, instances []Instance, conns []*Conn) *progSchedule {
+	fwd, ack := g.levelize()
 	sc := &progSchedule{}
 	info := &sc.info
-	maxFwd, maxAck := 0, 0
-	for _, c := range conns {
-		if l := fwdLevel[g.sccOf[c.src.owner.id]]; l > maxFwd {
-			maxFwd = l
-		}
-		if l := ackLevel[g.sccOf[c.dst.owner.id]]; l > maxAck {
-			maxAck = l
-		}
-	}
-	sc.fwdLevels = make([][]int32, maxFwd+1)
-	sc.ackLevels = make([][]int32, maxAck+1)
-	// conns is id-ordered, so appending in order keeps every level
-	// pre-sorted by connection id.
-	for _, c := range conns {
-		if fs := g.sccOf[c.src.owner.id]; fwdTaint[fs] {
-			info.ResidueConns++
-		} else {
-			sc.fwdLevels[fwdLevel[fs]] = append(sc.fwdLevels[fwdLevel[fs]], int32(c.id))
-		}
-		if as := g.sccOf[c.dst.owner.id]; ackTaint[as] {
-			info.AckResidueConns++
-		} else {
-			sc.ackLevels[ackLevel[as]] = append(sc.ackLevels[ackLevel[as]], int32(c.id))
-		}
-	}
-	sc.fwdLevels = compactLevels(sc.fwdLevels)
-	sc.ackLevels = compactLevels(sc.ackLevels)
+	n := len(conns)
+	sc.fwdLevels, info.ResidueConns = cutLevels(n, func(id int) int32 { return fwd[g.sccOf[g.src[id]]] })
+	sc.ackLevels, info.AckResidueConns = cutLevels(n, func(id int) int32 { return ack[g.sccOf[g.dst[id]]] })
 
 	info.Scheduler = SchedulerSparse
 	info.Modules = len(instances)
-	info.SCCs = g.nSCC
-	for scc, cyc := range g.cyclic {
-		if g.sccSize[scc] > info.LargestSCC {
-			info.LargestSCC = g.sccSize[scc]
-		}
-		if cyc {
-			info.CyclicSCCs++
-		}
-	}
-	info.ForwardLevels = len(sc.fwdLevels)
-	info.AckLevels = len(sc.ackLevels)
-	for _, lvl := range sc.fwdLevels {
-		info.SweepConns += len(lvl)
-	}
-	for _, lvl := range sc.ackLevels {
-		info.AckSweepConns += len(lvl)
-	}
+	info.SCCs, info.LargestSCC = len(g.cyclic), g.largest
+	info.ForwardLevels, info.AckLevels = len(sc.fwdLevels), len(sc.ackLevels)
+	info.SweepConns, info.AckSweepConns = n-info.ResidueConns, n-info.AckResidueConns
 	// The break site of a cyclic SCC is its lowest-id internal
 	// connection: the first one the stall scan reaches.
-	seen := make(map[int]bool)
-	for _, c := range conns {
-		scc := g.sccOf[c.src.owner.id]
-		if scc == g.sccOf[c.dst.owner.id] && g.cyclic[scc] && !seen[scc] {
+	seen := make([]bool, len(g.cyclic))
+	for id, c := range conns {
+		if scc := g.sccOf[g.src[id]]; scc == g.sccOf[g.dst[id]] && !seen[scc] {
 			seen[scc] = true
+			info.CyclicSCCs++
 			info.BreakSites = append(info.BreakSites, c.String())
 		}
 	}
@@ -175,6 +137,42 @@ func buildSchedule(instances []Instance, conns []*Conn) *progSchedule {
 		info.UnconnectedPorts = append(info.UnconnectedPorts, p.fullName())
 	}
 	return sc
+}
+
+// cutLevels groups the conn ids by level (-1: the residue) into levels
+// cut from one slab, each ascending by id, and counts the residue.
+func cutLevels(n int, level func(id int) int32) (levels [][]int32, residue int) {
+	top := int32(-1)
+	for id := 0; id < n; id++ {
+		top = max(top, level(id))
+	}
+	end := make([]int32, top+1) // counts, then fill cursors that stop at each level's end
+	for id := 0; id < n; id++ {
+		if l := level(id); l >= 0 {
+			end[l]++
+		} else {
+			residue++
+		}
+	}
+	at := int32(0)
+	for l, k := range end {
+		end[l] = at
+		at += k
+	}
+	slab := make([]int32, at)
+	for id := 0; id < n; id++ {
+		if l := level(id); l >= 0 {
+			slab[end[l]] = int32(id)
+			end[l]++
+		}
+	}
+	// No level is empty: a level-L conn's SCC has a level-(L-1) neighbour.
+	levels = make([][]int32, len(end))
+	start := int32(0)
+	for l, e := range end {
+		levels[l], start = slab[start:e:e], e
+	}
+	return levels, residue
 }
 
 // unconnectedPorts returns the optional ports left without connections,
@@ -191,16 +189,6 @@ func unconnectedPorts(instances []Instance) []*Port {
 			if p.owner == inst.base() && len(p.conns) == 0 {
 				out = append(out, p)
 			}
-		}
-	}
-	return out
-}
-
-func compactLevels(levels [][]int32) [][]int32 {
-	out := levels[:0]
-	for _, lvl := range levels {
-		if len(lvl) > 0 {
-			out = append(out, lvl)
 		}
 	}
 	return out

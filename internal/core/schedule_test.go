@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"liberty/internal/analysis"
 	core "liberty/internal/core"
 )
 
@@ -187,6 +189,76 @@ func TestScheduleInfoCyclic(t *testing.T) {
 	}
 	if want := sim.Conns()[0].String(); info.BreakSites[0] != want {
 		t.Errorf("break site = %q, want lowest-id loop conn %q", info.BreakSites[0], want)
+	}
+}
+
+// TestMarkedRingCut: the schedule, the cluster plan and LSE002 read one
+// dependency graph, in which a MarkSequential instance is a node per
+// port. A ring of two handler-less modules is one cyclic SCC broken at
+// its lowest-id conn; marking either module leaves no cycle, and marking
+// both also puts each module's in and out conns in different clusters
+// (with one mark, the unmarked module still joins them).
+func TestMarkedRingCut(t *testing.T) {
+	for _, tc := range []struct {
+		marks    string // which of x, y are marked
+		cyclic   int
+		clusters string
+	}{
+		{"", 1, "[2]"},
+		{"x", 0, "[2]"},
+		{"xy", 0, "[1 1]"},
+	} {
+		b := core.NewBuilder()
+		x, y := newDeadEnd("x"), newDeadEnd("y")
+		if strings.Contains(tc.marks, "x") {
+			x.MarkSequential()
+		}
+		if strings.Contains(tc.marks, "y") {
+			y.MarkSequential()
+		}
+		b.Add(x)
+		b.Add(y)
+		b.Connect(x, "out", y, "in")
+		b.Connect(y, "out", x, "in")
+		sim, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, n := sim.Schedule(), len(sim.Conns())
+		if info.CyclicSCCs != tc.cyclic || len(info.BreakSites) != tc.cyclic {
+			t.Errorf("marks %q: %d cyclic SCCs, break sites %v, want %d", tc.marks, info.CyclicSCCs, info.BreakSites, tc.cyclic)
+		}
+		if tc.cyclic == 1 && info.BreakSites[0] != sim.Conns()[0].String() {
+			t.Errorf("break site = %q, want the lowest-id conn %q", info.BreakSites[0], sim.Conns()[0])
+		}
+		if info.ResidueConns != tc.cyclic*n || info.AckResidueConns != tc.cyclic*n {
+			t.Errorf("marks %q: residue %d/%d (fwd/ack), want %d", tc.marks, info.ResidueConns, info.AckResidueConns, tc.cyclic*n)
+		}
+		if got := fmt.Sprint(info.ClusterSizes); got != tc.clusters {
+			t.Errorf("marks %q: cluster sizes %s, want %s", tc.marks, got, tc.clusters)
+		}
+		lse002 := 0
+		for _, d := range analysis.AnalyzeSim(sim).Diags {
+			if d.Code == "LSE002" {
+				lse002++
+			}
+		}
+		if lse002 != tc.cyclic {
+			t.Errorf("marks %q: %d LSE002, want %d", tc.marks, lse002, tc.cyclic)
+		}
+		// A marked instance is a member of one acyclic SCC per port.
+		inX := 0
+		for _, c := range sim.SCCs() {
+			for _, m := range c.Members {
+				if m == core.Instance(x) {
+					inX++
+				}
+			}
+		}
+		if want := map[bool]int{false: 1, true: 2}[tc.marks != ""]; inX != want {
+			t.Errorf("marks %q: x is a member of %d SCCs, want %d", tc.marks, inX, want)
+		}
+		sim.Close()
 	}
 }
 

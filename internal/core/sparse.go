@@ -6,8 +6,9 @@ import "fmt"
 // schedule of schedule.go, run each cycle over only the part of the
 // netlist something was offered to. DESIGN.md Appendix C.2–C.3 is
 // the long form. At compile time the connections are cut into
-// combinational clusters — connected components after cutting every
-// MarkSequential instance — inside which all same-cycle influence stays.
+// combinational clusters — the connected components of the dependency
+// graph (graph.go), which cuts every MarkSequential instance — inside
+// which all same-cycle influence stays.
 // At run time a cluster that resolves with no data offered records its
 // idle signature; on later cycles, after all start handlers have run and
 // before any reactive handler does, a cluster whose frontier reads as in
@@ -84,7 +85,7 @@ func WithActivityCheck() BuildOption {
 
 // buildSparse compiles the cluster plan in counted passes over a constant
 // number of slabs.
-func buildSparse(instances []Instance, conns []*Conn, info *ScheduleInfo) *progSparse {
+func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *ScheduleInfo) *progSparse {
 	n, ni := len(conns), len(instances)
 	// Composites own no conns (exports alias child ports).
 	skip := func(b *Base) bool {
@@ -92,11 +93,14 @@ func buildSparse(instances []Instance, conns []*Conn, info *ScheduleInfo) *progS
 		return composite
 	}
 
-	// Union-find over conn ids, lowest id as root: the conns of a port are
-	// one set, the ports of an unmarked instance are one set.
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
+	// Union-find over the dependency graph's nodes: a conn joins its two
+	// ports' nodes, so a cluster is a connected component of the graph,
+	// cut at every marked instance exactly where the schedule cuts it.
+	nodes := len(g.sccOf)
+	parent := make([]int32, 2*nodes)
+	label := parent[nodes:] // root -> 1 + its cluster, 0 until numbered
+	for v := range nodes {
+		parent[v] = int32(v)
 	}
 	find := func(x int32) int32 {
 		for parent[x] != x {
@@ -105,47 +109,22 @@ func buildSparse(instances []Instance, conns []*Conn, info *ScheduleInfo) *progS
 		}
 		return x
 	}
-	union := func(a, b int32) {
-		if ra, rb := find(a), find(b); ra != rb {
+	for id := range conns {
+		if ra, rb := find(g.src[id]), find(g.dst[id]); ra != rb {
 			parent[max(ra, rb)] = min(ra, rb)
 		}
 	}
-	for _, inst := range instances {
-		b := inst.base()
-		if skip(b) {
-			continue
-		}
-		glue := int32(-1)
-		for _, p := range b.portList {
-			first := int32(-1)
-			for _, c := range p.conns {
-				if p.owner != b {
-					continue
-				}
-				if first < 0 {
-					first = int32(c.id)
-				}
-				union(first, int32(c.id))
-			}
-			if first >= 0 && !b.sequential {
-				if glue < 0 {
-					glue = first
-				}
-				union(glue, first)
-			}
-		}
-	}
 
-	// Number the clusters by their lowest conn (a root precedes its set).
+	// Number the clusters by their lowest conn.
 	sp := &progSparse{clusterOf: make([]int32, n)}
 	nc := 0
-	for id := range parent {
-		if r := find(int32(id)); r == int32(id) {
-			sp.clusterOf[id] = int32(nc)
+	for id := range conns {
+		r := find(g.src[id])
+		if label[r] == 0 {
 			nc++
-		} else {
-			sp.clusterOf[id] = sp.clusterOf[r]
+			label[r] = int32(nc)
 		}
+		sp.clusterOf[id] = label[r] - 1
 	}
 	tab := make([]int32, 5*nc+2) // one slab for the per-cluster tables
 	cut := func(k int) []int32 {

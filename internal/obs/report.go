@@ -21,7 +21,7 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 	if _, err := fmt.Fprintf(w, "static schedule (%s):\n", info.Scheduler); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  modules:        %d in %d SCC(s), %d cyclic (largest %d modules)\n",
+	fmt.Fprintf(w, "  modules:        %d; dependency graph: %d SCC(s), %d cyclic (largest %d node(s); a marked instance is a node per port)\n",
 		info.Modules, info.SCCs, info.CyclicSCCs, info.LargestSCC)
 	fmt.Fprintf(w, "  forward sweep:  %d conns over %d level(s), %d in cyclic residue\n",
 		info.SweepConns, info.ForwardLevels, info.ResidueConns)

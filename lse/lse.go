@@ -49,8 +49,9 @@
 // the sparse engine never closes their cluster; what a cycle-start
 // handler does needs no marking. Base.MarkSequential declares a buffer-like
 // module (nothing observed on one port reaches another within a cycle),
-// which lets the engine cut clusters there. WithActivityCheck holds both
-// declarations to account. Sim.InvalidateActivity forces one full
+// which lets the engine cut its dependency graph there: the static sweep
+// orders defaults across it, no cycle runs through it, and the clusters
+// split. WithActivityCheck holds both declarations to account. Sim.InvalidateActivity forces one full
 // re-sweep after out-of-band state mutation.
 //
 // # Quickstart (LSS)

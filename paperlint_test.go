@@ -24,12 +24,18 @@ func TestPaperModelsLint(t *testing.T) {
 		build func(t *testing.T) *core.Sim
 		want  map[string]int
 	}
+	// LSE002 reads the dependency graph, which cuts every MarkSequential
+	// instance (a queue, a delay, a link) into a node per port.
 	want := map[string]map[string]int{
-		"fig2a-cmp":  {"LSE002": 1, "LSE004": 64},
-		"fig2c-grid": {"LSE002": 1, "LSE004": 192},
-		"fig2d-sos":  {"LSE001": 3, "LSE002": 1, "LSE003": 2, "LSE006": 3},
-		"sweep":      {"LSE002": 1},
-		"mesh.lss":   {"LSE002": 1},
+		// One loop per core: gp{i} <-> l1_{i}, neither template marked.
+		"fig2a-cmp": {"LSE002": 4, "LSE004": 64},
+		// One loop per grid node: gp{i} <-> l1_{i}, as in Fig 2a.
+		"fig2c-grid": {"LSE002": 8, "LSE004": 192},
+		// The backbone mesh's loops all close through marked queues and links.
+		"fig2d-sos": {"LSE001": 3, "LSE003": 2, "LSE006": 3},
+		// The mesh's loops all close through marked queues and links.
+		"sweep":    {},
+		"mesh.lss": {},
 	}
 	var rows []row
 	for _, ps := range paperSystems {

@@ -181,16 +181,17 @@ func TestSchedulersAgreeOnSpecs(t *testing.T) {
 		}
 		cycles := uint64(200)
 		if filepath.Base(path) == "mesh.lss" {
-			cycles = 60 // the 4x4 mesh is the slow one; its loop still breaks every cycle
+			cycles = 60 // the 4x4 mesh is the slow one
 		}
 		diffModel(t, specModel(filepath.Base(path), string(src), nil, cycles))
 	}
 }
 
-// TestSchedulersAgreeOnLargeMesh runs the mesh spec at 8×8: its cyclic
-// residue is four times that of any shipped spec, and the engine resolves
-// it with the reference's own default round, so the traced and check rows
-// must match the reference's default and break counts exactly.
+// TestSchedulersAgreeOnLargeMesh runs the mesh spec at 8×8, four times
+// the netlist of any shipped spec. It has no residue: every loop closes
+// through a marked queue or link, so the static sweep defaults every conn
+// in the order the marks allow. The reference trusts no mark, so the
+// traced and check rows must match its default counts exactly.
 func TestSchedulersAgreeOnLargeMesh(t *testing.T) {
 	src, err := os.ReadFile("specs/mesh.lss")
 	if err != nil {
@@ -340,9 +341,18 @@ func buildDefaultAcyclicGrid(t testing.TB, w, h int, opts ...core.BuildOption) *
 
 // TestSchedulersAgreeOnDefaultNetlists covers the default-control-bound
 // shapes the BenchmarkLevelized* benchmarks run: a deep acyclic chain
-// (pure static sweep) and a cyclic torus (pure residue worklist with
-// cycle breaks every cycle). Bit-identity must hold there too.
+// (pure static sweep) and a cyclic torus of unmarked modules (pure
+// residue, with cycle breaks every cycle). Bit-identity must hold there
+// too.
 func TestSchedulersAgreeOnDefaultNetlists(t *testing.T) {
+	// The torus keeps the residue path under test on a large model: every
+	// conn, in both directions, must stay in it.
+	torus := buildDefaultMesh(t, 8, 8)
+	info, n := torus.Schedule(), len(torus.Conns())
+	torus.Close()
+	if info.ResidueConns != n || info.AckResidueConns != n {
+		t.Fatalf("torus-8x8 residue = %d fwd / %d ack conns, want all %d", info.ResidueConns, info.AckResidueConns, n)
+	}
 	for _, m := range []model{
 		{"chain-64", 50, func(t testing.TB, opts ...lse.BuildOption) *core.Sim {
 			return buildDefaultChain(t, 64, opts...)
@@ -486,8 +496,9 @@ func TestSchedulersAgreeOnPaperSystems(t *testing.T) {
 }
 
 // TestMeshScheduleGolden pins the static schedule of the shipped 4x4 mesh
-// spec: the routers form exactly one cyclic SCC and the residue carries
-// the mesh loop while the terminals levelize.
+// spec: every loop of the mesh closes through a marked queue or link, so
+// the dependency graph has no cyclic SCC and no break site, and every conn
+// is in the static sweep in both directions.
 func TestMeshScheduleGolden(t *testing.T) {
 	src, err := os.ReadFile("specs/mesh.lss")
 	if err != nil {
@@ -501,20 +512,13 @@ func TestMeshScheduleGolden(t *testing.T) {
 	if info == nil {
 		t.Fatal("default build did not produce a static schedule")
 	}
-	if info.CyclicSCCs != 1 {
-		t.Fatalf("mesh cyclic SCCs = %d, want 1", info.CyclicSCCs)
+	if info.CyclicSCCs != 0 || len(info.BreakSites) != 0 {
+		t.Fatalf("mesh cyclic SCCs = %d, break sites %v, want none", info.CyclicSCCs, info.BreakSites)
 	}
-	if len(info.BreakSites) != 1 {
-		t.Fatalf("mesh break sites = %v, want exactly one", info.BreakSites)
-	}
-	if info.SweepConns == 0 || info.ResidueConns == 0 {
-		t.Fatalf("mesh should split between sweep (%d) and residue (%d)", info.SweepConns, info.ResidueConns)
-	}
-	if got := info.SweepConns + info.ResidueConns; got != len(sim.Conns()) {
-		t.Fatalf("fwd partition covers %d conns, want %d", got, len(sim.Conns()))
-	}
-	if got := info.AckSweepConns + info.AckResidueConns; got != len(sim.Conns()) {
-		t.Fatalf("ack partition covers %d conns, want %d", got, len(sim.Conns()))
+	n := len(sim.Conns())
+	if info.SweepConns != n || info.AckSweepConns != n || info.ResidueConns != 0 || info.AckResidueConns != 0 {
+		t.Fatalf("mesh sweep %d/%d, residue %d/%d (fwd/ack), want every one of %d conns in the sweep",
+			info.SweepConns, info.AckSweepConns, info.ResidueConns, info.AckResidueConns, n)
 	}
 }
 

@@ -20,7 +20,6 @@ const serveMeshSpec = `let w = 4;
 let h = 4;
 let n = w * h;
 
-# lse:ignore LSE002 -- the links close a loop; default control breaks it
 instance net    : ccl.mesh(w = w, h = h, bufdepth = 4);
 instance src[n] : ccl.pktsource(node = idx, nodes = n, rate = 0.1, size = 4);
 instance snk[n] : pcl.sink();
