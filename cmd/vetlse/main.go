@@ -3,7 +3,9 @@
 // writes reachable from OnCycleEnd commit handlers — including
 // registered method values — which panic with a contract violation at
 // simulation time; statefulgob flags asymmetric core.Stateful gob
-// serialization and boxed state payloads the package never registers.
+// serialization and boxed state payloads the package never registers;
+// sequential flags a MarkSequential template whose react handler calls an
+// Out port or whose start handler reads a port.
 //
 // It runs two ways:
 //

@@ -16,6 +16,12 @@
 //     side (and vice versa), and a package whose state carries boxed
 //     (any-typed) payloads must gob.Register payload types somewhere.
 //
+//   - sequential checks the promise of Base.MarkSequential on every
+//     constructor that makes it: the react handler calls nothing on an
+//     Out port, and the start handler reads no port (only drives, Width
+//     and Name). It is the static half of the check; WithActivityCheck and
+//     the engine-vs-reference differential are the dynamic half.
+//
 // The checks are syntactic, so an unrelated method that shares a name can
 // be excused with a `//vetlse:ignore` comment on the offending line.
 //
@@ -36,7 +42,7 @@ import (
 // Finding is one contract violation.
 type Finding struct {
 	Pos     token.Position
-	Check   string // the analyzer that produced it ("planephase", "statefulgob")
+	Check   string // the analyzer that produced it ("planephase", "statefulgob", "sequential")
 	Method  string // planephase: the signal-write method called
 	Message string
 }
@@ -69,6 +75,11 @@ var analyzers = []*Analyzer{
 		Name: "statefulgob",
 		Doc:  "asymmetric or incomplete core.Stateful gob serialization: unpaired Marshal/UnmarshalState, fields packed but never restored, boxed payloads without gob.Register",
 		Run:  runStatefulgob,
+	},
+	{
+		Name: "sequential",
+		Doc:  "MarkSequential templates whose react handler calls an Out port or whose start handler reads a port",
+		Run:  runSequential,
 	},
 }
 
