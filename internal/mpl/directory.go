@@ -109,6 +109,7 @@ func NewL1Dir(name string, id, nnodes int, cacheCfg upl.CacheCfg, image *MemImag
 	l.OnCycleStart(l.cycleStart)
 	l.OnReact(l.react)
 	l.OnCycleEnd(l.cycleEnd)
+	l.MarkSequential() // resp and net are offered from the reply and the message queue at cycle start; cpu is acked from its own lane and cur, netin from its own lane
 	return l, nil
 }
 
@@ -319,6 +320,7 @@ func NewDirHome(name string, id int, lineBytes int) *DirHome {
 	h.OnCycleStart(h.cycleStart)
 	h.OnReact(h.react)
 	h.OnCycleEnd(h.cycleEnd)
+	h.MarkSequential() // net is offered from the message queue at cycle start; netin is acked from its own lane
 	return h
 }
 

@@ -25,12 +25,15 @@ func TestPaperModelsLint(t *testing.T) {
 		want  map[string]int
 	}
 	// LSE002 reads the dependency graph, which cuts every MarkSequential
-	// instance (a queue, a delay, a link) into a node per port.
+	// instance (a queue, a delay, a link, a directory controller) into a
+	// node per port.
 	want := map[string]map[string]int{
-		// One loop per core: gp{i} <-> l1_{i}, neither template marked.
-		"fig2a-cmp": {"LSE002": 4, "LSE004": 64},
-		// One loop per grid node: gp{i} <-> l1_{i}, as in Fig 2a.
-		"fig2c-grid": {"LSE002": 8, "LSE004": 192},
+		// No cycle: the gp{i} <-> l1_{i} loops and the controller <->
+		// network loops are cut at the marked directory controllers.
+		"fig2a-cmp": {"LSE004": 64},
+		// No cycle, as in Fig 2a: every loop through a grid node's
+		// controllers is cut at their marks.
+		"fig2c-grid": {"LSE004": 192},
 		// The backbone mesh's loops all close through marked queues and links.
 		"fig2d-sos": {"LSE001": 3, "LSE003": 2, "LSE006": 3},
 		// The mesh's loops all close through marked queues and links.
