@@ -38,6 +38,7 @@ func NewTraceCore(name string, refs []MemRef, think int) *TraceCore {
 	c.Resp = c.AddInPort("resp", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	c.OnCycleStart(c.cycleStart)
 	c.OnCycleEnd(c.cycleEnd)
+	c.MarkSequential() // req is offered from the script and the clock at cycle start; resp takes the engine's default ack
 	return c
 }
 
