@@ -84,6 +84,7 @@ func NewSnoopBus(name string, cfg SnoopBusCfg) *SnoopBus {
 	s.OnCycleStart(s.cycleStart)
 	s.OnReact(s.react)
 	s.OnCycleEnd(s.cycleEnd)
+	s.MarkSequential() // grant is offered from the pending grant at cycle start; req is acked from req's own lanes, the pick and the bus state
 	return s
 }
 
@@ -263,6 +264,7 @@ func NewCacheCtrl(name string, id int, cfg CacheCtrlCfg, bus *SnoopBus, image *M
 	c.OnCycleStart(c.cycleStart)
 	c.OnReact(c.react)
 	c.OnCycleEnd(c.cycleEnd)
+	c.MarkSequential() // resp and bus are offered from the reply and the bus queue at cycle start; cpu is acked from its own lane and cur, grant from its own lane
 	bus.register(c)
 	return c, nil
 }
