@@ -182,7 +182,7 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 		}
 	}
 	// Pass 1: seeds, member counts, and the clusters that never close.
-	nReact := 0
+	nReact, nMembers := 0, 0
 	for i, inst := range instances {
 		b := inst.base()
 		if skip(b) {
@@ -201,6 +201,7 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 		nReact++
 		eachCluster(b, int32(i+1), func(cl int32) {
 			sp.memOff[cl+1]++
+			nMembers++
 			if b.autonomous {
 				sp.kind[cl] = clusterAutonomous
 			} else if noInput && sp.kind[cl] == clusterDynamic {
@@ -208,7 +209,9 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 			}
 		})
 	}
-	lists := make([]int32, 0, nc+nReact+int(sp.cellOff[nc])/3)
+	// A reactive instance is a member once per cluster its ports touch:
+	// with marked instances that can exceed the conn count.
+	lists := make([]int32, 0, nc+nReact+nMembers)
 	largest := int32(-1)
 	info.ClusterSizes = make([]int, 0, nc)
 	for cl := int32(0); int(cl) < nc; cl++ {
