@@ -70,6 +70,7 @@ func NewOrderingCtrl(name string, kind OrderingKind, sbCap, sbDelay int) *Orderi
 	o.OnCycleStart(o.cycleStart)
 	o.OnReact(o.react)
 	o.OnCycleEnd(o.cycleEnd)
+	o.MarkSequential() // resp and mem are offered from the reply, the pending load and the store buffer at cycle start; cpu is acked from its own lane and that state, memresp from its own lane
 	return o
 }
 
