@@ -55,6 +55,7 @@ func NewDMACtrl(name string) *DMACtrl {
 	d.OnCycleStart(d.cycleStart)
 	d.OnReact(d.react)
 	d.OnCycleEnd(d.cycleEnd)
+	d.MarkSequential() // memreq and done are offered from the head descriptor at cycle start; desc is acked from its own lane and the queue, memresp from its own lane
 	return d
 }
 
