@@ -52,6 +52,7 @@ func newMAC(name string, mem *isa.Memory, regs *nicRegs, bytesPerCycle, slots in
 	m.OnCycleStart(m.cycleStart)
 	m.OnReact(m.react)
 	m.OnCycleEnd(m.cycleEnd)
+	m.MarkSequential() // wireout is offered from the tx frame at cycle start; wire is acked from its own lane and the rx state
 	return m
 }
 
