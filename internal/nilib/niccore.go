@@ -80,6 +80,7 @@ func newDMAEngine(name string, mem *isa.Memory, regs *nicRegs) *DMAEngine {
 	d.OnCycleStart(d.cycleStart)
 	d.OnReact(d.react)
 	d.OnCycleEnd(d.cycleEnd)
+	d.MarkSequential() // hostreq is offered from the current transfer at cycle start; hostresp is acked from its own lane
 	return d
 }
 
