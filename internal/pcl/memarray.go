@@ -85,6 +85,7 @@ func NewMemArray(name string, p core.Params) (*MemArray, error) {
 	m.OnCycleStart(m.cycleStart)
 	m.OnReact(m.react)
 	m.OnCycleEnd(m.cycleEnd)
+	m.MarkSequential() // resp is offered from the pending replies at cycle start; req is acked from req's own lanes and the per-port queues
 	return m, nil
 }
 
