@@ -64,6 +64,7 @@ func NewWireless(name string, p core.Params) (*Wireless, error) {
 	w.OnCycleStart(w.cycleStart)
 	w.OnReact(w.react)
 	w.OnCycleEnd(w.cycleEnd)
+	w.MarkSequential() // out is offered from the frame on the air at cycle start; in is acked from in's own lanes and the air's state
 	return w, nil
 }
 
