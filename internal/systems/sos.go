@@ -52,6 +52,7 @@ func NewGateway(name string, cluster, meshSrc, meshDst, batch int) *Gateway {
 	g.Net = g.AddOutPort("net", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	g.OnCycleStart(g.cycleStart)
 	g.OnCycleEnd(g.cycleEnd)
+	g.MarkSequential() // net is offered from the pending summaries at cycle start; radio takes the engine's default ack
 	return g
 }
 
