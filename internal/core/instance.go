@@ -149,13 +149,18 @@ func (b *Base) Autonomous() bool { return b.autonomous }
 // depends, within a cycle, on a signal it observes on another port: what
 // it drives on an Out port is a function of its state at cycle start, and
 // what it acks on an In port a function of that port's own lanes and
-// state. Queues, delay lines and links are the type. The dependency graph
+// state. Queues, delay lines and links are the type, and so is any
+// controller that offers from its queues at cycle start and acks each
+// input from its own lanes (the directory and snoop controllers, the
+// trace core). The dependency graph
 // (graph.go) gives a marked instance a node per port, so the static sweep
 // orders defaults across it, LSE002 sees no cycle through it, and the
 // combinational clusters are cut there: one busy side of a buffer does
 // not keep the other side's cluster open. The mark is a promise about the
-// handlers; WithActivityCheck and the differential against the reference
-// hold it to account (DESIGN.md Appendix C.2).
+// handlers: vetlse's sequential pass checks it statically (react calls
+// nothing on an Out port, the start handler reads no port), and
+// WithActivityCheck and the differential against the reference hold it
+// to account at run time (DESIGN.md Appendix C.2).
 func (b *Base) MarkSequential() { b.sequential = true }
 
 // SourcePos returns the specification position the instance was declared
