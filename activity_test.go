@@ -16,7 +16,8 @@ import (
 // per router (a queue.out boundary, a route, an arbiter and a link.in or
 // sink.in boundary per port: 35, 24 or 15 conns for 5, 4 or 3 ports) plus
 // one single-conn cluster per router input, and the sensor network is one
-// cluster around the shared channel plus one per node's front end.
+// cluster around the shared channel plus one per node's front end. In the
+// sensor network spec every cluster is closable, its clock gates' too.
 func TestClusterPlanPaperModels(t *testing.T) {
 	src, err := os.ReadFile("specs/mesh.lss")
 	if err != nil {
@@ -35,8 +36,22 @@ func TestClusterPlanPaperModels(t *testing.T) {
 		t.Errorf("mesh.lss: %d clusters (%d closable) of sizes %v, want 80 (16 routers: 4x35, 8x24, 4x15; 64 single conns)",
 			info.Clusters, info.ClosableClusters, sizes)
 	}
-	if info.AlwaysActive != 128 || info.GatedConns != 0 || len(info.GlueInstances) != 0 {
-		t.Errorf("mesh.lss: %d seeds, %d gated conns, glue %v, want 128, 0, none", info.AlwaysActive, info.GatedConns, info.GlueInstances)
+	if info.AlwaysActive != 128 || len(info.GlueInstances) != 0 {
+		t.Errorf("mesh.lss: %d seeds, glue %v, want 128, none", info.AlwaysActive, info.GlueInstances)
+	}
+
+	src, err = os.ReadFile("specs/sensornet.lss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, err := lse.CompileLSS(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info = gated.Schedule()
+	if info.NoInputClusters != 0 || info.ClosableClusters != info.Clusters {
+		t.Errorf("sensornet.lss: %d never-closing, %d of %d clusters closable, want 0 and all",
+			info.NoInputClusters, info.ClosableClusters, info.Clusters)
 	}
 
 	b := core.NewBuilder()

@@ -208,9 +208,8 @@ func restoreAcross(t *testing.T, from, to *core.Program, snapAt, total uint64) (
 
 // TestEmptyPartitionCrossEngine runs the engine on two recipes — the
 // checkpoint recipe, in which a start handler reaches every cluster, and
-// one with an idle island that
-// no start handler reaches, which is resolved once and held — against the
-// reference. All must report sparse, hash equal to the reference cycle by
+// one with an idle island that no start handler reaches, decided like
+// any other cluster from its empty frontier — against the reference. All must report sparse, hash equal to the reference cycle by
 // cycle, and exchange snapshots with it in either direction: the
 // fingerprint hashes structure, not the scheduler kind, so the snapshot
 // format is independent of what wrote it.
@@ -231,10 +230,9 @@ func TestEmptyPartitionCrossEngine(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		assemble func(*core.Builder) error
-		gates    bool
 	}{
-		{"gates-nothing", checkpointAssemble, false},
-		{"idle-island", withIsland, true},
+		{"gates-nothing", checkpointAssemble},
+		{"idle-island", withIsland},
 	} {
 		progs := map[core.SchedulerKind]*core.Program{}
 		for _, kind := range []core.SchedulerKind{core.SchedulerSparse, core.SchedulerSequential} {
@@ -248,8 +246,8 @@ func TestEmptyPartitionCrossEngine(t *testing.T) {
 		if got := sparse.Scheduler(); got != core.SchedulerSparse {
 			t.Fatalf("%s: program reports %s, want sparse", tc.name, got)
 		}
-		if info := sparse.Schedule(); (info.GatedConns > 0) != tc.gates {
-			t.Fatalf("%s: partition gates %d conns, want gating=%v", tc.name, info.GatedConns, tc.gates)
+		if info := sparse.Schedule(); info.ClosableClusters != info.Clusters {
+			t.Fatalf("%s: %d of %d clusters closable, want all", tc.name, info.ClosableClusters, info.Clusters)
 		}
 		refHashes, refStats := runStamped(t, progs[core.SchedulerSequential], total)
 		gotHashes, gotStats := runStamped(t, sparse, total)

@@ -527,30 +527,6 @@ r.out -> snk.in;
 	if r := lint(t, connected); len(findCode(r, "LSE007")) != 0 {
 		t.Fatalf("connected relay tripped LSE007: %v", codes(r))
 	}
-
-	// MarkAutonomous declares the always-active intent and silences it.
-	b := core.NewBuilder()
-	a, err := b.Instantiate("ana.relay", "a", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := b.Instantiate("ana.relay", "c", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Connect(a, "out", c, "in"); err != nil {
-		t.Fatal(err)
-	}
-	type autonomouser interface{ MarkAutonomous() }
-	a.(autonomouser).MarkAutonomous()
-	sim, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	if r := analysis.AnalyzeSim(sim); len(findCode(r, "LSE007")) != 0 {
-		t.Fatalf("autonomous instance tripped LSE007: %v", codes(r))
-	}
 }
 
 func TestReportOrderingAndRenderers(t *testing.T) {

@@ -13,7 +13,6 @@ type instanceView interface {
 	Ports() []*core.Port
 	SourcePos() core.Pos
 	HasHandlers() (react, start, end bool)
-	Autonomous() bool
 }
 
 func view(inst core.Instance) instanceView { return inst.(instanceView) }
@@ -252,16 +251,15 @@ func sinkReachability(s *core.Sim) (hasConn map[core.Instance]bool, reach map[co
 // a reactive handler with no connected input means the handler can never
 // observe an offered signal, so the scheduler must conservatively seed
 // the instance always-active (its reactions could only depend on
-// non-signal state). Instances that declared the intent — a cycle-start
-// handler or MarkAutonomous — are not reported.
+// non-signal state). Instances with a cycle-start handler, where such
+// state is meant to be driven, are not reported.
 func passActivity(s *core.Sim, r *Report) {
 	for _, inst := range s.Instances() {
 		if _, isComposite := asComposite(inst); isComposite {
 			continue
 		}
-		v := view(inst)
-		react, start, _ := v.HasHandlers()
-		if !react || start || v.Autonomous() {
+		react, start, _ := view(inst).HasHandlers()
+		if !react || start {
 			continue
 		}
 		connectedIn := 0
@@ -272,7 +270,7 @@ func passActivity(s *core.Sim, r *Report) {
 		}
 		if connectedIn == 0 {
 			r.Addf("LSE007", Info, posOf(inst), inst.Name(),
-				"reactive handler with no connected input: %q can never be activity-gated and runs every cycle under the sparse scheduler (connect its inputs, or mark intent with MarkAutonomous)", inst.Name())
+				"reactive handler with no connected input: %q can never be activity-gated and runs every cycle under the sparse scheduler (connect its inputs, or drive what does not depend on them from OnCycleStart)", inst.Name())
 		}
 	}
 }

@@ -31,7 +31,6 @@ func TestLinkRing(t *testing.T) {
 			}
 			// Irregular acceptance keeps the ring's fill level moving.
 			cons := simtest.NewConsumer("c", func(cycle uint64, _ any) bool { return open && cycle%3 != 0 })
-			cons.MarkAutonomous() // Accept reads the cycle and the open flag
 			b.Add(prod)
 			b.Add(link)
 			b.Add(cons)

@@ -246,11 +246,15 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	}
 	// Post-build checks (WithPostBuildCheck) see the finished simulator;
 	// any failure aborts construction. Static strict-analysis mode
-	// (internal/analysis.StrictOption) is implemented on this hook.
-	for _, chk := range b.postBuild {
-		if err := chk(s); err != nil {
-			s.Close()
-			return nil, err
+	// (internal/analysis.StrictOption) is implemented on this hook. They
+	// run where the netlist is compiled: a stamp's checkStamp fingerprint
+	// already proves it the same netlist.
+	if b.prog == nil {
+		for _, chk := range b.postBuild {
+			if err := chk(s); err != nil {
+				s.Close()
+				return nil, err
+			}
 		}
 	}
 	return s, nil

@@ -30,7 +30,6 @@ type Base struct {
 	react      func()
 	start      func()
 	end        func()
-	autonomous bool // react depends on Now()/Rand(); never activity-gated
 	sequential bool // no same-cycle path between ports: a dependency-graph node per port
 	scheduled  bool // queued for react
 	rng        *rand.Rand
@@ -132,18 +131,6 @@ func (b *Base) OnCycleStart(fn func()) { b.start = fn }
 
 // OnCycleEnd registers the once-per-cycle post-resolution commit handler.
 func (b *Base) OnCycleEnd(fn func()) { b.end = fn }
-
-// MarkAutonomous declares that the instance's reactive handler can
-// behave differently from one cycle to the next without any observed
-// signal changing — typically because it reads Now() or Rand() (clock
-// dividers, jitter models). The sparse scheduler never closes a
-// combinational cluster an autonomous instance belongs to: it and its
-// reactive neighborhood are woken every cycle. What an OnCycleStart
-// handler does needs no marking — the scheduler observes it.
-func (b *Base) MarkAutonomous() { b.autonomous = true }
-
-// Autonomous reports whether MarkAutonomous was called.
-func (b *Base) Autonomous() bool { return b.autonomous }
 
 // MarkSequential declares that no signal the instance drives on one port
 // depends, within a cycle, on a signal it observes on another port: what

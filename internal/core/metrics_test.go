@@ -153,8 +153,8 @@ func TestSchedulerMetricsGolden(t *testing.T) {
 // per signal kind per cycle, after which the second connection defaults
 // normally.
 func TestSchedulerMetricsCycleBreaks(t *testing.T) {
-	// Check mode: otherwise this handler-less loop is held after the
-	// cycle-0 full sweep and the per-cycle counts collapse (see
+	// Check mode: otherwise this handler-less loop's cluster closes from
+	// cycle 2 on and the per-cycle counts collapse (see
 	// TestSparseActivityGating).
 	b := core.NewBuilder(core.WithMetrics(), core.WithActivityCheck())
 	x := newDeadEnd("x")

@@ -21,12 +21,12 @@ const (
 	// combinational clusters something was offered to: a cluster whose
 	// cycle-start signals read as they did when it last resolved with no
 	// data offered closes for the cycle — its connections keep ("replay")
-	// that resolution and its reactive handlers are not woken — and
-	// clusters no cycle-start handler can reach resolve once and are held
-	// (sparse.go). Results are bit-identical to SchedulerSequential for
-	// netlists observing the reactive-purity invariant (DESIGN.md Appendix
-	// C; WithActivityCheck checks it); scheduler metrics differ, since
-	// skipped work is the point. A tracer keeps every cluster open.
+	// that resolution and its reactive handlers are not woken (sparse.go);
+	// a cluster no cycle-start handler can reach is decided the same way,
+	// from an empty frontier. Results are bit-identical to
+	// SchedulerSequential for netlists observing the reactive-purity
+	// invariant (DESIGN.md Appendix C; WithActivityCheck checks it);
+	// scheduler metrics differ, since skipped work is the point. A tracer keeps every cluster open.
 	// Sim.InvalidateActivity forces a full re-resolution.
 	SchedulerSparse SchedulerKind = iota
 	// SchedulerSequential is the reference (reference.go): one work queue
@@ -92,9 +92,13 @@ func WithRegistry(r *Registry) BuildOption {
 // WithPostBuildCheck registers a validation hook that runs at the very
 // end of Build, after the simulator is fully constructed but before it is
 // returned. A non-nil error aborts construction and is returned from
-// Build. Repeated options compose; hooks run in registration order. The
-// static-analysis strict mode (internal/analysis.StrictOption, exposed as
-// lse.WithStrictAnalysis) is built on this hook.
+// Build. Repeated options compose; hooks run in registration order. Hooks
+// run only where a netlist is compiled — Compile, or a Builder's Build
+// outside it — and never on the sessions Program.NewSim and
+// Program.Restore stamp, whose netlist the structural fingerprint proves
+// identical to the compiled one. The static-analysis strict mode
+// (internal/analysis.StrictOption, exposed as lse.WithStrictAnalysis) is
+// built on this hook.
 func WithPostBuildCheck(fn func(*Sim) error) BuildOption {
 	return func(b *Builder) {
 		if fn != nil {

@@ -58,7 +58,7 @@ type Program struct {
 // connection endpoints) is checked against this compilation's on every
 // stamp. Build-time validation — port widths, post-build checks such as
 // strict static analysis — runs here, on the session the program keeps as
-// its first.
+// its first; post-build checks run here only, never again on a stamp.
 func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, error) {
 	if assemble == nil {
 		return nil, &BuildError{Op: "compile", Where: "?", Detail: "nil assemble function"}
@@ -201,9 +201,6 @@ func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
 		}
 		if b.end != nil {
 			flags |= 4
-		}
-		if b.autonomous {
-			flags |= 8
 		}
 		if _, ok := inst.(*Composite); ok {
 			flags |= 16

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -197,6 +198,39 @@ func TestFirstSessionIsTheCompiledNetlist(t *testing.T) {
 	prog, err := Compile(recipe, WithPostBuildCheck(func(*Sim) error { return boom }))
 	if !errors.Is(err, boom) || prog != nil || calls.Load() != 1 {
 		t.Fatalf("Compile with a failing post-build check: program %v, err %v after %d recipe runs", prog, err, calls.Load())
+	}
+}
+
+// TestPostBuildCheckRunsOnCompileOnly: a post-build check (strict
+// analysis is one) runs once, when the program is compiled — not again on
+// each session NewSim or Restore stamps from it.
+func TestPostBuildCheckRunsOnCompileOnly(t *testing.T) {
+	var runs atomic.Int64
+	prog, err := Compile(progTestAssemble, WithPostBuildCheck(func(*Sim) error {
+		runs.Add(1)
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *Sim
+	for i := 0; i < 3; i++ {
+		if last, err = prog.NewSim(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := prog.NewSim(WithSeed(3)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := last.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prog.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("post-build check ran %d times over one Compile, four NewSim and a Restore, want 1", got)
 	}
 }
 
@@ -400,8 +434,9 @@ func newOfferDriver(name string) *startDriver {
 // nothing — its one cluster is offered data every cycle — still has the
 // plan, and the schedule report and the active_insts metric come from it,
 // but a steady cycle resets the plane in one piece like a full
-// sweep; one idle island is a cluster no start handler reaches, held from
-// the first sweep on.
+// sweep; one idle island is a cluster no start handler reaches, decided
+// like any other from its empty frontier: it signs on the first steady
+// cycle and closes from then on.
 func TestEmptyPartitionNotWalked(t *testing.T) {
 	assemble := func(island bool) func(*Builder) error {
 		return func(b *Builder) error {
@@ -431,8 +466,12 @@ func TestEmptyPartitionNotWalked(t *testing.T) {
 		if prog.Scheduler() != SchedulerSparse || prog.sparse == nil {
 			t.Fatalf("island=%v: auto did not compile a cluster plan", island)
 		}
-		if held := prog.sparse.heldConns; (held == 2) != island || (held == 0) == island {
-			t.Fatalf("island=%v: plan holds %d conns", island, held)
+		want := 1
+		if island {
+			want = 2
+		}
+		if got := len(prog.sparse.decided); got != want {
+			t.Fatalf("island=%v: plan decides %d clusters, want %d", island, got, want)
 		}
 		sim, err := prog.NewSim()
 		if err != nil {
@@ -441,14 +480,15 @@ func TestEmptyPartitionNotWalked(t *testing.T) {
 		if err := sim.Run(cycles); err != nil {
 			t.Fatal(err)
 		}
-		if sim.act.nClosed != 0 {
-			t.Fatalf("island=%v: %d clusters closed although data is offered every cycle", island, sim.act.nClosed)
+		// Only the island closes: the other cluster is offered data every cycle.
+		if closed := sim.act.nClosed; (closed == 1) != island || (closed == 0) == island {
+			t.Fatalf("island=%v: %d clusters closed", island, closed)
 		}
 		// Cycle 0 counts every instance, steady cycles the seed and the
 		// probe of the open cluster.
-		want := uint64(len(sim.instances) + (cycles-1)*2)
-		if got := sim.Metrics().ActiveInstances(); got != want {
-			t.Fatalf("island=%v: active_insts = %d, want %d", island, got, want)
+		wantActive := uint64(len(sim.instances) + (cycles-1)*2)
+		if got := sim.Metrics().ActiveInstances(); got != wantActive {
+			t.Fatalf("island=%v: active_insts = %d, want %d", island, got, wantActive)
 		}
 		if info := sim.Schedule(); info.Scheduler != SchedulerSparse || info.ActiveInsts != 2 {
 			t.Fatalf("island=%v: schedule reports %s with %d active instances", island, info.Scheduler, info.ActiveInsts)

@@ -56,32 +56,27 @@ type ScheduleInfo struct {
 	// each one's conn count, in order of the clusters' lowest conn, and
 	// the largest spans LargestCluster conns. ClosableClusters of them are
 	// decided cycle by cycle from what the start handlers drove;
-	// AutonomousClusters and NoInputClusters never close, because a member
-	// is MarkAutonomous or is reactive with no connected input.
+	// NoInputClusters never close, because a member is reactive with no
+	// connected input.
 	// GlueInstances names the unmarked multi-port instances with a
 	// cycle-start handler that hold the largest cluster together — the
 	// templates to read for MarkSequential next. TracerOpen reports that a
 	// tracer is attached to this session, which keeps every cluster open
 	// so traces are complete.
-	Clusters           int
-	ClusterSizes       []int
-	LargestCluster     int
-	ClosableClusters   int
-	AutonomousClusters int
-	NoInputClusters    int
-	GlueInstances      []string
-	TracerOpen         bool
-	// GatedConns sit in a cluster no cycle-start handler can reach: closed
-	// after every full sweep, never re-resolved; ActiveConns are the rest.
-	// GatedInsts/ActiveInsts split the instances the same way (an instance
-	// is active when it is a seed or reacts in a cluster that can open);
-	// AlwaysActive of the active ones are seeds: a cycle-start handler,
-	// MarkAutonomous, or a reactive handler with no connected input.
+	Clusters         int
+	ClusterSizes     []int
+	LargestCluster   int
+	ClosableClusters int
+	NoInputClusters  int
+	GlueInstances    []string
+	TracerOpen       bool
+	// ActiveInsts have a cycle-start or a reactive handler; GatedInsts,
+	// the rest, are never woken. AlwaysActive of the active ones are
+	// seeds: a cycle-start handler, or a reactive handler with no
+	// connected input.
 	ActiveInsts  int
 	GatedInsts   int
 	AlwaysActive int
-	ActiveConns  int
-	GatedConns   int
 }
 
 // progSchedule is the compiled static schedule, shared read-only across

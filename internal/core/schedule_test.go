@@ -309,8 +309,8 @@ func TestLevelizedMetricsGolden(t *testing.T) {
 // TestLevelizedResidueIters: the two-module loop is all residue, which the
 // engine resolves with the reference's own default round, so its
 // fixed-point iterations and cycle breaks equal the reference's — one
-// break per kind per cycle. No start handler reaches the loop, so it would
-// be held after cycle 0; check mode evaluates it every cycle.
+// break per kind per cycle. No start handler reaches the loop, so its
+// cluster would close from cycle 2 on; check mode evaluates it every cycle.
 func TestLevelizedResidueIters(t *testing.T) {
 	const cycles = 3
 	run := func(opts ...core.BuildOption) *core.Metrics {

@@ -20,7 +20,7 @@ import (
 // The data lane is deliberately not serialized: its values are
 // arbitrary Go data. Restore instead forces the next Step to run a full
 // sweep (the sparse scheduler's cycle-0 behavior), which re-derives every
-// held cluster's settled resolution from the restored instance state —
+// closed cluster's settled resolution from the restored instance state —
 // bit-identical to the replay, since a full sweep and a replayed
 // cycle resolve the same values by construction.
 //

@@ -15,26 +15,19 @@ import "fmt"
 // its signature closes: its cells hold the signature, its members are
 // not woken, its resolutions are credited in bulk. Everything else
 // resolves through the ordinary sweep and the reference's default round
-// for the residue. Soundness rests on one invariant: with no data offered, a reactive handler's drives are a
-// function of the signals it observes (MarkAutonomous declares the
-// exceptions; WithActivityCheck finds the undeclared ones).
-
-// clusterKind says how the steady cycle treats a cluster.
-type clusterKind uint8
-
-const (
-	clusterDynamic    clusterKind = iota // decided each cycle from its frontier
-	clusterStatic                        // no start handler reaches it: held after every full sweep
-	clusterAutonomous                    // never closes: a member is MarkAutonomous
-	clusterNoInput                       // never closes: a reactive member has no connected input (LSE007)
-)
+// for the residue. Soundness rests on one invariant: with no data
+// offered, a reactive handler's drives are a function of the signals it
+// observes — what depends on Now(), Rand() or state is driven from
+// OnCycleStart, where the frontier observes it (WithActivityCheck finds
+// the handlers that break the rule). A cluster never closes only when a
+// reactive member has no connected input (LSE007).
 
 // progSparse is the compiled cluster plan, shared read-only by every
 // session of a Program. Per-cluster lists are cut from one slab each:
 // cluster c owns slab[off[c]:off[c+1]].
 type progSparse struct {
-	clusterOf []int32       // conn id -> cluster; clusters are numbered by their lowest conn
-	kind      []clusterKind // cluster -> treatment
+	clusterOf []int32 // conn id -> cluster; clusters are numbered by their lowest conn
+	noInput   []bool  // cluster -> never closes: a reactive member has no connected input
 	// cells holds plane cell indices (kind*nConns + conn id): a cluster's
 	// frontier cells — all three signals of every conn adjacent to an
 	// instance with a cycle-start handler, which may drive its own and read
@@ -45,10 +38,9 @@ type progSparse struct {
 	memOff   []int32
 	members  []int32 // reactive instances with a port in the cluster, ascending id
 
-	dynamic    []int32 // clusterDynamic ids, ascending: the per-cycle decision list
+	decided    []int32 // the clusters that can close, ascending: the per-cycle decision list
 	reactive   []int32 // every reactive instance, ascending id: the wake roster
 	quietSeeds int     // instances with a start handler and no reactive one: active, never woken
-	heldConns  int     // conns of static clusters: credited, not resolved, on steady cycles
 }
 
 const (
@@ -77,8 +69,8 @@ type actState struct {
 // cluster's idle signature; a difference ends the Step with a
 // *ContractError naming the cycle, the connection and signal, and the
 // instance that drives it. It is the instrument a template author signs
-// MarkSequential (or omits MarkAutonomous) against, and what the
-// differential tests run under. Nothing is skipped in this mode.
+// MarkSequential (or moves a drive into OnCycleStart) against, and what
+// the differential tests run under. Nothing is skipped in this mode.
 func WithActivityCheck() BuildOption {
 	return func(b *Builder) { b.actCheck = true }
 }
@@ -134,7 +126,7 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 	}
 	sp.cellOff, sp.memOff, sp.frontEnd = cut(nc+1), cut(nc+1), cut(nc)
 	cur, seen := cut(nc), cut(nc) // fill cursors; the instance that last visited a cluster
-	sp.kind = make([]clusterKind, nc)
+	sp.noInput = make([]bool, nc)
 	front := make([]bool, n)
 
 	// Cells: a cluster's frontier conns first, then its interior, each run
@@ -189,7 +181,7 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 			continue
 		}
 		noInput := b.react != nil && connectedInputs(b) == 0
-		if b.start != nil || b.autonomous || noInput {
+		if b.start != nil || noInput {
 			info.AlwaysActive++
 		}
 		if b.react == nil {
@@ -202,11 +194,7 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 		eachCluster(b, int32(i+1), func(cl int32) {
 			sp.memOff[cl+1]++
 			nMembers++
-			if b.autonomous {
-				sp.kind[cl] = clusterAutonomous
-			} else if noInput && sp.kind[cl] == clusterDynamic {
-				sp.kind[cl] = clusterNoInput
-			}
+			sp.noInput[cl] = sp.noInput[cl] || noInput
 		})
 	}
 	// A reactive instance is a member once per cluster its ports touch:
@@ -218,20 +206,11 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 		sp.memOff[cl+1] += sp.memOff[cl]
 		cur[cl] = sp.memOff[cl]
 		size := int(sp.cellOff[cl+1]-sp.cellOff[cl]) / 3
-		if sp.kind[cl] == clusterDynamic && sp.frontEnd[cl] == sp.cellOff[cl] {
-			sp.kind[cl] = clusterStatic
-		}
-		switch sp.kind[cl] {
-		case clusterStatic:
-			sp.heldConns += size
-			info.GatedConns += size
-		case clusterDynamic:
+		if sp.noInput[cl] {
+			info.NoInputClusters++
+		} else {
 			lists = append(lists, cl)
 			info.ClosableClusters++
-		case clusterAutonomous:
-			info.AutonomousClusters++
-		case clusterNoInput:
-			info.NoInputClusters++
 		}
 		info.Clusters++
 		info.ClusterSizes = append(info.ClusterSizes, size)
@@ -239,10 +218,9 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 			info.LargestCluster, largest = size, cl
 		}
 	}
-	sp.dynamic = lists[:len(lists):len(lists)]
+	sp.decided = lists[:len(lists):len(lists)]
 	sp.members = lists[len(lists) : len(lists)+int(sp.memOff[nc]) : len(lists)+int(sp.memOff[nc])]
 	sp.reactive = lists[len(lists)+len(sp.members) : len(lists)+len(sp.members)]
-	info.ActiveConns = n - sp.heldConns
 	// Pass 2: members, the wake roster, who is active at all, and which
 	// unmarked start-bearing multi-port instances glue the largest cluster.
 	for i, inst := range instances {
@@ -250,21 +228,18 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 		if skip(b) {
 			continue
 		}
-		active := b.start != nil || b.autonomous || (b.react != nil && connectedInputs(b) == 0)
 		glues := false
 		eachCluster(b, -int32(i+1), func(cl int32) {
 			glues = glues || cl == largest
-			if b.react == nil {
-				return
+			if b.react != nil {
+				sp.members[cur[cl]] = int32(i)
+				cur[cl]++
 			}
-			sp.members[cur[cl]] = int32(i)
-			cur[cl]++
-			active = active || sp.kind[cl] != clusterStatic
 		})
 		if b.react != nil {
 			sp.reactive = append(sp.reactive, int32(i))
 		}
-		if active {
+		if b.start != nil || b.react != nil {
 			info.ActiveInsts++
 		}
 		if glues && b.start != nil && !b.sequential {
@@ -323,18 +298,19 @@ func (s *Sim) stamp() uint64 { return s.cycle + 1 }
 // one memclr.
 func (s *Sim) resetOpen() {
 	sp, a := s.sparse, s.act
+	nc := len(sp.noInput)
 	if a == nil {
 		a = &actState{
-			flags:   make([]uint8, len(sp.kind)),
-			offered: make([]uint64, len(sp.kind)),
+			flags:   make([]uint8, nc),
+			offered: make([]uint64, nc),
 			open:    make([]uint64, len(s.bases)),
-			credit:  make([][3]int32, len(sp.kind)),
+			credit:  make([][3]int32, nc),
 		}
 		// Woken every cycle, by a stamp no cycle reaches: reactive
 		// instances in no cluster, and the members of never-closing ones.
 		set := func(never bool, v uint64) {
-			for cl, k := range sp.kind {
-				if (k >= clusterAutonomous) == never {
+			for cl, ni := range sp.noInput {
+				if ni == never {
 					for _, id := range sp.members[sp.memOff[cl]:sp.memOff[cl+1]] {
 						a.open[id] = v
 					}
@@ -348,15 +324,12 @@ func (s *Sim) resetOpen() {
 		set(true, ^uint64(0))
 		s.act = a
 	}
-	if s.actCheck || (a.kept == 0 && sp.heldConns == 0) {
+	if s.actCheck || a.kept == 0 {
 		s.plane.clearStatus()
 		return
 	}
 	cells := s.plane.cells
-	for cl, k := range sp.kind {
-		if k == clusterStatic {
-			continue // held: a steady cycle leaves its cells alone
-		}
+	for cl := range nc {
 		hi := sp.cellOff[cl+1]
 		if a.flags[cl]&actClosed != 0 {
 			hi = sp.frontEnd[cl]
@@ -376,22 +349,7 @@ func (s *Sim) wakeOpen() {
 	sp, a := s.sparse, s.act
 	cells, stamp := s.plane.cells, s.stamp()
 	a.pending = a.pending[:0]
-	decide := sp.dynamic
-	if s.actCheck {
-		// Nothing is held in check mode: static clusters are decided, and
-		// so evaluated and compared, like the rest.
-		decide = nil
-		for cl, k := range sp.kind {
-			if k <= clusterStatic {
-				decide = append(decide, int32(cl))
-			}
-		}
-	} else {
-		s.resolved[SigData] += sp.heldConns
-		s.resolved[SigEnable] += sp.heldConns
-		s.resolved[SigAck] += sp.heldConns
-	}
-	for _, cl := range decide {
+	for _, cl := range sp.decided {
 		lo, fe, hi := sp.cellOff[cl], sp.frontEnd[cl], sp.cellOff[cl+1]
 		fl := a.flags[cl]
 		closes := false
@@ -452,7 +410,7 @@ func (s *Sim) wakeOpen() {
 		s.resolved[SigEnable] += int(cr[SigEnable])
 		s.resolved[SigAck] += int(cr[SigAck])
 	}
-	if !s.actCheck && (a.nClosed > 0 || sp.heldConns > 0) {
+	if !s.actCheck && a.nClosed > 0 {
 		keep := s.queue[:0]
 		for _, b := range s.queue {
 			if a.open[b.id] >= stamp {
@@ -474,7 +432,7 @@ func (s *Sim) wakeOpen() {
 		m.activeInsts.Add(uint64(sp.quietSeeds + woken))
 		m.skippedWakes.Add(uint64(len(sp.reactive) - woken))
 		m.closedClusters.Add(uint64(a.nClosed))
-		m.closedConns.Add(uint64(a.closedConns + sp.heldConns))
+		m.closedConns.Add(uint64(a.closedConns))
 	}
 }
 
@@ -520,7 +478,7 @@ func (s *Sim) checkFailed(c *Conn, k SigKind, want Status) {
 	}
 	contractPanic("activity check", c.String(), fmt.Sprintf(
 		"cycle %d: %s resolved %s, but its cluster's idle signature — recorded with the same cycle-start signals and no data offered — has %s; "+
-			"%q drives it: if its reactive handler reads Now(), Rand() or state that changes without an input changing, declare MarkAutonomous; "+
+			"%q drives it: if its reactive handler reads Now(), Rand() or state that changes without an input changing, make that decision in OnCycleStart; "+
 			"if an instance of the cluster is marked MarkSequential but passes a signal between its ports within a cycle, remove the mark",
 		s.cycle, k, c.status(k), want, driver.name))
 }

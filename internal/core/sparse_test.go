@@ -34,9 +34,10 @@ func buildMixed(t *testing.T, opts ...core.BuildOption) *core.Sim {
 	return sim
 }
 
-// TestSparseActivityGating: a fully handler-less netlist resolves once on
-// the cycle-0 full sweep and replays afterwards — default-control work is
-// paid exactly once, not per cycle.
+// TestSparseActivityGating: a fully handler-less netlist resolves on the
+// cycle-0 full sweep and on cycle 1, whose idle resolution signs its one
+// cluster (no start handler reaches it: its frontier is empty), and
+// replays afterwards — default-control work is paid twice, not per cycle.
 func TestSparseActivityGating(t *testing.T) {
 	b := core.NewBuilder(core.WithMetrics())
 	x := newDeadEnd("x")
@@ -58,11 +59,11 @@ func TestSparseActivityGating(t *testing.T) {
 	}
 	m := sim.Metrics()
 	for _, k := range []core.SigKind{core.SigData, core.SigEnable, core.SigAck} {
-		if got := m.DefaultFallbacks(k); got != 2 {
-			t.Errorf("default fallbacks[%s] = %d, want 2 (cycle-0 full sweep only)", k, got)
+		if got := m.DefaultFallbacks(k); got != 4 {
+			t.Errorf("default fallbacks[%s] = %d, want 4 (cycle-0 full sweep and the signing cycle 1)", k, got)
 		}
-		if got := m.CycleBreaks(k); got != 1 {
-			t.Errorf("cycle breaks[%s] = %d, want 1", k, got)
+		if got := m.CycleBreaks(k); got != 2 {
+			t.Errorf("cycle breaks[%s] = %d, want 2", k, got)
 		}
 	}
 	// Only the cycle-0 full sweep counts the instances as active.
@@ -81,15 +82,16 @@ func TestSparseActivityGating(t *testing.T) {
 	if info == nil {
 		t.Fatal("sparse scheduler should expose schedule info")
 	}
-	if info.ActiveInsts != 0 || info.GatedInsts != 2 || info.ActiveConns != 0 || info.GatedConns != 2 {
-		t.Errorf("partition = %d/%d insts %d/%d conns, want 0/2 and 0/2",
-			info.ActiveInsts, info.GatedInsts, info.ActiveConns, info.GatedConns)
+	if info.ActiveInsts != 0 || info.GatedInsts != 2 || info.ClosableClusters != 1 {
+		t.Errorf("partition = %d/%d insts, %d closable clusters, want 0/2 and 1",
+			info.ActiveInsts, info.GatedInsts, info.ClosableClusters)
 	}
 }
 
-// TestSparsePartitionMixed: the activity closure keeps the live region
-// active (driver is a start-handler seed; the ackers cascade) and gates
-// the dead loop, and the live region's behavior is unchanged.
+// TestSparsePartitionMixed: the live region is active (driver is a
+// start-handler seed; the ackers react), the handler-less dead loop is
+// not, both clusters are decided cycle by cycle, and the live region's
+// behavior is unchanged.
 func TestSparsePartitionMixed(t *testing.T) {
 	sim := buildMixed(t, core.WithMetrics())
 	info := sim.Schedule()
@@ -99,8 +101,8 @@ func TestSparsePartitionMixed(t *testing.T) {
 	if info.AlwaysActive != 1 {
 		t.Errorf("seeds = %d, want 1 (the driver)", info.AlwaysActive)
 	}
-	if info.ActiveConns != 2 || info.GatedConns != 2 {
-		t.Errorf("conn partition = %d/%d, want 2/2", info.ActiveConns, info.GatedConns)
+	if info.Clusters != 2 || info.ClosableClusters != 2 {
+		t.Errorf("%d clusters, %d closable, want 2/2", info.Clusters, info.ClosableClusters)
 	}
 	const cycles = 4
 	if err := sim.Run(cycles); err != nil {
@@ -125,12 +127,13 @@ func TestSparsePartitionMixed(t *testing.T) {
 	}
 }
 
-// TestSparseSkippedWakes: gated *reactive* instances are counted as
-// skipped wakes each sparse cycle.
+// TestSparseSkippedWakes: reactive members of a closed cluster are counted
+// as skipped wakes each steady cycle it stays closed.
 func TestSparseSkippedWakes(t *testing.T) {
 	b := core.NewBuilder(core.WithMetrics())
 	// Two reactive ackers whose inputs come from a handler-less module:
-	// no seed reaches them, so they gate.
+	// no start handler reaches their cluster, so it signs on cycle 1 and
+	// closes from cycle 2 on.
 	d := newDeadEnd("d")
 	a1 := newAcker("a1")
 	a2 := newAcker("a2")
@@ -148,7 +151,7 @@ func TestSparseSkippedWakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sim.Metrics()
-	if got, want := m.SkippedWakes(), uint64(2*(cycles-1)); got != want {
+	if got, want := m.SkippedWakes(), uint64(2*(cycles-2)); got != want {
 		t.Errorf("skipped wakes = %d, want %d", got, want)
 	}
 }
@@ -168,29 +171,6 @@ func TestSparseInvalidateActivity(t *testing.T) {
 	got := sim.Metrics().ActiveInstances() - before
 	if want := uint64(5 + 3); got != want {
 		t.Errorf("active instances across invalidated pair = %d, want %d", got, want)
-	}
-}
-
-// TestSparseAutonomousSeed: MarkAutonomous keeps a reactive-only
-// instance (and its neighborhood) in the active region.
-func TestSparseAutonomousSeed(t *testing.T) {
-	b := core.NewBuilder()
-	d := newDeadEnd("d")
-	a := newAcker("a")
-	a.MarkAutonomous()
-	b.Add(d)
-	b.Add(a)
-	b.Connect(d, "out", a, "in")
-	sim, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := sim.Schedule()
-	if info.ActiveInsts != 1 || info.AlwaysActive != 1 {
-		t.Fatalf("autonomous instance not seeded: %+v", info)
-	}
-	if info.GatedConns != 0 {
-		t.Errorf("conns adjacent to an autonomous instance must stay active, %d gated", info.GatedConns)
 	}
 }
 
@@ -329,12 +309,13 @@ func buildChain(t *testing.T, opts []core.BuildOption, insts ...core.Instance) *
 
 // TestClusterPlan pins how the netlist is cut: with no marked instance a
 // cluster is a connected component, a mark splits it at the instance,
-// and an autonomous or input-less reactive member pins a cluster open.
+// every cluster is closable — the dead loop no start handler reaches too —
+// and only an input-less reactive member pins a cluster open.
 func TestClusterPlan(t *testing.T) {
 	info := buildMixed(t).Schedule()
-	if info.Clusters != 2 || info.LargestCluster != 2 || info.ClosableClusters != 1 || info.GatedConns != 2 {
-		t.Errorf("mixed netlist: %d clusters (largest %d, %d closable, %d gated conns), want 2/2/1/2",
-			info.Clusters, info.LargestCluster, info.ClosableClusters, info.GatedConns)
+	if info.Clusters != 2 || info.LargestCluster != 2 || info.ClosableClusters != 2 {
+		t.Errorf("mixed netlist: %d clusters (largest %d, %d closable), want 2/2/2",
+			info.Clusters, info.LargestCluster, info.ClosableClusters)
 	}
 	for _, marked := range []bool{false, true} {
 		info := buildChain(t, nil, newIdleStart("drv"), newRelay("r", marked), newAcker("a")).Schedule()
@@ -348,12 +329,6 @@ func TestClusterPlan(t *testing.T) {
 		if marked == (len(info.GlueInstances) == 1) {
 			t.Errorf("relay marked=%v: glue instances %v", marked, info.GlueInstances)
 		}
-	}
-	auto := newNowAcker("a")
-	auto.MarkAutonomous()
-	info = buildChain(t, nil, newIdleStart("drv"), auto).Schedule()
-	if info.AutonomousClusters != 1 || info.ClosableClusters != 0 {
-		t.Errorf("autonomous member: %d never-closing, %d closable clusters, want 1/0", info.AutonomousClusters, info.ClosableClusters)
 	}
 	// A reactive instance with no connected input (LSE007) pins its cluster.
 	src := newRelay("src", false)
@@ -452,8 +427,8 @@ func TestClusterPlanCompositeExports(t *testing.T) {
 // TestActivityCheckCatchesLyingTemplates: the two ways a template can
 // break the contract closing rests on — a MarkSequential instance that
 // passes a signal between its ports, and a reactive handler that reads
-// Now() without MarkAutonomous — run unnoticed into wrong statuses
-// without the check, and end in a positioned ContractError with it.
+// Now() with no data offered — run unnoticed into wrong statuses without
+// the check, and end in a positioned ContractError with it.
 func TestActivityCheckCatchesLyingTemplates(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -463,7 +438,7 @@ func TestActivityCheckCatchesLyingTemplates(t *testing.T) {
 		{"lying-sequential-mark", func(opts ...core.BuildOption) *core.Sim {
 			return buildChain(t, opts, newIdleStart("drv"), newRelay("liar", true), newParityAcker("par"))
 		}, "liar"},
-		{"unmarked-autonomous", func(opts ...core.BuildOption) *core.Sim {
+		{"react-reads-now", func(opts ...core.BuildOption) *core.Sim {
 			return buildChain(t, opts, newIdleStart("drv"), newNowAcker("clocked"))
 		}, "clocked"},
 	} {
@@ -498,7 +473,7 @@ func TestActivityCheckCatchesLyingTemplates(t *testing.T) {
 		if ce.Where != checked.Conns()[0].String() {
 			t.Errorf("%s: error positioned at %q, want conn 0 %q", tc.name, ce.Where, checked.Conns()[0])
 		}
-		for _, want := range []string{"cycle 2", "ack resolved yes", fmt.Sprintf("%q drives it", tc.driver), "MarkAutonomous", "MarkSequential"} {
+		for _, want := range []string{"cycle 2", "ack resolved yes", fmt.Sprintf("%q drives it", tc.driver), "OnCycleStart", "MarkSequential"} {
 			if !strings.Contains(ce.Detail, want) {
 				t.Errorf("%s: error detail lacks %q:\n%s", tc.name, want, ce.Detail)
 			}
@@ -509,10 +484,9 @@ func TestActivityCheckCatchesLyingTemplates(t *testing.T) {
 			t.Errorf("%s: Step after the check error: %v", tc.name, err)
 		}
 	}
-	// The remedy works: declared autonomous, the clocked acker passes.
-	auto := newNowAcker("clocked")
-	auto.MarkAutonomous()
-	if err := buildChain(t, []core.BuildOption{core.WithActivityCheck()}, newIdleStart("drv"), auto).Run(8); err != nil {
-		t.Fatalf("MarkAutonomous instance under check mode: %v", err)
+	// The remedy works: the same decision driven from OnCycleStart, where
+	// the frontier observes it, passes check mode.
+	if err := buildChain(t, []core.BuildOption{core.WithActivityCheck()}, newIdleStart("drv"), newParityAcker("clocked")).Run(8); err != nil {
+		t.Fatalf("Now()-driven ack from OnCycleStart under check mode: %v", err)
 	}
 }

@@ -27,13 +27,10 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 		info.SweepConns, info.ForwardLevels, info.ResidueConns)
 	fmt.Fprintf(w, "  ack sweep:      %d conns over %d level(s), %d in cyclic residue\n",
 		info.AckSweepConns, info.AckLevels, info.AckResidueConns)
-	fmt.Fprintf(w, "  clusters:       %d combinational cluster(s) (%s conns); %d decided each cycle from their cycle-start signals,\n",
-		info.Clusters, sizeHistogram(info.ClusterSizes), info.ClosableClusters)
-	fmt.Fprintf(w, "                  %d conn(s) out of every start handler's reach (held after the first sweep), %d seed instance(s)\n",
-		info.GatedConns, info.AlwaysActive)
-	if n := info.AutonomousClusters + info.NoInputClusters; n > 0 {
-		fmt.Fprintf(w, "  never close:    %d cluster(s): %d with a MarkAutonomous member, %d with an input-less reactive member (LSE007)\n",
-			n, info.AutonomousClusters, info.NoInputClusters)
+	fmt.Fprintf(w, "  clusters:       %d combinational cluster(s) (%s conns); %d decided each cycle from their cycle-start signals; %d seed instance(s)\n",
+		info.Clusters, sizeHistogram(info.ClusterSizes), info.ClosableClusters, info.AlwaysActive)
+	if n := info.NoInputClusters; n > 0 {
+		fmt.Fprintf(w, "  never close:    %d cluster(s) with an input-less reactive member (LSE007)\n", n)
 	}
 	if info.TracerOpen {
 		fmt.Fprintln(w, "  never close:    any cluster, in this session: a tracer is attached and sees every resolution")

@@ -34,10 +34,10 @@ func NewClockGate(name string, p core.Params) (*ClockGate, error) {
 	g.In = g.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	g.Out = g.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	g.OnReact(g.react)
-	// The reactive handler reads Now(): whether data crosses depends on
-	// the cycle number, not only on observed signals, so the sparse
-	// scheduler must never gate it.
-	g.MarkAutonomous()
+	// The reactive handler reads Now(), but only once data is offered:
+	// with none, it sends nothing and nacks on every cycle, ticking or
+	// not, so its idle drives are a function of what it observes and its
+	// cluster may close.
 	return g, nil
 }
 

@@ -1,6 +1,7 @@
 package pcl_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -530,6 +531,78 @@ func TestClockGatePhase(t *testing.T) {
 	simtest.Run(t, sim, 10)
 	if len(cons.GotAt) == 0 || cons.GotAt[0] != 2 {
 		t.Fatalf("first arrival at %v, want cycle 2 (phase)", cons.GotAt)
+	}
+}
+
+// TestClockGateClusterCloses: with no data offered a clock gate sends
+// nothing and nacks on every cycle, ticking or not, so its cluster closes
+// on idle cycles like any other. For every divisor and phase, the engine,
+// the engine under check mode and the reference agree on every status of
+// every cycle and on what the sink received, and the engine closes the
+// gate's cluster at least once.
+func TestClockGateClusterCloses(t *testing.T) {
+	const cycles = 60
+	type run struct {
+		hashes []string
+		got    []any
+		at     []uint64
+		closed uint64
+	}
+	build := func(divisor, phase int, opts ...core.BuildOption) run {
+		// Six items, withheld every fifth cycle: idle gaps while data is
+		// pending, then an idle tail.
+		prod := simtest.NewProducer("prod", simtest.IntSeq(6))
+		prod.Gate = func(cycle uint64) bool { return cycle%5 != 0 }
+		g, err := pcl.NewClockGate("g", core.Params{"divisor": divisor, "phase": phase})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons := simtest.NewConsumer("cons", nil)
+		b := core.NewBuilder(append(opts, core.WithMetrics())...)
+		b.Add(prod)
+		b.Add(g)
+		b.Add(cons)
+		b.Connect(prod, "out", g, "in")
+		b.Connect(g, "out", cons, "in")
+		sim := simtest.Build(t, b)
+		var r run
+		for i := 0; i < cycles; i++ {
+			simtest.Run(t, sim, 1)
+			h := ""
+			for _, c := range sim.Conns() {
+				h += fmt.Sprintf("%v/%v/%v ", c.Status(core.SigData), c.Status(core.SigEnable), c.Status(core.SigAck))
+			}
+			r.hashes = append(r.hashes, h)
+		}
+		r.got, r.at, r.closed = cons.Got, cons.GotAt, sim.Metrics().ClosedClusterCycles()
+		return r
+	}
+	for _, divisor := range []int{1, 2, 4} {
+		for phase := 0; phase < divisor; phase++ {
+			ref := build(divisor, phase, core.WithScheduler(core.SchedulerSequential))
+			if len(ref.got) != 6 {
+				t.Fatalf("divisor %d phase %d: reference received %d items, want 6", divisor, phase, len(ref.got))
+			}
+			for _, eng := range []struct {
+				name string
+				opts []core.BuildOption
+			}{{"engine", nil}, {"check", []core.BuildOption{core.WithActivityCheck()}}} {
+				got := build(divisor, phase, eng.opts...)
+				for i := range ref.hashes {
+					if got.hashes[i] != ref.hashes[i] {
+						t.Fatalf("divisor %d phase %d %s: cycle %d statuses %s, reference %s",
+							divisor, phase, eng.name, i, got.hashes[i], ref.hashes[i])
+					}
+				}
+				if !reflect.DeepEqual(got.got, ref.got) || !reflect.DeepEqual(got.at, ref.at) {
+					t.Fatalf("divisor %d phase %d %s: received %v at %v, reference %v at %v",
+						divisor, phase, eng.name, got.got, got.at, ref.got, ref.at)
+				}
+				if eng.name == "engine" && got.closed == 0 {
+					t.Errorf("divisor %d phase %d: the gate's cluster never closed", divisor, phase)
+				}
+			}
+		}
 	}
 }
 

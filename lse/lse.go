@@ -43,15 +43,15 @@
 //	lse.WriteScheduleReport(os.Stderr, sim) // SCCs, levels, break sites, clusters
 //	ref, _ := lse.LoadLSS(src, lse.WithScheduler(lse.SchedulerSequential))
 //
-// Reactive modules whose behavior depends on more than their observed
-// input signals (e.g. handlers that read Now() or draw randomness even
-// when no data is offered) must declare it with Base.MarkAutonomous so
-// the sparse engine never closes their cluster; what a cycle-start
-// handler does needs no marking. Base.MarkSequential declares a buffer-like
-// module (nothing observed on one port reaches another within a cycle),
-// which lets the engine cut its dependency graph there: the static sweep
-// orders defaults across it, no cycle runs through it, and the clusters
-// split. WithActivityCheck holds both declarations to account. Sim.InvalidateActivity forces one full
+// With no data offered, a reactive handler's drives must be a function
+// of its observed input signals: a drive that depends on Now(),
+// randomness or state is made from a cycle-start handler, which the
+// engine observes and which needs no marking. Base.MarkSequential
+// declares a buffer-like module (nothing observed on one port reaches
+// another within a cycle), which lets the engine cut its dependency graph
+// there: the static sweep orders defaults across it, no cycle runs
+// through it, and the clusters split. WithActivityCheck holds the rule
+// and the mark to account. Sim.InvalidateActivity forces one full
 // re-sweep after out-of-band state mutation.
 //
 // # Quickstart (LSS)
@@ -407,8 +407,8 @@ var (
 	WithMetrics = core.WithMetrics
 	// WithActivityCheck makes the engine evaluate every cluster
 	// it would have closed and compare it with the cluster's idle
-	// signature: the check a template author signs MarkSequential, or the
-	// absence of MarkAutonomous, against.
+	// signature: the check a template author signs MarkSequential, or a
+	// reactive handler's data-free drives, against.
 	WithActivityCheck = core.WithActivityCheck
 )
 
