@@ -26,8 +26,8 @@ type SpecPass struct {
 	Run  func(f *lss.File, r *Report)
 }
 
-// The built-in pass sets, in execution order. RegisterNetlistPass and
-// RegisterSpecPass extend them (e.g. from a component library's init).
+// The pass sets, in execution order. They are fixed at compile time:
+// AnalyzeSim and AnalyzeSpec read them from any goroutine.
 var (
 	netlistPasses = []NetlistPass{
 		{Code: "LSE001", Name: "unconnected", Doc: "optional ports left unconnected, with the default-control rule that governs them", Run: passUnconnected},
@@ -42,17 +42,11 @@ var (
 	}
 )
 
-// NetlistPasses returns the registered netlist passes in execution order.
+// NetlistPasses returns the netlist passes in execution order.
 func NetlistPasses() []NetlistPass { return netlistPasses }
 
-// SpecPasses returns the registered spec passes in execution order.
+// SpecPasses returns the spec passes in execution order.
 func SpecPasses() []SpecPass { return specPasses }
-
-// RegisterNetlistPass appends a custom netlist check.
-func RegisterNetlistPass(p NetlistPass) { netlistPasses = append(netlistPasses, p) }
-
-// RegisterSpecPass appends a custom spec check.
-func RegisterSpecPass(p SpecPass) { specPasses = append(specPasses, p) }
 
 // AnalyzeSim runs every netlist pass over a built simulator and returns
 // the sorted report. It never mutates the simulator.

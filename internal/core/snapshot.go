@@ -14,8 +14,8 @@ import (
 // set — keyed by the program's structural fingerprint.
 // Program.Restore stamps a fresh session and replays that state into it;
 // the restored run then produces bit-identical per-cycle signal
-// resolutions to the uninterrupted one (the scheddiff hash suite is the
-// oracle for this).
+// resolutions to the uninterrupted one (the root differential harness
+// restores every model that snapshots, in and across engines).
 //
 // The data lane is deliberately not serialized: its values are
 // arbitrary Go data. Restore instead forces the next Step to run a full
@@ -74,11 +74,21 @@ type snapshotFile struct {
 // Snapshot writes a deterministic checkpoint of the session to w. It may
 // only be taken between cycles (outside Step); taking one mid-cycle is a
 // contract error. Every instance with lifecycle handlers must implement
-// Stateful, or Snapshot refuses with an error naming the instance.
+// Stateful, or Snapshot refuses with an error naming the first that does
+// not — the same instance at every cycle.
 func (s *Sim) Snapshot(w io.Writer) error {
 	if s.phase != phaseIdle {
 		return &ContractError{Op: "snapshot", Where: "sim",
 			Detail: "snapshots may only be taken between cycles, not from inside a handler"}
+	}
+	// Refuse before marshalling anything, so a model that can never
+	// checkpoint is refused the same way, naming the same instance, at
+	// every cycle — not by whichever state fails to encode first.
+	for _, b := range s.bases {
+		if _, ok := b.self.(Stateful); !ok && (b.react != nil || b.start != nil || b.end != nil) {
+			return &ContractError{Op: "snapshot", Where: b.name,
+				Detail: "instance has lifecycle handlers but does not implement core.Stateful; cannot checkpoint"}
+		}
 	}
 	snap := snapshotFile{
 		Magic:       snapMagic,
@@ -99,10 +109,6 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		snap.RngN[i] = b.rsrc.n
 		st, ok := b.self.(Stateful)
 		if !ok {
-			if b.react != nil || b.start != nil || b.end != nil {
-				return &ContractError{Op: "snapshot", Where: b.name,
-					Detail: "instance has lifecycle handlers but does not implement core.Stateful; cannot checkpoint"}
-			}
 			continue // handler-less instances (composites, pass-throughs) hold no behavioral state
 		}
 		data, err := st.MarshalState()

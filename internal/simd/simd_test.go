@@ -2,8 +2,8 @@ package simd
 
 // The service's end-to-end suite: every test drives a real Server over
 // real HTTP (httptest), the same wire a remote client uses. The
-// bit-identity oracle mirrors the repo's scheddiff hasher: a restored
-// session must hash cycle-for-cycle identically to an uninterrupted run.
+// bit-identity oracle is simtest.CycleHasher: a restored session must
+// hash cycle-for-cycle identically to an uninterrupted run.
 
 import (
 	"bytes"
@@ -11,7 +11,6 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -25,6 +24,7 @@ import (
 
 	core "liberty/internal/core"
 	"liberty/internal/lss"
+	"liberty/internal/simtest"
 )
 
 // testSpec exercises every stateful pcl template on the snapshot path:
@@ -47,28 +47,6 @@ arb.out  -> q.in;
 q.out    -> dly.in;
 dly.out  -> snk.in;
 `
-
-// cycleHasher is the scheddiff oracle: at OnCycleEnd it hashes the
-// id-ordered statuses and data of every connection. Two runs are
-// bit-identical iff their hash sequences match.
-type cycleHasher struct {
-	sim    *core.Sim
-	hashes []uint64
-}
-
-func (h *cycleHasher) OnCycleBegin(uint64)                             {}
-func (h *cycleHasher) OnResolve(*core.Conn, core.SigKind, core.Status) {}
-func (h *cycleHasher) Attach(s *core.Sim)                              { h.sim = s }
-
-func (h *cycleHasher) OnCycleEnd(uint64) {
-	fh := fnv.New64a()
-	for _, c := range h.sim.Conns() {
-		v, _ := c.Data()
-		fmt.Fprintf(fh, "%d:%d%d%d=%v;", c.ID(),
-			c.Status(core.SigData), c.Status(core.SigEnable), c.Status(core.SigAck), v)
-	}
-	h.hashes = append(h.hashes, fh.Sum64())
-}
 
 // newTestServer starts a Server over real HTTP and returns it with a
 // client pointed at it.
@@ -351,7 +329,7 @@ func TestSchedulerSpellingsShareOneProgram(t *testing.T) {
 
 // TestSnapshotRestoreBitIdentical is the service's checkpoint oracle:
 // a session snapshotted over HTTP at cycle 60 and restored — locally and
-// into a fresh server session — must continue bit-identically (scheddiff
+// into a fresh server session — must continue bit-identically (per-cycle
 // hashes, statistics) with an uninterrupted 140-cycle run.
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	const snapAt, total = 60, 140
@@ -368,7 +346,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	if fp := fmt.Sprintf("%016x", local.Fingerprint()); fp != prog.Fingerprint {
 		t.Fatalf("local fingerprint %s != served %s", fp, prog.Fingerprint)
 	}
-	ref := &cycleHasher{}
+	ref := &simtest.CycleHasher{}
 	refSim, err := local.NewSim(core.WithSeed(1), core.WithTracer(ref))
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +371,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 
 	// Restore the HTTP snapshot into the local program with a hasher: the
 	// remainder must hash identically to the reference's tail.
-	h := &cycleHasher{}
+	h := &simtest.CycleHasher{}
 	restored, err := local.Restore(bytes.NewReader(ckpt), core.WithTracer(h))
 	if err != nil {
 		t.Fatal(err)
@@ -405,11 +383,11 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	if err := restored.Run(total - snapAt); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.hashes) != total-snapAt {
-		t.Fatalf("restored run hashed %d cycles, want %d", len(h.hashes), total-snapAt)
+	if len(h.Hashes) != total-snapAt {
+		t.Fatalf("restored run hashed %d cycles, want %d", len(h.Hashes), total-snapAt)
 	}
-	for i, want := range ref.hashes[snapAt:] {
-		if h.hashes[i] != want {
+	for i, want := range ref.Hashes[snapAt:] {
+		if h.Hashes[i] != want {
 			t.Fatalf("cycle %d diverged after HTTP snapshot/restore", snapAt+i)
 		}
 	}

@@ -5,6 +5,7 @@ package simtest
 
 import (
 	"fmt"
+	"hash/crc64"
 	"testing"
 
 	core "liberty/internal/core"
@@ -169,4 +170,42 @@ func EqualInts(t *testing.T, got, want []int, label string) {
 			t.Fatalf("%s: got %v, want %v", label, got, want)
 		}
 	}
+}
+
+// StatusHash fingerprints the statuses of every connection, in id order.
+func StatusHash(s *core.Sim) uint64 { return fingerprint(s, false) }
+
+// StepHashes steps s n cycles and returns the StatusHash after each.
+func StepHashes(t *testing.T, s *core.Sim, n int) []uint64 {
+	t.Helper()
+	out := make([]uint64, n)
+	for i := range out {
+		Run(t, s, 1)
+		out[i] = StatusHash(s)
+	}
+	return out
+}
+
+// CycleHasher is a tracer that fingerprints the statuses and data values
+// of every connection at each cycle's end. A tracer keeps every cluster
+// open; a run that lets clusters close is compared by StatusHash.
+type CycleHasher struct {
+	Hashes []uint64
+	sim    *core.Sim
+}
+
+func (h *CycleHasher) Attach(s *core.Sim)                              { h.sim = s }
+func (h *CycleHasher) OnCycleBegin(uint64)                             {}
+func (h *CycleHasher) OnResolve(*core.Conn, core.SigKind, core.Status) {}
+func (h *CycleHasher) OnCycleEnd(uint64)                               { h.Hashes = append(h.Hashes, fingerprint(h.sim, true)) }
+
+func fingerprint(s *core.Sim, data bool) uint64 {
+	buf := make([]byte, 0, 4*len(s.Conns()))
+	for _, c := range s.Conns() {
+		buf = append(buf, byte(c.Status(core.SigData)), byte(c.Status(core.SigEnable)), byte(c.Status(core.SigAck)))
+		if v, ok := c.Data(); ok && data {
+			buf = fmt.Appendf(buf, "%v;", v)
+		}
+	}
+	return crc64.Checksum(buf, crc64.MakeTable(crc64.ECMA))
 }

@@ -115,6 +115,20 @@ func TestPaperModelsLint(t *testing.T) {
 	}
 }
 
+// buildSystem builds one assembly recipe into a simulator.
+func buildSystem(t testing.TB, seed int64, assemble func(*core.Builder) error) *core.Sim {
+	t.Helper()
+	b := core.NewBuilder(lse.WithSeed(seed))
+	if err := assemble(b); err != nil {
+		t.Fatal(err)
+	}
+	sim, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
 func reported(rep *analysis.Report, code, where string) bool {
 	for _, d := range rep.Diags {
 		if d.Code == code && d.Where == where {
