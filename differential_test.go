@@ -441,30 +441,27 @@ func snapshot(t *testing.T, sim *core.Sim, refuses string) []byte {
 	return buf.Bytes()
 }
 
-// diff runs one model through every configuration and path.
-func diff(t *testing.T, m model) {
-	if m.completed != 0 && raceEnabled {
-		t.Skip("benchmark-size runs are too slow under the race detector")
-	}
+// programs compiles m for the reference and the engine.
+func programs(t *testing.T, m model) (ref, eng *core.Program) {
+	t.Helper()
 	ref, err := m.compile(core.WithScheduler(core.SchedulerSequential))
 	eng, err2 := m.compile()
 	if err := errors.Join(err, err2); err != nil {
 		t.Fatal(err)
 	}
-	pin, pinned := pins[m.name]
-	if got := planFacts(eng.Schedule()); pin.plan != "" && got != pin.plan {
-		t.Errorf("plan: %s\n          want %s", got, pin.plan)
-	}
-	// The reference and the handed-over session snapshot at cycles 0, 1
-	// and k, keeping k's; a model that cannot checkpoint is refused the
-	// same way at each.
-	k := m.cycles / 2
-	var snaps [2][]byte
-	var want run
+	return ref, eng
+}
+
+// agree runs m under every configuration, holds each to the reference's
+// run and returns that run. The reference and the handed-over session
+// snapshot at cycles 0, 1 and k, keeping k's; a model that cannot
+// checkpoint is refused the same way at each.
+func agree(t *testing.T, m model, ref, eng *core.Program, k uint64) (want run, snaps [2][]byte) {
+	t.Helper()
 	for i, c := range configs {
 		prog, at := eng, func(sim *core.Sim) {
 			if n := sim.Now(); i < len(snaps) && (n <= 1 || n == k) {
-				snaps[i] = snapshot(t, sim, pin.refuses)
+				snaps[i] = snapshot(t, sim, pins[m.name].refuses)
 			}
 		}
 		if i == 0 {
@@ -486,10 +483,16 @@ func diff(t *testing.T, m model) {
 			t.Fatalf("%d references completed by cycle %d, want %d", done, m.cycles, m.completed)
 		}
 	}
+	return want, snaps
+}
 
-	// A re-stamped session, its activity invalidated at k: the next cycle
-	// is a full sweep that closes nothing, the one after re-signs, and
-	// clusters close again from the one after that.
+// invalidate runs a re-stamped session of eng, its activity invalidated
+// at k, and holds it to want: the next cycle is a full sweep that closes
+// nothing, the one after re-signs, and clusters close again from the one
+// after that. It returns the session and the cluster closings it counted
+// by cycle k.
+func invalidate(t *testing.T, eng *core.Program, m model, want run, k uint64) (*core.Sim, uint64) {
+	t.Helper()
 	var closed uint64
 	got, sim := play(t, eng, nil, false, m.cycles, func(sim *core.Sim) {
 		switch n := sim.Metrics().ClosedClusterCycles(); sim.Now() {
@@ -503,6 +506,22 @@ func diff(t *testing.T, m model) {
 		}
 	})
 	same(t, "re-stamped, invalidated", want, 0, got, false)
+	return sim, closed
+}
+
+// diff runs one model through every configuration and path.
+func diff(t *testing.T, m model) {
+	if m.completed != 0 && raceEnabled {
+		t.Skip("benchmark-size runs are too slow under the race detector")
+	}
+	ref, eng := programs(t, m)
+	pin, pinned := pins[m.name]
+	if got := planFacts(eng.Schedule()); pin.plan != "" && got != pin.plan {
+		t.Errorf("plan: %s\n          want %s", got, pin.plan)
+	}
+	k := m.cycles / 2
+	want, snaps := agree(t, m, ref, eng, k)
+	sim, closed := invalidate(t, eng, m, want, k)
 	if pinned && !pin.busy && sim.Metrics().ClosedClusterCycles() == closed {
 		t.Fatal("no cluster closed again after InvalidateActivity")
 	}
@@ -539,7 +558,7 @@ func diff(t *testing.T, m model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ = play(t, eng, snap, false, m.cycles, nil)
+	got, _ := play(t, eng, snap, false, m.cycles, nil)
 	same(t, "snapshot over /v1 restored locally", want, k, got, false)
 }
 
@@ -559,6 +578,136 @@ func FuzzNetlist(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		diff(t, recipe("fuzz", 120, 1, netlist(data)))
 	})
+}
+
+// byName indexes the table by row name.
+func byName(t *testing.T) map[string]model {
+	t.Helper()
+	rows := map[string]model{}
+	for _, m := range models(t) {
+		rows[m.name] = m
+	}
+	return rows
+}
+
+// TestSchedulersAgreeOnSpecs holds every shipped specification, under
+// every engine configuration, to the reference: per-cycle statuses,
+// statistics and, where nothing is skipped, default/break counts — the
+// central invariant on real models.
+func TestSchedulersAgreeOnSpecs(t *testing.T) {
+	for _, m := range models(t) {
+		if strings.HasSuffix(m.name, ".lss") {
+			t.Run(m.name, func(t *testing.T) {
+				ref, eng := programs(t, m)
+				agree(t, m, ref, eng, m.cycles/2)
+			})
+		}
+	}
+}
+
+// TestMeshScheduleGolden pins the static schedule of the shipped 4x4 mesh
+// spec: every loop of the mesh closes through a marked queue or link, so
+// the dependency graph has no cyclic SCC and no break site, and every conn
+// is in the static sweep in both directions.
+func TestMeshScheduleGolden(t *testing.T) {
+	prog, err := byName(t)["mesh.lss"].compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, n := prog.Schedule(), prog.Conns()
+	if info.CyclicSCCs != 0 || len(info.BreakSites) != 0 {
+		t.Fatalf("mesh cyclic SCCs = %d, break sites %v, want none", info.CyclicSCCs, info.BreakSites)
+	}
+	if info.SweepConns != n || info.AckSweepConns != n || info.ResidueConns != 0 || info.AckResidueConns != 0 {
+		t.Fatalf("mesh sweep %d/%d, residue %d/%d (fwd/ack), want every one of %d conns in the sweep",
+			info.SweepConns, info.AckSweepConns, info.ResidueConns, info.AckResidueConns, n)
+	}
+}
+
+// TestClusterPlanPaperModels pins the combinational clusters of the
+// models the activity numbers are quoted on: their rows' plan column and
+// their largest cluster. The 4x4 mesh is one cluster per router (a
+// queue.out boundary, a route, an arbiter and a link.in or sink.in
+// boundary per port: 35, 24 or 15 conns for 5, 4 or 3 ports) plus one
+// single-conn cluster per router input. The sensor network is one cluster
+// around the shared channel plus one per node's front end; at 64 sensors
+// the marked channel cuts it in two, the 64 transmit conns on one side
+// and the 65 receive conns (64 nodes and the base station) on the other.
+// In Figures 2(a) and 2(c), at the table's sizes and the benchmark's, the
+// marked trace cores and directory controllers cut every core/cache and
+// controller/network loop: no residue, and no instance glues a cluster.
+func TestClusterPlanPaperModels(t *testing.T) {
+	rows := byName(t)
+	for name, largest := range map[string]int{
+		"mesh.lss": 35, "sensornet.lss": 6, "fig2b-sensornet64": 65,
+		"fig2a-cmp": 17, "fig2c-grid": 37, "bench-fig2a": 37, "bench-fig2c": 37,
+	} {
+		prog, err := rows[name].compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := prog.Schedule()
+		if got := planFacts(info); got != pins[name].plan || info.LargestCluster != largest {
+			t.Errorf("%s: %s; largest cluster %d\n  want %s; largest cluster %d", name, got, info.LargestCluster, pins[name].plan, largest)
+		}
+	}
+}
+
+// TestCheckpointRestoreBitIdentical is the checkpoint oracle on the
+// checkpoint recipe: run a session to cycle k, snapshot, restore into a
+// fresh session and run the remainder. The restored run's per-cycle
+// statuses and data and its final statistics must be those of an
+// uninterrupted run — under the reference and the engine. Subtests are
+// named any/<engine>: the payloads are boxed (any).
+func TestCheckpointRestoreBitIdentical(t *testing.T) {
+	m := byName(t)["ckpt"]
+	k := m.cycles / 2
+	for _, kind := range []core.SchedulerKind{core.SchedulerSequential, core.SchedulerSparse} {
+		t.Run("any/"+kind.String(), func(t *testing.T) {
+			prog, err := m.compile(core.WithScheduler(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := play(t, prog, nil, true, m.cycles, nil)
+			pre, sim := play(t, prog, nil, true, k, nil)
+			if c := diverges(want.full[:k], pre.full); c >= 0 {
+				t.Fatalf("cycle %d: the run to the snapshot diverges from the uninterrupted one", c)
+			}
+			got, _ := play(t, prog, snapshot(t, sim, ""), true, m.cycles, nil)
+			if len(got.full) != int(m.cycles-k) {
+				t.Fatalf("the restored session ran %d cycles to cycle %d, want %d: it resumed elsewhere than cycle %d",
+					len(got.full), m.cycles, m.cycles-k, k)
+			}
+			same(t, "restored", want, k, got, false)
+		})
+	}
+}
+
+// TestActivityLifecycle walks the events that drop idle signatures on the
+// checkpoint recipe, with clusters closing: an engine snapshot restored
+// into the engine and into the reference, and InvalidateActivity. Every
+// cycle's statuses and the final statistics stay the reference's.
+func TestActivityLifecycle(t *testing.T) {
+	m := byName(t)["ckpt"]
+	ref, eng := programs(t, m)
+	k := m.cycles / 2
+	want, _ := play(t, ref, nil, true, m.cycles, nil)
+	sim, closed := invalidate(t, eng, m, want, k)
+	if closed == 0 {
+		t.Fatalf("no cluster closed by cycle %d; the test would compare full sweeps", k)
+	}
+	if sim.Metrics().ClosedClusterCycles() == closed {
+		t.Fatal("no cluster closed again after InvalidateActivity")
+	}
+	_, sim = play(t, eng, nil, false, k, nil)
+	snap := snapshot(t, sim, "")
+	for _, prog := range []*core.Program{eng, ref} {
+		got, restored := play(t, prog, snap, false, m.cycles, nil)
+		same(t, "engine snapshot restored under "+prog.Scheduler().String(), want, k, got, false)
+		if prog == eng && restored.Metrics().ClosedClusterCycles() == 0 {
+			t.Fatal("the restored engine session closed no cluster")
+		}
+	}
 }
 
 // TestSingleWriterSessionMigrates: a session must never be stepped from

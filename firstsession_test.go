@@ -2,9 +2,10 @@ package liberty_test
 
 // firstsession_test.go pins the handoff at the top of the Figure 1 path:
 // the netlist core.Compile validated is the program's first option-less
-// session (internal/core/program_test.go counts the claims). That it is
-// indistinguishable from a session stamped by re-running the recipe is a
-// path of the differential harness.
+// session (internal/core/program_test.go counts the claims), and its
+// snapshot restores to run on as a re-stamped session does. That it is
+// indistinguishable from a re-stamped session on every model is a path of
+// the differential harness.
 
 import (
 	"bytes"
@@ -46,6 +47,22 @@ func TestFirstSessionIsTheCompiledNetlist(t *testing.T) {
 		if _, err := sim.Program().NewSim(); err != nil || elabs != 2 {
 			t.Fatalf("second session: err %v after %d elaborations, want a re-elaboration", err, elabs)
 		}
+	})
+
+	// The handed-over session's snapshot at k restores into a session
+	// that runs on as a re-stamped one does from k.
+	t.Run("snapshot", func(t *testing.T) {
+		m := byName(t)["ckpt"]
+		prog, err := m.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := m.cycles / 2
+		_, handed := play(t, prog, nil, false, k, nil)
+		snap := snapshot(t, handed, "")
+		want, _ := play(t, prog, nil, true, m.cycles, nil)
+		got, _ := play(t, prog, snap, true, m.cycles, nil)
+		same(t, "handed-over session's snapshot restored", want, k, got, false)
 	})
 }
 
