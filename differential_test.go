@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -30,9 +31,9 @@ import (
 	"liberty/lse"
 )
 
-// model is one row of the table. compile builds it, with its own seed and
-// metrics on, under the options given; sessions run it cycles cycles, and
-// the session paths cut at half way.
+// model is one row of the table with its pinned columns. compile builds
+// it, with its own seed and metrics on, under the options given; sessions
+// run it cycles cycles, and the session paths cut at half way.
 type model struct {
 	name    string
 	cycles  uint64
@@ -42,108 +43,101 @@ type model struct {
 	// reference reaches by its last cycle: a benchmark-size row, skipped
 	// under the race detector.
 	completed int64
+	pin
 }
 
-// pin is a row's columns: the engine's cluster plan as planFacts prints
-// it; the instance whose *core.ContractError a snapshot returns at every
-// cycle, empty where the model snapshots and the snapshot paths run; and
-// busy, where no cluster closes late in the run, nor after invalidation.
+// pin is a row's columns: the engine's cluster plan and static schedule
+// as planFacts prints them (empty only on a fuzzed row, which pins
+// nothing); the instance whose *core.ContractError a snapshot returns at
+// every cycle, empty where the model snapshots and the snapshot paths
+// run; and busy, where no cluster closes late in the run, nor after
+// invalidation.
 type pin struct {
 	plan, refuses string
 	busy          bool
 }
 
-// pins are the columns by row name. A row without an entry (a generated
-// netlist) pins nothing and must snapshot.
-var pins = map[string]pin{
-	"bus.lss":           {"2 clusters, 2 closable, 0 never; sizes map[5:1 9:1]; seeds 5; 0 cyclic SCCs, residue 0/0; glue []", "bus/net/link", false},
-	"mesh.lss":          {"80 clusters, 80 closable, 0 never; sizes map[1:64 15:4 24:8 35:4]; seeds 128; 0 cyclic SCCs, residue 0/0; glue []", "net/net/l0_e_1", false},
-	"mesh.lss 8x8":      {"352 clusters, 352 closable, 0 never; sizes map[1:288 15:4 24:24 35:36]; seeds 576; 0 cyclic SCCs, residue 0/0; glue []", "net/net/l0_e_1", false},
-	"pipeline.lss":      {"7 clusters, 7 closable, 0 never; sizes map[1:7]; seeds 7; 0 cyclic SCCs, residue 0/0; glue []", "", true},
-	"quickstart.lss":    {"2 clusters, 2 closable, 0 never; sizes map[1:2]; seeds 2; 0 cyclic SCCs, residue 0/0; glue []", "", false},
-	"sensornet.lss":     {"2 clusters, 2 closable, 0 never; sizes map[4:1 6:1]; seeds 4; 0 cyclic SCCs, residue 0/0; glue []", "air", false},
-	"fig2a-cmp":         {"24 clusters, 24 closable, 0 never; sizes map[1:16 3:4 17:4]; seeds 32; 0 cyclic SCCs, residue 0/0; glue []", "cmp/mesh/l0_e_1", false},
-	"fig2b-sensornet":   {"5 clusters, 5 closable, 0 never; sizes map[2:3 3:1 4:1]; seeds 7; 0 cyclic SCCs, residue 0/0; glue []", "sn/air", false},
-	"fig2c-grid":        {"64 clusters, 64 closable, 0 never; sizes map[1:48 3:8 37:8]; seeds 96; 0 cyclic SCCs, residue 0/0; glue []", "grid/mesh/l0_e_1", false},
-	"fig2d-sos":         {"25 clusters, 23 closable, 2 never; sizes map[1:10 2:8 3:2 6:1 14:1 15:3]; seeds 36; 0 cyclic SCCs, residue 0/0; glue []", "sos/backbone/l0_e_1", false},
-	"ckpt":              {"5 clusters, 5 closable, 0 never; sizes map[1:4 3:1]; seeds 6; 0 cyclic SCCs, residue 0/0; glue []", "", false},
-	"ckpt-island":       {"6 clusters, 6 closable, 0 never; sizes map[1:4 2:1 3:1]; seeds 6; 1 cyclic SCCs, residue 2/2; glue []", "", false},
-	"chain-64":          {"1 clusters, 1 closable, 0 never; sizes map[63:1]; seeds 0; 0 cyclic SCCs, residue 0/0; glue []", "", false},
-	"grid-8x8":          {"1 clusters, 1 closable, 0 never; sizes map[112:1]; seeds 0; 0 cyclic SCCs, residue 0/0; glue []", "", false},
-	"torus-8x8":         {"1 clusters, 1 closable, 0 never; sizes map[128:1]; seeds 0; 1 cyclic SCCs, residue 128/128; glue []", "", false},
-	"fig2b-sensornet64": {"66 clusters, 66 closable, 0 never; sizes map[2:64 64:1 65:1]; seeds 129; 0 cyclic SCCs, residue 0/0; glue []", "sn/air", false},
-	"bench-fig2a":       {"112 clusters, 112 closable, 0 never; sizes map[1:80 3:16 17:4 26:8 37:4]; seeds 160; 0 cyclic SCCs, residue 0/0; glue []", "cmp/mesh/l0_e_1", false},
-	"bench-fig2c":       {"64 clusters, 64 closable, 0 never; sizes map[1:48 3:8 37:8]; seeds 96; 0 cyclic SCCs, residue 0/0; glue []", "cmp/mesh/l0_e_1", false},
-}
-
-// planFacts prints the cluster-plan facts the pins hold.
-func planFacts(info *core.ScheduleInfo) string {
-	sizes := map[int]int{}
+// planFacts prints what a pin's plan holds of prog's schedule.
+func planFacts(prog *core.Program) string {
+	info, sizes := prog.Schedule(), map[int]int{}
 	for _, n := range info.ClusterSizes {
 		sizes[n]++
 	}
-	return fmt.Sprintf("%d clusters, %d closable, %d never; sizes %v; seeds %d; %d cyclic SCCs, residue %d/%d; glue %v",
-		info.Clusters, info.ClosableClusters, info.NoInputClusters, sizes, info.AlwaysActive,
-		info.CyclicSCCs, info.ResidueConns, info.AckResidueConns, info.GlueInstances)
+	return fmt.Sprintf("%d clusters (largest %d), %d closable, %d never; sizes %v; seeds %d; glue %v; %d cyclic SCCs, breaks %v; of %d conns sweep %d/%d, residue %d/%d",
+		info.Clusters, info.LargestCluster, info.ClosableClusters, info.NoInputClusters, sizes, info.AlwaysActive, info.GlueInstances,
+		info.CyclicSCCs, info.BreakSites, prog.Conns(), info.SweepConns, info.AckSweepConns, info.ResidueConns, info.AckResidueConns)
 }
 
-// models builds the table.
+// models builds the table; every specs/*.lss must have a row.
 func models(t testing.TB) []model {
 	t.Helper()
-	var ms []model
-	paths, err := filepath.Glob("specs/*.lss")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no specs found: %v", err)
-	}
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
+	spec := func(file string, cycles uint64, p pin) model {
+		src, err := os.ReadFile(filepath.Join("specs", file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		name, cycles := filepath.Base(path), uint64(200)
-		if name == "mesh.lss" {
-			cycles = 60 // the 4x4 mesh is the slow one
-			ms = append(ms, lssRow("mesh.lss 8x8", string(src), map[string]any{"w": 8, "h": 8}, cycles))
+		return lssRow(file, string(src), nil, cycles, p)
+	}
+	mesh := spec("mesh.lss", 60, pin{"80 clusters (largest 35), 80 closable, 0 never; sizes map[1:64 15:4 24:8 35:4]; seeds 128; glue []; 0 cyclic SCCs, breaks []; of 456 conns sweep 456/456, residue 0/0", "net/net/l0_e_1", false}) // fewer cycles: the slow spec
+	mesh8 := lssRow("mesh.lss 8x8", mesh.spec, map[string]any{"w": 8, "h": 8}, 60, pin{"352 clusters (largest 35), 352 closable, 0 never; sizes map[1:288 15:4 24:24 35:36]; seeds 576; glue []; 0 cyclic SCCs, breaks []; of 2184 conns sweep 2184/2184, residue 0/0", "net/net/l0_e_1", false})
+	ms := []model{
+		spec("bus.lss", 200, pin{"2 clusters (largest 9), 2 closable, 0 never; sizes map[5:1 9:1]; seeds 5; glue []; 0 cyclic SCCs, breaks []; of 14 conns sweep 14/14, residue 0/0", "bus/net/link", false}),
+		mesh, mesh8,
+		spec("pipeline.lss", 200, pin{"7 clusters (largest 1), 7 closable, 0 never; sizes map[1:7]; seeds 7; glue []; 0 cyclic SCCs, breaks []; of 7 conns sweep 7/7, residue 0/0", "", true}),
+		spec("quickstart.lss", 200, pin{"2 clusters (largest 1), 2 closable, 0 never; sizes map[1:2]; seeds 2; glue []; 0 cyclic SCCs, breaks []; of 2 conns sweep 2/2, residue 0/0", "", false}),
+		spec("sensornet.lss", 200, pin{"2 clusters (largest 6), 2 closable, 0 never; sizes map[4:1 6:1]; seeds 4; glue []; 0 cyclic SCCs, breaks []; of 10 conns sweep 10/10, residue 0/0", "air", false}),
+	}
+	paths, err := filepath.Glob("specs/*.lss")
+	for _, path := range paths {
+		if !slices.ContainsFunc(ms, func(m model) bool { return m.name == filepath.Base(path) }) {
+			err = errors.Join(err, fmt.Errorf("%s has no row", path))
 		}
-		ms = append(ms, lssRow(name, string(src), nil, cycles))
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, ps := range paperSystems {
-		ms = append(ms, recipe(ps.name, ps.cycles, ps.seed, ps.assemble))
+		ms = append(ms, recipe(ps.name, ps.cycles, ps.seed, ps.pin, ps.assemble))
 	}
-	ms = append(ms,
-		lssRow("ckpt", ckptSpec, nil, 140),
-		recipe("ckpt-island", 140, 7, func(b *core.Builder) error {
+	return append(ms,
+		lssRow("ckpt", ckptSpec, nil, 140, pin{"5 clusters (largest 3), 5 closable, 0 never; sizes map[1:4 3:1]; seeds 6; glue []; 0 cyclic SCCs, breaks []; of 7 conns sweep 7/7, residue 0/0", "", false}),
+		recipe("ckpt-island", 140, 7, pin{"6 clusters (largest 3), 6 closable, 0 never; sizes map[1:4 2:1 3:1]; seeds 6; glue []; 1 cyclic SCCs, breaks [island0_0.out[0]->island0_1.in[0]]; of 9 conns sweep 7/7, residue 2/2", "", false}, func(b *core.Builder) error {
 			f, err := lss.Parse(ckptSpec)
 			if err == nil {
 				err = lss.NewElaborator(b).Elaborate(f)
 			}
 			return errors.Join(err, grid(b, "island", 2, 1, true)) // a ring no start handler reaches
 		}),
-		recipe("chain-64", 50, 1, func(b *core.Builder) error { return grid(b, "c", 64, 1, false) }),
-		recipe("grid-8x8", 50, 1, func(b *core.Builder) error { return grid(b, "g", 8, 8, false) }),
-		recipe("torus-8x8", 50, 1, func(b *core.Builder) error { return grid(b, "t", 8, 8, true) }),
-		recipe("fig2b-sensornet64", 100, 5, func(b *core.Builder) error {
+		recipe("chain-64", 50, 1, pin{"1 clusters (largest 63), 1 closable, 0 never; sizes map[63:1]; seeds 0; glue []; 0 cyclic SCCs, breaks []; of 63 conns sweep 63/63, residue 0/0", "", false}, func(b *core.Builder) error { return grid(b, "c", 64, 1, false) }),
+		recipe("grid-8x8", 50, 1, pin{"1 clusters (largest 112), 1 closable, 0 never; sizes map[112:1]; seeds 0; glue []; 0 cyclic SCCs, breaks []; of 112 conns sweep 112/112, residue 0/0", "", false}, func(b *core.Builder) error { return grid(b, "g", 8, 8, false) }),
+		recipe("torus-8x8", 50, 1, pin{"1 clusters (largest 128), 1 closable, 0 never; sizes map[128:1]; seeds 0; glue []; 1 cyclic SCCs, breaks [t0_0.out[0]->t0_1.in[0]]; of 128 conns sweep 0/0, residue 128/128", "", false}, func(b *core.Builder) error { return grid(b, "t", 8, 8, true) }),
+		recipe("fig2b-sensornet64", 100, 5, pin{"66 clusters (largest 65), 66 closable, 0 never; sizes map[2:64 64:1 65:1]; seeds 129; glue []; 0 cyclic SCCs, breaks []; of 257 conns sweep 257/257, residue 0/0", "sn/air", false}, func(b *core.Builder) error {
 			_, err := systems.BuildSensorNet(b, "sn", 64, 20, 40)
 			return err
 		}),
+		recipe("rand-1", 100, 1, pin{"10 clusters (largest 36), 10 closable, 0 never; sizes map[1:6 2:3 36:1]; seeds 9; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 48 conns sweep 12/12, residue 36/36", "", false}, netlist(stream(0, 1))),
+		recipe("rand-2", 100, 1, pin{"13 clusters (largest 2), 13 closable, 0 never; sizes map[1:11 2:2]; seeds 14; glue []; 0 cyclic SCCs, breaks []; of 15 conns sweep 15/15, residue 0/0", "", false}, netlist(stream(0, 2))),
+		recipe("rand-3", 100, 1, pin{"6 clusters (largest 2), 6 closable, 0 never; sizes map[1:4 2:2]; seeds 7; glue []; 0 cyclic SCCs, breaks []; of 8 conns sweep 8/8, residue 0/0", "", false}, netlist(stream(0, 3))),
+		recipe("rand-4", 100, 1, pin{"10 clusters (largest 18), 10 closable, 0 never; sizes map[1:8 2:1 18:1]; seeds 9; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 28 conns sweep 10/10, residue 18/18", "", false}, netlist(stream(0, 4))),
+		recipe("rand-5", 100, 1, pin{"5 clusters (largest 24), 5 closable, 0 never; sizes map[1:3 2:1 24:1]; seeds 4; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 29 conns sweep 5/5, residue 24/24", "", false}, netlist(stream(0, 5))),
+		recipe("rand-6", 100, 1, pin{"6 clusters (largest 1), 6 closable, 0 never; sizes map[1:6]; seeds 8; glue []; 0 cyclic SCCs, breaks []; of 6 conns sweep 6/6, residue 0/0", "", false}, netlist(stream(0, 6))),
+		recipe("rand-7", 100, 1, pin{"12 clusters (largest 2), 12 closable, 0 never; sizes map[1:10 2:2]; seeds 15; glue []; 0 cyclic SCCs, breaks []; of 14 conns sweep 14/14, residue 0/0", "", false}, netlist(stream(0, 7))),
+		recipe("rand-8", 100, 1, pin{"4 clusters (largest 2), 4 closable, 0 never; sizes map[1:3 2:1]; seeds 5; glue []; 0 cyclic SCCs, breaks []; of 5 conns sweep 5/5, residue 0/0", "", false}, netlist(stream(0, 8))),
+		recipe("bursty-1", 300, 1, pin{"10 clusters (largest 18), 10 closable, 0 never; sizes map[1:9 18:1]; seeds 10; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 27 conns sweep 9/9, residue 18/18", "", false}, netlist(stream(1, 1))),
+		recipe("bursty-2", 300, 1, pin{"14 clusters (largest 18), 14 closable, 0 never; sizes map[1:11 2:2 18:1]; seeds 15; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 33 conns sweep 15/15, residue 18/18", "", false}, netlist(stream(1, 2))),
+		recipe("bursty-3", 300, 1, pin{"5 clusters (largest 36), 5 closable, 0 never; sizes map[1:2 2:1 3:1 36:1]; seeds 5; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 43 conns sweep 7/7, residue 36/36", "", false}, netlist(stream(1, 3))),
+		recipe("bursty-4", 300, 1, pin{"10 clusters (largest 18), 10 closable, 0 never; sizes map[1:8 2:1 18:1]; seeds 11; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 28 conns sweep 10/10, residue 18/18", "", false}, netlist(stream(1, 4))),
+		recipe("bursty-5", 300, 1, pin{"4 clusters (largest 24), 4 closable, 0 never; sizes map[1:2 2:1 24:1]; seeds 3; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 28 conns sweep 4/4, residue 24/24", "", false}, netlist(stream(1, 5))),
+		recipe("bursty-6", 300, 1, pin{"5 clusters (largest 30), 5 closable, 0 never; sizes map[1:4 30:1]; seeds 6; glue []; 1 cyclic SCCs, breaks [f0_0.out[0]->f0_1.in[0]]; of 34 conns sweep 4/4, residue 30/30", "", false}, netlist(stream(1, 6))),
+		// Figures 2(a) and 2(c) at the cmp_coherence benchmark's sizes, for
+		// the cycles they take to complete every reference.
+		cmpRow("bench-fig2a", 6445, pin{"112 clusters (largest 37), 112 closable, 0 never; sizes map[1:80 3:16 17:4 26:8 37:4]; seeds 160; glue []; 0 cyclic SCCs, breaks []; of 552 conns sweep 552/552, residue 0/0", "cmp/mesh/l0_e_1", false}, systems.CMPCfg{W: 4, H: 4, RefsPer: 200, Think: 2, SharedPct: 30, Seed: 1}),
+		cmpRow("bench-fig2c", 6890, pin{"64 clusters (largest 37), 64 closable, 0 never; sizes map[1:48 3:8 37:8]; seeds 96; glue []; 0 cyclic SCCs, breaks []; of 368 conns sweep 368/368, residue 0/0", "cmp/mesh/l0_e_1", false}, systems.CMPCfg{W: 4, H: 2, RefsPer: 400, Think: 2, SharedPct: 30, Torus: true, Seed: 1}),
 	)
-	for seed := int64(1); seed <= 8; seed++ {
-		data := make([]byte, 32) // pseudo-random after a first byte of 0: saturating sources
-		rand.New(rand.NewSource(seed)).Read(data[1:])
-		ms = append(ms, recipe(fmt.Sprintf("rand-%d", seed), 100, 1, netlist(data)))
-		if seed <= 6 {
-			ms = append(ms, recipe(fmt.Sprintf("bursty-%d", seed), 300, 1, netlist(append([]byte{1}, data[1:]...))))
-		}
-	}
-	// Figures 2(a) and 2(c) at the cmp_coherence benchmark's sizes, for
-	// the cycles they take to complete every reference.
-	return append(ms,
-		cmpRow("bench-fig2a", 6445, systems.CMPCfg{W: 4, H: 4, RefsPer: 200, Think: 2, SharedPct: 30, Seed: 1}),
-		cmpRow("bench-fig2c", 6890, systems.CMPCfg{W: 4, H: 2, RefsPer: 400, Think: 2, SharedPct: 30, Torus: true, Seed: 1}))
 }
 
-func cmpRow(name string, cycles uint64, cfg systems.CMPCfg) model {
-	m := recipe(name, cycles, cfg.Seed, func(b *core.Builder) error {
+func cmpRow(name string, cycles uint64, p pin, cfg systems.CMPCfg) model {
+	m := recipe(name, cycles, cfg.Seed, p, func(b *core.Builder) error {
 		_, err := systems.BuildCMP(b, "cmp", cfg)
 		return err
 	})
@@ -151,8 +145,8 @@ func cmpRow(name string, cycles uint64, cfg systems.CMPCfg) model {
 	return m
 }
 
-func lssRow(name, src string, defines map[string]any, cycles uint64) model {
-	m := model{name: name, cycles: cycles, compile: func(opts ...core.BuildOption) (*core.Program, error) {
+func lssRow(name, src string, defines map[string]any, cycles uint64, p pin) model {
+	m := model{name: name, cycles: cycles, pin: p, compile: func(opts ...core.BuildOption) (*core.Program, error) {
 		return lse.CompileLSSWith(src, defines, append(opts, lse.WithSeed(1), lse.WithMetrics())...)
 	}}
 	if defines == nil {
@@ -161,10 +155,18 @@ func lssRow(name, src string, defines map[string]any, cycles uint64) model {
 	return m
 }
 
-func recipe(name string, cycles uint64, seed int64, assemble func(*core.Builder) error) model {
-	return model{name: name, cycles: cycles, compile: func(opts ...core.BuildOption) (*core.Program, error) {
+func recipe(name string, cycles uint64, seed int64, p pin, assemble func(*core.Builder) error) model {
+	return model{name: name, cycles: cycles, pin: p, compile: func(opts ...core.BuildOption) (*core.Program, error) {
 		return core.Compile(assemble, append(opts, core.WithSeed(seed), core.WithMetrics())...)
 	}}
+}
+
+// stream is a generated row's byte stream: first (0 for saturating
+// sources, 1 for bursty ones), then 31 pseudo-random bytes from seed.
+func stream(first byte, seed int64) []byte {
+	data := []byte{first, 31: 0}
+	rand.New(rand.NewSource(seed)).Read(data[1:])
+	return data
 }
 
 // ckptSpec is the checkpoint recipe, internal/simd's test spec plus an
@@ -200,21 +202,22 @@ var paperSystems = []struct {
 	name     string
 	seed     int64
 	cycles   uint64
+	pin      pin
 	assemble func(*core.Builder) error
 }{
-	{"fig2a-cmp", 1, 400, func(b *core.Builder) error {
+	{"fig2a-cmp", 1, 400, pin{"24 clusters (largest 17), 24 closable, 0 never; sizes map[1:16 3:4 17:4]; seeds 32; glue []; 0 cyclic SCCs, breaks []; of 96 conns sweep 96/96, residue 0/0", "cmp/mesh/l0_e_1", false}, func(b *core.Builder) error {
 		_, err := systems.BuildCMP(b, "cmp", systems.CMPCfg{W: 2, H: 2, RefsPer: 60, Seed: 1})
 		return err
 	}},
-	{"fig2b-sensornet", 5, 400, func(b *core.Builder) error {
+	{"fig2b-sensornet", 5, 400, pin{"5 clusters (largest 4), 5 closable, 0 never; sizes map[2:3 3:1 4:1]; seeds 7; glue []; 0 cyclic SCCs, breaks []; of 13 conns sweep 13/13, residue 0/0", "sn/air", false}, func(b *core.Builder) error {
 		_, err := systems.BuildSensorNet(b, "sn", 3, 20, 40)
 		return err
 	}},
-	{"fig2c-grid", 2, 300, func(b *core.Builder) error {
+	{"fig2c-grid", 2, 300, pin{"64 clusters (largest 37), 64 closable, 0 never; sizes map[1:48 3:8 37:8]; seeds 96; glue []; 0 cyclic SCCs, breaks []; of 368 conns sweep 368/368, residue 0/0", "grid/mesh/l0_e_1", false}, func(b *core.Builder) error {
 		_, err := systems.BuildCMP(b, "grid", systems.CMPCfg{W: 4, H: 2, Torus: true, RefsPer: 40, Seed: 2})
 		return err
 	}},
-	{"fig2d-sos", 9, 400, func(b *core.Builder) error {
+	{"fig2d-sos", 9, 400, pin{"25 clusters (largest 15), 23 closable, 2 never; sizes map[1:10 2:8 3:2 6:1 14:1 15:3]; seeds 36; glue []; 0 cyclic SCCs, breaks []; of 97 conns sweep 97/97, residue 0/0", "sos/backbone/l0_e_1", false}, func(b *core.Builder) error {
 		_, err := systems.BuildSoS(b, "sos", systems.SoSCfg{Clusters: 2, SensorsPer: 2, SamplesPer: 16, Threshold: 10, Batch: 4})
 		return err
 	}},
@@ -285,7 +288,10 @@ func (s *readySink) UnmarshalState([]byte) error   { return nil }
 // (a spent stream reads zeros): saturating or bursty sources — a low rate
 // and a short count, so the netlist goes quiet — feeding one to four
 // chains of queues, delay lines or clock gates into a pcl.sink or a
-// readySink, and a passive torus beside them when both its sides exceed one.
+// readySink, and beside them a passive torus of 3 to 6 a side: always
+// where the sources are bursty, so a quiet netlist keeps a cyclic SCC and
+// residue for closing clusters to replay, and otherwise when both its
+// sides exceed one.
 func netlist(data []byte) func(*core.Builder) error {
 	return func(b *core.Builder) error {
 		d, prev, errs := data, core.Instance(nil), []error(nil)
@@ -332,8 +338,8 @@ func netlist(data []byte) func(*core.Builder) error {
 				add(pcl.NewSink(name, nil))
 			}
 		}
-		if w, h := next(7), next(7); w > 1 && h > 1 {
-			errs = append(errs, grid(b, "f", w, h, true))
+		if w, h := next(7), next(7); bursty || w > 1 && h > 1 {
+			errs = append(errs, grid(b, "f", max(w, 3), max(h, 3), true))
 		}
 		return errors.Join(errs...)
 	}
@@ -361,6 +367,7 @@ var configs = []struct {
 // cycle's full hash when traced, its statistics and default/break counts.
 type run struct {
 	status, full []uint64
+	traced       bool
 	stats        string
 	counts       [6]uint64
 }
@@ -383,7 +390,7 @@ func play(t *testing.T, prog *core.Program, snap []byte, traced bool, until uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r run
+	r := run{traced: traced}
 	for s.Now() < until {
 		if at != nil {
 			at(s)
@@ -401,13 +408,14 @@ func play(t *testing.T, prog *core.Program, snap []byte, traced bool, until uint
 	return r, s
 }
 
-// same holds got, a run from cycle from on, to want, the reference's.
+// same holds got, a run from cycle from on, to want, the reference's:
+// its statuses, and where got was traced its data values, every cycle.
 func same(t *testing.T, what string, want run, from uint64, got run, exact bool) {
 	t.Helper()
 	if c := diverges(want.status[from:], got.status); c >= 0 {
 		t.Fatalf("%s: cycle %d statuses diverge from the reference's", what, from+uint64(c))
 	}
-	if c := diverges(want.full[from:], got.full); got.full != nil && c >= 0 {
+	if c := diverges(want.full[from:], got.full); got.traced && c >= 0 {
 		t.Fatalf("%s: cycle %d statuses or data diverge from the reference's", what, from+uint64(c))
 	}
 	if got.stats != want.stats {
@@ -461,7 +469,7 @@ func agree(t *testing.T, m model, ref, eng *core.Program, k uint64) (want run, s
 	for i, c := range configs {
 		prog, at := eng, func(sim *core.Sim) {
 			if n := sim.Now(); i < len(snaps) && (n <= 1 || n == k) {
-				snaps[i] = snapshot(t, sim, pins[m.name].refuses)
+				snaps[i] = snapshot(t, sim, m.refuses)
 			}
 		}
 		if i == 0 {
@@ -515,17 +523,14 @@ func diff(t *testing.T, m model) {
 		t.Skip("benchmark-size runs are too slow under the race detector")
 	}
 	ref, eng := programs(t, m)
-	pin, pinned := pins[m.name]
-	if got := planFacts(eng.Schedule()); pin.plan != "" && got != pin.plan {
-		t.Errorf("plan: %s\n          want %s", got, pin.plan)
-	}
+	checkPlan(t, m, eng)
 	k := m.cycles / 2
 	want, snaps := agree(t, m, ref, eng, k)
 	sim, closed := invalidate(t, eng, m, want, k)
-	if pinned && !pin.busy && sim.Metrics().ClosedClusterCycles() == closed {
+	if m.plan != "" && !m.busy && sim.Metrics().ClosedClusterCycles() == closed {
 		t.Fatal("no cluster closed again after InvalidateActivity")
 	}
-	if pin.refuses != "" {
+	if m.refuses != "" {
 		return
 	}
 
@@ -562,6 +567,14 @@ func diff(t *testing.T, m model) {
 	same(t, "snapshot over /v1 restored locally", want, k, got, false)
 }
 
+// checkPlan holds eng's plan to m's pin.
+func checkPlan(t *testing.T, m model, eng *core.Program) {
+	t.Helper()
+	if got := planFacts(eng); m.plan != "" && got != m.plan {
+		t.Errorf("%s plan: %s\n  want %s", m.name, got, m.plan)
+	}
+}
+
 // TestDifferential runs the table.
 func TestDifferential(t *testing.T) {
 	for _, m := range models(t) {
@@ -576,18 +589,32 @@ func TestDifferential(t *testing.T) {
 // arbitrary byte streams.
 func FuzzNetlist(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		diff(t, recipe("fuzz", 120, 1, netlist(data)))
+		diff(t, recipe("fuzz", 120, 1, pin{}, netlist(data)))
 	})
 }
 
-// byName indexes the table by row name.
-func byName(t *testing.T) map[string]model {
+// row is the table's row called name.
+func row(t *testing.T, name string) model {
 	t.Helper()
-	rows := map[string]model{}
 	for _, m := range models(t) {
-		rows[m.name] = m
+		if m.name == name {
+			return m
+		}
 	}
-	return rows
+	t.Fatalf("the table has no row %q", name)
+	return model{}
+}
+
+// checkPlans holds the named rows' plans to their pins.
+func checkPlans(t *testing.T, names ...string) {
+	for _, name := range names {
+		m := row(t, name)
+		eng, err := m.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlan(t, m, eng)
+	}
 }
 
 // TestSchedulersAgreeOnSpecs holds every shipped specification, under
@@ -596,7 +623,7 @@ func byName(t *testing.T) map[string]model {
 // central invariant on real models.
 func TestSchedulersAgreeOnSpecs(t *testing.T) {
 	for _, m := range models(t) {
-		if strings.HasSuffix(m.name, ".lss") {
+		if m.spec != "" {
 			t.Run(m.name, func(t *testing.T) {
 				ref, eng := programs(t, m)
 				agree(t, m, ref, eng, m.cycles/2)
@@ -606,51 +633,25 @@ func TestSchedulersAgreeOnSpecs(t *testing.T) {
 }
 
 // TestMeshScheduleGolden pins the static schedule of the shipped 4x4 mesh
-// spec: every loop of the mesh closes through a marked queue or link, so
-// the dependency graph has no cyclic SCC and no break site, and every conn
-// is in the static sweep in both directions.
-func TestMeshScheduleGolden(t *testing.T) {
-	prog, err := byName(t)["mesh.lss"].compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, n := prog.Schedule(), prog.Conns()
-	if info.CyclicSCCs != 0 || len(info.BreakSites) != 0 {
-		t.Fatalf("mesh cyclic SCCs = %d, break sites %v, want none", info.CyclicSCCs, info.BreakSites)
-	}
-	if info.SweepConns != n || info.AckSweepConns != n || info.ResidueConns != 0 || info.AckResidueConns != 0 {
-		t.Fatalf("mesh sweep %d/%d, residue %d/%d (fwd/ack), want every one of %d conns in the sweep",
-			info.SweepConns, info.AckSweepConns, info.ResidueConns, info.AckResidueConns, n)
-	}
-}
+// spec, its row's plan: every loop of the mesh closes through a marked
+// queue or link, so the dependency graph has no cyclic SCC and no break
+// site, and every conn is in the static sweep in both directions.
+func TestMeshScheduleGolden(t *testing.T) { checkPlans(t, "mesh.lss") }
 
 // TestClusterPlanPaperModels pins the combinational clusters of the
-// models the activity numbers are quoted on: their rows' plan column and
-// their largest cluster. The 4x4 mesh is one cluster per router (a
-// queue.out boundary, a route, an arbiter and a link.in or sink.in
-// boundary per port: 35, 24 or 15 conns for 5, 4 or 3 ports) plus one
-// single-conn cluster per router input. The sensor network is one cluster
-// around the shared channel plus one per node's front end; at 64 sensors
-// the marked channel cuts it in two, the 64 transmit conns on one side
-// and the 65 receive conns (64 nodes and the base station) on the other.
-// In Figures 2(a) and 2(c), at the table's sizes and the benchmark's, the
-// marked trace cores and directory controllers cut every core/cache and
-// controller/network loop: no residue, and no instance glues a cluster.
+// models the activity numbers are quoted on, their rows' plans. The 4x4
+// mesh is one cluster per router (a queue.out boundary, a route, an
+// arbiter and a link.in or sink.in boundary per port: 35, 24 or 15 conns
+// for 5, 4 or 3 ports) plus one single-conn cluster per router input. The
+// sensor network is one cluster around the shared channel plus one per
+// node's front end; at 64 sensors the marked channel cuts it in two, the
+// 64 transmit conns on one side and the 65 receive conns (64 nodes and
+// the base station) on the other. In Figures 2(a) and 2(c), at the
+// table's sizes and the benchmark's, the marked trace cores and directory
+// controllers cut every core/cache and controller/network loop: no
+// residue, and no instance glues a cluster.
 func TestClusterPlanPaperModels(t *testing.T) {
-	rows := byName(t)
-	for name, largest := range map[string]int{
-		"mesh.lss": 35, "sensornet.lss": 6, "fig2b-sensornet64": 65,
-		"fig2a-cmp": 17, "fig2c-grid": 37, "bench-fig2a": 37, "bench-fig2c": 37,
-	} {
-		prog, err := rows[name].compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		info := prog.Schedule()
-		if got := planFacts(info); got != pins[name].plan || info.LargestCluster != largest {
-			t.Errorf("%s: %s; largest cluster %d\n  want %s; largest cluster %d", name, got, info.LargestCluster, pins[name].plan, largest)
-		}
-	}
+	checkPlans(t, "mesh.lss", "sensornet.lss", "fig2b-sensornet64", "fig2a-cmp", "fig2c-grid", "bench-fig2a", "bench-fig2c")
 }
 
 // TestCheckpointRestoreBitIdentical is the checkpoint oracle on the
@@ -660,7 +661,7 @@ func TestClusterPlanPaperModels(t *testing.T) {
 // uninterrupted run — under the reference and the engine. Subtests are
 // named any/<engine>: the payloads are boxed (any).
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	m := byName(t)["ckpt"]
+	m := row(t, "ckpt")
 	k := m.cycles / 2
 	for _, kind := range []core.SchedulerKind{core.SchedulerSequential, core.SchedulerSparse} {
 		t.Run("any/"+kind.String(), func(t *testing.T) {
@@ -673,11 +674,9 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			if c := diverges(want.full[:k], pre.full); c >= 0 {
 				t.Fatalf("cycle %d: the run to the snapshot diverges from the uninterrupted one", c)
 			}
+			// same also demands that the restored run resume at k: one
+			// status hash and one full hash for each cycle from k on.
 			got, _ := play(t, prog, snapshot(t, sim, ""), true, m.cycles, nil)
-			if len(got.full) != int(m.cycles-k) {
-				t.Fatalf("the restored session ran %d cycles to cycle %d, want %d: it resumed elsewhere than cycle %d",
-					len(got.full), m.cycles, m.cycles-k, k)
-			}
 			same(t, "restored", want, k, got, false)
 		})
 	}
@@ -688,7 +687,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 // into the engine and into the reference, and InvalidateActivity. Every
 // cycle's statuses and the final statistics stay the reference's.
 func TestActivityLifecycle(t *testing.T) {
-	m := byName(t)["ckpt"]
+	m := row(t, "ckpt")
 	ref, eng := programs(t, m)
 	k := m.cycles / 2
 	want, _ := play(t, ref, nil, true, m.cycles, nil)
@@ -716,14 +715,7 @@ func TestActivityLifecycle(t *testing.T) {
 // take strict turns under a mutex (run under -race), and the session must
 // hash cycle by cycle like a twin stepped from one goroutine.
 func TestSingleWriterSessionMigrates(t *testing.T) {
-	src, err := os.ReadFile("specs/mesh.lss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := lse.CompileLSS(string(src), lse.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, prog := programs(t, row(t, "mesh.lss"))
 	const cycles = 40
 	twin, _ := play(t, prog, nil, true, cycles, nil)
 	h := &simtest.CycleHasher{}
@@ -733,17 +725,17 @@ func TestSingleWriterSessionMigrates(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	turn := 0
+	turn, failed := 0, false // a failed Step ends both goroutines
 	for me := range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for done := false; !done; runtime.Gosched() {
 				mu.Lock()
-				if done = sim.Now() == cycles; turn == me && !done {
+				if done = failed || sim.Now() == cycles; turn == me && !done {
 					if err := sim.Step(); err != nil {
 						t.Error(err)
-						done = true
+						failed = true
 					}
 					turn = 1 - me
 				}
@@ -822,14 +814,16 @@ func TestTracerSeesEveryResolution(t *testing.T) {
 	}
 	resolutions := 0
 	count := &core.TextTracer{W: io.Discard, Filter: func(*core.Conn) bool { resolutions++; return false }}
-	traced, tsim := play(t, prog, nil, false, 120, nil, core.WithTracer(count))
+	every := func(sim *core.Sim) { // before each Step, and after the last
+		if want := 3 * prog.Conns() * int(sim.Now()); resolutions != want {
+			t.Fatalf("by cycle %d the tracer saw %d resolutions, want %d", sim.Now(), resolutions, want)
+		}
+	}
+	traced, tsim := play(t, prog, nil, false, 120, every, core.WithTracer(count))
+	every(tsim)
 	untraced, usim := play(t, prog, nil, false, 120, nil)
 	if c := diverges(traced.status, untraced.status); c >= 0 {
 		t.Fatalf("cycle %d: traced and untraced sessions resolve differently", c)
-	}
-	// A signal resolves at most once a cycle, so the total pins every cycle.
-	if want := 120 * 3 * len(tsim.Conns()); resolutions != want {
-		t.Fatalf("the tracer saw %d resolutions in 120 cycles, want %d", resolutions, want)
 	}
 	if tsim.Metrics().ClosedClusterCycles() != 0 || !tsim.Schedule().TracerOpen {
 		t.Error("a traced session closed clusters, or does not report that its tracer keeps them open")

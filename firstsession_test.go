@@ -2,10 +2,8 @@ package liberty_test
 
 // firstsession_test.go pins the handoff at the top of the Figure 1 path:
 // the netlist core.Compile validated is the program's first option-less
-// session (internal/core/program_test.go counts the claims), and its
-// snapshot restores to run on as a re-stamped session does. That it is
-// indistinguishable from a re-stamped session on every model is a path of
-// the differential harness.
+// session (internal/core/program_test.go counts the claims). That it runs
+// as a re-stamped session does, on every model, is a differential path.
 
 import (
 	"bytes"
@@ -52,11 +50,8 @@ func TestFirstSessionIsTheCompiledNetlist(t *testing.T) {
 	// The handed-over session's snapshot at k restores into a session
 	// that runs on as a re-stamped one does from k.
 	t.Run("snapshot", func(t *testing.T) {
-		m := byName(t)["ckpt"]
-		prog, err := m.compile()
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := row(t, "ckpt")
+		_, prog := programs(t, m)
 		k := m.cycles / 2
 		_, handed := play(t, prog, nil, false, k, nil)
 		snap := snapshot(t, handed, "")
@@ -69,13 +64,7 @@ func TestFirstSessionIsTheCompiledNetlist(t *testing.T) {
 // resolvedChanges counts the VCD value changes that carry a resolved
 // status (b10 = yes, b01 = no) rather than the cycle-boundary unknown.
 func resolvedChanges(vcd string) int {
-	n := 0
-	for _, line := range strings.Split(vcd, "\n") {
-		if strings.HasPrefix(line, "b10 ") || strings.HasPrefix(line, "b01 ") {
-			n++
-		}
-	}
-	return n
+	return strings.Count(vcd, "\nb10 ") + strings.Count(vcd, "\nb01 ")
 }
 
 // TestVCDFollowsTheRunningSession: the tracer handed to a compile keys its
