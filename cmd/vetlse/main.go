@@ -1,11 +1,10 @@
 // Command vetlse runs the engine-contract multichecker over Go module
-// templates (see internal/analysis/vetlse): planephase flags signal
-// writes reachable from OnCycleEnd commit handlers — including
-// registered method values — which panic with a contract violation at
-// simulation time; statefulgob flags asymmetric core.Stateful gob
-// serialization and boxed state payloads the package never registers;
-// sequential flags a MarkSequential template whose react handler calls an
-// Out port or whose start handler reads a port.
+// templates (see internal/analysis/vetlse). It has two passes:
+// planephase flags signal writes reachable from OnCycleEnd commit
+// handlers — including registered method values — which panic with a
+// contract violation at simulation time; sequential flags a
+// MarkSequential template whose react handler calls an Out port or whose
+// start handler reads a port.
 //
 // It runs two ways:
 //

@@ -270,6 +270,7 @@ type readySink struct {
 func newReadySink(name string, period uint64) *readySink {
 	s := &readySink{period: period}
 	s.Init(name, s)
+	s.Checkpoint()
 	s.in = s.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	s.OnCycleStart(func() {
 		if s.Now()%s.period == 0 {
@@ -280,9 +281,6 @@ func newReadySink(name string, period uint64) *readySink {
 	})
 	return s
 }
-
-func (s *readySink) MarshalState() ([]byte, error) { return nil, nil }
-func (s *readySink) UnmarshalState([]byte) error   { return nil }
 
 // netlist assembles a netlist from a byte stream, one decision per byte
 // (a spent stream reads zeros): saturating or bursty sources — a low rate

@@ -1,7 +1,7 @@
 // Package vetlse statically checks Go module templates for violations of
 // the engine's contracts that only manifest at simulation time. It is a
 // small multichecker built on go/ast alone (no type information, no
-// dependency on the external go/analysis framework):
+// dependency on the external go/analysis framework), with two passes:
 //
 //   - planephase flags signal-status writes (Send, SendNothing, Enable,
 //     Disable, Ack, Nack and the fused Idle, IdleLanes, NackRest,
@@ -9,12 +9,6 @@
 //     OnCycleEnd commit handler — a guaranteed *core.ContractError at
 //     runtime. Both function literals and registered method values
 //     (OnCycleEnd(s.cycleEnd)) are checked.
-//
-//   - statefulgob audits core.Stateful implementations: MarshalState and
-//     UnmarshalState must come in pairs, every field the marshal side
-//     packs into its state literal must be restored by the unmarshal
-//     side (and vice versa), and a package whose state carries boxed
-//     (any-typed) payloads must gob.Register payload types somewhere.
 //
 //   - sequential checks the promise of Base.MarkSequential on every
 //     constructor that makes it: the react handler calls nothing on an
@@ -42,7 +36,7 @@ import (
 // Finding is one contract violation.
 type Finding struct {
 	Pos     token.Position
-	Check   string // the analyzer that produced it ("planephase", "statefulgob", "sequential")
+	Check   string // the analyzer that produced it ("planephase", "sequential")
 	Method  string // planephase: the signal-write method called
 	Message string
 }
@@ -70,11 +64,6 @@ var analyzers = []*Analyzer{
 		Name: "planephase",
 		Doc:  "signal writes reachable from OnCycleEnd commit handlers (guaranteed ContractError at runtime)",
 		Run:  runPlanephase,
-	},
-	{
-		Name: "statefulgob",
-		Doc:  "asymmetric or incomplete core.Stateful gob serialization: unpaired Marshal/UnmarshalState, fields packed but never restored, boxed payloads without gob.Register",
-		Run:  runStatefulgob,
 	},
 	{
 		Name: "sequential",
@@ -169,4 +158,16 @@ func ignoreLines(fset *token.FileSet, files []*ast.File) map[string]map[int]bool
 
 func ignored(ign map[string]map[int]bool, pos token.Position) bool {
 	return ign[pos.Filename][pos.Line]
+}
+
+// recvTypeName names a method receiver's type, with or without the star;
+// "" for anything else.
+func recvTypeName(t ast.Expr) string {
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

@@ -177,117 +177,6 @@ func build(q *queue) {
 	}
 }
 
-func TestStatefulGobSymmetricPairClean(t *testing.T) {
-	src := `package m
-
-type qState struct {
-	Entries []int
-	Head    int
-}
-
-func (q *queue) MarshalState() ([]byte, error) {
-	return gobEncode(qState{Entries: q.entries, Head: q.head})
-}
-
-func (q *queue) UnmarshalState(blob []byte) error {
-	var st qState
-	if err := gobDecode(blob, &st); err != nil {
-		return err
-	}
-	q.entries = st.Entries
-	q.head = st.Head
-	return nil
-}
-`
-	if fs := check(t, src); len(fs) != 0 {
-		t.Fatalf("symmetric pair flagged: %v", fs)
-	}
-}
-
-func TestStatefulGobAsymmetricFields(t *testing.T) {
-	src := `package m
-
-type qState struct {
-	Entries []int
-	Head    int
-}
-
-func (q *queue) MarshalState() ([]byte, error) {
-	return gobEncode(qState{Entries: q.entries, Head: q.head})
-}
-
-func (q *queue) UnmarshalState(blob []byte) error {
-	var st qState
-	if err := gobDecode(blob, &st); err != nil {
-		return err
-	}
-	q.entries = st.Entries
-	return nil
-}
-`
-	fs := check(t, src)
-	if len(fs) != 1 || !strings.Contains(fs[0].Message, "Head") {
-		t.Fatalf("want 1 finding about unrestored Head, got %v", fs)
-	}
-}
-
-func TestStatefulGobMissingCounterpart(t *testing.T) {
-	src := `package m
-
-func (q *queue) MarshalState() ([]byte, error) {
-	return gobEncode(qState{Head: q.head})
-}
-`
-	fs := check(t, src)
-	if len(fs) != 1 || !strings.Contains(fs[0].Message, "UnmarshalState") {
-		t.Fatalf("want 1 missing-counterpart finding, got %v", fs)
-	}
-}
-
-func TestStatefulGobEmptyBlobExempt(t *testing.T) {
-	src := `package m
-
-func (t *tee) MarshalState() ([]byte, error) { return nil, nil }
-
-func (t *tee) UnmarshalState([]byte) error { return nil }
-`
-	if fs := check(t, src); len(fs) != 0 {
-		t.Fatalf("empty-blob impl flagged: %v", fs)
-	}
-}
-
-func TestStatefulGobBoxedPayloadNeedsRegister(t *testing.T) {
-	src := `package m
-
-type sState struct {
-	Pending []any
-}
-
-func (s *src) MarshalState() ([]byte, error) {
-	return gobEncode(sState{Pending: s.pending})
-}
-
-func (s *src) UnmarshalState(blob []byte) error {
-	var st sState
-	if err := gobDecode(blob, &st); err != nil {
-		return err
-	}
-	s.pending = st.Pending
-	return nil
-}
-`
-	fs := check(t, src)
-	if len(fs) != 1 || !strings.Contains(fs[0].Message, "gob.Register") {
-		t.Fatalf("want 1 gob.Register finding, got %v", fs)
-	}
-	srcWithRegister := src + `
-func init() { gob.Register(0) }
-`
-	if fs := check(t, srcWithRegister); len(fs) != 0 {
-		t.Fatalf("registered package still flagged: %v", fs)
-	}
-}
-
 // sequentialFindings runs only the sequential pass over one source file.
 func sequentialFindings(t *testing.T, src string) []Finding {
 	t.Helper()

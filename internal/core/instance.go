@@ -32,9 +32,11 @@ type Base struct {
 	end        func()
 	sequential bool // no same-cycle path between ports: a dependency-graph node per port
 	scheduled  bool // queued for react
+	declared   bool // Checkpoint was called; state holds its fields, if any
 	rng        *rand.Rand
 	rsrc       *countingSource // rng's underlying source; draw count feeds Snapshot
 	pos        Pos             // spec position the instance was declared at, if known
+	state      []any           // the field pointers Checkpoint declared
 }
 
 // Init names the instance and records its concrete value. It must be

@@ -7,7 +7,8 @@ import (
 )
 
 // rngModule draws from its instance stream on the cycles its script
-// says, and checkpoints the draws it has seen.
+// says and records the draws; it declares no checkpoint state, so a
+// restored twin records only what it draws after the checkpoint.
 type rngModule struct {
 	Base
 	every uint64 // draw on the last of every `every` cycles; 0 = never
@@ -17,6 +18,7 @@ type rngModule struct {
 func newRngModule(name string, every uint64) *rngModule {
 	m := &rngModule{every: every}
 	m.Init(name, m)
+	m.Checkpoint()
 	m.OnCycleStart(func() {
 		if m.every > 0 && m.Now()%m.every == m.every-1 {
 			m.drawn = append(m.drawn, m.Rand().Int63(), int64(m.Rand().Uint64()>>1))
@@ -24,9 +26,6 @@ func newRngModule(name string, every uint64) *rngModule {
 	})
 	return m
 }
-
-func (m *rngModule) MarshalState() ([]byte, error) { return nil, nil }
-func (m *rngModule) UnmarshalState(_ []byte) error { return nil }
 
 func rngAssemble(mods *[]*rngModule) func(*Builder) error {
 	return func(b *Builder) error {

@@ -1,17 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 )
 
 // snapshot.go is deterministic checkpoint/restore for a session. A
 // snapshot captures everything behavioral about a Sim at a cycle
-// boundary — the cycle counter, the dense status lanes, every instance's
-// serialized state, per-instance RNG stream positions and the statistics
-// set — keyed by the program's structural fingerprint.
+// boundary — the cycle counter, the dense status lanes, the fields every
+// instance declared with Base.Checkpoint, per-instance RNG stream
+// positions and the statistics set — keyed by the program's structural
+// fingerprint.
 // Program.Restore stamps a fresh session and replays that state into it;
 // the restored run then produces bit-identical per-cycle signal
 // resolutions to the uninterrupted one (the root differential harness
@@ -33,20 +36,32 @@ import (
 // rand.Rand where the counter cannot see them; module code drawing
 // bytes across a snapshot boundary is outside the determinism contract.)
 
-// Stateful is implemented by module instances that support checkpoint/
-// restore. MarshalState returns the instance's mutable behavioral state
-// (typically gob- or hand-encoded); UnmarshalState replaces the
-// instance's state with a previously marshaled blob. A stateless module
-// with handlers implements the interface by returning (nil, nil) — the
-// explicit opt-in distinguishes "no state to save" from "not
-// checkpoint-safe". Instances without any lifecycle handlers hold no
-// behavioral state by construction and are checkpointed implicitly.
-type Stateful interface {
-	MarshalState() ([]byte, error)
-	UnmarshalState(data []byte) error
+// Checkpoint declares the instance's mutable simulation state: pointers
+// to the fields Sim.Snapshot encodes and Program.Restore decodes, both in
+// this one order, e.g. q.Checkpoint(&q.entries). A template calls it
+// once, in its constructor; one whose behavior comes only from its
+// parameters and the cycle's signals calls it with no fields. Snapshot
+// refuses an instance with lifecycle handlers that never called it.
+// Fields travel through encoding/gob: a concrete type boxed in an
+// any-typed field must be gob.Register'ed, and a struct element's fields
+// must be exported. A second call, or a non-pointer or nil argument, is a
+// contract violation.
+func (b *Base) Checkpoint(fields ...any) {
+	if b.declared {
+		contractPanic("checkpoint", b.name, "state declared twice")
+	}
+	for _, f := range fields {
+		if v := reflect.ValueOf(f); v.Kind() != reflect.Pointer || v.IsNil() {
+			contractPanic("checkpoint", b.name, fmt.Sprintf("declared field %T is not a non-nil pointer", f))
+		}
+	}
+	b.state, b.declared = fields, true
 }
 
-const snapMagic = "lse-snapshot"
+const (
+	snapMagic   = "lse-snapshot"
+	snapVersion = 2 // 2: instance state is the declared Checkpoint fields
+)
 
 // snapHist mirrors Histogram's accumulator fields for encoding.
 type snapHist struct {
@@ -73,26 +88,26 @@ type snapshotFile struct {
 
 // Snapshot writes a deterministic checkpoint of the session to w. It may
 // only be taken between cycles (outside Step); taking one mid-cycle is a
-// contract error. Every instance with lifecycle handlers must implement
-// Stateful, or Snapshot refuses with an error naming the first that does
-// not — the same instance at every cycle.
+// contract error. Every instance with lifecycle handlers must have
+// declared its state with Base.Checkpoint, or Snapshot refuses with an
+// error naming the first that did not — the same instance at every cycle.
 func (s *Sim) Snapshot(w io.Writer) error {
 	if s.phase != phaseIdle {
 		return &ContractError{Op: "snapshot", Where: "sim",
 			Detail: "snapshots may only be taken between cycles, not from inside a handler"}
 	}
-	// Refuse before marshalling anything, so a model that can never
+	// Refuse before encoding anything, so a model that can never
 	// checkpoint is refused the same way, naming the same instance, at
 	// every cycle — not by whichever state fails to encode first.
 	for _, b := range s.bases {
-		if _, ok := b.self.(Stateful); !ok && (b.react != nil || b.start != nil || b.end != nil) {
+		if !b.declared && (b.react != nil || b.start != nil || b.end != nil) {
 			return &ContractError{Op: "snapshot", Where: b.name,
-				Detail: "instance has lifecycle handlers but does not implement core.Stateful; cannot checkpoint"}
+				Detail: "instance has lifecycle handlers but declared no state with Base.Checkpoint; cannot checkpoint"}
 		}
 	}
 	snap := snapshotFile{
 		Magic:       snapMagic,
-		Version:     1,
+		Version:     snapVersion,
 		Fingerprint: s.prog.fingerprint,
 		Cycle:       s.cycle,
 		Seed:        s.seed,
@@ -107,15 +122,17 @@ func (s *Sim) Snapshot(w io.Writer) error {
 	}
 	for i, b := range s.bases {
 		snap.RngN[i] = b.rsrc.n
-		st, ok := b.self.(Stateful)
-		if !ok {
-			continue // handler-less instances (composites, pass-throughs) hold no behavioral state
+		if len(b.state) == 0 {
+			continue
 		}
-		data, err := st.MarshalState()
-		if err != nil {
-			return fmt.Errorf("snapshot: marshal %s: %w", b.name, err)
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		for _, f := range b.state {
+			if err := enc.Encode(f); err != nil {
+				return fmt.Errorf("snapshot: encode %s: %w", b.name, err)
+			}
 		}
-		snap.Inst[i] = data
+		snap.Inst[i] = buf.Bytes()
 	}
 	snap.Counters, snap.Hists = s.stats.export()
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
@@ -125,9 +142,9 @@ func (s *Sim) Snapshot(w io.Writer) error {
 }
 
 // Restore stamps a fresh session from the program and replays the
-// checkpoint read from r into it: cycle counter, signal lanes, instance
-// state, RNG stream positions and statistics. Session options (tracers,
-// metrics) apply to the new session; the seed always
+// checkpoint read from r into it: cycle counter, signal lanes, declared
+// instance state, RNG stream positions and statistics. Session options
+// (tracers, metrics) apply to the new session; the seed always
 // comes from the snapshot, since the RNG streams derive from it. The
 // snapshot must have been taken from a program with the same structural
 // fingerprint. The restored session's next Step runs a full sweep, so
@@ -138,8 +155,11 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("restore: decode: %w", err)
 	}
-	if snap.Magic != snapMagic || snap.Version != 1 {
-		return nil, fmt.Errorf("restore: not a version-1 %s stream", snapMagic)
+	if snap.Magic != snapMagic {
+		return nil, fmt.Errorf("restore: not an %s stream", snapMagic)
+	}
+	if snap.Version != snapVersion {
+		return nil, fmt.Errorf("restore: %s version %d is not supported (want version %d)", snapMagic, snap.Version, snapVersion)
 	}
 	if snap.Fingerprint != p.fingerprint {
 		return nil, &BuildError{Op: "restore", Where: "program",
@@ -173,24 +193,33 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 		for b.rsrc.n < snap.RngN[i] {
 			b.rsrc.Uint64()
 		}
-		data := snap.Inst[i]
-		if data == nil {
-			continue
-		}
-		st, ok := b.self.(Stateful)
-		if !ok {
+		if err := b.restoreState(snap.Inst[i]); err != nil {
 			s.Close()
-			return nil, fmt.Errorf("restore: snapshot carries state for %s, which does not implement core.Stateful", b.name)
-		}
-		if err := st.UnmarshalState(data); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("restore: unmarshal %s: %w", b.name, err)
+			return nil, fmt.Errorf("restore: %s: %w", b.name, err)
 		}
 	}
 	// Statistics restore before the first cycle, so modules that lazily
 	// re-fetch counters by name pick up the restored accumulators.
 	s.stats.restore(snap.Counters, snap.Hists)
 	return s, nil
+}
+
+// restoreState decodes the instance's declared fields from its blob, in
+// declaration order. Each field is zeroed first: gob leaves a destination
+// field alone when the stream omits it (it omits zero values), so a
+// value the constructor left would otherwise survive a saved zero.
+func (b *Base) restoreState(blob []byte) error {
+	if len(b.state) == 0 {
+		return nil
+	}
+	dec := gob.NewDecoder(bytes.NewReader(blob))
+	for _, f := range b.state {
+		reflect.ValueOf(f).Elem().SetZero()
+		if err := dec.Decode(f); err != nil {
+			return fmt.Errorf("decode declared state: %w", err)
+		}
+	}
+	return nil
 }
 
 // countingSource wraps a math/rand source, counting draws so Snapshot

@@ -6,14 +6,11 @@ import (
 )
 
 // spillSrc offers the cycle number on two of every three cycles; its
-// state is the clock, so it marshals nothing.
+// state is the clock, so it declares none.
 type spillSrc struct {
 	Base
 	out *Port
 }
-
-func (m *spillSrc) MarshalState() ([]byte, error) { return nil, nil }
-func (m *spillSrc) UnmarshalState([]byte) error   { return nil }
 
 // tripwire aborts the cycle numbered trip, once, after spillSrc's
 // cycle-start stores are made.
@@ -22,9 +19,6 @@ type tripwire struct {
 	trip  uint64
 	armed bool
 }
-
-func (m *tripwire) MarshalState() ([]byte, error) { return nil, nil }
-func (m *tripwire) UnmarshalState([]byte) error   { return nil }
 
 // spillCounter counts data-Yes resolutions, the stores SpillHits counts.
 type spillCounter struct{ n uint64 }
@@ -42,6 +36,7 @@ func spillAssemble(trip uint64) func(b *Builder) error {
 		for i := 0; i < 3; i++ {
 			src := &spillSrc{}
 			src.Init(Sub("src", string(rune('a'+i))), src)
+			src.Checkpoint()
 			src.out = src.AddOutPort("out", PortOpts{MinWidth: 1, MaxWidth: 1})
 			src.OnCycleStart(func() {
 				if src.Now()%3 == 2 {
@@ -62,6 +57,7 @@ func spillAssemble(trip uint64) func(b *Builder) error {
 		}
 		tw := &tripwire{trip: trip, armed: true}
 		tw.Init("tripwire", tw)
+		tw.Checkpoint()
 		tw.OnCycleStart(func() {
 			if tw.armed && tw.Now() == tw.trip {
 				tw.armed = false

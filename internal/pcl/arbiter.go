@@ -57,6 +57,7 @@ func NewArbiter(name string, p core.Params) (*Arbiter, error) {
 		}
 	}
 	a.Init(name, a)
+	a.Checkpoint(&a.last)
 	// Both ports tolerate being left unconnected (partial specification):
 	// with no outputs the arbiter refuses all requests; with no inputs it
 	// offers nothing.

@@ -31,6 +31,7 @@ func NewClockGate(name string, p core.Params) (*ClockGate, error) {
 		return nil, &core.ParamError{Param: "divisor", Detail: "must be >= 1"}
 	}
 	g.Init(name, g)
+	g.Checkpoint()
 	g.In = g.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	g.Out = g.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	g.OnReact(g.react)

@@ -21,9 +21,10 @@ type Delay struct {
 	cDeparted *core.Counter
 }
 
+// delayEntry's fields are exported so encoding/gob can checkpoint them.
 type delayEntry struct {
-	v     any
-	ready uint64 // first cycle the entry may depart
+	V     any
+	Ready uint64 // first cycle the entry may depart
 }
 
 // NewDelay constructs a delay line. Parameters:
@@ -40,6 +41,7 @@ func NewDelay(name string, p core.Params) (*Delay, error) {
 		return nil, &core.ParamError{Param: "capacity", Detail: "must be >= 1"}
 	}
 	d.Init(name, d)
+	d.Checkpoint(&d.lanes)
 	d.In = d.AddInPort("in", core.PortOpts{DefaultAck: core.No})
 	d.Out = d.AddOutPort("out")
 	d.OnCycleStart(d.cycleStart)
@@ -68,12 +70,12 @@ func (d *Delay) cycleStart() {
 	idle := 0 // lanes below i not yet resolved: idled in one run, in lane order
 	for i := 0; i < d.Out.Width(); i++ {
 		lane := d.lane(i)
-		if len(lane) == 0 || now < lane[0].ready {
+		if len(lane) == 0 || now < lane[0].Ready {
 			continue
 		}
 		d.Out.IdleLanes(idle, i)
 		idle = i + 1
-		d.Out.Send(i, lane[0].v)
+		d.Out.Send(i, lane[0].V)
 		d.Out.Enable(i)
 	}
 	d.Out.IdleLanes(idle, d.Out.Width())
@@ -103,7 +105,7 @@ func (d *Delay) cycleEnd() {
 		d.cDeparted.Inc()
 	}
 	for i := d.In.NextTransferred(0); i >= 0; i = d.In.NextTransferred(i + 1) {
-		e := delayEntry{v: d.In.Data(i), ready: d.Now() + uint64(d.latency)}
+		e := delayEntry{V: d.In.Data(i), Ready: d.Now() + uint64(d.latency)}
 		d.lanes[i] = append(d.lane(i), e)
 		d.cAccepted.Inc()
 	}

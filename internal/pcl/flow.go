@@ -38,6 +38,7 @@ func NewTee(name string, p core.Params) (*Tee, error) {
 		return nil, &core.ParamError{Param: "mode", Detail: fmt.Sprintf("unknown mode %q", mode)}
 	}
 	t.Init(name, t)
+	t.Checkpoint()
 	t.In = t.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	t.Out = t.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	t.OnReact(t.react)
@@ -148,6 +149,7 @@ func NewRoute(name string, p core.Params) (*Route, error) {
 		return nil, &core.ParamError{Param: "route", Detail: "required algorithmic parameter missing"}
 	}
 	r.Init(name, r)
+	r.Checkpoint()
 	// The input may be left unconnected (partial specification): a
 	// route stage with nothing upstream simply sends nothing.
 	r.In = r.AddInPort("in", core.PortOpts{MaxWidth: 1, DefaultAck: core.No})
@@ -214,6 +216,7 @@ func NewFilter(name string, p core.Params) (*Filter, error) {
 		return nil, &core.ParamError{Param: "pred", Detail: "required algorithmic parameter missing"}
 	}
 	f.Init(name, f)
+	f.Checkpoint()
 	f.In = f.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	f.Out = f.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	f.OnReact(f.react)

@@ -80,6 +80,7 @@ func NewMemArray(name string, p core.Params) (*MemArray, error) {
 		return nil, &core.ParamError{Param: "latency", Detail: "must be >= 1"}
 	}
 	m.Init(name, m)
+	m.Checkpoint(&m.words, &m.pending)
 	m.Req = m.AddInPort("req", core.PortOpts{DefaultAck: core.No})
 	m.Resp = m.AddOutPort("resp")
 	m.OnCycleStart(m.cycleStart)
@@ -110,10 +111,10 @@ func (m *MemArray) cycleStart() {
 	now := m.Now()
 	idle := 0 // lanes below i not yet resolved: idled in one run, in lane order
 	for i := 0; i < m.Resp.Width(); i++ {
-		if q := m.port(i); len(q) > 0 && now >= q[0].ready {
+		if q := m.port(i); len(q) > 0 && now >= q[0].Ready {
 			m.Resp.IdleLanes(idle, i)
 			idle = i + 1
-			m.Resp.Send(i, q[0].v)
+			m.Resp.Send(i, q[0].V)
 			m.Resp.Enable(i)
 		}
 	}
@@ -160,7 +161,7 @@ func (m *MemArray) cycleEnd() {
 			resp.Data = req.Data
 			m.cWrites.Inc()
 		}
-		m.pending[i] = append(m.port(i), delayEntry{v: resp, ready: m.Now() + uint64(m.latency)})
+		m.pending[i] = append(m.port(i), delayEntry{V: resp, Ready: m.Now() + uint64(m.latency)})
 	}
 }
 

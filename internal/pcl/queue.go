@@ -55,6 +55,7 @@ func NewQueue(name string, p core.Params) (*Queue, error) {
 		return nil, &core.ParamError{Param: "capacity", Detail: "must be >= 1"}
 	}
 	q.Init(name, q)
+	q.Checkpoint(&q.entries)
 	q.In = q.AddInPort("in", core.PortOpts{DefaultAck: core.No})
 	q.Out = q.AddOutPort("out")
 	q.OnCycleStart(q.cycleStart)

@@ -32,6 +32,7 @@ type Sink struct {
 func NewSink(name string, p core.Params) (*Sink, error) {
 	s := &Sink{keep: p.Bool("keep", false), accept: p.Bool("accept", true)}
 	s.Init(name, s)
+	s.Checkpoint(&s.received)
 	// Default control accepts everything — unless accept=false pins the
 	// ack to No.
 	var opts core.PortOpts

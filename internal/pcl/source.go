@@ -52,6 +52,7 @@ func NewSource(name string, p core.Params) (*Source, error) {
 		s.gen = func(rng *rand.Rand, cycle, seq uint64) (any, bool) { return int(seq), true }
 	}
 	s.Init(name, s)
+	s.Checkpoint(&s.rate, &s.pending, &s.seq, &s.done) // rate too: SetRate may change it after construction
 	s.Out = s.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	s.OnCycleStart(s.cycleStart)
 	s.OnCycleEnd(s.cycleEnd)

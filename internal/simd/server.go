@@ -655,7 +655,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Snapshot into memory first: a model that cannot be checkpointed (an
-	// instance with handlers that is not core.Stateful) must answer an
+	// instance with handlers that declared no Checkpoint state) must answer an
 	// error the client can read, not a committed 200 with an empty body.
 	var buf bytes.Buffer
 	if err := sim.Snapshot(&buf); err != nil {

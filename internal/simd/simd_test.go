@@ -503,7 +503,7 @@ func TestParkAndUnparkOnDemand(t *testing.T) {
 }
 
 // unsnapshottableSpec is a model Sim.Snapshot refuses: ccl.link has
-// handlers but does not implement core.Stateful.
+// handlers but declares no state with Base.Checkpoint.
 const unsnapshottableSpec = `instance src : ccl.pktsource(node = 0, nodes = 2, rate = 0.5, size = 1);
 instance lnk : ccl.link(latency = 2);
 instance snk : pcl.sink();
@@ -536,9 +536,9 @@ func TestSnapshotRefusedIsAnError(t *testing.T) {
 	body, err := client.Snapshot(ctx, sess.ID)
 	apiErr, ok := err.(*APIError)
 	if !ok || apiErr.Code != CodeModelError || apiErr.Status != http.StatusUnprocessableEntity {
-		t.Fatalf("snapshot of a non-Stateful model: %d bytes, err %v; want %s/422", len(body), err, CodeModelError)
+		t.Fatalf("snapshot of a model without declared state: %d bytes, err %v; want %s/422", len(body), err, CodeModelError)
 	}
-	if !strings.Contains(apiErr.Message, "lnk") || !strings.Contains(apiErr.Message, "core.Stateful") {
+	if !strings.Contains(apiErr.Message, "lnk") || !strings.Contains(apiErr.Message, "Checkpoint") {
 		t.Fatalf("error does not name the instance and the cause: %q", apiErr.Message)
 	}
 
@@ -575,6 +575,27 @@ type snapshotLanes struct {
 // Program.Restore and answered LSD005/422 by POST …/restore — and the
 // daemon goes on serving the live session beside it.
 func TestRestoreShortAckLaneRefused(t *testing.T) {
+	refuseCrafted(t, "a short ack lane", func(snap *snapshotLanes) {
+		snap.Status[core.SigAck] = snap.Status[core.SigAck][1:]
+	})
+}
+
+// TestRestoreVersion1Refused: a snapshot whose header says version 1 —
+// the layout before instance state was declared with Base.Checkpoint —
+// is refused, LSD005/422, with a message that names the version.
+func TestRestoreVersion1Refused(t *testing.T) {
+	err := refuseCrafted(t, "a version-1 header", func(snap *snapshotLanes) { snap.Version = 1 })
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("refusal does not name the version: %v", err)
+	}
+}
+
+// refuseCrafted snapshots a live session of testSpec at cycle 20,
+// re-encodes it with craft applied, and requires Program.Restore and POST
+// …/restore (LSD005/422) to refuse it while the live session keeps
+// serving. It returns the POST's error.
+func refuseCrafted(t *testing.T, what string, craft func(*snapshotLanes)) error {
+	t.Helper()
 	ctx := context.Background()
 	_, client := newTestServer(t, Config{})
 	prog := submitTestSpec(t, client)
@@ -593,7 +614,7 @@ func TestRestoreShortAckLaneRefused(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	snap.Status[core.SigAck] = snap.Status[core.SigAck][1:]
+	craft(&snap)
 	var crafted bytes.Buffer
 	if err := gob.NewEncoder(&crafted).Encode(&snap); err != nil {
 		t.Fatal(err)
@@ -607,15 +628,72 @@ func TestRestoreShortAckLaneRefused(t *testing.T) {
 		t.Fatalf("crafted snapshot fingerprint %s != program %s", fp, prog.Fingerprint)
 	}
 	if _, err := local.Restore(bytes.NewReader(crafted.Bytes())); err == nil {
-		t.Fatal("Program.Restore accepted a snapshot with a short ack lane")
+		t.Fatalf("Program.Restore accepted a snapshot with %s", what)
 	}
 	_, err = client.RestoreSession(ctx, prog.ID, bytes.NewReader(crafted.Bytes()))
 	apiErr, ok := err.(*APIError)
 	if !ok || apiErr.Code != CodeSnapshotInvalid || apiErr.Status != http.StatusUnprocessableEntity {
-		t.Fatalf("POST restore of a short ack lane: err %v, want %s/422", err, CodeSnapshotInvalid)
+		t.Fatalf("POST restore of %s: err %v, want %s/422", what, err, CodeSnapshotInvalid)
 	}
 	if st, err := client.Run(ctx, sess.ID, 10); err != nil || st.Cycle != 30 {
 		t.Fatalf("live session after the refused restore landed at %+v (err %v)", st, err)
+	}
+	return err
+}
+
+// TestCorruptParkFileIsAnLSDError: a parked session whose checkpoint file
+// was overwritten answers every waking request with LSD007 — the
+// documented code for an unreadable checkpoint — not a 500 or a dropped
+// connection; the session stays parked with its file kept, and DELETE
+// removes both.
+func TestCorruptParkFileIsAnLSDError(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	dir := t.TempDir()
+	srv, client := newTestServer(t, Config{
+		ParkAfter: time.Minute, CheckpointDir: dir, now: clock.now,
+	})
+	ctx := context.Background()
+	prog := submitTestSpec(t, client)
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Run(ctx, sess.ID, 20); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(2 * time.Minute)
+	srv.sweepIdle(clock.now())
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if len(ckpts) != 1 {
+		t.Fatalf("found %d checkpoints, want 1", len(ckpts))
+	}
+	garbage := []byte("not a checkpoint")
+	if err := os.WriteFile(ckpts[0], garbage, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	_, stepErr := client.Step(ctx, sess.ID, 1)
+	_, observeErr := client.Observe(ctx, sess.ID)
+	for verb, err := range map[string]error{"step": stepErr, "observe": observeErr} {
+		apiErr, ok := err.(*APIError)
+		if !ok || apiErr.Code != CodeUnavailable || apiErr.Status != http.StatusServiceUnavailable {
+			t.Fatalf("%s of a session with a corrupt park file: err %v, want %s/503", verb, err, CodeUnavailable)
+		}
+	}
+	if info, err := client.SessionInfo(ctx, sess.ID); err != nil || info.State != "parked" || info.Cycle != 20 {
+		t.Fatalf("after the failed restores: %+v (err %v), want parked at 20", info, err)
+	}
+	if kept, err := os.ReadFile(ckpts[0]); err != nil || !bytes.Equal(kept, garbage) {
+		t.Fatalf("failed restore did not keep the checkpoint file: %q (err %v)", kept, err)
+	}
+	if err := client.CloseSession(ctx, sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(ckpts[0]); !os.IsNotExist(err) {
+		t.Fatalf("DELETE left the checkpoint file behind (stat err %v)", err)
+	}
+	if _, err := client.SessionInfo(ctx, sess.ID); !isCode(err, CodeNotFound) {
+		t.Fatalf("deleted session still answers: %v", err)
 	}
 }
 

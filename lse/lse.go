@@ -105,8 +105,9 @@
 //	}
 //
 // Sessions checkpoint with Sim.Snapshot and resume with Program.Restore;
-// a restored run is bit-identical to an uninterrupted one. Modules with
-// lifecycle handlers opt into checkpointing by implementing Stateful.
+// a restored run is bit-identical to an uninterrupted one. A module with
+// lifecycle handlers opts into checkpointing by declaring its mutable
+// fields once in its constructor with Base.Checkpoint.
 //
 // # Simulation as a service
 //
@@ -168,8 +169,6 @@ type (
 	// Program is the immutable compiled form of a netlist; NewSim stamps
 	// concurrent sessions from it and Restore resumes checkpoints.
 	Program = core.Program
-	// Stateful is implemented by modules that support Snapshot/Restore.
-	Stateful = core.Stateful
 	// Sim is an executable simulator.
 	Sim = core.Sim
 	// Instance is a module instance.
