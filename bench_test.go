@@ -5,7 +5,7 @@ package liberty_test
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"os"
 	"testing"
 

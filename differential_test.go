@@ -172,8 +172,8 @@ func stream(first byte, seed int64) []byte {
 // ckptSpec is the checkpoint recipe, internal/simd's test spec plus an
 // independent chain: two rate-gated sources competing through an arbiter
 // into a queue → delay → sink pipeline. Every pcl template with state is
-// on the path, and the sub-unit rates keep the RNG streams hot, so a
-// restore must replay stream positions exactly.
+// on the path, and the sub-unit rates keep the random streams hot, so a
+// restore must set every stream's state exactly.
 const ckptSpec = `let r0 = 0.7;
 let r1 = 0.45;
 instance src0 : pcl.source(rate = r0);
@@ -591,8 +591,48 @@ func FuzzNetlist(f *testing.F) {
 	})
 }
 
+// FuzzSnapshot holds Program.Restore to its contract on arbitrary bytes:
+// an error, or a session whose own Snapshot succeeds — never a panic.
+// The seeds are real snapshots of the pipeline.lss and ckpt rows at
+// cycles 0, 1 and 20.
+func FuzzSnapshot(f *testing.F) {
+	var progs []*core.Program
+	for _, name := range []string{"pipeline.lss", "ckpt"} {
+		prog, err := row(f, name).compile()
+		if err != nil {
+			f.Fatal(err)
+		}
+		progs = append(progs, prog)
+		for _, cycles := range []uint64{0, 1, 20} {
+			sim, err := prog.NewSim()
+			if err != nil {
+				f.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := errors.Join(sim.Run(cycles), sim.Snapshot(&buf)); err != nil {
+				f.Fatal(err)
+			}
+			sim.Close()
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, prog := range progs {
+			sim, err := prog.Restore(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			err = sim.Snapshot(io.Discard)
+			sim.Close()
+			if err != nil {
+				t.Fatalf("a restored session cannot be snapshotted: %v", err)
+			}
+		}
+	})
+}
+
 // row is the table's row called name.
-func row(t *testing.T, name string) model {
+func row(t testing.TB, name string) model {
 	t.Helper()
 	for _, m := range models(t) {
 		if m.name == name {

@@ -16,7 +16,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
+	"math/rand/v2"
 
 	"liberty/internal/ccl"
 	"liberty/internal/isa"

@@ -2,7 +2,7 @@ package ccl_test
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"liberty/internal/ccl"
@@ -247,11 +247,11 @@ func TestMeshDeterminism(t *testing.T) {
 }
 
 func TestTrafficPatterns(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewPCG(1, 0))
 	n := 16
 	t.Run("uniform avoids self", func(t *testing.T) {
 		for i := 0; i < 1000; i++ {
-			src := rng.Intn(n)
+			src := rng.IntN(n)
 			if d := ccl.UniformPattern(rng, src, n); d == src || d < 0 || d >= n {
 				t.Fatalf("bad uniform destination %d from %d", d, src)
 			}

@@ -3,7 +3,7 @@ package ccl
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"liberty/internal/pcl"
 )
@@ -37,7 +37,7 @@ func UniformPattern(rng *rand.Rand, src, n int) int {
 	if n < 2 {
 		return src
 	}
-	d := rng.Intn(n - 1)
+	d := rng.IntN(n - 1)
 	if d >= src {
 		d++
 	}

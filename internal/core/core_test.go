@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -360,27 +361,44 @@ func TestTracerObservesResolutions(t *testing.T) {
 	}
 }
 
+// TestDeterministicRandPerInstance: an instance's stream depends only on
+// the seed and its name — not on where it was assembled, and not on the
+// other instances — and differs across names and across seeds.
 func TestDeterministicRandPerInstance(t *testing.T) {
-	mk := func() (*core.Sim, *source) {
-		src := newSource("src")
-		snk := newSink("snk", nil)
-		b := core.NewBuilder(core.WithSeed(42))
-		b.Add(src)
-		b.Add(snk)
-		b.Connect(src, "out", snk, "in")
+	// draws assembles a source and sink per name, in the order given, and
+	// returns each source's first 1 000 draws by name.
+	draws := func(seed int64, names ...string) map[string][]uint64 {
+		b := core.NewBuilder(core.WithSeed(seed))
+		srcs := make([]*source, len(names))
+		for i, name := range names {
+			srcs[i] = newSource(name)
+			snk := newSink(name+"-snk", nil)
+			b.Add(srcs[i])
+			b.Add(snk)
+			b.Connect(srcs[i], "out", snk, "in")
+		}
 		s, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, src
-	}
-	s1, src1 := mk()
-	s2, src2 := mk()
-	_ = s1
-	_ = s2
-	for i := 0; i < 10; i++ {
-		if src1.Rand().Int63() != src2.Rand().Int63() {
-			t.Fatal("same seed and name should give identical RNG streams")
+		defer s.Close()
+		out := make(map[string][]uint64, len(names))
+		for i, src := range srcs {
+			for k := 0; k < 1000; k++ {
+				out[names[i]] = append(out[names[i]], src.Rand().Uint64())
+			}
 		}
+		return out
+	}
+	first := draws(42, "src", "a", "b")
+	switch {
+	case !slices.Equal(first["src"], draws(42, "src", "a", "b")["src"]):
+		t.Fatal("same seed and name gave different streams")
+	case !slices.Equal(first["src"], draws(42, "a", "b", "src")["src"]):
+		t.Fatal("the stream depends on where the instance was assembled")
+	case slices.Equal(first["src"], first["a"]):
+		t.Fatal("two names in one session share a stream")
+	case slices.Equal(first["src"], draws(43, "src")["src"]):
+		t.Fatal("two seeds gave one name the same stream")
 	}
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 )
 
@@ -30,13 +30,13 @@ type Base struct {
 	react      func()
 	start      func()
 	end        func()
-	sequential bool // no same-cycle path between ports: a dependency-graph node per port
-	scheduled  bool // queued for react
-	declared   bool // Checkpoint was called; state holds its fields, if any
-	rng        *rand.Rand
-	rsrc       *countingSource // rng's underlying source; draw count feeds Snapshot
-	pos        Pos             // spec position the instance was declared at, if known
-	state      []any           // the field pointers Checkpoint declared
+	sequential bool       // no same-cycle path between ports: a dependency-graph node per port
+	scheduled  bool       // queued for react
+	declared   bool       // Checkpoint was called; state holds its fields, if any
+	rs         rngState   // the instance's random stream: the word Snapshot saves
+	rng        *rand.Rand // draws from rs
+	pos        Pos        // spec position the instance was declared at, if known
+	state      []any      // the field pointers Checkpoint declared
 }
 
 // Init names the instance and records its concrete value. It must be
@@ -172,8 +172,21 @@ func (b *Base) Now() uint64 { return b.sim.cycle }
 
 // Rand returns the instance's deterministic random source, seeded from
 // the simulator seed and the instance name so runs are reproducible and
-// independent of netlist assembly order.
+// independent of netlist assembly order. The stream's whole position is
+// one word of state, which a snapshot saves and a restore sets as it is.
 func (b *Base) Rand() *rand.Rand { return b.rng }
+
+// rngState is a splitmix64 generator: a math/rand/v2 Source whose state
+// is the word itself.
+type rngState uint64
+
+func (r *rngState) Uint64() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
 
 // Counter registers (or retrieves) a statistics counter scoped to this
 // instance. Increment counters only from OnCycleStart or OnCycleEnd;
@@ -193,12 +206,8 @@ func (b *Base) attach(s *Sim, id int) {
 	b.id = id
 	h := fnv.New64a()
 	h.Write([]byte(b.name))
-	// The source is wrapped in a draw counter so Snapshot can record the
-	// stream position and Restore can replay it; the counting layer draws
-	// one underlying step per call, exactly like the bare source, so
-	// streams are unchanged.
-	b.rsrc = &countingSource{seed: s.seed ^ int64(h.Sum64())}
-	b.rng = rand.New(b.rsrc)
+	b.rs = rngState(uint64(s.seed) ^ h.Sum64())
+	b.rng = rand.New(&b.rs)
 }
 
 // Composite is a hierarchical instance assembled from sub-instances of

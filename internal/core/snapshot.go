@@ -5,16 +5,17 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
 	"reflect"
 )
 
 // snapshot.go is deterministic checkpoint/restore for a session. A
 // snapshot captures everything behavioral about a Sim at a cycle
 // boundary — the cycle counter, the dense status lanes, the fields every
-// instance declared with Base.Checkpoint, per-instance RNG stream
-// positions and the statistics set — keyed by the program's structural
-// fingerprint.
+// instance declared with Base.Checkpoint, each instance's random stream
+// and the statistics set — keyed by the program's structural fingerprint.
+// A random stream is one word of state (Base.Rand): the snapshot saves
+// it and Restore sets it as it is, so restoring costs the same at any
+// cycle.
 // Program.Restore stamps a fresh session and replays that state into it;
 // the restored run then produces bit-identical per-cycle signal
 // resolutions to the uninterrupted one (the root differential harness
@@ -26,15 +27,6 @@ import (
 // closed cluster's settled resolution from the restored instance state —
 // bit-identical to the replay, since a full sweep and a replayed
 // cycle resolve the same values by construction.
-//
-// RNG determinism: each instance's rand stream is a counted source
-// (countingSource); the snapshot records how many draws each stream has
-// produced, and Restore fast-forwards a fresh identically-seeded source
-// by that count. Both Int63 and Uint64 advance the underlying generator
-// exactly one step, so the count pins the stream position exactly. (The
-// one exception is rand.Rand.Read, which buffers partial words inside
-// rand.Rand where the counter cannot see them; module code drawing
-// bytes across a snapshot boundary is outside the determinism contract.)
 
 // Checkpoint declares the instance's mutable simulation state: pointers
 // to the fields Sim.Snapshot encodes and Program.Restore decodes, both in
@@ -60,7 +52,7 @@ func (b *Base) Checkpoint(fields ...any) {
 
 const (
 	snapMagic   = "lse-snapshot"
-	snapVersion = 2 // 2: instance state is the declared Checkpoint fields
+	snapVersion = 3 // 2: instance state is the declared Checkpoint fields; 3: Rng holds stream states
 )
 
 // snapHist mirrors Histogram's accumulator fields for encoding.
@@ -80,7 +72,7 @@ type snapshotFile struct {
 	Seed        int64
 	SpillHits   uint64
 	Status      [3][]uint32 // dense status lanes, by conn id
-	RngN        []uint64    // per-instance RNG draw counts, by instance id
+	Rng         []uint64    // per-instance random stream states, by instance id
 	Inst        [][]byte    // per-instance marshaled state, by instance id
 	Counters    map[string]int64
 	Hists       map[string]snapHist
@@ -112,7 +104,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		Cycle:       s.cycle,
 		Seed:        s.seed,
 		SpillHits:   s.spillHits.Load(),
-		RngN:        make([]uint64, len(s.bases)),
+		Rng:         make([]uint64, len(s.bases)),
 		Inst:        make([][]byte, len(s.bases)),
 	}
 	// The plane is conn-id keyed, which is the snapshot's layout: the
@@ -121,7 +113,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		snap.Status[k] = append([]uint32(nil), s.plane.lanes[k]...)
 	}
 	for i, b := range s.bases {
-		snap.RngN[i] = b.rsrc.n
+		snap.Rng[i] = uint64(b.rs)
 		if len(b.state) == 0 {
 			continue
 		}
@@ -143,9 +135,9 @@ func (s *Sim) Snapshot(w io.Writer) error {
 
 // Restore stamps a fresh session from the program and replays the
 // checkpoint read from r into it: cycle counter, signal lanes, declared
-// instance state, RNG stream positions and statistics. Session options
-// (tracers, metrics) apply to the new session; the seed always
-// comes from the snapshot, since the RNG streams derive from it. The
+// instance state, random stream states and statistics. Session options
+// (tracers, metrics) apply to the new session; the seed, like the
+// stream states, always comes from the snapshot. The
 // snapshot must have been taken from a program with the same structural
 // fingerprint. The restored session's next Step runs a full sweep, so
 // its subsequent per-cycle resolutions are bit-identical to the
@@ -169,7 +161,7 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	shapeOK := len(snap.RngN) == len(s.bases) && len(snap.Inst) == len(s.bases)
+	shapeOK := len(snap.Rng) == len(s.bases) && len(snap.Inst) == len(s.bases)
 	for _, lane := range snap.Status {
 		shapeOK = shapeOK && len(lane) == len(s.conns)
 	}
@@ -188,11 +180,7 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 	s.released = true
 	s.needFull = true
 	for i, b := range s.bases {
-		// Fast-forward the stream through the counting wrapper so the
-		// draw count advances with it.
-		for b.rsrc.n < snap.RngN[i] {
-			b.rsrc.Uint64()
-		}
+		b.rs = rngState(snap.Rng[i])
 		if err := b.restoreState(snap.Inst[i]); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("restore: %s: %w", b.name, err)
@@ -220,45 +208,6 @@ func (b *Base) restoreState(blob []byte) error {
 		}
 	}
 	return nil
-}
-
-// countingSource wraps a math/rand source, counting draws so Snapshot
-// can record each instance's stream position. rand.NewSource's concrete
-// source implements Source64; both Int63 and Uint64 advance it exactly
-// one internal step, so the draw count alone pins the position.
-//
-// The underlying source is seeded on the first draw, not at attach:
-// seeding math/rand's 607-word generator dominates the cost of stamping a
-// session, and most instances (queues, routes, arbiters, links) never
-// draw. The stream is the same either way.
-type countingSource struct {
-	seed int64
-	src  rand.Source64 // nil until the first draw
-	n    uint64
-}
-
-func (c *countingSource) source() rand.Source64 {
-	if c.src == nil {
-		c.src = rand.NewSource(c.seed).(rand.Source64)
-	}
-	return c.src
-}
-
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.source().Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.n++
-	return c.source().Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.seed, c.n = seed, 0
-	if c.src != nil {
-		c.src.Seed(seed)
-	}
 }
 
 // export copies the statistics accumulators into plain encodable maps.

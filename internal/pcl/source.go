@@ -1,7 +1,7 @@
 package pcl
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	core "liberty/internal/core"
 )
@@ -9,7 +9,9 @@ import (
 // GenFn produces the next datum a Source offers. Returning ok=false means
 // the source is exhausted; returning (nil, true) means "nothing this
 // cycle, try again later" (bursty/idle generators). It runs at most once
-// per item: a back-pressured item is retried without regenerating.
+// per item: a back-pressured item is retried without regenerating. rng
+// is the source's own stream (core.Base.Rand), one word of state that a
+// snapshot saves; a generator that draws only from it restores exactly.
 type GenFn func(rng *rand.Rand, cycle uint64, seq uint64) (v any, ok bool)
 
 // Source injects generated data, one offer per out connection per cycle,

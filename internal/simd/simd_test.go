@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -566,7 +567,7 @@ type snapshotLanes struct {
 	Seed        int64
 	SpillHits   uint64
 	Status      [3][]uint32
-	RngN        []uint64
+	Rng         []uint64
 	Inst        [][]byte
 }
 
@@ -580,13 +581,102 @@ func TestRestoreShortAckLaneRefused(t *testing.T) {
 	})
 }
 
-// TestRestoreVersion1Refused: a snapshot whose header says version 1 —
-// the layout before instance state was declared with Base.Checkpoint —
-// is refused, LSD005/422, with a message that names the version.
+// TestRestoreShortRngRefused: a crafted snapshot whose random stream
+// states are one entry short of the netlist's instances is refused,
+// LSD005/422.
+func TestRestoreShortRngRefused(t *testing.T) {
+	refuseCrafted(t, "a short Rng", func(snap *snapshotLanes) { snap.Rng = snap.Rng[1:] })
+}
+
+// TestRestoreVersion1Refused: a snapshot whose header says an earlier
+// version — 1, before instance state was declared with Base.Checkpoint,
+// or 2, when Rng held draw counts — is refused, LSD005/422, with a
+// message that names the version.
 func TestRestoreVersion1Refused(t *testing.T) {
-	err := refuseCrafted(t, "a version-1 header", func(snap *snapshotLanes) { snap.Version = 1 })
-	if !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("refusal does not name the version: %v", err)
+	for _, v := range []int{1, 2} {
+		err := refuseCrafted(t, fmt.Sprintf("a version-%d header", v), func(snap *snapshotLanes) { snap.Version = v })
+		if !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("refusal does not name the version: %v", err)
+		}
+	}
+}
+
+// TestRestoreCraftedDrawCount: a snapshot carrying a draw count of 2^40
+// in the field earlier versions replayed stream positions from is
+// answered — restored or refused — within 2 s by Program.Restore and by
+// POST …/restore, and the live session beside it keeps serving.
+func TestRestoreCraftedDrawCount(t *testing.T) {
+	ctx := context.Background()
+	_, client := newTestServer(t, Config{})
+	prog := submitTestSpec(t, client)
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Run(ctx, sess.ID, 20); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := client.Snapshot(ctx, sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Magic       string
+		Version     int
+		Fingerprint uint64
+		Cycle       uint64
+		Seed        int64
+		SpillHits   uint64
+		Status      [3][]uint32
+		Rng         []uint64
+		RngN        []uint64
+		Inst        [][]byte
+	}
+	if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.RngN) == 0 {
+		snap.RngN = make([]uint64, len(snap.Inst))
+	}
+	snap.RngN[0] = 1 << 40
+	var crafted bytes.Buffer
+	if err := gob.NewEncoder(&crafted).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	local, err := lss.CompileFile("simd_test.lss", testSpec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// within runs call on its own goroutine and fails the test if it has
+	// not returned after 2 s.
+	within := func(what string, call func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			call()
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s of a snapshot with a crafted draw count did not answer within 2 s", what)
+		}
+	}
+	within("Program.Restore", func() {
+		if restored, err := local.Restore(bytes.NewReader(crafted.Bytes())); err == nil {
+			restored.Close()
+		}
+	})
+	var postErr error
+	within("POST restore", func() {
+		_, postErr = client.RestoreSession(ctx, prog.ID, bytes.NewReader(crafted.Bytes()))
+	})
+	if postErr != nil && !isCode(postErr, CodeSnapshotInvalid) {
+		t.Fatalf("POST restore of a crafted draw count: err %v, want success or %s", postErr, CodeSnapshotInvalid)
+	}
+	if st, err := client.Run(ctx, sess.ID, 10); err != nil || st.Cycle != 30 {
+		t.Fatalf("live session after the crafted restore landed at %+v (err %v)", st, err)
 	}
 }
 
@@ -974,9 +1064,14 @@ func TestServerCloseReleasesCheckpoints(t *testing.T) {
 
 // TestProgramLRUEviction pins the cache policy: beyond capacity the
 // least-recently-used program leaves the cache, while sessions already
-// stamped from it keep running on their program pointer.
+// stamped from it keep running on their program pointer — a session
+// parked before the eviction too: it unparks through that pointer and
+// steps on bit-identically to a twin that never parked.
 func TestProgramLRUEviction(t *testing.T) {
-	_, client := newTestServer(t, Config{ProgramCache: 2})
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	srv, client := newTestServer(t, Config{
+		ProgramCache: 2, ParkAfter: time.Minute, CheckpointDir: t.TempDir(), now: clock.now,
+	})
 	ctx := context.Background()
 
 	submit := func(seed int) ProgramInfo {
@@ -990,9 +1085,17 @@ func TestProgramLRUEviction(t *testing.T) {
 		return info
 	}
 	p0 := submit(0)
-	sess, err := client.NewSession(ctx, p0.ID, CreateSessionRequest{})
+	sess, err := client.NewSession(ctx, p0.ID, CreateSessionRequest{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := client.Run(ctx, sess.ID, 20); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(2 * time.Minute)
+	srv.sweepIdle(clock.now())
+	if info, err := client.SessionInfo(ctx, sess.ID); err != nil || info.State != "parked" {
+		t.Fatalf("before the eviction: %+v (err %v), want parked", info, err)
 	}
 	submit(1)
 	submit(2) // evicts p0, the least recently used
@@ -1005,9 +1108,31 @@ func TestProgramLRUEviction(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Fatalf("evicted program still cached (status %d)", resp.StatusCode)
 	}
-	// The stamped session holds the program pointer and runs on.
-	if st, err := client.Run(ctx, sess.ID, 10); err != nil || st.Cycle != 10 {
+	// The parked session holds the program pointer, unparks through it
+	// and runs on.
+	if st, err := client.Run(ctx, sess.ID, 10); err != nil || st.Cycle != 30 {
 		t.Fatalf("session on evicted program: %+v (err %v)", st, err)
+	}
+
+	local, err := lss.CompileFile("simd_test.lss", testSpec, map[string]any{"r0": 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := fmt.Sprintf("%016x", local.Fingerprint()); fp != p0.Fingerprint {
+		t.Fatalf("twin fingerprint %s != evicted program %s", fp, p0.Fingerprint)
+	}
+	twin, err := local.NewSim(core.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	simtest.Run(t, twin, 30)
+	ss, _ := srv.session(sess.ID)
+	ss.mu.Lock()
+	got := simtest.StepHashes(t, ss.live(), 50)
+	ss.mu.Unlock()
+	if !slices.Equal(got, simtest.StepHashes(t, twin, 50)) {
+		t.Fatal("the unparked session diverged from a twin that never parked")
 	}
 }
 

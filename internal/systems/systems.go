@@ -8,7 +8,8 @@ package systems
 
 import (
 	"fmt"
-	"math/rand"
+	randv1 "math/rand"
+	"math/rand/v2"
 
 	"liberty/internal/ccl"
 	core "liberty/internal/core"
@@ -91,7 +92,9 @@ func BuildCMP(b *core.Builder, name string, cfg CMPCfg) (*CMP, error) {
 		return nil, err
 	}
 	cmp := &CMP{Dir: sys}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	// The reference lists are drawn at assembly time from their own
+	// seeded generator, not from an instance stream.
+	rng := randv1.New(randv1.NewSource(cfg.Seed))
 	nodes := cfg.W * cfg.H
 	for i := 0; i < nodes; i++ {
 		refs := synthRefs(rng, i, cfg.RefsPer, cfg.SharedPct)
@@ -109,7 +112,7 @@ func BuildCMP(b *core.Builder, name string, cfg CMPCfg) (*CMP, error) {
 }
 
 // synthRefs generates a private/shared reference mix for one core.
-func synthRefs(rng *rand.Rand, node, n, sharedPct int) []mpl.MemRef {
+func synthRefs(rng *randv1.Rand, node, n, sharedPct int) []mpl.MemRef {
 	refs := make([]mpl.MemRef, n)
 	privBase := uint32(0x10000 + node*0x1000)
 	for k := range refs {
@@ -158,7 +161,7 @@ func NewSensorNode(b *core.Builder, name string, node, baseStation, samples, thr
 			Dst:      baseStation,
 			Size:     1,
 			Injected: cycle,
-			Payload:  Reading{Node: node, Seq: int(seq), Value: rng.Intn(100)},
+			Payload:  Reading{Node: node, Seq: int(seq), Value: rng.IntN(100)},
 		}, true
 	})
 	adc, err := pcl.NewSource(core.Sub(name, "adc"), core.Params{
