@@ -11,7 +11,7 @@ import (
 // baseCalls are the core.Base methods a handler may call on its receiver
 // without reaching a port.
 var baseCalls = map[string]bool{
-	"Name": true, "Now": true, "Rand": true, "Counter": true, "Histogram": true,
+	"Name": true, "Now": true, "Rand": true,
 }
 
 // startReads are the Port methods a marked template's start handler may

@@ -274,6 +274,7 @@ type Ctrl struct {
 func NewCtrl(name string) *Ctrl {
 	c := &Ctrl{}
 	c.Init(name, c)
+	c.count = c.Counter("n")
 	c.CPU = c.AddInPort("cpu")
 	c.Net = c.AddOutPort("net")
 	c.OnCycleStart(c.cycleStart)
@@ -283,7 +284,6 @@ func NewCtrl(name string) *Ctrl {
 }
 
 func (c *Ctrl) cycleStart() {
-	c.count = c.Counter("n")
 	c.offer(c.Net)
 }
 

@@ -56,6 +56,8 @@ func NewLink(name string, p core.Params) (*Link, error) {
 	}
 	l.inflight = make([]linkEntry, l.capacity)
 	l.Init(name, l)
+	l.cFlits = l.Counter("flits")
+	l.cPkts = l.Counter("packets")
 	l.In = l.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	l.Out = l.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	l.OnCycleStart(l.cycleStart)
@@ -77,10 +79,6 @@ func (l *Link) Congestion() int {
 }
 
 func (l *Link) cycleStart() {
-	if l.cFlits == nil {
-		l.cFlits = l.Counter("flits")
-		l.cPkts = l.Counter("packets")
-	}
 	if e := &l.inflight[l.head]; l.n > 0 && l.Now() >= e.ready {
 		l.Out.Send(0, e.pkt)
 		l.Out.Enable(0)

@@ -183,3 +183,40 @@ func TestSteadyCycleAllocs(t *testing.T) {
 	}
 	t.Logf("%.2f allocations per cycle, %.2f injected packets per cycle", perCycle, pktsPerCycle)
 }
+
+// TestStampFirstCycleAllocs bounds what a stamped session allocates on
+// its first cycle: its statistics are declared with its instances, so the
+// first Step of a second 8x8 sweep session allocates only the engine's
+// and the templates' first-use buffers, not a counter, histogram or name
+// per statistic.
+func TestStampFirstCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	sp, err := ccl.NewSweepProgram(ccl.SweepCfg{W: 8, H: 8, Pattern: "uniform", Cycles: 500, Seed: 1000, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sim *core.Sim
+	for i := 0; i < 2; i++ { // the first session is the compiled netlist; the second is stamped
+		if sim, err = sp.Program().NewSim(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		sim.Instance(simtest.Name("src", i)).(*pcl.Source).SetRate(0.3)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	const bound = 600
+	if n := ms.Mallocs - mallocs; n > bound {
+		t.Fatalf("the first cycle of a stamped session allocated %d times, want <= %d", n, bound)
+	} else {
+		t.Logf("the first cycle of a stamped session allocated %d times", n)
+	}
+}

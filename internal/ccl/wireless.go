@@ -59,6 +59,9 @@ func NewWireless(name string, p core.Params) (*Wireless, error) {
 		return nil, &core.ParamError{Param: "loss", Detail: "must be in [0,1]"}
 	}
 	w.Init(name, w)
+	w.cSent = w.Counter("sent")
+	w.cCollision = w.Counter("collisions")
+	w.cLost = w.Counter("lost")
 	w.In = w.AddInPort("in", core.PortOpts{MinWidth: 1, DefaultAck: core.No})
 	w.Out = w.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	w.OnCycleStart(w.cycleStart)
@@ -70,18 +73,10 @@ func NewWireless(name string, p core.Params) (*Wireless, error) {
 
 // Collisions returns the number of collision events observed.
 func (w *Wireless) Collisions() int64 {
-	if w.cCollision == nil {
-		return 0
-	}
 	return w.cCollision.Value()
 }
 
 func (w *Wireless) cycleStart() {
-	if w.cSent == nil {
-		w.cSent = w.Counter("sent")
-		w.cCollision = w.Counter("collisions")
-		w.cLost = w.Counter("lost")
-	}
 	n := w.Out.Width()
 	if pkt := w.inflight.pkt; pkt != nil && w.Now() >= w.inflight.ready {
 		if pkt.Dst >= 0 && pkt.Dst < n {

@@ -214,12 +214,12 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 		byName:    b.byName,
 		conns:     b.conns,
 		plane:     newSigPlane(len(b.conns)),
-		stats:     newStatSet(),
 		schedule:  p.schedule,
 		sparse:    p.sparse,
 		actCheck:  b.actCheck,
 		needFull:  true, // cycle 0 establishes the plane the engine's steady cycles build on
 	}
+	s.stats.sim = s
 	if b.metrics {
 		s.metrics = newMetrics(s)
 	}

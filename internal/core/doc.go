@@ -54,6 +54,13 @@
 //     The only place to commit state; use Port.Transferred to learn which
 //     handshakes completed.
 //
+// The constructor also declares the module's statistics, next to its
+// ports and its Checkpoint: Counter(name) and Histogram(name) return
+// accumulators that belong to the instance, which the session reports as
+// "<instance>.<name>" from construction on (at 0 before the first cycle).
+// Declaring one once the instance is attached to a simulator is a
+// contract violation, and so is observing a NaN or infinite sample.
+//
 // Raising the same signal twice with different values, writing a signal
 // from the wrong side, or writing signals during OnCycleEnd panics with a
 // *ContractError, which Sim.Step converts into a returned error.

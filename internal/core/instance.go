@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"sort"
+	"strings"
 )
 
 // Instance is a module instance in a netlist. Concrete modules obtain the
@@ -37,6 +38,8 @@ type Base struct {
 	rng        *rand.Rand // draws from rs
 	pos        Pos        // spec position the instance was declared at, if known
 	state      []any      // the field pointers Checkpoint declared
+	counters   *Counter   // declared counters, newest first (Counter.next)
+	hists      *Histogram // declared histograms, newest first (Histogram.next)
 }
 
 // Init names the instance and records its concrete value. It must be
@@ -188,17 +191,61 @@ func (r *rngState) Uint64() uint64 {
 	return z ^ z>>31
 }
 
-// Counter registers (or retrieves) a statistics counter scoped to this
-// instance. Increment counters only from OnCycleStart or OnCycleEnd;
-// reactive handlers may run multiple times per cycle.
+// Counter declares a statistics counter scoped to this instance, or
+// returns the one already declared under name. Statistics are declared
+// in the constructor, next to the ports and the Checkpoint: a call once
+// the instance is attached to a simulator is a contract violation. The
+// name is the statistic's own, without a dot; the session reports it as
+// the instance's name, a dot and name. Increment counters only from
+// OnCycleStart or OnCycleEnd; reactive handlers may run multiple times
+// per cycle.
 func (b *Base) Counter(name string) *Counter {
-	return b.sim.stats.counter(b.name + "." + name)
+	b.mustDeclareStat("counter", name)
+	if c := b.findCounter(name); c != nil {
+		return c
+	}
+	b.counters = &Counter{name: name, next: b.counters}
+	return b.counters
 }
 
-// Histogram registers (or retrieves) a statistics histogram scoped to
-// this instance.
+// Histogram declares a statistics histogram scoped to this instance, or
+// returns the one already declared under name; see Counter.
 func (b *Base) Histogram(name string) *Histogram {
-	return b.sim.stats.histogram(b.name + "." + name)
+	b.mustDeclareStat("histogram", name)
+	if h := b.findHistogram(name); h != nil {
+		return h
+	}
+	b.hists = &Histogram{name: name, owner: b, next: b.hists}
+	return b.hists
+}
+
+func (b *Base) mustDeclareStat(op, name string) {
+	switch {
+	case b.self == nil:
+		contractPanic(op, name, "Base.Init not called")
+	case b.sim != nil:
+		contractPanic(op, b.name+"."+name, "statistics are declared in the constructor, before the instance is attached to a simulator")
+	case name == "" || strings.Contains(name, "."):
+		contractPanic(op, b.name+"."+name, "statistic name must be non-empty and contain no '.'")
+	}
+}
+
+func (b *Base) findCounter(name string) *Counter {
+	for c := b.counters; c != nil; c = c.next {
+		if c.name == name {
+			return c
+		}
+	}
+	return nil
+}
+
+func (b *Base) findHistogram(name string) *Histogram {
+	for h := b.hists; h != nil; h = h.next {
+		if h.name == name {
+			return h
+		}
+	}
+	return nil
 }
 
 func (b *Base) attach(s *Sim, id int) {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // reactSampleMask selects which react invocations are wall-clock timed:
 // per instance, invocation counts n with n&mask == 1 (the 1st, 9th, 17th,
@@ -15,23 +12,23 @@ const reactSampleMask = 7
 // cycle's work went — reactive wakes, fixed-point iterations,
 // default-control fallbacks — and per-instance react activity.
 // Collection is enabled with WithMetrics; when disabled the scheduler
-// pays a single nil check per event. All counters are atomic: the
-// stepping goroutine is their only writer, but a live reader (lsc
-// -metrics-addr, lsd /metrics) loads them from another goroutine while
-// the session steps.
+// pays a single nil check per event. The counters are plain memory
+// written by the stepping goroutine; a live reader on another goroutine
+// (lsc -metrics-addr, lsd /metrics) reads them through Sim.View, which
+// holds the step mutex, so it sees them at a cycle boundary.
 type Metrics struct {
-	cycles atomic.Uint64
-	wakes  atomic.Uint64
-	reacts atomic.Uint64
-	iters  atomic.Uint64
+	cycles uint64
+	wakes  uint64
+	reacts uint64
+	iters  uint64
 
-	defaults [3]atomic.Uint64 // indexed by SigKind
-	breaks   [3]atomic.Uint64 // dependency-cycle breaks, by SigKind
+	defaults [3]uint64 // indexed by SigKind
+	breaks   [3]uint64 // dependency-cycle breaks, by SigKind
 
-	activeInsts    atomic.Uint64 // sparse: seeds and reactive members of open clusters, summed per cycle
-	skippedWakes   atomic.Uint64 // sparse: reactive instances left unwoken, summed per cycle
-	closedClusters atomic.Uint64 // sparse: clusters closed by their signature, summed per cycle
-	closedConns    atomic.Uint64 // sparse: conns held instead of re-resolved, summed per cycle
+	activeInsts    uint64 // sparse: seeds and reactive members of open clusters, summed per cycle
+	skippedWakes   uint64 // sparse: reactive instances left unwoken, summed per cycle
+	closedClusters uint64 // sparse: clusters closed by their signature, summed per cycle
+	closedConns    uint64 // sparse: conns held instead of re-resolved, summed per cycle
 
 	insts []InstanceMetrics // indexed by instance id
 }
@@ -45,16 +42,16 @@ func newMetrics(s *Sim) *Metrics {
 }
 
 // Cycles returns the number of cycles stepped since construction.
-func (m *Metrics) Cycles() uint64 { return m.cycles.Load() }
+func (m *Metrics) Cycles() uint64 { return m.cycles }
 
 // Wakes returns the number of reactive wake-ups scheduled: how many times
 // a signal resolution (or the cycle-start broadcast) moved an instance
 // from idle to the work queue. Re-raising at an already-scheduled
 // instance does not count.
-func (m *Metrics) Wakes() uint64 { return m.wakes.Load() }
+func (m *Metrics) Wakes() uint64 { return m.wakes }
 
 // Reacts returns the total number of reactive-handler invocations.
-func (m *Metrics) Reacts() uint64 { return m.reacts.Load() }
+func (m *Metrics) Reacts() uint64 { return m.reacts }
 
 // FixedPointIters returns the number of fixed-point iterations the
 // scheduler could not resolve statically. Under the reference: drain
@@ -65,28 +62,28 @@ func (m *Metrics) Reacts() uint64 { return m.reacts.Load() }
 // which the engine runs after its static sweep — drain passes that ran a
 // handler after a default applied inside or downstream of a dependency
 // cycle; exactly zero when the dependency graph is acyclic.
-func (m *Metrics) FixedPointIters() uint64 { return m.iters.Load() }
+func (m *Metrics) FixedPointIters() uint64 { return m.iters }
 
 // DefaultFallbacks returns the number of signals of kind k resolved by
 // default control rather than by module code.
-func (m *Metrics) DefaultFallbacks(k SigKind) uint64 { return m.defaults[k].Load() }
+func (m *Metrics) DefaultFallbacks(k SigKind) uint64 { return m.defaults[k] }
 
 // CycleBreaks returns the number of genuine default-dependency cycles
 // broken for signal kind k. Every break is also counted as a fallback.
-func (m *Metrics) CycleBreaks(k SigKind) uint64 { return m.breaks[k].Load() }
+func (m *Metrics) CycleBreaks(k SigKind) uint64 { return m.breaks[k] }
 
 // ActiveInstances returns, summed over all cycles, the number of
 // instances the sparse scheduler treated as active: the seeds plus the
 // reactive members of that cycle's open clusters (every instance, on
 // full-sweep cycles). Zero under the reference; divide by Cycles for
 // the mean active-set size.
-func (m *Metrics) ActiveInstances() uint64 { return m.activeInsts.Load() }
+func (m *Metrics) ActiveInstances() uint64 { return m.activeInsts }
 
 // SkippedWakes returns, summed over all cycles, the number of reactive
 // instances the sparse scheduler did not wake because every cluster they
 // belong to was closed. Zero under the reference and on full-sweep
 // cycles.
-func (m *Metrics) SkippedWakes() uint64 { return m.skippedWakes.Load() }
+func (m *Metrics) SkippedWakes() uint64 { return m.skippedWakes }
 
 // ClosedClusterCycles returns, summed over all cycles, the number of
 // combinational clusters the sparse scheduler closed on their idle
@@ -94,17 +91,17 @@ func (m *Metrics) SkippedWakes() uint64 { return m.skippedWakes.Load() }
 // connections, and includes the connections no cycle-start handler can
 // reach; divided by Cycles times the connection count it is the share of
 // the netlist that was replayed.
-func (m *Metrics) ClosedClusterCycles() uint64 { return m.closedClusters.Load() }
+func (m *Metrics) ClosedClusterCycles() uint64 { return m.closedClusters }
 
 // ClosedConnCycles: see ClosedClusterCycles.
-func (m *Metrics) ClosedConnCycles() uint64 { return m.closedConns.Load() }
+func (m *Metrics) ClosedConnCycles() uint64 { return m.closedConns }
 
 // InstanceMetrics accumulates one instance's react activity.
 type InstanceMetrics struct {
 	name    string
-	reacts  atomic.Uint64
-	sampled atomic.Uint64
-	nanos   atomic.Int64
+	reacts  uint64
+	sampled uint64
+	nanos   int64
 }
 
 // InstanceMetric is a point-in-time view of one instance's react
@@ -116,9 +113,7 @@ type InstanceMetric struct {
 }
 
 func (im *InstanceMetrics) snapshot() InstanceMetric {
-	r := im.reacts.Load()
-	s := im.sampled.Load()
-	n := im.nanos.Load()
+	r, s, n := im.reacts, im.sampled, im.nanos
 	var est time.Duration
 	if s > 0 {
 		est = time.Duration(float64(n) * float64(r) / float64(s))

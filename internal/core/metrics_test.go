@@ -238,9 +238,9 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrentObserve exercises the sharing the Histogram mutex
-// is kept for: react handlers Observe from the stepping goroutine while a
-// live metrics reader takes counts and quantiles from another. Run with
+// TestHistogramConcurrentObserve: react handlers Observe from the
+// stepping goroutine while a live metrics reader takes counts and
+// quantiles from another, through Sim.View (the step mutex). Run with
 // -race to enforce the safety claim.
 func TestHistogramConcurrentObserve(t *testing.T) {
 	var shared core.Histogram
@@ -267,9 +267,11 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if shared.Count() > 0 && shared.Quantile(0.5) > fanout {
-					t.Error("median above the largest sample")
-				}
+				sim.View(func() {
+					if shared.Count() > 0 && shared.Quantile(0.5) > fanout {
+						t.Error("median above the largest sample")
+					}
+				})
 			}
 		}
 	}()

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
+	"sync"
 )
 
 // program.go separates the two halves the paper keeps distinct: structure
@@ -18,7 +18,7 @@ import (
 //
 // Sharing contract (DESIGN.md Appendix E): everything reachable from a
 // Program after Compile returns is read-only, with one exception — the
-// first-session slot, claimed once by an atomic swap. Sessions index the
+// first-session slot, claimed once under its mutex. Sessions index the
 // shared [][]int32 schedule levels by connection id but write only their
 // own plane, scratch and instance state, which is what makes concurrent
 // NewSim+Run sessions data-race-free.
@@ -33,9 +33,10 @@ type Program struct {
 	// that Build returned; such programs cannot mint further sessions.
 	assemble func(*Builder) error
 	// first is the netlist Compile assembled and validated, never stepped:
-	// the first NewSim takes it (exactly once, by swap) and hands it over
-	// if it carries no session options, or drops it otherwise.
-	first atomic.Pointer[Sim]
+	// the first NewSim takes it (exactly once, under firstMu) and hands
+	// it over if it carries no session options, or drops it otherwise.
+	first   *Sim
+	firstMu sync.Mutex
 	// opts are the compile-time options, re-applied to every session's
 	// builder before session-specific options.
 	opts []BuildOption
@@ -74,7 +75,7 @@ func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, erro
 	p := probe.prog
 	p.assemble = assemble
 	p.opts = opts
-	p.first.Store(probe)
+	p.first = probe
 	return p, nil
 }
 
@@ -92,7 +93,11 @@ func (p *Program) NewSim(opts ...BuildOption) (*Sim, error) {
 		return nil, &BuildError{Op: "new sim", Where: "program",
 			Detail: "program has no assembly recipe; compile it with core.Compile (or load it with lse.CompileLSS) to stamp new sessions"}
 	}
-	if first := p.first.Swap(nil); first != nil && len(opts) == 0 {
+	p.firstMu.Lock()
+	first := p.first
+	p.first = nil
+	p.firstMu.Unlock()
+	if first != nil && len(opts) == 0 {
 		return first, nil
 	}
 	b := NewBuilder(p.opts...)

@@ -160,7 +160,7 @@ func TestFirstSessionIsTheCompiledNetlist(t *testing.T) {
 	if seeded := session(prog, 2, WithSeed(9)); seeded.Seed() != 9 {
 		t.Fatalf("session option ignored: seed %d, want 9", seeded.Seed())
 	}
-	if prog.first.Load() != nil {
+	if prog.first != nil {
 		t.Fatal("a first call with options left the compiled netlist pinned")
 	}
 	session(prog, 3)

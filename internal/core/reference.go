@@ -64,7 +64,7 @@ func (s *Sim) stepReference() {
 	clear(s.plane.data)
 	s.cycle++
 	if m := s.metrics; m != nil {
-		m.cycles.Add(1)
+		m.cycles++
 	}
 }
 
@@ -74,7 +74,7 @@ func (s *Sim) settle() {
 	ran := s.qhead < len(s.queue)
 	s.drain()
 	if m := s.metrics; m != nil && ran {
-		m.iters.Add(1)
+		m.iters++
 	}
 }
 
@@ -119,7 +119,7 @@ func (s *Sim) defaultRound(k SigKind) {
 		for _, c := range s.conns {
 			if c.status(k) == Unknown {
 				if m := s.metrics; m != nil {
-					m.breaks[k].Add(1)
+					m.breaks[k]++
 				}
 				s.applyDefault(c, k)
 				s.settle()

@@ -137,7 +137,7 @@ func (c *Conn) raiseData(v any) bool {
 	c.checkWrite()
 	c.sim.plane.data[c.id] = v
 	if c.offer() {
-		c.sim.spillStep++
+		c.sim.spillHits++
 		return true
 	}
 	return false

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -27,7 +27,8 @@ const (
 // A Sim has one writer (DESIGN.md Appendix C.1, H): it is stepped, read
 // and snapshotted by one goroutine at a time, so its signal plane, work
 // queue and scheduled flags are plain memory. Host parallelism runs
-// across Sims — many sessions of one Program — never inside one.
+// across Sims — many sessions of one Program — never inside one. The one
+// reader that may run beside a stepping goroutine goes through View.
 type Sim struct {
 	seed      int64
 	sched     SchedulerKind // the engine (SchedulerSparse) or the reference
@@ -38,7 +39,7 @@ type Sim struct {
 	byName    map[string]Instance
 	conns     []*Conn
 	plane     sigPlane // dense signal state, indexed by conn id
-	stats     *StatSet
+	stats     StatSet
 	metrics   *Metrics      // nil unless built with WithMetrics
 	schedule  *progSchedule // shared static schedule: set under the engine, nil under the reference
 	sparse    *progSparse   // shared cluster plan: set under the engine, nil under the reference
@@ -66,10 +67,13 @@ type Sim struct {
 	// released value.
 	released bool
 
-	// spillHits counts data-Yes stores into the data lane; Step publishes
-	// its spillStep count with one add for a live reader (/metrics).
-	spillHits atomic.Uint64
-	spillStep uint64
+	// spillHits counts data-Yes stores into the data lane.
+	spillHits uint64
+
+	// mu is held by Step for the whole cycle and by View: the one lock,
+	// for a reader on another goroutine (a live /metrics or stats
+	// request) that observes the session while it steps.
+	mu sync.Mutex
 
 	// resolved counts this cycle's resolutions per signal kind (closed
 	// clusters are credited in bulk): resolved[k] == len(conns) proves
@@ -99,7 +103,7 @@ func (s *Sim) Seed() int64 { return s.seed }
 func (s *Sim) Now() uint64 { return s.cycle }
 
 // Stats returns the simulator's statistics set.
-func (s *Sim) Stats() *StatSet { return s.stats }
+func (s *Sim) Stats() *StatSet { return &s.stats }
 
 // Metrics returns the simulator's scheduler metrics, or nil when the
 // simulator was built without WithMetrics.
@@ -118,7 +122,20 @@ func (s *Sim) Conns() []*Conn { return s.conns }
 // one a boxed store into the data lane (an allocation unless the payload
 // is a pointer or otherwise boxes for free). Divide by the cycle count for
 // a per-cycle boxing rate.
-func (s *Sim) SpillHits() uint64 { return s.spillHits.Load() }
+func (s *Sim) SpillHits() uint64 { return s.spillHits }
+
+// View calls fn holding the step mutex, which Step holds for each cycle:
+// fn sees the session at a cycle boundary, so it may read statistics,
+// metrics and the cycle count while another goroutine steps the session.
+// It is the one cross-goroutine read path (obs.TakeSnapshot takes it).
+// fn must not step the session, and View must not be called from a
+// handler or a tracer callback: it would wait for the Step that called
+// it.
+func (s *Sim) View(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn()
+}
 
 func (s *Sim) onResolve(c *Conn, k SigKind, st Status) {
 	if s.tracer != nil {
@@ -148,7 +165,7 @@ func (s *Sim) wake(b *Base) {
 func (s *Sim) wakeSlow(b *Base) {
 	b.scheduled = true
 	if m := s.metrics; m != nil {
-		m.wakes.Add(1)
+		m.wakes++
 	}
 	s.queue = append(s.queue, b)
 }
@@ -175,16 +192,16 @@ func (s *Sim) runReact(b *Base) {
 		b.react()
 		return
 	}
-	m.reacts.Add(1)
+	m.reacts++
 	im := &m.insts[b.id]
-	if n := im.reacts.Add(1); n&reactSampleMask != 1 {
+	if im.reacts++; im.reacts&reactSampleMask != 1 {
 		b.react()
 		return
 	}
 	t0 := time.Now()
 	b.react()
-	im.nanos.Add(time.Since(t0).Nanoseconds())
-	im.sampled.Add(1)
+	im.nanos += time.Since(t0).Nanoseconds()
+	im.sampled++
 }
 
 // applyDefault resolves one still-Unknown signal by default control — the
@@ -195,7 +212,7 @@ func (s *Sim) runReact(b *Base) {
 // DefaultAck, else Yes exactly when data and enable are both Yes.
 func (s *Sim) applyDefault(c *Conn, k SigKind) {
 	if m := s.metrics; m != nil {
-		m.defaults[k].Add(1)
+		m.defaults[k]++
 	}
 	switch k {
 	case SigData:
@@ -251,14 +268,15 @@ func (s *Sim) verifyResolved() {
 	}
 }
 
-// Step advances the simulation by one cycle. Contract violations raised by
-// module handlers are returned as *ContractError; any other handler panic
-// propagates to the caller, after the same abort cleanup, so a caller
-// that recovers it holds a session it can still step or snapshot.
+// Step advances the simulation by one cycle, holding the step mutex (see
+// View) throughout. Contract violations raised by module handlers are
+// returned as *ContractError; any other handler panic propagates to the
+// caller, after the same abort cleanup, so a caller that recovers it
+// holds a session it can still step or snapshot.
 func (s *Sim) Step() (err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	defer func() {
-		s.spillHits.Add(s.spillStep) // aborted cycles too
-		s.spillStep = 0
 		if r := recover(); r != nil {
 			s.setPhase(phaseIdle)
 			// The cycle aborted mid-drain: clear the scheduled flags of
@@ -306,7 +324,7 @@ func (s *Sim) stepEngine() {
 		s.plane.clearStatus()
 		s.dropSignatures()
 		if m := s.metrics; m != nil {
-			m.activeInsts.Add(uint64(len(s.instances)))
+			m.activeInsts += uint64(len(s.instances))
 		}
 	} else {
 		s.resetOpen()
@@ -349,7 +367,7 @@ func (s *Sim) stepEngine() {
 	clear(s.plane.data)
 	s.cycle++
 	if m := s.metrics; m != nil {
-		m.cycles.Add(1)
+		m.cycles++
 	}
 }
 

@@ -103,7 +103,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		Fingerprint: s.prog.fingerprint,
 		Cycle:       s.cycle,
 		Seed:        s.seed,
-		SpillHits:   s.spillHits.Load(),
+		SpillHits:   s.spillHits,
 		Rng:         make([]uint64, len(s.bases)),
 		Inst:        make([][]byte, len(s.bases)),
 	}
@@ -173,7 +173,7 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 		copy(s.plane.lanes[k], snap.Status[k])
 	}
 	s.cycle = snap.Cycle
-	s.spillHits.Store(snap.SpillHits)
+	s.spillHits = snap.SpillHits
 	// Between cycles the data lane reads as released; its values are not
 	// in the snapshot and are re-derived by the full sweep the next Step
 	// runs.
@@ -186,9 +186,10 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 			return nil, fmt.Errorf("restore: %s: %w", b.name, err)
 		}
 	}
-	// Statistics restore before the first cycle, so modules that lazily
-	// re-fetch counters by name pick up the restored accumulators.
-	s.stats.restore(snap.Counters, snap.Hists)
+	if err := s.stats.restore(snap.Counters, snap.Hists); err != nil {
+		s.Close()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -212,45 +213,39 @@ func (b *Base) restoreState(blob []byte) error {
 
 // export copies the statistics accumulators into plain encodable maps.
 func (s *StatSet) export() (map[string]int64, map[string]snapHist) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	counters := make(map[string]int64, len(s.counts))
-	for name, c := range s.counts {
-		counters[name] = c.Value()
-	}
-	hists := make(map[string]snapHist, len(s.hists))
-	for name, h := range s.hists {
-		h.mu.Lock()
-		hists[name] = snapHist{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Buckets: h.buckets}
-		h.mu.Unlock()
-	}
+	counters, hists := map[string]int64{}, map[string]snapHist{}
+	s.Each(func(name string, c *Counter, h *Histogram) {
+		if c != nil {
+			counters[name] = c.v
+			return
+		}
+		hists[name] = snapHist{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Buckets: h.buckets()}
+	})
 	return counters, hists
 }
 
-// restore loads the checkpointed values into the named accumulators,
-// reusing any accumulator a module constructor already registered (its
-// cached pointer must stay live) and creating the rest; modules that
-// fetch stats lazily by name on their first cycle then pick up the
-// restored accumulators either way.
-func (s *StatSet) restore(counters map[string]int64, hists map[string]snapHist) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// restore loads the checkpointed values into the accumulators the
+// session's instances declared. A name no instance declares is an error:
+// the snapshot carries a statistic this program cannot hold. So is a
+// non-finite histogram value, which Observe never stores.
+func (s *StatSet) restore(counters map[string]int64, hists map[string]snapHist) error {
 	for name, v := range counters {
-		c, ok := s.counts[name]
-		if !ok {
-			c = &Counter{}
-			s.counts[name] = c
+		c := s.Counter(name)
+		if c == nil {
+			return fmt.Errorf("restore: snapshot has counter %q, which no instance declares", name)
 		}
-		c.v.Store(v)
+		c.v = v
 	}
 	for name, sh := range hists {
-		h, ok := s.hists[name]
-		if !ok {
-			h = &Histogram{}
-			s.hists[name] = h
+		h := s.Histogram(name)
+		if h == nil {
+			return fmt.Errorf("restore: snapshot has histogram %q, which no instance declares", name)
 		}
-		h.mu.Lock()
-		h.count, h.sum, h.min, h.max, h.buckets = sh.Count, sh.Sum, sh.Min, sh.Max, sh.Buckets
-		h.mu.Unlock()
+		if !finite(sh.Sum) || !finite(sh.Min) || !finite(sh.Max) {
+			return fmt.Errorf("restore: snapshot histogram %q holds a non-finite value", name)
+		}
+		h.count, h.sum, h.min, h.max = sh.Count, sh.Sum, sh.Min, sh.Max
+		h.setBuckets(sh.Buckets)
 	}
+	return nil
 }

@@ -429,10 +429,10 @@ func (s *Sim) wakeOpen() {
 		}
 	}
 	if m := s.metrics; m != nil {
-		m.activeInsts.Add(uint64(sp.quietSeeds + woken))
-		m.skippedWakes.Add(uint64(len(sp.reactive) - woken))
-		m.closedClusters.Add(uint64(a.nClosed))
-		m.closedConns.Add(uint64(a.closedConns))
+		m.activeInsts += uint64(sp.quietSeeds + woken)
+		m.skippedWakes += uint64(len(sp.reactive) - woken)
+		m.closedClusters += uint64(a.nClosed)
+		m.closedConns += uint64(a.closedConns)
 	}
 }
 

@@ -4,27 +4,29 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically written statistics counter. Counters are safe
-// for concurrent use, but module code should only touch them from the
-// once-per-cycle handlers (OnCycleStart/OnCycleEnd).
+// Counter is a statistics counter an instance declares in its
+// constructor (Base.Counter). It is plain memory with one writer, the
+// goroutine stepping the session; module code should only touch it from
+// the once-per-cycle handlers (OnCycleStart/OnCycleEnd). A reader on
+// another goroutine goes through Sim.View.
 type Counter struct {
-	v atomic.Int64
+	v    int64
+	name string   // the statistic's name within its instance
+	next *Counter // the instance's previously declared counter
 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) { c.v += n }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.v++ }
 
 // Value returns the counter's current value.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 { return c.v }
 
 // Histogram bucket layout: bucket 0 collects non-positive (and tiny)
 // samples; bucket i>0 covers the geometric range
@@ -60,20 +62,30 @@ func histBounds(i int) (lo, hi float64) {
 // Histogram accumulates sample values and reports count, mean, min, max
 // and fixed-bucket percentile estimates (quantiles are interpolated
 // within power-of-two buckets, so they carry bucket-width error but need
-// no per-sample storage). Like Counter, it is safe for concurrent use: a
-// live metrics reader may take quantiles while the stepping goroutine
-// Observes.
+// no per-sample storage). It stores only the buckets it has used: bucket
+// 0 as a count of its own, and a window over the geometric buckets its
+// samples reached. Like Counter it is plain single-writer memory,
+// declared in the constructor (Base.Histogram); a zero Histogram is an
+// anonymous one, ready to use.
 type Histogram struct {
-	mu       sync.Mutex
 	count    int64
 	sum      float64
 	min, max float64
-	buckets  [histBuckets]int64
+	low      int64   // bucket 0: non-positive and tiny samples
+	lo       int     // the geometric bucket win[0] counts
+	win      []int64 // buckets lo .. lo+len(win)-1; nil until a sample lands above bucket 0
+	name     string  // the statistic's name within its instance
+	owner    *Base   // the declaring instance; nil for an anonymous histogram
+	next     *Histogram
 }
 
-// Observe records one sample.
+// Observe records one sample. A NaN or infinite sample is a contract
+// violation naming the histogram: it would poison the sum, the extremes
+// and every quantile.
 func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
+	if !finite(v) {
+		contractPanic("observe", h.where(), fmt.Sprintf("non-finite sample %v", v))
+	}
 	if h.count == 0 {
 		h.min, h.max = v, v
 	} else {
@@ -82,21 +94,69 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	h.buckets[histBucket(v)]++
-	h.mu.Unlock()
+	if i := histBucket(v); i == 0 {
+		h.low++
+	} else {
+		*h.bucket(i)++
+	}
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func (h *Histogram) where() string {
+	if h.owner == nil {
+		return "histogram"
+	}
+	return h.owner.name + "." + h.name
+}
+
+// bucket returns geometric bucket i's count, widening the window to
+// cover it: upward by append (which leaves room for the next bucket up),
+// downward by a copy.
+func (h *Histogram) bucket(i int) *int64 {
+	switch j := i - h.lo; {
+	case h.win == nil:
+		h.lo, h.win = i, make([]int64, 1, 4)
+	case j < 0:
+		w := make([]int64, len(h.win)-j, cap(h.win)-j)
+		copy(w[-j:], h.win)
+		h.lo, h.win = i, w
+	case j >= len(h.win):
+		h.win = append(h.win, make([]int64, j+1-len(h.win))...)
+	}
+	return &h.win[i-h.lo]
+}
+
+// buckets expands the stored buckets to the full layout (the snapshot's).
+func (h *Histogram) buckets() (b [histBuckets]int64) {
+	b[0] = h.low
+	copy(b[h.lo:], h.win)
+	return b
+}
+
+// setBuckets stores the full layout b, keeping the window its used
+// geometric buckets span.
+func (h *Histogram) setBuckets(b [histBuckets]int64) {
+	h.low, h.lo, h.win = b[0], 0, nil
+	first, last := 0, 0
+	for i := 1; i < histBuckets; i++ {
+		if b[i] != 0 {
+			if first == 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	if first != 0 {
+		h.lo, h.win = first, append([]int64(nil), b[first:last+1]...)
+	}
 }
 
 // Count returns the number of samples observed.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() int64 { return h.count }
 
 // Mean returns the sample mean, or 0 when empty.
 func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 {
 		return 0
 	}
@@ -104,36 +164,18 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
+func (h *Histogram) Sum() float64 { return h.sum }
 
 // Min returns the smallest sample, or 0 when empty.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
+func (h *Histogram) Min() float64 { return h.min }
 
 // Max returns the largest sample, or 0 when empty.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
+func (h *Histogram) Max() float64 { return h.max }
 
 // Quantile estimates the q'th quantile (0 ≤ q ≤ 1) from the bucket
 // counts, interpolating linearly inside the containing bucket and
 // clamping to the observed [min, max]. It returns 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -144,24 +186,33 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 		return h.max
 	}
 	rank := q * float64(h.count)
-	var cum float64
-	for i, n := range h.buckets {
+	if h.low > 0 && rank <= float64(h.low) {
+		return h.interpolate(0, h.low, rank, 0)
+	}
+	cum := float64(h.low)
+	for j, n := range h.win {
 		if n == 0 {
 			continue
 		}
 		next := cum + float64(n)
 		if rank <= next {
-			lo, hi := histBounds(i)
-			lo = math.Max(lo, h.min)
-			hi = math.Min(hi, h.max)
-			if hi < lo {
-				hi = lo
-			}
-			return lo + (hi-lo)*(rank-cum)/float64(n)
+			return h.interpolate(h.lo+j, n, rank, cum)
 		}
 		cum = next
 	}
 	return h.max
+}
+
+// interpolate places rank inside bucket i, which holds n samples above
+// the cum below it.
+func (h *Histogram) interpolate(i int, n int64, rank, cum float64) float64 {
+	lo, hi := histBounds(i)
+	lo = math.Max(lo, h.min)
+	hi = math.Min(hi, h.max)
+	if hi < lo {
+		hi = lo
+	}
+	return lo + (hi-lo)*(rank-cum)/float64(n)
 }
 
 // P50 estimates the median.
@@ -173,51 +224,41 @@ func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
 // P99 estimates the 99th percentile.
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
-// StatSet is the simulator-wide collection of named statistics.
-type StatSet struct {
-	mu     sync.Mutex
-	counts map[string]*Counter
-	hists  map[string]*Histogram
-}
+// StatSet is a session's statistics: a view over the counters and
+// histograms its instances declared. It holds nothing of its own. A full
+// name is the instance's name, a dot and the statistic's name
+// ("net.r3.arb1.grants"); lookups split it at the last dot, and only the
+// calls that report names (Each, Names, Dump) build them.
+type StatSet struct{ sim *Sim }
 
-func newStatSet() *StatSet {
-	return &StatSet{counts: make(map[string]*Counter), hists: make(map[string]*Histogram)}
-}
-
-func (s *StatSet) counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counts[name]
-	if !ok {
-		c = &Counter{}
-		s.counts[name] = c
+// owner resolves a full statistic name to the declaring instance and the
+// statistic's own name.
+func (s *StatSet) owner(name string) (*Base, string) {
+	i := strings.LastIndexByte(name, '.')
+	if i < 0 {
+		return nil, ""
 	}
-	return c
-}
-
-func (s *StatSet) histogram(name string) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.hists[name]
-	if !ok {
-		h = &Histogram{}
-		s.hists[name] = h
+	inst := s.sim.byName[name[:i]]
+	if inst == nil {
+		return nil, ""
 	}
-	return h
+	return inst.base(), name[i+1:]
 }
 
 // Counter returns the named counter, or nil when it does not exist.
 func (s *StatSet) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[name]
+	if b, stat := s.owner(name); b != nil {
+		return b.findCounter(stat)
+	}
+	return nil
 }
 
 // Histogram returns the named histogram, or nil when it does not exist.
 func (s *StatSet) Histogram(name string) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hists[name]
+	if b, stat := s.owner(name); b != nil {
+		return b.findHistogram(stat)
+	}
+	return nil
 }
 
 // CounterValue returns the named counter's value, or 0 when absent.
@@ -228,18 +269,65 @@ func (s *StatSet) CounterValue(name string) int64 {
 	return 0
 }
 
+// Each calls fn for every statistic, sorted by full name, with exactly
+// one of c and h set. The names are slices of one string built per call.
+func (s *StatSet) Each(fn func(name string, c *Counter, h *Histogram)) {
+	type stat struct {
+		name string // the statistic's own name, then its full name
+		b    *Base
+		c    *Counter
+		h    *Histogram
+	}
+	n := 0
+	for _, b := range s.sim.bases {
+		for c := b.counters; c != nil; c = c.next {
+			n++
+		}
+		for h := b.hists; h != nil; h = h.next {
+			n++
+		}
+	}
+	all, size := make([]stat, 0, n), 0
+	for _, b := range s.sim.bases {
+		for c := b.counters; c != nil; c = c.next {
+			all = append(all, stat{name: c.name, b: b, c: c})
+			size += len(b.name) + 1 + len(c.name)
+		}
+		for h := b.hists; h != nil; h = h.next {
+			all = append(all, stat{name: h.name, b: b, h: h})
+			size += len(b.name) + 1 + len(h.name)
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for _, st := range all {
+		sb.WriteString(st.b.name)
+		sb.WriteByte('.')
+		sb.WriteString(st.name)
+	}
+	names, at := sb.String(), 0
+	for i := range all {
+		end := at + len(all[i].b.name) + 1 + len(all[i].name)
+		all[i].name, at = names[at:end], end
+	}
+	slices.SortFunc(all, func(a, b stat) int {
+		if c := strings.Compare(a.name, b.name); c != 0 || (a.c == nil) == (b.c == nil) {
+			return c
+		}
+		if a.c != nil { // a counter before a histogram of the same name
+			return -1
+		}
+		return 1
+	})
+	for _, st := range all {
+		fn(st.name, st.c, st.h)
+	}
+}
+
 // Names returns all statistic names, sorted.
 func (s *StatSet) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.counts)+len(s.hists))
-	for n := range s.counts {
-		names = append(names, n)
-	}
-	for n := range s.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	var names []string
+	s.Each(func(name string, _ *Counter, _ *Histogram) { names = append(names, name) })
 	return names
 }
 
@@ -248,19 +336,14 @@ func (s *StatSet) Dump(w io.Writer) { s.DumpPrefix(w, "") }
 
 // DumpPrefix writes the statistics whose names start with prefix.
 func (s *StatSet) DumpPrefix(w io.Writer, prefix string) {
-	for _, n := range s.Names() {
-		if prefix != "" && !strings.HasPrefix(n, prefix) {
-			continue
-		}
-		s.mu.Lock()
-		if c, ok := s.counts[n]; ok {
-			s.mu.Unlock()
+	s.Each(func(n string, c *Counter, h *Histogram) {
+		switch {
+		case !strings.HasPrefix(n, prefix):
+		case c != nil:
 			fmt.Fprintf(w, "%-48s %12d\n", n, c.Value())
-			continue
+		default:
+			fmt.Fprintf(w, "%-48s count=%d mean=%.4f min=%.4f max=%.4f p50=%.4f p95=%.4f p99=%.4f\n",
+				n, h.Count(), h.Mean(), h.Min(), h.Max(), h.P50(), h.P95(), h.P99())
 		}
-		h := s.hists[n]
-		s.mu.Unlock()
-		fmt.Fprintf(w, "%-48s count=%d mean=%.4f min=%.4f max=%.4f p50=%.4f p95=%.4f p99=%.4f\n",
-			n, h.Count(), h.Mean(), h.Min(), h.Max(), h.P50(), h.P95(), h.P99())
-	}
+	})
 }

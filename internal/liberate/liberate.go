@@ -47,6 +47,8 @@ func New(name string, foreign ForeignSim, maxLag int) *Module {
 	}
 	m := &Module{foreign: foreign, maxLag: maxLag}
 	m.Init(name, m)
+	m.cEvents = m.Counter("events")
+	m.cStalls = m.Counter("stall_cycles")
 	m.Out = m.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	m.OnCycleStart(m.cycleStart)
 	m.OnCycleEnd(m.cycleEnd)
@@ -61,10 +63,6 @@ func (m *Module) Err() error { return m.err }
 func (m *Module) Done() bool { return m.foreign.Done() && len(m.backlog) == 0 }
 
 func (m *Module) cycleStart() {
-	if m.cEvents == nil {
-		m.cEvents = m.Counter("events")
-		m.cStalls = m.Counter("stall_cycles")
-	}
 	if m.err == nil && !m.foreign.Done() {
 		stall := len(m.backlog) >= m.maxLag
 		if stall {

@@ -102,6 +102,10 @@ func NewL1Dir(name string, id, nnodes int, cacheCfg upl.CacheCfg, image *MemImag
 	l := &L1Dir{id: id, nnodes: nnodes, cache: cache, image: image,
 		values: make(map[uint32]uint32), hitLat: 1}
 	l.Init(name, l)
+	l.cHits = l.Counter("hits")
+	l.cMisses = l.Counter("misses")
+	l.cInvs = l.Counter("invalidations")
+	l.cRecalls = l.Counter("recalls")
 	l.CPU = l.AddInPort("cpu", core.PortOpts{MaxWidth: 1, DefaultAck: core.No})
 	l.Resp = l.AddOutPort("resp", core.PortOpts{MaxWidth: 1})
 	l.Net = l.AddOutPort("net", core.PortOpts{MinWidth: 1, MaxWidth: 1})
@@ -138,12 +142,6 @@ func (l *L1Dir) dropLine(addr uint32) {
 }
 
 func (l *L1Dir) cycleStart() {
-	if l.cHits == nil {
-		l.cHits = l.Counter("hits")
-		l.cMisses = l.Counter("misses")
-		l.cInvs = l.Counter("invalidations")
-		l.cRecalls = l.Counter("recalls")
-	}
 	if l.Resp.Width() > 0 {
 		if l.reply != nil && l.Now() >= l.replyAt {
 			l.Resp.Send(0, *l.reply)
@@ -315,6 +313,9 @@ type DirHome struct {
 func NewDirHome(name string, id int, lineBytes int) *DirHome {
 	h := &DirHome{id: id, lineBytes: lineBytes, entries: make(map[uint32]*dirEntry)}
 	h.Init(name, h)
+	h.cReqs = h.Counter("requests")
+	h.cRecallsSent = h.Counter("recalls_sent")
+	h.cInvsSent = h.Counter("invalidations_sent")
 	h.Net = h.AddOutPort("net", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	h.NetIn = h.AddInPort("netin", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	h.OnCycleStart(h.cycleStart)
@@ -344,11 +345,6 @@ func (h *DirHome) entry(addr uint32) *dirEntry {
 }
 
 func (h *DirHome) cycleStart() {
-	if h.cReqs == nil {
-		h.cReqs = h.Counter("requests")
-		h.cRecallsSent = h.Counter("recalls_sent")
-		h.cInvsSent = h.Counter("invalidations_sent")
-	}
 	// Start the next queued request when idle.
 	if h.cur == nil && len(h.queue) > 0 {
 		m := h.queue[0]

@@ -48,6 +48,8 @@ type DMACtrl struct {
 func NewDMACtrl(name string) *DMACtrl {
 	d := &DMACtrl{}
 	d.Init(name, d)
+	d.cCopied = d.Counter("bytes_copied")
+	d.cDescs = d.Counter("descriptors")
 	d.Desc = d.AddInPort("desc", core.PortOpts{MaxWidth: 1, DefaultAck: core.No})
 	d.MemReq = d.AddOutPort("memreq", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	d.MemResp = d.AddInPort("memresp", core.PortOpts{MinWidth: 1, MaxWidth: 1})
@@ -64,17 +66,10 @@ func (d *DMACtrl) Busy() bool { return len(d.queue) > 0 || d.donePend != nil }
 
 // Copied returns the number of bytes copied so far.
 func (d *DMACtrl) Copied() int64 {
-	if d.cCopied == nil {
-		return 0
-	}
 	return d.cCopied.Value()
 }
 
 func (d *DMACtrl) cycleStart() {
-	if d.cCopied == nil {
-		d.cCopied = d.Counter("bytes_copied")
-		d.cDescs = d.Counter("descriptors")
-	}
 	// Completion notification.
 	if d.donePend == nil {
 		d.DonePrt.Idle()

@@ -63,6 +63,8 @@ func NewOrderingCtrl(name string, kind OrderingKind, sbCap, sbDelay int) *Orderi
 	}
 	o := &OrderingCtrl{kind: kind, sbCap: sbCap, sbDelay: sbDelay}
 	o.Init(name, o)
+	o.cFwd = o.Counter("forwards")
+	o.cDrains = o.Counter("drains")
 	o.CPU = o.AddInPort("cpu", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	o.Resp = o.AddOutPort("resp", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	o.Mem = o.AddOutPort("mem", core.PortOpts{MinWidth: 1, MaxWidth: 1})
@@ -78,10 +80,6 @@ func NewOrderingCtrl(name string, kind OrderingKind, sbCap, sbDelay int) *Orderi
 func (o *OrderingCtrl) StoreBufOccupancy() int { return len(o.storeBuf) }
 
 func (o *OrderingCtrl) cycleStart() {
-	if o.cFwd == nil {
-		o.cFwd = o.Counter("forwards")
-		o.cDrains = o.Counter("drains")
-	}
 	// Reply to the core.
 	if o.reply != nil {
 		o.Resp.Send(0, *o.reply)

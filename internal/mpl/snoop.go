@@ -79,6 +79,9 @@ func NewSnoopBus(name string, cfg SnoopBusCfg) *SnoopBus {
 	cfg.fill()
 	s := &SnoopBus{cfg: cfg, last: -1, picked: -1}
 	s.Init(name, s)
+	s.cTx = s.Counter("transactions")
+	s.cFlush = s.Counter("cache_to_cache")
+	s.cMemFet = s.Counter("memory_fetches")
 	s.Req = s.AddInPort("req", core.PortOpts{MinWidth: 1, DefaultAck: core.No})
 	s.Grant = s.AddOutPort("grant", core.PortOpts{MinWidth: 1})
 	s.OnCycleStart(s.cycleStart)
@@ -91,11 +94,6 @@ func NewSnoopBus(name string, cfg SnoopBusCfg) *SnoopBus {
 func (s *SnoopBus) register(sn snooper) { s.snoopers = append(s.snoopers, sn) }
 
 func (s *SnoopBus) cycleStart() {
-	if s.cTx == nil {
-		s.cTx = s.Counter("transactions")
-		s.cFlush = s.Counter("cache_to_cache")
-		s.cMemFet = s.Counter("memory_fetches")
-	}
 	s.picked = -1
 	n := s.Grant.Width()
 	if s.pending != nil && s.Now() >= s.readyAt {
@@ -257,6 +255,10 @@ func NewCacheCtrl(name string, id int, cfg CacheCtrlCfg, bus *SnoopBus, image *M
 	}
 	c := &CacheCtrl{id: id, cfg: cfg, cache: cache, image: image, values: make(map[uint32]uint32)}
 	c.Init(name, c)
+	c.cHits = c.Counter("hits")
+	c.cMisses = c.Counter("misses")
+	c.cUpgrades = c.Counter("upgrades")
+	c.cInvRecv = c.Counter("snoop_actions")
 	c.CPU = c.AddInPort("cpu", core.PortOpts{MaxWidth: 1, DefaultAck: core.No})
 	c.Resp = c.AddOutPort("resp", core.PortOpts{MaxWidth: 1})
 	c.Bus = c.AddOutPort("bus", core.PortOpts{MinWidth: 1, MaxWidth: 1})
@@ -338,12 +340,6 @@ func (c *CacheCtrl) snoopRdX(addr uint32) (hadCopy, wasM bool) {
 }
 
 func (c *CacheCtrl) cycleStart() {
-	if c.cHits == nil {
-		c.cHits = c.Counter("hits")
-		c.cMisses = c.Counter("misses")
-		c.cUpgrades = c.Counter("upgrades")
-		c.cInvRecv = c.Counter("snoop_actions")
-	}
 	// Reply to the core when ready.
 	if c.Resp.Width() > 0 {
 		if c.reply != nil && c.Now() >= c.replyAt {

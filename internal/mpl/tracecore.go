@@ -34,6 +34,8 @@ type TraceCore struct {
 func NewTraceCore(name string, refs []MemRef, think int) *TraceCore {
 	c := &TraceCore{refs: refs, think: think}
 	c.Init(name, c)
+	c.cDone = c.Counter("completed")
+	c.hLat = c.Histogram("latency")
 	c.Req = c.AddOutPort("req", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	c.Resp = c.AddInPort("resp", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	c.OnCycleStart(c.cycleStart)
@@ -56,17 +58,10 @@ func (c *TraceCore) Completed() int {
 
 // MeanLatency returns the average reference completion latency.
 func (c *TraceCore) MeanLatency() float64 {
-	if c.hLat == nil {
-		return 0
-	}
 	return c.hLat.Mean()
 }
 
 func (c *TraceCore) cycleStart() {
-	if c.cDone == nil {
-		c.cDone = c.Counter("completed")
-		c.hLat = c.Histogram("latency")
-	}
 	if !c.waiting && c.pos < len(c.refs) && c.Now() >= c.nextAt {
 		c.Req.Send(0, c.refs[c.pos])
 		c.Req.Enable(0)

@@ -47,6 +47,11 @@ type MAC struct {
 func newMAC(name string, mem *isa.Memory, regs *nicRegs, bytesPerCycle, slots int) *MAC {
 	m := &MAC{mem: mem, regs: regs, bpc: bytesPerCycle, slots: slots}
 	m.Init(name, m)
+	m.cRxFrames = m.Counter("rx_frames")
+	m.cRxBytes = m.Counter("rx_bytes")
+	m.cRxDrop = m.Counter("rx_dropped")
+	m.cTxFrames = m.Counter("tx_frames")
+	m.cBadFrame = m.Counter("bad_frames")
 	m.Wire = m.AddInPort("wire", core.PortOpts{MaxWidth: 1, DefaultAck: core.No})
 	m.WireOut = m.AddOutPort("wireout")
 	m.OnCycleStart(m.cycleStart)
@@ -57,13 +62,6 @@ func newMAC(name string, mem *isa.Memory, regs *nicRegs, bytesPerCycle, slots in
 }
 
 func (m *MAC) cycleStart() {
-	if m.cRxFrames == nil {
-		m.cRxFrames = m.Counter("rx_frames")
-		m.cRxBytes = m.Counter("rx_bytes")
-		m.cRxDrop = m.Counter("rx_dropped")
-		m.cTxFrames = m.Counter("tx_frames")
-		m.cBadFrame = m.Counter("bad_frames")
-	}
 	// A fully received frame becomes visible to the firmware.
 	if m.rxPending != nil && m.Now() >= m.rxReadyAt {
 		m.regs.rxQ = append(m.regs.rxQ, *m.rxPending)

@@ -184,9 +184,6 @@ func (n *NIC) Mem() *isa.Memory { return n.mem }
 
 // FramesReceived returns the MAC's received-frame count.
 func (n *NIC) FramesReceived() int64 {
-	if n.Mac.cRxFrames == nil {
-		return 0
-	}
 	return n.Mac.cRxFrames.Value()
 }
 

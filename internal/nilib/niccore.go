@@ -25,6 +25,7 @@ func newNICCore(name string, emu *isa.CPU, ipc int) *NICCore {
 	}
 	c := &NICCore{emu: emu, ipc: ipc}
 	c.Init(name, c)
+	c.cInstrs = c.Counter("instructions")
 	c.OnCycleStart(c.cycleStart)
 	return c
 }
@@ -36,9 +37,6 @@ func (c *NICCore) Err() error { return c.err }
 func (c *NICCore) Emu() *isa.CPU { return c.emu }
 
 func (c *NICCore) cycleStart() {
-	if c.cInstrs == nil {
-		c.cInstrs = c.Counter("instructions")
-	}
 	if c.err != nil || c.emu.Halted {
 		return
 	}
@@ -75,6 +73,7 @@ type DMAEngine struct {
 func newDMAEngine(name string, mem *isa.Memory, regs *nicRegs) *DMAEngine {
 	d := &DMAEngine{mem: mem, regs: regs}
 	d.Init(name, d)
+	d.cWords = d.Counter("words")
 	d.HostReq = d.AddOutPort("hostreq", core.PortOpts{MaxWidth: 1})
 	d.HostResp = d.AddInPort("hostresp", core.PortOpts{MaxWidth: 1})
 	d.OnCycleStart(d.cycleStart)
@@ -85,9 +84,6 @@ func newDMAEngine(name string, mem *isa.Memory, regs *nicRegs) *DMAEngine {
 }
 
 func (d *DMAEngine) cycleStart() {
-	if d.cWords == nil {
-		d.cWords = d.Counter("words")
-	}
 	if d.cur == nil && d.regs.dmaPend != nil {
 		d.cur = d.regs.dmaPend
 		d.regs.dmaPend = nil
@@ -174,6 +170,7 @@ type Doorbell struct {
 func newDoorbell(name string, regs *nicRegs) *Doorbell {
 	db := &Doorbell{regs: regs}
 	db.Init(name, db)
+	db.cRings = db.Counter("rings")
 	db.Event = db.AddOutPort("event")
 	db.OnCycleStart(db.cycleStart)
 	db.OnCycleEnd(db.cycleEnd)
@@ -182,16 +179,10 @@ func newDoorbell(name string, regs *nicRegs) *Doorbell {
 
 // Rings returns the number of doorbells delivered.
 func (db *Doorbell) Rings() int64 {
-	if db.cRings == nil {
-		return 0
-	}
 	return db.cRings.Value()
 }
 
 func (db *Doorbell) cycleStart() {
-	if db.cRings == nil {
-		db.cRings = db.Counter("rings")
-	}
 	if db.Event.Width() > 0 && len(db.regs.doorbells) > 0 {
 		db.Event.Send(0, db.regs.doorbells[0])
 		db.Event.Enable(0)

@@ -134,10 +134,14 @@ type Snapshot struct {
 var sigKinds = [...]core.SigKind{core.SigData, core.SigEnable, core.SigAck}
 
 // TakeSnapshot captures the simulator's current statistics and metrics.
-// It is safe to call while the simulator is between cycles; counters are
-// read atomically, so a snapshot taken mid-cycle is merely slightly torn,
-// never corrupt.
-func TakeSnapshot(s *core.Sim) Snapshot {
+// It copies them in one Sim.View, so the snapshot is consistent at a
+// cycle boundary even while another goroutine steps the simulator.
+func TakeSnapshot(s *core.Sim) (snap Snapshot) {
+	s.View(func() { snap = takeSnapshot(s) })
+	return snap
+}
+
+func takeSnapshot(s *core.Sim) Snapshot {
 	snap := Snapshot{
 		Cycles:     s.Now(),
 		Seed:       s.Seed(),
@@ -147,16 +151,13 @@ func TakeSnapshot(s *core.Sim) Snapshot {
 		Counters:   map[string]int64{},
 		Histograms: map[string]HistogramStats{},
 	}
-	st := s.Stats()
-	for _, name := range st.Names() {
-		if c := st.Counter(name); c != nil {
+	s.Stats().Each(func(name string, c *core.Counter, h *core.Histogram) {
+		if c != nil {
 			snap.Counters[name] = c.Value()
-			continue
-		}
-		if h := st.Histogram(name); h != nil {
+		} else {
 			snap.Histograms[name] = histStats(h)
 		}
-	}
+	})
 	if info := s.Schedule(); info != nil {
 		snap.Schedule = scheduleStats(info, len(s.Conns()))
 	}

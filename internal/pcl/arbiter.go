@@ -58,6 +58,8 @@ func NewArbiter(name string, p core.Params) (*Arbiter, error) {
 	}
 	a.Init(name, a)
 	a.Checkpoint(&a.last)
+	a.cGrant = a.Counter("grants")
+	a.cDenied = a.Counter("denials")
 	// Both ports tolerate being left unconnected (partial specification):
 	// with no outputs the arbiter refuses all requests; with no inputs it
 	// offers nothing.
@@ -157,10 +159,6 @@ func (a *Arbiter) react() {
 }
 
 func (a *Arbiter) cycleEnd() {
-	if a.cGrant == nil {
-		a.cGrant = a.Counter("grants")
-		a.cDenied = a.Counter("denials")
-	}
 	for j, i := range a.grants {
 		if a.Out.Transferred(j) {
 			a.cGrant.Inc()

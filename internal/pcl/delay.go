@@ -42,6 +42,8 @@ func NewDelay(name string, p core.Params) (*Delay, error) {
 	}
 	d.Init(name, d)
 	d.Checkpoint(&d.lanes)
+	d.cAccepted = d.Counter("accepted")
+	d.cDeparted = d.Counter("departed")
 	d.In = d.AddInPort("in", core.PortOpts{DefaultAck: core.No})
 	d.Out = d.AddOutPort("out")
 	d.OnCycleStart(d.cycleStart)
@@ -62,10 +64,6 @@ func (d *Delay) lane(i int) []delayEntry {
 }
 
 func (d *Delay) cycleStart() {
-	if d.cAccepted == nil {
-		d.cAccepted = d.Counter("accepted")
-		d.cDeparted = d.Counter("departed")
-	}
 	now := d.Now()
 	idle := 0 // lanes below i not yet resolved: idled in one run, in lane order
 	for i := 0; i < d.Out.Width(); i++ {

@@ -217,6 +217,7 @@ func NewFilter(name string, p core.Params) (*Filter, error) {
 	}
 	f.Init(name, f)
 	f.Checkpoint()
+	f.cDrop = f.Counter("dropped")
 	f.In = f.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	f.Out = f.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	f.OnReact(f.react)
@@ -226,9 +227,6 @@ func NewFilter(name string, p core.Params) (*Filter, error) {
 
 // Dropped returns the number of values consumed without forwarding.
 func (f *Filter) Dropped() int64 {
-	if f.cDrop == nil {
-		return 0
-	}
 	return f.cDrop.Value()
 }
 
@@ -264,9 +262,6 @@ func (f *Filter) react() {
 }
 
 func (f *Filter) cycleEnd() {
-	if f.cDrop == nil {
-		f.cDrop = f.Counter("dropped")
-	}
 	if f.In.Transferred(0) && !f.Out.Transferred(0) {
 		f.cDrop.Inc()
 	}

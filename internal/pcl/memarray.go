@@ -81,6 +81,8 @@ func NewMemArray(name string, p core.Params) (*MemArray, error) {
 	}
 	m.Init(name, m)
 	m.Checkpoint(&m.words, &m.pending)
+	m.cReads = m.Counter("reads")
+	m.cWrites = m.Counter("writes")
 	m.Req = m.AddInPort("req", core.PortOpts{DefaultAck: core.No})
 	m.Resp = m.AddOutPort("resp")
 	m.OnCycleStart(m.cycleStart)
@@ -104,10 +106,6 @@ func (m *MemArray) port(i int) []delayEntry {
 }
 
 func (m *MemArray) cycleStart() {
-	if m.cReads == nil {
-		m.cReads = m.Counter("reads")
-		m.cWrites = m.Counter("writes")
-	}
 	now := m.Now()
 	idle := 0 // lanes below i not yet resolved: idled in one run, in lane order
 	for i := 0; i < m.Resp.Width(); i++ {

@@ -56,6 +56,10 @@ func NewQueue(name string, p core.Params) (*Queue, error) {
 	}
 	q.Init(name, q)
 	q.Checkpoint(&q.entries)
+	q.cTransIn = q.Counter("enqueues")
+	q.cTransOut = q.Counter("dequeues")
+	q.cFullStal = q.Counter("full_stalls")
+	q.hOcc = q.Histogram("occupancy")
 	q.In = q.AddInPort("in", core.PortOpts{DefaultAck: core.No})
 	q.Out = q.AddOutPort("out")
 	q.OnCycleStart(q.cycleStart)
@@ -75,17 +79,7 @@ func (q *Queue) Cap() int { return q.capacity }
 // (shared slice; callers must not mutate).
 func (q *Queue) Entries() []any { return q.entries }
 
-func (q *Queue) lazyStats() {
-	if q.cTransIn == nil {
-		q.cTransIn = q.Counter("enqueues")
-		q.cTransOut = q.Counter("dequeues")
-		q.cFullStal = q.Counter("full_stalls")
-		q.hOcc = q.Histogram("occupancy")
-	}
-}
-
 func (q *Queue) cycleStart() {
-	q.lazyStats()
 	q.hOcc.Observe(float64(q.Len()))
 	// Offer selected entries downstream.
 	sel := q.selected()

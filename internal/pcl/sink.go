@@ -33,6 +33,8 @@ func NewSink(name string, p core.Params) (*Sink, error) {
 	s := &Sink{keep: p.Bool("keep", false), accept: p.Bool("accept", true)}
 	s.Init(name, s)
 	s.Checkpoint(&s.received)
+	s.cReceived = s.Counter("received")
+	s.hLatency = s.Histogram("latency")
 	// Default control accepts everything — unless accept=false pins the
 	// ack to No.
 	var opts core.PortOpts
@@ -46,9 +48,6 @@ func NewSink(name string, p core.Params) (*Sink, error) {
 
 // Received returns the number of values consumed.
 func (s *Sink) Received() int64 {
-	if s.cReceived == nil {
-		return 0
-	}
 	return s.cReceived.Value()
 }
 
@@ -57,17 +56,10 @@ func (s *Sink) Values() []any { return s.received }
 
 // MeanLatency returns the average delivery latency of Stamped values.
 func (s *Sink) MeanLatency() float64 {
-	if s.hLatency == nil {
-		return 0
-	}
 	return s.hLatency.Mean()
 }
 
 func (s *Sink) cycleEnd() {
-	if s.cReceived == nil {
-		s.cReceived = s.Counter("received")
-		s.hLatency = s.Histogram("latency")
-	}
 	for i := s.In.NextTransferred(0); i >= 0; i = s.In.NextTransferred(i + 1) {
 		s.cReceived.Inc()
 		v := s.In.Data(i)

@@ -55,6 +55,8 @@ func NewSource(name string, p core.Params) (*Source, error) {
 	}
 	s.Init(name, s)
 	s.Checkpoint(&s.rate, &s.pending, &s.seq, &s.done) // rate too: SetRate may change it after construction
+	s.cInjected = s.Counter("injected")
+	s.cBlocked = s.Counter("blocked")
 	s.Out = s.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	s.OnCycleStart(s.cycleStart)
 	s.OnCycleEnd(s.cycleEnd)
@@ -78,9 +80,6 @@ func (s *Source) SetRate(rate float64) {
 
 // Injected returns how many items have been successfully injected.
 func (s *Source) Injected() uint64 {
-	if s.cInjected == nil {
-		return 0
-	}
 	return uint64(s.cInjected.Value())
 }
 
@@ -99,10 +98,6 @@ func (s *Source) Exhausted() bool {
 }
 
 func (s *Source) cycleStart() {
-	if s.cInjected == nil {
-		s.cInjected = s.Counter("injected")
-		s.cBlocked = s.Counter("blocked")
-	}
 	for len(s.pending) < s.Out.Width() {
 		s.pending = append(s.pending, nil)
 	}

@@ -36,9 +36,10 @@
 // Sessions are mutated (step, run, snapshot, restore-on-demand, delete)
 // under a per-session mutex; a second mutation arriving while one is in
 // flight answers 409 LSD003 rather than queueing, so a slow run can
-// never stack unbounded work behind it. Observation is lock-free against
-// a live session — statistics counters are atomics, exactly like the
-// retired obs.MetricsServer's live mid-sweep reads. Across sessions,
+// never stack unbounded work behind it. Observation does not take that
+// mutex: it reads a live session through core.Sim.View, which holds the
+// session's step mutex for the copy, so a statistics document shows the
+// session at a cycle boundary even mid-run. Across sessions,
 // step/run work is bounded by a server-wide worker semaphore
 // (Config.StepWorkers, default 2×GOMAXPROCS). Sessions idle longer than
 // Config.ParkAfter are checkpointed to disk and their Sim closed

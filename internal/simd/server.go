@@ -618,8 +618,22 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		sim = ss.live()
 	}
+	writeStats(w, sim)
+}
+
+// writeStats answers the simulator's statistics document. It is encoded
+// into memory first, so a document that cannot be encoded answers an
+// error the client can read, not a committed 200 with an empty body.
+// The read runs beside the session's stepping: obs.TakeSnapshot holds
+// the step mutex (core.Sim.View), not the session's mu.
+func writeStats(w http.ResponseWriter, sim *core.Sim) {
+	var buf bytes.Buffer
+	if err := obs.WriteJSON(&buf, sim); err != nil {
+		writeError(w, CodeModelError, "statistics cannot be encoded: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, sim)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client went away
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -676,6 +690,5 @@ func (s *Server) handleLocalMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeUnavailable, "no simulator attached")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, sim)
+	writeStats(w, sim)
 }

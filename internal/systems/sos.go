@@ -48,6 +48,8 @@ func NewGateway(name string, cluster, meshSrc, meshDst, batch int) *Gateway {
 	}
 	g := &Gateway{cluster: cluster, meshSrc: meshSrc, meshDst: meshDst, batch: batch}
 	g.Init(name, g)
+	g.cReadings = g.Counter("readings")
+	g.cSummaries = g.Counter("summaries")
 	g.Radio = g.AddInPort("radio", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	g.Net = g.AddOutPort("net", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	g.OnCycleStart(g.cycleStart)
@@ -77,10 +79,6 @@ func (g *Gateway) emit() {
 }
 
 func (g *Gateway) cycleStart() {
-	if g.cReadings == nil {
-		g.cReadings = g.Counter("readings")
-		g.cSummaries = g.Counter("summaries")
-	}
 	if len(g.pending) > 0 {
 		g.Net.Send(0, g.pending[0])
 		g.Net.Enable(0)

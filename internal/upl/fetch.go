@@ -80,6 +80,10 @@ func NewFetchStage(name string, emu *isa.CPU, cfg FetchCfg) (*FetchStage, error)
 		f.ras = NewRAS(cfg.RASDepth)
 	}
 	f.Init(name, f)
+	f.cFetched = f.Counter("fetched")
+	f.cMispred = f.Counter("mispredicts")
+	f.cBranches = f.Counter("branches")
+	f.cStalls = f.Counter("stall_cycles")
 	f.Out = f.AddOutPort("out", core.PortOpts{MinWidth: 1})
 	f.OnCycleStart(f.cycleStart)
 	f.OnCycleEnd(f.cycleEnd)
@@ -187,12 +191,6 @@ func (f *FetchStage) predictIndirect(pc uint32, in isa.Inst, actual uint32) bool
 }
 
 func (f *FetchStage) cycleStart() {
-	if f.cFetched == nil {
-		f.cFetched = f.Counter("fetched")
-		f.cMispred = f.Counter("mispredicts")
-		f.cBranches = f.Counter("branches")
-		f.cStalls = f.Counter("stall_cycles")
-	}
 	if f.Now() >= f.stallUntil {
 		for len(f.pending) < f.cfg.Width {
 			if !f.fetchOne() {

@@ -97,6 +97,7 @@ func NewFUPool(name string, n int, lat Latencies, dcacheCfg CacheCfg, trk *track
 	}
 	f := &FUPool{lat: lat, trk: trk, dcache: dc, units: make([]uint64, n)}
 	f.Init(name, f)
+	f.cIssued = f.Counter("issued")
 	f.In = f.AddInPort("in", core.PortOpts{MinWidth: 1, DefaultAck: core.No})
 	f.OnCycleStart(f.cycleStart)
 	f.OnReact(f.react)
@@ -118,9 +119,6 @@ func (f *FUPool) freeUnits() int {
 }
 
 func (f *FUPool) cycleStart() {
-	if f.cIssued == nil {
-		f.cIssued = f.Counter("issued")
-	}
 	// Completions first so same-cycle wakeups reach the window's
 	// selection function.
 	keep := f.inflight[:0]

@@ -26,6 +26,7 @@ type DecodeStage struct {
 func NewDecodeStage(name string, lat Latencies) *DecodeStage {
 	d := &DecodeStage{lat: lat}
 	d.Init(name, d)
+	d.cStalls = d.Counter("hazard_stalls")
 	d.In = d.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	d.Out = d.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	d.OnCycleStart(d.cycleStart)
@@ -44,9 +45,6 @@ func (d *DecodeStage) ready(di *DynInst) bool {
 }
 
 func (d *DecodeStage) cycleStart() {
-	if d.cStalls == nil {
-		d.cStalls = d.Counter("hazard_stalls")
-	}
 	if d.buf != nil && d.ready(d.buf) {
 		d.Out.Send(0, d.buf)
 		d.Out.Enable(0)
@@ -115,6 +113,7 @@ type varLatStage struct {
 
 func (s *varLatStage) initPorts(name string, self core.Instance) {
 	s.Init(name, self)
+	s.cBusy = s.Counter("busy_cycles")
 	s.In = s.AddInPort("in", core.PortOpts{MinWidth: 1, MaxWidth: 1, DefaultAck: core.No})
 	s.Out = s.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	s.OnCycleStart(s.cycleStart)
@@ -123,9 +122,6 @@ func (s *varLatStage) initPorts(name string, self core.Instance) {
 }
 
 func (s *varLatStage) cycleStart() {
-	if s.cBusy == nil {
-		s.cBusy = s.Counter("busy_cycles")
-	}
 	if s.buf != nil {
 		s.cBusy.Inc()
 	}
@@ -263,6 +259,7 @@ type WBStage struct {
 func NewWBStage(name string, onRetire func(*DynInst)) *WBStage {
 	w := &WBStage{onRetire: onRetire}
 	w.Init(name, w)
+	w.cRetired = w.Counter("retired")
 	w.In = w.AddInPort("in", core.PortOpts{MinWidth: 1})
 	w.OnCycleEnd(w.cycleEnd)
 	return w
@@ -272,9 +269,6 @@ func NewWBStage(name string, onRetire func(*DynInst)) *WBStage {
 func (w *WBStage) Retired() uint64 { return w.retired }
 
 func (w *WBStage) cycleEnd() {
-	if w.cRetired == nil {
-		w.cRetired = w.Counter("retired")
-	}
 	for i := 0; i < w.In.Width(); i++ {
 		v, ok := w.In.TransferredData(i)
 		if !ok {
