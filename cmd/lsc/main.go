@@ -25,13 +25,10 @@
 //	-stats-csv F   write the statistics snapshot as CSV to file F
 //	-events N      keep the last N signal events; dump them on exit
 //	-templates     list registered module templates and exit
-//	-lint          run static analysis only: print the diagnostic report
-//	               and exit with its maximum severity (cmd/lslint's codes)
 //	-strict S      fail construction when static analysis finds
 //	               diagnostics at or above severity S (info|warning|error)
-//	-metrics-addr  serve the running simulation's live JSON snapshot on
-//	               this HTTP address (/metrics, expvar at /debug/vars) —
-//	               the single-session mode of the lsd service
+//	-metrics-addr  serve the running simulation's live JSON snapshot at
+//	               /metrics on this HTTP address (lse.Server.SetLocal)
 //
 // With -stats-json, progress chatter moves to stderr so stdout stays
 // machine-readable. Runs are interruptible: Ctrl-C stops the simulation
@@ -101,7 +98,6 @@ func main() {
 	defs := defines{}
 	flag.Var(defs, "D", "override a top-level let binding: -D name=value (repeatable)")
 	listTemplates := flag.Bool("templates", false, "list registered module templates and exit")
-	lint := flag.Bool("lint", false, "run static analysis only and exit with the report's maximum severity")
 	strict := flag.String("strict", "", "fail construction on diagnostics at or above this severity (info, warning or error)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the live JSON metrics snapshot on this HTTP address while running")
 	flag.Parse()
@@ -122,17 +118,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *lint {
-		report := lse.LintWith(flag.Arg(0), string(src), defs)
-		if err := report.WriteText(os.Stdout); err != nil {
-			fatal(err)
-		}
-		if max, ok := report.Max(); ok {
-			os.Exit(int(max))
-		}
-		return
-	}
-
 	info := os.Stdout
 	if *statsJSON {
 		info = os.Stderr // keep stdout pure JSON

@@ -14,9 +14,9 @@
 // (default GOMAXPROCS) run concurrently. Sweeps are cancellable: an
 // interrupt (Ctrl-C) stops the in-flight points on a cycle boundary and
 // prints the points measured so far. With -metrics-addr, a live JSON
-// snapshot of a point being simulated is served at /metrics (and expvar
-// at /debug/vars) for watching long characterizations progress; the
-// listener shuts down cleanly with the sweep.
+// snapshot of a point being simulated is served at /metrics for
+// watching long characterizations progress; the listener shuts down
+// cleanly with the sweep.
 //
 // With -remote, the sweep runs against a lsd daemon instead of
 // in-process: each operating point submits the mesh specification with

@@ -500,8 +500,8 @@ func TestAnalyzeSimOnGoNetlist(t *testing.T) {
 }
 
 func TestActivityDiagnostics(t *testing.T) {
-	// A reactive module with no connected input can never be gated by the
-	// sparse scheduler: LSE007.
+	// A reactive module with no connected input keeps its cluster open:
+	// LSE007.
 	src := `
 instance r   : ana.relay();
 instance snk : pcl.sink(keep = true);

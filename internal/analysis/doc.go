@@ -31,7 +31,7 @@
 //
 //   - LintSource: one spec end to end — parse, spec passes, elaborate and
 //     build (front-end failures become LSE000 diagnostics), netlist
-//     passes, `lse:ignore` suppression. What cmd/lslint and lsc -lint run.
+//     passes, `lse:ignore` suppression. What cmd/lslint runs.
 //   - AnalyzeSim: netlist passes only, over an already-built simulator.
 //   - StrictOption (lse.WithStrictAnalysis): a build option that makes
 //     Build fail when any diagnostic reaches a severity threshold.

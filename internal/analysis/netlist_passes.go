@@ -246,13 +246,13 @@ func sinkReachability(s *core.Sim) (hasConn map[core.Instance]bool, reach map[co
 	return hasConn, reach
 }
 
-// passActivity (LSE007) reports instances the sparse scheduler can never
-// activity-gate for a structural reason the author may not have intended:
-// a reactive handler with no connected input means the handler can never
-// observe an offered signal, so the scheduler must conservatively seed
-// the instance always-active (its reactions could only depend on
-// non-signal state). Instances with a cycle-start handler, where such
-// state is meant to be driven, are not reported.
+// passActivity (LSE007) reports instances whose cluster never closes
+// for a structural reason the author may not have intended: a reactive
+// handler with no connected input can never observe an offered signal,
+// so its reactions could only depend on non-signal state, and the engine
+// keeps the instance's cluster open — its reactive members are woken
+// every cycle. Instances with a cycle-start handler, where such state is
+// meant to be driven, are not reported.
 func passActivity(s *core.Sim, r *Report) {
 	for _, inst := range s.Instances() {
 		if _, isComposite := asComposite(inst); isComposite {
@@ -270,7 +270,7 @@ func passActivity(s *core.Sim, r *Report) {
 		}
 		if connectedIn == 0 {
 			r.Addf("LSE007", Info, posOf(inst), inst.Name(),
-				"reactive handler with no connected input: %q can never be activity-gated and runs every cycle under the sparse scheduler (connect its inputs, or drive what does not depend on them from OnCycleStart)", inst.Name())
+				"reactive handler with no connected input: the cluster of %q never closes, so its reactive members are woken every cycle (connect its inputs, or drive what does not depend on them from OnCycleStart)", inst.Name())
 		}
 	}
 }

@@ -35,7 +35,7 @@ var (
 		{Code: "LSE003", Name: "handshake", Doc: "handshake-contract misuse: unconditional defaults, unread inputs, duplicate drivers", Run: passHandshake},
 		{Code: "LSE004", Name: "deadcode", Doc: "dead structure: instances with no path to any sink", Run: passDeadStructure},
 		{Code: "LSE006", Name: "hierarchy", Doc: "composite exports bound to nothing", Run: passHierarchy},
-		{Code: "LSE007", Name: "activity", Doc: "instances the sparse scheduler can never activity-gate: reactive handler with no connected input", Run: passActivity},
+		{Code: "LSE007", Name: "activity", Doc: "reactive handler with no connected input: its cluster never closes, so its reactive members are woken every cycle", Run: passActivity},
 	}
 	specPasses = []SpecPass{
 		{Code: "LSE005", Name: "params", Doc: "unused or shadowed parameters and lets", Run: passParams},

@@ -490,8 +490,8 @@ func TestEmptyPartitionNotWalked(t *testing.T) {
 		if got := sim.Metrics().ActiveInstances(); got != wantActive {
 			t.Fatalf("island=%v: active_insts = %d, want %d", island, got, wantActive)
 		}
-		if info := sim.Schedule(); info.Scheduler != SchedulerSparse || info.ActiveInsts != 2 {
-			t.Fatalf("island=%v: schedule reports %s with %d active instances", island, info.Scheduler, info.ActiveInsts)
+		if info := sim.Schedule(); sim.Scheduler() != SchedulerSparse || info.ActiveInsts != 2 {
+			t.Fatalf("island=%v: %s session's schedule reports %d active instances", island, sim.Scheduler(), info.ActiveInsts)
 		}
 	}
 }

@@ -19,8 +19,6 @@ package core
 // ScheduleInfo describes the static schedule and cluster plan the engine
 // computed at compile time. Sim.Schedule returns nil under the reference.
 type ScheduleInfo struct {
-	// Scheduler is SchedulerSparse: the info exists only under the engine.
-	Scheduler SchedulerKind
 	// Modules is the number of instances in the netlist.
 	Modules int
 	// SCCs is the number of strongly connected components of the
@@ -113,7 +111,6 @@ func buildSchedule(g *depGraph, instances []Instance, conns []*Conn) *progSchedu
 	sc.fwdLevels, info.ResidueConns = cutLevels(n, func(id int) int32 { return fwd[g.sccOf[g.src[id]]] })
 	sc.ackLevels, info.AckResidueConns = cutLevels(n, func(id int) int32 { return ack[g.sccOf[g.dst[id]]] })
 
-	info.Scheduler = SchedulerSparse
 	info.Modules = len(instances)
 	info.SCCs, info.LargestSCC = len(g.cyclic), g.largest
 	info.ForwardLevels, info.AckLevels = len(sc.fwdLevels), len(sc.ackLevels)

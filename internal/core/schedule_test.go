@@ -135,8 +135,8 @@ func TestScheduleInfoAcyclic(t *testing.T) {
 	if info == nil {
 		t.Fatal("Schedule() = nil under the engine")
 	}
-	if sim.Scheduler() != core.SchedulerSparse || info.Scheduler != core.SchedulerSparse {
-		t.Errorf("Scheduler() = %v, info says %v, want sparse", sim.Scheduler(), info.Scheduler)
+	if sim.Scheduler() != core.SchedulerSparse {
+		t.Errorf("Scheduler() = %v, want sparse", sim.Scheduler())
 	}
 	if info.Modules != 3 || info.SCCs != 3 {
 		t.Errorf("modules/SCCs = %d/%d, want 3/3", info.Modules, info.SCCs)

@@ -259,7 +259,7 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 }
 
 // connectedInputs counts the connections attached to an instance's In
-// ports — the LSE007 gateability condition.
+// ports. A reactive instance with none keeps its cluster open (LSE007).
 func connectedInputs(b *Base) int {
 	n := 0
 	for _, p := range b.portList {

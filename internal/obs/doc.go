@@ -2,8 +2,8 @@
 // collection hooks the core scheduler exposes (scheduler Metrics, the
 // Tracer callback stream, the StatSet) into things an operator can use —
 // structured ring-buffer event traces with glob filtering, JSON and CSV
-// statistics snapshots, a live expvar/HTTP metrics endpoint for
-// long-running sweeps, and a per-instance "hot module" report.
+// statistics snapshots (which internal/simd serves live over HTTP), and
+// a per-instance "hot module" report.
 //
 // The paper's pitch is that structural models are inspectable; this
 // package is where that inspection happens at run time. Collection stays

@@ -38,16 +38,12 @@ type InstanceStats struct {
 }
 
 // SchedulerStats is the exported view of core.Metrics: where the
-// engine's time went, cycle by cycle. ParallelRounds is always 0 — what
-// it read on every one-worker session before the multi-worker engines
-// were removed — and stays because exported fields are never removed
-// (DESIGN.md F.3).
+// engine's time went, cycle by cycle.
 type SchedulerStats struct {
 	Cycles           uint64            `json:"cycles"`
 	Wakes            uint64            `json:"wakes"`
 	Reacts           uint64            `json:"reacts"`
 	FixedPointIters  uint64            `json:"fixed_point_iters"`
-	ParallelRounds   uint64            `json:"parallel_rounds"`
 	ActiveInsts      uint64            `json:"active_insts"`
 	SkippedWakes     uint64            `json:"skipped_wakes"`
 	ClosedClusters   uint64            `json:"closed_clusters"`
@@ -59,14 +55,8 @@ type SchedulerStats struct {
 // ScheduleStats is the exported view of the static schedule the engine
 // computed at Build time: how the netlist partitioned into
 // statically ordered sweep levels versus the cyclic residue, and where
-// default-dependency cycles break. Workers is always 1 (a Sim has one
-// writer), ScalarConns always 0, SpillConns always the conn count (the
-// plane has one data lane) and ActiveConns the conn count too (every
-// cluster is decided from its frontier); the fields stay for the same
-// reason ParallelRounds does, and the CSV's gated_conns row reads 0.
+// default-dependency cycles break.
 type ScheduleStats struct {
-	Scheduler        string   `json:"scheduler"`
-	Workers          int      `json:"workers"`
 	Modules          int      `json:"modules"`
 	SCCs             int      `json:"sccs"`
 	CyclicSCCs       int      `json:"cyclic_sccs"`
@@ -80,18 +70,13 @@ type ScheduleStats struct {
 	ActiveInsts      int      `json:"active_insts,omitempty"`
 	GatedInsts       int      `json:"gated_insts,omitempty"`
 	AlwaysActive     int      `json:"always_active,omitempty"`
-	ActiveConns      int      `json:"active_conns,omitempty"`
 	Clusters         int      `json:"clusters,omitempty"`
 	ClosableClusters int      `json:"closable_clusters,omitempty"`
-	ScalarConns      int      `json:"scalar_conns"`
-	SpillConns       int      `json:"spill_conns"`
 	BreakSites       []string `json:"break_sites,omitempty"`
 }
 
-func scheduleStats(info *core.ScheduleInfo, conns int) *ScheduleStats {
+func scheduleStats(info *core.ScheduleInfo) *ScheduleStats {
 	return &ScheduleStats{
-		Scheduler:        info.Scheduler.String(),
-		Workers:          1,
 		Modules:          info.Modules,
 		SCCs:             info.SCCs,
 		CyclicSCCs:       info.CyclicSCCs,
@@ -105,10 +90,8 @@ func scheduleStats(info *core.ScheduleInfo, conns int) *ScheduleStats {
 		ActiveInsts:      info.ActiveInsts,
 		GatedInsts:       info.GatedInsts,
 		AlwaysActive:     info.AlwaysActive,
-		ActiveConns:      conns,
 		Clusters:         info.Clusters,
 		ClosableClusters: info.ClosableClusters,
-		SpillConns:       conns,
 		BreakSites:       info.BreakSites,
 	}
 }
@@ -159,7 +142,7 @@ func takeSnapshot(s *core.Sim) Snapshot {
 		}
 	})
 	if info := s.Schedule(); info != nil {
-		snap.Schedule = scheduleStats(info, len(s.Conns()))
+		snap.Schedule = scheduleStats(info)
 	}
 	m := s.Metrics()
 	if m == nil {
@@ -246,6 +229,7 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 	for _, n := range names {
 		h := snap.Histograms[n]
 		row("histogram", n, "count", h.Count)
+		row("histogram", n, "sum", h.Sum)
 		row("histogram", n, "mean", h.Mean)
 		row("histogram", n, "min", h.Min)
 		row("histogram", n, "max", h.Max)
@@ -254,8 +238,6 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 		row("histogram", n, "p99", h.P99)
 	}
 	if sd := snap.Schedule; sd != nil {
-		cw.Write([]string{"schedule", "", "scheduler", sd.Scheduler})
-		row("schedule", "", "workers", int64(sd.Workers))
 		row("schedule", "", "modules", int64(sd.Modules))
 		row("schedule", "", "sccs", int64(sd.SCCs))
 		row("schedule", "", "cyclic_sccs", int64(sd.CyclicSCCs))
@@ -266,13 +248,9 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 		row("schedule", "", "residue_conns", int64(sd.ResidueConns))
 		row("schedule", "", "ack_sweep_conns", int64(sd.AckSweepConns))
 		row("schedule", "", "ack_residue_conns", int64(sd.AckResidueConns))
-		row("schedule", "", "scalar_conns", int64(sd.ScalarConns))
-		row("schedule", "", "spill_conns", int64(sd.SpillConns))
 		row("schedule", "", "active_insts", int64(sd.ActiveInsts))
 		row("schedule", "", "gated_insts", int64(sd.GatedInsts))
 		row("schedule", "", "always_active", int64(sd.AlwaysActive))
-		row("schedule", "", "active_conns", int64(sd.ActiveConns))
-		row("schedule", "", "gated_conns", int64(0)) // no cluster is held: CSV rows are never removed
 		row("schedule", "", "clusters", int64(sd.Clusters))
 		row("schedule", "", "closable_clusters", int64(sd.ClosableClusters))
 		for i, site := range sd.BreakSites {
@@ -284,8 +262,6 @@ func WriteCSV(w io.Writer, s *core.Sim) error {
 		row("scheduler", "", "wakes", sc.Wakes)
 		row("scheduler", "", "reacts", sc.Reacts)
 		row("scheduler", "", "fixed_point_iters", sc.FixedPointIters)
-		row("scheduler", "", "parallel_rounds", sc.ParallelRounds)
-		row("scheduler", "", "steals", uint64(0)) // constant, like parallel_rounds: CSV rows are never removed
 		row("scheduler", "", "active_insts", sc.ActiveInsts)
 		row("scheduler", "", "skipped_wakes", sc.SkippedWakes)
 		row("scheduler", "", "closed_clusters", sc.ClosedClusters)

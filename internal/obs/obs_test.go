@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -139,17 +141,129 @@ func TestSnapshotJSONAndCSV(t *testing.T) {
 		t.Fatalf("CSV output unparsable: %v", err)
 	}
 	found := map[string]bool{}
+	got := map[cell]string{}
 	for _, r := range rows {
 		if len(r) != 4 {
 			t.Fatalf("row %v has %d fields, want 4", r, len(r))
 		}
 		found[r[0]] = true
+		got[cell{r[0], r[1], r[2]}] = r[3]
 	}
-	for _, kind := range []string{"sim", "counter", "histogram", "scheduler", "instance"} {
+	for _, kind := range []string{"sim", "counter", "histogram", "schedule", "scheduler", "instance"} {
 		if !found[kind] {
 			t.Fatalf("CSV missing %q rows", kind)
 		}
 	}
+
+	// The CSV and the JSON are one document: every JSON value is a CSV
+	// row with the same value, and a CSV row the JSON lacks is a zero the
+	// JSON omits (an omitempty field of its section).
+	var doc map[string]any
+	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := flatten(doc)
+	for c, v := range want {
+		g, ok := got[c]
+		if !ok {
+			t.Errorf("JSON %v = %v has no CSV row", c, v)
+		} else if !sameValue(v, g) {
+			t.Errorf("%v: JSON %v, CSV %q", c, v, g)
+		}
+	}
+	omitempty := omitemptyKeys(obs.ScheduleStats{})
+	for c, g := range got {
+		if _, ok := want[c]; !ok && !(c.kind == "schedule" && omitempty[c.field] && g == "0") {
+			t.Errorf("CSV row %v = %q is not in the JSON", c, g)
+		}
+	}
+	// The names that read constants of deleted engines are in neither.
+	removed := map[string][]string{
+		"schedule":  {"scheduler", "workers", "scalar_conns", "spill_conns", "active_conns", "gated_conns"},
+		"scheduler": {"parallel_rounds", "steals"},
+	}
+	for kind, fields := range removed {
+		section, _ := doc[kind].(map[string]any)
+		for _, f := range fields {
+			if _, ok := section[f]; ok {
+				t.Errorf("JSON %s section carries %q", kind, f)
+			}
+			if _, ok := got[cell{kind, "", f}]; ok {
+				t.Errorf("CSV carries %s,,%s", kind, f)
+			}
+		}
+	}
+}
+
+// cell addresses one value of the statistics document in the CSV's
+// kind,name,field layout.
+type cell struct{ kind, name, field string }
+
+// flatten lays the decoded JSON document out as the CSV's cells.
+func flatten(doc map[string]any) map[cell]any {
+	out := map[cell]any{}
+	for k, v := range doc {
+		switch k {
+		case "counters":
+			for n, x := range v.(map[string]any) {
+				out[cell{"counter", n, "value"}] = x
+			}
+		case "histograms":
+			for n, h := range v.(map[string]any) {
+				for f, x := range h.(map[string]any) {
+					out[cell{"histogram", n, f}] = x
+				}
+			}
+		case "schedule", "scheduler":
+			for f, x := range v.(map[string]any) {
+				switch x := x.(type) {
+				case []any: // break_sites: one break_site row per element
+					for i, e := range x {
+						out[cell{k, strconv.Itoa(i), strings.TrimSuffix(f, "s")}] = e
+					}
+				case map[string]any: // per signal kind
+					for sig, y := range x {
+						out[cell{k, sig, f}] = y
+					}
+				default:
+					out[cell{k, "", f}] = x
+				}
+			}
+		case "hot":
+			for _, e := range v.([]any) {
+				inst := e.(map[string]any)
+				for f, x := range inst {
+					if f != "name" {
+						out[cell{"instance", inst["name"].(string), f}] = x
+					}
+				}
+			}
+		default:
+			out[cell{"sim", "", k}] = v
+		}
+	}
+	return out
+}
+
+// sameValue compares a decoded JSON value with a CSV field.
+func sameValue(v any, field string) bool {
+	if f, ok := v.(float64); ok {
+		g, err := strconv.ParseFloat(field, 64)
+		return err == nil && g == f
+	}
+	return v == field
+}
+
+// omitemptyKeys lists the JSON keys of a struct's omitempty fields.
+func omitemptyKeys(v any) map[string]bool {
+	keys := map[string]bool{}
+	t := reflect.TypeOf(v)
+	for i := 0; i < t.NumField(); i++ {
+		if name, opts, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); opts == "omitempty" {
+			keys[name] = true
+		}
+	}
+	return keys
 }
 
 func TestHotReport(t *testing.T) {
@@ -175,8 +289,3 @@ func TestHotReport(t *testing.T) {
 		t.Fatal("hot report without metrics should error")
 	}
 }
-
-// The live HTTP metrics surface moved into internal/simd: the top-level
-// /metrics single-session compatibility mode and the per-session
-// /v1/sessions/{id}/metrics endpoint are exercised by that package's
-// tests (TestLocalMetricsCompat and the end-to-end suite).

@@ -18,7 +18,7 @@ func WriteScheduleReport(w io.Writer, s *core.Sim) error {
 	if info == nil {
 		return fmt.Errorf("obs: schedule report requires the engine; the %s reference has no static schedule", s.Scheduler())
 	}
-	if _, err := fmt.Fprintf(w, "static schedule (%s):\n", info.Scheduler); err != nil {
+	if _, err := fmt.Fprintln(w, "static schedule:"); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "  modules:        %d; dependency graph: %d SCC(s), %d cyclic (largest %d node(s); a marked instance is a node per port)\n",

@@ -21,11 +21,10 @@
 //	POST   /v1/sessions/{id}/step            advance N cycles (default 1)
 //	POST   /v1/sessions/{id}/run             advance N cycles, cancellable with the request
 //	GET    /v1/sessions/{id}/observe         obs JSON statistics snapshot
-//	GET    /v1/sessions/{id}/metrics         alias of observe (the old /metrics, per session)
-//	GET    /v1/sessions/{id}/debug/vars      process expvar page (LSD002 for an unknown id)
 //	GET    /v1/sessions/{id}/snapshot        gob checkpoint (restorable by Program.Restore)
 //	DELETE /v1/sessions/{id}                 close and forget a session
-//	GET    /metrics, /debug/vars             single-session compatibility mode (SetLocal)
+//	GET    /metrics                          statistics of the simulator attached with SetLocal
+//	GET    /debug/vars                       the process's expvar page (memstats, cmdline)
 //
 // Every error response is one JSON envelope {"error": {code, message,
 // details}} with a stable LSD0xx code mapped onto 400/404/409/422/503;

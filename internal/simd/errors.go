@@ -36,7 +36,7 @@ const (
 	CodeModelError ErrorCode = "LSD006"
 	// CodeUnavailable (503): the server cannot serve the request right
 	// now — session capacity reached, a parked session's checkpoint is
-	// unreadable, or single-session mode has no simulator attached yet.
+	// unreadable, or the top-level /metrics has no simulator attached yet.
 	CodeUnavailable ErrorCode = "LSD007"
 )
 

@@ -82,9 +82,9 @@ type Server struct {
 	sessions map[string]*session
 	nextSess uint64
 
-	// local is the single-session compatibility simulator served at the
-	// top-level /metrics (the retired obs.MetricsServer surface); swapped
-	// by SetLocal as a sweep moves between operating points.
+	// local is the in-process simulator served at the top-level
+	// /metrics; swapped by SetLocal as a sweep moves between operating
+	// points.
 	local atomic.Pointer[core.Sim]
 
 	janitorStop chan struct{}
@@ -126,11 +126,9 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/sessions/{id}/step", s.handleStep)
 	mux.HandleFunc("POST /v1/sessions/{id}/run", s.handleRun)
 	mux.HandleFunc("GET /v1/sessions/{id}/observe", s.handleObserve)
-	mux.HandleFunc("GET /v1/sessions/{id}/metrics", s.handleObserve)
-	mux.HandleFunc("GET /v1/sessions/{id}/debug/vars", s.handleSessionVars)
 	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", s.handleSnapshot)
-	// Single-session compatibility mode: the surface the retired
-	// obs.MetricsServer served, now just two more routes on the same mux.
+	// The process's own pages: the SetLocal simulator's statistics and
+	// the runtime's expvar page (memstats, cmdline).
 	mux.HandleFunc("GET /metrics", s.handleLocalMetrics)
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
@@ -152,39 +150,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// SetLocal publishes sim as the single-session compatibility simulator
-// served at the top-level /metrics, replacing any previous one — the
-// obs.MetricsServer.Set behavior a long sweep uses to follow its current
-// operating point. Safe from any goroutine.
-func (s *Server) SetLocal(sim *core.Sim) {
-	s.local.Store(sim)
-	publishExpvar(&s.local)
-}
-
-// pubOnce guards the process-wide expvar registration ("liberty" at
-// /debug/vars). expvar.Publish panics on duplicates, so the registration
-// is package-scoped; the last server to SetLocal wins the pointer.
-var (
-	pubOnce   sync.Once
-	pubTarget atomic.Pointer[atomic.Pointer[core.Sim]]
-)
-
-func publishExpvar(p *atomic.Pointer[core.Sim]) {
-	pubTarget.Store(p)
-	pubOnce.Do(func() {
-		expvar.Publish("liberty", expvar.Func(func() any {
-			tgt := pubTarget.Load()
-			if tgt == nil {
-				return nil
-			}
-			sim := tgt.Load()
-			if sim == nil {
-				return nil
-			}
-			return obs.TakeSnapshot(sim)
-		}))
-	})
-}
+// SetLocal publishes sim as the simulator served at the top-level
+// /metrics, replacing any previous one; a long sweep calls it to follow
+// its current operating point. Safe from any goroutine.
+func (s *Server) SetLocal(sim *core.Sim) { s.local.Store(sim) }
 
 // ListenAndServe serves the API on addr until ctx is cancelled, then
 // shuts the listener down gracefully (in-flight requests get up to five
@@ -491,17 +460,6 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ss.info())
 }
 
-// handleSessionVars serves the process-wide expvar page for a session
-// that exists, live or parked; like every other session route, an unknown
-// id is LSD002.
-func (s *Server) handleSessionVars(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.session(r.PathValue("id")); !ok {
-		writeError(w, CodeNotFound, "no session %q", r.PathValue("id"))
-		return
-	}
-	expvar.Handler().ServeHTTP(w, r)
-}
-
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	ss, ok := s.session(r.PathValue("id"))
 	if !ok {
@@ -680,10 +638,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client went away
 }
 
-// handleLocalMetrics is the single-session compatibility endpoint: the
-// JSON snapshot of the simulator published with SetLocal, 503 (in the
-// unified envelope) before the first one — exactly the surface the
-// standalone obs.MetricsServer used to serve.
+// handleLocalMetrics serves the JSON statistics document of the
+// simulator published with SetLocal, and 503 (in the unified envelope)
+// before the first one.
 func (s *Server) handleLocalMetrics(w http.ResponseWriter, r *http.Request) {
 	sim := s.local.Load()
 	if sim == nil {

@@ -888,10 +888,11 @@ func TestErrorEnvelope(t *testing.T) {
 	ss.mu.Unlock()
 }
 
-// TestLocalMetricsCompat pins the single-session compatibility surface
-// the retired standalone obs.MetricsServer used to provide: top-level
-// /metrics serves the attached simulator's JSON snapshot, 503 (now in
-// the unified envelope) before one is attached, expvar at /debug/vars.
+// TestLocalMetricsCompat pins the process-level pages: top-level
+// /metrics serves the JSON statistics document of the simulator attached
+// with SetLocal, and 503 in the error envelope before one is attached;
+// /debug/vars is the runtime's expvar page, with memstats and no copy of
+// the statistics.
 func TestLocalMetricsCompat(t *testing.T) {
 	srv, client := newTestServer(t, Config{})
 	resp, err := client.httpClient().Get(client.Base + "/metrics")
@@ -945,70 +946,62 @@ func TestLocalMetricsCompat(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := vars["liberty"]; !ok {
-		t.Fatal("/debug/vars is missing the liberty var")
+	if _, ok := vars["memstats"]; !ok {
+		t.Fatal("/debug/vars is missing memstats")
+	}
+	if _, ok := vars["liberty"]; ok {
+		t.Fatal("/debug/vars carries a liberty var: the statistics are served at /metrics")
 	}
 }
 
-// TestSessionDebugVars pins the per-session expvar route to the session
-// table: an id that never existed answers the LSD002 envelope like every
-// other session route, while a stamped session, live or parked, gets the
-// process-wide page.
+// TestSessionDebugVars pins the removal of the two per-session aliases,
+// /v1/sessions/{id}/metrics (observe a second time) and
+// /v1/sessions/{id}/debug/vars (the process-wide expvar page): for an
+// unknown id and for a live and a parked session, both answer 404 with
+// the LSD002 envelope, and asking does not wake a parked session.
 func TestSessionDebugVars(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	srv, client := newTestServer(t, Config{
 		ParkAfter: time.Minute, CheckpointDir: t.TempDir(), now: clock.now,
 	})
 	ctx := context.Background()
-	// The "liberty" var is published when a local simulator is attached.
-	sim, err := lss.Load(testSpec, nil, core.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	srv.SetLocal(sim)
-
-	get := func(id string) *http.Response {
+	gone := func(id string) {
 		t.Helper()
-		resp, err := client.httpClient().Get(client.Base + "/v1/sessions/" + id + "/debug/vars")
-		if err != nil {
-			t.Fatal(err)
+		for _, route := range []string{"/metrics", "/debug/vars"} {
+			resp, err := client.httpClient().Get(client.Base + "/v1/sessions/" + id + route)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env errorEnvelope
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if resp.StatusCode != 404 || err != nil || env.Error == nil || env.Error.Code != CodeNotFound {
+				t.Fatalf("%s%s answered %d %+v (%v), want 404 LSD002", id, route, resp.StatusCode, env.Error, err)
+			}
 		}
-		return resp
 	}
-	resp := get("s-none")
-	var env errorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 || env.Error == nil || env.Error.Code != CodeNotFound {
-		t.Fatalf("unknown session answered %d %+v, want 404 LSD002", resp.StatusCode, env.Error)
-	}
+	gone("s-none")
 
 	prog := submitTestSpec(t, client)
 	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, state := range []string{"live", "parked"} {
-		if state == "parked" {
-			clock.advance(2 * time.Minute)
-			srv.sweepIdle(clock.now())
-		}
-		resp := get(sess.ID)
-		var vars map[string]json.RawMessage
-		err := json.NewDecoder(resp.Body).Decode(&vars)
-		resp.Body.Close()
-		if resp.StatusCode != 200 || err != nil {
-			t.Fatalf("%s session answered %d (%v), want 200", state, resp.StatusCode, err)
-		}
-		if _, ok := vars["liberty"]; !ok {
-			t.Fatalf("%s session's page is missing the liberty var", state)
-		}
-	}
+	gone(sess.ID)
+	clock.advance(2 * time.Minute)
+	srv.sweepIdle(clock.now())
 	if info, _ := client.SessionInfo(ctx, sess.ID); info.State != "parked" {
-		t.Fatalf("reading the page woke the parked session: %+v", info)
+		t.Fatalf("idle session not parked: %+v", info)
+	}
+	gone(sess.ID)
+	if info, _ := client.SessionInfo(ctx, sess.ID); info.State != "parked" {
+		t.Fatalf("asking for a removed route woke the parked session: %+v", info)
+	}
+	if _, err := client.Observe(ctx, sess.ID); err != nil {
+		t.Fatalf("observing the parked session: %v", err)
+	}
+	if info, _ := client.SessionInfo(ctx, sess.ID); info.State != "live" {
+		t.Fatalf("observe did not unpark the session: %+v", info)
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 )
 
 // wire.go is the /v1 request/response vocabulary. These types are
-// re-exported through the lse facade; within the /v1 lifetime response
-// fields may be added but never removed or repurposed, and request
-// decoding is strict — a field that names nothing is LSD001 (see
-// DESIGN.md Appendix F for the API versioning rules).
+// re-exported through the lse facade. A response field is never
+// repurposed; it is removed only when it has read a constant, or
+// duplicated another field, since a named change recorded in CHANGES.md.
+// Request decoding is strict — a field that names nothing is LSD001 (see
+// DESIGN.md Appendix F.3 for the API versioning rules).
 
 // BuildOptions are the compile-time options of a submitted program. They
 // are part of the program cache key by what they resolve to, not by how

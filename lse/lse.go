@@ -84,7 +84,7 @@
 //
 // Long sweeps are cancellable via Sim.RunContext / Sim.RunUntilContext,
 // and the service layer (see below, and cmd/orion -metrics-addr) serves
-// live JSON snapshots plus expvar over HTTP while a sweep runs.
+// live JSON snapshots over HTTP while a sweep runs.
 //
 // # Program vs Sim
 //
@@ -124,8 +124,8 @@
 //	srv.ListenAndServe(ctx, ":8123") // graceful shutdown when ctx ends
 //
 // SetLocal serves one in-process simulator at the top-level /metrics —
-// the single-session compatibility mode behind lsc -metrics-addr and
-// orion -metrics-addr. ServeClient is the matching typed client.
+// what lsc -metrics-addr and orion -metrics-addr serve. ServeClient is
+// the matching typed client.
 //
 // # Supported surface
 //
@@ -135,10 +135,8 @@
 // Program/Sim split (Compile, CompileLSS*, Program.NewSim, Sim.Snapshot,
 // Program.Restore), the LSS entry points (LoadLSS, LoadLSSWith, LoadLSSFile, ParseLSS), the
 // analysis pipeline (Lint, Analyze) and the observability exporters
-// below. The PR-1-era Builder setter chain (SetSeed, SetWorkers,
-// SetTracer, SetRegistry) and the nil-builder BuildLSS entry point have
-// been removed. A Sim is stepped by one goroutine at a time; parallelism
-// runs across sessions of one Program.
+// below. A Sim is stepped by one goroutine at a time; parallelism runs
+// across sessions of one Program.
 //
 // The component libraries (pcl, upl, ccl, mpl, nilib) register their
 // templates into DefaultRegistry from their init functions; importing
@@ -240,9 +238,8 @@ type (
 // README quick-start).
 type (
 	// Server is the simulation service: program cache, session registry
-	// and the /v1 HTTP surface. It replaces the retired MetricsServer;
-	// its SetLocal + /metrics route is the single-session compatibility
-	// mode.
+	// and the /v1 HTTP surface. SetLocal serves one in-process simulator
+	// at its top-level /metrics.
 	Server = simd.Server
 	// ServerConfig tunes a Server (cache capacity, session cap and TTL,
 	// park-to-disk policy, step-worker bound).
@@ -315,11 +312,6 @@ func WithStrictAnalysis(min Severity) BuildOption { return analysis.StrictOption
 // and returns the report; broken specs yield LSE000 diagnostics rather
 // than errors. name labels positions in the report (use the file name).
 func Lint(name, src string) *AnalysisReport { return analysis.LintSource(name, src) }
-
-// LintWith is Lint with predefined top-level bindings (lsc -D overrides).
-func LintWith(name, src string, defines map[string]any) *AnalysisReport {
-	return analysis.LintSourceWith(name, src, defines)
-}
 
 // Analyze runs the netlist analysis passes over a built simulator,
 // whether it came from a spec or straight from the Go API (diagnostics

@@ -177,13 +177,8 @@ func TestScheduleSnapshot(t *testing.T) {
 	if snap.Schedule == nil {
 		t.Fatal("snapshot has no schedule section")
 	}
-	if snap.Schedule.Scheduler != "sparse" || snap.Schedule.SweepConns != 2 {
+	if snap.Schedule.SweepConns != 2 {
 		t.Fatalf("schedule section = %+v", snap.Schedule)
-	}
-	// The one data lane: the kept /v1 fields read as constants.
-	if snap.Schedule.ScalarConns != 0 || snap.Schedule.SpillConns != len(sim.Conns()) {
-		t.Fatalf("scalar_conns/spill_conns = %d/%d, want 0/%d",
-			snap.Schedule.ScalarConns, snap.Schedule.SpillConns, len(sim.Conns()))
 	}
 	var js bytes.Buffer
 	if err := lse.WriteStatsJSON(&js, sim); err != nil {
@@ -196,11 +191,33 @@ func TestScheduleSnapshot(t *testing.T) {
 	if decoded.Schedule == nil || decoded.Schedule.ForwardLevels != snap.Schedule.ForwardLevels {
 		t.Fatalf("schedule section does not round-trip through JSON: %+v", decoded.Schedule)
 	}
+	// The names that read constants of deleted engines are gone.
+	var doc struct {
+		Schedule  map[string]any `json:"schedule"`
+		Scheduler map[string]any `json:"scheduler"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for section, names := range map[string][]string{
+		"schedule":  {"scheduler", "workers", "scalar_conns", "spill_conns", "active_conns", "gated_conns"},
+		"scheduler": {"parallel_rounds", "steals"},
+	} {
+		keys := doc.Schedule
+		if section == "scheduler" {
+			keys = doc.Scheduler
+		}
+		for _, name := range names {
+			if _, ok := keys[name]; ok {
+				t.Errorf("JSON %s section still carries %q", section, name)
+			}
+		}
+	}
 	var csvOut bytes.Buffer
 	if err := lse.WriteStatsCSV(&csvOut, sim); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(csvOut.String(), "schedule,,scheduler,sparse") {
+	if !strings.Contains(csvOut.String(), "schedule,,sweep_conns,2") {
 		t.Fatalf("CSV snapshot missing schedule rows:\n%s", csvOut.String())
 	}
 	var rep bytes.Buffer

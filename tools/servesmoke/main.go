@@ -2,8 +2,9 @@
 // spawns a real lsd process, drives one full experiment over the wire —
 // submit a spec, verify the resubmission cache-hits, stamp a session,
 // run it, observe statistics, snapshot, restore the snapshot into a
-// second session and check both agree — then interrupts the daemon and
-// verifies it exits cleanly. CI runs it via `make serve-smoke`.
+// second session and check both agree — checks the daemon's expvar page
+// carries the memstats the benchmark reads, then interrupts the daemon
+// and verifies it exits cleanly. CI runs it via `make serve-smoke`.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -105,6 +107,20 @@ func run(lsd string, cycles uint64) error {
 	if snap.Cycles != cycles || snap.Counters["snk.received"] == 0 {
 		return fmt.Errorf("observation wrong: cycles=%d received=%d", snap.Cycles, snap.Counters["snk.received"])
 	}
+	// A session's statistics are served at observe only.
+	var env struct {
+		Error *lse.ServeError `json:"error"`
+	}
+	if status, err := get(ctx, client.Base+"/v1/sessions/"+sess.ID+"/metrics", &env); err != nil ||
+		status != http.StatusNotFound || env.Error == nil || env.Error.Code != "LSD002" {
+		return fmt.Errorf("per-session /metrics answered %d %+v (err %v), want 404 LSD002", status, env.Error, err)
+	}
+	// The benchmark takes lsd's allocation per job from the runtime's
+	// memstats on the expvar page.
+	var vars map[string]json.RawMessage
+	if status, err := get(ctx, client.Base+"/debug/vars", &vars); err != nil || status != http.StatusOK || vars["memstats"] == nil {
+		return fmt.Errorf("/debug/vars answered %d without memstats (err %v)", status, err)
+	}
 
 	// Snapshot over the wire, restore into a second session, and both
 	// sessions must observe identical statistics.
@@ -146,6 +162,21 @@ func run(lsd string, cycles uint64) error {
 		return fmt.Errorf("daemon exited without its clean-shutdown message (stderr: %s)", stderr.String())
 	}
 	return nil
+}
+
+// get fetches url and decodes its JSON body into out, returning the
+// HTTP status.
+func get(ctx context.Context, url string, out any) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 }
 
 // waitUp polls the daemon's program listing until it answers.
