@@ -2,11 +2,13 @@ package ccl_test
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
 	"liberty/internal/ccl"
 	core "liberty/internal/core"
+	"liberty/internal/obs"
 	"liberty/internal/pcl"
 	"liberty/internal/simtest"
 )
@@ -193,19 +195,7 @@ func TestStampFirstCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	sp, err := ccl.NewSweepProgram(ccl.SweepCfg{W: 8, H: 8, Pattern: "uniform", Cycles: 500, Seed: 1000, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sim *core.Sim
-	for i := 0; i < 2; i++ { // the first session is the compiled netlist; the second is stamped
-		if sim, err = sp.Program().NewSim(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		sim.Instance(simtest.Name("src", i)).(*pcl.Source).SetRate(0.3)
-	}
+	sim := stampedSweepSession(t)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
@@ -219,4 +209,77 @@ func TestStampFirstCycleAllocs(t *testing.T) {
 	} else {
 		t.Logf("the first cycle of a stamped session allocated %d times", n)
 	}
+}
+
+// stampedSweepSession returns the second session of the 8x8 sweep's
+// program, a stamp, with every source at rate 0.3.
+func stampedSweepSession(tb testing.TB) *core.Sim {
+	tb.Helper()
+	sp, err := ccl.NewSweepProgram(ccl.SweepCfg{W: 8, H: 8, Pattern: "uniform", Cycles: 500, Seed: 1000, Parallel: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var sim *core.Sim
+	for i := 0; i < 2; i++ { // the first session is the compiled netlist; the second is stamped
+		if sim, err = sp.Program().NewSim(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		sim.Instance(simtest.Name("src", i)).(*pcl.Source).SetRate(0.3)
+	}
+	return sim
+}
+
+// TestStatsDocAllocs bounds what one statistics document of a loaded 8x8
+// sweep session allocates: the writer appends it into a pooled buffer
+// in one walk of the statistics, so it allocates only that walk's name
+// list, not a map entry, a boxed value or an encoder buffer per
+// statistic.
+func TestStatsDocAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	sim := stampedSweepSession(t)
+	if err := sim.Run(200); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(10, func() { err = obs.WriteJSON(io.Discard, sim) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 16
+	if allocs > bound {
+		t.Fatalf("one statistics document of the 8x8 session allocated %.0f times, want <= %d", allocs, bound)
+	}
+	t.Logf("one statistics document of the 8x8 session allocated %.0f times", allocs)
+}
+
+// BenchmarkWriteJSON writes the statistics document of the 8x8 sweep
+// session after 200 cycles.
+func BenchmarkWriteJSON(b *testing.B) {
+	sim := stampedSweepSession(b)
+	if err := sim.Run(200); err != nil {
+		b.Fatal(err)
+	}
+	var n int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var w countingWriter
+		if err := obs.WriteJSON(&w, sim); err != nil {
+			b.Fatal(err)
+		}
+		n = int(w)
+	}
+	b.SetBytes(int64(n))
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	*w += countingWriter(len(p))
+	return len(p), nil
 }

@@ -127,10 +127,10 @@ func (s *Sim) SpillHits() uint64 { return s.spillHits }
 // View calls fn holding the step mutex, which Step holds for each cycle:
 // fn sees the session at a cycle boundary, so it may read statistics,
 // metrics and the cycle count while another goroutine steps the session.
-// It is the one cross-goroutine read path (obs.TakeSnapshot takes it).
-// fn must not step the session, and View must not be called from a
-// handler or a tracer callback: it would wait for the Step that called
-// it.
+// It is the one cross-goroutine read path (obs.WriteJSON and
+// obs.TakeSnapshot take it). fn must not step the session, and View must
+// not be called from a handler or a tracer callback: it would wait for
+// the Step that called it.
 func (s *Sim) View(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

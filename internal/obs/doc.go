@@ -5,6 +5,15 @@
 // statistics snapshots (which internal/simd serves live over HTTP), and
 // a per-instance "hot module" report.
 //
+// The statistics document's schema is the Snapshot struct: TakeSnapshot
+// fills it and simd.Client and lse decode it. WriteJSON and WriteCSV do
+// not build it: they write the document directly, appending it into one
+// pooled buffer in one ordered walk of the StatSet under one Sim.View,
+// with no map, reflection or encoding/json on the path.
+// TestWriteJSONEqualsSnapshot and FuzzStatsJSON hold the two equal:
+// WriteJSON's bytes are json.MarshalIndent(TakeSnapshot(s), "", "  ")
+// and a newline, and WriteCSV's are encoding/csv's of the same rows.
+//
 // The paper's pitch is that structural models are inspectable; this
 // package is where that inspection happens at run time. Collection stays
 // in internal/core (the scheduler records into core.Metrics when a

@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"encoding/csv"
-	"encoding/json"
-	"io"
 	"sort"
-	"strconv"
 
 	core "liberty/internal/core"
 )
@@ -114,8 +110,6 @@ type Snapshot struct {
 	Hot        []InstanceStats           `json:"hot,omitempty"`
 }
 
-var sigKinds = [...]core.SigKind{core.SigData, core.SigEnable, core.SigAck}
-
 // TakeSnapshot captures the simulator's current statistics and metrics.
 // It copies them in one Sim.View, so the snapshot is consistent at a
 // cycle boundary even while another goroutine steps the simulator.
@@ -179,102 +173,4 @@ func takeSnapshot(s *core.Sim) Snapshot {
 		return snap.Hot[i].Reacts > snap.Hot[j].Reacts
 	})
 	return snap
-}
-
-// WriteJSON writes the simulator's snapshot to w as indented JSON.
-func WriteJSON(w io.Writer, s *core.Sim) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(TakeSnapshot(s))
-}
-
-// WriteCSV writes the simulator's snapshot to w as CSV rows of the form
-// kind,name,field,value — a flat layout spreadsheet tooling ingests
-// without a schema.
-func WriteCSV(w io.Writer, s *core.Sim) error {
-	snap := TakeSnapshot(s)
-	cw := csv.NewWriter(w)
-	row := func(kind, name, field string, value any) {
-		var v string
-		switch x := value.(type) {
-		case int64:
-			v = strconv.FormatInt(x, 10)
-		case uint64:
-			v = strconv.FormatUint(x, 10)
-		case float64:
-			v = strconv.FormatFloat(x, 'g', -1, 64)
-		default:
-			v = ""
-		}
-		cw.Write([]string{kind, name, field, v})
-	}
-	row("sim", "", "cycles", snap.Cycles)
-	row("sim", "", "seed", snap.Seed)
-	row("sim", "", "instances", int64(snap.Instances))
-	row("sim", "", "conns", int64(snap.Conns))
-	row("sim", "", "spill_hits", snap.SpillHits)
-	names := make([]string, 0, len(snap.Counters))
-	for n := range snap.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		row("counter", n, "value", snap.Counters[n])
-	}
-	names = names[:0]
-	for n := range snap.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := snap.Histograms[n]
-		row("histogram", n, "count", h.Count)
-		row("histogram", n, "sum", h.Sum)
-		row("histogram", n, "mean", h.Mean)
-		row("histogram", n, "min", h.Min)
-		row("histogram", n, "max", h.Max)
-		row("histogram", n, "p50", h.P50)
-		row("histogram", n, "p95", h.P95)
-		row("histogram", n, "p99", h.P99)
-	}
-	if sd := snap.Schedule; sd != nil {
-		row("schedule", "", "modules", int64(sd.Modules))
-		row("schedule", "", "sccs", int64(sd.SCCs))
-		row("schedule", "", "cyclic_sccs", int64(sd.CyclicSCCs))
-		row("schedule", "", "largest_scc", int64(sd.LargestSCC))
-		row("schedule", "", "forward_levels", int64(sd.ForwardLevels))
-		row("schedule", "", "ack_levels", int64(sd.AckLevels))
-		row("schedule", "", "sweep_conns", int64(sd.SweepConns))
-		row("schedule", "", "residue_conns", int64(sd.ResidueConns))
-		row("schedule", "", "ack_sweep_conns", int64(sd.AckSweepConns))
-		row("schedule", "", "ack_residue_conns", int64(sd.AckResidueConns))
-		row("schedule", "", "active_insts", int64(sd.ActiveInsts))
-		row("schedule", "", "gated_insts", int64(sd.GatedInsts))
-		row("schedule", "", "always_active", int64(sd.AlwaysActive))
-		row("schedule", "", "clusters", int64(sd.Clusters))
-		row("schedule", "", "closable_clusters", int64(sd.ClosableClusters))
-		for i, site := range sd.BreakSites {
-			cw.Write([]string{"schedule", strconv.Itoa(i), "break_site", site})
-		}
-	}
-	if sc := snap.Scheduler; sc != nil {
-		row("scheduler", "", "cycles", sc.Cycles)
-		row("scheduler", "", "wakes", sc.Wakes)
-		row("scheduler", "", "reacts", sc.Reacts)
-		row("scheduler", "", "fixed_point_iters", sc.FixedPointIters)
-		row("scheduler", "", "active_insts", sc.ActiveInsts)
-		row("scheduler", "", "skipped_wakes", sc.SkippedWakes)
-		row("scheduler", "", "closed_clusters", sc.ClosedClusters)
-		row("scheduler", "", "closed_conn_share", sc.ClosedConnShare)
-		for _, k := range sigKinds {
-			row("scheduler", k.String(), "default_fallbacks", sc.DefaultFallbacks[k.String()])
-			row("scheduler", k.String(), "cycle_breaks", sc.CycleBreaks[k.String()])
-		}
-	}
-	for _, inst := range snap.Hot {
-		row("instance", inst.Name, "reacts", inst.Reacts)
-		row("instance", inst.Name, "react_time_ns", inst.ReactTimeNs)
-	}
-	cw.Flush()
-	return cw.Error()
 }

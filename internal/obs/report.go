@@ -86,25 +86,29 @@ func WriteHotReport(w io.Writer, s *core.Sim, topN int) error {
 	if m == nil {
 		return fmt.Errorf("obs: hot report requires a simulator built with metrics (WithMetrics)")
 	}
-	snap := TakeSnapshot(s)
+	var (
+		hot    []core.InstanceMetric
+		reacts uint64
+	)
+	s.View(func() { hot, reacts = hotList(m), m.Reacts() })
 	var totalNs int64
-	for _, inst := range snap.Hot {
-		totalNs += inst.ReactTimeNs
+	for _, inst := range hot {
+		totalNs += inst.ReactTime.Nanoseconds()
 	}
-	if topN <= 0 || topN > len(snap.Hot) {
-		topN = len(snap.Hot)
+	if topN <= 0 || topN > len(hot) {
+		topN = len(hot)
 	}
 	if _, err := fmt.Fprintf(w, "hot modules (top %d of %d, %s total react time, %d reacts):\n",
-		topN, len(snap.Hot), time.Duration(totalNs), snap.Scheduler.Reacts); err != nil {
+		topN, len(hot), time.Duration(totalNs), reacts); err != nil {
 		return err
 	}
-	for _, inst := range snap.Hot[:topN] {
+	for _, inst := range hot[:topN] {
 		share := 0.0
 		if totalNs > 0 {
-			share = 100 * float64(inst.ReactTimeNs) / float64(totalNs)
+			share = 100 * float64(inst.ReactTime) / float64(totalNs)
 		}
 		if _, err := fmt.Fprintf(w, "  %-40s %10d reacts %12s %6.1f%%\n",
-			inst.Name, inst.Reacts, time.Duration(inst.ReactTimeNs), share); err != nil {
+			inst.Name, inst.Reacts, inst.ReactTime, share); err != nil {
 			return err
 		}
 	}

@@ -579,19 +579,18 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	writeStats(w, sim)
 }
 
-// writeStats answers the simulator's statistics document. It is encoded
-// into memory first, so a document that cannot be encoded answers an
-// error the client can read, not a committed 200 with an empty body.
-// The read runs beside the session's stepping: obs.TakeSnapshot holds
-// the step mutex (core.Sim.View), not the session's mu.
+// writeStats answers the simulator's statistics document. obs.WriteJSON
+// refuses a document it cannot carry (*obs.ValueError) before writing a
+// byte, so that answers an error the client can read, not a committed
+// 200 with an empty body. The read runs beside the session's stepping:
+// obs.WriteJSON holds the step mutex (core.Sim.View), not the session's
+// mu.
 func writeStats(w http.ResponseWriter, sim *core.Sim) {
-	var buf bytes.Buffer
-	if err := obs.WriteJSON(&buf, sim); err != nil {
-		writeError(w, CodeModelError, "statistics cannot be encoded: %v", err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client went away
+	var bad *obs.ValueError
+	if err := obs.WriteJSON(w, sim); errors.As(err, &bad) {
+		writeError(w, CodeModelError, "statistics cannot be encoded: %v", err)
+	} // any other error is a failed write: the client went away
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -76,6 +76,62 @@ func TestNonFiniteSampleIsAnLSDError(t *testing.T) {
 	}
 }
 
+// hugeSource observes the largest float every cycle: each sample is
+// finite, but from the second one on the histogram's sum is +Inf.
+type hugeSource struct {
+	core.Base
+	out *core.Port
+	h   *core.Histogram
+}
+
+func init() {
+	core.Register(&core.Template{
+		Name: "simdtest.huge",
+		Doc:  "test-only source whose samples overflow their histogram's sum",
+		Build: func(b *core.Builder, name string, p core.Params) (core.Instance, error) {
+			m := &hugeSource{}
+			m.Init(name, m)
+			m.Checkpoint()
+			m.h = m.Histogram("sample")
+			m.out = m.AddOutPort("out")
+			m.OnCycleStart(func() {
+				m.h.Observe(math.MaxFloat64)
+				m.out.Idle()
+			})
+			return m, nil
+		},
+	})
+}
+
+// TestOverflowingSumIsAnLSDError: finite samples whose sum overflows run
+// without error, and the statistics then answer the model-error envelope
+// naming the histogram and the field the document cannot carry.
+func TestOverflowingSumIsAnLSDError(t *testing.T) {
+	_, client := newTestServer(t, Config{})
+	ctx := context.Background()
+	prog, err := client.SubmitProgram(ctx, SubmitProgramRequest{
+		Spec: "instance h : simdtest.huge();\ninstance s : pcl.sink();\nh.out -> s.in;\n",
+		Name: "huge.lss",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Observe(ctx, sess.ID); err != nil {
+		t.Fatalf("stats before the overflow: %v", err)
+	}
+	if _, err := client.Run(ctx, sess.ID, 2); err != nil {
+		t.Fatalf("two finite samples: %v", err)
+	}
+	_, err = client.Observe(ctx, sess.ID)
+	if !isCode(err, CodeModelError) || !strings.Contains(err.Error(), "histogram h.sample: sum is +Inf") {
+		t.Fatalf("stats after the overflow: err %v, want the %s envelope naming h.sample's sum", err, CodeModelError)
+	}
+}
+
 // TestStatsDuringRun: one client runs 5 000 cycles of pipeline.lss while
 // another polls the session's statistics. Every document decodes, the
 // cycle count never goes back, and no counter exceeds its value in the
