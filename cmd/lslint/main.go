@@ -1,8 +1,8 @@
 // Command lslint statically analyzes Liberty Simulator Specifications:
 // it parses, elaborates and builds each spec against the registered
 // component libraries, runs every analysis pass (unconnected ports,
-// combinational cycles, handshake-contract misuse, dead structure,
-// parameter hygiene, hierarchy checks — see internal/analysis), and
+// combinational cycles, handshake-contract misuse, parameter hygiene,
+// hierarchy and activity checks — see internal/analysis), and
 // reports diagnostics with stable LSE codes and spec positions.
 //
 // Usage:

@@ -15,19 +15,18 @@ import (
 )
 
 // relay is a minimal test module: one in, one out, with handlers, so the
-// handshake pass has nothing to say about it.
+// handshake pass has nothing to say about it. It is not MarkSequential,
+// so a ring of relays is a combinational cycle.
 type relay struct{ core.Base }
 
-func buildRelay(noDefault bool) core.BuildFn {
-	return func(b *core.Builder, name string, p core.Params) (core.Instance, error) {
-		m := &relay{}
-		m.Init(name, m)
-		m.AddInPort("in", core.PortOpts{DefaultAck: core.No, NoDefault: noDefault})
-		m.AddOutPort("out", core.PortOpts{NoDefault: noDefault})
-		m.OnReact(func() {})
-		m.OnCycleEnd(func() {})
-		return m, nil
-	}
+func buildRelay(b *core.Builder, name string, p core.Params) (core.Instance, error) {
+	m := &relay{}
+	m.Init(name, m)
+	m.AddInPort("in", core.PortOpts{DefaultAck: core.No})
+	m.AddOutPort("out")
+	m.OnReact(func() {})
+	m.OnCycleEnd(func() {})
+	return m, nil
 }
 
 // leaky declares handshake hazards on purpose: an output that commits
@@ -44,8 +43,7 @@ func buildLeaky(b *core.Builder, name string, p core.Params) (core.Instance, err
 }
 
 func init() {
-	core.Register(&core.Template{Name: "ana.relay", Doc: "test relay", Build: buildRelay(false)})
-	core.Register(&core.Template{Name: "ana.nodefault", Doc: "test relay demanding explicit control", Build: buildRelay(true)})
+	core.Register(&core.Template{Name: "ana.relay", Doc: "test relay", Build: buildRelay})
 	core.Register(&core.Template{Name: "ana.leaky", Doc: "test module with handshake hazards", Build: buildLeaky})
 }
 
@@ -126,9 +124,9 @@ src.out -> snk.in;
 			t.Errorf("q.out message should name the engine default, got %q", d.Message)
 		}
 	}
-	// The isolated queue is also dead structure (no connections).
-	if len(findCode(r, "LSE004")) != 1 {
-		t.Errorf("want 1 LSE004 for the disconnected queue, got %v", codes(r))
+	// The isolated queue is reported through its ports only.
+	if r.Len() != 2 {
+		t.Errorf("want only the 2 LSE001, got %v", codes(r))
 	}
 }
 
@@ -163,31 +161,36 @@ b.out -> a.in;
 	if !strings.Contains(d.Message, "breaks it at") {
 		t.Errorf("message should name the break site: %s", d.Message)
 	}
-	// The loop also never reaches a sink: dead structure for both members.
-	if len(findCode(r, "LSE004")) != 2 {
-		t.Errorf("want 2 LSE004 (loop reaches no sink), got %v", codes(r))
+	// A loop with no sink is no finding: the paper's closed
+	// request/response systems have that shape.
+	if r.Len() != 1 {
+		t.Errorf("want only the LSE002, got %v", codes(r))
 	}
 }
 
-func TestUnbreakableCycleIsError(t *testing.T) {
-	src := `
-instance a : ana.nodefault();
-instance b : ana.nodefault();
+// relayRing is a ring of two unmarked reactive relays: a combinational
+// cycle, which default resolution breaks.
+const relayRing = `
+instance a : ana.relay();
+instance b : ana.relay();
 a.out -> b.in;
 b.out -> a.in;
 `
-	r := lint(t, src)
-	diags := findCode(r, "LSE002")
-	if len(diags) != 1 {
-		t.Fatalf("want 1 LSE002, got %v", codes(r))
+
+// TestUnbreakableCycleIsError: every combinational cycle has a valid
+// break, so no cycle is an error. A two-relay ring is one LSE002 warning
+// naming both members and the break site.
+func TestUnbreakableCycleIsError(t *testing.T) {
+	r := lint(t, relayRing)
+	if r.Len() != 1 {
+		t.Fatalf("want 1 diagnostic, got %v:\n%s", codes(r), text(r))
 	}
-	d := diags[0]
-	if d.Severity != analysis.Error {
-		t.Fatalf("severity %s, want error (no valid break)", d.Severity)
+	d := r.Diags[0]
+	if d.Code != "LSE002" || d.Severity != analysis.Warning {
+		t.Fatalf("got %s[%s], want LSE002[warning]", d.Code, d.Severity)
 	}
-	if !strings.Contains(d.Message, "no valid break") ||
-		!strings.Contains(d.Message, "a, b") {
-		t.Errorf("message should report no valid break and name members: %s", d.Message)
+	if !strings.Contains(d.Message, "a, b") || !strings.Contains(d.Message, "breaks it at") {
+		t.Errorf("message should name the members and the break site: %s", d.Message)
 	}
 }
 
@@ -218,6 +221,9 @@ bad.out -> snk.in;
 	}
 }
 
+// TestDuplicateDriverReportedOnce: wiring one port pair twice gives both
+// ports width 2, two independent handshakes. That is how a port gets its
+// width, so it reports nothing.
 func TestDuplicateDriverReportedOnce(t *testing.T) {
 	src := `
 instance src : pcl.source(count = 5);
@@ -225,19 +231,14 @@ instance snk : pcl.sink();
 src.out -> snk.in;
 src.out -> snk.in;
 `
-	r := lint(t, src)
-	diags := findCode(r, "LSE003")
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 LSE003 for the duplicate pair, got %v", codes(r))
-	}
-	if !strings.Contains(diags[0].Message, "wired in parallel 2 times") {
-		t.Errorf("unexpected message: %s", diags[0].Message)
-	}
-	if diags[0].Line != 4 {
-		t.Errorf("anchored at line %d, want 4 (the first connection)", diags[0].Line)
+	if r := lint(t, src); r.Len() != 0 {
+		t.Fatalf("a width-2 port pair reported:\n%s", text(r))
 	}
 }
 
+// TestHierarchyExportDiagnostics: a composite is reported only when it
+// exports nothing. An export left unbound is reported once, by LSE001 on
+// the child port it aliases.
 func TestHierarchyExportDiagnostics(t *testing.T) {
 	src := `
 module box() {
@@ -251,19 +252,40 @@ instance snk : pcl.sink();
 src.out -> b.in;
 b.out -> snk.in;
 `
-	if r := lint(t, src); len(findCode(r, "LSE006")) != 0 {
-		t.Fatalf("fully wired composite tripped LSE006: %v", codes(r))
+	if r := lint(t, src); r.Len() != 0 {
+		t.Fatalf("fully wired composite reported:\n%s", text(r))
 	}
 	// Drop the consumer of b.out: the export is bound to nothing.
-	srcDangling := strings.Replace(src, "b.out -> snk.in;", "", 1)
-	r := lint(t, srcDangling)
-	diags := findCode(r, "LSE006")
-	if len(diags) != 1 {
-		t.Fatalf("want 1 LSE006 for the dangling export, got %v", codes(r))
+	r := lint(t, strings.Replace(src, "b.out -> snk.in;", "", 1))
+	if len(findCode(r, "LSE006")) != 0 {
+		t.Errorf("dangling export tripped LSE006: %v", codes(r))
 	}
-	if !strings.Contains(diags[0].Message, `export "out"`) {
+	if !reportedAt(r, "LSE001", "b/q.out") {
+		t.Errorf("LSE001 does not report the dangling export's port b/q.out:\n%s", text(r))
+	}
+	// A composite that exports nothing is the warning.
+	r = lint(t, `
+module box() {
+    instance q : pcl.queue(capacity = 2);
+}
+instance b : box();
+`)
+	diags := findCode(r, "LSE006")
+	if len(diags) != 1 || diags[0].Where != "b" || diags[0].Severity != analysis.Warning {
+		t.Fatalf("want 1 LSE006 warning on b, got %v:\n%s", codes(r), text(r))
+	}
+	if !strings.Contains(diags[0].Message, "exports nothing") {
 		t.Errorf("unexpected message: %s", diags[0].Message)
 	}
+}
+
+func reportedAt(r *analysis.Report, code, where string) bool {
+	for _, d := range findCode(r, code) {
+		if d.Where == where {
+			return true
+		}
+	}
+	return false
 }
 
 func TestParamHygiene(t *testing.T) {
@@ -307,9 +329,9 @@ p.out -> snk.in;
 }
 
 func TestShadowingDiagnostics(t *testing.T) {
-	// Scoping is erased by elaboration, so run the spec pass directly on
-	// the AST.
-	f, err := lss.ParseFile("shadow.lss", `
+	// Scoping is erased by elaboration; the spec pass reads the AST
+	// before the build.
+	r := lint(t, `
 let n = 2;
 let m = n;
 for n in 0 .. m {
@@ -317,10 +339,6 @@ for n in 0 .. m {
 }
 let idx = 3;
 `)
-	if err != nil {
-		t.Fatalf("ParseFile: %v", err)
-	}
-	r := analysis.AnalyzeSpec(f)
 	diags := findCode(r, "LSE005")
 	var sawShadow, sawIdx bool
 	for _, d := range diags {
@@ -339,34 +357,34 @@ let idx = 3;
 	}
 }
 
+// TestDeadStructureDetection: a loop with no sink is no finding. Its
+// shape cannot tell a leak from the paper's closed systems: a fed queue
+// ring and a closed request/response loop (a memory whose replies come
+// back as its next requests, the shape of Fig 2a's L1/directory pairs)
+// both report nothing.
 func TestDeadStructureDetection(t *testing.T) {
-	// src feeds a relay ring that never reaches the sink; a separate
-	// chain does. The ring instances are dead structure.
-	src := `
+	for name, src := range map[string]string{
+		"fed queue ring": `
 instance src  : pcl.source(count = 5);
-instance r1   : ana.relay();
-instance r2   : ana.relay();
+instance q1   : pcl.queue(capacity = 2);
+instance q2   : pcl.queue(capacity = 2);
 instance src2 : pcl.source(count = 5);
 instance snk  : pcl.sink();
-src.out -> r1.in;
-r1.out -> r2.in;
-r2.out -> r1.in;
+src.out -> q1.in;
+q1.out -> q2.in;
+q2.out -> q1.in;
 src2.out -> snk.in;
-`
-	r := lint(t, src)
-	dead := map[string]bool{}
-	for _, d := range findCode(r, "LSE004") {
-		if d.Severity == analysis.Warning {
-			dead[d.Where] = true
+`,
+		"closed request/response loop": `
+instance mem : pcl.memarray(words = 16);
+instance req : pcl.queue(capacity = 2);
+mem.resp -> req.in;
+req.out -> mem.req;
+`,
+	} {
+		if r := lint(t, src); r.Len() != 0 {
+			t.Errorf("%s reported:\n%s", name, text(r))
 		}
-	}
-	for _, want := range []string{"src", "r1", "r2"} {
-		if !dead[want] {
-			t.Errorf("%s should be dead structure (never reaches a sink); report:\n%s", want, text(r))
-		}
-	}
-	if dead["src2"] || dead["snk"] {
-		t.Errorf("live chain flagged dead; report:\n%s", text(r))
 	}
 }
 
@@ -402,7 +420,7 @@ func TestBadParameterTypeBecomesDiagnostic(t *testing.T) {
 
 func TestPragmaSuppression(t *testing.T) {
 	src := `
-instance q : pcl.queue(capacity = 2); # lse:ignore LSE001, LSE004
+instance q : pcl.queue(capacity = 2); # lse:ignore LSE001
 `
 	r := analysis.LintSource("test.lss", src)
 	if r.Len() != 0 {
@@ -416,33 +434,33 @@ instance q : pcl.queue(capacity = 2);
 	if r := analysis.LintSource("test.lss", src); r.Len() != 0 {
 		t.Fatalf("standalone bare pragma should suppress the next line, got:\n%s", text(r))
 	}
-	// A pragma listing other codes suppresses only those.
+	// A pragma listing other codes suppresses only those: the unfed relay
+	// reports LSE001 twice and LSE007 once.
 	src = `
-instance q : pcl.queue(capacity = 2); # lse:ignore LSE004
+instance r : ana.relay(); # lse:ignore LSE007
 `
 	r = analysis.LintSource("test.lss", src)
-	if len(findCode(r, "LSE001")) != 2 || len(findCode(r, "LSE004")) != 0 {
+	if len(findCode(r, "LSE001")) != 2 || len(findCode(r, "LSE007")) != 0 {
 		t.Fatalf("selective pragma mishandled: %v", codes(r))
 	}
 }
 
+// TestStrictBuildFailsOnUnbreakableCycle: no netlist pass reports at
+// error severity, so strict(error) accepts the two-relay ring; its
+// LSE002 warning fails strict(warning) with a *StrictError naming it.
 func TestStrictBuildFailsOnUnbreakableCycle(t *testing.T) {
-	src := `
-instance a : ana.nodefault();
-instance b : ana.nodefault();
-a.out -> b.in;
-b.out -> a.in;
-`
-	_, err := lss.LoadFile("cycle.lss", src, nil, analysis.StrictOption(analysis.Error))
-	if err == nil {
-		t.Fatal("Build succeeded; want strict-analysis failure")
+	sim, err := lss.LoadFile("cycle.lss", relayRing, nil, analysis.StrictOption(analysis.Error))
+	if err != nil {
+		t.Fatalf("strict(error) refused a breakable cycle: %v", err)
 	}
+	sim.Close()
+	_, err = lss.LoadFile("cycle.lss", relayRing, nil, analysis.StrictOption(analysis.Warning))
 	var se *analysis.StrictError
 	if !errors.As(err, &se) {
-		t.Fatalf("error is %T, want *analysis.StrictError: %v", err, err)
+		t.Fatalf("strict(warning) error is %T, want *analysis.StrictError: %v", err, err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"LSE002", "a, b", "no valid break"} {
+	for _, want := range []string{"LSE002", "a, b", "breaks it at"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("strict error should contain %q:\n%s", want, msg)
 		}
@@ -450,19 +468,25 @@ b.out -> a.in;
 }
 
 func TestStrictSeverityThreshold(t *testing.T) {
-	// A breakable two-queue loop is warning severity: it passes strict
-	// mode at Error but fails at Warning.
-	src := `
-instance a : pcl.queue(capacity = 2);
-instance b : pcl.queue(capacity = 2);
+	// A tee ring is a combinational cycle, a warning: it passes strict
+	// mode at Error but fails at Warning. The same ring of queues is no
+	// cycle and passes at Warning.
+	ring := `
+instance a : %s;
+instance b : %s;
 a.out -> b.in;
 b.out -> a.in;
 `
-	if _, err := lss.Load(src, nil, analysis.StrictOption(analysis.Error)); err != nil {
+	tees := fmt.Sprintf(ring, "pcl.tee()", "pcl.tee()")
+	if _, err := lss.Load(tees, nil, analysis.StrictOption(analysis.Error)); err != nil {
 		t.Fatalf("breakable cycle should pass strict(error): %v", err)
 	}
-	if _, err := lss.Load(src, nil, analysis.StrictOption(analysis.Warning)); err == nil {
+	if _, err := lss.Load(tees, nil, analysis.StrictOption(analysis.Warning)); err == nil {
 		t.Fatal("breakable cycle should fail strict(warning)")
+	}
+	queues := fmt.Sprintf(ring, "pcl.queue(capacity = 2)", "pcl.queue(capacity = 2)")
+	if _, err := lss.Load(queues, nil, analysis.StrictOption(analysis.Warning)); err != nil {
+		t.Fatalf("a queue ring should pass strict(warning): %v", err)
 	}
 }
 
@@ -531,11 +555,11 @@ r.out -> snk.in;
 
 func TestReportOrderingAndRenderers(t *testing.T) {
 	r := &analysis.Report{}
-	r.Add(analysis.Diagnostic{Code: "LSE004", Severity: analysis.Warning, File: "b.lss", Line: 2, Where: "x", Message: "m1"})
+	r.Add(analysis.Diagnostic{Code: "LSE006", Severity: analysis.Warning, File: "b.lss", Line: 2, Where: "x", Message: "m1"})
 	r.Add(analysis.Diagnostic{Code: "LSE001", Severity: analysis.Info, File: "a.lss", Line: 9, Where: "y", Message: "m2"})
 	r.Add(analysis.Diagnostic{Code: "LSE002", Severity: analysis.Error, File: "a.lss", Line: 9, Where: "z", Message: "m3"})
 	r.Sort()
-	if got := codes(r); got[0] != "LSE001" || got[1] != "LSE002" || got[2] != "LSE004" {
+	if got := codes(r); got[0] != "LSE001" || got[1] != "LSE002" || got[2] != "LSE006" {
 		t.Fatalf("sort order wrong: %v", got)
 	}
 	if max, ok := r.Max(); !ok || max != analysis.Error {

@@ -21,8 +21,8 @@ const (
 	// Warning reports likely-unintended structure the engine will still
 	// simulate deterministically.
 	Warning Severity = 1
-	// Error reports structure with no well-defined behavior, such as a
-	// combinational cycle without a valid break site.
+	// Error reports a spec with no well-defined netlist: one that does
+	// not parse, elaborate or build (LSE000).
 	Error Severity = 2
 )
 

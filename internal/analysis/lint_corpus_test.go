@@ -13,39 +13,32 @@ import (
 // TestLintCorpusGolden pins the diagnostic surface over the golden lint
 // corpus: one minimal spec per code under specs/lint, each asserting the
 // exact codes, severities and anchors the full pipeline emits — including
-// deliberate co-fires (an unconnected sink is both LSE001 and an LSE004
-// instance with no connections). lse007.lss uses the test-only ana.relay
-// template, so the corpus lints in-process here rather than via lslint.
+// deliberate co-fires (the child of a composite exporting nothing has an
+// unconnected port, LSE001). lse003.lss and lse007.lss use the test-only
+// ana.leaky and ana.relay templates, so the corpus lints in-process here
+// rather than via lslint.
 func TestLintCorpusGolden(t *testing.T) {
 	type want struct {
 		code  string
 		sev   analysis.Severity
 		where string
 	}
-	conn := "src.out[0]->snk.in[0]"
 	cases := map[string][]want{
 		"lse000.lss": {{"LSE000", analysis.Error, "x"}},
-		"lse001.lss": {
-			{"LSE001", analysis.Info, "snk.in"},
-			{"LSE004", analysis.Info, "snk"},
-		},
+		"lse001.lss": {{"LSE001", analysis.Info, "snk.in"}},
 		"lse002.lss": {{"LSE002", analysis.Warning, "t1.out[0]->t2.in[0]"}},
-		"lse003.lss": {{"LSE003", analysis.Warning, conn}},
-		"lse004.lss": {
-			{"LSE004", analysis.Warning, "src"},
-			{"LSE004", analysis.Warning, "q1"},
-			{"LSE004", analysis.Warning, "q2"},
+		"lse003.lss": {
+			{"LSE003", analysis.Warning, "bad.in"},
+			{"LSE003", analysis.Warning, "bad.out"},
 		},
 		"lse005.lss": {{"LSE005", analysis.Info, "unused"}},
 		"lse006.lss": {
 			{"LSE001", analysis.Info, "b/s.in"},
-			{"LSE004", analysis.Info, "b/s"},
 			{"LSE006", analysis.Warning, "b"},
 		},
 		"lse007.lss": {
 			{"LSE001", analysis.Info, "r.in"},
 			{"LSE001", analysis.Info, "r.out"},
-			{"LSE004", analysis.Info, "r"},
 			{"LSE007", analysis.Info, "r"},
 		},
 	}

@@ -26,7 +26,6 @@ func posOf(inst core.Instance) core.Pos { return view(inst).SourcePos() }
 type compositeView interface {
 	Children() []core.Instance
 	ExportNames() []string
-	PortByName(name string) *core.Port
 }
 
 func asComposite(inst core.Instance) (compositeView, bool) {
@@ -77,11 +76,6 @@ func passUnconnected(s *core.Sim, r *Report) {
 			if p.Width() > 0 || p.Opts().MinWidth > 0 {
 				continue
 			}
-			if p.Opts().NoDefault {
-				r.Addf("LSE001", Warning, posOf(inst), p.FullName(),
-					"optional %s port is unconnected but declares NoDefault: it demands explicit control yet nothing can ever drive it", p.Dir())
-				continue
-			}
 			r.Addf("LSE001", Info, posOf(inst), p.FullName(),
 				"optional %s port unconnected (module adapts to width 0); connections here resolve via %s", p.Dir(), defaultRule(p))
 		}
@@ -91,10 +85,9 @@ func passUnconnected(s *core.Sim, r *Report) {
 // passCycles (LSE002) reports each cyclic SCC of the dependency graph —
 // the same Tarjan condensation the engine's static schedule compiles
 // (Sim.SCCs), so analysis and execution agree on what a cycle is: a loop
-// through a MarkSequential instance is none. A cycle the engine
-// can break by defaulting is a warning naming members and the break site;
-// a cycle where every potential break site forbids defaulting (NoDefault)
-// has no valid break and is an error.
+// through a MarkSequential instance is none. Default resolution breaks
+// every such cycle, so the finding is a warning naming the members and
+// the break site.
 func passCycles(s *core.Sim, r *Report) {
 	for _, scc := range s.SCCs() {
 		if !scc.Cyclic {
@@ -104,41 +97,21 @@ func passCycles(s *core.Sim, r *Report) {
 		for i, m := range scc.Members {
 			names[i] = m.Name()
 		}
-		members := strings.Join(names, ", ")
-		// Forward signals (data/enable) default at a connection's source
-		// port, acks at its destination; a direction is breakable when
-		// some internal connection permits defaulting on that side.
-		fwdOK, ackOK := false, false
-		for _, c := range scc.Internal {
-			sp, _ := c.Src()
-			dp, _ := c.Dst()
-			fwdOK = fwdOK || !sp.Opts().NoDefault
-			ackOK = ackOK || !dp.Opts().NoDefault
-		}
 		pos := scc.BreakSite.SourcePos()
 		if pos.IsZero() && len(scc.Members) > 0 {
 			pos = posOf(scc.Members[0])
 		}
-		if fwdOK && ackOK {
-			r.Addf("LSE002", Warning, pos, scc.BreakSite.String(),
-				"combinational cycle through %d module(s): %s; default resolution breaks it at %s (%d internal connection(s))",
-				len(scc.Members), members, scc.BreakSite, len(scc.Internal))
-			continue
-		}
-		dir := "forward (data/enable)"
-		if fwdOK {
-			dir = "backward (ack)"
-		}
-		r.Addf("LSE002", Error, pos, scc.BreakSite.String(),
-			"combinational cycle through %d module(s) has no valid break in the %s direction: members %s; every internal connection forbids default resolution (NoDefault) — add explicit control or open the loop",
-			len(scc.Members), dir, members)
+		r.Addf("LSE002", Warning, pos, scc.BreakSite.String(),
+			"combinational cycle through %d module(s): %s; default resolution breaks it at %s (%d internal connection(s))",
+			len(scc.Members), strings.Join(names, ", "), scc.BreakSite, len(scc.Internal))
 	}
 }
 
 // passHandshake (LSE003) reports handshake-contract misuse that the
 // runtime cannot distinguish from intent: enables committed without a
-// data source, inputs acknowledged by modules that never read them, and
-// duplicate parallel drivers between one port pair.
+// data source, and inputs acknowledged by modules that never read them.
+// Parallel connections between one port pair are no finding: they are
+// how a port gets its width.
 func passHandshake(s *core.Sim, r *Report) {
 	for _, inst := range s.Instances() {
 		if _, isComposite := asComposite(inst); isComposite {
@@ -162,88 +135,6 @@ func passHandshake(s *core.Sim, r *Report) {
 			}
 		}
 	}
-	// Duplicate drivers: the same (source port, destination port) pair
-	// wired more than once. Each connection is an independent handshake,
-	// so parallel lanes are legal — but an exact duplicate is far more
-	// often a spec typo than a bandwidth decision.
-	type pair struct{ src, dst *core.Port }
-	seen := map[pair][]*core.Conn{}
-	for _, c := range s.Conns() {
-		sp, _ := c.Src()
-		dp, _ := c.Dst()
-		seen[pair{sp, dp}] = append(seen[pair{sp, dp}], c)
-	}
-	for _, c := range s.Conns() {
-		sp, _ := c.Src()
-		dp, _ := c.Dst()
-		group := seen[pair{sp, dp}]
-		if len(group) > 1 && group[0] == c { // report once, at the first conn
-			r.Addf("LSE003", Warning, c.SourcePos(), c.String(),
-				"ports %s and %s are wired in parallel %d times; duplicate drivers are usually a spec mistake (delete the extras or route through distinct ports)",
-				sp.FullName(), dp.FullName(), len(group))
-		}
-	}
-}
-
-// passDeadStructure (LSE004) reports instances whose output can never
-// reach a sink: everything they produce circulates or stalls forever.
-// A sink is an instance with no outgoing connections; reachability runs
-// backward from the sinks over the connection graph.
-func passDeadStructure(s *core.Sim, r *Report) {
-	hasConn, reach := sinkReachability(s)
-	for _, inst := range s.Instances() {
-		if _, isComposite := asComposite(inst); isComposite {
-			continue
-		}
-		switch {
-		case !hasConn[inst]:
-			r.Addf("LSE004", Info, posOf(inst), inst.Name(),
-				"instance has no connections: it participates in no handshake")
-		case !reach[inst]:
-			r.Addf("LSE004", Warning, posOf(inst), inst.Name(),
-				"dead structure: no path from %q to any sink — everything it produces circulates or stalls forever", inst.Name())
-		}
-	}
-}
-
-// sinkReachability computes backward reachability from the netlist's
-// sinks (instances with connections but no outgoing ones) over the
-// connection graph, for LSE004.
-func sinkReachability(s *core.Sim) (hasConn map[core.Instance]bool, reach map[core.Instance]bool) {
-	insts := s.Instances()
-	outDeg := make(map[core.Instance]int, len(insts))
-	hasConn = make(map[core.Instance]bool, len(insts))
-	preds := make(map[core.Instance][]core.Instance, len(insts))
-	for _, c := range s.Conns() {
-		sp, _ := c.Src()
-		dp, _ := c.Dst()
-		src, dst := sp.Owner(), dp.Owner()
-		outDeg[src]++
-		hasConn[src], hasConn[dst] = true, true
-		preds[dst] = append(preds[dst], src)
-	}
-	reach = make(map[core.Instance]bool, len(insts))
-	var stack []core.Instance
-	for _, inst := range insts {
-		if _, isComposite := asComposite(inst); isComposite {
-			continue
-		}
-		if hasConn[inst] && outDeg[inst] == 0 {
-			reach[inst] = true
-			stack = append(stack, inst)
-		}
-	}
-	for len(stack) > 0 {
-		inst := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range preds[inst] {
-			if !reach[p] {
-				reach[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return hasConn, reach
 }
 
 // passActivity (LSE007) reports instances whose cluster never closes
@@ -275,24 +166,13 @@ func passActivity(s *core.Sim, r *Report) {
 	}
 }
 
-// passHierarchy (LSE006) checks composite instances: exports that the
-// enclosing netlist never connected, and composites that export nothing
-// (their children are unreachable from outside the capsule).
+// passHierarchy (LSE006) reports composites that export nothing: their
+// children are unreachable from outside the capsule. An export left
+// unbound is LSE001's finding, on the child port it aliases.
 func passHierarchy(s *core.Sim, r *Report) {
 	for _, inst := range s.Instances() {
 		comp, ok := asComposite(inst)
-		if !ok {
-			continue
-		}
-		names := comp.ExportNames()
-		for _, name := range names {
-			p := comp.PortByName(name)
-			if p != nil && p.Width() == 0 {
-				r.Addf("LSE006", Info, posOf(inst), inst.Name(),
-					"composite export %q (alias of %s) is bound to nothing", name, p.FullName())
-			}
-		}
-		if len(names) == 0 {
+		if ok && len(comp.ExportNames()) == 0 {
 			r.Addf("LSE006", Warning, posOf(inst), inst.Name(),
 				"composite exports nothing: its %d child instance(s) cannot be reached from outside", len(comp.Children()))
 		}

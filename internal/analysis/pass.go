@@ -27,14 +27,13 @@ type SpecPass struct {
 }
 
 // The pass sets, in execution order. They are fixed at compile time:
-// AnalyzeSim and AnalyzeSpec read them from any goroutine.
+// AnalyzeSim and Selection.Lint read them from any goroutine.
 var (
 	netlistPasses = []NetlistPass{
 		{Code: "LSE001", Name: "unconnected", Doc: "optional ports left unconnected, with the default-control rule that governs them", Run: passUnconnected},
-		{Code: "LSE002", Name: "cycles", Doc: "combinational cycles via the scheduler's SCC condensation; error when a cycle has no valid break", Run: passCycles},
-		{Code: "LSE003", Name: "handshake", Doc: "handshake-contract misuse: unconditional defaults, unread inputs, duplicate drivers", Run: passHandshake},
-		{Code: "LSE004", Name: "deadcode", Doc: "dead structure: instances with no path to any sink", Run: passDeadStructure},
-		{Code: "LSE006", Name: "hierarchy", Doc: "composite exports bound to nothing", Run: passHierarchy},
+		{Code: "LSE002", Name: "cycles", Doc: "combinational cycles via the scheduler's SCC condensation, with the break site default resolution uses", Run: passCycles},
+		{Code: "LSE003", Name: "handshake", Doc: "handshake-contract misuse: unconditional default enable, inputs acked with no handler to read them", Run: passHandshake},
+		{Code: "LSE006", Name: "hierarchy", Doc: "composites that export nothing", Run: passHierarchy},
 		{Code: "LSE007", Name: "activity", Doc: "reactive handler with no connected input: its cluster never closes, so its reactive members are woken every cycle", Run: passActivity},
 	}
 	specPasses = []SpecPass{
@@ -54,17 +53,6 @@ func AnalyzeSim(s *core.Sim) *Report {
 	r := &Report{}
 	for _, p := range netlistPasses {
 		p.Run(s, r)
-	}
-	r.Sort()
-	return r
-}
-
-// AnalyzeSpec runs every spec pass over a parsed specification and
-// returns the sorted report.
-func AnalyzeSpec(f *lss.File) *Report {
-	r := &Report{}
-	for _, p := range specPasses {
-		p.Run(f, r)
 	}
 	r.Sort()
 	return r

@@ -12,7 +12,7 @@ type Pragmas struct {
 }
 
 // ParsePragmas scans spec source for `lse:ignore` comments. Both comment
-// styles work (`# lse:ignore LSE001` and `// lse:ignore LSE001,LSE004`);
+// styles work (`# lse:ignore LSE001` and `// lse:ignore LSE001,LSE002`);
 // with no codes listed the pragma suppresses every diagnostic it covers.
 func ParsePragmas(file, src string) *Pragmas {
 	p := &Pragmas{file: file, byLine: make(map[int][]string)}

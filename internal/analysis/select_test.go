@@ -9,13 +9,13 @@ import (
 
 // TestSelectPassesRetiredNames: retired pass slugs and codes are unknown
 // names — an error that lists the valid ones, never a silent empty
-// selection — and the live codes LSE001–LSE007 each resolve.
+// selection — and the live codes each resolve.
 func TestSelectPassesRetiredNames(t *testing.T) {
 	names := analysis.PassNames()
 	valid := strings.Join(names, ", ")
 	for _, name := range []string{
-		"payload", "constspill", "consthandshake", "flowdead", "stall", "foldable",
-		"LSE008", "LSE009", "LSE010", "LSE011", "LSE012", "LSE013",
+		"deadcode", "payload", "constspill", "consthandshake", "flowdead", "stall", "foldable",
+		"LSE004", "LSE008", "LSE009", "LSE010", "LSE011", "LSE012", "LSE013",
 	} {
 		sel, err := analysis.SelectPasses([]string{name})
 		if err == nil {
@@ -31,18 +31,18 @@ func TestSelectPassesRetiredNames(t *testing.T) {
 			}
 		}
 	}
-	for _, code := range []string{"LSE001", "LSE002", "LSE003", "LSE004", "LSE005", "LSE006", "LSE007"} {
+	for _, code := range []string{"LSE001", "LSE002", "LSE003", "LSE005", "LSE006", "LSE007"} {
 		if _, err := analysis.SelectPasses([]string{code}); err != nil {
 			t.Errorf("SelectPasses(%q): %v", code, err)
 		}
 	}
 	// LSE000 is no pass to select: a spec that fails to build reports it
 	// whatever the selection.
-	sel, err := analysis.SelectPasses([]string{"LSE004"})
+	sel, err := analysis.SelectPasses([]string{"LSE001"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := sel.Lint("bad.lss", "instance x : nosuch.thing();\n", nil); len(r.Diags) == 0 || r.Diags[0].Code != "LSE000" {
-		t.Errorf("broken spec under -passes LSE004 reported %v, want LSE000", r.Diags)
+		t.Errorf("broken spec under -passes LSE001 reported %v, want LSE000", r.Diags)
 	}
 }

@@ -21,6 +21,9 @@ func (d Dir) String() string {
 
 // PortOpts customizes a port's arity constraints and default control
 // semantics. The zero value gives an optional port with engine defaults.
+// A port's width is the number of its connections, so wiring one port
+// pair n times gives both ports n lanes; the engine applies default
+// control wherever module code leaves a signal unresolved.
 type PortOpts struct {
 	// MinWidth is the minimum number of connections the port must have
 	// after netlist assembly. Leave 0 for a fully optional port (partial
@@ -43,15 +46,6 @@ type PortOpts struct {
 	// control functions: any handshake policy can be expressed without
 	// touching the module that owns the port.
 	Control ControlFn
-	// NoDefault declares that default-control resolution firing on this
-	// port's connections indicates a modeling error: every signal the
-	// port drives must be explicitly resolved by module code each cycle.
-	// The engine still applies defaults at runtime (keeping partial
-	// models runnable), but the static analyzer reports connections that
-	// can only resolve by defaulting here — in particular, a dependency
-	// cycle whose every potential break site is NoDefault has no valid
-	// break and is an error (diagnostic LSE002).
-	NoDefault bool
 }
 
 // ControlFn decides the default resolution of a connection's control

@@ -300,11 +300,11 @@ func ParseSeverity(name string) (Severity, error) { return analysis.ParseSeverit
 
 // WithStrictAnalysis makes Build run every netlist analysis pass after
 // construction and fail with a *StrictAnalysisError when any diagnostic
-// reaches min severity — e.g. WithStrictAnalysis(SeverityError) rejects
-// netlists with unbreakable combinational cycles while tolerating
-// warnings:
+// reaches min severity — e.g. WithStrictAnalysis(SeverityWarning)
+// rejects a netlist with a combinational cycle while tolerating the
+// informational reports (an optional port left unconnected):
 //
-//	sim, err := lse.LoadLSS(src, lse.WithStrictAnalysis(lse.SeverityError))
+//	sim, err := lse.LoadLSS(src, lse.WithStrictAnalysis(lse.SeverityWarning))
 func WithStrictAnalysis(min Severity) BuildOption { return analysis.StrictOption(min) }
 
 // Lint runs the full static-analysis pipeline over one LSS specification
