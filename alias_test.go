@@ -2,10 +2,11 @@ package liberty_test
 
 // alias_test.go pins how the front ends treat what no longer exists: the
 // scheduler names of the deleted engines (levelized, woven, and parallel
-// and partitioned, which were aliases of auto for one release) and the
-// "workers" wire field are rejected — by the parser, by lsc before
-// anything is built, by /v1 before anything is compiled or cached —
-// never aliased, and never a crash.
+// and partitioned, which were aliases of auto for one release), auto
+// itself (a second name of the engine), the strict levels that selected
+// nothing (info, error) and the "workers" wire field are rejected — by
+// the parser, by lsc before anything is built, by /v1 before anything is
+// compiled or cached — never aliased, and never a crash.
 
 import (
 	"bytes"
@@ -20,7 +21,10 @@ import (
 	"liberty/lse"
 )
 
-var removedSchedulerNames = []string{"levelized", "woven", "parallel", "partitioned"}
+var (
+	removedSchedulerNames = []string{"levelized", "woven", "parallel", "partitioned", "auto"}
+	removedStrictLevels   = []string{"info", "error"}
+)
 
 // buildLSC builds cmd/lsc into the test's temporary directory and returns
 // the binary's path.
@@ -34,14 +38,14 @@ func buildLSC(t *testing.T) string {
 }
 
 func TestRemovedEngineAliases(t *testing.T) {
-	const wantMsg = "(want auto, sparse or sequential)"
+	const wantMsg, wantStrictMsg = "(want sparse or sequential)", "(want warning)"
 
 	for _, name := range removedSchedulerNames {
 		if _, err := lse.ParseSchedulerKind(name); err == nil || !strings.Contains(err.Error(), wantMsg) {
 			t.Errorf("ParseSchedulerKind(%q) = %v, want an unknown-scheduler error listing the valid names", name, err)
 		}
 	}
-	for _, name := range []string{"", "auto", "sparse"} {
+	for _, name := range []string{"", "sparse"} {
 		if kind, err := lse.ParseSchedulerKind(name); err != nil || kind != lse.SchedulerSparse {
 			t.Errorf("ParseSchedulerKind(%q) = %v, %v, want the engine", name, kind, err)
 		}
@@ -69,6 +73,15 @@ func TestRemovedEngineAliases(t *testing.T) {
 				t.Errorf("lsc -scheduler %s: exit %d, want 1 with the valid names listed and nothing built:\n%s", name, exit, out)
 			}
 		}
+		for _, level := range removedStrictLevels {
+			exit, out := lsc("-strict", level)
+			if exit != 1 || !strings.Contains(out, wantStrictMsg) || strings.Contains(out, built) {
+				t.Errorf("lsc -strict %s: exit %d, want 1 with the valid level named and nothing built:\n%s", level, exit, out)
+			}
+		}
+		if exit, out := lsc("-strict", "warning"); exit != 0 || !strings.Contains(out, built) {
+			t.Errorf("lsc -strict warning: exit %d, want a built and run simulator:\n%s", exit, out)
+		}
 		// The flag went with the engines it configured.
 		if exit, out := lsc("-workers", "2"); exit == 0 || strings.Contains(out, built) {
 			t.Errorf("lsc -workers 2: exit %d, want a flag error and nothing built:\n%s", exit, out)
@@ -93,18 +106,25 @@ func TestRemovedEngineAliases(t *testing.T) {
 			}
 			return len(list.Programs)
 		}
-		for _, name := range removedSchedulerNames {
+		refused := func(what string, opts lse.ProgramBuildOptions, msg string) {
+			t.Helper()
 			// The spec does not compile: LSD001, not LSD004, shows the
-			// name was refused before any compile.
+			// value was refused before any compile.
 			_, err := client.SubmitProgram(ctx, lse.SubmitProgramRequest{
-				Spec: "instance x : no.such.template();", Options: lse.ProgramBuildOptions{Scheduler: name},
+				Spec: "instance x : no.such.template();", Options: opts,
 			})
 			var apiErr *lse.ServeError
 			if !errorAs(err, &apiErr) || apiErr.Code != lse.ErrorCode("LSD001") || apiErr.Status != http.StatusBadRequest {
-				t.Errorf("scheduler %q answered %v, want LSD001/400", name, err)
-			} else if !strings.Contains(apiErr.Message, wantMsg) {
-				t.Errorf("scheduler %q: message %q does not list the valid names", name, apiErr.Message)
+				t.Errorf("%s answered %v, want LSD001/400", what, err)
+			} else if !strings.Contains(apiErr.Message, msg) {
+				t.Errorf("%s: message %q does not list the valid values", what, apiErr.Message)
 			}
+		}
+		for _, name := range removedSchedulerNames {
+			refused("scheduler "+name, lse.ProgramBuildOptions{Scheduler: name}, wantMsg)
+		}
+		for _, level := range removedStrictLevels {
+			refused("strict "+level, lse.ProgramBuildOptions{Strict: level}, wantStrictMsg)
 		}
 		// "workers" is no longer a field: a body carrying it is a client
 		// error like any other unknown field, never a 500.
@@ -129,6 +149,11 @@ func TestRemovedEngineAliases(t *testing.T) {
 		}
 		if n := cached(); n != 0 {
 			t.Errorf("rejected submissions left %d program(s) in the cache", n)
+		}
+		if _, err := client.SubmitProgram(ctx, lse.SubmitProgramRequest{
+			Spec: serveMeshSpec, Options: lse.ProgramBuildOptions{Strict: "warning"},
+		}); err != nil {
+			t.Errorf(`"strict": "warning" answered %v, want the program compiled`, err)
 		}
 	})
 

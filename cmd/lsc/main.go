@@ -12,11 +12,14 @@
 //
 //	-cycles N      cycles to simulate (default 1000)
 //	-seed N        deterministic random seed (default 0)
-//	-scheduler S   auto | sparse (the engine; two spellings of the
-//	               default) or sequential (the reference)
+//	-scheduler S   sparse (the engine, the default) or sequential (the
+//	               reference)
 //	-schedule      dump the engine's static schedule and cluster plan
 //	               (SCCs, levels, break sites, clusters)
 //	-trace         dump the signal trace to stderr
+//	-dot F         write the netlist as a Graphviz digraph to F
+//	-vcd F         write a VCD waveform of every connection to F
+//	-D name=value  override a top-level let binding (repeatable)
 //	-profile       collect scheduler metrics; print a hot-module report
 //	-cpuprofile F  write a pprof CPU profile of construction and the run to F
 //	-exectrace F   write a runtime execution trace (go tool trace) of the
@@ -25,8 +28,8 @@
 //	-stats-csv F   write the statistics snapshot as CSV to file F
 //	-events N      keep the last N signal events; dump them on exit
 //	-templates     list registered module templates and exit
-//	-strict S      fail construction when static analysis finds
-//	               diagnostics at or above severity S (info|warning|error)
+//	-strict S      S = warning: fail construction when static analysis
+//	               finds a diagnostic at warning severity or above
 //	-metrics-addr  serve the running simulation's live JSON snapshot at
 //	               /metrics on this HTTP address (lse.Server.SetLocal)
 //
@@ -46,44 +49,16 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 
 	"liberty/lse"
 )
 
-// defines collects repeated -D name=value flags.
-type defines map[string]any
-
-func (d defines) String() string { return "" }
-
-func (d defines) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok || name == "" {
-		return fmt.Errorf("want name=value, got %q", s)
-	}
-	if n, err := strconv.ParseInt(val, 0, 64); err == nil {
-		d[name] = n
-		return nil
-	}
-	if f, err := strconv.ParseFloat(val, 64); err == nil {
-		d[name] = f
-		return nil
-	}
-	if b, err := strconv.ParseBool(val); err == nil {
-		d[name] = b
-		return nil
-	}
-	d[name] = val
-	return nil
-}
-
 func main() {
 	cycles := flag.Uint64("cycles", 1000, "cycles to simulate")
 	seed := flag.Int64("seed", 0, "deterministic random seed")
-	scheduler := flag.String("scheduler", "auto", "auto or sparse (the engine) or sequential (the reference)")
+	scheduler := flag.String("scheduler", "sparse", "sparse (the engine) or sequential (the reference)")
 	schedule := flag.Bool("schedule", false, "dump the engine's static schedule and cluster plan to stderr")
 	trace := flag.Bool("trace", false, "dump the signal trace to stderr")
 	dot := flag.String("dot", "", "write the netlist as a Graphviz digraph to this file")
@@ -95,10 +70,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of construction and the run to this file")
 	execTrace := flag.String("exectrace", "", "write a runtime execution trace (go tool trace) of construction and the run to this file")
 	events := flag.Int("events", 0, "keep the last N signal events and dump them to stderr on exit")
-	defs := defines{}
+	defs := lse.Defines{}
 	flag.Var(defs, "D", "override a top-level let binding: -D name=value (repeatable)")
 	listTemplates := flag.Bool("templates", false, "list registered module templates and exit")
-	strict := flag.String("strict", "", "fail construction on diagnostics at or above this severity (info, warning or error)")
+	strict := flag.String("strict", "", "warning: fail construction on a diagnostic at warning severity or above")
 	metricsAddr := flag.String("metrics-addr", "", "serve the live JSON metrics snapshot on this HTTP address while running")
 	flag.Parse()
 
@@ -123,12 +98,10 @@ func main() {
 		info = os.Stderr // keep stdout pure JSON
 	}
 	opts := []lse.BuildOption{lse.WithSeed(*seed)}
-	if *strict != "" {
-		min, err := lse.ParseSeverity(*strict)
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, lse.WithStrictAnalysis(min))
+	if on, err := lse.ParseStrict(*strict); err != nil {
+		fatal(err)
+	} else if on {
+		opts = append(opts, lse.WithStrictAnalysis())
 	}
 	kind, err := lse.ParseSchedulerKind(*scheduler)
 	if err != nil {

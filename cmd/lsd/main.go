@@ -23,6 +23,11 @@
 //	-checkpoint-dir  where parked sessions' checkpoints live
 //	                 (default: a fresh temp directory)
 //
+// A submitted program's options select the engine ("scheduler": "sparse",
+// the default, or "sequential", the reference) and strict analysis
+// ("strict": "warning"); any other value answers 400 LSD001 naming the
+// valid ones, before anything compiles.
+//
 // A quick-start walkthrough with curl lives in the README's "Simulation
 // as a service" section. SIGINT/SIGTERM shut the daemon down gracefully:
 // the listener drains in-flight requests, sessions release their worker

@@ -13,7 +13,8 @@
 //
 //	-json          emit the report as JSON instead of text
 //	-sarif         emit the report as SARIF 2.1.0 (for code-host ingestion)
-//	-D name=value  predefine a top-level binding (repeatable), as lsc -D
+//	-D name=value  predefine a top-level binding (repeatable), parsed as
+//	               lsc -D is (lse.Defines)
 //	-passes a,b    run only the named passes (slugs or LSE codes); an
 //	               unknown name exits 3 with the valid list
 //	-list-passes   list the registered analysis passes and exit
@@ -22,7 +23,10 @@
 // `# lse:ignore [CODE,...]` comment are suppressed.
 //
 // The exit code is the maximum severity found: 0 info/clean, 1 warning,
-// 2 error; 3 reports an operational failure (unreadable input).
+// 2 error; 3 reports an operational failure (unreadable input). A
+// warning is also what fails a build under strict analysis (lsc -strict
+// warning, lse.WithStrictAnalysis); an error is a spec that does not
+// build at all (LSE000).
 package main
 
 import (
@@ -31,46 +35,18 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"liberty/internal/analysis"
-
-	// Register the component libraries' templates so specs elaborate.
-	_ "liberty/lse"
+	"liberty/lse" // its import registers the templates specs elaborate against
 )
-
-type defines map[string]any
-
-func (d defines) String() string { return "" }
-
-func (d defines) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok || name == "" {
-		return fmt.Errorf("want name=value, got %q", s)
-	}
-	if n, err := strconv.ParseInt(val, 0, 64); err == nil {
-		d[name] = n
-		return nil
-	}
-	if f, err := strconv.ParseFloat(val, 64); err == nil {
-		d[name] = f
-		return nil
-	}
-	if b, err := strconv.ParseBool(val); err == nil {
-		d[name] = b
-		return nil
-	}
-	d[name] = val
-	return nil
-}
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
 	sarifOut := flag.Bool("sarif", false, "emit the report as SARIF 2.1.0")
 	passNames := flag.String("passes", "", "comma-separated pass names (slugs or LSE codes) to run; default all")
 	listPasses := flag.Bool("list-passes", false, "list the registered analysis passes and exit")
-	defs := defines{}
+	defs := lse.Defines{}
 	flag.Var(defs, "D", "predefine a top-level binding: -D name=value (repeatable)")
 	flag.Parse()
 

@@ -57,15 +57,15 @@ type pin struct {
 	busy          bool
 }
 
-// planFacts prints what a pin's plan holds of prog's schedule.
-func planFacts(prog *core.Program) string {
-	info, sizes := prog.Schedule(), map[int]int{}
+// planFacts prints what a pin's plan holds of sim's schedule.
+func planFacts(sim *core.Sim) string {
+	info, sizes := sim.Schedule(), map[int]int{}
 	for _, n := range info.ClusterSizes {
 		sizes[n]++
 	}
 	return fmt.Sprintf("%d clusters (largest %d), %d closable, %d never; sizes %v; seeds %d; glue %v; %d cyclic SCCs, breaks %v; of %d conns sweep %d/%d, residue %d/%d",
 		info.Clusters, info.LargestCluster, info.ClosableClusters, info.NoInputClusters, sizes, info.AlwaysActive, info.GlueInstances,
-		info.CyclicSCCs, info.BreakSites, prog.Conns(), info.SweepConns, info.AckSweepConns, info.ResidueConns, info.AckResidueConns)
+		info.CyclicSCCs, info.BreakSites, len(sim.Conns()), info.SweepConns, info.AckSweepConns, info.ResidueConns, info.AckResidueConns)
 }
 
 // models builds the table; every specs/*.lss must have a row.
@@ -521,10 +521,10 @@ func diff(t *testing.T, m model) {
 		t.Skip("benchmark-size runs are too slow under the race detector")
 	}
 	ref, eng := programs(t, m)
-	checkPlan(t, m, eng)
 	k := m.cycles / 2
 	want, snaps := agree(t, m, ref, eng, k)
 	sim, closed := invalidate(t, eng, m, want, k)
+	checkPlan(t, m, sim)
 	if m.plan != "" && !m.busy && sim.Metrics().ClosedClusterCycles() == closed {
 		t.Fatal("no cluster closed again after InvalidateActivity")
 	}
@@ -565,10 +565,10 @@ func diff(t *testing.T, m model) {
 	same(t, "snapshot over /v1 restored locally", want, k, got, false)
 }
 
-// checkPlan holds eng's plan to m's pin.
-func checkPlan(t *testing.T, m model, eng *core.Program) {
+// checkPlan holds the plan of sim, a session of the engine, to m's pin.
+func checkPlan(t *testing.T, m model, sim *core.Sim) {
 	t.Helper()
-	if got := planFacts(eng); m.plan != "" && got != m.plan {
+	if got := planFacts(sim); m.plan != "" && got != m.plan {
 		t.Errorf("%s plan: %s\n  want %s", m.name, got, m.plan)
 	}
 }
@@ -651,7 +651,11 @@ func checkPlans(t *testing.T, names ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPlan(t, m, eng)
+		sim, err := eng.NewSim()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlan(t, m, sim)
 	}
 }
 
@@ -851,7 +855,7 @@ func TestTracerSeesEveryResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	resolutions := 0
-	count := &core.TextTracer{W: io.Discard, Filter: func(*core.Conn) bool { resolutions++; return false }}
+	count := &lse.TextTracer{W: io.Discard, Filter: func(*core.Conn) bool { resolutions++; return false }}
 	every := func(sim *core.Sim) { // before each Step, and after the last
 		if want := 3 * prog.Conns() * int(sim.Now()); resolutions != want {
 			t.Fatalf("by cycle %d the tracer saw %d resolutions, want %d", sim.Now(), resolutions, want)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	_ "liberty/internal/ccl" // register templates
 	core "liberty/internal/core"
 	"liberty/internal/lss"
+	"liberty/internal/obs"
 	_ "liberty/internal/pcl"
 )
 
@@ -445,22 +447,22 @@ instance r : ana.relay(); # lse:ignore LSE007
 	}
 }
 
-// TestStrictBuildFailsOnUnbreakableCycle: no netlist pass reports at
-// error severity, so strict(error) accepts the two-relay ring; its
-// LSE002 warning fails strict(warning) with a *StrictError naming it.
+// TestStrictBuildFailsOnUnbreakableCycle: the two-relay ring's LSE002
+// warning fails the strict build with a *StrictError naming it, although
+// the reference breaks the cycle and the plain build accepts it.
 func TestStrictBuildFailsOnUnbreakableCycle(t *testing.T) {
-	sim, err := lss.LoadFile("cycle.lss", relayRing, nil, analysis.StrictOption(analysis.Error))
+	sim, err := lss.LoadFile("cycle.lss", relayRing, nil)
 	if err != nil {
-		t.Fatalf("strict(error) refused a breakable cycle: %v", err)
+		t.Fatalf("plain build refused a breakable cycle: %v", err)
 	}
 	sim.Close()
-	_, err = lss.LoadFile("cycle.lss", relayRing, nil, analysis.StrictOption(analysis.Warning))
+	_, err = lss.LoadFile("cycle.lss", relayRing, nil, analysis.StrictOption())
 	var se *analysis.StrictError
 	if !errors.As(err, &se) {
-		t.Fatalf("strict(warning) error is %T, want *analysis.StrictError: %v", err, err)
+		t.Fatalf("strict error is %T, want *analysis.StrictError: %v", err, err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"LSE002", "a, b", "breaks it at"} {
+	for _, want := range []string{"at or above warning severity", "LSE002", "a, b", "breaks it at"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("strict error should contain %q:\n%s", want, msg)
 		}
@@ -468,9 +470,9 @@ func TestStrictBuildFailsOnUnbreakableCycle(t *testing.T) {
 }
 
 func TestStrictSeverityThreshold(t *testing.T) {
-	// A tee ring is a combinational cycle, a warning: it passes strict
-	// mode at Error but fails at Warning. The same ring of queues is no
-	// cycle and passes at Warning.
+	// A tee ring is a combinational cycle, a warning: it fails strict
+	// mode. The same ring of queues is no cycle and passes, and so does a
+	// queue left unconnected, an informational finding.
 	ring := `
 instance a : %s;
 instance b : %s;
@@ -478,15 +480,15 @@ a.out -> b.in;
 b.out -> a.in;
 `
 	tees := fmt.Sprintf(ring, "pcl.tee()", "pcl.tee()")
-	if _, err := lss.Load(tees, nil, analysis.StrictOption(analysis.Error)); err != nil {
-		t.Fatalf("breakable cycle should pass strict(error): %v", err)
-	}
-	if _, err := lss.Load(tees, nil, analysis.StrictOption(analysis.Warning)); err == nil {
-		t.Fatal("breakable cycle should fail strict(warning)")
+	if _, err := lss.Load(tees, nil, analysis.StrictOption()); err == nil {
+		t.Fatal("breakable cycle should fail strict analysis")
 	}
 	queues := fmt.Sprintf(ring, "pcl.queue(capacity = 2)", "pcl.queue(capacity = 2)")
-	if _, err := lss.Load(queues, nil, analysis.StrictOption(analysis.Warning)); err != nil {
-		t.Fatalf("a queue ring should pass strict(warning): %v", err)
+	if _, err := lss.Load(queues, nil, analysis.StrictOption()); err != nil {
+		t.Fatalf("a queue ring should pass strict analysis: %v", err)
+	}
+	if _, err := lss.Load("instance lone : pcl.queue(capacity = 1);", nil, analysis.StrictOption()); err != nil {
+		t.Fatalf("an unconnected optional port (info) should pass strict analysis: %v", err)
 	}
 }
 
@@ -593,22 +595,9 @@ func TestReportOrderingAndRenderers(t *testing.T) {
 	}
 }
 
-func TestSeverityParsing(t *testing.T) {
-	for name, want := range map[string]analysis.Severity{
-		"info": analysis.Info, "warning": analysis.Warning,
-		"warn": analysis.Warning, "ERROR": analysis.Error,
-	} {
-		got, err := analysis.ParseSeverity(name)
-		if err != nil || got != want {
-			t.Errorf("ParseSeverity(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := analysis.ParseSeverity("fatal"); err == nil {
-		t.Error("ParseSeverity accepted unknown name")
-	}
-}
-
-func TestScheduleInfoUnconnectedPortsAndDot(t *testing.T) {
+// TestDotAndLSE001AgreeOnUnconnectedPorts: the drawing's dangling stubs
+// and the LSE001 diagnostics name the same ports, in the same order.
+func TestDotAndLSE001AgreeOnUnconnectedPorts(t *testing.T) {
 	src := `
 instance src : pcl.source(count = 5);
 instance q   : pcl.queue(capacity = 2);
@@ -622,18 +611,29 @@ instance lone : pcl.queue(capacity = 1);
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	got := sim.Schedule().UnconnectedPorts
-	want := []string{"lone.in", "lone.out"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("UnconnectedPorts = %v, want %v", got, want)
+	var lse001 []string
+	for _, d := range findCode(analysis.AnalyzeSim(sim), "LSE001") {
+		lse001 = append(lse001, d.Where)
 	}
 	var sb strings.Builder
-	if err := core.WriteDot(&sb, sim); err != nil {
+	if err := obs.WriteDot(&sb, sim); err != nil {
 		t.Fatal(err)
 	}
-	dot := sb.String()
-	if !strings.Contains(dot, "__dangling") || !strings.Contains(dot, "style=dashed") {
-		t.Errorf("DOT output missing dangling-port styling:\n%s", dot)
+	var stubs []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if !strings.Contains(line, "style=dashed") {
+			continue
+		}
+		// "__danglingN" -> "inst" [label="port", ...] or the reverse.
+		f := strings.Split(line, `"`)
+		inst := f[3]
+		if strings.HasPrefix(inst, "__dangling") {
+			inst = f[1]
+		}
+		stubs = append(stubs, inst+"."+f[5])
+	}
+	if want := []string{"lone.in", "lone.out"}; !slices.Equal(lse001, want) || !slices.Equal(stubs, want) {
+		t.Fatalf("LSE001 reports %v and the drawing stubs %v, want both %v", lse001, stubs, want)
 	}
 }
 

@@ -38,19 +38,6 @@ func (s Severity) String() string {
 	return fmt.Sprintf("severity(%d)", int(s))
 }
 
-// ParseSeverity converts a severity name ("info", "warning", "error").
-func ParseSeverity(name string) (Severity, error) {
-	switch strings.ToLower(name) {
-	case "info":
-		return Info, nil
-	case "warning", "warn":
-		return Warning, nil
-	case "error":
-		return Error, nil
-	}
-	return 0, fmt.Errorf("unknown severity %q (want info, warning or error)", name)
-}
-
 // MarshalJSON renders the severity as its name.
 func (s Severity) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 

@@ -39,7 +39,8 @@
 //     passes, `lse:ignore` suppression. What cmd/lslint runs.
 //   - AnalyzeSim: netlist passes only, over an already-built simulator.
 //   - StrictOption (lse.WithStrictAnalysis): a build option that makes
-//     Build fail when any diagnostic reaches a severity threshold.
+//     Build fail when any diagnostic reaches warning severity.
+//     ParseStrict reads the lsc -strict and /v1 "strict" value.
 //
 // Suppression: a spec comment `# lse:ignore LSE001` (or `// lse:ignore`,
 // optionally listing several comma-separated codes, or no codes to ignore

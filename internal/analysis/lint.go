@@ -95,18 +95,17 @@ func errPos(err error) (core.Pos, string) {
 }
 
 // StrictError is the error Build returns under StrictOption when the
-// netlist trips diagnostics at or above the configured severity.
+// netlist trips a diagnostic at warning severity or above.
 type StrictError struct {
-	Min    Severity
-	Report *Report // the full report, including diagnostics below Min
+	Report *Report // the full report, informational diagnostics included
 }
 
 func (e *StrictError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "liberty: strict analysis: %d diagnostic(s) at or above %s severity",
-		e.Report.CountAtLeast(e.Min), e.Min)
+		e.Report.CountAtLeast(Warning), Warning)
 	for _, d := range e.Report.Diags {
-		if d.Severity >= e.Min {
+		if d.Severity >= Warning {
 			b.WriteString("\n\t")
 			b.WriteString(d.String())
 		}
@@ -116,16 +115,31 @@ func (e *StrictError) Error() string {
 
 // StrictOption returns a build option that runs every netlist pass after
 // construction and fails the build with a *StrictError when any
-// diagnostic reaches min severity. Exposed publicly as
+// diagnostic reaches warning severity; informational ones (an optional
+// port left unconnected) pass. Exposed publicly as
 // lse.WithStrictAnalysis. Spec passes and pragma suppression do not
 // apply here — the netlist may not have come from a spec; use LintSource
 // for the full pipeline.
-func StrictOption(min Severity) core.BuildOption {
+func StrictOption() core.BuildOption {
 	return core.WithPostBuildCheck(func(s *core.Sim) error {
 		rep := AnalyzeSim(s)
-		if rep.CountAtLeast(min) > 0 {
-			return &StrictError{Min: min, Report: rep}
+		if rep.CountAtLeast(Warning) > 0 {
+			return &StrictError{Report: rep}
 		}
 		return nil
 	})
+}
+
+// ParseStrict is the one parser behind lsc -strict and the /v1 "strict"
+// field: the empty name (an omitted field) leaves strict analysis off
+// and "warning", its one level, turns it on. Any other name is an error
+// naming the valid one.
+func ParseStrict(name string) (on bool, err error) {
+	switch name {
+	case "":
+		return false, nil
+	case "warning":
+		return true, nil
+	}
+	return false, fmt.Errorf("unknown strict level %q (want warning)", name)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,12 +12,12 @@ import (
 )
 
 // TestLintCorpusGolden pins the diagnostic surface over the golden lint
-// corpus: one minimal spec per code under specs/lint, each asserting the
-// exact codes, severities and anchors the full pipeline emits — including
-// deliberate co-fires (the child of a composite exporting nothing has an
-// unconnected port, LSE001). lse003.lss and lse007.lss use the test-only
-// ana.leaky and ana.relay templates, so the corpus lints in-process here
-// rather than via lslint.
+// corpus: one minimal spec per code, each asserting the exact codes,
+// severities and anchors the full pipeline emits — including deliberate
+// co-fires (the child of a composite exporting nothing has an unconnected
+// port, LSE001). The corpus is specs/lint, which lslint reads too, and
+// testdata/lse003.lss: no shipped template trips LSE003, so that file
+// uses the test-only ana.leaky and lints only here, in-process.
 func TestLintCorpusGolden(t *testing.T) {
 	type want struct {
 		code  string
@@ -24,7 +25,7 @@ func TestLintCorpusGolden(t *testing.T) {
 		where string
 	}
 	cases := map[string][]want{
-		"lse000.lss": {{"LSE000", analysis.Error, "x"}},
+		"lse000.lss": {{"LSE000", analysis.Error, "snk.nope"}},
 		"lse001.lss": {{"LSE001", analysis.Info, "snk.in"}},
 		"lse002.lss": {{"LSE002", analysis.Warning, "t1.out[0]->t2.in[0]"}},
 		"lse003.lss": {
@@ -37,23 +38,26 @@ func TestLintCorpusGolden(t *testing.T) {
 			{"LSE006", analysis.Warning, "b"},
 		},
 		"lse007.lss": {
-			{"LSE001", analysis.Info, "r.in"},
-			{"LSE001", analysis.Info, "r.out"},
-			{"LSE007", analysis.Info, "r"},
+			{"LSE001", analysis.Info, "arb.in"},
+			{"LSE007", analysis.Info, "arb"},
 		},
 	}
 
-	dir := filepath.Join("..", "..", "specs", "lint")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("corpus dir: %v", err)
-	}
+	paths := map[string]string{}
 	var names []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".lss") {
-			names = append(names, e.Name())
+	for _, dir := range []string{filepath.Join("..", "..", "specs", "lint"), "testdata"} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("corpus dir: %v", err)
+		}
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".lss") {
+				paths[e.Name()] = filepath.Join(dir, e.Name())
+				names = append(names, e.Name())
+			}
 		}
 	}
+	slices.Sort(names)
 	if len(names) != len(cases) {
 		t.Errorf("corpus has %d specs, goldens cover %d — add the missing golden entry", len(names), len(cases))
 	}
@@ -64,7 +68,7 @@ func TestLintCorpusGolden(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden entry for %s", name)
 			}
-			path := filepath.Join(dir, name)
+			path := paths[name]
 			src, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

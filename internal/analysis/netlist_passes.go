@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	core "liberty/internal/core"
+	"liberty/internal/obs"
 )
 
 // instanceView is the slice of Base methods the passes need; every
@@ -66,19 +67,12 @@ func defaultRule(p *core.Port) string {
 // passUnconnected (LSE001) reports optional ports left without
 // connections, naming the default-control rule that will govern any
 // connection made to the port — the information a reader needs to decide
-// whether "unconnected" was intentional partial specification.
+// whether "unconnected" was intentional partial specification. The ports
+// are obs.UnconnectedPorts, the ones obs.WriteDot draws as dangling stubs.
 func passUnconnected(s *core.Sim, r *Report) {
-	for _, inst := range s.Instances() {
-		if _, isComposite := asComposite(inst); isComposite {
-			continue
-		}
-		for _, p := range ownPorts(inst) {
-			if p.Width() > 0 || p.Opts().MinWidth > 0 {
-				continue
-			}
-			r.Addf("LSE001", Info, posOf(inst), p.FullName(),
-				"optional %s port unconnected (module adapts to width 0); connections here resolve via %s", p.Dir(), defaultRule(p))
-		}
+	for _, p := range obs.UnconnectedPorts(s) {
+		r.Addf("LSE001", Info, posOf(p.Owner()), p.FullName(),
+			"optional %s port unconnected (module adapts to width 0); connections here resolve via %s", p.Dir(), defaultRule(p))
 	}
 }
 

@@ -237,9 +237,9 @@ func TestMeshDeterminism(t *testing.T) {
 		return total, lat
 	}
 	n1, l1 := run(core.SchedulerSequential)
-	n4, l4 := run(core.SchedulerAuto)
-	if n1 != n4 || l1 != l4 {
-		t.Fatalf("auto run differs from sequential: (%d, %f) vs (%d, %f)", n1, l1, n4, l4)
+	ne, le := run(core.SchedulerSparse)
+	if n1 != ne || l1 != le {
+		t.Fatalf("engine run differs from sequential: (%d, %f) vs (%d, %f)", n1, l1, ne, le)
 	}
 	if n1 == 0 {
 		t.Fatal("nothing delivered")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	core "liberty/internal/core"
+	"liberty/internal/obs"
 )
 
 func build(t *testing.T, wire func(b *core.Builder)) *core.Sim {
@@ -344,7 +345,7 @@ func TestTracerObservesResolutions(t *testing.T) {
 	src := newSource("src")
 	snk := newSink("snk", nil)
 	var sb strings.Builder
-	b := core.NewBuilder(core.WithTracer(&core.TextTracer{W: &sb}))
+	b := core.NewBuilder(core.WithTracer(&obs.TextTracer{W: &sb}))
 	b.Add(src)
 	b.Add(snk)
 	b.Connect(src, "out", snk, "in")

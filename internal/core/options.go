@@ -35,9 +35,6 @@ const (
 	// semantics the engine is held to; select it when debugging a suspected
 	// engine bug.
 	SchedulerSequential
-
-	// SchedulerAuto is the default selection: the engine.
-	SchedulerAuto = SchedulerSparse
 )
 
 func (k SchedulerKind) String() string {
@@ -51,16 +48,16 @@ func (k SchedulerKind) String() string {
 }
 
 // ParseSchedulerKind is the one parser behind lsc -scheduler and the /v1
-// "scheduler" field. The empty name (an omitted wire field), "auto" and
-// "sparse" are the engine; "sequential" is the reference.
+// "scheduler" field. The empty name (an omitted wire field) and "sparse"
+// are the engine; "sequential" is the reference.
 func ParseSchedulerKind(name string) (SchedulerKind, error) {
 	switch name {
-	case "", "auto", "sparse":
+	case "", "sparse":
 		return SchedulerSparse, nil
 	case "sequential":
 		return SchedulerSequential, nil
 	}
-	return 0, fmt.Errorf("unknown scheduler %q (want auto, sparse or sequential)", name)
+	return 0, fmt.Errorf("unknown scheduler %q (want sparse or sequential)", name)
 }
 
 // WithScheduler selects the engine or the reference. Both produce

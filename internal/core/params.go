@@ -12,9 +12,6 @@ import (
 // editing the template.
 type Params map[string]any
 
-// Has reports whether the parameter is present.
-func (p Params) Has(name string) bool { _, ok := p[name]; return ok }
-
 // Int returns the named integer parameter, or def when absent. Integer-
 // typed values of any width are accepted.
 func (p Params) Int(name string, def int) int {
@@ -99,7 +96,7 @@ func Fn[T any](p Params, name string, def T) T {
 		return def
 	}
 	if s, isName := v.(string); isName {
-		r, ok := LookupFn(s)
+		r, ok := fnRegistry.Load(s)
 		if !ok {
 			panic(&ParamError{Param: name, Detail: fmt.Sprintf("no registered function %q", s)})
 		}
@@ -112,22 +109,6 @@ func Fn[T any](p Params, name string, def T) T {
 	return f
 }
 
-// RequireInt returns the named integer parameter or an error when absent.
-func (p Params) RequireInt(name string) (int, error) {
-	if !p.Has(name) {
-		return 0, &ParamError{Param: name, Detail: "required parameter missing"}
-	}
-	return p.Int(name, 0), nil
-}
-
-// RequireStr returns the named string parameter or an error when absent.
-func (p Params) RequireStr(name string) (string, error) {
-	if !p.Has(name) {
-		return "", &ParamError{Param: name, Detail: "required parameter missing"}
-	}
-	return p.Str(name, ""), nil
-}
-
 // Names returns the parameter names in sorted order.
 func (p Params) Names() []string {
 	names := make([]string, 0, len(p))
@@ -136,16 +117,4 @@ func (p Params) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Merge returns a copy of p with overrides applied on top.
-func (p Params) Merge(overrides Params) Params {
-	out := make(Params, len(p)+len(overrides))
-	for k, v := range p {
-		out[k] = v
-	}
-	for k, v := range overrides {
-		out[k] = v
-	}
-	return out
 }

@@ -127,16 +127,6 @@ func (p *Program) Conns() int { return p.nConns }
 // Snapshots embed it so Restore can reject state from a different program.
 func (p *Program) Fingerprint() uint64 { return p.fingerprint }
 
-// Schedule returns a copy of the engine's static-schedule introspection
-// info, or nil when the program was compiled for the reference.
-func (p *Program) Schedule() *ScheduleInfo {
-	if p.schedule == nil {
-		return nil
-	}
-	info := p.schedule.info
-	return &info
-}
-
 // compileProgram compiles the immutable artifacts from an assembled,
 // validated netlist: the structural fingerprint and — for the engine — the
 // static schedule and the cluster plan. Instance ids must already be

@@ -45,11 +45,6 @@ type ScheduleInfo struct {
 	// to the SCC) — the place to add explicit control when a model's
 	// cycle-break behavior matters.
 	BreakSites []string
-	// UnconnectedPorts lists optional ports left without connections, as
-	// "instance.port" names in instance then declaration order — the same
-	// set WriteDot renders as dangling stub edges and the LSE001
-	// diagnostic reports, so all three views agree.
-	UnconnectedPorts []string
 	// Clusters counts the combinational clusters: ClusterSizes has
 	// each one's conn count, in order of the clusters' lowest conn, and
 	// the largest spans LargestCluster conns. ClosableClusters of them are
@@ -125,9 +120,6 @@ func buildSchedule(g *depGraph, instances []Instance, conns []*Conn) *progSchedu
 			info.BreakSites = append(info.BreakSites, c.String())
 		}
 	}
-	for _, p := range unconnectedPorts(instances) {
-		info.UnconnectedPorts = append(info.UnconnectedPorts, p.fullName())
-	}
 	return sc
 }
 
@@ -165,25 +157,6 @@ func cutLevels(n int, level func(id int) int32) (levels [][]int32, residue int) 
 		levels[l], start = slab[start:e:e], e
 	}
 	return levels, residue
-}
-
-// unconnectedPorts returns the optional ports left without connections,
-// in instance then port-declaration order. Composite instances are
-// skipped: their ports alias child ports, which are reported (once) on
-// the owning child.
-func unconnectedPorts(instances []Instance) []*Port {
-	var out []*Port
-	for _, inst := range instances {
-		if _, isComposite := inst.(*Composite); isComposite {
-			continue
-		}
-		for _, p := range inst.base().portList {
-			if p.owner == inst.base() && len(p.conns) == 0 {
-				out = append(out, p)
-			}
-		}
-	}
-	return out
 }
 
 // applyDefaults is the engine's default-control phase: per round (data,

@@ -87,6 +87,3 @@ func RegisterFn(name string, fn any) {
 		panic(&BuildError{Op: "register fn", Where: name, Detail: "duplicate function name"})
 	}
 }
-
-// LookupFn returns the function registered under name.
-func LookupFn(name string) (any, bool) { return fnRegistry.Load(name) }

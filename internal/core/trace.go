@@ -1,10 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"io"
-)
-
 // Tracer observes engine activity, the hook behind interactive system
 // visualization. Tracer methods are called from the goroutine stepping
 // the simulator, never concurrently.
@@ -45,7 +40,7 @@ func (m MultiTracer) OnCycleEnd(n uint64) {
 }
 
 // Attach forwards the post-build netlist to elements that want it (e.g.
-// the VCD tracer's variable definitions).
+// obs.VCDTracer's variable definitions).
 func (m MultiTracer) Attach(s *Sim) {
 	for _, t := range m {
 		if at, ok := t.(interface{ Attach(*Sim) }); ok {
@@ -53,30 +48,3 @@ func (m MultiTracer) Attach(s *Sim) {
 		}
 	}
 }
-
-// TextTracer writes a human-readable signal trace. Filter, when non-nil,
-// selects which connections to log.
-type TextTracer struct {
-	W      io.Writer
-	Filter func(*Conn) bool
-}
-
-// OnCycleBegin implements Tracer.
-func (t *TextTracer) OnCycleBegin(n uint64) {
-	fmt.Fprintf(t.W, "=== cycle %d\n", n)
-}
-
-// OnResolve implements Tracer.
-func (t *TextTracer) OnResolve(c *Conn, k SigKind, s Status) {
-	if t.Filter != nil && !t.Filter(c) {
-		return
-	}
-	if k == SigData && s == Yes {
-		fmt.Fprintf(t.W, "  %s %s=%s (%v)\n", c, k, s, c.dataValue())
-		return
-	}
-	fmt.Fprintf(t.W, "  %s %s=%s\n", c, k, s)
-}
-
-// OnCycleEnd implements Tracer.
-func (t *TextTracer) OnCycleEnd(n uint64) {}

@@ -2,8 +2,10 @@
 // collection hooks the core scheduler exposes (scheduler Metrics, the
 // Tracer callback stream, the StatSet) into things an operator can use —
 // structured ring-buffer event traces with glob filtering, JSON and CSV
-// statistics snapshots (which internal/simd serves live over HTTP), and
-// a per-instance "hot module" report.
+// statistics snapshots (which internal/simd serves live over HTTP), a
+// per-instance "hot module" report, and the offline viewers: a text
+// signal trace (TextTracer), a VCD waveform (VCDTracer) and a Graphviz
+// drawing of the netlist (WriteDot).
 //
 // The statistics document's schema is the Snapshot struct: TakeSnapshot
 // fills it and simd.Client and lse decode it. WriteJSON and WriteCSV do

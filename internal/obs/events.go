@@ -149,3 +149,31 @@ func (t *EventTracer) WriteText(w io.Writer) error {
 	}
 	return nil
 }
+
+// TextTracer writes a human-readable signal trace. Filter, when non-nil,
+// selects which connections to log.
+type TextTracer struct {
+	W      io.Writer
+	Filter func(*core.Conn) bool
+}
+
+// OnCycleBegin implements core.Tracer.
+func (t *TextTracer) OnCycleBegin(n uint64) {
+	fmt.Fprintf(t.W, "=== cycle %d\n", n)
+}
+
+// OnResolve implements core.Tracer.
+func (t *TextTracer) OnResolve(c *core.Conn, k core.SigKind, s core.Status) {
+	if t.Filter != nil && !t.Filter(c) {
+		return
+	}
+	if k == core.SigData && s == core.Yes {
+		v, _ := c.Data()
+		fmt.Fprintf(t.W, "  %s %s=%s (%v)\n", c, k, s, v)
+		return
+	}
+	fmt.Fprintf(t.W, "  %s %s=%s\n", c, k, s)
+}
+
+// OnCycleEnd implements core.Tracer.
+func (t *TextTracer) OnCycleEnd(n uint64) {}

@@ -93,6 +93,37 @@ func TestEventTracerFilters(t *testing.T) {
 	}
 }
 
+func TestWriteDot(t *testing.T) {
+	sim := buildChain(t)
+	var sb strings.Builder
+	if err := obs.WriteDot(&sb, sim); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"digraph liberty", `"src"`, `"snk"`, `"src" -> "q"`, `"q" -> "snk"`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("dot output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestVCDTracerEmitsWaveform(t *testing.T) {
+	var sb strings.Builder
+	sim := buildChain(t, core.WithTracer(obs.NewVCDTracer(&sb)))
+	if err := sim.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"$timescale", "$var wire 2", "c0_data", "c0_enable", "c0_ack",
+		"$enddefinitions", "#0", "#2", "b10 ", // at least one yes-resolution
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("VCD missing %q:\n%s", want, out[:min(len(out), 600)])
+		}
+	}
+}
+
 func TestSnapshotJSONAndCSV(t *testing.T) {
 	sim := buildChain(t)
 	if err := sim.Run(100); err != nil {

@@ -63,8 +63,8 @@ func newRegistry(capacity int, now func() time.Time) *registry {
 
 // programKey hashes a submission into its cache identity: spec text,
 // defines (sorted, with their dynamic types — 1 and "1" are different
-// programs), the scheduler kind the options name — so "", "auto" and
-// "sparse" are one program — and the strictness.
+// programs), the scheduler kind the options name — so "" and "sparse"
+// are one program — and the strictness.
 // The label name is excluded: it only positions error messages.
 func programKey(req *SubmitProgramRequest, kind core.SchedulerKind) string {
 	h := fnv.New64a()

@@ -265,8 +265,8 @@ func TestConcurrentSessions(t *testing.T) {
 
 // TestSchedulerSpellingsShareOneProgram: the program cache is keyed on
 // the kind the options name, not on how they spell it. An omitted
-// scheduler, "auto" and "sparse" are one compiled program, reported as
-// the engine; "sequential" reaches the compiler as the reference — a
+// scheduler and "sparse" are one compiled program, reported as the
+// engine; "sequential" reaches the compiler as the reference — a
 // second program whose sessions stamp and step; an unknown name is
 // LSD001, before any compile.
 func TestSchedulerSpellingsShareOneProgram(t *testing.T) {
@@ -275,7 +275,6 @@ func TestSchedulerSpellingsShareOneProgram(t *testing.T) {
 	var first ProgramInfo
 	for i, o := range []BuildOptions{
 		{},
-		{Scheduler: "auto"},
 		{Scheduler: "sparse"},
 	} {
 		info, err := client.SubmitProgram(ctx, SubmitProgramRequest{Spec: testSpec, Options: o})

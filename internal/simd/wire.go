@@ -22,14 +22,15 @@ import (
 // they are spelled: the same spec submitted with options that select the
 // same engine and strictness shares one cached program.
 type BuildOptions struct {
-	// Scheduler selects the engine — "auto" (default) or "sparse", two
-	// spellings of one kind and one cache entry — or "sequential", the
-	// reference. Any other name is LSD001 before anything compiles.
+	// Scheduler selects the engine — "sparse", or omitted, which is the
+	// same kind and one cache entry — or "sequential", the reference. Any
+	// other name is LSD001 before anything compiles.
 	// ProgramInfo.Scheduler reports the kind compiled; sessions always run
 	// the kind their program was compiled for.
 	Scheduler string `json:"scheduler,omitempty"`
-	// Strict, when set to "info", "warning" or "error", fails compilation
-	// when static analysis finds diagnostics at or above that severity.
+	// Strict, when set to "warning", fails compilation when static
+	// analysis finds a diagnostic at warning severity or above. Any other
+	// non-empty value is LSD001 before anything compiles.
 	Strict string `json:"strict,omitempty"`
 }
 
@@ -41,13 +42,13 @@ func (o BuildOptions) buildOptions() (core.SchedulerKind, []core.BuildOption, er
 	if err != nil {
 		return 0, nil, err
 	}
+	strict, err := analysis.ParseStrict(o.Strict)
+	if err != nil {
+		return 0, nil, err
+	}
 	opts := []core.BuildOption{core.WithScheduler(kind)}
-	if o.Strict != "" {
-		min, err := analysis.ParseSeverity(o.Strict)
-		if err != nil {
-			return 0, nil, err
-		}
-		opts = append(opts, analysis.StrictOption(min))
+	if strict {
+		opts = append(opts, analysis.StrictOption())
 	}
 	return kind, opts, nil
 }

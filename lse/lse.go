@@ -23,7 +23,7 @@
 // # Scheduler selection
 //
 // There is one engine and one reference. The engine (SchedulerSparse,
-// the default; SchedulerAuto is the same value) is statically scheduled —
+// the default) is statically scheduled —
 // at build time the signal dependency graph is condensed into strongly
 // connected components and levelized, so acyclic regions resolve in one
 // deterministic sweep and only what the sweep leaves in or downstream of
@@ -145,7 +145,10 @@
 package lse
 
 import (
+	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"liberty/internal/analysis"
 	core "liberty/internal/core"
@@ -199,8 +202,6 @@ type (
 	Registry = core.Registry
 	// Tracer observes engine activity.
 	Tracer = core.Tracer
-	// TextTracer writes a readable signal trace.
-	TextTracer = core.TextTracer
 	// MultiTracer fans callbacks out to several tracers.
 	MultiTracer = core.MultiTracer
 	// StatSet is the simulator's statistics collection.
@@ -225,6 +226,8 @@ type (
 type (
 	// EventTracer captures structured events into a ring buffer.
 	EventTracer = obs.EventTracer
+	// TextTracer writes a readable signal trace.
+	TextTracer = obs.TextTracer
 	// Event is one structured trace record.
 	Event = obs.Event
 	// Snapshot is a machine-readable statistics/metrics capture.
@@ -283,7 +286,7 @@ type (
 	// and JSON renderers.
 	AnalysisReport = analysis.Report
 	// StrictAnalysisError is the error Build returns under
-	// WithStrictAnalysis when diagnostics reach the configured severity.
+	// WithStrictAnalysis when a diagnostic reaches warning severity.
 	StrictAnalysisError = analysis.StrictError
 )
 
@@ -294,18 +297,18 @@ const (
 	SeverityError   = analysis.Error
 )
 
-// ParseSeverity converts a severity name ("info", "warning", "error")
-// into a Severity.
-func ParseSeverity(name string) (Severity, error) { return analysis.ParseSeverity(name) }
+// ParseStrict converts a strict level into whether strict analysis is
+// on: "" is off, "warning" on (the lsc -strict and /v1 "strict" values).
+func ParseStrict(name string) (bool, error) { return analysis.ParseStrict(name) }
 
 // WithStrictAnalysis makes Build run every netlist analysis pass after
 // construction and fail with a *StrictAnalysisError when any diagnostic
-// reaches min severity — e.g. WithStrictAnalysis(SeverityWarning)
-// rejects a netlist with a combinational cycle while tolerating the
-// informational reports (an optional port left unconnected):
+// reaches warning severity — it rejects a netlist with a combinational
+// cycle while tolerating the informational reports (an optional port
+// left unconnected):
 //
-//	sim, err := lse.LoadLSS(src, lse.WithStrictAnalysis(lse.SeverityWarning))
-func WithStrictAnalysis(min Severity) BuildOption { return analysis.StrictOption(min) }
+//	sim, err := lse.LoadLSS(src, lse.WithStrictAnalysis())
+func WithStrictAnalysis() BuildOption { return analysis.StrictOption() }
 
 // Lint runs the full static-analysis pipeline over one LSS specification
 // — parse, spec passes, build, netlist passes, `lse:ignore` suppression —
@@ -347,15 +350,13 @@ const (
 	// then the reference's default round for the cyclic residue, run each
 	// cycle over the clusters that open.
 	SchedulerSparse = core.SchedulerSparse
-	// SchedulerAuto is the default selection: SchedulerSparse.
-	SchedulerAuto = core.SchedulerAuto
 	// SchedulerSequential is the reference: the demand-driven sequential
 	// fixed point the engine is tested against.
 	SchedulerSequential = core.SchedulerSequential
 )
 
-// ParseSchedulerKind converts a scheduler name into its kind: "auto",
-// "sparse" (and "") are the engine, "sequential" the reference.
+// ParseSchedulerKind converts a scheduler name into its kind: "sparse"
+// (and "") is the engine, "sequential" the reference.
 func ParseSchedulerKind(name string) (SchedulerKind, error) {
 	return core.ParseSchedulerKind(name)
 }
@@ -419,6 +420,32 @@ func LoadLSSWith(src string, defines map[string]any, opts ...BuildOption) (*Sim,
 	return lss.Load(src, defines, opts...)
 }
 
+// Defines collects predefined top-level bindings from repeated -D
+// name=value command-line flags (a flag.Value; lsc and lslint take it).
+// A value is an integer, else a float, else a bool, else a string: the
+// int-then-float precedence the /v1 "defines" field applies too.
+type Defines map[string]any
+
+func (d Defines) String() string { return "" }
+
+// Set parses one name=value.
+func (d Defines) Set(s string) error {
+	name, val, ok := strings.Cut(s, "=")
+	if !ok || name == "" {
+		return fmt.Errorf("want name=value, got %q", s)
+	}
+	if n, err := strconv.ParseInt(val, 0, 64); err == nil {
+		d[name] = n
+	} else if f, err := strconv.ParseFloat(val, 64); err == nil {
+		d[name] = f
+	} else if b, err := strconv.ParseBool(val); err == nil {
+		d[name] = b
+	} else {
+		d[name] = val
+	}
+	return nil
+}
+
 // LoadLSSFile is LoadLSSWith with a source file name: parse errors, build
 // errors and static-analysis diagnostics then carry name:line positions.
 func LoadLSSFile(name, src string, defines map[string]any, opts ...BuildOption) (*Sim, error) {
@@ -460,11 +487,11 @@ func ParseLSS(src string) (*lss.File, error) { return lss.Parse(src) }
 
 // WriteDot renders a simulator's netlist as a Graphviz digraph for
 // structural visualization, returning the first writer error.
-func WriteDot(w io.Writer, s *Sim) error { return core.WriteDot(w, s) }
+func WriteDot(w io.Writer, s *Sim) error { return obs.WriteDot(w, s) }
 
 // NewVCDTracer returns a tracer writing a VCD waveform of every
 // connection's handshake signals.
-func NewVCDTracer(w io.Writer) *core.VCDTracer { return core.NewVCDTracer(w) }
+func NewVCDTracer(w io.Writer) *obs.VCDTracer { return obs.NewVCDTracer(w) }
 
 // NewEventTracer returns a structured event tracer keeping the last
 // capacity signal events; attach it with WithTracer.

@@ -123,14 +123,14 @@ func TestPaperModelsLint(t *testing.T) {
 }
 
 // TestStrictAnalysisAcceptsPaperModels: every paper model builds under
-// lse.WithStrictAnalysis(lse.SeverityWarning). A lint warning on one of
-// them is a false finding, since each runs as the paper describes it.
+// lse.WithStrictAnalysis(). A lint warning on one of them is a false
+// finding, since each runs as the paper describes it.
 func TestStrictAnalysisAcceptsPaperModels(t *testing.T) {
 	for _, m := range paperLintModels(t) {
 		t.Run(m.name, func(t *testing.T) {
-			sim, err := m.build(t, lse.WithStrictAnalysis(lse.SeverityWarning))
+			sim, err := m.build(t, lse.WithStrictAnalysis())
 			if err != nil {
-				t.Fatalf("strict(warning) build: %v", err)
+				t.Fatalf("strict build: %v", err)
 			}
 			defer sim.Close()
 			if n := analysis.AnalyzeSim(sim).CountAtLeast(analysis.Warning); n > 0 {
