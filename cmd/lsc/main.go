@@ -40,6 +40,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -108,16 +109,22 @@ func main() {
 		fatal(err)
 	}
 	opts = append(opts, lse.WithScheduler(kind))
+	// The viewers latch their first write error; lsc checks it after the
+	// run, with the waveform's flush and Close.
+	textTracer := &lse.TextTracer{W: os.Stderr}
 	if *trace {
-		opts = append(opts, lse.WithTracer(&lse.TextTracer{W: os.Stderr}))
+		opts = append(opts, lse.WithTracer(textTracer))
 	}
+	closeVCD := func() error { return nil }
 	if *vcd != "" {
-		vcdFile, err := os.Create(*vcd)
+		f, err := os.Create(*vcd)
 		if err != nil {
 			fatal(err)
 		}
-		defer vcdFile.Close()
-		opts = append(opts, lse.WithTracer(lse.NewVCDTracer(vcdFile)))
+		buf := bufio.NewWriterSize(f, 64<<10)
+		vt := lse.NewVCDTracer(buf)
+		opts = append(opts, lse.WithTracer(vt))
+		closeVCD = func() error { return errors.Join(vt.Err(), buf.Flush(), f.Close()) }
 	}
 	var ev *lse.EventTracer
 	if *events > 0 {
@@ -187,6 +194,9 @@ func main() {
 	runtime.ReadMemStats(&before)
 	runErr := sim.RunContext(ctx, *cycles)
 	stopProfiles()
+	// Flush the waveform before any exit: after a failed run it shows the
+	// cycles that led to the failure.
+	vcdErr := closeVCD()
 	if errors.Is(runErr, context.Canceled) {
 		// Interrupted: report the completed prefix instead of dying —
 		// partial statistics from a long run are still statistics.
@@ -201,6 +211,12 @@ func main() {
 	}
 	if runErr != nil {
 		fatal(runErr)
+	}
+	if err := textTracer.Err(); err != nil {
+		fatal(fmt.Errorf("writing the signal trace: %w", err))
+	}
+	if vcdErr != nil {
+		fatal(fmt.Errorf("writing %s: %w", *vcd, vcdErr))
 	}
 	fmt.Fprintf(info, "simulated %d cycles\n", sim.Now())
 	if n := sim.Now(); n > 0 {

@@ -13,39 +13,49 @@ import (
 )
 
 // TestDocsNameLiveIdentifiers: every back-quoted qualified identifier
-// README.md and DESIGN.md name in one of the repository's own packages —
-// `pkg.Name` or `pkg.Type.Member` — exists in that package's source. A
+// README.md, DESIGN.md and EXPERIMENTS.md name in one of the repository's
+// own packages — `pkg.Name` or `pkg.Type.Member` — exists in that
+// package's source, and every back-quoted `TestX`, `BenchmarkX` or `FuzzX`
+// (up to a "/", a subtest) is declared in one of its test files. A
 // member resolves through the type's methods, fields, embedded types and
 // aliases; the member of a package-level variable or constant is not
 // checked (its type needs type checking).
 func TestDocsNameLiveIdentifiers(t *testing.T) {
-	decls := repoDecls(t)
-	const probe = "`lse.NoSuchName`, `lse.Base.Checkpoint` and `core.Sim.NoSuchMethod`"
-	if dead := strings.Join(deadIdentifiers(decls, probe), ","); dead != "lse.NoSuchName,core.Sim.NoSuchMethod" {
-		t.Fatalf("checker found [%s] in %q, want the two missing identifiers", dead, probe)
+	decls, tests := repoDecls(t)
+	const probe = "`lse.NoSuchName`, `lse.Base.Checkpoint`, `core.Sim.NoSuchMethod`, `TestDocsNameLiveIdentifiers`, `go test -bench 'BenchmarkNoSuch/x'` and `FuzzNoSuch`"
+	if dead := strings.Join(deadIdentifiers(decls, tests, probe), ","); dead != "lse.NoSuchName,core.Sim.NoSuchMethod,BenchmarkNoSuch,FuzzNoSuch" {
+		t.Fatalf("checker found [%s] in %q, want the four missing names", dead, probe)
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range deadIdentifiers(decls, string(src)) {
+		for _, id := range deadIdentifiers(decls, tests, string(src)) {
 			t.Errorf("%s names `%s`, which does not exist", doc, id)
 		}
 	}
 }
 
-// qualifiedRef is a `pkg.Name` or `pkg.Name.Member` inside a code span.
+// qualifiedRef is a `pkg.Name` or `pkg.Name.Member` inside a code span;
+// testRef is a test, benchmark or fuzz target's name.
 var (
 	codeSpan     = regexp.MustCompile("`([^`\n]+)`")
 	qualifiedRef = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
+	testRef      = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)`)
 )
 
 // deadIdentifiers returns the qualified identifiers of the repository's
-// packages that text's code spans name and decls does not declare.
-func deadIdentifiers(decls map[string]*pkgDecls, text string) []string {
-	var dead []string
+// packages that text's code spans name and decls does not declare, then
+// the test names they give that tests does not hold.
+func deadIdentifiers(decls map[string]*pkgDecls, tests map[string]bool, text string) []string {
+	var dead, deadTests []string
 	for _, span := range codeSpan.FindAllStringSubmatch(text, -1) {
+		for _, m := range testRef.FindAllStringSubmatch(span[1], -1) {
+			if !tests[m[1]] {
+				deadTests = append(deadTests, m[1])
+			}
+		}
 		for _, m := range qualifiedRef.FindAllStringSubmatch(span[1], -1) {
 			pkg, name, member := decls[m[1]], m[2], m[3]
 			switch {
@@ -57,7 +67,7 @@ func deadIdentifiers(decls map[string]*pkgDecls, text string) []string {
 			}
 		}
 	}
-	return dead
+	return append(dead, deadTests...)
 }
 
 // pkgDecls is one package's top-level names and, per type, what a
@@ -99,26 +109,39 @@ func hasMember(decls map[string]*pkgDecls, pkg, typ, member string, depth int) b
 }
 
 // repoDecls parses the non-test Go source of every package in the module
-// (commands and examples, package main, excluded).
-func repoDecls(t *testing.T) map[string]*pkgDecls {
+// (commands and examples, package main, excluded), and returns it with
+// the names of the tests, benchmarks and fuzz targets every test file in
+// the repository declares (the bench module's included).
+func repoDecls(t *testing.T) (map[string]*pkgDecls, map[string]bool) {
 	t.Helper()
-	decls := map[string]*pkgDecls{}
+	decls, tests := map[string]*pkgDecls{}, map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "bench") {
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		test := strings.HasSuffix(path, "_test.go")
+		if !test && strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		if f.Name.Name != "main" {
+		switch {
+		case test:
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testRef.MatchString(fn.Name.Name) {
+					tests[fn.Name.Name] = true
+				}
+			}
+		case f.Name.Name != "main":
 			collect(decls, f)
 		}
 		return nil
@@ -126,7 +149,7 @@ func repoDecls(t *testing.T) map[string]*pkgDecls {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls
+	return decls, tests
 }
 
 func collect(decls map[string]*pkgDecls, f *ast.File) {

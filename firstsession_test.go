@@ -70,7 +70,7 @@ func resolvedChanges(vcd string) int {
 // TestVCDFollowsTheRunningSession: the tracer handed to a compile keys its
 // variables by connection id, so it records whichever session of the
 // program is stepped — the one LoadLSS returns, a later stamp, and the one
-// a built lsc runs.
+// a built lsc runs, which fails when it cannot write the waveform.
 func TestVCDFollowsTheRunningSession(t *testing.T) {
 	src, err := os.ReadFile("specs/quickstart.lss")
 	if err != nil {
@@ -105,8 +105,8 @@ func TestVCDFollowsTheRunningSession(t *testing.T) {
 		t.Fatalf("second session traced %d resolved value changes, the first %d", got, first)
 	}
 
-	file := filepath.Join(t.TempDir(), "q.vcd")
-	if out, err := exec.Command(buildLSC(t), "-cycles", "3", "-vcd", file, "specs/quickstart.lss").CombinedOutput(); err != nil {
+	bin, file := buildLSC(t), filepath.Join(t.TempDir(), "q.vcd")
+	if out, err := exec.Command(bin, "-cycles", "3", "-vcd", file, "specs/quickstart.lss").CombinedOutput(); err != nil {
 		t.Fatalf("lsc -vcd: %v\n%s", err, out)
 	}
 	written, err := os.ReadFile(file)
@@ -115,5 +115,24 @@ func TestVCDFollowsTheRunningSession(t *testing.T) {
 	}
 	if got := resolvedChanges(string(written)); got != first {
 		t.Fatalf("lsc -vcd wrote %d resolved value changes, the library %d:\n%s", got, first, written)
+	}
+
+	// A waveform or signal trace lsc cannot write ends the run with exit
+	// status 1, naming the error, not a silent success.
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	defer full.Close()
+	vcd.Reset()
+	run := exec.Command(bin, "-cycles", "5", "-vcd", "/dev/full", "specs/quickstart.lss")
+	run.Stdout, run.Stderr = &vcd, &vcd
+	if err := run.Run(); run.ProcessState.ExitCode() != 1 || !strings.Contains(vcd.String(), "lsc: writing /dev/full:") {
+		t.Errorf("lsc -vcd /dev/full: %v, want exit status 1 and the write error:\n%s", err, vcd.String())
+	}
+	run = exec.Command(bin, "-cycles", "5", "-trace", "specs/quickstart.lss")
+	run.Stderr = full
+	if err := run.Run(); run.ProcessState.ExitCode() != 1 {
+		t.Errorf("lsc -trace with a full stderr: %v, want exit status 1", err)
 	}
 }

@@ -43,8 +43,11 @@ func WriteDot(w io.Writer, s *core.Sim) error {
 	groups := map[string][]core.Instance{}
 	var order []string
 	for _, inst := range s.Instances() {
-		if _, isComposite := inst.(*core.Composite); isComposite {
-			continue // composites are rendered as clusters, not nodes
+		// Composites are rendered as clusters, not nodes. A library
+		// template embeds core.Composite, so it is recognised by the
+		// method the embedding provides, not by its type.
+		if _, isComposite := inst.(interface{ Children() []core.Instance }); isComposite {
+			continue
 		}
 		seg := ""
 		if i := strings.IndexByte(inst.Name(), '/'); i >= 0 {

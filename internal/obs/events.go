@@ -155,11 +155,23 @@ func (t *EventTracer) WriteText(w io.Writer) error {
 type TextTracer struct {
 	W      io.Writer
 	Filter func(*core.Conn) bool
+
+	err error
+}
+
+// Err returns the first error W reported; the tracer writes nothing
+// after it.
+func (t *TextTracer) Err() error { return t.err }
+
+func (t *TextTracer) printf(format string, args ...any) {
+	if t.err == nil {
+		_, t.err = fmt.Fprintf(t.W, format, args...)
+	}
 }
 
 // OnCycleBegin implements core.Tracer.
 func (t *TextTracer) OnCycleBegin(n uint64) {
-	fmt.Fprintf(t.W, "=== cycle %d\n", n)
+	t.printf("=== cycle %d\n", n)
 }
 
 // OnResolve implements core.Tracer.
@@ -169,10 +181,10 @@ func (t *TextTracer) OnResolve(c *core.Conn, k core.SigKind, s core.Status) {
 	}
 	if k == core.SigData && s == core.Yes {
 		v, _ := c.Data()
-		fmt.Fprintf(t.W, "  %s %s=%s (%v)\n", c, k, s, v)
+		t.printf("  %s %s=%s (%v)\n", c, k, s, v)
 		return
 	}
-	fmt.Fprintf(t.W, "  %s %s=%s\n", c, k, s)
+	t.printf("  %s %s=%s\n", c, k, s)
 }
 
 // OnCycleEnd implements core.Tracer.

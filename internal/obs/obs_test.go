@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
+	"os"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	core "liberty/internal/core"
 	"liberty/internal/obs"
 	"liberty/internal/pcl"
+	"liberty/lse"
 )
 
 // buildChain assembles a source → queue → sink pipeline with metrics on
@@ -103,6 +107,89 @@ func TestWriteDot(t *testing.T) {
 	for _, want := range []string{"digraph liberty", `"src"`, `"snk"`, `"src" -> "q"`, `"q" -> "snk"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dot output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestWriteDotDrawsLeavesOnly: mesh.lss's network and its routers are
+// library templates that embed core.Composite. The drawing gives none of
+// them a box: every node it draws has an edge, and every edge joins two
+// drawn nodes or a node and a dangling-port stub.
+func TestWriteDotDrawsLeavesOnly(t *testing.T) {
+	src, err := os.ReadFile("../../specs/mesh.lss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := lse.LoadLSS(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := obs.WriteDot(&sb, sim); err != nil {
+		t.Fatal(err)
+	}
+	node := regexp.MustCompile(`^\s*"([^"]+)";$`)
+	edge := regexp.MustCompile(`^\s*"([^"]+)" -> "([^"]+)" \[`)
+	drawn, linked, edges := map[string]bool{}, map[string]bool{}, 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if m := node.FindStringSubmatch(line); m != nil {
+			drawn[m[1]] = true
+		} else if m := edge.FindStringSubmatch(line); m != nil && !strings.HasPrefix(m[1], "__dangling") && !strings.HasPrefix(m[2], "__dangling") {
+			for _, end := range m[1:] {
+				if !drawn[end] {
+					t.Errorf("edge %s -> %s: %s is no drawn node", m[1], m[2], end)
+				}
+				linked[end] = true
+			}
+			edges++
+		}
+	}
+	if edges != len(sim.Conns()) {
+		t.Errorf("%d edges between instances, want one per conn (%d)", edges, len(sim.Conns()))
+	}
+	for name := range drawn {
+		if !linked[name] {
+			t.Errorf("%s is drawn without an edge", name)
+		}
+	}
+}
+
+// failAfter accepts n bytes, then fails every write; calls counts the
+// writes it is asked for after the first failure.
+type failAfter struct{ n, calls int }
+
+var errDeviceFull = errors.New("device full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n < 0 {
+		f.calls++
+		return 0, errDeviceFull
+	}
+	if len(p) > f.n {
+		k := f.n
+		f.n = -1
+		return k, errDeviceFull
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestTracersLatchWriteErrors: the VCD and text tracers keep the first
+// error their writer returns, report it from Err, and stop writing.
+func TestTracersLatchWriteErrors(t *testing.T) {
+	for _, n := range []int{0, 100} {
+		vw, tw := &failAfter{n: n}, &failAfter{n: n}
+		vcd, text := obs.NewVCDTracer(vw), &obs.TextTracer{W: tw}
+		if err := buildChain(t, core.WithTracer(vcd), core.WithTracer(text)).Run(5); err != nil {
+			t.Fatal(err)
+		}
+		for name, tr := range map[string]interface{ Err() error }{"VCD": vcd, "text": text} {
+			if !errors.Is(tr.Err(), errDeviceFull) {
+				t.Errorf("%s tracer after %d bytes: Err() = %v, want the writer's error", name, n, tr.Err())
+			}
+		}
+		if calls := vw.calls + tw.calls; calls != 0 {
+			t.Errorf("after %d bytes: %d writes after the first error", n, calls)
 		}
 	}
 }

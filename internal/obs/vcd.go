@@ -15,15 +15,19 @@ import (
 // keyed by connection id, which every session of a program shares, so a
 // tracer given to Compile follows whichever session is stepped.
 type VCDTracer struct {
-	w      io.Writer
+	w      *errWriter
 	ids    [][3]string // indexed by Conn.ID()
 	inited bool
 }
 
 // NewVCDTracer writes VCD to w.
 func NewVCDTracer(w io.Writer) *VCDTracer {
-	return &VCDTracer{w: w}
+	return &VCDTracer{w: &errWriter{w: w}}
 }
+
+// Err returns the first error the writer reported; the tracer writes
+// nothing after it.
+func (t *VCDTracer) Err() error { return t.w.err }
 
 // vcdID produces a compact printable identifier for signal n.
 func vcdID(n int) string {

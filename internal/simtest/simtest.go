@@ -129,7 +129,7 @@ func (c *Consumer) Ints(t *testing.T) []int {
 }
 
 // Build finalizes a builder, failing the test on error.
-func Build(t *testing.T, b *core.Builder) *core.Sim {
+func Build(t testing.TB, b *core.Builder) *core.Sim {
 	t.Helper()
 	sim, err := b.Build()
 	if err != nil {
@@ -139,7 +139,7 @@ func Build(t *testing.T, b *core.Builder) *core.Sim {
 }
 
 // Run advances the simulator n cycles, failing the test on error.
-func Run(t *testing.T, s *core.Sim, n uint64) {
+func Run(t testing.TB, s *core.Sim, n uint64) {
 	t.Helper()
 	if err := s.Run(n); err != nil {
 		t.Fatalf("Run(%d): %v", n, err)
