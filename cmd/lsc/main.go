@@ -110,9 +110,13 @@ func main() {
 	}
 	opts = append(opts, lse.WithScheduler(kind))
 	// The viewers latch their first write error; lsc checks it after the
-	// run, with the waveform's flush and Close.
+	// run, with the flushes and the waveform's Close. The signal trace goes
+	// to stderr through a buffer (one write per resolution line is mostly
+	// kernel time), emptied before anything else writes to stderr.
 	textTracer := &lse.TextTracer{W: os.Stderr}
 	if *trace {
+		traceOut = bufio.NewWriterSize(os.Stderr, 64<<10)
+		textTracer.W = traceOut
 		opts = append(opts, lse.WithTracer(textTracer))
 	}
 	closeVCD := func() error { return nil }
@@ -193,6 +197,10 @@ func main() {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	runErr := sim.RunContext(ctx, *cycles)
+	traceErr := textTracer.Err()
+	if err := flushTrace(); traceErr == nil {
+		traceErr = err
+	}
 	stopProfiles()
 	// Flush the waveform before any exit: after a failed run it shows the
 	// cycles that led to the failure.
@@ -212,8 +220,8 @@ func main() {
 	if runErr != nil {
 		fatal(runErr)
 	}
-	if err := textTracer.Err(); err != nil {
-		fatal(fmt.Errorf("writing the signal trace: %w", err))
+	if traceErr != nil {
+		fatal(fmt.Errorf("writing the signal trace: %w", traceErr))
 	}
 	if vcdErr != nil {
 		fatal(fmt.Errorf("writing %s: %w", *vcd, vcdErr))
@@ -302,7 +310,20 @@ func startProfiles(cpuFile, traceFile string) (stop func(), err error) {
 	}, nil
 }
 
+// traceOut buffers the -trace signal trace on its way to stderr; nil
+// without -trace.
+var traceOut *bufio.Writer
+
+// flushTrace writes out what the signal trace has buffered.
+func flushTrace() error {
+	if traceOut == nil {
+		return nil
+	}
+	return traceOut.Flush()
+}
+
 func fatal(err error) {
+	flushTrace()
 	fmt.Fprintln(os.Stderr, "lsc:", err)
 	os.Exit(1)
 }

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"testing"
 
+	"liberty/internal/ccl"
 	core "liberty/internal/core"
 	"liberty/internal/lss"
 	"liberty/internal/pcl"
@@ -40,9 +41,10 @@ type model struct {
 	compile func(opts ...core.BuildOption) (*core.Program, error)
 	spec    string // a spec row's LSS source: the lsd wire path submits it
 	// completed, where set, is the sum of the ".completed" counters the
-	// reference reaches by its last cycle: a benchmark-size row, skipped
-	// under the race detector.
+	// reference reaches by its last cycle.
 	completed int64
+	// slow marks a benchmark-size row, skipped under the race detector.
+	slow bool
 	pin
 }
 
@@ -133,6 +135,8 @@ func models(t testing.TB) []model {
 		// the cycles they take to complete every reference.
 		cmpRow("bench-fig2a", 6445, pin{"112 clusters (largest 37), 112 closable, 0 never; sizes map[1:80 3:16 17:4 26:8 37:4]; seeds 160; glue []; 0 cyclic SCCs, breaks []; of 552 conns sweep 552/552, residue 0/0", "cmp/mesh/l0_e_1", false}, systems.CMPCfg{W: 4, H: 4, RefsPer: 200, Think: 2, SharedPct: 30, Seed: 1}),
 		cmpRow("bench-fig2c", 6890, pin{"64 clusters (largest 37), 64 closable, 0 never; sizes map[1:48 3:8 37:8]; seeds 96; glue []; 0 cyclic SCCs, breaks []; of 368 conns sweep 368/368, residue 0/0", "cmp/mesh/l0_e_1", false}, systems.CMPCfg{W: 4, H: 2, RefsPer: 400, Think: 2, SharedPct: 30, Torus: true, Seed: 1}),
+		sweepRow(0.5, pin{"352 clusters (largest 35), 352 closable, 0 never; sizes map[1:288 15:4 24:24 35:36]; seeds 576; glue []; 0 cyclic SCCs, breaks []; of 2184 conns sweep 2184/2184, residue 0/0", "net/l0_e_1", false}),
+		sweepRow(0.95, pin{"352 clusters (largest 35), 352 closable, 0 never; sizes map[1:288 15:4 24:24 35:36]; seeds 576; glue []; 0 cyclic SCCs, breaks []; of 2184 conns sweep 2184/2184, residue 0/0", "net/l0_e_1", false}),
 	)
 }
 
@@ -141,7 +145,35 @@ func cmpRow(name string, cycles uint64, p pin, cfg systems.CMPCfg) model {
 		_, err := systems.BuildCMP(b, "cmp", cfg)
 		return err
 	})
-	m.completed = int64(cfg.W * cfg.H * cfg.RefsPer)
+	m.completed, m.slow = int64(cfg.W*cfg.H*cfg.RefsPer), true
+	return m
+}
+
+// sweepRow is the orion sweep's netlist (ccl.SweepProgram: the 8×8 mesh,
+// a uniform packet source and a sink per node) with every source at rate,
+// for 300 cycles: at 0.5 and 0.95 the loaded cycles the engine's wake
+// rules and drain order are for.
+func sweepRow(rate float64, p pin) model {
+	m := recipe(fmt.Sprintf("sweep-8x8-%g", rate), 300, 1000, p, func(b *core.Builder) error {
+		nw, err := ccl.BuildMesh(b, "net", ccl.MeshCfg{W: 8, H: 8})
+		for i := 0; err == nil && i < nw.Nodes; i++ {
+			var src *pcl.Source
+			var snk *pcl.Sink
+			src, err = pcl.NewSource(fmt.Sprintf("src%d", i), core.Params{
+				"rate": rate, "gen": ccl.PacketGen(i, nw.Nodes, ccl.UniformPattern, ccl.FixedSize(4)),
+			})
+			if err == nil {
+				snk, err = pcl.NewSink(fmt.Sprintf("snk%d", i), nil)
+			}
+			if err == nil {
+				b.Add(src)
+				b.Add(snk)
+				err = errors.Join(nw.ConnectSource(b, i, src, "out"), nw.ConnectSink(b, i, snk, "in"))
+			}
+		}
+		return err
+	})
+	m.slow = true
 	return m
 }
 
@@ -517,7 +549,7 @@ func invalidate(t *testing.T, eng *core.Program, m model, want run, k uint64) (*
 
 // diff runs one model through every configuration and path.
 func diff(t *testing.T, m model) {
-	if m.completed != 0 && raceEnabled {
+	if m.slow && raceEnabled {
 		t.Skip("benchmark-size runs are too slow under the race detector")
 	}
 	ref, eng := programs(t, m)

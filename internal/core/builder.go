@@ -227,6 +227,7 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	for i, inst := range s.instances {
 		base := inst.base()
 		base.attach(s, i)
+		base.scheduled = base.react == nil // never woken
 		s.bases[i] = base
 	}
 	if p.sparse != nil {
@@ -234,9 +235,6 @@ func (b *Builder) Build(opts ...BuildOption) (*Sim, error) {
 	}
 	for _, c := range s.conns {
 		c.sim = s
-		if p.sparse != nil {
-			c.cluster = p.sparse.clusterOf[c.id]
-		}
 	}
 	s.bindLanes()
 	// Tracers that need the finished netlist (e.g. the VCD tracer's

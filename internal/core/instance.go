@@ -32,7 +32,7 @@ type Base struct {
 	start      func()
 	end        func()
 	sequential bool       // no same-cycle path between ports: a dependency-graph node per port
-	scheduled  bool       // queued for react
+	scheduled  bool       // queued for react; set for good when there is no react (Build)
 	declared   bool       // Checkpoint was called; state holds its fields, if any
 	rs         rngState   // the instance's random stream: the word Snapshot saves
 	rng        *rand.Rand // draws from rs

@@ -8,9 +8,17 @@ package core
 // template may switch between the two forms freely.
 
 // bindLanes fills every connected port's lane table from the session's
-// connections: a lane's plane slot is its connection's id. Every conn
-// sits on exactly two ports: the tables are cut from two slabs per
+// connections: a lane's plane slot is its connection's id, and its peer
+// the instance a resolution of the signals the port drives wakes. Every
+// conn sits on exactly two ports: the tables are cut from two slabs per
 // session, not allocated per port.
+//
+// An Out port drives data and enable, observed by the receiver; an In
+// port drives ack, observed by the sender — except, under the engine, a
+// MarkSequential sender: its react may make no call on an Out port
+// (vetlse's sequential pass), so an ack is nothing its react can read,
+// and the lane wakes nobody. The reference wakes every observer, so a
+// template that breaks its mark makes the two disagree.
 func (s *Sim) bindLanes() {
 	slots := make([]int32, 2*len(s.conns))
 	peers := make([]*Base, 2*len(s.conns))
@@ -28,12 +36,19 @@ func (s *Sim) bindLanes() {
 		if c.dstIdx == 0 {
 			cut(c.dst)
 		}
-		// An Out port drives data and enable, observed by the receiver; an
-		// In port drives ack, observed by the sender.
+		sender := c.src.owner
+		if sender.sequential && s.schedule != nil {
+			sender = &noObserver
+		}
 		c.src.slots[c.srcIdx], c.src.peers[c.srcIdx] = int32(c.id), c.dst.owner
-		c.dst.slots[c.dstIdx], c.dst.peers[c.dstIdx] = int32(c.id), c.src.owner
+		c.dst.slots[c.dstIdx], c.dst.peers[c.dstIdx] = int32(c.id), sender
 	}
 }
+
+// noObserver is the peer of a lane whose resolutions wake nobody: like
+// every instance with no reactive handler, it reads as scheduled for good,
+// so wake returns at once.
+var noObserver = Base{scheduled: true}
 
 // quiet is the one definition of a fused resolution. For each lane j in
 // [lo, hi), ascending, it is exactly
@@ -41,22 +56,20 @@ func (s *Sim) bindLanes() {
 //	k == SigData: if p.DataStatus(j) == Unknown { p.SendNothing(j); p.Disable(j) }
 //	k == SigAck:  if p.AckStatus(j) == Unknown { p.Nack(j) }
 //
-// With no tracer attached, called legally (right direction, write phase,
-// lanes in range), the guards are hoisted out of the loop and each
-// resolution is a store into the plane lane plus the bookkeeping
-// Conn.resolve does: the resolved count and one wake of the observing
-// instance (the enable resolution's second wake of the same instance is a
-// no-op: nothing ran in between to unschedule it).
-// Every other call runs the loop above verbatim, so tracers see each
+// Called legally (see Port.lane) with no tracer attached, the guards are
+// hoisted out of the loop and each lane goes straight to the lane table;
+// every other call runs the loop above verbatim, so tracers see each
 // resolution in lane order and an illegal call raises the single-lane
 // operation's contract error at the lane it would have.
 func (p *Port) quiet(k SigKind, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	s := p.sim
-	if s == nil || s.tracer != nil || !s.writable ||
-		(p.dir == Out) != (k == SigData) || lo < 0 || hi > len(p.slots) {
+	d := Out
+	if k == SigAck {
+		d = In
+	}
+	if !p.lane(d, lo) || hi > len(p.slots) {
 		for j := lo; j < hi; j++ {
 			if k == SigAck {
 				if p.AckStatus(j) == Unknown {
@@ -69,24 +82,11 @@ func (p *Port) quiet(k SigKind, lo, hi int) {
 		}
 		return
 	}
-	lane, enable := s.plane.lanes[k], s.plane.lanes[SigEnable]
-	for i, slot := range p.slots[lo:hi] {
-		j := lo + i
-		if lane[slot] != uint32(Unknown) {
-			continue
+	s := p.sim
+	for j := lo; j < hi; j++ {
+		if s.resolve(k, p.slots[j], No, p.peers[j]) == Unknown && k == SigData {
+			p.drive(SigEnable, No, j)
 		}
-		lane[slot] = uint32(No)
-		s.resolved[k]++
-		s.wake(p.peers[j])
-		if k == SigAck {
-			continue
-		}
-		if prev := Status(enable[slot]); prev != Unknown {
-			p.conns[j].checkReRaise(SigEnable, prev, No)
-			continue
-		}
-		enable[slot] = uint32(No)
-		s.resolved[SigEnable]++
 	}
 }
 

@@ -11,10 +11,14 @@ import (
 // that: a case is decoded from bytes into a netlist, per-cycle lane
 // states and one operation per cycle; twin sessions run it, one calling
 // the fused operation and one the literal loop, and everything
-// observable must agree — statuses, data, resolution counts, the wake
-// queue, metrics, tracer events, react order, and the contract error an
-// illegal call raises. TestLaneOpsEquivalence feeds it pseudo-random
-// cases over widths {0, 1, 5, 65}; FuzzLaneOps feeds it the fuzzer's.
+// observable must agree — statuses, data, resolution counts, both wake
+// queues, metrics, tracer events, react order, and the contract error an
+// illegal call raises. The six single-lane drives are operations too, and
+// every operation is also held to the *Conn path: an untraced session
+// (whose legal drives go straight to the lane table) and a traced one
+// (whose drives all take Conn.raise) must agree on everything but the
+// tracer's own lines. TestLaneOpsEquivalence feeds it pseudo-random cases
+// over widths {0, 1, 5, 65}; FuzzLaneOps feeds it the fuzzer's.
 
 // Literal definitions: what each fused operation stands for.
 
@@ -87,6 +91,14 @@ const (
 	laneOpCountOffers
 	laneOpNextOffered
 	laneOpNextTransferred
+	// The single-lane drives, on lane lo; fused and literal are the same
+	// call.
+	laneOpSend
+	laneOpSendNothing
+	laneOpEnable
+	laneOpDisable
+	laneOpAck
+	laneOpNack
 	laneOps
 )
 
@@ -158,6 +170,18 @@ func runLaneOp(p *Port, op, lo, hi int, fused bool) string {
 			visited = append(visited, i)
 		}
 		return fmt.Sprint(visited)
+	case laneOpSend:
+		p.Send(lo, 300+lo)
+	case laneOpSendNothing:
+		p.SendNothing(lo)
+	case laneOpEnable:
+		p.Enable(lo)
+	case laneOpDisable:
+		p.Disable(lo)
+	case laneOpAck:
+		p.Ack(lo)
+	case laneOpNack:
+		p.Nack(lo)
 	}
 	return ""
 }
@@ -231,6 +255,7 @@ func decodeLaneCase(width int, src *byteSrc) *laneCase {
 type laneRig struct {
 	cs    *laneCase
 	fused bool
+	full  bool // sweep every cycle in full, as a traced session does
 	sim   *Sim
 	hub   *laneHub
 	log   strings.Builder
@@ -282,8 +307,12 @@ func (r *laneRig) capture() {
 			fmt.Fprintf(&r.log, "=%v", v)
 		}
 	}
-	fmt.Fprintf(&r.log, "\n resolved %v queue", s.resolved)
+	fmt.Fprintf(&r.log, "\n resolved %v spill %d queue", s.resolved, s.spillHits)
 	for _, b := range s.queue[s.qhead:] {
+		fmt.Fprintf(&r.log, " %s", b.name)
+	}
+	fmt.Fprintf(&r.log, " acks")
+	for _, b := range s.acks {
 		fmt.Fprintf(&r.log, " %s", b.name)
 	}
 	m := s.metrics
@@ -446,6 +475,9 @@ func (r *laneRig) run() string {
 		}()
 	}
 	for range r.cs.cycles {
+		if r.full {
+			r.sim.InvalidateActivity()
+		}
 		err := r.sim.Step()
 		fmt.Fprintf(&r.log, "step: %v\n", err)
 		for _, c := range r.sim.conns {
@@ -463,19 +495,46 @@ func checkLaneCase(t testing.TB, cs *laneCase, d laneDiscipline) [lanePhases]int
 	t.Helper()
 	fused := buildLaneRig(t, cs, d, true)
 	literal := buildLaneRig(t, cs, d, false)
-	got, want := fused.run(), literal.run()
-	if got != want {
-		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-		for i := range gl {
-			if i >= len(wl) || gl[i] != wl[i] {
-				lo := max(0, i-6)
-				t.Fatalf("%s, width %d: fused and literal twins diverge at log line %d\nfused:\n%s\nliteral:\n%s",
-					d.name, cs.width, i, strings.Join(gl[lo:i+1], "\n"), strings.Join(wl[lo:min(i+1, len(wl))], "\n"))
-			}
-		}
-		t.Fatalf("%s, width %d: fused log is a prefix of the literal log", d.name, cs.width)
-	}
+	sameLogs(t, fmt.Sprintf("%s, width %d", d.name, cs.width), "fused", "literal", fused.run(), literal.run())
 	return fused.fires
+}
+
+// sameLogs fails t at the first line where the got log differs from the
+// want log, showing the lines before it.
+func sameLogs(t testing.TB, what, gotName, wantName, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			lo := max(0, i-6)
+			t.Fatalf("%s: %s and %s diverge at log line %d\n%s:\n%s\n%s:\n%s", what, gotName, wantName, i,
+				gotName, strings.Join(gl[lo:i+1], "\n"), wantName, strings.Join(wl[lo:min(i+1, len(wl))], "\n"))
+		}
+	}
+	t.Fatalf("%s: the %s log is a prefix of the %s log", what, gotName, wantName)
+}
+
+// checkConnPath runs the case untraced and traced under one scheduler:
+// the untraced session's legal drives take the lane table, the traced
+// one's take Conn.raise. Apart from the tracer's own lines, and with the
+// untraced session sweeping in full as the traced one does, the two logs
+// must be the same.
+func checkConnPath(t testing.TB, cs *laneCase, d laneDiscipline) {
+	t.Helper()
+	fast := buildLaneRig(t, cs, d, true)
+	fast.full = true
+	d.tracer = true
+	conn := buildLaneRig(t, cs, d, true)
+	var kept []string
+	for _, l := range strings.Split(conn.run(), "\n") {
+		if !strings.HasPrefix(l, " resolve c") {
+			kept = append(kept, l)
+		}
+	}
+	sameLogs(t, fmt.Sprintf("%s, width %d", d.name, cs.width), "lane table", "Conn", fast.run(), strings.Join(kept, "\n"))
 }
 
 func TestLaneOpsEquivalence(t *testing.T) {
@@ -495,6 +554,9 @@ func TestLaneOpsEquivalence(t *testing.T) {
 					}
 					cs := decodeLaneCase(width, &byteSrc{b: buf})
 					f := checkLaneCase(t, cs, d)
+					if !d.tracer {
+						checkConnPath(t, cs, d)
+					}
 					for i := range fires {
 						fires[i] += f[i]
 					}
@@ -511,7 +573,8 @@ func TestLaneOpsEquivalence(t *testing.T) {
 
 // TestLaneOpsContractErrors pins the four illegal calls by name: each
 // raises, from the fused operation, the contract error its first
-// offending single-lane call raises.
+// offending single-lane call raises, and from a single-lane drive the
+// same error on the lane-table path as on the Conn path.
 func TestLaneOpsContractErrors(t *testing.T) {
 	u5 := []Status{Unknown, Unknown, Unknown, Unknown, Unknown}
 	quietCycle := laneCycle{outData: u5, outEnable: u5, inOffer: u5, inAck: u5, op: laneOpCountOffers}
@@ -533,14 +596,71 @@ func TestLaneOpsContractErrors(t *testing.T) {
 		{name: "lane out of range",
 			cy:   laneCycle{outData: u5, outEnable: u5, inOffer: u5, inAck: u5, op: laneOpNackLanes, onIn: true, lo: 3, hi: 6},
 			want: "port has width 5"},
+		{name: "drive: re-raise to a different status",
+			cy:   laneCycle{outData: u5, outEnable: []Status{Unknown, Unknown, Yes, Unknown, Unknown}, inOffer: u5, inAck: u5, op: laneOpDisable, lo: 2},
+			want: "already resolved to yes, cannot re-raise to no"},
+		{name: "drive: re-raise data to a different status",
+			cy:   laneCycle{outData: []Status{No, Unknown, Unknown, Unknown, Unknown}, outEnable: u5, inOffer: u5, inAck: u5, op: laneOpSend},
+			want: "already resolved to no, cannot re-raise to yes"},
+		{name: "drive: write outside the phase", outside: true,
+			cy:   laneCycle{outData: u5, outEnable: u5, inOffer: u5, inAck: u5, op: laneOpAck, onIn: true, lo: 1},
+			want: "signals may be driven only during cycle-start or reactive phases"},
+		{name: "drive: wrong direction",
+			cy:   laneCycle{outData: u5, outEnable: u5, inOffer: u5, inAck: u5, op: laneOpSend, onIn: true},
+			want: "not allowed on an in port"},
+		{name: "drive: lane out of range",
+			cy:   laneCycle{outData: u5, outEnable: u5, inOffer: u5, inAck: u5, op: laneOpNack, onIn: true, lo: 5},
+			want: "port has width 5"},
 	} {
 		cs := &laneCase{width: 5, outside: tc.outside, cycles: []laneCycle{tc.cy, quietCycle}}
 		for _, d := range laneDisciplines {
 			checkLaneCase(t, cs, d)
+			if !d.tracer {
+				checkConnPath(t, cs, d)
+			}
 			r := buildLaneRig(t, cs, d, true)
 			if log := r.run(); !strings.Contains(log, tc.want) {
 				t.Errorf("%s, %s: fused operation did not raise %q:\n%s", tc.name, d.name, tc.want, log)
 			}
+		}
+	}
+}
+
+// TestLaneDrivesUnbound: a drive on a port whose instance was never
+// built has no lane table and raises the contract error it always did —
+// "port not attached" on a port with no connection, "connection not
+// attached" on one wired into a netlist that was not built.
+func TestLaneDrivesUnbound(t *testing.T) {
+	b := NewBuilder()
+	r := &laneRig{cs: &laneCase{}}
+	hub, peer, lone := newLaneHub(r), newLanePeer(r, 0), newLaneHub(r)
+	b.Add(hub)
+	b.Add(peer)
+	b.Connect(hub, "out", peer, "in")
+	b.Connect(peer, "out", hub, "in")
+	for _, tc := range []struct {
+		name string
+		out  *Port
+		in   *Port
+		want string
+	}{
+		{"no connection", lone.out, lone.in, "port not attached to a simulator"},
+		{"not built", hub.out, hub.in, "connection not attached to a simulator"},
+	} {
+		for _, op := range []int{laneOpSend, laneOpSendNothing, laneOpEnable, laneOpDisable, laneOpAck, laneOpNack} {
+			p := tc.out
+			if op >= laneOpAck {
+				p = tc.in
+			}
+			func() {
+				defer func() {
+					ce, ok := recover().(*ContractError)
+					if !ok || !strings.Contains(ce.Error(), tc.want) {
+						t.Errorf("%s: op %d raised %v, want a ContractError saying %q", tc.name, op, ce, tc.want)
+					}
+				}()
+				runLaneOp(p, op, 0, 0, true)
+			}()
 		}
 	}
 }
@@ -556,15 +676,18 @@ func FuzzLaneOps(f *testing.F) {
 		if width == 9 {
 			width = 65
 		}
-		// The selector keeps its four-way split so the checked-in corpus
-		// decodes to the cases it always did. Its fourth value selected a
-		// multi-worker discipline (removed with the engines it exercised);
-		// it now selects the engine's untraced one.
+		// The selector keeps its four-way split. Its fourth value selected
+		// a multi-worker discipline (removed with the engines it
+		// exercised); it now selects the engine's untraced one.
 		di := sel / 10 % 4
 		if di == 3 {
 			di = 1 // residue: the engine, no tracer
 		}
 		d := laneDisciplines[di]
-		checkLaneCase(t, decodeLaneCase(width, src), d)
+		cs := decodeLaneCase(width, src)
+		checkLaneCase(t, cs, d)
+		if !d.tracer {
+			checkConnPath(t, cs, d)
+		}
 	})
 }

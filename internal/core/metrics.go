@@ -46,8 +46,10 @@ func (m *Metrics) Cycles() uint64 { return m.cycles }
 
 // Wakes returns the number of reactive wake-ups scheduled: how many times
 // a signal resolution (or the cycle-start broadcast) moved an instance
-// from idle to the work queue. Re-raising at an already-scheduled
-// instance does not count.
+// from idle to a work queue. Re-raising at an already-scheduled instance
+// does not count. A wake is counted when it leaves the queue — run, or
+// dropped because its clusters closed or the cycle aborted — so the count
+// is exact at every cycle boundary, where the queues are empty.
 func (m *Metrics) Wakes() uint64 { return m.wakes }
 
 // Reacts returns the total number of reactive-handler invocations.

@@ -66,11 +66,12 @@ type Port struct {
 
 	// Lane view, bound once at Build (see bindLanes; DESIGN.md Appendix
 	// J): what "lane i of this port" means in the session's signal plane,
-	// so a handler's access is one table read instead of a walk through
-	// *Conn and *Sim. All three stay zero on a port with no connections.
+	// so a handler's read or drive is one table access instead of a walk
+	// through *Conn and *Sim. All three stay zero on a port with no
+	// connections.
 	sim   *Sim
 	slots []int32 // lane -> plane slot (the connection's id)
-	peers []*Base // lane -> instance observing the signals this port drives
+	peers []*Base // lane -> instance a resolution of the signals this port drives wakes
 }
 
 // Name returns the port's name within its instance.
@@ -102,9 +103,9 @@ func (p *Port) fullName() string {
 	return p.owner.name + "." + p.name
 }
 
-// check and mustDir guard every port access; their failure paths live in
-// separate functions so the guards themselves stay small enough for the
-// compiler to inline into the hot Send/Enable/Ack/Status methods.
+// check and mustDir guard Conn and the drives that lane turns away; their
+// failure paths live in separate functions so the guards themselves stay
+// small enough to inline.
 func (p *Port) check(i int) int {
 	if uint(i) >= uint(len(p.conns)) {
 		p.badIndex(i)
@@ -127,6 +128,24 @@ func (p *Port) badIndex(i int) {
 	}
 	contractPanic("index", fmt.Sprintf("%s[%d]", p.fullName(), i),
 		fmt.Sprintf("port has width %d", len(p.conns)))
+}
+
+// lane reports whether a drive of lane i in direction d may go straight
+// to the lane table: the port is bound, the session is in a write phase
+// with no tracer attached, the direction is right and the lane in range.
+// Every other drive takes its connection's raise, which reports to the
+// tracer, or raises the contract error the call has always raised.
+func (p *Port) lane(d Dir, i int) bool {
+	s := p.sim
+	return s != nil && s.direct && p.dir == d && uint(i) < uint(len(p.slots))
+}
+
+// drive resolves lane i's kind-k signal to st through the lane table (a
+// legal call: see lane) — the connection's raise without the tracer hop.
+func (p *Port) drive(k SigKind, st Status, i int) {
+	if prev := p.sim.resolve(k, p.slots[i], st, p.peers[i]); prev != Unknown {
+		p.conns[i].checkReRaise(k, prev, st)
+	}
 }
 
 func (p *Port) mustDir(d Dir, op string) {
@@ -156,12 +175,20 @@ func (p *Port) EnableStatus(i int) Status { return p.sim.status(SigEnable, p.slo
 
 // Ack accepts the datum offered on connection i this cycle.
 func (p *Port) Ack(i int) {
+	if p.lane(In, i) {
+		p.drive(SigAck, Yes, i)
+		return
+	}
 	p.mustDir(In, "ack")
 	p.conns[p.check(i)].raise(SigAck, Yes, nil)
 }
 
 // Nack refuses the datum offered on connection i this cycle.
 func (p *Port) Nack(i int) {
+	if p.lane(In, i) {
+		p.drive(SigAck, No, i)
+		return
+	}
 	p.mustDir(In, "nack")
 	p.conns[p.check(i)].raise(SigAck, No, nil)
 }
@@ -170,24 +197,42 @@ func (p *Port) Nack(i int) {
 
 // Send offers v on connection i this cycle.
 func (p *Port) Send(i int, v any) {
+	if p.lane(Out, i) {
+		if prev := p.sim.offer(p.slots[i], v, p.peers[i]); prev != Unknown {
+			p.conns[i].checkReRaise(SigData, prev, Yes)
+		}
+		return
+	}
 	p.mustDir(Out, "send")
-	p.conns[p.check(i)].raiseData(v)
+	p.conns[p.check(i)].raise(SigData, Yes, v)
 }
 
 // SendNothing resolves connection i's data signal to Nothing.
 func (p *Port) SendNothing(i int) {
+	if p.lane(Out, i) {
+		p.drive(SigData, No, i)
+		return
+	}
 	p.mustDir(Out, "send nothing")
 	p.conns[p.check(i)].raise(SigData, No, nil)
 }
 
 // Enable commits that the data offered on connection i is firm.
 func (p *Port) Enable(i int) {
+	if p.lane(Out, i) {
+		p.drive(SigEnable, Yes, i)
+		return
+	}
 	p.mustDir(Out, "enable")
 	p.conns[p.check(i)].raise(SigEnable, Yes, nil)
 }
 
 // Disable withdraws the data offered on connection i.
 func (p *Port) Disable(i int) {
+	if p.lane(Out, i) {
+		p.drive(SigEnable, No, i)
+		return
+	}
 	p.mustDir(Out, "disable")
 	p.conns[p.check(i)].raise(SigEnable, No, nil)
 }

@@ -371,7 +371,8 @@ func testStepAbort(t *testing.T, kind SchedulerKind, foreign bool) string {
 		t.Fatalf("%s: aborted cycle left the session in its write phase", kind)
 	}
 	for _, base := range sim.bases {
-		if base.scheduled {
+		// An instance with no reactive handler reads as scheduled for good.
+		if base.react != nil && base.scheduled {
 			t.Fatalf("%s: %s left scheduled after the aborted cycle", kind, base.name)
 		}
 	}

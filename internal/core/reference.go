@@ -34,7 +34,7 @@ func (s *Sim) stepReference() {
 	// that observes it (resolve, signal.go).
 	s.setPhase(phaseReact)
 	for _, b := range s.bases {
-		s.wake(b)
+		s.wake(SigData, b)
 	}
 	s.settle()
 
@@ -71,7 +71,7 @@ func (s *Sim) stepReference() {
 // settle re-establishes the reactive fixed point, counting the pass as one
 // fixed-point iteration when any handler had to run.
 func (s *Sim) settle() {
-	ran := s.qhead < len(s.queue)
+	ran := s.queued()
 	s.drain()
 	if m := s.metrics; m != nil && ran {
 		m.iters++

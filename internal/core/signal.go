@@ -46,12 +46,11 @@ func (p *sigPlane) clearStatus() { clear(p.cells) }
 // simulator's signal plane. Conn values are created by the Builder;
 // module code observes and drives them through Port methods.
 type Conn struct {
-	id      int
-	src     *Port // output side
-	dst     *Port // input side
-	srcIdx  int   // index of this connection on src
-	dstIdx  int   // index of this connection on dst
-	cluster int32 // combinational cluster under the sparse scheduler (set at Build)
+	id     int
+	src    *Port // output side
+	dst    *Port // input side
+	srcIdx int   // index of this connection on src
+	dstIdx int   // index of this connection on dst
 
 	sim *Sim
 	pos Pos // spec position of the connect statement, if known
@@ -99,10 +98,10 @@ func (c *Conn) status(k SigKind) Status { return c.sim.status(k, int32(c.id)) }
 // status reads the kind-k status cell of the connection with the given id.
 func (s *Sim) status(k SigKind, id int32) Status { return Status(s.plane.lanes[k][id]) }
 
-// checkWrite validates that driving a signal is legal right now — the
-// write-phase guard for every signal-drive entry point (raise, raiseData).
-// One flag load on the hot path; the failure path is split out so the
-// guard inlines.
+// checkWrite validates that driving a signal is legal right now — raise's
+// write-phase guard (a drive through the lane table is legal by the time
+// it gets there: Port.lane). The failure path is split out so the guard
+// inlines.
 func (c *Conn) checkWrite() {
 	if s := c.sim; s == nil || !s.writable {
 		c.badWrite()
@@ -117,66 +116,67 @@ func (c *Conn) badWrite() {
 		"signals may be driven only during cycle-start or reactive phases")
 }
 
-// raise resolves signal k to status s (with value v when k is SigData).
-// It returns true when this call performed the resolution. Raising an
+// raise resolves signal k to status s (with value v when k is SigData)
+// — the drive path of the tracer, of a port with no lane table and of an
+// illegal call, and the path default control takes. Raising an
 // already-resolved signal to the same status is a no-op; to a different
 // status it is a contract violation.
-func (c *Conn) raise(k SigKind, s Status, v any) bool {
+func (c *Conn) raise(k SigKind, s Status, v any) {
 	c.checkWrite()
 	if s == Unknown {
 		contractPanic("raise "+k.String(), c.String(), "cannot raise a signal to Unknown")
 	}
-	if k == SigData && s == Yes {
-		return c.raiseData(v)
-	}
-	return c.resolve(k, s)
-}
-
-// raiseData resolves the data signal to Yes carrying v.
-func (c *Conn) raiseData(v any) bool {
-	c.checkWrite()
-	c.sim.plane.data[c.id] = v
-	if c.offer() {
-		c.sim.spillHits++
-		return true
-	}
-	return false
-}
-
-// offer resolves the data signal to Yes, telling the sparse scheduler
-// that the connection's cluster carries data this cycle — the one
-// per-offer cost of activity gating, which is why a busy cluster needs no
-// scan to be known busy.
-func (c *Conn) offer() bool {
-	if !c.resolve(SigData, Yes) {
-		return false
-	}
-	if a := c.sim.act; a != nil {
-		a.offered[c.cluster] = c.sim.stamp()
-	}
-	return true
-}
-
-// resolve performs the status transition for signal k: the data lane
-// store (done by the caller) must precede this call, so a handler that
-// sees the status sees the value.
-func (c *Conn) resolve(k SigKind, s Status) bool {
 	sim := c.sim
-	cell := &sim.plane.lanes[k][c.id]
-	if prev := Status(*cell); prev != Unknown {
-		c.checkReRaise(k, prev, s)
-		return false
-	}
-	*cell = uint32(s)
-	sim.resolved[k]++
-	sim.onResolve(c, k, s)
-	// Wake the endpoint that observes this signal.
+	p, i := c.src, c.srcIdx // the driving port: data and enable flow downstream
 	if k == SigAck {
-		sim.wake(c.src.owner)
-	} else {
-		sim.wake(c.dst.owner)
+		p, i = c.dst, c.dstIdx
 	}
-	return true
+	var prev Status
+	if k == SigData && s == Yes {
+		prev = sim.offer(int32(c.id), v, p.peers[i])
+	} else {
+		prev = sim.resolve(k, int32(c.id), s, p.peers[i])
+	}
+	if prev != Unknown {
+		c.checkReRaise(k, prev, s)
+		return
+	}
+	sim.onResolve(c, k, s)
+}
+
+// resolve is the one definition of a resolution, on lane slot's kind-k
+// signal: if the cell is still Unknown, the status store, the resolution
+// count and the wake of obs, the instance bound to observe the signal
+// (bindLanes). It returns the cell's previous status: Unknown when this
+// call resolved it; otherwise the caller checks the re-raise. A data Yes
+// goes through offer.
+func (s *Sim) resolve(k SigKind, slot int32, st Status, obs *Base) Status {
+	cell := &s.plane.lanes[k][slot]
+	prev := Status(*cell)
+	if prev == Unknown {
+		*cell = uint32(st)
+		s.resolved[k]++
+		s.wake(k, obs)
+	}
+	return prev
+}
+
+// offer is resolve for a data Yes carrying v. The value store precedes
+// the status store, so a handler that sees the status sees the value. The
+// resolution also tells the sparse scheduler that the connection's
+// cluster carries data this cycle — the one per-offer cost of activity
+// gating, which is why a busy cluster needs no scan to be known busy —
+// and counts a spill hit.
+func (s *Sim) offer(slot int32, v any, obs *Base) Status {
+	s.plane.data[slot] = v
+	prev := s.resolve(SigData, slot, Yes, obs)
+	if prev == Unknown {
+		s.spillHits++
+		if a := s.act; a != nil {
+			a.offered[s.sparse.clusterOf[slot]] = s.stamp()
+		}
+	}
+	return prev
 }
 
 // checkReRaise enforces single assignment on an already-resolved signal:

@@ -22,7 +22,7 @@ const (
 // remaining signals, and state commits. Two loops implement that cycle:
 // the reference (reference.go) and the engine (stepEngine below, over
 // schedule.go and sparse.go); they share the signal plane, the wake/drain
-// queue, applyDefault and verifyResolved.
+// queues, applyDefault and verifyResolved.
 //
 // A Sim has one writer (DESIGN.md Appendix C.1, H): it is stepped, read
 // and snapshotted by one goroutine at a time, so its signal plane, work
@@ -55,9 +55,11 @@ type Sim struct {
 
 	phase phase
 	// writable mirrors phase ∈ {phaseStart, phaseReact} as one flag so
-	// mustWritePhase — the guard on every signal write — is a single
-	// load-and-branch that inlines. Maintained by setPhase only.
+	// checkWrite is a single load-and-branch that inlines; direct is
+	// writable with no tracer attached, the one flag a drive through the
+	// lane table loads (Port.lane). Both maintained by setPhase only.
 	writable bool
+	direct   bool
 	cycle    uint64
 
 	// released is set at commit and cleared at the top of the next Step:
@@ -81,8 +83,13 @@ type Sim struct {
 	// skipped. Reset each Step.
 	resolved [3]int
 
-	queue []*Base // work queue (FIFO by wake order)
+	// The work queues (drain). queue holds the wakes by data and enable
+	// resolutions and the react-phase broadcast, FIFO; acks holds the
+	// wakes by ack resolutions under the engine, LIFO. The reference
+	// queues every wake in queue.
+	queue []*Base
 	qhead int
+	acks  []*Base
 }
 
 // Close ends the session. It is the session-end hook every owner calls
@@ -143,55 +150,88 @@ func (s *Sim) onResolve(c *Conn, k SigKind, st Status) {
 	}
 }
 
-// setPhase moves the simulator to phase p, keeping the writable mirror
-// flag (read by mustWritePhase on every signal write) in sync.
+// setPhase moves the simulator to phase p, keeping the writable and
+// direct mirror flags in sync.
 func (s *Sim) setPhase(p phase) {
 	s.phase = p
 	s.writable = p == phaseStart || p == phaseReact
+	s.direct = s.writable && s.tracer == nil
 }
 
-// wake schedules an instance's reactive handler. b is never nil: every
-// caller passes a built instance's Base (connection endpoints and the
-// instance list are fixed at Build). The already-scheduled early-out
-// inlines into resolve's path — the common case on busy netlists, where
-// every resolution wakes an endpoint — as one load instead of a call.
-func (s *Sim) wake(b *Base) {
-	if b.react == nil || b.scheduled {
+// wake schedules an instance's reactive handler on a resolution of a
+// kind-k signal it observes (the react-phase broadcast passes SigData). b
+// is never nil: every caller passes a built instance's Base or the lane
+// table's noObserver. An instance with no reactive handler reads as
+// scheduled for good (Build), so the early-out — the common case on busy
+// netlists, where every resolution wakes an endpoint — is one load.
+func (s *Sim) wake(k SigKind, b *Base) {
+	if b.scheduled {
 		return
 	}
-	s.wakeSlow(b)
+	s.enqueue(k, b)
 }
 
-func (s *Sim) wakeSlow(b *Base) {
+// enqueue puts b on the work queue its wake goes to: under the engine an
+// ack wake joins the ack stack, every other wake the queue.
+func (s *Sim) enqueue(k SigKind, b *Base) {
 	b.scheduled = true
-	if m := s.metrics; m != nil {
-		m.wakes++
+	if k == SigAck && s.schedule != nil {
+		s.acks = append(s.acks, b)
+	} else {
+		s.queue = append(s.queue, b)
 	}
-	s.queue = append(s.queue, b)
 }
 
-// drain runs the reactive fixed point: queued handlers run in wake
-// order, and the instances their resolutions wake join the tail, until
-// the queue is empty.
+// drain runs the reactive fixed point: handlers woken by offers (data,
+// enable) run in wake order, and the instances their resolutions wake join
+// the tail; only when that queue is empty does an ack wake run, newest
+// first. An ack travels upstream, so the newest ack wake is the one
+// nearest the acks' origin, and running it first resolves the acks its
+// upstream neighbours wait for before they run (DESIGN.md Appendix J.2).
+// Whatever the order, the monotone single-assignment fixed point is the
+// same (DESIGN.md §5); the order decides only how often a handler re-runs
+// to reach it.
 func (s *Sim) drain() {
-	for s.qhead < len(s.queue) {
-		b := s.queue[s.qhead]
-		s.qhead++
+	for {
+		var b *Base
+		if s.qhead < len(s.queue) {
+			b = s.queue[s.qhead]
+			s.qhead++
+		} else if n := len(s.acks); n > 0 {
+			s.queue, s.qhead = s.queue[:0], 0
+			b = s.acks[n-1]
+			s.acks = s.acks[:n-1]
+		} else {
+			break
+		}
 		b.scheduled = false
 		s.runReact(b)
 	}
-	s.queue = s.queue[:0]
-	s.qhead = 0
+	s.queue, s.qhead = s.queue[:0], 0
 }
 
-// runReact invokes one reactive handler, recording invocation counts and
-// sampled wall time when metrics are enabled.
+// unschedule forgets a wake of b that will not run — its clusters closed,
+// or the cycle aborted — once the caller has taken it off its queue, and
+// counts it as runReact counts the wakes that do run.
+func (s *Sim) unschedule(b *Base) {
+	b.scheduled = false
+	if m := s.metrics; m != nil {
+		m.wakes++
+	}
+}
+
+// queued reports whether a handler is waiting in either work queue.
+func (s *Sim) queued() bool { return s.qhead < len(s.queue) || len(s.acks) > 0 }
+
+// runReact invokes one reactive handler, recording the wake it consumed,
+// invocation counts and sampled wall time when metrics are enabled.
 func (s *Sim) runReact(b *Base) {
 	m := s.metrics
 	if m == nil {
 		b.react()
 		return
 	}
+	m.wakes++
 	m.reacts++
 	im := &m.insts[b.id]
 	if im.reacts++; im.reacts&reactSampleMask != 1 {
@@ -283,10 +323,12 @@ func (s *Sim) Step() (err error) {
 			// anything still queued, or those instances would be skipped
 			// by every future wake.
 			for _, b := range s.queue[s.qhead:] {
-				b.scheduled = false
+				s.unschedule(b)
 			}
-			s.queue = s.queue[:0]
-			s.qhead = 0
+			for _, b := range s.acks {
+				s.unschedule(b)
+			}
+			s.queue, s.qhead, s.acks = s.queue[:0], 0, s.acks[:0]
 			// The cycle aborted mid-resolution; the plane holds a partial
 			// state no replay may build on.
 			s.needFull = true
@@ -338,7 +380,7 @@ func (s *Sim) stepEngine() {
 	s.setPhase(phaseReact)
 	if full {
 		for _, b := range s.bases {
-			s.wake(b)
+			s.wake(SigData, b)
 		}
 	} else {
 		s.wakeOpen()

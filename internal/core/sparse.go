@@ -411,21 +411,14 @@ func (s *Sim) wakeOpen() {
 		s.resolved[SigAck] += int(cr[SigAck])
 	}
 	if !s.actCheck && a.nClosed > 0 {
-		keep := s.queue[:0]
-		for _, b := range s.queue {
-			if a.open[b.id] >= stamp {
-				keep = append(keep, b)
-			} else {
-				b.scheduled = false
-			}
-		}
-		s.queue = keep
+		s.queue = s.keepOpen(s.queue, stamp)
+		s.acks = s.keepOpen(s.acks, stamp)
 	}
 	woken := 0
 	for _, id := range sp.reactive {
 		if s.actCheck || a.open[id] >= stamp {
 			woken++
-			s.wake(s.bases[id])
+			s.wake(SigData, s.bases[id])
 		}
 	}
 	if m := s.metrics; m != nil {
@@ -434,6 +427,20 @@ func (s *Sim) wakeOpen() {
 		m.closedClusters += uint64(a.nClosed)
 		m.closedConns += uint64(a.closedConns)
 	}
+}
+
+// keepOpen drops from a start-phase work queue the instances all of whose
+// clusters closed this cycle; the rest keep their order.
+func (s *Sim) keepOpen(q []*Base, stamp uint64) []*Base {
+	keep := q[:0]
+	for _, b := range q {
+		if s.act.open[b.id] >= stamp {
+			keep = append(keep, b)
+		} else {
+			s.unschedule(b)
+		}
+	}
+	return keep
 }
 
 // settleClusters runs when a steady cycle has fully resolved: pending

@@ -490,3 +490,48 @@ func TestActivityCheckCatchesLyingTemplates(t *testing.T) {
 		t.Fatalf("Now()-driven ack from OnCycleStart under check mode: %v", err)
 	}
 }
+
+// TestBrokenMarkDiverges: under the engine an ack wakes no MarkSequential
+// sender — the mark says its react reads no Out port — while the
+// reference wakes every observer. A relay that offers at cycle start and
+// acks its input as its output is acked, between a source that offers
+// and enables at cycle start and a sink that refuses, breaks the mark if
+// it has one: nothing but the refusal would wake it again, so the
+// reference wakes it and it nacks, while under the engine default control
+// acks. The first signal that differs is one the relay drives. Unmarked,
+// the two agree.
+func TestBrokenMarkDiverges(t *testing.T) {
+	for _, lie := range []bool{false, true} {
+		var sims [2]*core.Sim
+		for i, kind := range []core.SchedulerKind{core.SchedulerSequential, core.SchedulerSparse} {
+			r := newRelay("r", lie)
+			r.OnCycleStart(func() {
+				r.out.Send(0, 1)
+				r.out.Enable(0)
+			})
+			refuse := newSink("k", func(uint64, int) bool { return false })
+			sims[i] = buildChain(t, []core.BuildOption{core.WithScheduler(kind)}, newSource("src"), r, refuse)
+			if err := sims[i].Run(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		driver := ""
+	diff:
+		for id, c := range sims[0].Conns() {
+			for _, k := range []core.SigKind{core.SigData, core.SigEnable, core.SigAck} {
+				if c.Status(k) == sims[1].Conns()[id].Status(k) {
+					continue
+				}
+				p, _ := c.Src()
+				if k == core.SigAck {
+					p, _ = c.Dst()
+				}
+				driver = p.Owner().Name()
+				break diff
+			}
+		}
+		if want := map[bool]string{true: "r"}[lie]; driver != want {
+			t.Errorf("relay marked=%v: the engine first differs from the reference on a signal %q drives, want %q", lie, driver, want)
+		}
+	}
+}

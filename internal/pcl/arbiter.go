@@ -28,7 +28,12 @@ type Arbiter struct {
 	// grants[j] is the input granted on out conn j this cycle. Scratch of
 	// the reactive handler, valid only while out lane 0 is resolved: the
 	// decision resolves it, and every new cycle — also the one after a
-	// Step that aborted mid-cycle — starts with it Unknown.
+	// Step that aborted mid-cycle — starts with it Unknown. Out lane 0
+	// reading Yes proves the decision was made this cycle (only this
+	// handler drives Out data, and default control never resolves data to
+	// Yes), so a re-react then skips the rescan of the requests; a No
+	// proves nothing, as a default round may set it while requests are
+	// still unsettled.
 	grants []int
 
 	// scratch buffers reused across reactive invocations
@@ -109,30 +114,32 @@ func (a *Arbiter) react() {
 		a.In.NackRest()
 		return
 	}
-	// The decision needs every request known; until then, stay quiet
-	// (monotonicity forbids changing a published grant).
-	reqs, settled := a.In.Offers(a.reqs)
-	a.reqs = reqs
-	if !settled {
-		return
-	}
-	n := len(reqs)
-	if a.Out.DataStatus(0) == core.Unknown {
-		a.grants = a.grants[:0]
-		order := a.pick(reqs, a.last)
-		for _, i := range order {
-			if i < 0 || i >= n || reqs[i] == nil || granted0(a.grants, i) {
-				continue
-			}
-			if len(a.grants) == a.Out.Width() {
-				break
-			}
-			j := len(a.grants)
-			a.grants = append(a.grants, i)
-			a.Out.Send(j, reqs[i])
-			a.Out.Enable(j)
+	n := a.In.Width()
+	if a.Out.DataStatus(0) != core.Yes {
+		// The decision needs every request known; until then, stay quiet
+		// (monotonicity forbids changing a published grant).
+		reqs, settled := a.In.Offers(a.reqs)
+		a.reqs = reqs
+		if !settled {
+			return
 		}
-		a.Out.IdleLanes(len(a.grants), a.Out.Width())
+		if a.Out.DataStatus(0) == core.Unknown {
+			a.grants = a.grants[:0]
+			order := a.pick(reqs, a.last)
+			for _, i := range order {
+				if i < 0 || i >= n || reqs[i] == nil || granted0(a.grants, i) {
+					continue
+				}
+				if len(a.grants) == a.Out.Width() {
+					break
+				}
+				j := len(a.grants)
+				a.grants = append(a.grants, i)
+				a.Out.Send(j, reqs[i])
+				a.Out.Enable(j)
+			}
+			a.Out.IdleLanes(len(a.grants), a.Out.Width())
+		}
 	}
 	// Mirror downstream acks back to the granted inputs and nack the rest,
 	// in ascending input order: each pass nacks up to the next granted

@@ -138,6 +138,12 @@ type Route struct {
 	Out *core.Port
 
 	route RouteFn
+	// sent is the out lane the reactive handler offered the input on this
+	// cycle. Scratch, valid only while that lane's data reads Yes: only
+	// this handler drives Out data, and default control never resolves
+	// data to Yes, so a Yes proves the decision was made this cycle, and a
+	// re-react skips the route function and the idling of the other lanes.
+	sent int
 }
 
 // NewRoute constructs a router stage. Parameters:
@@ -171,20 +177,23 @@ func (r *Route) react() {
 		r.In.NackRest()
 		return
 	}
-	n := r.Out.Width()
-	dest := r.route(r.In.Data(0))
-	if dest < 0 || dest >= n {
-		panic(&core.ContractError{Op: "route", Where: r.Name(),
-			Detail: fmt.Sprintf("route function returned %d, out width is %d", dest, n)})
+	if r.Out.DataStatus(r.sent) != core.Yes {
+		n := r.Out.Width()
+		dest := r.route(r.In.Data(0))
+		if dest < 0 || dest >= n {
+			panic(&core.ContractError{Op: "route", Where: r.Name(),
+				Detail: fmt.Sprintf("route function returned %d, out width is %d", dest, n)})
+		}
+		r.sent = dest
+		r.Out.IdleLanes(0, dest)
+		if r.Out.DataStatus(dest) == core.Unknown {
+			r.Out.Send(dest, r.In.Data(0))
+			r.Out.Enable(dest)
+		}
+		r.Out.IdleLanes(dest+1, n)
 	}
-	r.Out.IdleLanes(0, dest)
-	if r.Out.DataStatus(dest) == core.Unknown {
-		r.Out.Send(dest, r.In.Data(0))
-		r.Out.Enable(dest)
-	}
-	r.Out.IdleLanes(dest+1, n)
 	if !r.In.AckStatus(0).Known() {
-		switch r.Out.AckStatus(dest) {
+		switch r.Out.AckStatus(r.sent) {
 		case core.Yes:
 			r.In.Ack(0)
 		case core.No:

@@ -669,3 +669,33 @@ func TestArbiterAbortedCycleLeaksNoGrant(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueReactsOncePerCycle: a queue is MarkSequential and its react
+// reads only its In port, so under the engine the ack on its Out port
+// wakes nobody. Fed every cycle, each queue of a queue → queue → consumer
+// chain reacts exactly once per cycle: on the offer at its input.
+func TestQueueReactsOncePerCycle(t *testing.T) {
+	const cycles = 60
+	prod := simtest.NewProducer("prod", simtest.IntSeq(2*cycles))
+	q1 := mustQueue(t, "q1", core.Params{"capacity": 2})
+	q2 := mustQueue(t, "q2", core.Params{"capacity": 2})
+	cons := simtest.NewConsumer("cons", nil)
+	b := core.NewBuilder(core.WithMetrics())
+	b.Add(prod)
+	b.Add(q1)
+	b.Add(q2)
+	b.Add(cons)
+	b.Connect(prod, "out", q1, "in")
+	b.Connect(q1, "out", q2, "in")
+	b.Connect(q2, "out", cons, "in")
+	sim := simtest.Build(t, b)
+	simtest.Run(t, sim, cycles)
+	if got := len(cons.Ints(t)); got != cycles-2 {
+		t.Fatalf("consumer took %d items in %d cycles, want %d", got, cycles, cycles-2)
+	}
+	for _, im := range sim.Metrics().Instances() {
+		if (im.Name == "q1" || im.Name == "q2") && im.Reacts != cycles {
+			t.Errorf("%s reacted %d times in %d cycles, want once per cycle", im.Name, im.Reacts, cycles)
+		}
+	}
+}
