@@ -179,7 +179,7 @@ func sweepRow(rate float64, p pin) model {
 
 func lssRow(name, src string, defines map[string]any, cycles uint64, p pin) model {
 	m := model{name: name, cycles: cycles, pin: p, compile: func(opts ...core.BuildOption) (*core.Program, error) {
-		return lse.CompileLSSWith(src, defines, append(opts, lse.WithSeed(1), lse.WithMetrics())...)
+		return lse.CompileLSSFile("", src, defines, append(opts, lse.WithSeed(1), lse.WithMetrics())...)
 	}}
 	if defines == nil {
 		m.spec = src

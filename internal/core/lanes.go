@@ -56,20 +56,17 @@ var noObserver = Base{scheduled: true}
 //	k == SigData: if p.DataStatus(j) == Unknown { p.SendNothing(j); p.Disable(j) }
 //	k == SigAck:  if p.AckStatus(j) == Unknown { p.Nack(j) }
 //
-// Called legally (see Port.lane) with no tracer attached, the guards are
-// hoisted out of the loop and each lane goes straight to the lane table;
-// every other call runs the loop above verbatim, so tracers see each
-// resolution in lane order and an illegal call raises the single-lane
-// operation's contract error at the lane it would have.
+// A legal call (every lane's drive would pass Port.drive's guard) hoists
+// the guard out of the loop and resolves each lane through the lane
+// table, reporting to the tracer as drive does; an illegal one runs the
+// loop above verbatim, so it raises the single-lane operation's contract
+// error at the lane it would have.
 func (p *Port) quiet(k SigKind, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	d := Out
-	if k == SigAck {
-		d = In
-	}
-	if !p.lane(d, lo) || hi > len(p.slots) {
+	s := p.sim
+	if s == nil || !s.writable || p.dir != k.driver() || lo < 0 || hi > len(p.slots) {
 		for j := lo; j < hi; j++ {
 			if k == SigAck {
 				if p.AckStatus(j) == Unknown {
@@ -82,10 +79,15 @@ func (p *Port) quiet(k SigKind, lo, hi int) {
 		}
 		return
 	}
-	s := p.sim
 	for j := lo; j < hi; j++ {
-		if s.resolve(k, p.slots[j], No, p.peers[j]) == Unknown && k == SigData {
-			p.drive(SigEnable, No, j)
+		if s.resolve(k, p.slots[j], No, p.peers[j]) != Unknown {
+			continue
+		}
+		if s.tracer != nil {
+			s.tracer.OnResolve(p.conns[j], k, No)
+		}
+		if k == SigData {
+			p.drive(SigEnable, No, nil, j)
 		}
 	}
 }

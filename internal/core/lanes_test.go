@@ -14,10 +14,9 @@ import (
 // observable must agree — statuses, data, resolution counts, both wake
 // queues, metrics, tracer events, react order, and the contract error an
 // illegal call raises. The six single-lane drives are operations too, and
-// every operation is also held to the *Conn path: an untraced session
-// (whose legal drives go straight to the lane table) and a traced one
-// (whose drives all take Conn.raise) must agree on everything but the
-// tracer's own lines. TestLaneOpsEquivalence feeds it pseudo-random cases
+// every operation is also held to the tracer's neutrality: an untraced
+// session and a traced one must agree on everything but the tracer's own
+// lines. TestLaneOpsEquivalence feeds it pseudo-random cases
 // over widths {0, 1, 5, 65}; FuzzLaneOps feeds it the fuzzer's.
 
 // Literal definitions: what each fused operation stands for.
@@ -517,24 +516,23 @@ func sameLogs(t testing.TB, what, gotName, wantName, got, want string) {
 	t.Fatalf("%s: the %s log is a prefix of the %s log", what, gotName, wantName)
 }
 
-// checkConnPath runs the case untraced and traced under one scheduler:
-// the untraced session's legal drives take the lane table, the traced
-// one's take Conn.raise. Apart from the tracer's own lines, and with the
-// untraced session sweeping in full as the traced one does, the two logs
-// must be the same.
-func checkConnPath(t testing.TB, cs *laneCase, d laneDiscipline) {
+// checkTracerNeutral runs the case untraced and traced under one
+// scheduler: attaching a tracer changes no resolution. Apart from the
+// tracer's own lines, and with the untraced session sweeping in full as
+// the traced one does, the two logs must be the same.
+func checkTracerNeutral(t testing.TB, cs *laneCase, d laneDiscipline) {
 	t.Helper()
-	fast := buildLaneRig(t, cs, d, true)
-	fast.full = true
+	untraced := buildLaneRig(t, cs, d, true)
+	untraced.full = true
 	d.tracer = true
-	conn := buildLaneRig(t, cs, d, true)
+	traced := buildLaneRig(t, cs, d, true)
 	var kept []string
-	for _, l := range strings.Split(conn.run(), "\n") {
+	for _, l := range strings.Split(traced.run(), "\n") {
 		if !strings.HasPrefix(l, " resolve c") {
 			kept = append(kept, l)
 		}
 	}
-	sameLogs(t, fmt.Sprintf("%s, width %d", d.name, cs.width), "lane table", "Conn", fast.run(), strings.Join(kept, "\n"))
+	sameLogs(t, fmt.Sprintf("%s, width %d", d.name, cs.width), "untraced", "traced", untraced.run(), strings.Join(kept, "\n"))
 }
 
 func TestLaneOpsEquivalence(t *testing.T) {
@@ -555,7 +553,7 @@ func TestLaneOpsEquivalence(t *testing.T) {
 					cs := decodeLaneCase(width, &byteSrc{b: buf})
 					f := checkLaneCase(t, cs, d)
 					if !d.tracer {
-						checkConnPath(t, cs, d)
+						checkTracerNeutral(t, cs, d)
 					}
 					for i := range fires {
 						fires[i] += f[i]
@@ -574,7 +572,7 @@ func TestLaneOpsEquivalence(t *testing.T) {
 // TestLaneOpsContractErrors pins the four illegal calls by name: each
 // raises, from the fused operation, the contract error its first
 // offending single-lane call raises, and from a single-lane drive the
-// same error on the lane-table path as on the Conn path.
+// same error traced as untraced.
 func TestLaneOpsContractErrors(t *testing.T) {
 	u5 := []Status{Unknown, Unknown, Unknown, Unknown, Unknown}
 	quietCycle := laneCycle{outData: u5, outEnable: u5, inOffer: u5, inAck: u5, op: laneOpCountOffers}
@@ -616,7 +614,7 @@ func TestLaneOpsContractErrors(t *testing.T) {
 		for _, d := range laneDisciplines {
 			checkLaneCase(t, cs, d)
 			if !d.tracer {
-				checkConnPath(t, cs, d)
+				checkTracerNeutral(t, cs, d)
 			}
 			r := buildLaneRig(t, cs, d, true)
 			if log := r.run(); !strings.Contains(log, tc.want) {
@@ -687,7 +685,7 @@ func FuzzLaneOps(f *testing.F) {
 		cs := decodeLaneCase(width, src)
 		checkLaneCase(t, cs, d)
 		if !d.tracer {
-			checkConnPath(t, cs, d)
+			checkTracerNeutral(t, cs, d)
 		}
 	})
 }

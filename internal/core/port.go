@@ -103,9 +103,8 @@ func (p *Port) fullName() string {
 	return p.owner.name + "." + p.name
 }
 
-// check and mustDir guard Conn and the drives that lane turns away; their
-// failure paths live in separate functions so the guards themselves stay
-// small enough to inline.
+// check guards Conn and an illegal drive's error path; its failure path
+// lives in a separate function so the guard stays small enough to inline.
 func (p *Port) check(i int) int {
 	if uint(i) >= uint(len(p.conns)) {
 		p.badIndex(i)
@@ -130,32 +129,57 @@ func (p *Port) badIndex(i int) {
 		fmt.Sprintf("port has width %d", len(p.conns)))
 }
 
-// lane reports whether a drive of lane i in direction d may go straight
-// to the lane table: the port is bound, the session is in a write phase
-// with no tracer attached, the direction is right and the lane in range.
-// Every other drive takes its connection's raise, which reports to the
-// tracer, or raises the contract error the call has always raised.
-func (p *Port) lane(d Dir, i int) bool {
+// drive is the one way a signal resolves (DESIGN.md Appendix J): lane i's
+// kind-k signal to st, carrying v when it is a data Yes. The six drives
+// and default control call it, and a fused operation is its per-lane
+// loop. A legal drive — a bound port, a write phase, the port that drives
+// kind k, a lane in range — resolves through the lane table (resolve, or
+// offer for a data Yes), enforces single assignment on a signal already
+// resolved, and reports to the tracer the resolution it made.
+func (p *Port) drive(k SigKind, st Status, v any, i int) {
 	s := p.sim
-	return s != nil && s.direct && p.dir == d && uint(i) < uint(len(p.slots))
-}
-
-// drive resolves lane i's kind-k signal to st through the lane table (a
-// legal call: see lane) — the connection's raise without the tracer hop.
-func (p *Port) drive(k SigKind, st Status, i int) {
-	if prev := p.sim.resolve(k, p.slots[i], st, p.peers[i]); prev != Unknown {
+	if s == nil || !s.writable || p.dir != k.driver() || uint(i) >= uint(len(p.slots)) {
+		// badDrive panics. Returning anyway keeps the failure path from
+		// rejoining, which would spill every argument on the legal one.
+		p.badDrive(k, st, i)
+		return
+	}
+	var prev Status
+	if k == SigData && st == Yes {
+		prev = s.offer(p.slots[i], v, p.peers[i])
+	} else {
+		prev = s.resolve(k, p.slots[i], st, p.peers[i])
+	}
+	if prev != Unknown {
 		p.conns[i].checkReRaise(k, prev, st)
+	} else if s.tracer != nil {
+		s.tracer.OnResolve(p.conns[i], k, st)
 	}
 }
 
-func (p *Port) mustDir(d Dir, op string) {
-	if p.dir != d {
-		p.badDir(op)
+// badDrive raises an illegal drive's contract error, checking in order
+// the direction, the lane (or a port with no connection), the
+// connection's simulator and the phase.
+func (p *Port) badDrive(k SigKind, st Status, i int) {
+	if p.dir != k.driver() {
+		ops := [...][2]string{SigData: {"send nothing", "send"}, SigEnable: {"disable", "enable"}, SigAck: {"nack", "ack"}}
+		contractPanic(ops[k][st-No], p.fullName(), fmt.Sprintf("not allowed on an %s port", p.dir))
 	}
+	c := p.conns[p.check(i)]
+	if p.sim == nil {
+		contractPanic("drive", c.String(), "connection not attached to a simulator")
+	}
+	contractPanic("drive", c.String(), "signals may be driven only during cycle-start or reactive phases")
 }
 
-func (p *Port) badDir(op string) {
-	contractPanic(op, p.fullName(), fmt.Sprintf("not allowed on an %s port", p.dir))
+// driver is the direction of the port that drives a kind-k signal: data
+// and enable flow downstream from an Out port, ack upstream from an In
+// port.
+func (k SigKind) driver() Dir {
+	if k == SigAck {
+		return In
+	}
+	return Out
 }
 
 // --- Receiver-side observations and actions (In ports) ---
@@ -174,68 +198,24 @@ func (p *Port) Data(i int) any {
 func (p *Port) EnableStatus(i int) Status { return p.sim.status(SigEnable, p.slot(i)) }
 
 // Ack accepts the datum offered on connection i this cycle.
-func (p *Port) Ack(i int) {
-	if p.lane(In, i) {
-		p.drive(SigAck, Yes, i)
-		return
-	}
-	p.mustDir(In, "ack")
-	p.conns[p.check(i)].raise(SigAck, Yes, nil)
-}
+func (p *Port) Ack(i int) { p.drive(SigAck, Yes, nil, i) }
 
 // Nack refuses the datum offered on connection i this cycle.
-func (p *Port) Nack(i int) {
-	if p.lane(In, i) {
-		p.drive(SigAck, No, i)
-		return
-	}
-	p.mustDir(In, "nack")
-	p.conns[p.check(i)].raise(SigAck, No, nil)
-}
+func (p *Port) Nack(i int) { p.drive(SigAck, No, nil, i) }
 
 // --- Sender-side observations and actions (Out ports) ---
 
 // Send offers v on connection i this cycle.
-func (p *Port) Send(i int, v any) {
-	if p.lane(Out, i) {
-		if prev := p.sim.offer(p.slots[i], v, p.peers[i]); prev != Unknown {
-			p.conns[i].checkReRaise(SigData, prev, Yes)
-		}
-		return
-	}
-	p.mustDir(Out, "send")
-	p.conns[p.check(i)].raise(SigData, Yes, v)
-}
+func (p *Port) Send(i int, v any) { p.drive(SigData, Yes, v, i) }
 
 // SendNothing resolves connection i's data signal to Nothing.
-func (p *Port) SendNothing(i int) {
-	if p.lane(Out, i) {
-		p.drive(SigData, No, i)
-		return
-	}
-	p.mustDir(Out, "send nothing")
-	p.conns[p.check(i)].raise(SigData, No, nil)
-}
+func (p *Port) SendNothing(i int) { p.drive(SigData, No, nil, i) }
 
 // Enable commits that the data offered on connection i is firm.
-func (p *Port) Enable(i int) {
-	if p.lane(Out, i) {
-		p.drive(SigEnable, Yes, i)
-		return
-	}
-	p.mustDir(Out, "enable")
-	p.conns[p.check(i)].raise(SigEnable, Yes, nil)
-}
+func (p *Port) Enable(i int) { p.drive(SigEnable, Yes, nil, i) }
 
 // Disable withdraws the data offered on connection i.
-func (p *Port) Disable(i int) {
-	if p.lane(Out, i) {
-		p.drive(SigEnable, No, i)
-		return
-	}
-	p.mustDir(Out, "disable")
-	p.conns[p.check(i)].raise(SigEnable, No, nil)
-}
+func (p *Port) Disable(i int) { p.drive(SigEnable, No, nil, i) }
 
 // AckStatus returns the resolution state of connection i's ack signal.
 func (p *Port) AckStatus(i int) Status { return p.sim.status(SigAck, p.slot(i)) }

@@ -98,58 +98,13 @@ func (c *Conn) status(k SigKind) Status { return c.sim.status(k, int32(c.id)) }
 // status reads the kind-k status cell of the connection with the given id.
 func (s *Sim) status(k SigKind, id int32) Status { return Status(s.plane.lanes[k][id]) }
 
-// checkWrite validates that driving a signal is legal right now — raise's
-// write-phase guard (a drive through the lane table is legal by the time
-// it gets there: Port.lane). The failure path is split out so the guard
-// inlines.
-func (c *Conn) checkWrite() {
-	if s := c.sim; s == nil || !s.writable {
-		c.badWrite()
-	}
-}
-
-func (c *Conn) badWrite() {
-	if c.sim == nil {
-		contractPanic("drive", c.String(), "connection not attached to a simulator")
-	}
-	contractPanic("drive", c.String(),
-		"signals may be driven only during cycle-start or reactive phases")
-}
-
-// raise resolves signal k to status s (with value v when k is SigData)
-// — the drive path of the tracer, of a port with no lane table and of an
-// illegal call, and the path default control takes. Raising an
-// already-resolved signal to the same status is a no-op; to a different
-// status it is a contract violation.
-func (c *Conn) raise(k SigKind, s Status, v any) {
-	c.checkWrite()
-	if s == Unknown {
-		contractPanic("raise "+k.String(), c.String(), "cannot raise a signal to Unknown")
-	}
-	sim := c.sim
-	p, i := c.src, c.srcIdx // the driving port: data and enable flow downstream
-	if k == SigAck {
-		p, i = c.dst, c.dstIdx
-	}
-	var prev Status
-	if k == SigData && s == Yes {
-		prev = sim.offer(int32(c.id), v, p.peers[i])
-	} else {
-		prev = sim.resolve(k, int32(c.id), s, p.peers[i])
-	}
-	if prev != Unknown {
-		c.checkReRaise(k, prev, s)
-		return
-	}
-	sim.onResolve(c, k, s)
-}
-
 // resolve is the one definition of a resolution, on lane slot's kind-k
 // signal: if the cell is still Unknown, the status store, the resolution
 // count and the wake of obs, the instance bound to observe the signal
 // (bindLanes). It returns the cell's previous status: Unknown when this
 // call resolved it; otherwise the caller checks the re-raise. A data Yes
-// goes through offer.
+// goes through offer. Port.drive and a fused operation's legal loop
+// (Port.quiet) are its callers.
 func (s *Sim) resolve(k SigKind, slot int32, st Status, obs *Base) Status {
 	cell := &s.plane.lanes[k][slot]
 	prev := Status(*cell)
@@ -161,12 +116,13 @@ func (s *Sim) resolve(k SigKind, slot int32, st Status, obs *Base) Status {
 	return prev
 }
 
-// offer is resolve for a data Yes carrying v. The value store precedes
-// the status store, so a handler that sees the status sees the value. The
-// resolution also tells the sparse scheduler that the connection's
-// cluster carries data this cycle — the one per-offer cost of activity
-// gating, which is why a busy cluster needs no scan to be known busy —
-// and counts a spill hit.
+// offer is resolve for a data Yes carrying v, called by Port.drive only.
+// The value store precedes the status store, so a handler that sees the
+// status sees the value. The resolution also tells the sparse scheduler
+// that the connection's cluster carries data this cycle — the one
+// per-offer cost of activity gating, which is why a busy cluster needs no
+// scan to be known busy — and counts a spill hit. Kept out of drive, it
+// keeps the other five drives' path short.
 func (s *Sim) offer(slot int32, v any, obs *Base) Status {
 	s.plane.data[slot] = v
 	prev := s.resolve(SigData, slot, Yes, obs)

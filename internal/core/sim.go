@@ -54,12 +54,9 @@ type Sim struct {
 	needFull bool
 
 	phase phase
-	// writable mirrors phase ∈ {phaseStart, phaseReact} as one flag so
-	// checkWrite is a single load-and-branch that inlines; direct is
-	// writable with no tracer attached, the one flag a drive through the
-	// lane table loads (Port.lane). Both maintained by setPhase only.
+	// writable mirrors phase ∈ {phaseStart, phaseReact} as the one flag
+	// Port.drive's guard loads; maintained by setPhase only.
 	writable bool
-	direct   bool
 	cycle    uint64
 
 	// released is set at commit and cleared at the top of the next Step:
@@ -144,18 +141,11 @@ func (s *Sim) View(fn func()) {
 	fn()
 }
 
-func (s *Sim) onResolve(c *Conn, k SigKind, st Status) {
-	if s.tracer != nil {
-		s.tracer.OnResolve(c, k, st)
-	}
-}
-
-// setPhase moves the simulator to phase p, keeping the writable and
-// direct mirror flags in sync.
+// setPhase moves the simulator to phase p, keeping the writable mirror
+// flag in sync.
 func (s *Sim) setPhase(p phase) {
 	s.phase = p
 	s.writable = p == phaseStart || p == phaseReact
-	s.direct = s.writable && s.tracer == nil
 }
 
 // wake schedules an instance's reactive handler on a resolution of a
@@ -256,7 +246,7 @@ func (s *Sim) applyDefault(c *Conn, k SigKind) {
 	}
 	switch k {
 	case SigData:
-		c.raise(SigData, No, nil)
+		c.src.drive(SigData, No, nil, c.srcIdx)
 	case SigEnable:
 		st := Unknown
 		if fn := c.src.opts.Control; fn != nil {
@@ -271,7 +261,7 @@ func (s *Sim) applyDefault(c *Conn, k SigKind) {
 				st = No
 			}
 		}
-		c.raise(SigEnable, st, nil)
+		c.src.drive(SigEnable, st, nil, c.srcIdx)
 	case SigAck:
 		st := Unknown
 		if fn := c.dst.opts.Control; fn != nil {
@@ -287,7 +277,7 @@ func (s *Sim) applyDefault(c *Conn, k SigKind) {
 				st = No
 			}
 		}
-		c.raise(SigAck, st, nil)
+		c.dst.drive(SigAck, st, nil, c.dstIdx)
 	}
 }
 

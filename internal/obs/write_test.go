@@ -209,7 +209,7 @@ func TestWriteJSONEqualsSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		models = append(models, model{filepath.Base(path), func(opts ...core.BuildOption) (*core.Program, error) {
-			return lse.CompileLSSWith(string(src), nil, opts...)
+			return lse.CompileLSSFile("", string(src), nil, opts...)
 		}})
 	}
 	recipe := func(name string, assemble func(*core.Builder) error) model {

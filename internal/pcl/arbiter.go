@@ -26,14 +26,16 @@ type Arbiter struct {
 	pick PickFn
 	last int
 	// grants[j] is the input granted on out conn j this cycle. Scratch of
-	// the reactive handler, valid only while out lane 0 is resolved: the
-	// decision resolves it, and every new cycle — also the one after a
-	// Step that aborted mid-cycle — starts with it Unknown. Out lane 0
-	// reading Yes proves the decision was made this cycle (only this
-	// handler drives Out data, and default control never resolves data to
-	// Yes), so a re-react then skips the rescan of the requests; a No
-	// proves nothing, as a default round may set it while requests are
-	// still unsettled.
+	// the reactive handler, valid only while out lane 0 reads Yes. Out lane
+	// 0 reading Yes proves the decision was made this cycle and granted
+	// something (only this handler drives Out data, and default control
+	// never resolves data to Yes), so a re-react then skips the rescan of
+	// the requests. Anything else means no grant this cycle — every cycle,
+	// also the one after a Step that aborted mid-cycle, starts with lane 0
+	// Unknown, a decision that grants nothing idles it, and a default
+	// round may set it No while the requests are still unsettled — so once
+	// the requests settle the handler empties grants before it mirrors a
+	// single ack.
 	grants []int
 
 	// scratch buffers reused across reactive invocations
@@ -123,8 +125,8 @@ func (a *Arbiter) react() {
 		if !settled {
 			return
 		}
+		a.grants = a.grants[:0]
 		if a.Out.DataStatus(0) == core.Unknown {
-			a.grants = a.grants[:0]
 			order := a.pick(reqs, a.last)
 			for _, i := range order {
 				if i < 0 || i >= n || reqs[i] == nil || granted0(a.grants, i) {

@@ -699,3 +699,71 @@ func TestQueueReactsOncePerCycle(t *testing.T) {
 		}
 	}
 }
+
+// loopback receives the arbiter's out lane and feeds its second input. Its
+// In port's control function acks every lane, empty or not; on odd cycles
+// its Out lane mirrors whether anything arrived, closing a combinational
+// loop through the arbiter, and on even cycles it sends nothing from
+// cycle start, which opens the loop.
+type loopback struct {
+	core.Base
+	in, out *core.Port
+	got     []int
+}
+
+func newLoopback() *loopback {
+	l := &loopback{}
+	l.Init("loop", l)
+	l.in = l.AddInPort("in", core.PortOpts{Control: func(core.Status, core.Status, any) core.Status { return core.Yes }})
+	l.out = l.AddOutPort("out")
+	l.OnCycleStart(func() {
+		if l.Now()%2 == 0 {
+			l.out.Idle()
+		}
+	})
+	l.OnReact(func() {
+		if l.out.DataStatus(0) == core.Unknown && l.in.DataStatus(0) != core.Unknown {
+			l.out.Idle()
+		}
+	})
+	l.OnCycleEnd(func() {
+		if v, ok := l.in.TransferredData(0); ok {
+			l.got = append(l.got, v.(int))
+		}
+	})
+	return l
+}
+
+// TestArbiterCycleBreakGrantsNothing: in a cyclic residue, a cycle break
+// defaults the arbiter's out lane 0 to No before its requests settle.
+// The arbiter granted nothing this cycle, so it must answer no request
+// with Ack — even when the receiver acks the empty lane, as the
+// loopback's control function does. A grant left over from an earlier
+// cycle would ack the producer's offer into an empty lane and lose it.
+func TestArbiterCycleBreakGrantsNothing(t *testing.T) {
+	for _, kind := range []core.SchedulerKind{core.SchedulerSequential, core.SchedulerSparse} {
+		b := core.NewBuilder(core.WithScheduler(kind), core.WithMetrics())
+		arb, err := pcl.NewArbiter("arb", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod, loop := simtest.NewProducer("prod", simtest.IntSeq(20)), newLoopback()
+		b.Add(arb)
+		b.Add(prod)
+		b.Add(loop)
+		// arb.out -> loop.in first: the lowest conn id, where a data-round
+		// cycle break lands.
+		b.Connect(arb, "out", loop, "in")
+		b.Connect(prod, "out", arb, "in")
+		b.Connect(loop, "out", arb, "in")
+		sim := simtest.Build(t, b)
+		simtest.Run(t, sim, 40)
+		if breaks := sim.Metrics().CycleBreaks(core.SigData); breaks == 0 {
+			t.Fatalf("%s: no data cycle break; the test would not reach the case", kind)
+		}
+		simtest.EqualInts(t, loop.got, seq(prod.Sent()), fmt.Sprintf("%s: loopback received", kind))
+		if prod.Sent() == 0 {
+			t.Fatalf("%s: nothing was granted", kind)
+		}
+	}
+}

@@ -131,12 +131,12 @@
 //
 // This package is the single supported API: the Builder with functional
 // options (NewBuilder/Build with WithSeed, WithScheduler, WithTracer,
-// WithRegistry, WithMetrics, WithStrictAnalysis), the
-// Program/Sim split (Compile, CompileLSS*, Program.NewSim, Sim.Snapshot,
-// Program.Restore), the LSS entry points (LoadLSS, LoadLSSWith, LoadLSSFile, ParseLSS), the
-// analysis pipeline (Lint, Analyze) and the observability exporters
-// below. A Sim is stepped by one goroutine at a time; parallelism runs
-// across sessions of one Program.
+// WithRegistry, WithMetrics, WithStrictAnalysis), the Program/Sim split
+// (Compile, CompileLSS, CompileLSSFile, Program.NewSim, Sim.Snapshot,
+// Program.Restore), the LSS entry points (LoadLSS, LoadLSSFile,
+// ParseLSS), the analysis pipeline (Lint, Analyze) and the observability
+// exporters below. A Sim is stepped by one goroutine at a time;
+// parallelism runs across sessions of one Program.
 //
 // The component libraries (pcl, upl, ccl, mpl, nilib) register their
 // templates into DefaultRegistry from their init functions; importing
@@ -414,12 +414,6 @@ func LoadLSS(src string, opts ...BuildOption) (*Sim, error) {
 	return lss.Load(src, nil, opts...)
 }
 
-// LoadLSSWith is LoadLSS with predefined top-level bindings that shadow
-// same-named `let` statements (the mechanism behind lsc -D overrides).
-func LoadLSSWith(src string, defines map[string]any, opts ...BuildOption) (*Sim, error) {
-	return lss.Load(src, defines, opts...)
-}
-
 // Defines collects predefined top-level bindings from repeated -D
 // name=value command-line flags (a flag.Value; lsc and lslint take it).
 // A value is an integer, else a float, else a bool, else a string: the
@@ -446,8 +440,10 @@ func (d Defines) Set(s string) error {
 	return nil
 }
 
-// LoadLSSFile is LoadLSSWith with a source file name: parse errors, build
-// errors and static-analysis diagnostics then carry name:line positions.
+// LoadLSSFile is LoadLSS with a source file name and predefined top-level
+// bindings that shadow same-named `let` statements (the mechanism behind
+// lsc -D overrides; nil for none): parse errors, build errors and
+// static-analysis diagnostics then carry name:line positions.
 func LoadLSSFile(name, src string, defines map[string]any, opts ...BuildOption) (*Sim, error) {
 	return lss.LoadFile(name, src, defines, opts...)
 }
@@ -470,14 +466,10 @@ func CompileLSS(src string, opts ...BuildOption) (*Program, error) {
 	return lss.Compile(src, nil, opts...)
 }
 
-// CompileLSSWith is CompileLSS with predefined top-level bindings that
-// shadow same-named `let` statements (the lsc -D override mechanism).
-func CompileLSSWith(src string, defines map[string]any, opts ...BuildOption) (*Program, error) {
-	return lss.Compile(src, defines, opts...)
-}
-
-// CompileLSSFile is CompileLSSWith with a source file name: parse errors,
-// build errors and analysis diagnostics then carry name:line positions.
+// CompileLSSFile is CompileLSS with a source file name and predefined
+// top-level bindings that shadow same-named `let` statements (the lsc -D
+// override mechanism; nil for none): parse errors, build errors and
+// analysis diagnostics then carry name:line positions.
 func CompileLSSFile(name, src string, defines map[string]any, opts ...BuildOption) (*Program, error) {
 	return lss.CompileFile(name, src, defines, opts...)
 }

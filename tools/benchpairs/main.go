@@ -11,21 +11,26 @@
 //
 //	go run ./tools/benchpairs -w mesh_busy -parent HEAD~1 [-n 10] [-seconds 10]
 //
-// The parent is cloned into a temporary directory, removed on exit; the
-// change side is the working tree as it stands. Metric names and
-// directions come from BENCHMARK.json.
+// The parent is cloned into a temporary directory, removed on exit — also
+// on SIGINT or SIGTERM, which first stop the run in progress and every
+// process it started; the change side is the working tree as it stands.
+// Metric names and directions come from BENCHMARK.json.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"syscall"
+	"time"
 )
 
 type metricDef struct {
@@ -53,13 +58,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*workload, *parent, *n, *seconds); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, *workload, *parent, *n, *seconds)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpairs:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload, parent string, n, seconds int) error {
+func run(ctx context.Context, workload, parent string, n, seconds int) error {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return fmt.Errorf("run from the repository root: %w", err)
@@ -79,12 +87,18 @@ func run(workload, parent string, n, seconds int) error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
+	// go build leaves its work files behind when interrupted; keep them
+	// in tmp too.
+	goTmp := filepath.Join(tmp, "gotmp")
+	if err := os.Mkdir(goTmp, 0o755); err != nil {
+		return err
+	}
 	parentDir := filepath.Join(tmp, "parent")
 	for _, args := range [][]string{
 		{"clone", "-q", change, parentDir},
 		{"-C", parentDir, "checkout", "-q", "--detach", parent},
 	} {
-		if out, err := exec.Command("git", args...).CombinedOutput(); err != nil {
+		if out, err := command(ctx, "git", args...).CombinedOutput(); err != nil {
 			return fmt.Errorf("git %v: %v\n%s", args, err, out)
 		}
 	}
@@ -100,7 +114,7 @@ func run(workload, parent string, n, seconds int) error {
 			order = [2]int{1, 0}
 		}
 		for _, side := range order {
-			res, err := measure(sides[side].dir, workload, i, seconds)
+			res, err := measure(ctx, sides[side].dir, goTmp, workload, i, seconds)
 			if err != nil {
 				return fmt.Errorf("pair %d, %s: %w", i, sides[side].name, err)
 			}
@@ -147,12 +161,26 @@ func run(workload, parent string, n, seconds int) error {
 	return nil
 }
 
-// measure runs one benchmark run from dir's own bench/run.sh and decodes
-// its one JSON line.
-func measure(dir, workload string, seed, seconds int) (runResult, error) {
-	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
+// command is exec.CommandContext for a child that starts children of its
+// own (bench/run.sh builds with go, then lsbench starts lsd). The child
+// leads a new process group, and cancelling ctx interrupts the whole
+// group: go removes its work files, lsbench exits, lsd shuts down. A
+// leader still running 5 s later is killed.
+func command(ctx context.Context, name string, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGINT) }
+	cmd.WaitDelay = 5 * time.Second
+	return cmd
+}
+
+// measure runs one benchmark run from dir's own bench/run.sh, its go
+// builds working in goTmp, and decodes its one JSON line.
+func measure(ctx context.Context, dir, goTmp, workload string, seed, seconds int) (runResult, error) {
+	cmd := command(ctx, "bash", "bench/run.sh", "--workload", workload,
 		"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(seconds), "--trace", "0")
 	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOTMPDIR="+goTmp)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
