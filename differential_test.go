@@ -82,9 +82,13 @@ func models(t testing.TB) []model {
 	}
 	mesh := spec("mesh.lss", 60, pin{"80 clusters (largest 35), 80 closable, 0 never; sizes map[1:64 15:4 24:8 35:4]; seeds 128; glue []; 0 cyclic SCCs, breaks []; of 456 conns sweep 456/456, residue 0/0", "net/net/l0_e_1", false}) // fewer cycles: the slow spec
 	mesh8 := lssRow("mesh.lss 8x8", mesh.spec, map[string]any{"w": 8, "h": 8}, 60, pin{"352 clusters (largest 35), 352 closable, 0 never; sizes map[1:288 15:4 24:24 35:36]; seeds 576; glue []; 0 cyclic SCCs, breaks []; of 2184 conns sweep 2184/2184, residue 0/0", "net/net/l0_e_1", false})
+	// The 8×8 mesh at a hundredth of the spec's rate: most members sleep
+	// most of the time.
+	quiet8 := lssRow("mesh.lss 8x8 rate 0.01", mesh.spec, map[string]any{"w": 8, "h": 8, "rate": 0.01}, 2000, mesh8.pin)
+	quiet8.slow = true
 	ms := []model{
 		spec("bus.lss", 200, pin{"2 clusters (largest 9), 2 closable, 0 never; sizes map[5:1 9:1]; seeds 5; glue []; 0 cyclic SCCs, breaks []; of 14 conns sweep 14/14, residue 0/0", "bus/net/link", false}),
-		mesh, mesh8,
+		mesh, mesh8, quiet8,
 		spec("pipeline.lss", 200, pin{"7 clusters (largest 1), 7 closable, 0 never; sizes map[1:7]; seeds 7; glue []; 0 cyclic SCCs, breaks []; of 7 conns sweep 7/7, residue 0/0", "", true}),
 		spec("quickstart.lss", 200, pin{"2 clusters (largest 1), 2 closable, 0 never; sizes map[1:2]; seeds 2; glue []; 0 cyclic SCCs, breaks []; of 2 conns sweep 2/2, residue 0/0", "", false}),
 		spec("sensornet.lss", 200, pin{"2 clusters (largest 6), 2 closable, 0 never; sizes map[4:1 6:1]; seeds 4; glue []; 0 cyclic SCCs, breaks []; of 10 conns sweep 10/10, residue 0/0", "air", false}),

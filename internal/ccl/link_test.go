@@ -233,9 +233,9 @@ func stampedSweepSession(tb testing.TB) *core.Sim {
 
 // TestStatsDocAllocs bounds what one statistics document of a loaded 8x8
 // sweep session allocates: the writer appends it into a pooled buffer
-// in one walk of the statistics, so it allocates only that walk's name
-// list, not a map entry, a boxed value or an encoder buffer per
-// statistic.
+// in one walk of the statistics, whose order and names the Program
+// computed once, so it allocates no name list, map entry, boxed value
+// or encoder buffer per statistic.
 func TestStatsDocAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -249,7 +249,7 @@ func TestStatsDocAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bound = 16
+	const bound = 4
 	if allocs > bound {
 		t.Fatalf("one statistics document of the 8x8 session allocated %.0f times, want <= %d", allocs, bound)
 	}

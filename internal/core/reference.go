@@ -23,10 +23,8 @@ func (s *Sim) stepReference() {
 
 	// Cycle-start handlers drive what follows from committed state alone.
 	s.setPhase(phaseStart)
-	for _, b := range s.bases {
-		if b.start != nil {
-			b.start()
-		}
+	for _, id := range s.prog.starts {
+		s.bases[id].start()
 	}
 
 	// Item 2: reactive handlers run to the monotonic fixed point. Every
@@ -52,10 +50,8 @@ func (s *Sim) stepReference() {
 	if s.tracer != nil {
 		s.tracer.OnCycleEnd(s.cycle)
 	}
-	for _, b := range s.bases {
-		if b.end != nil {
-			b.end()
-		}
+	for _, id := range s.prog.ends {
+		s.bases[id].end()
 	}
 	s.setPhase(phaseIdle)
 	// Transferred values are released; until the next Step the data lane
@@ -65,6 +61,8 @@ func (s *Sim) stepReference() {
 	s.cycle++
 	if m := s.metrics; m != nil {
 		m.cycles++
+		m.starts += uint64(len(s.prog.starts))
+		m.ends += uint64(len(s.prog.ends))
 	}
 }
 

@@ -121,8 +121,10 @@ func (s *Sim) resolve(k SigKind, slot int32, st Status, obs *Base) Status {
 // status sees the value. The resolution also tells the sparse scheduler
 // that the connection's cluster carries data this cycle — the one
 // per-offer cost of activity gating, which is why a busy cluster needs no
-// scan to be known busy — and counts a spill hit. Kept out of drive, it
-// keeps the other five drives' path short.
+// scan to be known busy — stamps the receiver as reached, all a sleeping
+// receiver needs to be woken for its end handler (sleep.go), and counts a
+// spill hit. Kept out of drive, it keeps the other five drives' path
+// short.
 func (s *Sim) offer(slot int32, v any, obs *Base) Status {
 	s.plane.data[slot] = v
 	prev := s.resolve(SigData, slot, Yes, obs)
@@ -130,6 +132,7 @@ func (s *Sim) offer(slot int32, v any, obs *Base) Status {
 		s.spillHits++
 		if a := s.act; a != nil {
 			a.offered[s.sparse.clusterOf[slot]] = s.stamp()
+			obs.seen = uint32(s.stamp()) // wakes a sleeping receiver for its end handler
 		}
 	}
 	return prev

@@ -191,6 +191,15 @@ func (l *L1Dir) cycleEnd() {
 		l.cur = &ref
 		l.classify()
 	}
+	// With no message to send, the controller offers nothing until an
+	// input arrives or its reply is due.
+	switch {
+	case len(l.outQ) > 0:
+	case l.reply == nil:
+		l.SleepUntil(core.NoTimer)
+	default:
+		l.SleepUntil(l.replyAt)
+	}
 }
 
 func (l *L1Dir) classify() {
@@ -369,6 +378,11 @@ func (h *DirHome) cycleEnd() {
 	h.retire(h.Net)
 	if v, ok := h.NetIn.TransferredData(0); ok {
 		h.handle(v.(*ccl.Packet).Payload.(DirMsg))
+	}
+	// With no message to send and no request to start, the controller
+	// offers nothing until an input arrives.
+	if len(h.outQ) == 0 && len(h.queue) == 0 {
+		h.SleepUntil(core.NoTimer)
 	}
 }
 

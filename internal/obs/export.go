@@ -44,6 +44,9 @@ type SchedulerStats struct {
 	SkippedWakes     uint64            `json:"skipped_wakes"`
 	ClosedClusters   uint64            `json:"closed_clusters"`
 	ClosedConnShare  float64           `json:"closed_conn_share"`
+	StartCalls       uint64            `json:"start_calls"`
+	EndCalls         uint64            `json:"end_calls"`
+	SleepingInsts    uint64            `json:"sleeping_insts"`
 	DefaultFallbacks map[string]uint64 `json:"default_fallbacks"`
 	CycleBreaks      map[string]uint64 `json:"cycle_breaks"`
 }
@@ -150,6 +153,9 @@ func takeSnapshot(s *core.Sim) Snapshot {
 		ActiveInsts:      m.ActiveInstances(),
 		SkippedWakes:     m.SkippedWakes(),
 		ClosedClusters:   m.ClosedClusterCycles(),
+		StartCalls:       m.StartCalls(),
+		EndCalls:         m.EndCalls(),
+		SleepingInsts:    m.SleepingCycles(),
 		DefaultFallbacks: map[string]uint64{},
 		CycleBreaks:      map[string]uint64{},
 	}

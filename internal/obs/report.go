@@ -112,5 +112,56 @@ func WriteHotReport(w io.Writer, s *core.Sim, topN int) error {
 			return err
 		}
 	}
+	return writeHandlerCalls(w, s, hot)
+}
+
+// writeHandlerCalls writes the cycle-start and cycle-end handler calls and
+// the sleeping instances per cycle, by template (the instance's Go type),
+// for the templates with a start or end handler.
+func writeHandlerCalls(w io.Writer, s *core.Sim, insts []core.InstanceMetric) error {
+	type row struct {
+		n                    int
+		starts, ends, asleep uint64
+	}
+	byName, rows := map[string]int{}, []row(nil)
+	var names []string
+	var cycles uint64
+	s.View(func() { cycles = s.Metrics().Cycles() })
+	for _, im := range insts {
+		if im.Starts == 0 && im.Ends == 0 && im.Asleep == 0 {
+			continue
+		}
+		name := fmt.Sprintf("%T", s.Instance(im.Name))
+		i, ok := byName[name]
+		if !ok {
+			i = len(rows)
+			byName[name] = i
+			rows, names = append(rows, row{}), append(names, name)
+		}
+		r := &rows[i]
+		r.n++
+		r.starts += im.Starts
+		r.ends += im.Ends
+		r.asleep += im.Asleep
+	}
+	if cycles == 0 || len(rows) == 0 {
+		return nil
+	}
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
+	if _, err := fmt.Fprintf(w, "handler calls per cycle by template (%d cycles):\n", cycles); err != nil {
+		return err
+	}
+	per := func(n uint64) float64 { return float64(n) / float64(cycles) }
+	for _, i := range order {
+		r := rows[i]
+		if _, err := fmt.Fprintf(w, "  %-24s %5d insts  start %8.2f  end %8.2f  asleep %8.2f\n",
+			names[i], r.n, per(r.starts), per(r.ends), per(r.asleep)); err != nil {
+			return err
+		}
+	}
 	return nil
 }

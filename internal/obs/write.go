@@ -210,6 +210,9 @@ func (d *doc) scheduler(b []byte, m *core.Metrics, conns int) []byte {
 	b = d.num(b, 2, "scheduler", "", "skipped_wakes", uintVal(m.SkippedWakes()))
 	b = d.num(b, 2, "scheduler", "", "closed_clusters", uintVal(m.ClosedClusterCycles()))
 	b = d.num(b, 2, "scheduler", "", "closed_conn_share", floatVal(share))
+	b = d.num(b, 2, "scheduler", "", "start_calls", uintVal(m.StartCalls()))
+	b = d.num(b, 2, "scheduler", "", "end_calls", uintVal(m.EndCalls()))
+	b = d.num(b, 2, "scheduler", "", "sleeping_insts", uintVal(m.SleepingCycles()))
 	if d.csv {
 		for _, k := range sigKinds {
 			b = d.num(b, 2, "scheduler", k.String(), "default_fallbacks", uintVal(m.DefaultFallbacks(k)))

@@ -106,6 +106,9 @@ func oracleCSV(snap obs.Snapshot) []byte {
 		row("scheduler", "", "skipped_wakes", sc.SkippedWakes)
 		row("scheduler", "", "closed_clusters", sc.ClosedClusters)
 		row("scheduler", "", "closed_conn_share", sc.ClosedConnShare)
+		row("scheduler", "", "start_calls", sc.StartCalls)
+		row("scheduler", "", "end_calls", sc.EndCalls)
+		row("scheduler", "", "sleeping_insts", sc.SleepingInsts)
 		for _, k := range []string{"data", "enable", "ack"} {
 			row("scheduler", k, "default_fallbacks", sc.DefaultFallbacks[k])
 			row("scheduler", k, "cycle_breaks", sc.CycleBreaks[k])

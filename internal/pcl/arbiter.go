@@ -174,10 +174,17 @@ func (a *Arbiter) cycleEnd() {
 			a.last = i
 		}
 	}
+	offered := false
 	for i := a.In.NextOffered(0); i >= 0; i = a.In.NextOffered(i + 1) {
+		offered = true
 		if !a.In.Transferred(i) {
 			a.cDenied.Inc()
 		}
+	}
+	// With nothing offered, the end handler has nothing to count until
+	// something is.
+	if !offered {
+		a.SleepUntil(core.NoTimer)
 	}
 }
 

@@ -60,6 +60,7 @@ func NewQueue(name string, p core.Params) (*Queue, error) {
 	q.cTransOut = q.Counter("dequeues")
 	q.cFullStal = q.Counter("full_stalls")
 	q.hOcc = q.Histogram("occupancy")
+	q.hOcc.ObserveZeroAsleep() // an empty queue sleeps
 	q.In = q.AddInPort("in", core.PortOpts{DefaultAck: core.No})
 	q.Out = q.AddOutPort("out")
 	q.OnCycleStart(q.cycleStart)
@@ -183,6 +184,13 @@ func (q *Queue) cycleEnd() {
 		} else if q.In.EnableStatus(i) == core.Yes {
 			q.cFullStal.Inc()
 		}
+	}
+	// Empty after a cycle that moved nothing, the queue offers nothing
+	// until an input arrives. (One that just drained stays awake a cycle:
+	// a queue passing a stream through would otherwise wake every other.)
+	if len(q.entries) == 0 && len(gone) == 0 {
+		q.offered = q.offered[:0]
+		q.SleepUntil(core.NoTimer)
 	}
 }
 

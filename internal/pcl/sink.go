@@ -60,6 +60,10 @@ func (s *Sink) MeanLatency() float64 {
 }
 
 func (s *Sink) cycleEnd() {
+	if s.In.NextTransferred(0) < 0 {
+		s.SleepUntil(core.NoTimer) // nothing to count until something arrives
+		return
+	}
 	for i := s.In.NextTransferred(0); i >= 0; i = s.In.NextTransferred(i + 1) {
 		s.cReceived.Inc()
 		v := s.In.Data(i)
