@@ -238,6 +238,25 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestAnonymousHistogramObserveZeroAsleep: an anonymous histogram has no
+// instance to sleep, so the declaration credits nothing and every read
+// returns what was observed.
+func TestAnonymousHistogramObserveZeroAsleep(t *testing.T) {
+	var h core.Histogram
+	h.ObserveZeroAsleep()
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
+		t.Fatalf("empty: count/sum/mean = %d/%v/%v", h.Count(), h.Sum(), h.Mean())
+	}
+	h.Observe(3)
+	h.Observe(0)
+	if h.Count() != 2 || h.Sum() != 3 || h.Min() != 0 || h.Max() != 3 || h.Mean() != 1.5 {
+		t.Fatalf("count/sum/min/max/mean = %d/%v/%v/%v/%v", h.Count(), h.Sum(), h.Min(), h.Max(), h.Mean())
+	}
+	if q := h.Quantile(1); q != 3 {
+		t.Fatalf("q1 = %v, want 3", q)
+	}
+}
+
 // TestHistogramConcurrentObserve: react handlers Observe from the
 // stepping goroutine while a live metrics reader takes counts and
 // quantiles from another, through Sim.View (the step mutex). Run with
