@@ -11,6 +11,7 @@ package liberty_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"liberty/internal/ccl"
 	core "liberty/internal/core"
 	"liberty/internal/lss"
+	"liberty/internal/obs"
 	"liberty/internal/pcl"
 	"liberty/internal/simtest"
 	"liberty/internal/systems"
@@ -829,15 +831,18 @@ func TestSingleWriterSessionMigrates(t *testing.T) {
 
 // TestProgramConcurrentSims runs many sessions of one program in parallel
 // (under -race in CI). With a shared seed they must hash alike: they share
-// only immutable artifacts. Untraced, their clusters close — the plan is
-// shared, the idle signatures are each session's own.
+// only immutable artifacts and the write-once slots. Untraced, their
+// clusters close — the plan is shared, the idle signatures are each
+// session's own. Each then writes its statistics document, racing to build
+// the Program's statistics order, and the documents must be equal but for
+// the hot-module list, which is ordered by measured react time.
 func TestProgramConcurrentSims(t *testing.T) {
 	prog, err := lse.CompileLSS(ckptSpec, lse.WithSeed(3), lse.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := max(4, 2*runtime.GOMAXPROCS(0))
-	hashes, errs := make([][]uint64, n), make([]error, n)
+	hashes, docs, errs := make([][]uint64, n), make([]string, n), make([]error, n)
 	var wg sync.WaitGroup
 	for i := range n {
 		wg.Add(1)
@@ -852,6 +857,9 @@ func TestProgramConcurrentSims(t *testing.T) {
 			if err == nil && sim.Metrics().ClosedClusterCycles() == 0 {
 				err = errors.New("no cluster closed in 100 cycles")
 			}
+			if err == nil {
+				docs[i], err = statsDoc(sim)
+			}
 			errs[i] = err
 		}()
 	}
@@ -863,7 +871,26 @@ func TestProgramConcurrentSims(t *testing.T) {
 		if c := diverges(hashes[0], hashes[i]); c >= 0 {
 			t.Fatalf("session %d diverges from session 0 at cycle %d under a shared seed", i, c)
 		}
+		if docs[i] != docs[0] {
+			t.Fatalf("session %d's statistics document differs from session 0's:\n%s\nwant\n%s", i, docs[i], docs[0])
+		}
 	}
+}
+
+// statsDoc is a session's statistics document (obs.WriteJSON) without its
+// "hot" section, keys in sorted order.
+func statsDoc(sim *core.Sim) (string, error) {
+	var buf bytes.Buffer
+	if err := obs.WriteJSON(&buf, sim); err != nil {
+		return "", err
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		return "", err
+	}
+	delete(doc, "hot")
+	out, err := json.Marshal(doc)
+	return string(out), err
 }
 
 // TestRestoreRejectsForeignSnapshot pins the fingerprint guard: a

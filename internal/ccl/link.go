@@ -131,13 +131,9 @@ func (l *Link) cycleEnd() {
 		l.cFlits.Add(int64(size))
 		l.cPkts.Inc()
 	}
-	// Empty, or holding packets not yet out, the link offers nothing until
-	// an input arrives or its oldest packet is ready.
-	switch {
-	case l.n == 0:
-		l.SleepUntil(core.NoTimer)
-	case l.inflight[l.head].ready > l.Now()+1:
-		l.SleepUntil(l.inflight[l.head].ready)
+	// Empty, the link offers nothing until an input arrives.
+	if l.n == 0 {
+		l.Sleep()
 	}
 }
 

@@ -34,7 +34,7 @@ type Base struct {
 	sequential bool       // no same-cycle path between ports: a dependency-graph node per port
 	scheduled  bool       // queued for react; set for good when there is no react (Build)
 	declared   bool       // Checkpoint was called; state holds its fields, if any
-	asleep     bool       // engine: SleepUntil took effect; its start and end handlers are skipped
+	asleep     bool       // engine: Sleep took effect; its start and end handlers are skipped
 	seen       uint32     // engine: the low word of the stamp of the last cycle a data Yes reached an In lane
 	rs         rngState   // the instance's random stream: the word Snapshot saves
 	rng        *rand.Rand // draws from rs
@@ -139,33 +139,32 @@ func (b *Base) OnCycleStart(fn func()) { b.start = fn }
 // OnCycleEnd registers the once-per-cycle post-resolution commit handler.
 func (b *Base) OnCycleEnd(fn func()) { b.end = fn }
 
-// NoTimer is SleepUntil's due for an instance that only an input wakes.
-const NoTimer = ^uint64(0)
-
-// SleepUntil declares, from the instance's own cycle-end handler, that it
-// has nothing to do until a data Yes reaches one of its In lanes or cycle
-// due begins (NoTimer: no timer). The engine then skips its cycle-start
-// and cycle-end handlers from the next cycle on, and drives its Out lanes
-// as Port.Idle would; its reactive handler still runs when woken. The
-// promise is the template's: while it sleeps, its start handler would
-// drive exactly Port.Idle on every Out port, drive nothing on an In port
-// and touch no state except histograms declared with
-// Histogram.ObserveZeroAsleep, and its end handler would change nothing.
-// WithActivityCheck runs a sleeper's start handler anyway and fails the
-// Step when a drive differs; the reference never sleeps, so a template
-// that forgets a due cycle diverges from it. A due at or before the next
-// cycle does not sleep. Calling it outside the cycle-end phase is a
-// contract violation. A full sweep (the first cycle, InvalidateActivity,
-// a restore, an aborted Step, an attached tracer) wakes every sleeper.
-func (b *Base) SleepUntil(due uint64) {
+// Sleep declares, from the instance's own cycle-end handler, that it has
+// nothing to do until a data Yes reaches one of its In lanes. The engine
+// then skips its cycle-start and cycle-end handlers from the next cycle
+// on, and drives its Out lanes as Port.Idle would; its reactive handler
+// still runs when woken, and its end handler runs in the cycle the input
+// arrives. The promise is the template's: while no input arrives, its
+// start handler would drive exactly Port.Idle on every Out port, drive
+// nothing on an In port and touch no state except histograms declared
+// with Histogram.ObserveZeroAsleep, and its end handler would change
+// nothing. A template whose state changes with time alone (a packet in
+// flight, a reply due at a cycle) stays awake. WithActivityCheck runs a
+// sleeper's start handler anyway and fails the Step when a drive
+// differs; the reference never sleeps, so a template that sleeps while
+// its state would still change diverges from it. Calling it outside the
+// cycle-end phase is a contract violation. A full sweep (the first
+// cycle, InvalidateActivity, a restore, an aborted Step, an attached
+// tracer) wakes every sleeper.
+func (b *Base) Sleep() {
 	s := b.sim
 	if s == nil || s.phase != phaseEnd {
-		contractPanic("sleep", b.name, "SleepUntil may only be called from a cycle-end handler")
+		contractPanic("sleep", b.name, "Sleep may only be called from a cycle-end handler")
 	}
-	if s.schedule == nil || s.tracer != nil || b.asleep || due <= s.cycle+1 {
+	if s.schedule == nil || s.tracer != nil || b.asleep {
 		return // the reference never sleeps, and a traced engine sweeps every cycle
 	}
-	s.doze(b, due)
+	s.doze(b)
 }
 
 // MarkSequential declares that no signal the instance drives on one port

@@ -104,7 +104,7 @@ func (m *Metrics) ClosedClusterCycles() uint64 { return m.closedClusters }
 func (m *Metrics) ClosedConnCycles() uint64 { return m.closedConns }
 
 // StartCalls returns the number of cycle-start handler calls. A sleeping
-// instance's are skipped (Base.SleepUntil) except in check mode, which runs
+// instance's are skipped (Base.Sleep) except in check mode, which runs
 // them to compare.
 func (m *Metrics) StartCalls() uint64 { return m.starts }
 
@@ -123,14 +123,14 @@ type InstanceMetrics struct {
 	sampled uint64
 	nanos   int64
 	// Handler calls the engine skipped while the instance slept
-	// (Base.SleepUntil); check mode runs the start handlers.
+	// (Base.Sleep); check mode runs the start handlers.
 	skippedStarts, skippedEnds uint64
 }
 
 // InstanceMetric is a point-in-time view of one instance's react
 // activity and handler calls. ReactTime is estimated from sampled
 // invocations. Starts and Ends count its cycle-start and cycle-end
-// handler calls, Asleep the cycles it slept through (Base.SleepUntil), its
+// handler calls, Asleep the cycles it slept through (Base.Sleep), its
 // end handler skipped.
 type InstanceMetric struct {
 	Name                 string

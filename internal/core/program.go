@@ -17,11 +17,14 @@ import (
 // thousands of concurrent simulations can share one compiled artifact.
 //
 // Sharing contract (DESIGN.md Appendix E): everything reachable from a
-// Program after Compile returns is read-only, with one exception — the
-// first-session slot, claimed once under its mutex. Sessions index the
-// shared [][]int32 schedule levels by connection id but write only their
-// own plane, scratch and instance state, which is what makes concurrent
-// NewSim+Run sessions data-race-free.
+// Program after Compile returns is read-only, except three write-once
+// slots, each written by the first session that needs it under its own
+// mutex or sync.Once: the first-session slot (firstMu), the statistics
+// order (statsOnce) and the cluster plan's seed plan
+// (progSparse.seedsOnce). Sessions index the shared [][]int32 schedule
+// levels by connection id but write only their own plane, scratch and
+// instance state, which is what makes concurrent NewSim+Run sessions
+// data-race-free.
 
 // Program is the immutable compiled form of a netlist. It is safe for
 // concurrent use: any number of goroutines may call NewSim and run the

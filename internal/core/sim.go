@@ -88,13 +88,7 @@ type Sim struct {
 	qhead int
 	acks  []*Base
 
-	// Sleep (sleep.go; the engine only): how many instances sleep, the
-	// timer heap of those with a due cycle, and the seeds that fell asleep
-	// at the last cycle end, which count as awake until the next decision.
-	napping int
-	timers  []timer
-	timerAt []int32 // instance id -> 1 + its index in timers, 0 if none; allocated at the first timer
-	drowsy  []*Base
+	napping int // instances asleep (sleep.go; the engine only)
 }
 
 // Close ends the session. It is the session-end hook every owner calls

@@ -2,21 +2,22 @@ package core
 
 import "fmt"
 
-// sleep.go is the engine's half of Base.SleepUntil (DESIGN.md Appendix
-// C.3): which handlers a cycle calls, and when a sleeper wakes. Sleep is
+// sleep.go is the engine's half of Base.Sleep (DESIGN.md Appendix C.3):
+// which handlers a cycle calls, and when a sleeper wakes. Sleep is
 // session state derived from the instances' own declarations — a full
 // sweep wakes everyone, snapshots omit it — and the reference ignores it.
 //
 // The start and end rosters are the Program's: the instances with the
 // handler, ascending. A sleeper costs its entry one flag test
-// (Base.asleep) and is woken at one of three events: its due cycle begins
-// (the timer heap, popped before the reset), a data Yes reached one of its
-// In lanes (Sim.offer stamps Base.seen; its end handler runs that cycle),
-// or a full sweep. Where the reset cleared a cluster one of its sleeping
-// seeds drives, the engine drives that seed's Out ports as Port.Idle
-// would, at its place in the start roster. None of it grows an instance:
-// the flag and the stamp sit in Base's padding, a due cycle in the timer
-// heap, and the start of a sleep on the histograms that credit it.
+// (Base.asleep) and wakes in two cases only: a data Yes reached one of
+// its In lanes (Sim.offer stamps Base.seen; its end handler runs that
+// cycle), or a full sweep. State commits only at a cycle's end, so
+// between two inputs a sleeper has nothing new to offer. Where the reset
+// cleared a cluster one of its sleeping seeds drives, the engine drives
+// that seed's Out ports as Port.Idle would, at its place in the start
+// roster. None of it grows an instance: the flag and the stamp sit in
+// Base's padding, and the start of a sleep on the histograms that credit
+// it.
 
 // runStarts is the start phase: every awake start handler, and at their
 // places the idle drives of the sleepers whose clusters the reset
@@ -62,7 +63,7 @@ func (s *Sim) runEnds() {
 				}
 				continue
 			}
-			s.rise(b, s.cycle+1, true)
+			s.rise(b)
 		}
 		b.end()
 	}
@@ -107,52 +108,49 @@ func (s *Sim) checkAsleep(b *Base) {
 			}
 			if got := s.status(k, slot); got != want {
 				contractPanic("activity check", p.conns[j].String(), fmt.Sprintf(
-					"cycle %d: %q sleeps (SleepUntil), but its cycle-start handler resolved %s %s where the engine, skipping it, leaves %s: "+
+					"cycle %d: %q sleeps (Sleep), but its cycle-start handler resolved %s %s where the engine, skipping it, leaves %s: "+
 						"a sleeper's Out lanes resolve as Port.Idle and its In lanes are left to its reactive handler; "+
-						"sleep only when the start handler would drive nothing else, or give SleepUntil the cycle that changes it",
+						"sleep only when the start handler would drive nothing else until an input arrives",
 					s.cycle, b.name, k, got, want))
 			}
 		}
 	}
 }
 
-// doze puts b to sleep from the next cycle on (SleepUntil's engine half).
-func (s *Sim) doze(b *Base, due uint64) {
+// doze puts b to sleep from the next cycle on (Sleep's engine half). A
+// seed stops counting as awake in its clusters at once: this cycle's
+// decision, taken while it was awake, already put them on the next
+// worklist, whose decision compares its idle drives. After a full sweep
+// the next worklist holds every cluster anyway, and its reset counts the
+// sleepers afresh (countSeeds).
+func (s *Sim) doze(b *Base) {
 	b.asleep = true
 	s.napping++
-	if due != NoTimer {
-		s.pushTimer(timer{due, b})
-	}
 	for h := b.hists; h != nil; h = h.next {
 		if h.asleep {
 			h.since = s.cycle + 1 // the first cycle start it skips
 		}
 	}
-	// A seed keeps its clusters on the worklist for one more cycle, whose
-	// decision compares them with its idle drives (wakeOpen drops it).
-	// After a full sweep the next worklist holds every cluster anyway, and
-	// its reset counts the sleepers afresh (countSeeds).
 	if a := s.act; a != nil && !a.allWork && b.start != nil {
-		s.drowsy = append(s.drowsy, b)
+		for _, cl := range a.plan.seedClusters(b.id) {
+			a.awake[cl]--
+		}
 	}
 }
 
-// rise ends b's sleep with cur cycle starts passed: the cycle under way at
-// a due, the next one when a data Yes woke it in this cycle's react phase
-// (decided: the worklist under construction is the next cycle's).
-func (s *Sim) rise(b *Base, cur uint64, decided bool) {
-	b.wake(cur)
+// rise ends the sleep of b, which a data Yes reached in this cycle's
+// react phase, before its end handler runs: its clusters go on the next
+// worklist.
+func (s *Sim) rise(b *Base) {
+	b.wake(s.cycle + 1)
 	s.napping--
-	if s.timerAt != nil && s.timerAt[b.id] != 0 {
-		s.dropTimer(b.id)
-	}
 	if b.start == nil {
 		return
 	}
-	a := s.act
+	a, stamp := s.act, s.stamp()
 	for _, cl := range a.plan.seedClusters(b.id) {
 		if a.awake[cl]++; a.awake[cl] == 1 && !s.sparse.noInput[cl] {
-			a.enlist(cl, s.stamp(), decided)
+			a.enlist(cl, stamp)
 		}
 	}
 }
@@ -180,17 +178,6 @@ func (s *Sim) wakeAll() {
 		}
 	}
 	s.napping = 0
-	for _, t := range s.timers {
-		s.timerAt[t.b.id] = 0
-	}
-	s.timers, s.drowsy = s.timers[:0], s.drowsy[:0]
-}
-
-// wakeDue wakes the sleepers whose due cycle begins now.
-func (s *Sim) wakeDue() {
-	for len(s.timers) > 0 && s.timers[0].due <= s.cycle {
-		s.rise(s.timers[0].b, s.cycle, false)
-	}
 }
 
 // startsDone is the number of cycle starts passed: the cycle under way's
@@ -200,72 +187,4 @@ func (s *Sim) startsDone() uint64 {
 		return s.cycle + 1
 	}
 	return s.cycle
-}
-
-// The timer heap: the due cycles of sleepers, a binary min-heap, with
-// each member's position (plus one) in Sim.timerAt.
-
-// timer is a heap entry: a sleeper and the cycle whose start wakes it.
-type timer struct {
-	due uint64
-	b   *Base
-}
-
-func (s *Sim) pushTimer(t timer) {
-	if s.timerAt == nil {
-		s.timerAt = make([]int32, len(s.bases))
-	}
-	s.timers = append(s.timers, t)
-	s.timerAt[t.b.id] = int32(len(s.timers))
-	s.siftUp(len(s.timers) - 1)
-}
-
-func (s *Sim) dropTimer(id int) {
-	i, last := int(s.timerAt[id])-1, len(s.timers)-1
-	s.timerAt[id] = 0
-	if i != last {
-		s.timers[i] = s.timers[last]
-		s.timerAt[s.timers[i].b.id] = int32(i + 1)
-	}
-	s.timers = s.timers[:last]
-	if i != last {
-		s.siftDown(i)
-		s.siftUp(i)
-	}
-}
-
-// swapTimers exchanges heap entries i and j.
-func (s *Sim) swapTimers(i, j int) {
-	h := s.timers
-	h[i], h[j] = h[j], h[i]
-	s.timerAt[h[i].b.id], s.timerAt[h[j].b.id] = int32(i+1), int32(j+1)
-}
-
-func (s *Sim) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if s.timers[p].due <= s.timers[i].due {
-			return
-		}
-		s.swapTimers(p, i)
-		i = p
-	}
-}
-
-func (s *Sim) siftDown(i int) {
-	h := s.timers
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1].due < h[c].due {
-			c++
-		}
-		if h[i].due <= h[c].due {
-			return
-		}
-		s.swapTimers(c, i)
-		i = c
-	}
 }

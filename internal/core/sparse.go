@@ -27,12 +27,12 @@ import (
 //
 // The reset and the decision walk a per-cycle worklist — the clusters
 // open after the last decision and those with an awake seed — not the
-// whole plan: a closed cluster whose seeds (its
-// start-bearing instances) all sleep (Base.SleepUntil, sleep.go) keeps
-// its cells from cycle to cycle untouched, since the start phase would
-// give it the same frontier and the decision the same signature. A seed
-// that falls asleep counts as awake for one more decision, the one that
-// compares its idle drives. The member wake stays one scan of the
+// whole plan: a closed cluster whose seeds (its start-bearing instances)
+// all sleep (Base.Sleep, sleep.go) keeps its cells from cycle to cycle
+// untouched, since the start phase would give it the same frontier and
+// the decision the same signature. A seed that falls asleep leaves its
+// clusters on the worklist for one more decision, the one that compares
+// its idle drives. The member wake stays one scan of the
 // reactive roster: on a loaded model most members wake, and the scan is
 // a load per member.
 
@@ -106,7 +106,7 @@ type actState struct {
 	work, next []int32
 	listed     []uint64
 	allWork    bool    // the next worklist is every decided cluster (after a full sweep)
-	awake      []int32 // cluster -> seeds awake, or asleep since the last decision
+	awake      []int32 // cluster -> seeds awake
 	// Running totals over the closed clusters: how many, their conns, and
 	// their interior cells — what the next reset must step around.
 	nClosed, closedConns, kept int
@@ -446,26 +446,17 @@ func (s *Sim) countSeeds(a *actState) {
 	}
 }
 
-// enlist puts a decided cluster on the worklist of the cycle under way,
-// or, once its decision is made, of the next one.
-func (a *actState) enlist(cl int32, stamp uint64, decided bool) {
-	if decided {
-		stamp++
-	}
-	if a.listed[cl] == stamp {
-		return
-	}
-	a.listed[cl] = stamp
-	if decided {
+// enlist puts a decided cluster on the next cycle's worklist; stamp is
+// the cycle under way's.
+func (a *actState) enlist(cl int32, stamp uint64) {
+	if a.listed[cl] != stamp+1 {
+		a.listed[cl] = stamp + 1
 		a.next = append(a.next, cl)
-	} else {
-		a.work = append(a.work, cl)
 	}
 }
 
-// resetOpen is the steady cycle's reset, over the worklist. It wakes the
-// sleepers whose due cycle begins. Clusters that were open are cleared
-// whole; closed clusters with an awake seed keep their interior and give
+// resetOpen is the steady cycle's reset, over the worklist. Clusters that
+// were open are cleared whole; closed clusters with an awake seed keep their interior and give
 // up only their frontier, so the start handlers run against a cleared
 // plane wherever they can look; closed clusters whose seeds all sleep are
 // left alone, their cells and their resolutions kept. A sleeping seed of
@@ -487,7 +478,6 @@ func (s *Sim) resetOpen() {
 			a.listed[cl] = stamp
 		}
 	}
-	s.wakeDue()
 	if s.actCheck {
 		s.plane.clearStatus()
 		return
@@ -539,8 +529,7 @@ func (s *Sim) cleared(id int) bool {
 // cycle: it decides which clusters of the worklist close, restores their
 // signatures, and wakes the reactive members of every other cluster —
 // start-phase wakes of instances all of whose clusters closed are
-// dropped, the rest keep their place in the queue. Then the seeds that
-// fell asleep last cycle stop counting as awake, and the next worklist
+// dropped, the rest keep their place in the queue. The next worklist
 // starts with what stays open or has an awake seed.
 func (s *Sim) wakeOpen() {
 	sp, a := s.sparse, s.act
@@ -607,18 +596,9 @@ func (s *Sim) wakeOpen() {
 		s.resolved[SigEnable] += int(cr[SigEnable])
 		s.resolved[SigAck] += int(cr[SigAck])
 	}
-	for _, b := range s.drowsy {
-		if !b.asleep {
-			continue
-		}
-		for _, cl := range a.plan.seedClusters(b.id) {
-			a.awake[cl]--
-		}
-	}
-	s.drowsy = s.drowsy[:0]
 	for _, cl := range a.work {
 		if a.flags[cl]&actClosed == 0 || a.awake[cl] > 0 {
-			a.enlist(cl, stamp, true)
+			a.enlist(cl, stamp)
 		}
 	}
 	if !s.actCheck && a.nClosed > 0 {

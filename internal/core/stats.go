@@ -117,7 +117,7 @@ func (h *Histogram) observeZeros(n int64) {
 
 // ObserveZeroAsleep declares, in the constructor, that the histogram's
 // instance observes 0 into it from its cycle-start handler on every cycle
-// it sleeps through (Base.SleepUntil) — a queue's occupancy while it is
+// it sleeps through (Base.Sleep) — a queue's occupancy while it is
 // empty. The engine skips those calls; the samples are credited whenever
 // the histogram is read, so every read — its accessors, StatSet.Each and
 // what is built on it, snapshots — sees the counts, sum, extremes and

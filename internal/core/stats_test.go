@@ -168,25 +168,35 @@ func (r *refHist) quantile(q float64) float64 {
 	return r.max
 }
 
+// histSample is one decoded step: a sample v observed once, or, when
+// zeros > 0, a run of that many zeros credited in bulk (observeZeros, as
+// a sleeping owner's skipped cycle starts are).
+type histSample struct {
+	v     float64
+	zeros int64
+}
+
 // histSamples decodes a sample sequence: each sample is a kind byte and
 // a payload — zeros, negatives, tiny values below bucket 1, huge values
-// past the last bucket, integer latencies and arbitrary finite floats.
-func histSamples(data []byte) []float64 {
-	var out []float64
+// past the last bucket, integer latencies, arbitrary finite floats and
+// runs of zeros credited in bulk.
+func histSamples(data []byte) []histSample {
+	var out []histSample
+	add := func(v float64) { out = append(out, histSample{v: v}) }
 	for len(data) >= 2 {
-		kind, x := data[0]%6, data[1]
+		kind, x := data[0]%7, data[1]
 		data = data[2:]
 		switch kind {
 		case 0:
-			out = append(out, 0)
+			add(0)
 		case 1:
-			out = append(out, -float64(x)-0.5)
+			add(-float64(x) - 0.5)
 		case 2:
-			out = append(out, math.Ldexp(float64(x)+1, -30))
+			add(math.Ldexp(float64(x)+1, -30))
 		case 3:
-			out = append(out, math.Ldexp(float64(x)+1, 50))
+			add(math.Ldexp(float64(x)+1, 50))
 		case 4:
-			out = append(out, float64(x)*float64(x))
+			add(float64(x) * float64(x))
 		case 5:
 			if len(data) < 8 {
 				return out
@@ -194,8 +204,10 @@ func histSamples(data []byte) []float64 {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
 			data = data[8:]
 			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e300 {
-				out = append(out, v)
+				add(v)
 			}
+		case 6:
+			out = append(out, histSample{zeros: int64(x)*int64(x) + 1})
 		}
 	}
 	return out
@@ -222,15 +234,24 @@ func checkHist(t *testing.T, what string, h *Histogram, r *refHist) {
 
 // FuzzHistogram holds the windowed Histogram to the full 64-bucket
 // accumulator: count, sum, extremes, the exported bucket array and every
-// quantile, also across a snapshot's export and restore.
+// quantile, also across a snapshot's export and restore. A run of zeros
+// credited in bulk must read as that many single observations of 0.
 func FuzzHistogram(f *testing.F) {
 	f.Add([]byte{}) // the rest of the seed corpus is under testdata/fuzz
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sim, insts := buildStatSim(t, "h")
 		var ref refHist
-		for _, v := range histSamples(data) {
-			insts[0].h.Observe(v)
-			ref.observe(v)
+		for _, x := range histSamples(data) {
+			if x.zeros == 0 {
+				insts[0].h.Observe(x.v)
+				ref.observe(x.v)
+				continue
+			}
+			insts[0].h.observeZeros(x.zeros)
+			for range x.zeros {
+				ref.observe(0)
+			}
+			checkHist(t, "credited in bulk", insts[0].h, &ref)
 		}
 		checkHist(t, "observed", insts[0].h, &ref)
 		counters, hists := sim.Stats().export()

@@ -191,14 +191,10 @@ func (l *L1Dir) cycleEnd() {
 		l.cur = &ref
 		l.classify()
 	}
-	// With no message to send, the controller offers nothing until an
-	// input arrives or its reply is due.
-	switch {
-	case len(l.outQ) > 0:
-	case l.reply == nil:
-		l.SleepUntil(core.NoTimer)
-	default:
-		l.SleepUntil(l.replyAt)
+	// With no message to send and no reply pending, the controller offers
+	// nothing until an input arrives.
+	if len(l.outQ) == 0 && l.reply == nil {
+		l.Sleep()
 	}
 }
 
@@ -382,7 +378,7 @@ func (h *DirHome) cycleEnd() {
 	// With no message to send and no request to start, the controller
 	// offers nothing until an input arrives.
 	if len(h.outQ) == 0 && len(h.queue) == 0 {
-		h.SleepUntil(core.NoTimer)
+		h.Sleep()
 	}
 }
 

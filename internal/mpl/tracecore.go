@@ -88,11 +88,8 @@ func (c *TraceCore) cycleEnd() {
 		c.hLat.Observe(float64(c.Now() - c.issuedAt))
 	}
 	// Waiting for a reply or done, the core offers nothing until an input
-	// arrives; thinking, until its next issue.
-	switch {
-	case c.waiting || c.pos >= len(c.refs):
-		c.SleepUntil(core.NoTimer)
-	default:
-		c.SleepUntil(c.nextAt)
+	// arrives.
+	if c.waiting || c.pos >= len(c.refs) {
+		c.Sleep()
 	}
 }

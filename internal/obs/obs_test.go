@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"regexp"
@@ -405,5 +407,84 @@ func TestHotReport(t *testing.T) {
 	}
 	if err := obs.WriteHotReport(&out, s2, 2); err == nil {
 		t.Fatal("hot report without metrics should error")
+	}
+}
+
+// TestHotReportHandlerCalls runs the 4×4 mesh, whose queues, links,
+// arbiters and sinks sleep, under the engine, under the activity check and
+// under the reference. Each run's per-instance start and end calls and
+// sleeping cycles sum to the session's totals, and the report's "handler
+// calls per cycle by template" rows, times the cycle count, give those
+// totals back to the table's printed precision.
+func TestHotReportHandlerCalls(t *testing.T) {
+	const cycles = 500
+	src, err := os.ReadFile("../../specs/mesh.lss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile(`^  \S+ +\d+ insts  start +([\d.]+)  end +([\d.]+)  asleep +([\d.]+)$`)
+	for _, run := range []struct {
+		name string
+		opts []core.BuildOption
+	}{
+		{"engine", nil},
+		{"check", []core.BuildOption{lse.WithActivityCheck()}},
+		{"reference", []core.BuildOption{lse.WithScheduler(lse.SchedulerSequential)}},
+	} {
+		sim, err := lse.LoadLSS(string(src), append(run.opts, lse.WithSeed(1), lse.WithMetrics())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(cycles); err != nil {
+			t.Fatal(err)
+		}
+		m := sim.Metrics()
+		want := [3]uint64{m.StartCalls(), m.EndCalls(), m.SleepingCycles()}
+		var got [3]uint64
+		for _, im := range m.Instances() {
+			got[0] += im.Starts
+			got[1] += im.Ends
+			got[2] += im.Asleep
+		}
+		if got != want {
+			t.Fatalf("%s: instances' start/end/asleep sum to %v, the session's totals are %v", run.name, got, want)
+		}
+		t.Logf("%s: start/end/asleep %v over %d cycles", run.name, want, cycles)
+		switch asleep := want[2] > 0; {
+		case run.name == "reference" && asleep:
+			t.Fatalf("reference: %d sleeping cycles; it never sleeps", want[2])
+		case run.name != "reference" && !asleep:
+			t.Fatalf("%s: nothing slept", run.name)
+		}
+		var out bytes.Buffer
+		if err := obs.WriteHotReport(&out, sim, 1); err != nil {
+			t.Fatal(err)
+		}
+		_, table, ok := strings.Cut(out.String(), fmt.Sprintf("handler calls per cycle by template (%d cycles):\n", cycles))
+		if !ok {
+			t.Fatalf("%s: no handler-calls table in\n%s", run.name, out.String())
+		}
+		var sums [3]float64
+		rows := 0
+		for _, line := range strings.Split(strings.TrimSuffix(table, "\n"), "\n") {
+			f := row.FindStringSubmatch(line)
+			if f == nil {
+				t.Fatalf("%s: table line %q", run.name, line)
+			}
+			rows++
+			for k := range sums {
+				v, err := strconv.ParseFloat(f[k+1], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sums[k] += v
+			}
+		}
+		// Each row is rounded to 0.01 per cycle.
+		for k, what := range []string{"start", "end", "asleep"} {
+			if d := math.Abs(sums[k]*cycles - float64(want[k])); d > float64(rows)*0.005*cycles+1e-6 {
+				t.Errorf("%s: the table's %s column times %d cycles is %.0f, the session's total %d", run.name, what, cycles, sums[k]*cycles, want[k])
+			}
+		}
 	}
 }

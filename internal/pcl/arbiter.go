@@ -184,7 +184,7 @@ func (a *Arbiter) cycleEnd() {
 	// With nothing offered, the end handler has nothing to count until
 	// something is.
 	if !offered {
-		a.SleepUntil(core.NoTimer)
+		a.Sleep()
 	}
 }
 

@@ -190,7 +190,7 @@ func (q *Queue) cycleEnd() {
 	// a queue passing a stream through would otherwise wake every other.)
 	if len(q.entries) == 0 && len(gone) == 0 {
 		q.offered = q.offered[:0]
-		q.SleepUntil(core.NoTimer)
+		q.Sleep()
 	}
 }
 

@@ -61,7 +61,7 @@ func (s *Sink) MeanLatency() float64 {
 
 func (s *Sink) cycleEnd() {
 	if s.In.NextTransferred(0) < 0 {
-		s.SleepUntil(core.NoTimer) // nothing to count until something arrives
+		s.Sleep() // nothing to count until something arrives
 		return
 	}
 	for i := s.In.NextTransferred(0); i >= 0; i = s.In.NextTransferred(i + 1) {

@@ -1,11 +1,11 @@
 package liberty_test
 
-// sleep_test.go holds each rule of Base.SleepUntil to a test that a
-// template breaking it fails: a sleeper that forgets the cycle its state
-// changes diverges from the reference, one whose skipped start would have
-// offered fails the activity check, a sleep requested outside the end
-// phase is a contract error, and a sleeping queue's occupancy histogram
-// reads as the reference's through every reader.
+// sleep_test.go holds each rule of Base.Sleep to a test that a template
+// breaking it fails: a sleeper whose state still changes without an input
+// diverges from the reference, one whose skipped start would have offered
+// fails the activity check, a sleep requested outside the end phase is a
+// contract error, and a sleeping queue's occupancy histogram reads as the
+// reference's through every reader.
 
 import (
 	"bytes"
@@ -19,25 +19,24 @@ import (
 	"liberty/internal/pcl"
 )
 
-// ticker offers a token every period cycles and sleeps between offers:
-// until the next one, or, when forget is set, until an input that never
-// comes — it forgets the cycle its state changes.
+// ticker offers a token every period cycles. It has no input, so only a
+// full sweep would wake it: when sleeps is set it sleeps anyway, with its
+// next offer pending.
 type ticker struct {
 	core.Base
 	out    *core.Port
 	period uint64
-	forget bool
+	sleeps bool
 	next   uint64
-	lie    bool // sleep although the start handler offers on its own
 }
 
-func newTicker(name string, period uint64, forget, lie bool) *ticker {
-	k := &ticker{period: period, forget: forget, lie: lie}
+func newTicker(name string, period uint64, sleeps bool) *ticker {
+	k := &ticker{period: period, sleeps: sleeps}
 	k.Init(name, k)
 	k.Checkpoint(&k.next)
 	k.out = k.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
 	k.OnCycleStart(func() {
-		if k.Now() >= k.next || k.lie && k.Now()%k.period == 0 {
+		if k.Now() >= k.next {
 			k.out.Send(0, int(k.Now()))
 			k.out.Enable(0)
 		}
@@ -47,11 +46,8 @@ func newTicker(name string, period uint64, forget, lie bool) *ticker {
 		if k.out.Transferred(0) {
 			k.next = k.Now() + k.period
 		}
-		switch {
-		case k.lie || k.forget:
-			k.SleepUntil(core.NoTimer)
-		default:
-			k.SleepUntil(k.next)
+		if k.sleeps {
+			k.Sleep()
 		}
 	})
 	k.MarkSequential()
@@ -59,14 +55,14 @@ func newTicker(name string, period uint64, forget, lie bool) *ticker {
 }
 
 // tickerProgram compiles a ticker feeding a sink.
-func tickerProgram(t *testing.T, forget, lie bool, opts ...core.BuildOption) *core.Program {
+func tickerProgram(t *testing.T, sleeps bool, opts ...core.BuildOption) *core.Program {
 	t.Helper()
 	prog, err := core.Compile(func(b *core.Builder) error {
 		snk, err := pcl.NewSink("snk", nil)
 		if err != nil {
 			return err
 		}
-		k := newTicker("tick", 5, forget, lie)
+		k := newTicker("tick", 5, sleeps)
 		b.Add(k)
 		b.Add(snk)
 		return b.Connect(k, "out", snk, "in")
@@ -77,31 +73,38 @@ func tickerProgram(t *testing.T, forget, lie bool, opts ...core.BuildOption) *co
 	return prog
 }
 
-// TestSleepForgottenDueDiverges runs the ticker against the reference: a
-// ticker that names its next offer as its due agrees cycle by cycle, one
-// that forgets it diverges at the offer it skips.
-func TestSleepForgottenDueDiverges(t *testing.T) {
-	for _, forget := range []bool{false, true} {
-		ref := tickerProgram(t, forget, false, core.WithScheduler(core.SchedulerSequential))
+// TestSleepPendingOfferDiverges runs the ticker against the reference: a
+// ticker that stays awake agrees cycle by cycle (its sink sleeps between
+// tokens), one that sleeps with its next offer pending diverges at the
+// offer it skips.
+func TestSleepPendingOfferDiverges(t *testing.T) {
+	for _, sleeps := range []bool{false, true} {
+		ref := tickerProgram(t, sleeps, core.WithScheduler(core.SchedulerSequential))
 		want, _ := play(t, ref, nil, false, 40, nil)
-		got, sim := play(t, tickerProgram(t, forget, false), nil, false, 40, nil)
+		got, sim := play(t, tickerProgram(t, sleeps), nil, false, 40, nil)
 		c := diverges(want.status, got.status)
+		asleep := map[string]uint64{}
+		for _, im := range sim.Metrics().Instances() {
+			asleep[im.Name] = im.Asleep
+		}
 		switch {
-		case sim.Metrics().SleepingCycles() == 0:
-			t.Fatalf("forget=%v: the ticker never slept", forget)
-		case !forget && (c >= 0 || got.stats != want.stats):
-			t.Fatalf("a ticker that wakes for its next offer diverges from the reference at cycle %d", c)
-		case forget && c < 0:
-			t.Fatal("a ticker that forgets its next offer agrees with the reference")
+		case asleep["snk"] == 0:
+			t.Fatalf("sleeps=%v: the sink never slept", sleeps)
+		case sleeps && asleep["tick"] == 0:
+			t.Fatal("the ticker never slept")
+		case !sleeps && (c >= 0 || got.stats != want.stats):
+			t.Fatalf("a ticker that stays awake diverges from the reference at cycle %d", c)
+		case sleeps && c < 0:
+			t.Fatal("a ticker that sleeps with an offer pending agrees with the reference")
 		}
 	}
 }
 
-// TestSleepCheckCatchesSkippedOffer runs a ticker whose start handler
-// offers although it sleeps with no timer: the activity check fails the
-// Step at that offer, naming the ticker.
+// TestSleepCheckCatchesSkippedOffer runs a ticker that sleeps with an
+// offer pending under the activity check: it fails the Step at that
+// offer, naming the ticker.
 func TestSleepCheckCatchesSkippedOffer(t *testing.T) {
-	sim, err := tickerProgram(t, false, true, core.WithActivityCheck()).NewSim()
+	sim, err := tickerProgram(t, true, core.WithActivityCheck()).NewSim()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +115,13 @@ func TestSleepCheckCatchesSkippedOffer(t *testing.T) {
 	}
 }
 
-// napReactor calls SleepUntil from its reactive handler.
+// napReactor calls Sleep from its reactive handler.
 type napReactor struct {
 	core.Base
 	in *core.Port
 }
 
-// TestSleepOutsideEndPhase holds SleepUntil to the cycle-end phase under
+// TestSleepOutsideEndPhase holds Sleep to the cycle-end phase under
 // both engines.
 func TestSleepOutsideEndPhase(t *testing.T) {
 	for _, kind := range []core.SchedulerKind{core.SchedulerSequential, core.SchedulerSparse} {
@@ -131,7 +134,7 @@ func TestSleepOutsideEndPhase(t *testing.T) {
 			r.Init("nap", r)
 			r.Checkpoint()
 			r.in = r.AddInPort("in")
-			r.OnReact(func() { r.SleepUntil(core.NoTimer) })
+			r.OnReact(func() { r.Sleep() })
 			b.Add(src)
 			b.Add(r)
 			return b.Connect(src, "out", r, "in")
