@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke lint
+.PHONY: check vet build test race cover bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke lint
 
 ## check: full gate — vet, build, and the test suite under the race detector.
 check: vet build race
@@ -27,6 +27,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## cover: the engine's coverage by the whole suite — every package's
+## tests count toward internal/core — one line per function, lowest first.
+cover:
+	$(GO) test -coverpkg=./internal/core/... -coverprofile=cover.out ./...
+	$(GO) tool cover -func=cover.out | sort -k3 -n
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -197,9 +197,6 @@ func (b *Base) HasHandlers() (react, start, end bool) {
 	return b.react != nil, b.start != nil, b.end != nil
 }
 
-// Sim returns the simulator the instance belongs to (nil before Build).
-func (b *Base) Sim() *Sim { return b.sim }
-
 // Now returns the current cycle number.
 func (b *Base) Now() uint64 { return b.sim.cycle }
 

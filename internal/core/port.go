@@ -83,9 +83,6 @@ func (p *Port) Dir() Dir { return p.dir }
 // Width returns the number of connections attached to the port.
 func (p *Port) Width() int { return len(p.conns) }
 
-// Conn returns the i'th connection of the port.
-func (p *Port) Conn(i int) *Conn { return p.conns[p.check(i)] }
-
 // Owner returns the instance the port belongs to.
 func (p *Port) Owner() Instance { return p.owner.self }
 

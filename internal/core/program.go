@@ -17,14 +17,15 @@ import (
 // thousands of concurrent simulations can share one compiled artifact.
 //
 // Sharing contract (DESIGN.md Appendix E): everything reachable from a
-// Program after Compile returns is read-only, except three write-once
+// Program after Compile returns is read-only, except two write-once
 // slots, each written by the first session that needs it under its own
-// mutex or sync.Once: the first-session slot (firstMu), the statistics
-// order (statsOnce) and the cluster plan's seed plan
-// (progSparse.seedsOnce). Sessions index the shared [][]int32 schedule
-// levels by connection id but write only their own plane, scratch and
-// instance state, which is what makes concurrent NewSim+Run sessions
-// data-race-free.
+// mutex or sync.Once: the first-session slot (firstMu) and the statistics
+// order (statsOnce). The structure is fixed at Compile — ports, handlers,
+// marks and declared statistics are in the fingerprint every stamp is
+// held to, and the seed plan is compiled with the cluster plan. Sessions
+// index the shared [][]int32 schedule levels by connection id but write
+// only their own plane, scratch and instance state, which is what makes
+// concurrent NewSim+Run sessions data-race-free.
 
 // Program is the immutable compiled form of a netlist. It is safe for
 // concurrent use: any number of goroutines may call NewSim and run the
@@ -60,8 +61,9 @@ type Program struct {
 	starts, ends []int32
 	// stats is the statistics in StatSet.Each's order, with their names:
 	// computed at the first Each of any session, from that session's
-	// declarations (a program whose sessions never read their statistics,
-	// as in construction, pays nothing), and shared by every session.
+	// declarations — the fingerprint makes them every session's — and
+	// shared by every session. A program whose sessions never read their
+	// statistics, as in construction, pays nothing.
 	stats     statOrder
 	statsOnce sync.Once
 }
@@ -96,11 +98,12 @@ func handlerRosters(instances []Instance) (starts, ends []int32) {
 // Compile runs the assembly recipe once, compiles the resulting netlist
 // and returns the shared Program. The recipe must be deterministic: every
 // NewSim after the first re-runs it to stamp a fresh instance graph, and a
-// structural fingerprint (instance names, handler shapes, marks,
-// connection endpoints) is checked against this compilation's on every
-// stamp. Build-time validation — port widths, post-build checks such as
-// strict static analysis — runs here, on the session the program keeps as
-// its first; post-build checks run here only, never again on a stamp.
+// structural fingerprint (instance names, handler shapes, marks, declared
+// statistics, connection endpoints) is checked against this compilation's
+// on every stamp. Build-time validation — port widths, post-build checks
+// such as strict static analysis — runs here, on the session the program
+// keeps as its first; post-build checks run here only, never again on a
+// stamp.
 func Compile(assemble func(*Builder) error, opts ...BuildOption) (*Program, error) {
 	if assemble == nil {
 		return nil, &BuildError{Op: "compile", Where: "?", Detail: "nil assemble function"}
@@ -164,7 +167,8 @@ func (p *Program) Instances() int { return p.nInsts }
 func (p *Program) Conns() int { return p.nConns }
 
 // Fingerprint returns the structural hash of the compiled netlist —
-// instance names, handler shapes and marks plus connection endpoints.
+// instance names, handler shapes, marks and declared statistics plus
+// connection endpoints.
 // Snapshots embed it so Restore can reject state from a different program.
 func (p *Program) Fingerprint() uint64 { return p.fingerprint }
 
@@ -210,8 +214,9 @@ func (p *Program) checkStamp(instances []Instance, conns []*Conn, sched Schedule
 
 // fingerprintNetlist hashes the netlist structure the compiled artifacts
 // depend on: instance names, handler shapes and marks (which drive the
-// dependency graph and the activity partition) and connection endpoints.
-// FNV-64a over the assembly order.
+// dependency graph and the activity partition), each instance's counter
+// and then histogram names (which the shared statistics order indexes),
+// and connection endpoints. FNV-64a over the assembly order.
 func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -246,6 +251,14 @@ func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
 			flags |= 32
 		}
 		u64(flags)
+		for c := b.counters; c != nil; c = c.next {
+			str(c.name)
+		}
+		u64(^uint64(0)) // no name's length: ends the list
+		for h := b.hists; h != nil; h = h.next {
+			str(h.name)
+		}
+		u64(^uint64(0))
 	}
 	u64(uint64(len(conns)))
 	for _, c := range conns {

@@ -78,12 +78,13 @@ func TestNewSimRejectsSchedulerSwitch(t *testing.T) {
 }
 
 // TestNewSimRejectsNondeterministicRecipe: a recipe that assembles a
-// different netlist on re-run — a renamed instance, or a MarkSequential
-// called only on the first assembly — fails the structural fingerprint
-// check. The first option-less session is the compiled netlist itself and
-// cannot disagree with it; the second is the first re-run.
+// different netlist on re-run — a renamed instance, a MarkSequential
+// called only on the first assembly, one counter more, a renamed
+// histogram — fails the structural fingerprint check. The first
+// option-less session is the compiled netlist itself and cannot disagree
+// with it; the second is the first re-run.
 func TestNewSimRejectsNondeterministicRecipe(t *testing.T) {
-	for _, mutation := range []string{"name", "mark"} {
+	for _, mutation := range []string{"name", "mark", "counter", "histogram"} {
 		calls := 0
 		prog, err := Compile(func(b *Builder) error {
 			calls++
@@ -94,6 +95,15 @@ func TestNewSimRejectsNondeterministicRecipe(t *testing.T) {
 			a := newProgTestModule(name)
 			if calls == 1 && mutation == "mark" {
 				a.MarkSequential()
+			}
+			a.Counter("sent")
+			if calls > 1 && mutation == "counter" {
+				a.Counter("extra")
+			}
+			if calls > 1 && mutation == "histogram" {
+				a.Histogram("renamed")
+			} else {
+				a.Histogram("latency")
 			}
 			c := newProgTestModule("c")
 			b.Add(a)

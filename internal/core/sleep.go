@@ -12,17 +12,17 @@ import "fmt"
 // (Base.asleep) and wakes in two cases only: a data Yes reached one of
 // its In lanes (Sim.offer stamps Base.seen; its end handler runs that
 // cycle), or a full sweep. State commits only at a cycle's end, so
-// between two inputs a sleeper has nothing new to offer. Where the reset
-// cleared a cluster one of its sleeping seeds drives, the engine drives
-// that seed's Out ports as Port.Idle would, at its place in the start
-// roster. None of it grows an instance: the flag and the stamp sit in
-// Base's padding, and the start of a sleep on the histograms that credit
-// it.
+// between two inputs a sleeper has nothing new to offer. The engine
+// drives a sleeping seed's Out ports as Port.Idle would, at its place in
+// the start roster: where the reset left its clusters alone they are
+// closed, every cell resolved, and the drive stores nothing. None of it
+// grows an instance: the flag and the stamp sit in Base's padding, and
+// the start of a sleep on the histograms that credit it.
 
 // runStarts is the start phase: every awake start handler, and at their
-// places the idle drives of the sleepers whose clusters the reset
-// cleared, in instance order. In check mode a sleeper's handler runs, held to what the engine
-// would have driven in its place.
+// places the sleepers' idle drives, in instance order. In check mode a
+// sleeper's handler runs, held to what the engine would have driven in
+// its place.
 func (s *Sim) runStarts() {
 	skipped := 0
 	for _, id := range s.prog.starts {
@@ -36,9 +36,7 @@ func (s *Sim) runStarts() {
 			continue
 		}
 		skipped++
-		if s.cleared(int(id)) {
-			b.idleOuts()
-		}
+		b.idleOuts()
 		if m := s.metrics; m != nil {
 			m.insts[id].skippedStarts++
 		}
@@ -132,7 +130,7 @@ func (s *Sim) doze(b *Base) {
 		}
 	}
 	if a := s.act; a != nil && !a.allWork && b.start != nil {
-		for _, cl := range a.plan.seedClusters(b.id) {
+		for _, cl := range s.sparse.seeds.seedClusters(b.id) {
 			a.awake[cl]--
 		}
 	}
@@ -148,7 +146,7 @@ func (s *Sim) rise(b *Base) {
 		return
 	}
 	a, stamp := s.act, s.stamp()
-	for _, cl := range a.plan.seedClusters(b.id) {
+	for _, cl := range s.sparse.seeds.seedClusters(b.id) {
 		if a.awake[cl]++; a.awake[cl] == 1 && !s.sparse.noInput[cl] {
 			a.enlist(cl, stamp)
 		}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // sparse.go is the engine's activity plan (SchedulerSparse): the static
 // schedule of schedule.go, run each cycle over only the part of the
@@ -56,33 +53,23 @@ type progSparse struct {
 	reactive   []int32 // every reactive instance, ascending id: the wake roster
 	quietSeeds int     // instances with a start handler and no reactive one: active, never woken
 
-	seeds     seedPlan // built at the first steady cycle of any session (seedPlan)
-	seedsOnce sync.Once
+	seeds seedPlan
 }
 
-// seedPlan is the part of the cluster plan only sleeping reads: the
-// number of seeds of each cluster (its start-bearing instances), the
-// clusters of each seed, and the clusters that never close. It is built
-// from the first session of the Program that runs a steady cycle, so a
-// program whose sessions stop at the first cycle, as in construction,
-// pays nothing for it.
+// seedPlan is the part of the cluster plan the worklist and sleeping
+// read: the number of seeds of each cluster (its start-bearing
+// instances), the clusters of each seed, and the clusters that never
+// close. buildSparse builds it in its two passes, cut from its slabs.
 type seedPlan struct {
 	seeds []int32 // cluster -> how many seeds it has
 	at    []int32 // instance id -> its run of cls
-	cls   []int32 // the clusters each seed touches, ascending
+	cls   []int32 // the clusters each seed touches, in port order
 	never []int32 // the clusters that never close, ascending: reset every cycle
 }
 
 // seedClusters lists the clusters instance id seeds (touches with a port,
 // having a start handler).
 func (pl *seedPlan) seedClusters(id int) []int32 { return pl.cls[pl.at[id]:pl.at[id+1]] }
-
-// seedPlan returns the Program's seed plan, building it from bases (any
-// session's instances) the first time.
-func (sp *progSparse) seedPlan(bases []*Base) *seedPlan {
-	sp.seedsOnce.Do(func() { sp.buildSeeds(bases) })
-	return &sp.seeds
-}
 
 const (
 	actSigned uint8 = 1 << iota // the cluster has an idle signature
@@ -92,7 +79,6 @@ const (
 // actState is a session's activity state: the signatures and this cycle's
 // decisions. It is derived — a full sweep drops it, snapshots omit it.
 type actState struct {
-	plan    *seedPlan
 	flags   []uint8    // cluster -> act* bits
 	offered []uint64   // cluster -> stamp of the last cycle a data signal resolved Yes in it
 	open    []uint64   // instance id -> stamp of the last cycle one of its clusters was open
@@ -169,13 +155,15 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 		}
 		sp.clusterOf[id] = label[r] - 1
 	}
-	tab := make([]int32, 5*nc+2) // one slab for the per-cluster tables
+	tab := make([]int32, 6*nc+ni+3) // one slab for the per-cluster and per-seed tables
 	cut := func(k int) []int32 {
 		out := tab[:k:k]
 		tab = tab[k:]
 		return out
 	}
+	pl := &sp.seeds
 	sp.cellOff, sp.memOff, sp.frontEnd = cut(nc+1), cut(nc+1), cut(nc)
+	pl.seeds, pl.at = cut(nc), cut(ni+1)
 	cur, seen := cut(nc), cut(nc) // fill cursors; the instance that last visited a cluster
 	sp.noInput = make([]bool, nc)
 	front := make([]bool, n)
@@ -209,8 +197,8 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 
 	clear(seen)
 	eachCluster := func(b *Base, mark int32, fn func(cl int32)) { sp.eachCluster(b, seen, mark, fn) }
-	// Pass 1: member counts, and the clusters that never close.
-	nReact, nMembers := 0, 0
+	// Pass 1: member and seed counts, and the clusters that never close.
+	nReact, nMembers, nSeeded := 0, 0, 0
 	for i, inst := range instances {
 		b := inst.base()
 		if skip(b) {
@@ -221,21 +209,32 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 			info.AlwaysActive++
 		}
 		if b.react == nil {
-			if b.start != nil {
-				sp.quietSeeds++
+			if b.start == nil {
+				continue
 			}
-			continue
+			sp.quietSeeds++
+		} else {
+			nReact++
 		}
-		nReact++
 		eachCluster(b, int32(i+1), func(cl int32) {
-			sp.memOff[cl+1]++
-			nMembers++
-			sp.noInput[cl] = sp.noInput[cl] || noInput
+			if b.start != nil {
+				pl.seeds[cl]++
+				pl.at[i+1]++
+				nSeeded++
+			}
+			if b.react != nil {
+				sp.memOff[cl+1]++
+				nMembers++
+				sp.noInput[cl] = sp.noInput[cl] || noInput
+			}
 		})
+	}
+	for i := range ni {
+		pl.at[i+1] += pl.at[i]
 	}
 	// A reactive instance is a member once per cluster its ports touch:
 	// with marked instances that can exceed the conn count.
-	lists := make([]int32, 0, nc+nReact+nMembers)
+	lists := make([]int32, 0, nc+nMembers+nReact+nSeeded)
 	largest := int32(-1)
 	info.ClusterSizes = make([]int, 0, nc)
 	for cl := int32(0); int(cl) < nc; cl++ {
@@ -255,21 +254,33 @@ func buildSparse(g *depGraph, instances []Instance, conns []*Conn, info *Schedul
 		}
 	}
 	sp.decided = lists[:len(lists):len(lists)]
-	sp.members = lists[len(lists) : len(lists)+int(sp.memOff[nc]) : len(lists)+int(sp.memOff[nc])]
-	sp.reactive = lists[len(lists)+len(sp.members) : len(lists)+len(sp.members)]
-	// Pass 2: members, the wake roster, who is active at all, and which
-	// unmarked start-bearing multi-port instances glue the largest cluster.
+	for cl, never := range sp.noInput {
+		if never {
+			lists = append(lists, int32(cl))
+		}
+	}
+	pl.never = lists[len(sp.decided):nc:nc]
+	sp.members = lists[nc : nc+nMembers : nc+nMembers]
+	sp.reactive = lists[nc+nMembers : nc+nMembers : nc+nMembers+nReact]
+	pl.cls = lists[nc+nMembers+nReact : nc+nMembers+nReact+nSeeded]
+	// Pass 2: members, the seeds' clusters, the wake roster, who is active
+	// at all, and which unmarked start-bearing multi-port instances glue
+	// the largest cluster.
 	for i, inst := range instances {
 		b := inst.base()
 		if skip(b) {
 			continue
 		}
-		glues := false
+		glues, at := false, pl.at[i]
 		eachCluster(b, -int32(i+1), func(cl int32) {
 			glues = glues || cl == largest
 			if b.react != nil {
 				sp.members[cur[cl]] = int32(i)
 				cur[cl]++
+			}
+			if b.start != nil {
+				pl.cls[at] = cl
+				at++
 			}
 		})
 		if b.react != nil {
@@ -307,53 +318,6 @@ func (sp *progSparse) eachCluster(b *Base, seen []int32, mark int32, fn func(cl 
 				fn(cl)
 			}
 			break // a port's conns are one cluster
-		}
-	}
-}
-
-// buildSeeds builds the seed plan in two counted passes over bases.
-func (sp *progSparse) buildSeeds(bases []*Base) {
-	pl := &sp.seeds
-	nc, ni := len(sp.noInput), len(bases)
-	seeds := func(b *Base) bool {
-		_, composite := b.self.(*Composite)
-		return b.start != nil && !composite
-	}
-	never := 0
-	for _, n := range sp.noInput {
-		if n {
-			never++
-		}
-	}
-	counts := make([]int32, nc+ni+1)
-	pl.seeds, pl.at = counts[:nc:nc], counts[nc:]
-	seen, n := make([]int32, nc), 0
-	for i, b := range bases {
-		if seeds(b) {
-			sp.eachCluster(b, seen, int32(i+1), func(cl int32) {
-				pl.seeds[cl]++
-				pl.at[i+1]++
-				n++
-			})
-		}
-	}
-	for i := range ni {
-		pl.at[i+1] += pl.at[i]
-	}
-	lists := make([]int32, n+never)
-	pl.cls, pl.never = lists[:n:n], lists[n:n]
-	for i, b := range bases {
-		if seeds(b) {
-			at := pl.at[i]
-			sp.eachCluster(b, seen, -int32(i+1), func(cl int32) {
-				pl.cls[at] = cl
-				at++
-			})
-		}
-	}
-	for cl, n := range sp.noInput {
-		if n {
-			pl.never = append(pl.never, int32(cl))
 		}
 	}
 }
@@ -405,7 +369,6 @@ func (s *Sim) newActState() *actState {
 		listed:  make([]uint64, nc),
 		awake:   make([]int32, nc),
 		allWork: true,
-		plan:    sp.seedPlan(s.bases),
 	}
 	// Woken every cycle, by a stamp no cycle reaches: reactive instances
 	// in no cluster, and the members of never-closing ones.
@@ -432,7 +395,7 @@ func (s *Sim) newActState() *actState {
 // cluster, so the seeds that fell asleep at its end need no cycle of
 // counting as awake to be decided with their idle drives.
 func (s *Sim) countSeeds(a *actState) {
-	pl := a.plan
+	pl := &s.sparse.seeds
 	copy(a.awake, pl.seeds)
 	if s.napping == 0 {
 		return
@@ -459,10 +422,10 @@ func (a *actState) enlist(cl int32, stamp uint64) {
 // were open are cleared whole; closed clusters with an awake seed keep their interior and give
 // up only their frontier, so the start handlers run against a cleared
 // plane wherever they can look; closed clusters whose seeds all sleep are
-// left alone, their cells and their resolutions kept. A sleeping seed of
-// a cluster that is cleared gets its Out ports driven idle in its place
-// in the start phase (cleared). When no cell is to be kept, the reset is
-// the full sweep's: one memclr.
+// left alone, their cells and their resolutions kept. Every sleeping seed
+// gets its Out ports driven idle in its place in the start phase; where
+// its clusters were left alone those cells are resolved already. When no
+// cell is to be kept, the reset is the full sweep's: one memclr.
 func (s *Sim) resetOpen() {
 	sp := s.sparse
 	if s.act == nil {
@@ -500,7 +463,7 @@ func (s *Sim) resetOpen() {
 		return
 	}
 	cells := s.plane.cells
-	for _, list := range [2][]int32{a.work, a.plan.never} {
+	for _, list := range [2][]int32{a.work, sp.seeds.never} {
 		for _, cl := range list {
 			hi := sp.cellOff[cl+1]
 			if a.flags[cl]&actClosed != 0 {
@@ -511,18 +474,6 @@ func (s *Sim) resetOpen() {
 			}
 		}
 	}
-}
-
-// cleared reports whether the reset cleared a cluster seed id drives: one
-// on the worklist, or one that never closes.
-func (s *Sim) cleared(id int) bool {
-	a, stamp := s.act, s.stamp()
-	for _, cl := range a.plan.seedClusters(id) {
-		if a.listed[cl] == stamp || s.sparse.noInput[cl] {
-			return true
-		}
-	}
-	return false
 }
 
 // wakeOpen runs between the start phase and the react phase of a steady

@@ -278,15 +278,12 @@ func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
 // StatSet is a session's statistics: a view over the counters and
-// histograms its instances declared. It holds nothing of its own but, for
-// a session whose recipe declared other statistics than the compiled
-// netlist, their order. A full name is the instance's name, a dot and the
+// histograms its instances declared, in the Program's order. It holds
+// nothing of its own. A full name is the instance's name, a dot and the
 // statistic's name ("net.r3.arb1.grants"); lookups split it at the last
 // dot.
 type StatSet struct {
-	sim     *Sim
-	checked bool       // the program's order was held to this session's declarations
-	own     *statOrder // this session's order, where the program's does not fit
+	sim *Sim
 }
 
 // statOrder is the statistics of a netlist sorted by full name, a counter
@@ -372,58 +369,13 @@ func (b *Base) histAt(idx int32) *Histogram {
 	return h
 }
 
-// fits reports whether o lists exactly the statistics the session's
-// instances declared.
-func (o *statOrder) fits(bases []*Base) bool {
-	n := 0
-	for _, r := range o.refs {
-		name := o.names[r.off:r.end]
-		b := bases[r.inst]
-		var own string
-		if r.hist {
-			h := b.histAt(r.idx)
-			if h == nil {
-				return false
-			}
-			own = h.name
-		} else {
-			c := b.counterAt(r.idx)
-			if c == nil {
-				return false
-			}
-			own = c.name
-		}
-		if len(name) != len(b.name)+1+len(own) || name[len(b.name)+1:] != own {
-			return false
-		}
-	}
-	for _, b := range bases {
-		for c := b.counters; c != nil; c = c.next {
-			n++
-		}
-		for h := b.hists; h != nil; h = h.next {
-			n++
-		}
-	}
-	return n == len(o.refs)
-}
-
-// order is the session's statistics order: the program's, once held to
-// the session's declarations.
+// order is the Program's statistics order, computed at the first read of
+// any session. Every session declares the same statistics: they are in
+// the structural fingerprint, which each stamp is held to.
 func (s *StatSet) order() *statOrder {
-	if !s.checked {
-		s.checked = true
-		p := s.sim.prog
-		p.statsOnce.Do(func() { p.stats = orderStats(s.sim.instances) })
-		if o := &p.stats; !o.fits(s.sim.bases) {
-			own := orderStats(s.sim.instances)
-			s.own = &own
-		}
-	}
-	if s.own != nil {
-		return s.own
-	}
-	return &s.sim.prog.stats
+	p := s.sim.prog
+	p.statsOnce.Do(func() { p.stats = orderStats(s.sim.instances) })
+	return &p.stats
 }
 
 // owner resolves a full statistic name to the declaring instance and the
